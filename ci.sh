@@ -19,7 +19,8 @@
 #   ./ci.sh --bench-smoke # + short closed-loop and open-loop txkv_load
 #                      #   runs with the emitted JSON rows schema-validated
 #                      #   (bench_check), including an overload run that
-#                      #   must shed
+#                      #   must shed, and the pinned benchmark's own smoke
+#                      #   (benchmark/smoke.sh)
 #   ./ci.sh --sched    # + the hybrid-router tier: a short zipfian
 #                      #   `--backend hybrid` run whose JSON row must carry
 #                      #   the sched counter object (bench_check
@@ -81,6 +82,11 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
+echo "== pinned benchmark builds (its imports are the frozen stats/telemetry surface)"
+# benchmark/ is its own package, outside the workspace; building it here
+# makes an API break of what it uses fail CI, not the next benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== telemetry smoke (flight recorder + scraper + trace, schema-validated)"
 TLM_DIR="$(mktemp -d)"
 trap 'rm -rf "$TLM_DIR"' EXIT
@@ -133,6 +139,8 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
     "$BENCH_TMP/bench.json" --min-rows 3 --require-open-shed
   # The committed report must stay schema-clean too.
   cargo run --release -q -p rococo-bench --bin bench_check -- BENCH_txkv.json
+  echo "== pinned benchmark smoke (benchmark/smoke.sh)"
+  benchmark/smoke.sh
 fi
 
 if [[ "$SCHED" == "1" ]]; then

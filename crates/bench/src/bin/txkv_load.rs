@@ -44,8 +44,9 @@ use rococo_server::{
     DurabilityConfig, PendingReply, Request, Response, TelemetryConfig, TxKv, TxKvConfig, TxKvError,
 };
 use rococo_stm::{RococoTm, TinyStm, TmConfig, TmSystem, TsxHtm};
+use rococo_telemetry::Histogram;
 use rococo_trace::ZipfSampler;
-use rococo_wal::{FsyncPolicy, Pow2Histogram};
+use rococo_wal::FsyncPolicy;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -752,9 +753,9 @@ fn run_backend<S: TmSystem + 'static>(
         deferred: stats.deferred,
         failed,
         abort_rate,
-        p50_ns: stats.latency.p50_ns,
-        p99_ns: stats.latency.p99_ns,
-        p999_ns: stats.latency.p999_ns,
+        p50_ns: stats.latency.quantile(0.5),
+        p99_ns: stats.latency.quantile(0.99),
+        p999_ns: stats.latency.quantile(0.999),
         flight_recorder: recorder_on,
         attribution,
         wal: report.wal.clone(),
@@ -867,7 +868,7 @@ fn repl_closed_loop<S: TmSystem + 'static>(
     client: usize,
     quota: u64,
     totals: &ClientTotals,
-    latency: &Pow2Histogram,
+    latency: &Histogram,
     follower_reads: &AtomicU64,
 ) {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ (client as u64) << 8);
@@ -948,8 +949,8 @@ fn run_replicated<S: TmSystem + 'static>(
         shed: AtomicU64::new(0),
         failed: AtomicU64::new(0),
     };
-    let latency = Pow2Histogram::default();
-    let lag_hist = Pow2Histogram::default();
+    let latency = Histogram::default();
+    let lag_hist = Histogram::default();
     let follower_reads = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let fail_at = cfg.ops / 2;
@@ -1050,8 +1051,8 @@ fn run_replicated<S: TmSystem + 'static>(
          {} gaps, {} resends, fail-over {:.2}ms, epoch {}",
         snapshot.batches_shipped,
         snapshot.batches_applied,
-        lag.quantile_upper(0.5),
-        lag.quantile_upper(0.99),
+        lag.quantile(0.5),
+        lag.quantile(0.99),
         snapshot.gaps_detected,
         snapshot.resends,
         failover_ms,
@@ -1078,17 +1079,17 @@ fn run_replicated<S: TmSystem + 'static>(
         } else {
             0.0
         },
-        p50_ns: lat.quantile_upper(0.5),
-        p99_ns: lat.quantile_upper(0.99),
-        p999_ns: lat.quantile_upper(0.999),
+        p50_ns: lat.quantile(0.5),
+        p99_ns: lat.quantile(0.99),
+        p999_ns: lat.quantile(0.999),
         flight_recorder: false,
         attribution: None,
         wal: report.primary.as_ref().and_then(|r| r.wal.clone()),
         sched: None,
         repl: Some(ReplRun {
             replicas: cfg.replicas,
-            lag_p50_seq: lag.quantile_upper(0.5),
-            lag_p99_seq: lag.quantile_upper(0.99),
+            lag_p50_seq: lag.quantile(0.5),
+            lag_p99_seq: lag.quantile(0.99),
             failover_ms,
             follower_reads: follower_reads.load(Ordering::Relaxed),
         }),

@@ -438,7 +438,7 @@ fn run_on<S: TmSystem + 'static>(
     let abort_breakdown: Vec<(&'static str, u64)> = AbortKind::ALL
         .iter()
         .filter_map(|k| {
-            let n = stats.aborts.get(k).copied().unwrap_or(0);
+            let n = stats.aborts[k.index()];
             (n > 0).then_some((k.as_label(), n))
         })
         .collect();

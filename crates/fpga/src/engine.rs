@@ -84,17 +84,24 @@ pub struct HistoryEntry {
     pub write_sig: Sig,
 }
 
-/// Aggregate statistics of the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Requests processed.
-    pub requests: u64,
-    /// Commits granted.
-    pub commits: u64,
-    /// Aborts due to dependency cycles.
-    pub aborts_cycle: u64,
-    /// Aborts due to window overflow.
-    pub aborts_window: u64,
+rococo_telemetry::stats_block! {
+    /// Aggregate statistics of the engine: plain counters, bumped by the
+    /// one thread that owns the engine.
+    #[derive(Copy, Serialize, Deserialize)]
+    pub struct EngineStats;
+
+    counters {
+        requests: "rococo_fpga_requests_total", "Validation requests processed by the FPGA engine";
+        commits: "rococo_fpga_commits_total", "Commit verdicts granted by the FPGA engine";
+    }
+    groups {
+        "rococo_fpga_aborts_total", "Abort verdicts by cause" {
+            /// Aborts due to dependency cycles.
+            aborts_cycle: kind = "cycle";
+            /// Aborts due to window overflow.
+            aborts_window: kind = "window";
+        }
+    }
 }
 
 impl EngineStats {
@@ -110,35 +117,6 @@ impl EngineStats {
         } else {
             self.aborts() as f64 / self.requests as f64
         }
-    }
-
-    /// Publishes the engine counters into a metrics registry under the
-    /// unified `rococo_fpga_*` namespace.
-    pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
-        reg.counter(
-            "rococo_fpga_requests_total",
-            "Validation requests processed by the FPGA engine",
-            &[],
-            self.requests,
-        );
-        reg.counter(
-            "rococo_fpga_commits_total",
-            "Commit verdicts granted by the FPGA engine",
-            &[],
-            self.commits,
-        );
-        reg.counter(
-            "rococo_fpga_aborts_total",
-            "Abort verdicts by cause",
-            &[("kind", "cycle")],
-            self.aborts_cycle,
-        );
-        reg.counter(
-            "rococo_fpga_aborts_total",
-            "Abort verdicts by cause",
-            &[("kind", "window")],
-            self.aborts_window,
-        );
     }
 }
 

@@ -18,7 +18,6 @@
 //! correctness loss.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the fault injector. All probabilities are per-request
 /// and drawn from a deterministic generator seeded with [`FaultConfig::seed`]
@@ -115,44 +114,29 @@ impl Default for FaultConfig {
     }
 }
 
-/// Live counters of injected faults, shared between the validator thread
-/// and every [`ServiceHandle`](crate::ServiceHandle).
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    pub(crate) delayed: AtomicU64,
-    pub(crate) reordered: AtomicU64,
-    pub(crate) spurious_cycle: AtomicU64,
-    pub(crate) spurious_window: AtomicU64,
-    pub(crate) pauses: AtomicU64,
-}
+rococo_telemetry::stats_block! {
+    /// Live counters of injected faults, shared between the validator
+    /// thread and every [`ServiceHandle`](crate::ServiceHandle).
+    pub struct FaultStats;
+    /// A point-in-time copy of [`FaultStats`], surfaced by service layers
+    /// so operators can tell injected chaos apart from organic aborts.
+    #[derive(Copy, Serialize, Deserialize)]
+    pub struct FaultSnapshot;
 
-impl FaultStats {
-    /// Takes a point-in-time copy.
-    pub fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            delayed: self.delayed.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            spurious_cycle: self.spurious_cycle.load(Ordering::Relaxed),
-            spurious_window: self.spurious_window.load(Ordering::Relaxed),
-            pauses: self.pauses.load(Ordering::Relaxed),
+    groups {
+        "rococo_faults_injected_total", "Faults injected into the validation service, by class" {
+            /// Verdict replies delayed.
+            pub(crate) delayed: kind = "delay";
+            /// Requests serviced out of submission order.
+            pub(crate) reordered: kind = "reorder";
+            /// Spurious `AbortCycle` verdicts injected.
+            pub(crate) spurious_cycle: kind = "spurious-cycle";
+            /// Spurious `AbortWindowOverflow` verdicts injected.
+            pub(crate) spurious_window: kind = "spurious-window";
+            /// Validator stalls injected.
+            pub(crate) pauses: kind = "pause";
         }
     }
-}
-
-/// A point-in-time copy of [`FaultStats`], surfaced by service layers so
-/// operators can tell injected chaos apart from organic aborts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultSnapshot {
-    /// Verdict replies delayed.
-    pub delayed: u64,
-    /// Requests serviced out of submission order.
-    pub reordered: u64,
-    /// Spurious `AbortCycle` verdicts injected.
-    pub spurious_cycle: u64,
-    /// Spurious `AbortWindowOverflow` verdicts injected.
-    pub spurious_window: u64,
-    /// Validator stalls injected.
-    pub pauses: u64,
 }
 
 impl FaultSnapshot {
@@ -164,21 +148,6 @@ impl FaultSnapshot {
     /// Spurious abort verdicts of either kind.
     pub fn spurious_aborts(&self) -> u64 {
         self.spurious_cycle + self.spurious_window
-    }
-
-    /// Publishes the injected-fault counters into a metrics registry under
-    /// the unified `rococo_faults_*` namespace, one `kind` label per class.
-    pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
-        const HELP: &str = "Faults injected into the validation service, by class";
-        for (kind, n) in [
-            ("delay", self.delayed),
-            ("reorder", self.reordered),
-            ("spurious-cycle", self.spurious_cycle),
-            ("spurious-window", self.spurious_window),
-            ("pause", self.pauses),
-        ] {
-            reg.counter("rococo_faults_injected_total", HELP, &[("kind", kind)], n);
-        }
     }
 }
 
@@ -233,6 +202,7 @@ impl FaultRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn disabled_config_injects_nothing() {

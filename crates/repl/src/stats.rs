@@ -1,42 +1,48 @@
 //! Replication observability: stream counters, per-follower lag, apply
-//! latency, and fail-over accounting, exported into the unified
-//! `rococo_repl_*` metric namespace through the same `export_metrics`
-//! adapter pattern every other stats struct in the workspace uses.
+//! latency, and fail-over accounting, exported under the unified
+//! `rococo_repl_*` metric namespace.
 
 use rococo_stm::AbortKind;
-use rococo_wal::{Pow2Histogram, Pow2Snapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rococo_telemetry::HistogramSnapshot;
+use std::sync::atomic::Ordering;
 
-/// Live replication counters, shared between the shipper, the follower
-/// apply threads, and the fail-over coordinator.
-#[derive(Debug, Default)]
-pub struct ReplStats {
-    /// Stream batches shipped (first transmissions and resends).
-    pub batches_shipped: AtomicU64,
-    /// Records shipped across all batches.
-    pub records_shipped: AtomicU64,
-    /// Batches a follower applied.
-    pub batches_applied: AtomicU64,
-    /// Records a follower applied (duplicates from resends excluded).
-    pub records_applied: AtomicU64,
-    /// Gaps a follower detected (out-of-order or missing batches).
-    pub gaps_detected: AtomicU64,
-    /// Resend requests the shipper honoured.
-    pub resends: AtomicU64,
-    /// Batches a follower rejected (CRC, framing, density).
-    pub batches_rejected: AtomicU64,
-    /// Duplicate records skipped by followers (overlapping resends).
-    pub duplicates_skipped: AtomicU64,
-    /// Completed primary fail-overs.
-    pub failovers: AtomicU64,
-    /// Followers crashed (by chaos injection or election-time kills).
-    pub follower_crashes: AtomicU64,
-    /// Per-batch apply latency (decode through store update), ns.
-    pub apply_ns: Pow2Histogram,
-    /// Primary-side requests that exhausted their retries, by abort
-    /// cause (indexed by [`AbortKind::index`]; exported with the
-    /// canonical [`AbortKind::as_label`] labels).
-    pub primary_retry_exhausted: [AtomicU64; AbortKind::COUNT],
+rococo_telemetry::stats_block! {
+    /// Live replication counters, shared between the shipper, the
+    /// follower apply threads, and the fail-over coordinator.
+    pub struct ReplStats;
+    /// A point-in-time copy of [`ReplStats`] plus the cluster-level
+    /// gauges, which the cluster measures at snapshot time.
+    pub struct ReplSnapshot;
+
+    counters {
+        pub batches_shipped: "rococo_repl_stream_batches_total", "Stream batches shipped (first transmissions and resends)";
+        pub records_shipped: "rococo_repl_stream_records_total", "Records shipped across all stream batches";
+        pub batches_applied: "rococo_repl_applied_batches_total", "Stream batches followers applied";
+        pub records_applied: "rococo_repl_applied_records_total", "Records followers applied (duplicates excluded)";
+        /// Out-of-order or missing batches.
+        pub gaps_detected: "rococo_repl_gaps_total", "Stream gaps followers detected";
+        pub resends: "rococo_repl_resends_total", "Resend requests the shipper honoured";
+        pub batches_rejected: "rococo_repl_rejected_batches_total", "Stream batches rejected (CRC, framing, density)";
+        pub duplicates_skipped: "rococo_repl_duplicates_skipped_total", "Duplicate records followers skipped (overlapping resends)";
+        pub failovers: "rococo_repl_failovers_total", "Completed primary fail-overs";
+        /// By chaos injection or election-time kills.
+        pub follower_crashes: "rococo_repl_follower_crashes_total", "Followers crashed";
+    }
+    families {
+        /// Indexed by [`AbortKind::index`].
+        pub primary_retry_exhausted: [AbortKind::COUNT] "rococo_repl_primary_retries_exhausted_total",
+            "Primary requests that exhausted their retries, by abort cause", "kind" => AbortKind::label_at;
+    }
+    histograms {
+        /// Decode through store update.
+        pub apply_ns: "rococo_repl_apply_ns", "Per-batch follower apply latency in nanoseconds",
+            le = HistogramSnapshot::pow2_bounds;
+    }
+    gauges {
+        /// One reading per follower; crashed followers excluded.
+        lag_seq: Vec<u64> = "rococo_repl_lag_seq", "Replication lag in sequence numbers (shipped but unapplied)", by "follower";
+        epoch: u64 = "rococo_repl_epoch", "Cluster epoch (bumped by each fail-over)";
+    }
 }
 
 impl ReplStats {
@@ -44,162 +50,6 @@ impl ReplStats {
     /// abort cause.
     pub fn note_retries_exhausted(&self, kind: AbortKind) {
         self.primary_retry_exhausted[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a point-in-time copy, attaching the given per-follower lag
-    /// readings (the lag is a property of the cluster, not a counter, so
-    /// the caller measures it).
-    pub fn snapshot(&self, lag_seq: Vec<u64>, epoch: u64) -> ReplSnapshot {
-        let mut exhausted = [0u64; AbortKind::COUNT];
-        for (d, s) in exhausted
-            .iter_mut()
-            .zip(self.primary_retry_exhausted.iter())
-        {
-            *d = s.load(Ordering::Relaxed);
-        }
-        ReplSnapshot {
-            batches_shipped: self.batches_shipped.load(Ordering::Relaxed),
-            records_shipped: self.records_shipped.load(Ordering::Relaxed),
-            batches_applied: self.batches_applied.load(Ordering::Relaxed),
-            records_applied: self.records_applied.load(Ordering::Relaxed),
-            gaps_detected: self.gaps_detected.load(Ordering::Relaxed),
-            resends: self.resends.load(Ordering::Relaxed),
-            batches_rejected: self.batches_rejected.load(Ordering::Relaxed),
-            duplicates_skipped: self.duplicates_skipped.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            follower_crashes: self.follower_crashes.load(Ordering::Relaxed),
-            apply_ns: self.apply_ns.snapshot(),
-            primary_retry_exhausted: exhausted,
-            lag_seq,
-            epoch,
-        }
-    }
-}
-
-/// A point-in-time copy of [`ReplStats`] plus the cluster-level gauges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplSnapshot {
-    /// Stream batches shipped (first transmissions and resends).
-    pub batches_shipped: u64,
-    /// Records shipped across all batches.
-    pub records_shipped: u64,
-    /// Batches followers applied.
-    pub batches_applied: u64,
-    /// Records followers applied (duplicates excluded).
-    pub records_applied: u64,
-    /// Gaps followers detected.
-    pub gaps_detected: u64,
-    /// Resend requests the shipper honoured.
-    pub resends: u64,
-    /// Batches followers rejected (CRC, framing, density).
-    pub batches_rejected: u64,
-    /// Duplicate records skipped (overlapping resends).
-    pub duplicates_skipped: u64,
-    /// Completed primary fail-overs.
-    pub failovers: u64,
-    /// Followers crashed.
-    pub follower_crashes: u64,
-    /// Per-batch apply latency distribution, ns.
-    pub apply_ns: Pow2Snapshot,
-    /// Primary retries-exhausted failures by abort cause.
-    pub primary_retry_exhausted: [u64; AbortKind::COUNT],
-    /// Per-follower replication lag in sequence numbers at snapshot
-    /// time (shipped-but-unapplied records; crashed followers excluded).
-    pub lag_seq: Vec<u64>,
-    /// Cluster epoch (bumped by each fail-over).
-    pub epoch: u64,
-}
-
-impl ReplSnapshot {
-    /// Publishes the replication counters into a metrics registry under
-    /// the unified `rococo_repl_*` namespace.
-    pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
-        reg.counter(
-            "rococo_repl_stream_batches_total",
-            "Stream batches shipped (first transmissions and resends)",
-            &[],
-            self.batches_shipped,
-        );
-        reg.counter(
-            "rococo_repl_stream_records_total",
-            "Records shipped across all stream batches",
-            &[],
-            self.records_shipped,
-        );
-        reg.counter(
-            "rococo_repl_applied_batches_total",
-            "Stream batches followers applied",
-            &[],
-            self.batches_applied,
-        );
-        reg.counter(
-            "rococo_repl_applied_records_total",
-            "Records followers applied (duplicates excluded)",
-            &[],
-            self.records_applied,
-        );
-        reg.counter(
-            "rococo_repl_gaps_total",
-            "Stream gaps followers detected",
-            &[],
-            self.gaps_detected,
-        );
-        reg.counter(
-            "rococo_repl_resends_total",
-            "Resend requests the shipper honoured",
-            &[],
-            self.resends,
-        );
-        reg.counter(
-            "rococo_repl_rejected_batches_total",
-            "Stream batches rejected (CRC, framing, density)",
-            &[],
-            self.batches_rejected,
-        );
-        reg.counter(
-            "rococo_repl_failovers_total",
-            "Completed primary fail-overs",
-            &[],
-            self.failovers,
-        );
-        reg.counter(
-            "rococo_repl_follower_crashes_total",
-            "Followers crashed",
-            &[],
-            self.follower_crashes,
-        );
-        reg.gauge(
-            "rococo_repl_epoch",
-            "Cluster epoch (bumped by each fail-over)",
-            &[],
-            self.epoch as f64,
-        );
-        for (f, &lag) in self.lag_seq.iter().enumerate() {
-            let label = f.to_string();
-            reg.gauge(
-                "rococo_repl_lag_seq",
-                "Replication lag in sequence numbers (shipped but unapplied)",
-                &[("follower", label.as_str())],
-                lag as f64,
-            );
-        }
-        reg.histogram(
-            "rococo_repl_apply_ns",
-            "Per-batch follower apply latency in nanoseconds",
-            &[],
-            self.apply_ns.to_points(),
-        );
-        for kind in AbortKind::ALL {
-            let n = self.primary_retry_exhausted[kind.index()];
-            if n > 0 {
-                reg.counter(
-                    "rococo_repl_primary_retries_exhausted_total",
-                    "Primary requests that exhausted their retries, by abort cause",
-                    &[("kind", kind.as_label())],
-                    n,
-                );
-            }
-        }
     }
 }
 

@@ -75,149 +75,53 @@ impl Default for HybridConfig {
     }
 }
 
-/// Router/scheduler counters, all monotone.
-#[derive(Debug, Default)]
-struct SchedStats {
-    routes_htm: AtomicU64,
-    routes_sw: AtomicU64,
-    /// HTM-eligible attempts redirected to software because the software
-    /// mode was active (they never block).
-    htm_overflow: AtomicU64,
-    /// Attempts re-routed to software immediately after an HTM capacity
-    /// abort — the mid-retry backend migration.
-    migrations: AtomicU64,
-    /// Classes banned from the fast path by the capacity hysteresis.
-    capacity_bans: AtomicU64,
-    /// Attempts that waited on a conflict-serialization token.
-    deferrals_token: AtomicU64,
-    /// Attempts that waited for the other engine's epoch to drain.
-    deferrals_mode: AtomicU64,
-    /// Feedback-loop steps taken.
-    adapts: AtomicU64,
-    commits_htm: AtomicU64,
-    commits_sw: AtomicU64,
-}
+rococo_telemetry::stats_block! {
+    /// Router/scheduler counters, all monotone.
+    struct SchedStats;
+    /// A point-in-time copy of the scheduler counters.
+    #[derive(Copy)]
+    pub struct SchedSnapshot;
 
-/// A point-in-time copy of the scheduler counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedSnapshot {
-    /// Attempts routed to the HTM fast path.
-    pub routes_htm: u64,
-    /// Attempts routed to the ROCoCoTM slow path.
-    pub routes_sw: u64,
-    /// HTM-eligible attempts redirected to software (mode conflict).
-    pub htm_overflow: u64,
-    /// Mid-retry migrations (HTM capacity abort → software re-route).
-    pub migrations: u64,
-    /// Fast-path bans issued by the capacity hysteresis.
-    pub capacity_bans: u64,
-    /// Attempts that waited on a conflict-serialization token.
-    pub deferrals_token: u64,
-    /// Attempts that waited for an engine epoch to drain.
-    pub deferrals_mode: u64,
-    /// Feedback-loop steps taken.
-    pub adapts: u64,
-    /// Commits retired on the fast path.
-    pub commits_htm: u64,
-    /// Commits retired on the slow path.
-    pub commits_sw: u64,
-    /// Classes currently inside a serialization group.
-    pub serialized_classes: u32,
-    /// Current admission bound on predicted read footprints (words).
-    pub read_bound: u32,
-    /// Current admission bound on predicted write footprints (words).
-    pub write_bound: u32,
+    counters {
+        /// They never block: the software mode was active.
+        htm_overflow: "rococo_sched_htm_overflow_total", "HTM-eligible attempts redirected to software by the mode gate";
+        migrations: "rococo_sched_migrations_total", "Mid-retry migrations (HTM capacity abort re-routed to software)";
+        capacity_bans: "rococo_sched_capacity_bans_total", "Fast-path bans issued by the capacity hysteresis";
+        adapts: "rococo_sched_adapts_total", "Feedback-loop steps taken";
+    }
+    groups {
+        "rococo_sched_routes_total", "Transaction attempts routed, by chosen path" {
+            /// Attempts routed to the HTM fast path.
+            routes_htm: path = "htm";
+            /// Attempts routed to the ROCoCoTM slow path.
+            routes_sw: path = "sw";
+        }
+        "rococo_sched_commits_total", "Commits retired, by path" {
+            /// Commits retired on the fast path.
+            commits_htm: path = "htm";
+            /// Commits retired on the slow path.
+            commits_sw: path = "sw";
+        }
+        "rococo_sched_deferrals_total", "Attempts that waited before admission, by reason" {
+            /// Attempts that waited on a conflict-serialization token.
+            deferrals_token: reason = "token";
+            /// Attempts that waited for the other engine's epoch to drain.
+            deferrals_mode: reason = "mode-drain";
+        }
+    }
+    gauges {
+        serialized_classes: u32 = "rococo_sched_serialized_classes", "Classes currently inside a conflict-serialization group";
+        /// In words.
+        read_bound: u32 = "rococo_sched_read_bound_words", "Current admission bound on predicted read footprints";
+        /// In words.
+        write_bound: u32 = "rococo_sched_write_bound_words", "Current admission bound on predicted write footprints";
+    }
 }
 
 impl SchedSnapshot {
     /// Total routing deferrals (token + mode-drain waits).
     pub fn deferrals(&self) -> u64 {
         self.deferrals_token + self.deferrals_mode
-    }
-
-    /// Publishes the scheduler counters under `rococo_sched_*`.
-    pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
-        let routes = "Transaction attempts routed, by chosen path";
-        reg.counter(
-            "rococo_sched_routes_total",
-            routes,
-            &[("path", "htm")],
-            self.routes_htm,
-        );
-        reg.counter(
-            "rococo_sched_routes_total",
-            routes,
-            &[("path", "sw")],
-            self.routes_sw,
-        );
-        let commits = "Commits retired, by path";
-        reg.counter(
-            "rococo_sched_commits_total",
-            commits,
-            &[("path", "htm")],
-            self.commits_htm,
-        );
-        reg.counter(
-            "rococo_sched_commits_total",
-            commits,
-            &[("path", "sw")],
-            self.commits_sw,
-        );
-        reg.counter(
-            "rococo_sched_htm_overflow_total",
-            "HTM-eligible attempts redirected to software by the mode gate",
-            &[],
-            self.htm_overflow,
-        );
-        reg.counter(
-            "rococo_sched_migrations_total",
-            "Mid-retry migrations (HTM capacity abort re-routed to software)",
-            &[],
-            self.migrations,
-        );
-        reg.counter(
-            "rococo_sched_capacity_bans_total",
-            "Fast-path bans issued by the capacity hysteresis",
-            &[],
-            self.capacity_bans,
-        );
-        let defers = "Attempts that waited before admission, by reason";
-        reg.counter(
-            "rococo_sched_deferrals_total",
-            defers,
-            &[("reason", "token")],
-            self.deferrals_token,
-        );
-        reg.counter(
-            "rococo_sched_deferrals_total",
-            defers,
-            &[("reason", "mode-drain")],
-            self.deferrals_mode,
-        );
-        reg.counter(
-            "rococo_sched_adapts_total",
-            "Feedback-loop steps taken",
-            &[],
-            self.adapts,
-        );
-        reg.gauge(
-            "rococo_sched_serialized_classes",
-            "Classes currently inside a conflict-serialization group",
-            &[],
-            f64::from(self.serialized_classes),
-        );
-        reg.gauge(
-            "rococo_sched_read_bound_words",
-            "Current admission bound on predicted read footprints",
-            &[],
-            f64::from(self.read_bound),
-        );
-        reg.gauge(
-            "rococo_sched_write_bound_words",
-            "Current admission bound on predicted write footprints",
-            &[],
-            f64::from(self.write_bound),
-        );
     }
 }
 
@@ -324,21 +228,11 @@ impl HybridTm {
 
     /// A point-in-time copy of the router/scheduler counters.
     pub fn sched_snapshot(&self) -> SchedSnapshot {
-        SchedSnapshot {
-            routes_htm: self.sched.routes_htm.load(Ordering::Relaxed),
-            routes_sw: self.sched.routes_sw.load(Ordering::Relaxed),
-            htm_overflow: self.sched.htm_overflow.load(Ordering::Relaxed),
-            migrations: self.sched.migrations.load(Ordering::Relaxed),
-            capacity_bans: self.sched.capacity_bans.load(Ordering::Relaxed),
-            deferrals_token: self.sched.deferrals_token.load(Ordering::Relaxed),
-            deferrals_mode: self.sched.deferrals_mode.load(Ordering::Relaxed),
-            adapts: self.sched.adapts.load(Ordering::Relaxed),
-            commits_htm: self.sched.commits_htm.load(Ordering::Relaxed),
-            commits_sw: self.sched.commits_sw.load(Ordering::Relaxed),
-            serialized_classes: self.conflicts.serialized_classes(),
-            read_bound: self.router.read_bound(),
-            write_bound: self.router.write_bound(),
-        }
+        self.sched.snapshot(
+            self.conflicts.serialized_classes(),
+            self.router.read_bound(),
+            self.router.write_bound(),
+        )
     }
 
     /// Commit bookkeeping shared by all commit shapes; runs while the
@@ -385,7 +279,7 @@ impl HybridTm {
             return;
         };
         self.sched.adapts.fetch_add(1, Ordering::Relaxed);
-        let caps = self.stats.aborts_capacity.load(Ordering::Relaxed);
+        let caps = self.stats.aborts[AbortKind::Capacity.index()].load(Ordering::Relaxed);
         let delta = caps.saturating_sub(st.last_capacity_aborts);
         st.last_capacity_aborts = caps;
         let now = self.clock.load(Ordering::Relaxed);
@@ -755,11 +649,7 @@ impl TmSystem for HybridTm {
         for inner in [self.rococo.stats().snapshot(), self.htm.stats().snapshot()] {
             debug_assert_eq!(inner.starts, 0, "inner engines never see entry points");
             debug_assert_eq!(inner.commits, 0, "inner engines never see entry points");
-            snap.fallback_commits += inner.fallback_commits;
-            snap.read_only_commits += inner.read_only_commits;
-            snap.validation_ns += inner.validation_ns;
-            snap.validation_model_ns += inner.validation_model_ns;
-            snap.validations += inner.validations;
+            snap.merge(&inner);
         }
         snap
     }

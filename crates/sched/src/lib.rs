@@ -204,7 +204,7 @@ mod tests {
         assert!(snap.routes_sw >= snap.migrations);
         let stats = tm.stats_snapshot();
         assert!(
-            stats.aborts.get(&AbortKind::Capacity).copied().unwrap_or(0) > 0,
+            stats.aborts[AbortKind::Capacity.index()] > 0,
             "outer stats carry the capacity aborts"
         );
     }

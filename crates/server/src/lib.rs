@@ -61,7 +61,6 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod histogram;
 mod request;
 mod retry;
 mod service;
@@ -69,7 +68,6 @@ mod shard;
 mod stats;
 
 pub use backend::{AnyTxKv, BackendChoice};
-pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use request::{Key, Request, Response, TxKvError};
 pub use retry::RetryPolicy;
 pub use service::{DurabilityConfig, PendingReply, TelemetryConfig, TxKv, TxKvConfig};

@@ -360,7 +360,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
         let mut workers = Vec::with_capacity(cfg.worker_threads());
         for shard in 0..cfg.shards {
             let (tx, rx) = bounded::<Job>(cfg.queue_capacity);
-            let shard_stats = Arc::new(ShardStats::new());
+            let shard_stats = Arc::new(ShardStats::default());
             for w in 0..cfg.workers_per_shard {
                 let ctx = WorkerCtx {
                     system: Arc::clone(&system),

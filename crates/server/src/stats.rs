@@ -1,53 +1,58 @@
 //! Per-shard observability: commit/retry/shed counters, abort-cause
 //! breakdowns, and latency histograms.
 
-use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use rococo_stm::AbortKind;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Live counters for one shard. All counters are relaxed atomics updated
-/// by that shard's workers and the submitting clients.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Requests admitted to the shard queue.
-    pub(crate) enqueued: AtomicU64,
-    /// Requests shed by admission control (queue full).
-    pub(crate) shed: AtomicU64,
-    /// Requests whose commit the backend deferred to the synchronous
-    /// path (irrevocable escalation, commit-gate contention, or a hybrid
-    /// router hand-off) — completed inline, distinct from `shed`.
-    pub(crate) deferred: AtomicU64,
-    /// Requests whose transaction committed.
-    pub(crate) committed: AtomicU64,
-    /// Requests that failed (retries exhausted).
-    pub(crate) failed: AtomicU64,
-    /// Extra attempts beyond the first, across all requests.
-    pub(crate) retries: AtomicU64,
-    /// Requests whose transaction committed in memory but whose WAL
-    /// append was never acknowledged (writer died).
-    pub(crate) durability_lost: AtomicU64,
-    /// Requests whose transaction panicked inside the backend (the
-    /// worker caught it and kept serving).
-    pub(crate) panics: AtomicU64,
-    /// Run-to-completion batches pulled off the shard queue.
-    pub(crate) batches: AtomicU64,
-    /// Jobs across all batches (`batch_jobs / batches` = mean batch size
-    /// actually achieved, as opposed to the configured ceiling).
-    pub(crate) batch_jobs: AtomicU64,
-    /// Aborts by cause, indexed by [`AbortKind::index`].
-    pub(crate) aborts: [AtomicU64; AbortKind::COUNT],
-    /// Request latency from enqueue to reply (includes queue wait).
-    pub(crate) latency: LatencyHistogram,
+/// `le` bounds of the request-latency exposition, in decades:
+/// 1us, 10us, 100us, 1ms, 10ms, 100ms.
+const LATENCY_BOUNDS_NS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+
+rococo_telemetry::stats_block! {
+    /// Live counters for one shard. All counters are relaxed atomics
+    /// updated by that shard's workers and the submitting clients.
+    pub struct ShardStats;
+    /// A point-in-time copy of one shard's counters (or, for
+    /// [`TxKvReport::aggregate`], their sum across shards).
+    pub struct ShardSnapshot;
+    export_metrics(reg, labels);
+
+    counters {
+        pub(crate) enqueued: "rococo_txkv_enqueued_total", "Requests admitted to the shard queue";
+        /// The queue was full.
+        pub(crate) shed: "rococo_txkv_shed_total", "Requests shed by admission control";
+        /// Irrevocable escalation, commit-gate contention, or a hybrid
+        /// router hand-off — completed inline, distinct from `shed`.
+        pub(crate) deferred: "rococo_txkv_deferred_total", "Requests whose commit the backend deferred to the synchronous path";
+        pub(crate) committed: "rococo_txkv_committed_total", "Requests whose transaction committed";
+        pub(crate) failed: "rococo_txkv_failed_total", "Requests that failed (retries exhausted)";
+        /// Across all requests.
+        pub(crate) retries: "rococo_txkv_retries_total", "Extra attempts beyond the first";
+        /// The transaction committed in memory but the writer died
+        /// before acknowledging its append.
+        pub(crate) durability_lost: "rococo_txkv_durability_lost_total", "Commits never acknowledged by the WAL";
+        /// The worker caught it and kept serving.
+        pub(crate) panics: "rococo_txkv_panics_total", "Requests whose transaction panicked inside the backend";
+        pub(crate) batches: "rococo_txkv_batches_total", "Run-to-completion batches pulled off the shard queue";
+        /// `batch_jobs / batches` = mean batch size actually achieved,
+        /// as opposed to the configured ceiling.
+        pub(crate) batch_jobs: "rococo_txkv_batch_jobs_total", "Jobs executed across all batches";
+    }
+    families {
+        /// Indexed by [`AbortKind::index`].
+        pub(crate) aborts: [AbortKind::COUNT] "rococo_txkv_aborts_total",
+            "Request-level transaction aborts by cause", "kind" => AbortKind::label_at;
+    }
+    histograms {
+        /// Includes queue wait.
+        pub(crate) latency: "rococo_txkv_latency_ns", "Request latency from enqueue to reply, nanoseconds",
+            le = |_| LATENCY_BOUNDS_NS;
+    }
 }
 
 impl ShardStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one abort of the given cause.
     pub fn record_abort(&self, kind: AbortKind) {
         self.aborts[kind.index()].fetch_add(1, Ordering::Relaxed);
@@ -62,61 +67,6 @@ impl ShardStats {
     pub fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Takes a point-in-time copy.
-    pub fn snapshot(&self) -> ShardSnapshot {
-        let mut aborts = [0u64; AbortKind::COUNT];
-        for (dst, src) in aborts.iter_mut().zip(self.aborts.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        ShardSnapshot {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            deferred: self.deferred.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            durability_lost: self.durability_lost.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_jobs: self.batch_jobs.load(Ordering::Relaxed),
-            aborts,
-            latency: self.latency.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time copy of one shard's counters (or, for
-/// [`TxKvReport::aggregate`], their sum across shards).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardSnapshot {
-    /// Requests admitted to the shard queue.
-    pub enqueued: u64,
-    /// Requests shed by admission control (queue full).
-    pub shed: u64,
-    /// Requests whose commit the backend deferred to the synchronous
-    /// path (irrevocable escalation, commit-gate contention, or a hybrid
-    /// router hand-off) — completed inline, distinct from `shed`.
-    pub deferred: u64,
-    /// Requests whose transaction committed.
-    pub committed: u64,
-    /// Requests that failed (retries exhausted).
-    pub failed: u64,
-    /// Extra attempts beyond the first, across all requests.
-    pub retries: u64,
-    /// Requests that committed in memory but were never acknowledged by
-    /// the write-ahead log (writer died).
-    pub durability_lost: u64,
-    /// Requests whose transaction panicked inside the backend.
-    pub panics: u64,
-    /// Run-to-completion batches pulled off the shard queue.
-    pub batches: u64,
-    /// Jobs across all batches.
-    pub batch_jobs: u64,
-    /// Aborts by cause, indexed by [`AbortKind::index`].
-    pub aborts: [u64; AbortKind::COUNT],
-    /// Request latency from enqueue to reply.
-    pub latency: HistogramSnapshot,
 }
 
 impl ShardSnapshot {
@@ -132,118 +82,6 @@ impl ShardSnapshot {
             .map(|k| (k.as_label(), self.aborts[k.index()]))
             .filter(|&(_, n)| n > 0)
             .collect()
-    }
-
-    /// Publishes this snapshot into a metrics registry under the unified
-    /// `rococo_txkv_*` namespace, tagging every sample with `labels`
-    /// (e.g. `[("shard", "2")]`, or empty for the aggregate).
-    pub fn export_metrics(
-        &self,
-        reg: &mut rococo_telemetry::MetricsRegistry,
-        labels: &[(&str, &str)],
-    ) {
-        reg.counter(
-            "rococo_txkv_enqueued_total",
-            "Requests admitted to the shard queue",
-            labels,
-            self.enqueued,
-        );
-        reg.counter(
-            "rococo_txkv_shed_total",
-            "Requests shed by admission control",
-            labels,
-            self.shed,
-        );
-        reg.counter(
-            "rococo_txkv_deferred_total",
-            "Requests whose commit the backend deferred to the synchronous path",
-            labels,
-            self.deferred,
-        );
-        reg.counter(
-            "rococo_txkv_committed_total",
-            "Requests whose transaction committed",
-            labels,
-            self.committed,
-        );
-        reg.counter(
-            "rococo_txkv_failed_total",
-            "Requests that failed (retries exhausted)",
-            labels,
-            self.failed,
-        );
-        reg.counter(
-            "rococo_txkv_retries_total",
-            "Extra attempts beyond the first",
-            labels,
-            self.retries,
-        );
-        reg.counter(
-            "rococo_txkv_durability_lost_total",
-            "Commits never acknowledged by the WAL",
-            labels,
-            self.durability_lost,
-        );
-        reg.counter(
-            "rococo_txkv_panics_total",
-            "Requests whose transaction panicked inside the backend",
-            labels,
-            self.panics,
-        );
-        reg.counter(
-            "rococo_txkv_batches_total",
-            "Run-to-completion batches pulled off the shard queue",
-            labels,
-            self.batches,
-        );
-        reg.counter(
-            "rococo_txkv_batch_jobs_total",
-            "Jobs executed across all batches",
-            labels,
-            self.batch_jobs,
-        );
-        for kind in AbortKind::ALL {
-            let mut kv: Vec<(&str, &str)> = labels.to_vec();
-            kv.push(("kind", kind.as_label()));
-            reg.counter(
-                "rococo_txkv_aborts_total",
-                "Request-level transaction aborts by cause",
-                &kv,
-                self.aborts[kind.index()],
-            );
-        }
-        // Coarse decade bounds: 1us, 10us, 100us, 1ms, 10ms, 100ms.
-        const BOUNDS_NS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
-        reg.histogram(
-            "rococo_txkv_latency_ns",
-            "Request latency from enqueue to reply, nanoseconds",
-            labels,
-            rococo_telemetry::HistogramPoints {
-                bounds: BOUNDS_NS.to_vec(),
-                cumulative: self.latency.cumulative(&BOUNDS_NS),
-                count: self.latency.count,
-                sum: self.latency.sum_ns as f64,
-            },
-        );
-    }
-
-    /// Merges another snapshot into this one (used to build the
-    /// cross-shard aggregate; quantiles combine conservatively).
-    pub fn merge(&mut self, other: &ShardSnapshot) {
-        self.enqueued += other.enqueued;
-        self.shed += other.shed;
-        self.deferred += other.deferred;
-        self.committed += other.committed;
-        self.failed += other.failed;
-        self.retries += other.retries;
-        self.durability_lost += other.durability_lost;
-        self.panics += other.panics;
-        self.batches += other.batches;
-        self.batch_jobs += other.batch_jobs;
-        for (dst, src) in self.aborts.iter_mut().zip(other.aborts.iter()) {
-            *dst += src;
-        }
-        self.latency = self.latency.merged_with(&other.latency);
     }
 }
 
@@ -342,10 +180,10 @@ impl fmt::Display for TxKvReport {
         writeln!(
             f,
             "  latency p50={} p99={} p999={} max={} (n={})",
-            fmt_ns(a.latency.p50_ns),
-            fmt_ns(a.latency.p99_ns),
-            fmt_ns(a.latency.p999_ns),
-            fmt_ns(a.latency.max_ns),
+            fmt_ns(a.latency.quantile(0.5)),
+            fmt_ns(a.latency.quantile(0.99)),
+            fmt_ns(a.latency.quantile(0.999)),
+            fmt_ns(a.latency.max),
             a.latency.count,
         )?;
         if a.total_aborts() > 0 {
@@ -389,7 +227,7 @@ impl fmt::Display for TxKvReport {
                 s.failed,
                 s.retries,
                 s.total_aborts(),
-                fmt_ns(s.latency.p99_ns),
+                fmt_ns(s.latency.quantile(0.99)),
             )?;
         }
         Ok(())
@@ -402,7 +240,7 @@ mod tests {
 
     #[test]
     fn snapshot_copies_abort_causes() {
-        let s = ShardStats::new();
+        let s = ShardStats::default();
         s.record_abort(AbortKind::Conflict);
         s.record_abort(AbortKind::Conflict);
         s.record_abort(AbortKind::FpgaWindow);
@@ -449,7 +287,9 @@ mod tests {
             wal: None,
             elapsed: Duration::from_secs(2),
         };
-        report.aggregate.latency.p99_ns = 1_500;
+        let latency = rococo_telemetry::Histogram::default();
+        latency.record(1_500);
+        report.aggregate.latency = latency.snapshot();
         let text = report.to_string();
         assert!(text.contains("500 req/s"), "{text}");
         assert!(text.contains("cpu-stale-read=5"), "{text}");

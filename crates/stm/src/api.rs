@@ -2,9 +2,8 @@
 
 use crate::heap::{Addr, TmHeap, Word};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Why a transaction aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -75,6 +74,12 @@ impl AbortKind {
             AbortKind::Explicit => "explicit-retry",
             AbortKind::ServiceStopped => "validator-stopped",
         }
+    }
+
+    /// [`as_label`](Self::as_label) of the kind at `index` — the label
+    /// function of every per-cause counter family.
+    pub fn label_at(index: usize) -> &'static str {
+        Self::ALL[index].as_label()
     }
 }
 
@@ -500,126 +505,45 @@ where
     }
 }
 
-/// Shared statistics counters. All counters are monotonically increasing
-/// and updated with relaxed atomics; read a coherent-enough view with
-/// [`TmStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct TmStats {
-    /// Transaction attempts started.
-    pub starts: AtomicU64,
-    /// Successful commits.
-    pub commits: AtomicU64,
-    /// Aborts: eager CPU-side conflicts.
-    pub aborts_conflict: AtomicU64,
-    /// Aborts: FPGA cycle rejections.
-    pub aborts_fpga_cycle: AtomicU64,
-    /// Aborts: FPGA window overflow.
-    pub aborts_fpga_window: AtomicU64,
-    /// Aborts: HTM capacity.
-    pub aborts_capacity: AtomicU64,
-    /// Aborts: HTM fallback-lock interference.
-    pub aborts_fallback: AtomicU64,
-    /// Aborts: explicit user retry.
-    pub aborts_explicit: AtomicU64,
-    /// Aborts: validation service stopped mid-request.
-    pub aborts_service_stopped: AtomicU64,
-    /// Commits that ran on a fallback path (HTM global lock).
-    pub fallback_commits: AtomicU64,
-    /// Commits of read-only transactions (never leave the CPU).
-    pub read_only_commits: AtomicU64,
-    /// Wall-clock nanoseconds spent in the validation phase.
-    pub validation_ns: AtomicU64,
-    /// Model-time nanoseconds the validation phase would take on the
-    /// simulated platform (FPGA pipeline + CCI hops).
-    pub validation_model_ns: AtomicU64,
-    /// Number of validation phases measured.
-    pub validations: AtomicU64,
+rococo_telemetry::stats_block! {
+    /// Shared statistics counters. All counters are monotonically
+    /// increasing and updated with relaxed atomics; read a
+    /// coherent-enough view with [`TmStats::snapshot`].
+    pub struct TmStats;
+    /// A point-in-time copy of [`TmStats`].
+    #[derive(Serialize, Deserialize)]
+    pub struct StatsSnapshot;
+
+    counters {
+        pub starts: "rococo_tm_starts_total", "Transaction attempts started";
+        pub commits: "rococo_tm_commits_total", "Transactions committed";
+        /// The fallback path is the HTM global lock.
+        pub fallback_commits: "rococo_tm_fallback_commits_total", "Commits that ran on a fallback path";
+        pub read_only_commits: "rococo_tm_read_only_commits_total", "Read-only commits (never leave the CPU)";
+        pub validation_ns: "rococo_tm_validation_ns_total", "Wall-clock nanoseconds spent in validation";
+        /// What the validation phase would take on the simulated
+        /// platform (FPGA pipeline + CCI hops).
+        pub validation_model_ns: "rococo_tm_validation_model_ns_total", "Model-time nanoseconds spent in validation";
+        pub validations: "rococo_tm_validations_total", "Validation phases measured";
+    }
+    families {
+        /// Indexed by [`AbortKind::index`].
+        pub aborts: [AbortKind::COUNT] "rococo_tm_aborts_total", "Transaction aborts by cause",
+            "kind" => AbortKind::label_at;
+    }
 }
 
 impl TmStats {
     /// Records one abort of the given kind.
     pub fn record_abort(&self, kind: AbortKind) {
-        let ctr = match kind {
-            AbortKind::Conflict => &self.aborts_conflict,
-            AbortKind::FpgaCycle => &self.aborts_fpga_cycle,
-            AbortKind::FpgaWindow => &self.aborts_fpga_window,
-            AbortKind::Capacity => &self.aborts_capacity,
-            AbortKind::FallbackLock => &self.aborts_fallback,
-            AbortKind::Explicit => &self.aborts_explicit,
-            AbortKind::ServiceStopped => &self.aborts_service_stopped,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
+        self.aborts[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Takes a point-in-time copy of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            starts: self.starts.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: HashMap::from([
-                (
-                    AbortKind::Conflict,
-                    self.aborts_conflict.load(Ordering::Relaxed),
-                ),
-                (
-                    AbortKind::FpgaCycle,
-                    self.aborts_fpga_cycle.load(Ordering::Relaxed),
-                ),
-                (
-                    AbortKind::FpgaWindow,
-                    self.aborts_fpga_window.load(Ordering::Relaxed),
-                ),
-                (
-                    AbortKind::Capacity,
-                    self.aborts_capacity.load(Ordering::Relaxed),
-                ),
-                (
-                    AbortKind::FallbackLock,
-                    self.aborts_fallback.load(Ordering::Relaxed),
-                ),
-                (
-                    AbortKind::Explicit,
-                    self.aborts_explicit.load(Ordering::Relaxed),
-                ),
-                (
-                    AbortKind::ServiceStopped,
-                    self.aborts_service_stopped.load(Ordering::Relaxed),
-                ),
-            ]),
-            fallback_commits: self.fallback_commits.load(Ordering::Relaxed),
-            read_only_commits: self.read_only_commits.load(Ordering::Relaxed),
-            validation_ns: self.validation_ns.load(Ordering::Relaxed),
-            validation_model_ns: self.validation_model_ns.load(Ordering::Relaxed),
-            validations: self.validations.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`TmStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StatsSnapshot {
-    /// Transaction attempts started.
-    pub starts: u64,
-    /// Successful commits.
-    pub commits: u64,
-    /// Aborts per kind.
-    pub aborts: HashMap<AbortKind, u64>,
-    /// Commits on a fallback path.
-    pub fallback_commits: u64,
-    /// Read-only commits.
-    pub read_only_commits: u64,
-    /// Wall nanoseconds in validation.
-    pub validation_ns: u64,
-    /// Model nanoseconds in validation.
-    pub validation_model_ns: u64,
-    /// Validation phases measured.
-    pub validations: u64,
 }
 
 impl StatsSnapshot {
     /// Total aborts.
     pub fn total_aborts(&self) -> u64 {
-        self.aborts.values().sum()
+        self.aborts.iter().sum()
     }
 
     /// Aborted attempts over all attempts — the Figure 10 abort-rate
@@ -636,12 +560,7 @@ impl StatsSnapshot {
 
     /// Aborts attributed to the FPGA (the dotted series of Figure 10).
     pub fn fpga_aborts(&self) -> u64 {
-        self.aborts.get(&AbortKind::FpgaCycle).copied().unwrap_or(0)
-            + self
-                .aborts
-                .get(&AbortKind::FpgaWindow)
-                .copied()
-                .unwrap_or(0)
+        self.aborts[AbortKind::FpgaCycle.index()] + self.aborts[AbortKind::FpgaWindow.index()]
     }
 
     /// FPGA-attributed abort rate.
@@ -672,62 +591,6 @@ impl StatsSnapshot {
         } else {
             self.validation_model_ns as f64 / self.validations as f64 / 1000.0
         }
-    }
-
-    /// Publishes the runtime counters into a metrics registry under the
-    /// unified `rococo_tm_*` namespace, abort causes keyed by the
-    /// canonical [`AbortKind::as_label`] spellings.
-    pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
-        reg.counter(
-            "rococo_tm_starts_total",
-            "Transaction attempts started",
-            &[],
-            self.starts,
-        );
-        reg.counter(
-            "rococo_tm_commits_total",
-            "Transactions committed",
-            &[],
-            self.commits,
-        );
-        for kind in AbortKind::ALL {
-            reg.counter(
-                "rococo_tm_aborts_total",
-                "Transaction aborts by cause",
-                &[("kind", kind.as_label())],
-                self.aborts.get(&kind).copied().unwrap_or(0),
-            );
-        }
-        reg.counter(
-            "rococo_tm_fallback_commits_total",
-            "Commits that ran on a fallback path",
-            &[],
-            self.fallback_commits,
-        );
-        reg.counter(
-            "rococo_tm_read_only_commits_total",
-            "Read-only commits (never leave the CPU)",
-            &[],
-            self.read_only_commits,
-        );
-        reg.counter(
-            "rococo_tm_validation_ns_total",
-            "Wall-clock nanoseconds spent in validation",
-            &[],
-            self.validation_ns,
-        );
-        reg.counter(
-            "rococo_tm_validation_model_ns_total",
-            "Model-time nanoseconds spent in validation",
-            &[],
-            self.validation_model_ns,
-        );
-        reg.counter(
-            "rococo_tm_validations_total",
-            "Validation phases measured",
-            &[],
-            self.validations,
-        );
     }
 }
 

@@ -222,15 +222,6 @@ impl HtmTx<'_> {
         let entry = &self.tm.lines[line];
         let self_id = self.thread as u64 + 1;
 
-        // Doom all other readers: their cached copy is invalidated.
-        let others = entry.readers.load(Ordering::SeqCst) & !(1u64 << self.thread);
-        let mut bits = others;
-        while bits != 0 {
-            let t = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.tm.doomed[t].store(true, Ordering::SeqCst);
-        }
-
         loop {
             if self.tm.doomed[self.thread].load(Ordering::SeqCst) {
                 return Err(self.hw_abort(AbortKind::Conflict));
@@ -246,6 +237,19 @@ impl HtmTx<'_> {
                     .is_ok()
                 {
                     self.write_lines.insert(line);
+                    // Doom all other readers: their cached copy is
+                    // invalidated. Only now, with the claim published: a
+                    // reader sets its bit and then looks at `writer`, so
+                    // (SeqCst) either it is in this bitmap or it sees the
+                    // claim. Scanning before the claim let a reader slip
+                    // in between, read one word before our write-back and
+                    // one after, and commit the torn snapshot undoomed.
+                    let mut bits = entry.readers.load(Ordering::SeqCst) & !(1u64 << self.thread);
+                    while bits != 0 {
+                        let t = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        self.tm.doomed[t].store(true, Ordering::SeqCst);
+                    }
                     return Ok(());
                 }
                 continue;
@@ -501,7 +505,7 @@ mod tests {
             Ok(())
         });
         let snap = tm.stats().snapshot();
-        assert!(snap.aborts[&AbortKind::Capacity] >= 5, "{snap:?}");
+        assert!(snap.aborts[AbortKind::Capacity.index()] >= 5, "{snap:?}");
         assert_eq!(snap.fallback_commits, 1);
         assert_eq!(tm.heap().load_direct(8), 1);
     }

@@ -5,10 +5,11 @@
 //!
 //! 1. [`registry`] — a metrics registry of named counters, gauges and
 //!    histograms with label support, rendered as Prometheus text
-//!    exposition or as a JSON snapshot. The stats structs scattered
-//!    across the stack (`ShardStats`, `TmStats`, `EngineStats`,
-//!    `FaultStats`, `WalStats`) each gain an adapter in their home crate
-//!    that re-exports them here under one `rococo_*` namespace.
+//!    exposition or as a JSON snapshot. What goes into it is declared
+//!    once per layer with [`stats_block!`] (see [`stats`]): the live
+//!    relaxed-atomic struct, its snapshot, `snapshot()`, `merge()` and
+//!    `export_metrics()` all come from one list of members, and every
+//!    distribution is the one [`Histogram`] of [`histogram`].
 //!
 //! 2. [`recorder`] — a transaction *flight recorder*: per-thread ring
 //!    buffers of lifecycle events (begin, read/write-set growth,
@@ -39,27 +40,30 @@
 //! for tail-latency and failed requests, and [`attr`] decomposes a
 //! sampled chain's end-to-end latency into critical-path stages. The
 //! [`quantile`] module is the one shared implementation of
-//! nearest-rank percentile selection used by every latency surface in
-//! the workspace.
+//! nearest-rank percentile selection, under the histogram and under the
+//! bench harness's sorted samples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attr;
+pub mod histogram;
 pub mod json;
 pub mod quantile;
 pub mod recorder;
 pub mod registry;
 pub mod sampler;
+pub mod stats;
 pub mod trace;
 
 pub use attr::{aggregate_shares, attribute, check_chain, group_chains, Attribution, STAGES};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use recorder::{
     clear_current_trace, current_trace, disable, drain_events, dump_anomaly, emit, enable, enabled,
     flush_thread, lane_names, mint_trace, set_current_trace, take_dumps, AnomalyDump, EventRecord,
     TxEvent, DEFAULT_RING_EVENTS,
 };
-pub use registry::{validate_prometheus, HistogramPoints, MetricsRegistry};
+pub use registry::{validate_prometheus, MetricsRegistry};
 pub use sampler::{
     filter_sampled, observe_request, sampled_traces, sampler_observed, sampler_reset,
     DEFAULT_TAIL_K,

@@ -1,12 +1,10 @@
 //! Shared quantile math.
 //!
-//! Every latency surface in the workspace (the server's log-bucketed
-//! histograms, the WAL's power-of-two batch/fsync histograms, the bench
-//! harness's sampled request totals) answers the same question — "which
-//! rank does quantile `q` select, and which bucket/sample holds it?" —
-//! and previously each answered it with its own copy of the rank
-//! arithmetic. This module is the single implementation: nearest-rank
-//! (inclusive) selection, `rank = ceil(q · n)` clamped to `[1, n]`.
+//! The histogram's bucket scan and the bench harness's sorted request
+//! totals answer the same question — "which rank does quantile `q`
+//! select, and which bucket/sample holds it?" — with this one
+//! implementation: nearest-rank (inclusive) selection,
+//! `rank = ceil(q · n)` clamped to `[1, n]`.
 
 /// The 1-based nearest rank selected by quantile `q` out of `count`
 /// observations, or 0 when there are no observations. `q` is clamped to

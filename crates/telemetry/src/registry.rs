@@ -17,30 +17,20 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::histogram::HistogramSnapshot;
 use crate::json::escape;
-
-/// A histogram observation set in exporter form: cumulative counts at
-/// ascending upper bounds, plus the total count and sum of observed
-/// values. `bounds` and `cumulative` are parallel; counts at or below
-/// `bounds[i]` are `cumulative[i]`, and `count` covers the implicit
-/// `+Inf` bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramPoints {
-    /// Ascending bucket upper bounds (inclusive), in the metric's unit.
-    pub bounds: Vec<u64>,
-    /// Cumulative observation counts at each bound.
-    pub cumulative: Vec<u64>,
-    /// Total observation count (the `+Inf` bucket).
-    pub count: u64,
-    /// Sum of all observed values, in the metric's unit.
-    pub sum: f64,
-}
 
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     Counter(u64),
     Gauge(f64),
-    Histogram(HistogramPoints),
+    /// `(le, cumulative count)` at ascending inclusive bounds; `count`
+    /// covers the implicit `+Inf` bucket.
+    Histogram {
+        buckets: Vec<(u64, u64)>,
+        count: u64,
+        sum: u64,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -78,19 +68,24 @@ impl MetricsRegistry {
         self.push(name, help, labels, Value::Gauge(value));
     }
 
-    /// Records a histogram sample.
+    /// Records a histogram sample: `snapshot`'s cumulative counts at the
+    /// ascending inclusive `le` bounds, plus its count and sum.
     pub fn histogram(
         &mut self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        points: HistogramPoints,
+        snapshot: &HistogramSnapshot,
+        bounds: &[u64],
     ) {
-        debug_assert!(
-            points.bounds.len() == points.cumulative.len(),
-            "bounds/cumulative length mismatch for {name}"
-        );
-        self.push(name, help, labels, Value::Histogram(points));
+        let value = Value::Histogram {
+            buckets: (bounds.iter().copied())
+                .zip(snapshot.cumulative(bounds))
+                .collect(),
+            count: snapshot.count,
+            sum: snapshot.sum,
+        };
+        self.push(name, help, labels, value);
     }
 
     /// Number of distinct metric names registered.
@@ -131,53 +126,34 @@ impl MetricsRegistry {
             let kind = match metric.samples.first().map(|s| &s.value) {
                 Some(Value::Counter(_)) => "counter",
                 Some(Value::Gauge(_)) => "gauge",
-                Some(Value::Histogram(_)) => "histogram",
+                Some(Value::Histogram { .. }) => "histogram",
                 None => continue,
             };
             let _ = writeln!(out, "# HELP {name} {}", metric.help.replace('\n', " "));
             let _ = writeln!(out, "# TYPE {name} {kind}");
             for sample in &metric.samples {
-                match &sample.value {
-                    Value::Counter(v) => {
-                        let _ = writeln!(out, "{name}{} {v}", label_block(&sample.labels, &[]));
-                    }
-                    Value::Gauge(v) => {
-                        let _ = writeln!(
-                            out,
-                            "{name}{} {}",
-                            label_block(&sample.labels, &[]),
-                            fmt_f64(*v)
-                        );
-                    }
-                    Value::Histogram(h) => {
-                        for (bound, cum) in h.bounds.iter().zip(&h.cumulative) {
-                            let le = bound.to_string();
-                            let _ = writeln!(
-                                out,
-                                "{name}_bucket{} {cum}",
-                                label_block(&sample.labels, &[("le", &le)])
-                            );
+                let plain = label_block(&sample.labels, &[]);
+                let _ = match &sample.value {
+                    Value::Counter(v) => writeln!(out, "{name}{plain} {v}"),
+                    Value::Gauge(v) => writeln!(out, "{name}{plain} {}", fmt_f64(*v)),
+                    Value::Histogram {
+                        buckets,
+                        count,
+                        sum,
+                    } => {
+                        for (bound, cum) in buckets {
+                            let le = label_block(&sample.labels, &[("le", &bound.to_string())]);
+                            let _ = writeln!(out, "{name}_bucket{le} {cum}");
                         }
-                        let _ = writeln!(
+                        let inf = label_block(&sample.labels, &[("le", "+Inf")]);
+                        writeln!(
                             out,
-                            "{name}_bucket{} {}",
-                            label_block(&sample.labels, &[("le", "+Inf")]),
-                            h.count
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{name}_sum{} {}",
-                            label_block(&sample.labels, &[]),
-                            fmt_f64(h.sum)
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{name}_count{} {}",
-                            label_block(&sample.labels, &[]),
-                            h.count
-                        );
+                            "{name}_bucket{inf} {count}\n\
+                             {name}_sum{plain} {sum}\n\
+                             {name}_count{plain} {count}"
+                        )
                     }
-                }
+                };
             }
         }
         out
@@ -209,15 +185,19 @@ impl MetricsRegistry {
                     Value::Gauge(v) => {
                         let _ = write!(out, "\"kind\":\"gauge\",\"value\":{}}}", fmt_f64(*v));
                     }
-                    Value::Histogram(h) => {
+                    Value::Histogram {
+                        buckets,
+                        count,
+                        sum,
+                    } => {
                         out.push_str("\"kind\":\"histogram\",\"buckets\":[");
-                        for (n, (bound, cum)) in h.bounds.iter().zip(&h.cumulative).enumerate() {
+                        for (n, (bound, cum)) in buckets.iter().enumerate() {
                             if n > 0 {
                                 out.push(',');
                             }
                             let _ = write!(out, "{{\"le\":{bound},\"count\":{cum}}}");
                         }
-                        let _ = write!(out, "],\"count\":{},\"sum\":{}}}", h.count, fmt_f64(h.sum));
+                        let _ = write!(out, "],\"count\":{count},\"sum\":{sum}}}");
                     }
                 }
             }
@@ -362,6 +342,13 @@ mod tests {
     use crate::json::Json;
 
     fn sample_registry() -> MetricsRegistry {
+        // 3 observations under 1us, 9 under 1ms, 10 in all.
+        let latency = crate::Histogram::default();
+        for v in [
+            100, 200, 300, 2_000, 3_000, 4_000, 5_000, 6_000, 7_000, 2_000_000,
+        ] {
+            latency.record(v);
+        }
         let mut reg = MetricsRegistry::new();
         reg.counter(
             "rococo_tm_commits_total",
@@ -380,12 +367,8 @@ mod tests {
             "rococo_txkv_latency_ns",
             "request latency",
             &[("shard", "0")],
-            HistogramPoints {
-                bounds: vec![1_000, 1_000_000],
-                cumulative: vec![3, 9],
-                count: 10,
-                sum: 12_345.0,
-            },
+            &latency.snapshot(),
+            &[1_000, 1_000_000],
         );
         reg
     }

@@ -55,7 +55,7 @@ pub use crc::crc32;
 pub use kill::{KillPoint, KillSwitch};
 pub use record::{Checkpoint, DecodeEnd, WalRecord};
 pub use recover::{recover, RecoveredState, RecoveryReport};
-pub use stats::{Pow2Histogram, Pow2Snapshot, WalSnapshot, WalStats};
+pub use stats::{WalSnapshot, WalStats};
 pub use writer::{FsyncPolicy, Wal, WalConfig, WalDead};
 
 use std::path::PathBuf;

@@ -1,176 +1,31 @@
-//! WAL observability: group-commit batch sizes and fsync latency.
-//!
-//! The WAL cannot depend on `rococo-server`'s histogram (the dependency
-//! points the other way), so it carries its own minimal power-of-two
-//! bucketed histogram — coarse, but enough to see whether group commit
-//! is actually batching and what each fsync costs.
+//! WAL observability: record/byte/batch counters, group-commit batch
+//! sizes and fsync latency — enough to see whether group commit is
+//! actually batching and what each fsync costs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use rococo_telemetry::HistogramSnapshot;
 
-const BUCKETS: usize = 32;
+rococo_telemetry::stats_block! {
+    /// Live WAL counters, updated by the writer thread and the append path.
+    pub struct WalStats;
+    /// A point-in-time copy of [`WalStats`], surfaced in TxKV reports.
+    pub struct WalSnapshot;
 
-/// A lock-free histogram with power-of-two buckets: bucket `i` counts
-/// values `v` with `floor(log2(v)) == i - 1` (bucket 0 holds `v == 0`,
-/// the last bucket absorbs everything larger).
-#[derive(Debug, Default)]
-pub struct Pow2Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
+    counters {
+        pub(crate) appended_records: "rococo_wal_appended_records_total", "Records written to the log";
+        pub(crate) appended_bytes: "rococo_wal_appended_bytes_total", "Bytes written to the log";
+        pub(crate) batches: "rococo_wal_batches_total", "Group-commit batches flushed";
+        pub(crate) fsyncs: "rococo_wal_fsyncs_total", "fsync calls issued";
+        pub(crate) acked_records: "rococo_wal_acked_records_total", "Records acked back to submitters";
+        pub(crate) failed_appends: "rococo_wal_failed_appends_total", "Appends rejected because the writer was dead";
+        pub(crate) checkpoints: "rococo_wal_checkpoints_total", "Checkpoints completed";
+        pub(crate) truncations: "rococo_wal_truncations_total", "Log truncations completed";
     }
-}
-
-impl Pow2Histogram {
-    /// Records one value.
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+    histograms {
+        pub(crate) batch_sizes: "rococo_wal_batch_records", "Group-commit batch-size distribution (records per flush)",
+            le = HistogramSnapshot::pow2_bounds;
+        pub(crate) fsync_ns: "rococo_wal_fsync_ns", "Per-fsync latency distribution in nanoseconds",
+            le = HistogramSnapshot::pow2_bounds;
     }
-
-    /// Takes a point-in-time copy.
-    pub fn snapshot(&self) -> Pow2Snapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (d, s) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *d = s.load(Ordering::Relaxed);
-        }
-        Pow2Snapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-/// A point-in-time copy of a [`Pow2Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pow2Snapshot {
-    /// Values recorded.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Per-bucket counts; bucket `i > 0` spans `[2^(i-1), 2^i)`.
-    pub buckets: [u64; BUCKETS],
-}
-
-impl Default for Pow2Snapshot {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            buckets: [0; BUCKETS],
-        }
-    }
-}
-
-impl Pow2Snapshot {
-    /// Mean recorded value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Converts to cumulative-bucket histogram points for Prometheus
-    /// export: one `le` bound per non-empty power-of-two bucket edge.
-    pub fn to_points(&self) -> rococo_telemetry::HistogramPoints {
-        let mut bounds = Vec::new();
-        let mut cumulative = Vec::new();
-        let mut running = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            running += c;
-            // Bucket 0 holds v == 0 (upper edge 0); bucket i>0 spans
-            // [2^(i-1), 2^i), upper edge 2^i. Skip trailing empty octaves
-            // past the data to keep the exposition small.
-            if c > 0 || i == 0 {
-                bounds.push(if i == 0 { 0 } else { 1u64 << i });
-                cumulative.push(running);
-            }
-        }
-        rococo_telemetry::HistogramPoints {
-            bounds,
-            cumulative,
-            count: self.count,
-            sum: self.sum as f64,
-        }
-    }
-
-    /// Upper bound of the bucket holding quantile `q` in `0.0..=1.0` —
-    /// a conservative (over-)estimate of the quantile. 0 when empty.
-    pub fn quantile_upper(&self, q: f64) -> u64 {
-        match rococo_telemetry::quantile::bucket_index(&self.buckets, self.count, q) {
-            None => 0,
-            Some(0) => 0,
-            Some(i) => 1u64 << i,
-        }
-    }
-}
-
-/// Live WAL counters, updated by the writer thread and the append path.
-#[derive(Debug, Default)]
-pub struct WalStats {
-    pub(crate) appended_records: AtomicU64,
-    pub(crate) appended_bytes: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) fsyncs: AtomicU64,
-    pub(crate) acked_records: AtomicU64,
-    pub(crate) failed_appends: AtomicU64,
-    pub(crate) checkpoints: AtomicU64,
-    pub(crate) truncations: AtomicU64,
-    pub(crate) batch_sizes: Pow2Histogram,
-    pub(crate) fsync_ns: Pow2Histogram,
-}
-
-impl WalStats {
-    /// Takes a point-in-time copy.
-    pub fn snapshot(&self) -> WalSnapshot {
-        WalSnapshot {
-            appended_records: self.appended_records.load(Ordering::Relaxed),
-            appended_bytes: self.appended_bytes.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            acked_records: self.acked_records.load(Ordering::Relaxed),
-            failed_appends: self.failed_appends.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            truncations: self.truncations.load(Ordering::Relaxed),
-            batch_sizes: self.batch_sizes.snapshot(),
-            fsync_ns: self.fsync_ns.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`WalStats`], surfaced in TxKV reports.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WalSnapshot {
-    /// Records written to the log.
-    pub appended_records: u64,
-    /// Bytes written to the log.
-    pub appended_bytes: u64,
-    /// Group-commit batches flushed.
-    pub batches: u64,
-    /// fsync calls issued.
-    pub fsyncs: u64,
-    /// Records acked back to their submitters.
-    pub acked_records: u64,
-    /// Append calls that failed because the writer was dead.
-    pub failed_appends: u64,
-    /// Checkpoints completed.
-    pub checkpoints: u64,
-    /// Log truncations completed.
-    pub truncations: u64,
-    /// Group-commit batch-size distribution (records per flush).
-    pub batch_sizes: Pow2Snapshot,
-    /// Per-fsync latency distribution in nanoseconds.
-    pub fsync_ns: Pow2Snapshot,
 }
 
 impl WalSnapshot {
@@ -178,101 +33,33 @@ impl WalSnapshot {
     pub fn mean_batch(&self) -> f64 {
         self.batch_sizes.mean()
     }
-
-    /// Publishes the WAL counters into a metrics registry under the
-    /// unified `rococo_wal_*` namespace.
-    pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
-        reg.counter(
-            "rococo_wal_appended_records_total",
-            "Records written to the log",
-            &[],
-            self.appended_records,
-        );
-        reg.counter(
-            "rococo_wal_appended_bytes_total",
-            "Bytes written to the log",
-            &[],
-            self.appended_bytes,
-        );
-        reg.counter(
-            "rococo_wal_batches_total",
-            "Group-commit batches flushed",
-            &[],
-            self.batches,
-        );
-        reg.counter(
-            "rococo_wal_fsyncs_total",
-            "fsync calls issued",
-            &[],
-            self.fsyncs,
-        );
-        reg.counter(
-            "rococo_wal_acked_records_total",
-            "Records acked back to submitters",
-            &[],
-            self.acked_records,
-        );
-        reg.counter(
-            "rococo_wal_failed_appends_total",
-            "Appends rejected because the writer was dead",
-            &[],
-            self.failed_appends,
-        );
-        reg.counter(
-            "rococo_wal_checkpoints_total",
-            "Checkpoints completed",
-            &[],
-            self.checkpoints,
-        );
-        reg.counter(
-            "rococo_wal_truncations_total",
-            "Log truncations completed",
-            &[],
-            self.truncations,
-        );
-        reg.histogram(
-            "rococo_wal_batch_records",
-            "Group-commit batch-size distribution (records per flush)",
-            &[],
-            self.batch_sizes.to_points(),
-        );
-        reg.histogram(
-            "rococo_wal_fsync_ns",
-            "Per-fsync latency distribution in nanoseconds",
-            &[],
-            self.fsync_ns.to_points(),
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A stall of 2^31 ns or more must not read back as shorter, and in
+    /// the exposition only `+Inf` may claim to hold it.
     #[test]
-    fn buckets_cover_powers_of_two() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-    }
+    fn a_five_second_fsync_is_not_under_reported() {
+        let stats = WalStats::default();
+        stats.fsync_ns.record(5_000_000_000);
+        let snap = stats.snapshot();
+        assert!(snap.fsync_ns.quantile_upper(1.0) >= 5_000_000_000);
 
-    #[test]
-    fn mean_and_quantiles() {
-        let h = Pow2Histogram::default();
-        assert_eq!(h.snapshot().mean(), 0.0);
-        assert_eq!(h.snapshot().quantile_upper(0.5), 0);
-        for v in [1u64, 1, 2, 8, 8, 8, 8, 8] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 8);
-        assert!((s.mean() - 44.0 / 8.0).abs() < 1e-9);
-        // p50 falls in the bucket containing 8 -> upper bound 16.
-        assert_eq!(s.quantile_upper(0.5), 16);
-        // p0+ falls in the bucket containing 1 -> upper bound 2.
-        assert_eq!(s.quantile_upper(0.01), 2);
+        let mut reg = rococo_telemetry::MetricsRegistry::new();
+        snap.export_metrics(&mut reg);
+        let prom = reg.render_prometheus();
+        let buckets: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.starts_with("rococo_wal_fsync_ns_bucket"))
+            .collect();
+        let (inf, finite) = buckets.split_last().expect("histogram has buckets");
+        assert_eq!(*inf, "rococo_wal_fsync_ns_bucket{le=\"+Inf\"} 1");
+        assert!(
+            !finite.is_empty() && finite.iter().all(|l| l.ends_with(" 0")),
+            "a finite le absorbed the 5 s sample:\n{prom}"
+        );
     }
 }
