@@ -15,9 +15,10 @@
 //!   interval of one clock cycle at 200 MHz, plus the CCI round-trip latency
 //!   of the HARP2 interconnect (< 600 ns, footnote 8). Used by the
 //!   Figure 11 overhead study.
-//! * [`ValidationService`] — a dedicated validator thread connected by
-//!   message queues, playing the role of the physical FPGA inside the live
-//!   `rococo-stm` runtime (the pull/push queues of Figure 6).
+//! * [`ValidationService`] — a dedicated validator thread connected by one
+//!   lock-free ring that carries requests out and verdicts back, playing
+//!   the role of the physical FPGA inside the live `rococo-stm` runtime
+//!   (the pull/push queues of Figure 6).
 //! * [`resources`] — the analytical resource model reproducing the
 //!   section 6.5 utilisation table.
 //!
@@ -41,6 +42,7 @@
 
 mod engine;
 mod fault;
+mod link;
 mod pipeline;
 pub mod resources;
 mod service;
@@ -49,5 +51,6 @@ pub use engine::{
     EngineConfig, EngineStats, FpgaVerdict, HistoryEntry, ValidateRequest, ValidationEngine,
 };
 pub use fault::{FaultConfig, FaultSnapshot, FaultStats};
+pub use link::LANE_DEPTH;
 pub use pipeline::{PipelineStats, PipelinedValidator, TimingModel};
 pub use service::{PendingVerdict, ServiceHandle, ValidationService};

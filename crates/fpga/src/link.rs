@@ -1,0 +1,799 @@
+//! The CPU↔validator link: one bounded lock-free ring whose slots carry a
+//! request to the validator thread *and* its verdict back.
+//!
+//! This is the stand-in for the CCI pull/push queues of Figure 6. A slot
+//! is claimed by a submitter, filled in place, serviced by the validator
+//! and freed by the submitter when it reads the verdict — nothing is
+//! allocated per request, and a slot goes back to the ring on the thread
+//! that took it (one exception below). Every cell of a slot is an atomic,
+//! so the whole link is safe Rust.
+//!
+//! # Slot lifecycle
+//!
+//! Ring position `pos` lives in slot `pos % depth`; the slot's `seq` word
+//! says which position it is ready for (Vyukov's bounded-queue ticket):
+//!
+//! | state | `seq` | `verdict` | entered by |
+//! |---|---|---|---|
+//! | free | `pos` | `PENDING` | the previous occupant's [`Link::free`] |
+//! | claimed | `pos` | `PENDING` | a submitter winning the CAS on `tail` ([`Link::try_claim`]) |
+//! | published | `pos + 1` | `PENDING` | that submitter's `SeqCst` store of `seq` ([`Link::publish`]) — releases the payload words written before it |
+//! | answered | `pos + 1` | a verdict | the validator's CAS on `verdict` ([`Link::answer`]) |
+//! | free | `pos + depth` | `PENDING` | the submitter consuming the verdict ([`Link::wait_verdict`] / [`Link::poll_verdict`]) |
+//!
+//! The validator alone advances `head`, in ring order; a slot that is
+//! still held by a slow consumer therefore blocks the submitter whose
+//! ticket wraps onto it (`try_claim` reports the ring full) and nobody
+//! else. That submitter may be the slow consumer itself: a thread that
+//! holds unconsumed verdicts must not *wait* for a slot ([`Link::claim`]),
+//! it consumes its oldest verdict instead. A submitter that walks away
+//! from an unanswered slot
+//! ([`Link::abandon`]) marks it `ABANDONED`; the validator then frees it
+//! in the submitter's stead, the only cross-thread free there is.
+//!
+//! # Waiting
+//!
+//! Both directions wait with [`Parker::wait`]: poll for [`PARK_AFTER`] —
+//! spinning, with a yield every so often ([`VALIDATOR_SPIN`],
+//! [`SUBMITTER_SPIN`]; no spinning at all on a one-CPU host) — then
+//! publish a `sleeping` flag, re-check and `thread::park`. The other side
+//! calls [`Parker::wake`] after every store the sleeper may be waiting for
+//! and issues the `unpark` only when it sees the flag, so a busy pipeline
+//! never makes a futex call and a parked side costs nothing.
+//!
+//! # Stop and validator death
+//!
+//! `stopped` closes the door: a submitter that sees it gets
+//! [`FpgaVerdict::ServiceStopped`] without touching the ring, so the
+//! validator — which leaves once it sees `stopped` with the ring drained
+//! — leaves in bounded time. A guard on its stack ([`StopGuard`]), run on
+//! return *and* on panic, sets `dead` and answers every published,
+//! unanswered slot `ServiceStopped`. A submitter that published after
+//! that sweep sees `dead` in its own re-check and answers itself: the
+//! sweep reads `seq` after storing `dead`, the submitter reads `dead`
+//! after storing `seq`, all four `SeqCst`, so one side always sees the
+//! other.
+
+use crate::engine::{EngineStats, FpgaVerdict, ValidateRequest};
+use crate::fault::FaultStats;
+use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
+
+/// How many validations one thread may have outstanding: the ring the STM
+/// runtime asks for has `max_threads × LANE_DEPTH` slots, and a thread
+/// that already holds this many unconsumed slots must consume one before
+/// it submits another. Sized against `TxKvConfig::default().max_batch`
+/// (16): a shard worker's whole batch pipelines without deferring.
+pub const LANE_DEPTH: usize = 16;
+
+/// Lanes of the ring behind [`ValidationService::spawn`](crate::ValidationService::spawn):
+/// 64 slots, enough for the 32 verdicts `async_submission_overlaps` and the
+/// 16 the benchmark's pipelined probe keep outstanding from one thread.
+pub(crate) const DEFAULT_LANES: usize = 4;
+
+/// Addresses (reads then writes) a slot carries in place; a larger
+/// footprint goes through the slot's spill vector. Sized against the
+/// service's transactions (`Transfer`: 2 + 2) and EigenBench's N = 16.
+const INLINE_ADDRS: usize = 16;
+
+/// How long a waiter polls before it parks, both directions. Sized
+/// against what a park costs on the 2-vCPU reference box: a halted vCPU
+/// takes 60–100 µs to come back from a futex wake, and a shard worker's
+/// batch leaves the validator without work for 30–50 µs while it drains.
+/// A side that parks in such a gap makes the other outwait any shorter
+/// budget and park too, and the pipeline settles into a ping-pong of
+/// futex wakes (measured on `kv-hot-write`: 60–90 k req/s against 220 k).
+/// Twice the wake latency keeps both sides out of it.
+const PARK_AFTER: Duration = Duration::from_micros(150);
+
+/// How long the validator spins between two yields. Its yields are what
+/// lets a submitter sharing its CPU run, but on the reference kernel
+/// (6.18, EEVDF) a validator that yields every few microseconds is
+/// scheduled erratically (measured: a third of the segments at 90 k
+/// req/s); one yield per half budget is not.
+const VALIDATOR_SPIN: Duration = Duration::from_micros(75);
+
+/// How long a submitter spins between two yields: two verdicts' worth of
+/// `fpga.process4_ns` (~1.4 µs). If the verdict takes longer the validator
+/// is not running, and on an oversubscribed host it may be waiting for
+/// this very CPU.
+const SUBMITTER_SPIN: Duration = Duration::from_micros(3);
+
+const PENDING: u64 = 0;
+const ABANDONED: u64 = 1;
+const ABORT_CYCLE: u64 = 2;
+const ABORT_WINDOW: u64 = 3;
+const STOPPED: u64 = 4;
+const COMMIT: u64 = 1 << 63;
+
+fn encode(verdict: FpgaVerdict) -> u64 {
+    match verdict {
+        FpgaVerdict::Commit { seq } => COMMIT | seq,
+        FpgaVerdict::AbortCycle => ABORT_CYCLE,
+        FpgaVerdict::AbortWindowOverflow => ABORT_WINDOW,
+        FpgaVerdict::ServiceStopped => STOPPED,
+    }
+}
+
+/// `None` while the slot is unanswered.
+fn decode(word: u64) -> Option<FpgaVerdict> {
+    match word {
+        PENDING | ABANDONED => None,
+        ABORT_CYCLE => Some(FpgaVerdict::AbortCycle),
+        ABORT_WINDOW => Some(FpgaVerdict::AbortWindowOverflow),
+        STOPPED => Some(FpgaVerdict::ServiceStopped),
+        commit => Some(FpgaVerdict::Commit {
+            seq: commit & !COMMIT,
+        }),
+    }
+}
+
+/// One side's parking spot.
+#[derive(Default)]
+pub(crate) struct Parker {
+    sleeping: AtomicBool,
+    thread: Mutex<Option<Thread>>,
+}
+
+impl Parker {
+    /// Waits until `ready()` holds or `deadline` passes; returns whether it
+    /// holds. Polls for [`PARK_AFTER`] — spinning `spin` at a time with a
+    /// yield in between — then parks. `ready` must read with `SeqCst` what
+    /// the waker wrote with `SeqCst` before calling [`Parker::wake`]: then
+    /// either this side's re-check sees the write or the waker sees
+    /// `sleeping`.
+    pub(crate) fn wait(
+        &self,
+        spin: Duration,
+        deadline: Option<Instant>,
+        ready: impl Fn() -> bool,
+    ) -> bool {
+        // The common case on a busy pipeline: no clock read at all.
+        if ready() {
+            return true;
+        }
+        let started = Instant::now();
+        let mut yielded_at = started;
+        loop {
+            if ready() {
+                return true;
+            }
+            let now = Instant::now();
+            if now - started >= PARK_AFTER || deadline.is_some_and(|d| now >= d) {
+                break;
+            }
+            if now - yielded_at >= spin {
+                std::thread::yield_now();
+                yielded_at = Instant::now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        *self.thread.lock() = Some(std::thread::current());
+        loop {
+            self.sleeping.store(true, Ordering::SeqCst);
+            let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
+            if timed_out || ready() {
+                self.sleeping.store(false, Ordering::SeqCst);
+                return ready();
+            }
+            match deadline {
+                Some(d) => std::thread::park_timeout(d.saturating_duration_since(Instant::now())),
+                None => std::thread::park(),
+            }
+        }
+    }
+
+    /// Unparks the waiter if it published `sleeping`.
+    pub(crate) fn wake(&self) {
+        if self.sleeping.load(Ordering::SeqCst) && self.sleeping.swap(false, Ordering::SeqCst) {
+            if let Some(thread) = self.thread.lock().as_ref() {
+                thread.unpark();
+            }
+        }
+    }
+}
+
+#[repr(align(64))]
+#[derive(Default)]
+struct Padded<T>(T);
+
+#[repr(align(64))]
+struct Slot {
+    seq: AtomicU64,
+    verdict: AtomicU64,
+    tx_id: AtomicU64,
+    valid_ts: AtomicU64,
+    /// Reads in the low half, writes in the high half.
+    lens: AtomicU64,
+    addrs: [AtomicU64; INLINE_ADDRS],
+    /// Footprints over `INLINE_ADDRS`, reads then writes. Locked by the
+    /// submitter before `publish` and by the validator after it, never at
+    /// once; keeps its capacity from lap to lap.
+    spill: Mutex<Vec<u64>>,
+    /// Where the submitter sleeps for the verdict.
+    waiter: Parker,
+}
+
+/// The shared state of one validation service.
+pub(crate) struct Link {
+    slots: Box<[Slot]>,
+    mask: u64,
+    /// Next position to claim (submitters, CAS).
+    tail: Padded<AtomicU64>,
+    /// Next position to dequeue. The validator alone writes it; others
+    /// read it for [`Link::queue_depth`].
+    head: Padded<AtomicU64>,
+    in_flight: Padded<AtomicU64>,
+    /// Stop requested: no new submissions.
+    stopped: AtomicBool,
+    /// The validator thread is gone: nobody will answer but the submitter.
+    dead: AtomicBool,
+    /// [`VALIDATOR_SPIN`] and [`SUBMITTER_SPIN`] — or zero when this
+    /// process may run on one CPU only, where the other side cannot be
+    /// running while this one spins.
+    validator_spin: Duration,
+    submitter_spin: Duration,
+    /// Where the validator sleeps for work.
+    validator: Parker,
+    /// The side mailbox: a scrape asks for `last_stats` to be refreshed.
+    /// One scraper at a time, serialised by `scrape_turn`.
+    snapshot_wanted: AtomicBool,
+    scrape_turn: Mutex<()>,
+    scraper: Parker,
+    pub(crate) last_stats: RwLock<EngineStats>,
+    pub(crate) faults: FaultStats,
+}
+
+impl Link {
+    /// A link of `depth` slots, rounded up to a power of two (at least 2:
+    /// a published slot must not look like the next lap's free one).
+    pub(crate) fn new(depth: usize) -> Self {
+        let depth = depth.max(2).next_power_of_two();
+        let one_cpu = matches!(std::thread::available_parallelism().map(usize::from), Ok(1));
+        let spin = |d: Duration| if one_cpu { Duration::ZERO } else { d };
+        Self {
+            slots: (0..depth as u64)
+                .map(|i| Slot {
+                    seq: AtomicU64::new(i),
+                    verdict: AtomicU64::new(PENDING),
+                    tx_id: AtomicU64::new(0),
+                    valid_ts: AtomicU64::new(0),
+                    lens: AtomicU64::new(0),
+                    addrs: std::array::from_fn(|_| AtomicU64::new(0)),
+                    spill: Mutex::new(Vec::new()),
+                    waiter: Parker::default(),
+                })
+                .collect(),
+            mask: depth as u64 - 1,
+            tail: Padded::default(),
+            head: Padded::default(),
+            in_flight: Padded::default(),
+            stopped: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            validator_spin: spin(VALIDATOR_SPIN),
+            submitter_spin: spin(SUBMITTER_SPIN),
+            validator: Parker::default(),
+            snapshot_wanted: AtomicBool::new(false),
+            scrape_turn: Mutex::new(()),
+            scraper: Parker::default(),
+            last_stats: RwLock::new(EngineStats::default()),
+            faults: FaultStats::default(),
+        }
+    }
+
+    fn slot(&self, pos: u64) -> &Slot {
+        &self.slots[(pos & self.mask) as usize]
+    }
+
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.in_flight.0.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn queue_depth(&self) -> usize {
+        let head = self.head.0.load(Ordering::Relaxed);
+        self.tail.0.load(Ordering::Relaxed).saturating_sub(head) as usize
+    }
+
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    // ---- submitter side ------------------------------------------------
+
+    /// Claims the next ring position, or `None` when the slot it maps to
+    /// is still held from the previous lap (ring full).
+    pub(crate) fn try_claim(&self) -> Option<u64> {
+        let mut pos = self.tail.0.load(Ordering::Relaxed);
+        loop {
+            // Acquire pairs with the release in `free`: the previous
+            // occupant's reads of the slot happen before our writes.
+            let seq = self.slot(pos).seq.load(Ordering::Acquire);
+            if seq == pos {
+                match self.tail.0.compare_exchange_weak(
+                    pos,
+                    pos + 1,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        self.in_flight.0.fetch_add(1, Ordering::Relaxed);
+                        return Some(pos);
+                    }
+                    Err(current) => pos = current,
+                }
+            } else if seq < pos {
+                return None;
+            } else {
+                pos = self.tail.0.load(Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// [`Link::try_claim`], spinning then yielding while the ring is full.
+    /// Nobody wakes a submitter waiting for a slot, so this never parks;
+    /// `None` once the link has stopped.
+    pub(crate) fn claim(&self) -> Option<u64> {
+        let started = Instant::now();
+        loop {
+            if self.is_stopped() {
+                return None;
+            }
+            if let Some(pos) = self.try_claim() {
+                return Some(pos);
+            }
+            if started.elapsed() < self.submitter_spin {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Fills the claimed slot and hands it to the validator.
+    pub(crate) fn publish(
+        &self,
+        pos: u64,
+        tx_id: u64,
+        valid_ts: u64,
+        reads: &[u64],
+        writes: &[u64],
+    ) {
+        let slot = self.slot(pos);
+        // Relaxed payload stores: the `seq` store below releases them and
+        // the validator's acquire load of `seq` makes them visible.
+        slot.tx_id.store(tx_id, Ordering::Relaxed);
+        slot.valid_ts.store(valid_ts, Ordering::Relaxed);
+        slot.lens.store(
+            reads.len() as u64 | (writes.len() as u64) << 32,
+            Ordering::Relaxed,
+        );
+        if reads.len() + writes.len() <= INLINE_ADDRS {
+            for (cell, &addr) in slot.addrs.iter().zip(reads.iter().chain(writes)) {
+                cell.store(addr, Ordering::Relaxed);
+            }
+        } else {
+            let mut spill = slot.spill.lock();
+            spill.clear();
+            spill.extend_from_slice(reads);
+            spill.extend_from_slice(writes);
+        }
+        slot.seq.store(pos + 1, Ordering::SeqCst);
+        self.validator.wake();
+        if self.dead.load(Ordering::SeqCst) {
+            // The exit sweep may already have passed this slot.
+            self.answer(pos, FpgaVerdict::ServiceStopped);
+        }
+    }
+
+    /// Non-blocking: the verdict if the slot is answered, freeing it.
+    pub(crate) fn poll_verdict(&self, pos: u64) -> Option<FpgaVerdict> {
+        let verdict = decode(self.slot(pos).verdict.load(Ordering::SeqCst))?;
+        self.free(pos);
+        self.in_flight.0.fetch_sub(1, Ordering::Relaxed);
+        Some(verdict)
+    }
+
+    /// Blocks until the slot is answered, then frees it.
+    pub(crate) fn wait_verdict(&self, pos: u64) -> FpgaVerdict {
+        let slot = self.slot(pos);
+        slot.waiter.wait(self.submitter_spin, None, || {
+            decode(slot.verdict.load(Ordering::SeqCst)).is_some()
+        });
+        self.poll_verdict(pos).expect("waited for the verdict")
+    }
+
+    /// Walks away from a slot: frees it if it is answered, otherwise
+    /// leaves that to the validator. Either way the request stops counting
+    /// as in flight: nobody is waiting for it.
+    pub(crate) fn abandon(&self, pos: u64) {
+        self.in_flight.0.fetch_sub(1, Ordering::Relaxed);
+        let unanswered = self.slot(pos).verdict.compare_exchange(
+            PENDING,
+            ABANDONED,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        if unanswered.is_err() {
+            self.free(pos);
+        }
+    }
+
+    /// answered → free. Called by whoever consumes the verdict.
+    fn free(&self, pos: u64) {
+        let slot = self.slot(pos);
+        slot.verdict.store(PENDING, Ordering::Relaxed);
+        // Release: the next lap's claimer acquires `seq` before it writes.
+        slot.seq
+            .store(pos + self.slots.len() as u64, Ordering::Release);
+    }
+
+    /// The mailbox: asks the validator for a fresh `last_stats`. `None`
+    /// when the validator is gone.
+    pub(crate) fn scrape(&self) -> Option<EngineStats> {
+        let _turn = self.scrape_turn.lock();
+        self.snapshot_wanted.store(true, Ordering::SeqCst);
+        self.validator.wake();
+        // rococo-lint: allow(guard-across-wait) -- `scrape_turn` only orders scrapers among themselves (the mailbox has one parking spot); the validator never takes it
+        self.scraper.wait(self.submitter_spin, None, || {
+            !self.snapshot_wanted.load(Ordering::SeqCst) || self.dead.load(Ordering::SeqCst)
+        });
+        (!self.snapshot_wanted.load(Ordering::SeqCst)).then(|| *self.last_stats.read())
+    }
+
+    /// Closes the door and wakes the validator so it drains and leaves.
+    pub(crate) fn request_stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.validator.wake();
+    }
+
+    // ---- validator side ------------------------------------------------
+
+    fn is_published(&self, pos: u64) -> bool {
+        self.slot(pos).seq.load(Ordering::SeqCst) == pos + 1
+    }
+
+    /// Dequeues the position at `head` if it is published.
+    pub(crate) fn try_dequeue(&self) -> Option<u64> {
+        let pos = self.head.0.load(Ordering::Relaxed);
+        self.is_published(pos).then(|| {
+            self.head.0.store(pos + 1, Ordering::Relaxed);
+            pos
+        })
+    }
+
+    /// Parks the validator until the position at `head` is published, the
+    /// mailbox or the stop flag is raised, or `deadline` passes.
+    pub(crate) fn wait_for_work(&self, deadline: Option<Instant>) {
+        let pos = self.head.0.load(Ordering::Relaxed);
+        self.validator.wait(self.validator_spin, deadline, || {
+            self.is_published(pos)
+                || self.snapshot_wanted.load(Ordering::SeqCst)
+                || self.is_stopped()
+        });
+    }
+
+    /// Answers the mailbox, if asked.
+    pub(crate) fn serve_scrape(&self, current: impl FnOnce() -> EngineStats) {
+        if self.snapshot_wanted.load(Ordering::Relaxed) {
+            *self.last_stats.write() = current();
+            self.snapshot_wanted.store(false, Ordering::SeqCst);
+            self.scraper.wake();
+        }
+    }
+
+    /// Copies the request of a dequeued slot into `req`, reusing its
+    /// vectors.
+    pub(crate) fn read_request(&self, pos: u64, req: &mut ValidateRequest) {
+        let slot = self.slot(pos);
+        req.tx_id = slot.tx_id.load(Ordering::Relaxed);
+        req.valid_ts = slot.valid_ts.load(Ordering::Relaxed);
+        let lens = slot.lens.load(Ordering::Relaxed);
+        let (reads, writes) = (lens as u32 as usize, (lens >> 32) as usize);
+        req.read_addrs.clear();
+        req.write_addrs.clear();
+        if reads + writes <= INLINE_ADDRS {
+            let word = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+            req.read_addrs.extend(slot.addrs[..reads].iter().map(word));
+            req.write_addrs
+                .extend(slot.addrs[reads..reads + writes].iter().map(word));
+        } else {
+            let spill = slot.spill.lock();
+            req.read_addrs.extend_from_slice(&spill[..reads]);
+            req.write_addrs.extend_from_slice(&spill[reads..]);
+        }
+    }
+
+    /// published → answered, waking the submitter if it sleeps; frees the
+    /// slot if the submitter abandoned it. A slot that is already answered
+    /// (the exit sweep and a self-answer can both reach it) is left alone.
+    pub(crate) fn answer(&self, pos: u64, verdict: FpgaVerdict) {
+        let slot = self.slot(pos);
+        match slot.verdict.compare_exchange(
+            PENDING,
+            encode(verdict),
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        ) {
+            Ok(_) => slot.waiter.wake(),
+            Err(ABANDONED) => self.free(pos),
+            Err(_) => {}
+        }
+    }
+}
+
+/// Lives on the validator thread's stack: whichever way the thread ends,
+/// no submitter is left waiting.
+pub(crate) struct StopGuard<'a>(pub(crate) &'a Link);
+
+impl Drop for StopGuard<'_> {
+    fn drop(&mut self) {
+        let link = self.0;
+        link.stopped.store(true, Ordering::SeqCst);
+        link.dead.store(true, Ordering::SeqCst);
+        for (i, slot) in link.slots.iter().enumerate() {
+            // A free or claimed slot has `seq ≡ i (mod depth)`, a
+            // published or answered one `seq ≡ i + 1`.
+            let seq = slot.seq.load(Ordering::SeqCst);
+            if seq.wrapping_sub(1) & link.mask == i as u64 {
+                link.answer(seq - 1, FpgaVerdict::ServiceStopped);
+            }
+        }
+        link.scraper.wake();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineConfig;
+    use crate::fault::FaultConfig;
+    use crate::service::{PendingVerdict, ValidationService};
+    use std::collections::{HashSet, VecDeque};
+    use std::sync::Arc;
+
+    fn spin_until(what: &str, cond: impl Fn() -> bool) {
+        let started = Instant::now();
+        while !cond() {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "timed out: {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn every_ticket_gets_its_own_verdict_under_aggressive_faults() {
+        const PRODUCERS: u64 = 8;
+        const REQUESTS: u64 = 2_000;
+        // 8 × 8 in flight: exactly the 64 slots of the default ring.
+        const IN_FLIGHT: usize = 8;
+        let svc = ValidationService::spawn_with_faults(
+            EngineConfig::default(),
+            FaultConfig::aggressive(11),
+        );
+        let global_ts = Arc::new(AtomicU64::new(0));
+        let joins: Vec<_> = (0..PRODUCERS)
+            .map(|t| {
+                let h = svc.handle();
+                let global_ts = Arc::clone(&global_ts);
+                std::thread::spawn(move || {
+                    let mut seqs = Vec::new();
+                    let mut verdicts = 0u64;
+                    let mut settle = |p: PendingVerdict| {
+                        verdicts += 1;
+                        match p.wait() {
+                            FpgaVerdict::Commit { seq } => {
+                                global_ts.fetch_max(seq + 1, Ordering::SeqCst);
+                                seqs.push(seq);
+                            }
+                            FpgaVerdict::ServiceStopped => panic!("live service stopped"),
+                            _ => {}
+                        }
+                    };
+                    let mut pending = VecDeque::with_capacity(IN_FLIGHT);
+                    for i in 0..REQUESTS {
+                        if pending.len() == IN_FLIGHT {
+                            settle(pending.pop_front().expect("full window"));
+                        }
+                        let base = 1_000_000 + t * 100_000 + i * 4;
+                        let valid_ts = global_ts.load(Ordering::SeqCst);
+                        // A thread that holds verdicts must not wait for a
+                        // slot — the one in its way may be its own — so it
+                        // consumes its oldest instead.
+                        let posted = loop {
+                            match h.try_post(t, valid_ts, &[base], &[base + 1]) {
+                                Some(posted) => break posted,
+                                None => match pending.pop_front() {
+                                    Some(oldest) => settle(oldest),
+                                    None => std::thread::yield_now(),
+                                },
+                            }
+                        };
+                        pending.push_back(posted);
+                    }
+                    pending.into_iter().for_each(&mut settle);
+                    (verdicts, seqs)
+                })
+            })
+            .collect();
+        let mut all_seqs = HashSet::new();
+        for j in joins {
+            let (verdicts, seqs) = j.join().expect("producer panicked");
+            assert_eq!(verdicts, REQUESTS, "one verdict per ticket");
+            for seq in seqs {
+                assert!(
+                    all_seqs.insert(seq),
+                    "commit {seq} delivered to two submitters"
+                );
+            }
+        }
+        let h = svc.handle();
+        let injected = h.fault_stats();
+        assert!(injected.total() > 0, "aggressive preset injected nothing");
+        assert_eq!(h.in_flight(), 0);
+        let stats = svc.shutdown();
+        assert_eq!(
+            stats.requests + injected.spurious_aborts(),
+            PRODUCERS * REQUESTS
+        );
+        // Every commit the engine granted reached exactly one submitter.
+        assert_eq!(stats.commits, all_seqs.len() as u64);
+    }
+
+    #[test]
+    fn a_parked_validator_is_woken_by_a_lone_request() {
+        let svc = ValidationService::spawn(EngineConfig::default());
+        let h = svc.handle();
+        for round in 0..3u64 {
+            // Idle past its whole budget: it has published `sleeping`.
+            spin_until("validator parks", || {
+                svc.link().validator.sleeping.load(Ordering::SeqCst)
+            });
+            assert!(h
+                .post(round, round, &[10 + round], &[20 + round])
+                .wait()
+                .is_commit());
+        }
+    }
+
+    #[test]
+    fn a_parked_submitter_is_woken_by_a_late_verdict() {
+        // Every request stalls the validator for far longer than a
+        // submitter polls, so each wait ends in `park`.
+        for faults in [
+            FaultConfig {
+                seed: 5,
+                pause_prob: 1.0,
+                pause_us: 2_000,
+                ..FaultConfig::disabled()
+            },
+            FaultConfig {
+                seed: 5,
+                delay_prob: 1.0,
+                delay_us: 2_000,
+                ..FaultConfig::disabled()
+            },
+        ] {
+            let svc = ValidationService::spawn_with_faults(EngineConfig::default(), faults);
+            let h = svc.handle();
+            for i in 0..4u64 {
+                let started = Instant::now();
+                assert!(h.post(i, i, &[100 + i], &[200 + i]).wait().is_commit());
+                assert!(
+                    started.elapsed() > PARK_AFTER,
+                    "the fault did not outlast the poll"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_ring_wraps() {
+        // Two slots, 40 requests: 20 laps, one and two in flight.
+        let svc =
+            ValidationService::spawn_ring(EngineConfig::default(), FaultConfig::disabled(), 2);
+        let h = svc.handle();
+        let mut valid_ts = 0;
+        for i in 0..20u64 {
+            match h.post(i, valid_ts, &[1_000 + i], &[2_000 + i]).wait() {
+                FpgaVerdict::Commit { seq } => valid_ts = seq + 1,
+                other => panic!("request {i}: {other:?}"),
+            }
+        }
+        for i in (20..40u64).step_by(2) {
+            let a = h.post(i, valid_ts, &[1_000 + i], &[2_000 + i]);
+            let b = h.post(i + 1, valid_ts, &[1_001 + i], &[2_001 + i]);
+            assert!(
+                h.try_post(0, valid_ts, &[1], &[2]).is_none(),
+                "two slots, two held"
+            );
+            for p in [a, b] {
+                match p.wait() {
+                    FpgaVerdict::Commit { seq } => valid_ts = seq + 1,
+                    other => panic!("request {i}: {other:?}"),
+                }
+            }
+        }
+        assert_eq!(svc.shutdown().commits, 40);
+    }
+
+    #[test]
+    fn a_footprint_over_the_inline_size_arrives_intact() {
+        let svc = ValidationService::spawn(EngineConfig::default());
+        let h = svc.handle();
+        let n = INLINE_ADDRS as u64 + 8;
+        let reads: Vec<u64> = (0..n).map(|i| 10_000 + i).collect();
+        let writes: Vec<u64> = (0..n).map(|i| 20_000 + i).collect();
+        assert!(h.post(1, 0, &reads, &writes).wait().is_commit());
+        // The write-skew partner over the *last* spilled read and write:
+        // it commits only if one of them was lost on the way.
+        let (r, w) = (reads[n as usize - 1], writes[n as usize - 1]);
+        assert_eq!(h.post(2, 0, &[w], &[r]).wait(), FpgaVerdict::AbortCycle);
+    }
+
+    #[test]
+    fn a_validator_that_dies_at_birth_stops_the_link() {
+        // `SlidingWindow::new` asserts a positive capacity: the thread
+        // panics before it serves anything.
+        let svc = ValidationService::spawn(EngineConfig {
+            window: 0,
+            ..EngineConfig::default()
+        });
+        let h = svc.handle();
+        assert_eq!(h.post(1, 0, &[1], &[2]).wait(), FpgaVerdict::ServiceStopped);
+        assert_eq!(h.stats(), None);
+        assert_eq!(h.in_flight(), 0);
+        drop(svc); // joins the panicked thread without hanging
+    }
+
+    #[test]
+    fn the_stop_guard_answers_a_parked_waiter() {
+        let link = Arc::new(Link::new(4));
+        let pos = link.try_claim().expect("empty ring");
+        link.publish(pos, 1, 0, &[1], &[2]);
+        let waiter = {
+            let link = Arc::clone(&link);
+            std::thread::spawn(move || link.wait_verdict(pos))
+        };
+        spin_until("submitter parks", || {
+            link.slot(pos).waiter.sleeping.load(Ordering::SeqCst)
+        });
+        // What the validator thread's stack does when it unwinds.
+        drop(StopGuard(&link));
+        assert_eq!(
+            waiter.join().expect("waiter panicked"),
+            FpgaVerdict::ServiceStopped
+        );
+        // And a submitter that arrives afterwards answers itself.
+        let late = link.try_claim().expect("a free slot");
+        link.publish(late, 2, 0, &[3], &[4]);
+        assert_eq!(link.wait_verdict(late), FpgaVerdict::ServiceStopped);
+    }
+
+    #[test]
+    fn an_abandoned_slot_is_freed_by_the_answer_not_the_drop() {
+        let link = Link::new(2);
+        let first = link.try_claim().expect("empty ring");
+        link.publish(first, 1, 0, &[1], &[2]);
+        link.abandon(first);
+        assert_eq!(link.in_flight(), 0, "nobody waits for it any more");
+        let second = link.try_claim().expect("the other slot");
+        assert!(
+            link.try_claim().is_none(),
+            "the abandoned slot must stay taken until it is answered"
+        );
+        // The validator gets to it: its answer frees the slot.
+        assert_eq!(link.try_dequeue(), Some(first));
+        link.answer(first, FpgaVerdict::Commit { seq: 0 });
+        assert_eq!(link.try_claim(), Some(second + 1));
+        // Abandoning an answered slot frees it on the spot.
+        link.publish(second, 2, 0, &[3], &[4]);
+        link.answer(second, FpgaVerdict::AbortCycle);
+        link.abandon(second);
+        assert_eq!(link.try_claim(), Some(second + 2));
+    }
+}

@@ -4,9 +4,10 @@
 //! stages through two asynchronous message queues (the pull/push queues of
 //! Figure 6) so that communication latency is amortised by overlapping
 //! transactions. Here the "FPGA" is a dedicated thread owning a
-//! [`ValidationEngine`]; workers submit [`ValidateRequest`]s over a
-//! multi-producer channel and receive their [`FpgaVerdict`] over a
-//! per-request reply channel.
+//! [`ValidationEngine`]; workers write their requests into the slots of
+//! one lock-free ring and read their [`FpgaVerdict`] back from the same
+//! slot (see [`crate::link`] for the slot lifecycle, the wait strategy and
+//! the stop protocol).
 //!
 //! The service optionally runs with a seeded [`FaultConfig`] (chaos
 //! testing): verdicts can be delayed, serviced out of submission order,
@@ -16,42 +17,98 @@
 
 use crate::engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 use crate::fault::{FaultConfig, FaultRng, FaultSnapshot, FaultStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::link::{Link, StopGuard, DEFAULT_LANES, LANE_DEPTH};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-enum Msg {
-    Validate(ValidateRequest, Sender<FpgaVerdict>),
-    Snapshot(Sender<EngineStats>),
-    Stop,
-}
+use std::time::{Duration, Instant};
 
 /// A handle for submitting validation requests to the service. Cheap to
 /// clone; one per worker thread.
 #[derive(Clone)]
 pub struct ServiceHandle {
-    tx: Sender<Msg>,
-    in_flight: Arc<AtomicU64>,
-    faults: Arc<FaultStats>,
-    /// Last successfully scraped engine snapshot, shared by every clone.
-    /// Refreshed on each [`ServiceHandle::stats`] round-trip and once more
-    /// with the final counters when the validator thread exits, so metrics
-    /// scrapes racing teardown still see the complete run.
-    last_stats: Arc<RwLock<EngineStats>>,
+    link: Arc<Link>,
 }
 
 impl std::fmt::Debug for ServiceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceHandle")
-            .field("in_flight", &self.in_flight.load(Ordering::Relaxed))
+            .field("in_flight", &self.in_flight())
             .finish()
     }
 }
 
 impl ServiceHandle {
+    /// Writes a request into the next ring slot without waiting for the
+    /// verdict; returns a [`PendingVerdict`] so the caller can overlap
+    /// other work (meta-pipelining). The address slices are copied into
+    /// the slot: nothing is allocated.
+    ///
+    /// The slot stays taken until the verdict is consumed (or the handle
+    /// dropped), and slots are claimed in ring order. When the slot this
+    /// ticket maps to is still taken (the ring is full), `post` spins, then
+    /// yields, until it is free — which never happens if the caller itself
+    /// holds it. So call `post` only from a thread that holds no unconsumed
+    /// verdict, or that is the ring's only submitter and consumes in
+    /// submission order with fewer outstanding than the ring has slots (64
+    /// for [`ValidationService::spawn`]); every other caller uses
+    /// [`ServiceHandle::try_post`] and consumes its oldest verdict when
+    /// that reports the ring full.
+    ///
+    /// Once the service has stopped the handle is born settled with
+    /// [`FpgaVerdict::ServiceStopped`].
+    pub fn post(
+        &self,
+        tx_id: u64,
+        valid_ts: u64,
+        read_addrs: &[u64],
+        write_addrs: &[u64],
+    ) -> PendingVerdict {
+        let pos = self.link.claim();
+        self.publish(pos, tx_id, valid_ts, read_addrs, write_addrs)
+    }
+
+    /// [`ServiceHandle::post`] that gives up instead of waiting: `None`
+    /// when the ring is full.
+    pub fn try_post(
+        &self,
+        tx_id: u64,
+        valid_ts: u64,
+        read_addrs: &[u64],
+        write_addrs: &[u64],
+    ) -> Option<PendingVerdict> {
+        let pos = if self.link.is_stopped() {
+            None
+        } else {
+            Some(self.link.try_claim()?)
+        };
+        Some(self.publish(pos, tx_id, valid_ts, read_addrs, write_addrs))
+    }
+
+    /// Fills the claimed slot; with no slot (the service has stopped) the
+    /// handle is born settled.
+    fn publish(
+        &self,
+        pos: Option<u64>,
+        tx_id: u64,
+        valid_ts: u64,
+        read_addrs: &[u64],
+        write_addrs: &[u64],
+    ) -> PendingVerdict {
+        let state = match pos {
+            Some(pos) => {
+                self.link
+                    .publish(pos, tx_id, valid_ts, read_addrs, write_addrs);
+                PendingState::Slot(pos)
+            }
+            None => PendingState::Settled(FpgaVerdict::ServiceStopped),
+        };
+        PendingVerdict {
+            link: Arc::clone(&self.link),
+            state,
+        }
+    }
+
     /// Submits a request and blocks until the verdict arrives (execution
     /// threads in ROCoCoTM "send R/W-set to FPGA and wait for verdict").
     ///
@@ -60,19 +117,10 @@ impl ServiceHandle {
     /// instead of panicking, so a worker blocked here during service
     /// teardown gets a clean abort path.
     pub fn validate(&self, req: ValidateRequest) -> FpgaVerdict {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let verdict = if self.tx.send(Msg::Validate(req, reply_tx)).is_err() {
-            FpgaVerdict::ServiceStopped
-        } else {
-            reply_rx.recv().unwrap_or(FpgaVerdict::ServiceStopped)
-        };
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        verdict
+        self.validate_async(req).wait()
     }
 
-    /// Submits a request without waiting; returns a [`PendingVerdict`] so
-    /// the caller can overlap other work (meta-pipelining).
+    /// [`ServiceHandle::post`] for a request built by value.
     ///
     /// Async submitters count toward [`ServiceHandle::in_flight`] exactly
     /// like blocking ones: the counter is incremented here and released
@@ -80,15 +128,7 @@ impl ServiceHandle {
     /// so admission-control layers watching the load signal see every
     /// outstanding validation, not just the blocking ones.
     pub fn validate_async(&self, req: ValidateRequest) -> PendingVerdict {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let failed = self.tx.send(Msg::Validate(req, reply_tx)).is_err();
-        PendingVerdict {
-            rx: reply_rx,
-            in_flight: Arc::clone(&self.in_flight),
-            settled: failed.then_some(FpgaVerdict::ServiceStopped),
-            released: false,
-        }
+        self.post(req.tx_id, req.valid_ts, &req.read_addrs, &req.write_addrs)
     }
 
     /// Number of validations currently waiting for a verdict across *all*
@@ -96,19 +136,19 @@ impl ServiceHandle {
     /// load signal: service layers shed or delay work when the shared
     /// validator backs up.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
+        self.link.in_flight()
     }
 
     /// Number of submitted requests the validator thread has not yet
     /// dequeued (queue depth of the pull queue of Figure 6).
     pub fn queue_depth(&self) -> usize {
-        self.tx.len()
+        self.link.queue_depth()
     }
 
     /// Counters of injected faults so far (all zero unless the service
     /// was spawned with fault injection enabled).
     pub fn fault_stats(&self) -> FaultSnapshot {
-        self.faults.snapshot()
+        self.link.faults.snapshot()
     }
 
     /// Reads the engine's statistics (round-trips through the thread).
@@ -119,73 +159,73 @@ impl ServiceHandle {
     /// that want a best-effort answer fall back to
     /// [`ServiceHandle::last_stats`].
     pub fn stats(&self) -> Option<EngineStats> {
-        let (tx, rx) = bounded(1);
-        self.tx.send(Msg::Snapshot(tx)).ok()?;
-        let stats = rx.recv().ok()?;
-        *self.last_stats.write() = stats;
-        Some(stats)
+        self.link.scrape()
     }
 
     /// The last engine snapshot any clone of this handle observed (zeroed
     /// counters if the engine was never scraped). Once the service has shut
     /// down this holds the final end-of-run statistics.
     pub fn last_stats(&self) -> EngineStats {
-        *self.last_stats.read()
+        *self.link.last_stats.read()
     }
 }
 
-/// An outstanding asynchronous validation. Holds one slot of the service's
-/// `in_flight` load signal until the verdict is delivered or the handle is
-/// dropped.
-#[derive(Debug)]
+/// An outstanding asynchronous validation. Holds its ring slot, and one
+/// unit of the service's `in_flight` load signal, until the verdict is
+/// consumed or the handle is dropped.
 pub struct PendingVerdict {
-    rx: Receiver<FpgaVerdict>,
-    in_flight: Arc<AtomicU64>,
-    /// Pre-resolved verdict (submission already failed).
-    settled: Option<FpgaVerdict>,
-    /// Whether the in-flight slot has been released.
-    released: bool,
+    link: Arc<Link>,
+    state: PendingState,
+}
+
+#[derive(Debug)]
+enum PendingState {
+    /// The ring position whose verdict is still owed.
+    Slot(u64),
+    /// Consumed, or the service had stopped before submission.
+    Settled(FpgaVerdict),
+}
+
+impl std::fmt::Debug for PendingVerdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PendingVerdict")
+            .field("state", &self.state)
+            .finish()
+    }
 }
 
 impl PendingVerdict {
     /// Blocks until the verdict arrives. Returns
     /// [`FpgaVerdict::ServiceStopped`] if the service shut down first.
     pub fn wait(mut self) -> FpgaVerdict {
-        if let Some(v) = self.settled {
-            self.release();
-            return v;
+        match self.state {
+            PendingState::Settled(verdict) => verdict,
+            PendingState::Slot(pos) => {
+                let verdict = self.link.wait_verdict(pos);
+                self.state = PendingState::Settled(verdict);
+                verdict
+            }
         }
-        let v = self.rx.recv().unwrap_or(FpgaVerdict::ServiceStopped);
-        self.release();
-        v
     }
 
     /// Non-blocking poll: `None` while the verdict is still outstanding.
     pub fn try_wait(&mut self) -> Option<FpgaVerdict> {
-        if let Some(v) = self.settled {
-            self.release();
-            return Some(v);
-        }
-        match self.rx.try_recv() {
-            Ok(v) => {
-                self.release();
-                Some(v)
+        match self.state {
+            PendingState::Settled(verdict) => Some(verdict),
+            PendingState::Slot(pos) => {
+                let verdict = self.link.poll_verdict(pos)?;
+                self.state = PendingState::Settled(verdict);
+                Some(verdict)
             }
-            Err(_) => None,
-        }
-    }
-
-    fn release(&mut self) {
-        if !self.released {
-            self.released = true;
-            self.in_flight.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
 impl Drop for PendingVerdict {
     fn drop(&mut self) {
-        self.release();
+        if let PendingState::Slot(pos) = self.state {
+            self.link.abandon(pos);
+        }
     }
 }
 
@@ -212,20 +252,25 @@ impl ValidationService {
     /// Spawns the validator thread with seeded fault injection (chaos
     /// testing — see [`FaultConfig`]).
     pub fn spawn_with_faults(config: EngineConfig, faults: FaultConfig) -> Self {
-        let (tx, rx) = unbounded::<Msg>();
-        let fault_stats = Arc::new(FaultStats::default());
-        let stats_for_thread = Arc::clone(&fault_stats);
+        Self::spawn_with_lanes(config, faults, DEFAULT_LANES)
+    }
+
+    /// [`ValidationService::spawn_with_faults`] with the ring sized for
+    /// `lanes` submitting threads of [`LANE_DEPTH`] outstanding
+    /// validations each (rounded up to a power of two).
+    pub fn spawn_with_lanes(config: EngineConfig, faults: FaultConfig, lanes: usize) -> Self {
+        Self::spawn_ring(config, faults, lanes.max(1) * LANE_DEPTH)
+    }
+
+    pub(crate) fn spawn_ring(config: EngineConfig, faults: FaultConfig, depth: usize) -> Self {
+        let link = Arc::new(Link::new(depth));
+        let thread_link = Arc::clone(&link);
         let thread = std::thread::Builder::new()
             .name("rococo-fpga".into())
-            .spawn(move || run_engine(ValidationEngine::new(config), rx, faults, stats_for_thread))
+            .spawn(move || run_engine(&thread_link, config, faults))
             .expect("failed to spawn validator thread");
         Self {
-            handle: ServiceHandle {
-                tx,
-                in_flight: Arc::new(AtomicU64::new(0)),
-                faults: fault_stats,
-                last_stats: Arc::new(RwLock::new(EngineStats::default())),
-            },
+            handle: ServiceHandle { link },
             thread: Some(thread),
         }
     }
@@ -235,16 +280,21 @@ impl ValidationService {
         self.handle.clone()
     }
 
+    #[cfg(test)]
+    pub(crate) fn link(&self) -> &Link {
+        &self.handle.link
+    }
+
     /// Stops the thread and returns the final engine statistics.
     pub fn shutdown(mut self) -> EngineStats {
-        let _ = self.handle.tx.send(Msg::Stop);
+        self.handle.link.request_stop();
         let stats = self
             .thread
             .take()
             .expect("shutdown called twice")
             .join()
             .expect("validator thread panicked");
-        *self.handle.last_stats.write() = stats;
+        *self.handle.link.last_stats.write() = stats;
         stats
     }
 }
@@ -252,9 +302,9 @@ impl ValidationService {
 impl Drop for ValidationService {
     fn drop(&mut self) {
         if let Some(thread) = self.thread.take() {
-            let _ = self.handle.tx.send(Msg::Stop);
+            self.handle.link.request_stop();
             if let Ok(stats) = thread.join() {
-                *self.handle.last_stats.write() = stats;
+                *self.handle.link.last_stats.write() = stats;
             }
         }
     }
@@ -265,13 +315,13 @@ impl Drop for ValidationService {
 /// the last request of a burst.
 const REORDER_FLUSH: Duration = Duration::from_micros(200);
 
-struct Injector {
+struct Injector<'a> {
     cfg: FaultConfig,
     rng: FaultRng,
-    stats: Arc<FaultStats>,
+    stats: &'a FaultStats,
 }
 
-impl Injector {
+impl Injector<'_> {
     /// Rolls the pre-dequeue fault: a validator stall.
     fn maybe_pause(&mut self) {
         if self.rng.hit(self.cfg.pause_prob) {
@@ -318,101 +368,94 @@ impl Injector {
     }
 }
 
-fn run_engine(
-    mut engine: ValidationEngine,
-    rx: Receiver<Msg>,
-    faults: FaultConfig,
-    stats: Arc<FaultStats>,
-) -> EngineStats {
-    let inject = faults.enabled();
-    let mut injector = Injector {
-        rng: FaultRng::new(faults.seed),
-        cfg: faults,
-        stats,
-    };
-    // A request held back for reordering: serviced after the next message,
-    // or after `REORDER_FLUSH` if no successor arrives (liveness).
-    let mut held: Option<(ValidateRequest, Sender<FpgaVerdict>)> = None;
+/// The validator thread's state: the engine, the injector and the one
+/// request buffer every slot is copied into.
+struct Validator<'a> {
+    link: &'a Link,
+    engine: ValidationEngine,
+    injector: Option<Injector<'a>>,
+    req: ValidateRequest,
+}
 
-    let serve = |engine: &mut ValidationEngine,
-                 injector: &mut Injector,
-                 req: ValidateRequest,
-                 reply: Sender<FpgaVerdict>,
-                 inject: bool| {
-        let verdict = if inject {
-            match injector.maybe_spurious() {
-                Some(v) => v,
-                None => engine.process(&req),
-            }
-        } else {
-            engine.process(&req)
-        };
-        if inject {
+impl Validator<'_> {
+    /// Validates the request in ring position `pos` and answers its slot.
+    fn serve(&mut self, pos: u64) {
+        self.link.read_request(pos, &mut self.req);
+        let spurious = self.injector.as_mut().and_then(Injector::maybe_spurious);
+        let verdict = spurious.unwrap_or_else(|| self.engine.process(&self.req));
+        if let Some(injector) = &mut self.injector {
             injector.maybe_delay();
         }
-        // The submitter may have given up (e.g. its thread panicked);
-        // a lost reply must not take the validator down.
-        let _ = reply.send(verdict);
+        self.link.answer(pos, verdict);
+    }
+}
+
+fn run_engine(link: &Link, config: EngineConfig, faults: FaultConfig) -> EngineStats {
+    // Before the engine exists: its constructor may panic on a bad config.
+    let _stop = StopGuard(link);
+    let mut v = Validator {
+        link,
+        engine: ValidationEngine::new(config),
+        injector: faults.enabled().then(|| Injector {
+            rng: FaultRng::new(faults.seed),
+            cfg: faults,
+            stats: &link.faults,
+        }),
+        req: ValidateRequest {
+            tx_id: 0,
+            valid_ts: 0,
+            read_addrs: Vec::new(),
+            write_addrs: Vec::new(),
+        },
     };
+    // A position held back for reordering: serviced after the next
+    // request, or after `REORDER_FLUSH` if no successor arrives (liveness).
+    let mut held: Option<u64> = None;
 
     loop {
-        let msg = if held.is_some() {
-            match rx.recv_timeout(REORDER_FLUSH) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
+        link.serve_scrape(|| v.engine.stats());
+        let Some(pos) = link.try_dequeue() else {
+            // Ring drained. Stop is honoured only here, so everything
+            // published before it gets a real verdict.
+            if link.is_stopped() {
+                break;
             }
-        } else {
-            match rx.recv() {
-                Ok(msg) => Some(msg),
-                Err(_) => break,
+            let flush_at = held.map(|_| Instant::now() + REORDER_FLUSH);
+            link.wait_for_work(flush_at);
+            if flush_at.is_some_and(|at| Instant::now() >= at) {
+                // No successor arrived: service the held request now.
+                v.serve(held.take().expect("a flush deadline means a held request"));
             }
+            continue;
         };
-
-        match msg {
-            Some(Msg::Validate(req, reply)) => {
-                if inject {
-                    injector.maybe_pause();
-                }
-                if inject && held.is_none() && injector.maybe_hold() {
-                    injector.stats.reordered.fetch_add(1, Ordering::Relaxed);
-                    rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault {
-                        kind: "reorder"
-                    });
-                    held = Some((req, reply));
-                    continue;
-                }
-                serve(&mut engine, &mut injector, req, reply, inject);
-                if let Some((hreq, hreply)) = held.take() {
-                    serve(&mut engine, &mut injector, hreq, hreply, inject);
-                }
+        if let Some(injector) = &mut v.injector {
+            injector.maybe_pause();
+            if held.is_none() && injector.maybe_hold() {
+                injector.stats.reordered.fetch_add(1, Ordering::Relaxed);
+                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "reorder" });
+                held = Some(pos);
+                continue;
             }
-            Some(Msg::Snapshot(reply)) => {
-                let _ = reply.send(engine.stats());
-            }
-            Some(Msg::Stop) => break,
-            None => {
-                // Reorder-flush timeout: no successor arrived, service the
-                // held request now.
-                if let Some((hreq, hreply)) = held.take() {
-                    serve(&mut engine, &mut injector, hreq, hreply, inject);
-                }
-            }
+        }
+        v.serve(pos);
+        if let Some(held) = held.take() {
+            v.serve(held);
         }
     }
     // Shutting down: answer anything still held so blocked workers wake.
-    if let Some((hreq, hreply)) = held.take() {
-        serve(&mut engine, &mut injector, hreq, hreply, inject);
+    if let Some(held) = held.take() {
+        v.serve(held);
     }
     // Hand buffered fault events to the flight recorder's collector
     // before this thread (and its lane) goes away.
     rococo_telemetry::flush_thread();
-    engine.stats()
+    v.engine.stats()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     fn req(tx_id: u64, valid_ts: u64, reads: &[u64], writes: &[u64]) -> ValidateRequest {
         ValidateRequest {
@@ -531,20 +574,25 @@ mod tests {
     #[test]
     fn many_threads_hammering() {
         let svc = ValidationService::spawn(EngineConfig::default());
+        // Track the snapshot like the STM's GlobalTS does: one counter all
+        // threads read before a request and raise on a commit verdict. (A
+        // per-thread copy only stays inside the window while the scheduler
+        // interleaves the threads request by request — which a link that
+        // answers without a context switch no longer forces.)
+        let global_ts = Arc::new(AtomicU64::new(0));
         let mut joins = Vec::new();
         for t in 0..8u64 {
             let h = svc.handle();
+            let global_ts = Arc::clone(&global_ts);
             joins.push(std::thread::spawn(move || {
                 let mut commits = 0;
-                // Track the snapshot like the STM's GlobalTS would: each
-                // commit verdict tells us the newest sequence we observed.
-                let mut valid_ts = 0;
                 for i in 0..200u64 {
                     let base = 1_000_000 + t * 10_000 + i * 4;
+                    let valid_ts = global_ts.load(Ordering::SeqCst);
                     let v = h.validate(req(t * 1000 + i, valid_ts, &[base], &[base + 1]));
                     if let FpgaVerdict::Commit { seq } = v {
                         commits += 1;
-                        valid_ts = seq + 1;
+                        global_ts.fetch_max(seq + 1, Ordering::SeqCst);
                     }
                 }
                 commits

@@ -875,6 +875,120 @@ mod tests {
         bank(Arc::new(RococoTm::with_config(tm_cfg)), cfg);
     }
 
+    /// One shard × one worker on ROCoCoTM, fed by one client that keeps 64
+    /// requests outstanding so the worker's batches fill. Every request
+    /// must commit. Returns the final table sum, the report and the
+    /// engine's statistics.
+    fn one_worker_rococo(
+        max_batch: usize,
+        keys: u64,
+        requests: impl Iterator<Item = Request>,
+    ) -> (u64, TxKvReport, rococo_fpga::EngineStats) {
+        let cfg = TxKvConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            keys,
+            max_batch,
+            ..TxKvConfig::default()
+        };
+        let tm = Arc::new(RococoTm::with_config(TmConfig {
+            heap_words: cfg.heap_words(),
+            max_threads: cfg.worker_threads(),
+        }));
+        let kv = TxKv::start(Arc::clone(&tm), cfg).unwrap();
+        let mut window = std::collections::VecDeque::new();
+        for req in requests {
+            if window.len() == 64 {
+                let oldest: PendingReply = window.pop_front().unwrap();
+                oldest.wait().unwrap();
+            }
+            window.push_back(kv.submit(req).unwrap());
+        }
+        for pending in window {
+            pending.wait().unwrap();
+        }
+        let sum = match kv.call(Request::MultiGet {
+            keys: (0..keys).collect(),
+        }) {
+            Ok(Response::Values(v)) => v.iter().fold(0u64, |a, &b| a.wrapping_add(b)),
+            other => panic!("unexpected reply {other:?}"),
+        };
+        let report = kv.shutdown();
+        assert_eq!(report.aggregate.failed, 0);
+        (sum, report, tm.fpga_stats())
+    }
+
+    /// An in-flight commit holds a slot of the validator ring until its
+    /// verdict is consumed, so ROCoCoTM stops a thread at `LANE_DEPTH`
+    /// of them: a batch deeper than that must fall back to the
+    /// synchronous path for the excess, not wedge or lose a request.
+    #[test]
+    fn a_batch_deeper_than_the_lane_defers_and_conserves() {
+        const KEYS: u64 = 64;
+        const N: u64 = 4_000;
+        let max_batch = 2 * rococo_fpga::LANE_DEPTH;
+        // Distinct keys within any batch: nothing aborts, so the batch
+        // really reaches the lane bound.
+        let adds = (0..N).map(|i| Request::Add {
+            key: i % KEYS,
+            delta: i + 1,
+        });
+        let (sum, report, engine) = one_worker_rococo(max_batch, KEYS, adds);
+        assert_eq!(sum, N * (N + 1) / 2, "ledger not conserved");
+        assert_eq!(report.aggregate.committed, N + 1);
+        assert_eq!(engine.commits, N);
+        assert!(
+            report.aggregate.deferred > 0,
+            "no batch ever outgrew the lane: {:?}",
+            report.aggregate
+        );
+    }
+
+    /// ROADMAP item 2, pinned: on a hot-key write stream the cycle
+    /// aborts of a one-worker shard are the worker's own pipeline racing
+    /// itself — job k+1 executes before job k has published, reads what k
+    /// is about to overwrite and then overwrites it too (a true rw + ww
+    /// cycle) — not bloom false overlap and not window overflow. One job
+    /// at a time there is nothing to race with and the engine rejects
+    /// nothing; sixteen at a time it does, and every request still
+    /// commits and the sum is still conserved.
+    #[test]
+    fn hot_key_cycle_aborts_come_from_the_workers_own_pipeline() {
+        const KEYS: u64 = 4;
+        const N: u64 = 4_000;
+        let stream = || {
+            (0..N).map(|i| {
+                if i % 2 == 0 {
+                    Request::Add {
+                        key: i % KEYS,
+                        delta: 1,
+                    }
+                } else {
+                    // Out of a key the `Add`s feed, so it moves something.
+                    Request::Transfer {
+                        from: (i + 1) % KEYS,
+                        to: i % KEYS,
+                        amount: 1,
+                    }
+                }
+            })
+        };
+        for max_batch in [1, 16] {
+            let (sum, report, engine) = one_worker_rococo(max_batch, KEYS, stream());
+            assert_eq!(sum, N / 2, "max_batch {max_batch}: sum not conserved");
+            assert_eq!(report.aggregate.committed, N + 1);
+            assert_eq!(engine.aborts_window, 0, "max_batch {max_batch}");
+            if max_batch == 1 {
+                assert_eq!(engine.aborts_cycle, 0, "a lone job has nothing to race");
+            } else {
+                assert!(
+                    engine.aborts_cycle > 0,
+                    "sixteen hot jobs in flight never raced"
+                );
+            }
+        }
+    }
+
     /// A [`HybridTm`](rococo_sched::HybridTm) whose HTM fast path is too
     /// small for any multi-word write set: one direct-mapped write-set
     /// entry at word granularity, so every `Transfer` (four writes)

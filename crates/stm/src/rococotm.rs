@@ -26,11 +26,11 @@ use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rococo_fpga::{
     EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, PendingVerdict,
-    ServiceHandle, TimingModel, ValidateRequest, ValidationService,
+    ServiceHandle, TimingModel, ValidationService, LANE_DEPTH,
 };
 use rococo_sigs::{ChunkedSig, PrehashedAddr, Sig, SigScheme};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,7 +104,7 @@ struct UpdateSlot {
 struct Scratch {
     read_sets: Vec<ChunkedSig>,
     sigs: Vec<Sig>,
-    addr_lists: Vec<Vec<Addr>>,
+    addr_lists: Vec<Vec<u64>>,
     redos: Vec<HashMap<Addr, Word>>,
 }
 
@@ -131,9 +131,14 @@ pub struct RococoTm {
     /// nothing can invalidate its snapshot.
     commit_gate: RwLock<()>,
     /// Consecutive aborts per thread (irrevocability escalation).
-    consecutive_aborts: Vec<std::sync::atomic::AtomicU32>,
+    consecutive_aborts: Vec<AtomicU32>,
     /// Per-thread recycled transaction buffers (see [`Scratch`]).
     scratch: Vec<Mutex<Scratch>>,
+    /// Per-thread count of submitted commits whose verdict is not yet
+    /// consumed. Each holds a slot of the validator ring, which is sized
+    /// `max_threads × LANE_DEPTH`; `submit_commit` stops at `LANE_DEPTH`.
+    /// Only the owning thread writes its entry.
+    lane_in_flight: Vec<AtomicU32>,
     /// The simulated FPGA; kept alive for the runtime's lifetime (dropping
     /// it stops the validator thread).
     _service: ValidationService,
@@ -173,12 +178,13 @@ impl RococoTm {
             "commit queue must cover at least one window"
         );
         let scheme = config.scheme.clone();
-        let service = ValidationService::spawn_with_faults(
+        let service = ValidationService::spawn_with_lanes(
             EngineConfig {
                 window: config.window,
                 scheme: scheme.clone(),
             },
             config.faults.clone(),
+            config.tm.max_threads,
         );
         let handle = service.handle();
         Self {
@@ -199,10 +205,13 @@ impl RococoTm {
                 .collect(),
             commit_gate: RwLock::new(()),
             consecutive_aborts: (0..config.tm.max_threads)
-                .map(|_| std::sync::atomic::AtomicU32::new(0))
+                .map(|_| AtomicU32::new(0))
                 .collect(),
             scratch: (0..config.tm.max_threads)
                 .map(|_| Mutex::new(Scratch::default()))
+                .collect(),
+            lane_in_flight: (0..config.tm.max_threads)
+                .map(|_| AtomicU32::new(0))
                 .collect(),
             _service: service,
             handle,
@@ -238,10 +247,7 @@ impl RococoTm {
     ///
     /// Returns `(read_set, write_sig, miss_set, write_addrs, redo)`.
     #[allow(clippy::type_complexity)]
-    fn take_scratch(
-        &self,
-        thread: usize,
-    ) -> (ChunkedSig, Sig, Sig, Vec<Addr>, HashMap<Addr, Word>) {
+    fn take_scratch(&self, thread: usize) -> (ChunkedSig, Sig, Sig, Vec<u64>, HashMap<Addr, Word>) {
         let mut pool = self.scratch[thread].lock();
         (
             pool.read_sets
@@ -270,7 +276,7 @@ impl RococoTm {
         thread: usize,
         read_set: Option<ChunkedSig>,
         sigs: [Option<Sig>; 2],
-        addrs: Option<Vec<Addr>>,
+        addrs: Option<Vec<u64>>,
         redo: Option<HashMap<Addr, Word>>,
     ) {
         let mut pool = self.scratch[thread].lock();
@@ -384,6 +390,48 @@ impl RococoTm {
         }
         self.clear_update_slot(thread);
     }
+
+    /// Waits for a submitted validation's verdict and does the bookkeeping
+    /// every verdict gets — validation time (wall and model), the
+    /// `Verdict` flight-recorder event — for the synchronous commit and
+    /// [`RococoPending::finish`] alike. Returns the granted commit
+    /// sequence, or the kind of abort the verdict means.
+    ///
+    /// The wall clock measures the *residual* stall: time actually spent
+    /// blocked on the verdict after whatever useful work the caller
+    /// overlapped with the round-trip. The model time still charges the
+    /// full simulated round-trip (Figure 11).
+    fn await_verdict(&self, pending: PendingVerdict, n_addrs: usize) -> Result<u64, AbortKind> {
+        let t0 = Instant::now();
+        let verdict = pending.wait();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let model_ns = self.config.timing.latency_ns(n_addrs) as u64;
+        self.stats
+            .validation_ns
+            .fetch_add(wall_ns, Ordering::Relaxed);
+        self.stats
+            .validation_model_ns
+            .fetch_add(model_ns, Ordering::Relaxed);
+        self.stats.validations.fetch_add(1, Ordering::Relaxed);
+        rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Verdict {
+            verdict: match verdict {
+                FpgaVerdict::Commit { .. } => "commit",
+                FpgaVerdict::AbortCycle => "abort-cycle",
+                FpgaVerdict::AbortWindowOverflow => "abort-window",
+                FpgaVerdict::ServiceStopped => "service-stopped",
+            },
+            model_ns,
+            detector_ns: self.config.timing.detector_ns(n_addrs) as u64,
+            manager_ns: self.config.timing.manager_ns() as u64,
+            in_flight: self.handle.in_flight() as u32,
+        });
+        match verdict {
+            FpgaVerdict::Commit { seq } => Ok(seq),
+            FpgaVerdict::AbortCycle => Err(AbortKind::FpgaCycle),
+            FpgaVerdict::AbortWindowOverflow => Err(AbortKind::FpgaWindow),
+            FpgaVerdict::ServiceStopped => Err(AbortKind::ServiceStopped),
+        }
+    }
 }
 
 /// A [`RococoTm`] transaction (the per-thread state of Algorithm 1).
@@ -400,8 +448,9 @@ pub struct RococoTx<'a> {
     read_set: ChunkedSig,
     /// Write-set signature.
     write_sig: Sig,
-    /// Write-set addresses in first-write order.
-    write_addrs: Vec<Addr>,
+    /// Write-set addresses in first-write order, as the validator takes
+    /// them.
+    write_addrs: Vec<u64>,
     /// Redo log.
     redo: HashMap<Addr, Word>,
     /// Union of committed write signatures this transaction failed to
@@ -552,7 +601,7 @@ impl<'a> Transaction for RococoTx<'a> {
         // TM_WRITE: signature insert + redo log (lines 21–22).
         if !self.redo.contains_key(&addr) {
             self.tm.scheme.insert(&mut self.write_sig, addr as u64);
-            self.write_addrs.push(addr);
+            self.write_addrs.push(addr as u64);
             if rococo_telemetry::enabled() && self.write_addrs.len().is_power_of_two() {
                 rococo_telemetry::emit(rococo_telemetry::TxEvent::WriteSet {
                     len: self.write_addrs.len() as u32,
@@ -591,48 +640,18 @@ impl<'a> Transaction for RococoTx<'a> {
 
         // Ship (read addresses, write addresses, ValidTS) to the FPGA and
         // wait for the verdict.
-        let req = ValidateRequest {
-            tx_id: self.thread as u64,
-            valid_ts: self.valid_ts,
-            read_addrs: self.read_set.addrs().to_vec(),
-            write_addrs: self.write_addrs.iter().map(|&a| a as u64).collect(),
-        };
-        let n_addrs = req.read_addrs.len() + req.write_addrs.len();
+        let reads = self.read_set.addrs();
+        let n_addrs = reads.len() + self.write_addrs.len();
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ValidateSubmit {
-            reads: req.read_addrs.len() as u32,
-            writes: req.write_addrs.len() as u32,
+            reads: reads.len() as u32,
+            writes: self.write_addrs.len() as u32,
         });
-        let t0 = Instant::now();
-        // rococo-lint: allow(guard-across-wait) -- the shared commit-gate read is held across validation by design (§4): an escalation writer must not interleave between verdict and publication; the validator never takes the gate
-        let verdict = tm.handle.validate(req);
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        tm.stats.validation_ns.fetch_add(wall_ns, Ordering::Relaxed);
-        tm.stats.validation_model_ns.fetch_add(
-            tm.config.timing.latency_ns(n_addrs) as u64,
-            Ordering::Relaxed,
-        );
-        tm.stats.validations.fetch_add(1, Ordering::Relaxed);
-        rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Verdict {
-            verdict: match verdict {
-                FpgaVerdict::Commit { .. } => "commit",
-                FpgaVerdict::AbortCycle => "abort-cycle",
-                FpgaVerdict::AbortWindowOverflow => "abort-window",
-                FpgaVerdict::ServiceStopped => "service-stopped",
-            },
-            model_ns: tm.config.timing.latency_ns(n_addrs) as u64,
-            detector_ns: tm.config.timing.detector_ns(n_addrs) as u64,
-            manager_ns: tm.config.timing.manager_ns() as u64,
-            in_flight: tm.handle.in_flight() as u32,
-        });
-
-        let seq = match verdict {
-            FpgaVerdict::Commit { seq } => seq,
-            refused => {
-                let kind = match refused {
-                    FpgaVerdict::AbortCycle => AbortKind::FpgaCycle,
-                    FpgaVerdict::AbortWindowOverflow => AbortKind::FpgaWindow,
-                    _ => AbortKind::ServiceStopped,
-                };
+        let (link, tx_id) = (&tm.handle, self.thread as u64);
+        // rococo-lint: allow(guard-across-wait) -- the shared commit-gate read is held across validation by design (§4): an escalation writer must not interleave between verdict and publication; the validator never takes the gate, and a ring slot this commit may have to wait for belongs to a pending commit, whose owner never blocks on the gate (`submit_commit` only `try_read`s it) and whose own read guard keeps any writer out just as long
+        let pending = link.post(tx_id, self.valid_ts, reads, &self.write_addrs);
+        let seq = match tm.await_verdict(pending, n_addrs) {
+            Ok(seq) => seq,
+            Err(kind) => {
                 let abort = self.count_abort(kind);
                 // A verdict-time abort retries immediately; hand the
                 // buffers straight back so the retry's `begin` stays
@@ -675,10 +694,13 @@ impl<'a> Transaction for RococoTx<'a> {
     /// round-trip across many in-flight transactions (Figure 6).
     ///
     /// Demands a synchronous commit (`Err(self)`) when the transaction is
-    /// irrevocable (it must commit under its exclusive gate, immediately)
-    /// or when the commit gate cannot be acquired without blocking: a
+    /// irrevocable (it must commit under its exclusive gate, immediately),
+    /// when the commit gate cannot be acquired without blocking (a
     /// waiting escalation writer means parking here could deadlock a
-    /// worker whose own earlier pendings still hold read guards.
+    /// worker whose own earlier pendings still hold read guards), or when
+    /// this thread already has [`LANE_DEPTH`] commits in flight or the
+    /// validator ring is full: every in-flight commit holds a ring slot
+    /// until its verdict is consumed.
     fn submit_commit(self) -> Result<RococoPending<'a>, Self> {
         let tm = self.tm;
 
@@ -702,25 +724,34 @@ impl<'a> Transaction for RococoTx<'a> {
             });
         }
 
-        if self.irrevocable.is_some() {
+        // One thread holds at most `LANE_DEPTH` ring slots: past that its
+        // earlier verdicts must be consumed first, which is what the
+        // synchronous-commit demand makes the caller do.
+        let lane = &tm.lane_in_flight[self.thread];
+        if self.irrevocable.is_some() || lane.load(Ordering::Relaxed) as usize >= LANE_DEPTH {
             return Err(self);
         }
         let Some(gate) = tm.commit_gate.try_read() else {
             return Err(self);
         };
 
-        let req = ValidateRequest {
-            tx_id: self.thread as u64,
-            valid_ts: self.valid_ts,
-            read_addrs: self.read_set.addrs().to_vec(),
-            write_addrs: self.write_addrs.iter().map(|&a| a as u64).collect(),
+        let reads = self.read_set.addrs();
+        let n_addrs = reads.len() + self.write_addrs.len();
+        // A full ring means the slot this ticket wraps onto is still held
+        // — possibly by this thread's own earlier submission, so waiting
+        // for it here could wait forever.
+        let Some(verdict) =
+            tm.handle
+                .try_post(self.thread as u64, self.valid_ts, reads, &self.write_addrs)
+        else {
+            drop(gate);
+            return Err(self);
         };
-        let n_addrs = req.read_addrs.len() + req.write_addrs.len();
+        lane.fetch_add(1, Ordering::Relaxed);
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ValidateSubmit {
-            reads: req.read_addrs.len() as u32,
-            writes: req.write_addrs.len() as u32,
+            reads: reads.len() as u32,
+            writes: self.write_addrs.len() as u32,
         });
-        let verdict = tm.handle.validate_async(req);
         // The read-side buffers are done the moment the request is built;
         // the write signature and redo log travel with the pending handle
         // (write-back happens at `finish`) and are recycled there.
@@ -806,40 +837,11 @@ impl PendingCommit for RococoPending<'_> {
                 } => (verdict, write_sig, redo, n_addrs, _gate),
             };
 
-        // The wall clock measures the *residual* stall: time actually
-        // spent blocked on the verdict after whatever useful work the
-        // caller overlapped with the round-trip. The model time still
-        // charges the full simulated round-trip (Figure 11).
-        let t0 = Instant::now();
-        let verdict = verdict.wait();
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        tm.stats.validation_ns.fetch_add(wall_ns, Ordering::Relaxed);
-        tm.stats.validation_model_ns.fetch_add(
-            tm.config.timing.latency_ns(n_addrs) as u64,
-            Ordering::Relaxed,
-        );
-        tm.stats.validations.fetch_add(1, Ordering::Relaxed);
-        rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Verdict {
-            verdict: match verdict {
-                FpgaVerdict::Commit { .. } => "commit",
-                FpgaVerdict::AbortCycle => "abort-cycle",
-                FpgaVerdict::AbortWindowOverflow => "abort-window",
-                FpgaVerdict::ServiceStopped => "service-stopped",
-            },
-            model_ns: tm.config.timing.latency_ns(n_addrs) as u64,
-            detector_ns: tm.config.timing.detector_ns(n_addrs) as u64,
-            manager_ns: tm.config.timing.manager_ns() as u64,
-            in_flight: tm.handle.in_flight() as u32,
-        });
-
+        let verdict = tm.await_verdict(verdict, n_addrs);
+        tm.lane_in_flight[thread].fetch_sub(1, Ordering::Relaxed);
         let seq = match verdict {
-            FpgaVerdict::Commit { seq } => seq,
-            refused => {
-                let kind = match refused {
-                    FpgaVerdict::AbortCycle => AbortKind::FpgaCycle,
-                    FpgaVerdict::AbortWindowOverflow => AbortKind::FpgaWindow,
-                    _ => AbortKind::ServiceStopped,
-                };
+            Ok(seq) => seq,
+            Err(kind) => {
                 tm.recycle(thread, None, [Some(write_sig), None], None, Some(redo));
                 return Err(Self::count_abort(tm, thread, kind));
             }
@@ -866,7 +868,9 @@ impl Drop for RococoPending<'_> {
             ..
         } = state
         {
-            if let FpgaVerdict::Commit { seq } = verdict.wait() {
+            let verdict = verdict.wait();
+            self.tm.lane_in_flight[self.thread].fetch_sub(1, Ordering::Relaxed);
+            if let FpgaVerdict::Commit { seq } = verdict {
                 self.tm.publish_commit(self.thread, seq, &write_sig, &redo);
             }
             self.tm
