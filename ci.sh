@@ -82,14 +82,16 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
-echo "== validator link on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
+echo "== validator link and WAL ring on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first
-# livelocks (PR 1's turn-wait) and the second hangs.
+# livelocks (PR 1's turn-wait) and the second hangs. Both rings wait with
+# rococo-park's helper, which skips its spin phase here.
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-fpga --lib
+  taskset -c 0 cargo test --release -q -p rococo-wal --lib
 else
-  echo "taskset not found: skipping the one-CPU run of the rococo-fpga tests"
+  echo "taskset not found: skipping the one-CPU run of the rococo-fpga and rococo-wal tests"
 fi
 
 echo "== pinned benchmark builds (its imports are the frozen stats/telemetry surface)"

@@ -33,12 +33,13 @@
 //!
 //! # Waiting
 //!
-//! Both directions wait with [`Parker::wait`]: poll for [`PARK_AFTER`] —
-//! spinning, with a yield every so often ([`VALIDATOR_SPIN`],
-//! [`SUBMITTER_SPIN`]; no spinning at all on a one-CPU host) — then
-//! publish a `sleeping` flag, re-check and `thread::park`. The other side
-//! calls [`Parker::wake`] after every store the sleeper may be waiting for
-//! and issues the `unpark` only when it sees the flag, so a busy pipeline
+//! Both directions wait with `rococo-park`'s [`Parker::wait`] — the helper
+//! the WAL's ring shares: poll for `PARK_AFTER` — spinning, with a yield
+//! every so often ([`CONSUMER_SPIN`] for the validator, [`PRODUCER_SPIN`]
+//! for submitters; no spinning at all on a one-CPU host) — then publish a
+//! `sleeping` flag, re-check and `thread::park`. The other side calls
+//! [`Parker::wake`] after every store the sleeper may be waiting for and
+//! issues the `unpark` only when it sees the flag, so a busy pipeline
 //! never makes a futex call and a parked side costs nothing.
 //!
 //! # Stop and validator death
@@ -57,8 +58,8 @@
 use crate::engine::{EngineStats, FpgaVerdict, ValidateRequest};
 use crate::fault::FaultStats;
 use parking_lot::{Mutex, RwLock};
+use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PRODUCER_SPIN};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// How many validations one thread may have outstanding: the ring the STM
@@ -77,29 +78,6 @@ pub(crate) const DEFAULT_LANES: usize = 4;
 /// footprint goes through the slot's spill vector. Sized against the
 /// service's transactions (`Transfer`: 2 + 2) and EigenBench's N = 16.
 const INLINE_ADDRS: usize = 16;
-
-/// How long a waiter polls before it parks, both directions. Sized
-/// against what a park costs on the 2-vCPU reference box: a halted vCPU
-/// takes 60–100 µs to come back from a futex wake, and a shard worker's
-/// batch leaves the validator without work for 30–50 µs while it drains.
-/// A side that parks in such a gap makes the other outwait any shorter
-/// budget and park too, and the pipeline settles into a ping-pong of
-/// futex wakes (measured on `kv-hot-write`: 60–90 k req/s against 220 k).
-/// Twice the wake latency keeps both sides out of it.
-const PARK_AFTER: Duration = Duration::from_micros(150);
-
-/// How long the validator spins between two yields. Its yields are what
-/// lets a submitter sharing its CPU run, but on the reference kernel
-/// (6.18, EEVDF) a validator that yields every few microseconds is
-/// scheduled erratically (measured: a third of the segments at 90 k
-/// req/s); one yield per half budget is not.
-const VALIDATOR_SPIN: Duration = Duration::from_micros(75);
-
-/// How long a submitter spins between two yields: two verdicts' worth of
-/// `fpga.process4_ns` (~1.4 µs). If the verdict takes longer the validator
-/// is not running, and on an oversubscribed host it may be waiting for
-/// this very CPU.
-const SUBMITTER_SPIN: Duration = Duration::from_micros(3);
 
 const PENDING: u64 = 0;
 const ABANDONED: u64 = 1;
@@ -129,76 +107,6 @@ fn decode(word: u64) -> Option<FpgaVerdict> {
         }),
     }
 }
-
-/// One side's parking spot.
-#[derive(Default)]
-pub(crate) struct Parker {
-    sleeping: AtomicBool,
-    thread: Mutex<Option<Thread>>,
-}
-
-impl Parker {
-    /// Waits until `ready()` holds or `deadline` passes; returns whether it
-    /// holds. Polls for [`PARK_AFTER`] — spinning `spin` at a time with a
-    /// yield in between — then parks. `ready` must read with `SeqCst` what
-    /// the waker wrote with `SeqCst` before calling [`Parker::wake`]: then
-    /// either this side's re-check sees the write or the waker sees
-    /// `sleeping`.
-    pub(crate) fn wait(
-        &self,
-        spin: Duration,
-        deadline: Option<Instant>,
-        ready: impl Fn() -> bool,
-    ) -> bool {
-        // The common case on a busy pipeline: no clock read at all.
-        if ready() {
-            return true;
-        }
-        let started = Instant::now();
-        let mut yielded_at = started;
-        loop {
-            if ready() {
-                return true;
-            }
-            let now = Instant::now();
-            if now - started >= PARK_AFTER || deadline.is_some_and(|d| now >= d) {
-                break;
-            }
-            if now - yielded_at >= spin {
-                std::thread::yield_now();
-                yielded_at = Instant::now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        *self.thread.lock() = Some(std::thread::current());
-        loop {
-            self.sleeping.store(true, Ordering::SeqCst);
-            let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
-            if timed_out || ready() {
-                self.sleeping.store(false, Ordering::SeqCst);
-                return ready();
-            }
-            match deadline {
-                Some(d) => std::thread::park_timeout(d.saturating_duration_since(Instant::now())),
-                None => std::thread::park(),
-            }
-        }
-    }
-
-    /// Unparks the waiter if it published `sleeping`.
-    pub(crate) fn wake(&self) {
-        if self.sleeping.load(Ordering::SeqCst) && self.sleeping.swap(false, Ordering::SeqCst) {
-            if let Some(thread) = self.thread.lock().as_ref() {
-                thread.unpark();
-            }
-        }
-    }
-}
-
-#[repr(align(64))]
-#[derive(Default)]
-struct Padded<T>(T);
 
 #[repr(align(64))]
 struct Slot {
@@ -231,9 +139,7 @@ pub(crate) struct Link {
     stopped: AtomicBool,
     /// The validator thread is gone: nobody will answer but the submitter.
     dead: AtomicBool,
-    /// [`VALIDATOR_SPIN`] and [`SUBMITTER_SPIN`] — or zero when this
-    /// process may run on one CPU only, where the other side cannot be
-    /// running while this one spins.
+    /// [`CONSUMER_SPIN`] and [`PRODUCER_SPIN`], zero on a one-CPU host.
     validator_spin: Duration,
     submitter_spin: Duration,
     /// Where the validator sleeps for work.
@@ -252,8 +158,6 @@ impl Link {
     /// a published slot must not look like the next lap's free one).
     pub(crate) fn new(depth: usize) -> Self {
         let depth = depth.max(2).next_power_of_two();
-        let one_cpu = matches!(std::thread::available_parallelism().map(usize::from), Ok(1));
-        let spin = |d: Duration| if one_cpu { Duration::ZERO } else { d };
         Self {
             slots: (0..depth as u64)
                 .map(|i| Slot {
@@ -273,8 +177,8 @@ impl Link {
             in_flight: Padded::default(),
             stopped: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            validator_spin: spin(VALIDATOR_SPIN),
-            submitter_spin: spin(SUBMITTER_SPIN),
+            validator_spin: spin_on_this_host(CONSUMER_SPIN),
+            submitter_spin: spin_on_this_host(PRODUCER_SPIN),
             validator: Parker::default(),
             snapshot_wanted: AtomicBool::new(false),
             scrape_turn: Mutex::new(()),
@@ -551,6 +455,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::fault::FaultConfig;
     use crate::service::{PendingVerdict, ValidationService};
+    use rococo_park::PARK_AFTER;
     use std::collections::{HashSet, VecDeque};
     use std::sync::Arc;
 
@@ -650,9 +555,7 @@ mod tests {
         let h = svc.handle();
         for round in 0..3u64 {
             // Idle past its whole budget: it has published `sleeping`.
-            spin_until("validator parks", || {
-                svc.link().validator.sleeping.load(Ordering::SeqCst)
-            });
+            spin_until("validator parks", || svc.link().validator.is_sleeping());
             assert!(h
                 .post(round, round, &[10 + round], &[20 + round])
                 .wait()
@@ -759,9 +662,7 @@ mod tests {
             let link = Arc::clone(&link);
             std::thread::spawn(move || link.wait_verdict(pos))
         };
-        spin_until("submitter parks", || {
-            link.slot(pos).waiter.sleeping.load(Ordering::SeqCst)
-        });
+        spin_until("submitter parks", || link.slot(pos).waiter.is_sleeping());
         // What the validator thread's stack does when it unwinds.
         drop(StopGuard(&link));
         assert_eq!(

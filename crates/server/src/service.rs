@@ -401,17 +401,17 @@ impl<S: TmSystem + 'static> TxKv<S> {
                     std::thread::Builder::new()
                         .name("txkv-ckpt".into())
                         .spawn(move || {
-                            let mut last = 0u64;
+                            let mut last = wal.durable_seq();
                             while !stop.load(Ordering::SeqCst) {
                                 std::thread::sleep(Duration::from_millis(2));
-                                let acked = wal.stats().acked_records;
-                                if acked.saturating_sub(last) < every || wal.is_dead() {
+                                if wal.durable_seq() - last < every || wal.is_dead() {
                                     continue;
                                 }
                                 // Write-lock the pause gate: every
                                 // in-flight job finishes (including its
-                                // WAL ack), so no sequence number is
-                                // fetched but unlogged while we snapshot.
+                                // wait for the durable watermark), so no
+                                // sequence number is fetched but unposted
+                                // while we snapshot.
                                 let quiesced = pause.write();
                                 let heap = system.heap();
                                 let values: Vec<u64> = (0..keys as usize)
@@ -419,7 +419,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
                                     .collect();
                                 let _ = wal.checkpoint(values);
                                 drop(quiesced);
-                                last = wal.stats().acked_records;
+                                last = wal.durable_seq();
                             }
                         })
                         .expect("failed to spawn txkv checkpoint coordinator"),
@@ -654,9 +654,9 @@ impl<S: TmSystem + 'static> TxKv<S> {
 
     fn stop_and_join(&mut self) {
         // Shutdown order matters in durable mode: the checkpoint
-        // coordinator and the workers each hold a WAL client, and the
-        // writer thread only exits once every client's sender is gone —
-        // so stop those threads before dropping the opener handle.
+        // coordinator and the workers each hold a WAL client, and a
+        // client that posts after the writer has left loses durability —
+        // so stop those threads before shutting the opener handle down.
         self.ckpt_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.ckpt_thread.take() {
             let _ = h.join();
@@ -666,8 +666,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
             let _ = w.join();
         }
         // Stop the scraper after the workers: its final scrape then
-        // covers every request, and its WAL client must be dropped
-        // before the writer below can be joined.
+        // covers every request.
         self.tlm_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.tlm_thread.take() {
             let _ = h.join();
@@ -1179,6 +1178,52 @@ mod tests {
             Response::Value(119)
         );
         drop(kv);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One worker, one writer, fsync per batch: the worker posts its whole
+    /// batch and waits once, so the writer finds several records per
+    /// fsync. (It was exactly one while every append blocked.)
+    #[test]
+    fn group_commit_groups_under_fsync_always() {
+        const WRITES: u64 = 1_024;
+        const WINDOW: usize = 64;
+        let dir = rococo_wal::scratch_dir("svc-group");
+        let cfg = TxKvConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            queue_capacity: 256,
+            max_batch: 16,
+            ..durable_cfg(dir.clone(), 0)
+        };
+        let kv = TxKv::start(tiny(&cfg), cfg).unwrap();
+        let mut window = std::collections::VecDeque::with_capacity(WINDOW);
+        for i in 0..WRITES {
+            if window.len() == WINDOW {
+                let oldest: PendingReply = window.pop_front().unwrap();
+                oldest.wait().unwrap();
+            }
+            window.push_back(
+                kv.submit(Request::Add {
+                    key: i % 64,
+                    delta: 1,
+                })
+                .unwrap(),
+            );
+        }
+        for reply in window {
+            reply.wait().unwrap();
+        }
+        let report = kv.shutdown();
+        let wal = report.wal.expect("durable service reports WAL stats");
+        assert_eq!(wal.acked_records, WRITES);
+        assert!(wal.mean_batch() >= 4.0, "mean batch {}", wal.mean_batch());
+        assert!(
+            wal.fsyncs < wal.acked_records / 4,
+            "{} fsyncs for {} records",
+            wal.fsyncs,
+            wal.acked_records
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

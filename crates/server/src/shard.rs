@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 use rococo_stm::{
     commit_deferred, finish_submitted, try_submit, Abort, Addr, Submitted, TmSystem, Transaction,
 };
-use rococo_wal::Wal;
+use rococo_wal::{Wal, WalDead};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ pub(crate) struct Job {
     pub(crate) reply: Sender<Result<(Response, Option<u64>), TxKvError>>,
 }
 
-/// The durable half of a worker's context: the WAL client it appends
+/// The durable half of a worker's context: the WAL client it posts
 /// committed write sets to, plus the rebasing offset (on-disk sequence =
 /// `base_seq` + the backend's in-memory sequence, which restarts at 0
 /// after recovery).
@@ -115,6 +115,26 @@ struct InFlight<'a, S: TmSystem + ?Sized + 'a> {
     writes: Vec<(u64, u64)>,
 }
 
+/// A commit [`WorkerEnv::post_commit`] has handed to the WAL, or one with
+/// nothing to make durable (in-memory mode, a read-only commit).
+#[derive(Clone, Copy)]
+struct Posted {
+    /// The sequence handed back to the client: the *on-disk* (rebased)
+    /// one in durable mode — the number replication watermarks are
+    /// expressed in, and the one the reply waits for.
+    seq: Option<u64>,
+    /// Writes in the record the WAL holds; `None` when it holds none.
+    logged: Option<u32>,
+}
+
+/// A committed job of the batch being drained: its commit is posted, its
+/// reply waits for the durable watermark.
+struct Staged {
+    job: Job,
+    resp: Response,
+    posted: Result<Posted, WalDead>,
+}
+
 /// The per-worker execution environment shared by the batched fast path
 /// and the synchronous fallback.
 struct WorkerEnv<'a, S: TmSystem + ?Sized> {
@@ -127,43 +147,42 @@ struct WorkerEnv<'a, S: TmSystem + ?Sized> {
 }
 
 impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
-    /// Logs the committed write set (durable mode) and builds the client
-    /// reply. Read-only commits (seq `None`) have nothing to make
-    /// durable. The sequence handed back to the client is the *on-disk*
-    /// (rebased) one in durable mode — the number replication watermarks
-    /// are expressed in.
-    fn committed_reply(
+    /// Posts the committed write set to the WAL (durable mode) without
+    /// waiting for it. Read-only commits (seq `None`) have nothing to make
+    /// durable.
+    fn post_commit(&self, seq: Option<u64>, writes: &[(u64, u64)]) -> Result<Posted, WalDead> {
+        let (Some(w), Some(tm_seq)) = (self.wal, seq) else {
+            return Ok(Posted { seq, logged: None });
+        };
+        let seq = w.base_seq + tm_seq;
+        w.wal.post(seq, writes)?;
+        Ok(Posted {
+            seq: Some(seq),
+            logged: Some(writes.len() as u32),
+        })
+    }
+
+    /// Builds the client reply of a commit [`WorkerEnv::post_commit`]
+    /// posted, once the durable watermark has passed it — an `Ok` never
+    /// leaves before.
+    fn durable_reply(
         &self,
         resp: Response,
-        seq: Option<u64>,
-        writes: &mut Vec<(u64, u64)>,
+        posted: Result<Posted, WalDead>,
     ) -> Result<(Response, Option<u64>), TxKvError> {
-        let client_seq = match (self.wal, seq) {
-            (Some(w), Some(seq)) => Some(w.base_seq + seq),
-            _ => seq,
-        };
-        let durable = match (self.wal, seq) {
-            (Some(w), Some(seq)) => {
-                let n_writes = writes.len() as u32;
-                // Hand the write set over; `apply` rebuilds it from
-                // scratch on the next job anyway.
-                let r = w.wal.append(w.base_seq + seq, std::mem::take(writes));
-                if r.is_ok() {
-                    rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::WalAppend {
-                        seq: w.base_seq + seq,
-                        writes: n_writes,
-                    });
-                }
-                r
+        let durable = posted.and_then(|posted| {
+            if let (Some(w), Some(seq), Some(writes)) = (self.wal, posted.seq, posted.logged) {
+                w.wal.wait_durable(seq)?;
+                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::WalAppend { seq, writes });
             }
-            _ => Ok(()),
-        };
+            Ok(posted.seq)
+        });
         match durable {
-            Ok(()) => {
+            Ok(client_seq) => {
                 self.stats.committed.fetch_add(1, Ordering::Relaxed);
                 Ok((resp, client_seq))
             }
-            Err(_) => {
+            Err(WalDead) => {
                 self.stats.durability_lost.fetch_add(1, Ordering::Relaxed);
                 if rococo_telemetry::enabled() {
                     rococo_telemetry::emit(rococo_telemetry::TxEvent::DurabilityLost);
@@ -171,6 +190,33 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
                 }
                 Err(TxKvError::DurabilityLost)
             }
+        }
+    }
+
+    /// The synchronous paths' commit: post, wait, reply.
+    fn committed_reply(
+        &self,
+        resp: Response,
+        seq: Option<u64>,
+        writes: &[(u64, u64)],
+    ) -> Result<(Response, Option<u64>), TxKvError> {
+        self.durable_reply(resp, self.post_commit(seq, writes))
+    }
+
+    /// Releases the batch's staged replies in commit order once the
+    /// durable watermark has passed them: one wait, for the last record
+    /// posted, covers every one before it.
+    fn release(&self, staged: &mut Vec<Staged>) {
+        let logged = |s: &Staged| s.posted.ok().filter(|p| p.logged.is_some())?.seq;
+        if let (Some(w), Some(last)) = (self.wal, staged.iter().rev().find_map(logged)) {
+            // The outcome is read per reply below.
+            let _ = w.wal.wait_durable(last);
+        }
+        for s in staged.drain(..) {
+            // The durable ack belongs to *this* request's chain.
+            rococo_telemetry::set_current_trace(s.job.trace);
+            let reply = self.durable_reply(s.resp, s.posted);
+            self.send_reply(s.job, reply, false);
         }
     }
 
@@ -244,7 +290,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
                     u64::from(attempts - 1) + u64::from(prior_attempts),
                     Ordering::Relaxed,
                 );
-                let reply = self.committed_reply(resp, seq, &mut writes);
+                let reply = self.committed_reply(resp, seq, &writes);
                 // A request that needed more than one attempt is tail
                 // material even if it eventually committed fast.
                 let retried = prior_attempts > 0 || attempts > 1;
@@ -273,7 +319,10 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
     }
 
     /// Finishes every in-flight commit in submission (= verdict) order,
-    /// then synchronously retries the jobs whose verdict was an abort.
+    /// posting each committed write set to the WAL as its verdict lands and
+    /// staging its reply (and every later one of the batch); releases the
+    /// staged replies once the batch's last record is durable; then
+    /// synchronously retries the jobs whose verdict was an abort.
     ///
     /// The retries run strictly *after* the drain: an abort bumps the
     /// backend's escalation counter, and a subsequent `begin` may then
@@ -281,12 +330,13 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
     /// own pendings still hold gate read guards.
     fn drain(&self, rng: &mut u64, inflight: &mut Vec<InFlight<'a, S>>) {
         let mut retry: Vec<Job> = Vec::new();
+        let mut staged: Vec<Staged> = Vec::new();
         for f in inflight.drain(..) {
             let InFlight {
                 job,
                 pending,
                 resp,
-                mut writes,
+                writes,
             } = f;
             // The verdict/commit events for this pending must be
             // attributed to *its* request, not whichever job this
@@ -294,8 +344,18 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
             rococo_telemetry::set_current_trace(job.trace);
             match catch_unwind(AssertUnwindSafe(|| finish_submitted(self.system, pending))) {
                 Ok(Ok(seq)) => {
-                    let reply = self.committed_reply(resp, seq, &mut writes);
-                    self.send_reply(job, reply, false);
+                    let posted = self.post_commit(seq, &writes);
+                    // A reply waits behind the batch's first logged
+                    // record, as it did when every append blocked; with
+                    // none ahead of it (in-memory mode, leading reads)
+                    // there is nothing to wait for.
+                    let logged = posted.is_ok_and(|p| p.logged.is_some());
+                    if logged || !staged.is_empty() {
+                        staged.push(Staged { job, resp, posted });
+                    } else {
+                        let reply = self.durable_reply(resp, posted);
+                        self.send_reply(job, reply, false);
+                    }
                 }
                 Ok(Err(abort)) => {
                     self.stats.record_abort(abort.kind);
@@ -307,6 +367,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
                 }
             }
         }
+        self.release(&mut staged);
         for job in retry {
             self.run_sync(rng, job, 1);
         }
@@ -328,10 +389,11 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
 /// irrevocable or gate-contended commits) fall back to the synchronous
 /// retry path after the outstanding batch is drained.
 ///
-/// A batch runs under a read lock on `pause`, held across both the
-/// transactions and the WAL-ack waits — the checkpoint coordinator takes
-/// the write lock to quiesce commits, so while it holds it there is no
-/// fetched-but-unlogged sequence number anywhere.
+/// A batch runs under a read lock on `pause`, held across the
+/// transactions, the WAL posts and the wait for the durable watermark —
+/// the checkpoint coordinator takes the write lock to quiesce commits, so
+/// while it holds it there is no fetched-but-unposted sequence number
+/// anywhere and the WAL's ring is drained.
 ///
 /// A panicking backend does not kill the worker: the panic is caught,
 /// reported as [`TxKvError::Internal`], and counted, so the shard queue
@@ -417,7 +479,7 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
                     rococo_telemetry::set_current_trace(job.trace);
                     match catch_unwind(AssertUnwindSafe(|| commit_deferred(env.system, tx))) {
                         Ok(Ok(seq)) => {
-                            let reply = env.committed_reply(resp, seq, &mut writes);
+                            let reply = env.committed_reply(resp, seq, &writes);
                             // Deferred commits mark escalation or gate
                             // contention: always tail-sample them.
                             env.send_reply(job, reply, true);

@@ -13,11 +13,14 @@
 //!   `[len][crc][seq, n, (key, value) × n]`. The sequence number doubles
 //!   as the commit timestamp; replay in file order is replay in commit
 //!   order.
-//! * **Group commit** ([`writer::Wal`]): shard workers submit
-//!   `(seq, write-set)` and block; a single writer thread batches the
-//!   *dense prefix* of submitted sequences into one `write(2)`, fsyncs
-//!   per [`writer::FsyncPolicy`], and only then acks. Out-of-order
-//!   arrivals wait in a pending map until the gap fills, so the file is
+//! * **Group commit** ([`writer::Wal`]): shard workers *post*
+//!   `(seq, write-set)` into a bounded ring indexed by the commit sequence
+//!   itself (record `seq` lives in slot `seq % depth`) and carry on; a
+//!   single writer thread waits for slot `next`, batches the dense run of
+//!   posted slots into one `write(2)`, fsyncs per
+//!   [`writer::FsyncPolicy`], and only then advances the **durable
+//!   watermark** that [`writer::Wal::wait_durable`] waits on. Out-of-order
+//!   arrivals simply sit in their slots until the gap fills, so the file is
 //!   dense by construction.
 //! * **Checkpoints** ([`record::Checkpoint`]): a full snapshot of the
 //!   key table written to `ckpt.tmp`, fsynced, atomically renamed to
@@ -32,8 +35,9 @@
 //! * **Crash injection** ([`kill::KillSwitch`]): the chaos harness arms
 //!   a kill point (`PreAppend`, `MidAppend`, `PostAppendPreAck`,
 //!   `MidCheckpoint`, `MidTruncate`); when it fires the writer dies on
-//!   the spot — leaving exactly the on-disk state a crash there would —
-//!   and every in-flight and future append fails with [`writer::WalDead`].
+//!   the spot — leaving exactly the on-disk state a crash there would,
+//!   the watermark where it was — and every in-flight and future append
+//!   fails with [`writer::WalDead`].
 //!
 //! What an ack means: with [`writer::FsyncPolicy::Always`] an acked
 //! write is on stable storage. `EveryN`/`Never` trade that guarantee for

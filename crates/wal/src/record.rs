@@ -42,20 +42,28 @@ pub struct WalRecord {
     pub writes: Vec<(u64, u64)>,
 }
 
+/// Appends the frame of the record `(seq, writes)` to `buf`, encoding the
+/// payload in place (the writer calls this once per record, straight from
+/// a ring slot).
+pub fn encode_frame(seq: u64, writes: &[(u64, u64)], buf: &mut Vec<u8>) {
+    let header = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&(writes.len() as u32).to_le_bytes());
+    for &(k, v) in writes {
+        buf.extend_from_slice(&k.to_le_bytes());
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    let payload_len = (buf.len() - header - 8) as u32;
+    let crc = crc32(&buf[header + 8..]);
+    buf[header..header + 4].copy_from_slice(&payload_len.to_le_bytes());
+    buf[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 impl WalRecord {
     /// Appends this record's frame to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let payload_len = 12 + 16 * self.writes.len();
-        let mut payload = Vec::with_capacity(payload_len);
-        payload.extend_from_slice(&self.seq.to_le_bytes());
-        payload.extend_from_slice(&(self.writes.len() as u32).to_le_bytes());
-        for &(k, v) in &self.writes {
-            payload.extend_from_slice(&k.to_le_bytes());
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        encode_frame(self.seq, &self.writes, buf);
     }
 
     /// The encoded frame size of this record in bytes.

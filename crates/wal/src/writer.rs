@@ -1,44 +1,97 @@
 //! The group-commit WAL writer.
 //!
-//! One writer thread owns the log file. Shard workers call
-//! [`Wal::append`] with their transaction's dense commit sequence and
-//! write set, and block until the writer has appended **and fsynced**
-//! (per policy) their record. The writer batches: it drains everything
-//! queued, keeps out-of-order arrivals in a pending map, and flushes the
-//! dense prefix `next, next+1, ...` as one `write(2)` + one fsync —
-//! so the fsync cost is amortised over the whole batch (group commit),
-//! and the file is in commit order by construction.
+//! One writer thread owns the log file. Shard workers hand it committed
+//! write sets through one bounded ring **indexed by the commit sequence
+//! itself**: record `seq` lives in slot `seq % depth`. The TM already
+//! handed out a dense ticket inside its commit critical section, so there
+//! is no tail to CAS and nothing to re-order — the writer waits for slot
+//! `next`, encodes the dense run of posted slots into one `write(2)` + one
+//! fsync (per policy), and the file is in commit order by construction.
+//! Nothing is allocated per record: a slot's vector keeps its capacity
+//! from lap to lap.
 //!
-//! Checkpoints flow through the same thread: the caller quiesces
-//! commits (TxKV holds its pause gate), snapshots the key table, and
-//! sends it down the channel; the writer fsyncs the log, writes
-//! `ckpt.tmp`, fsyncs, renames to `ckpt-<next_seq>.snap`, and only then
-//! truncates the log — the rename-before-truncate order is what makes a
-//! crash anywhere in between recoverable.
+//! Acknowledgement is one monotone **durable watermark**: after each
+//! batch's write (and its fsync, per [`FsyncPolicy`]) the writer stores
+//! `next` into it. [`Wal::post`] fills a slot and returns; a worker posts
+//! every commit of its batch as the verdicts land and calls
+//! [`Wal::wait_durable`] once, for the last of them. [`Wal::append`] is the
+//! two in a row.
 //!
-//! When an armed [`KillSwitch`] fires (or on an I/O error), the writer
-//! **dies**: pending acks are dropped, the dead flag is set, and every
-//! in-flight and future [`Wal::append`] returns [`WalDead`]. Nothing is
+//! # Slot lifecycle
+//!
+//! | state | `turn` | entered by |
+//! |---|---|---|
+//! | free for `seq` | `seq` | [`Wal::open`] (first lap), or the writer consuming `seq − depth` |
+//! | posted | `seq + 1` | the owner of `seq`, by the `SeqCst` store of `turn` in [`Wal::post`] — after it copied the write set in under the slot's lock |
+//! | free for `seq + depth` | `seq + depth` | the writer, once it has encoded the record into its batch buffer (before the `write(2)`: the slot is free while the batch is on its way to disk) |
+//!
+//! Only the owner of `seq` posts it and only the writer frees, so a slot's
+//! lock is never contended; it is there because this crate forbids
+//! `unsafe`. A producer whose slot still holds the previous lap waits for
+//! the writer to pass it. That cannot deadlock: the writer stalls only on
+//! the lowest unposted sequence `L`, every slot below `L` is consumed, so
+//! `L < next + depth` — the owner of `L` never waits on the ring, and it
+//! posts its sequences in ascending order, so nothing it waits for earlier
+//! is above `L`.
+//!
+//! # Waiting
+//!
+//! Both directions wait with `rococo-park`'s [`Parker::wait`] (spin, yield,
+//! park — the validator link's helper and budgets). The writer has one
+//! parking spot; a `post` wakes it. Producers — any number of threads,
+//! waiting for the watermark, a lapped slot or a checkpoint — each claim
+//! one of [`WAIT_SPOTS`] spots for the length of one wait, and the writer
+//! wakes every claimed spot after each batch; a spurious wake re-checks
+//! and parks again.
+//!
+//! # Checkpoints
+//!
+//! A checkpoint is a side mailbox, not a ring entry: the caller quiesces
+//! commits (TxKV holds its pause gate), snapshots the key table, leaves it
+//! in the mailbox and raises a flag the writer polls at a batch boundary
+//! with nothing posted. The writer fsyncs the log, writes `ckpt.tmp`,
+//! fsyncs, renames to `ckpt-<next_seq>.snap`, and only then truncates the
+//! log — the rename-before-truncate order is what makes a crash anywhere
+//! in between recoverable.
+//!
+//! # Stop and writer death
+//!
+//! [`Wal::shutdown`] (or dropping the handle [`Wal::open`] returned) asks
+//! the writer to stop; it leaves once slot `next` is unposted, after a
+//! final fsync. When an armed [`KillSwitch`] fires (or on an I/O error) the
+//! writer **dies**: the watermark stays where it was and nothing is
 //! cleaned up — the directory holds exactly what a crash would leave.
+//! Either way a guard on the writer's stack marks the WAL closed or dead
+//! and wakes every spot: each outstanding and future
+//! [`Wal::wait_durable`] above the watermark returns [`WalDead`]. A waiter
+//! re-checks the state after it published `sleeping` and the guard wakes
+//! after it stored the state, both `SeqCst`, so one sees the other.
 
 use crate::kill::{KillPoint, KillSwitch};
-use crate::record::{Checkpoint, WalRecord};
+use crate::record::{encode_frame, Checkpoint};
 use crate::recover::{ckpt_file_name, recover, RecoveredState, CKPT_TMP, LOG_FILE};
 use crate::stats::{WalSnapshot, WalStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use std::collections::BTreeMap;
+use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PRODUCER_SPIN};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Records flushed per batch at most (bounds ack latency under a deep
-/// backlog; plenty above any worker-pool size in this workspace).
-const MAX_BATCH: usize = 256;
+/// Slots of the ring, and so the most records one batch can hold. Twice
+/// what the default service can have outstanding (8 workers × a 16-job
+/// batch, each waiting for the watermark before its next batch), so no
+/// worker of it ever waits for a slot; 256 slots of one cache line are
+/// 16 KiB.
+const RING_DEPTH: usize = 256;
+
+/// Producer threads that can be parked at once; a thread that finds every
+/// spot taken polls with a yield instead. Twice the default service's 8
+/// workers.
+const WAIT_SPOTS: usize = 16;
 
 /// When the writer acks an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,30 +167,106 @@ impl fmt::Display for WalDead {
 
 impl std::error::Error for WalDead {}
 
-enum Cmd {
-    Append {
-        seq: u64,
-        writes: Vec<(u64, u64)>,
-        ack: Sender<()>,
-    },
-    Checkpoint {
-        values: Vec<u64>,
-        done: Sender<u64>,
-    },
+/// The writer serves the ring.
+const RUNNING: u8 = 0;
+/// [`Wal::shutdown`] asked it to leave once the ring is drained.
+const STOPPING: u8 = 1;
+/// It left after a clean drain and a final fsync.
+const CLOSED: u8 = 2;
+/// It died at a kill point, on an I/O error or in a panic.
+const DEAD: u8 = 3;
+
+#[repr(align(64))]
+struct Slot {
+    /// Which sequence the slot is free for (`seq`) or holds (`seq + 1`).
+    turn: AtomicU64,
+    /// The posted write set. Locked by the owner of `seq` before it posts
+    /// and by the writer after, never at once.
+    writes: Mutex<Vec<(u64, u64)>>,
+}
+
+/// One producer's parking spot, claimed for the length of one wait.
+#[derive(Default)]
+struct Spot {
+    taken: AtomicBool,
+    parker: Parker,
 }
 
 struct Shared {
-    dead: AtomicBool,
+    slots: Box<[Slot]>,
+    mask: u64,
+    /// Every record below this sequence has been written, and fsynced as
+    /// far as the policy promises. The writer alone stores it.
+    durable: Padded<AtomicU64>,
+    /// [`RUNNING`] → [`STOPPING`] → [`CLOSED`], or → [`DEAD`] from either.
+    state: AtomicU8,
+    /// Where the writer sleeps for work.
+    writer: Parker,
+    spots: [Spot; WAIT_SPOTS],
+    /// [`CONSUMER_SPIN`] and [`PRODUCER_SPIN`], zero on a one-CPU host.
+    writer_spin: Duration,
+    producer_spin: Duration,
+    /// The checkpoint mailbox: one request at a time (`ckpt_turn`), the
+    /// table image in `ckpt_values`, served once the writer lowers
+    /// `ckpt_wanted`.
+    ckpt_wanted: AtomicBool,
+    ckpt_turn: Mutex<()>,
+    ckpt_values: Mutex<Vec<u64>>,
     stats: WalStats,
 }
 
-/// A handle to the group-commit WAL. Clone freely; all clones feed the
-/// same writer thread. The WAL shuts down (flushing cleanly) when the
-/// last clone drops — the [`Wal`] returned by [`Wal::open`] joins the
-/// writer on drop.
+/// Every critical section here leaves its data whole at every step, so a
+/// poisoned lock is taken over as it stands.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Shared {
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.slots[(seq & self.mask) as usize]
+    }
+
+    fn is_posted(&self, seq: u64) -> bool {
+        self.slot(seq).turn.load(Ordering::SeqCst) == seq + 1
+    }
+
+    /// The writer thread has left, cleanly or not.
+    fn is_gone(&self) -> bool {
+        self.state.load(Ordering::SeqCst) >= CLOSED
+    }
+
+    /// Blocks a producer until `ready()`, which must read with `SeqCst`
+    /// what the writer stores before [`Shared::wake_producers`].
+    fn wait_for(&self, ready: impl Fn() -> bool) {
+        while !ready() {
+            let free = self
+                .spots
+                .iter()
+                .find(|s| !s.taken.swap(true, Ordering::SeqCst));
+            match free {
+                Some(spot) => {
+                    spot.parker.wait(self.producer_spin, None, &ready);
+                    spot.taken.store(false, Ordering::SeqCst);
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+    }
+
+    fn wake_producers(&self) {
+        for spot in &self.spots {
+            spot.parker.wake();
+        }
+    }
+}
+
+/// A handle to the group-commit WAL. Clone freely with [`Wal::client`];
+/// all handles feed the same writer thread. The [`Wal`] returned by
+/// [`Wal::open`] owns the writer: shutting it down or dropping it drains
+/// the ring, stops the writer and joins it, and every other handle's
+/// later appends fail with [`WalDead`].
 pub struct Wal {
     shared: Arc<Shared>,
-    tx: Option<Sender<Cmd>>,
     /// Present only on the handle returned by `open`.
     writer: Option<JoinHandle<()>>,
 }
@@ -145,7 +274,8 @@ pub struct Wal {
 impl fmt::Debug for Wal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Wal")
-            .field("dead", &self.shared.dead.load(Ordering::Relaxed))
+            .field("dead", &self.is_dead())
+            .field("durable_seq", &self.durable_seq())
             .finish()
     }
 }
@@ -159,26 +289,57 @@ impl Wal {
     ///
     /// Propagates filesystem errors from recovery or opening the log.
     pub fn open(cfg: WalConfig) -> io::Result<(Wal, RecoveredState)> {
+        Self::open_ring(cfg, RING_DEPTH)
+    }
+
+    /// [`Wal::open`] with a ring of `depth` slots (a power of two, at
+    /// least 2: a posted slot must not look like the next lap's free one).
+    fn open_ring(cfg: WalConfig, depth: usize) -> io::Result<(Wal, RecoveredState)> {
+        assert!(depth >= 2 && depth.is_power_of_two(), "ring depth {depth}");
         let recovered = recover(&cfg.dir)?;
         let file = OpenOptions::new()
             .append(true)
             .create(true)
             .open(cfg.dir.join(LOG_FILE))?;
+        let next = recovered.next_seq;
+        let mask = depth as u64 - 1;
+        let slots: Box<[Slot]> = (0..depth as u64)
+            .map(|i| Slot {
+                // The first sequence at or above `next` that maps here.
+                turn: AtomicU64::new(next + (i.wrapping_sub(next) & mask)),
+                writes: Mutex::new(Vec::new()),
+            })
+            .collect();
         let shared = Arc::new(Shared {
-            dead: AtomicBool::new(false),
+            slots,
+            mask,
+            durable: Padded(AtomicU64::new(next)),
+            state: AtomicU8::new(RUNNING),
+            writer: Parker::default(),
+            spots: Default::default(),
+            writer_spin: spin_on_this_host(CONSUMER_SPIN),
+            producer_spin: spin_on_this_host(PRODUCER_SPIN),
+            ckpt_wanted: AtomicBool::new(false),
+            ckpt_turn: Mutex::new(()),
+            ckpt_values: Mutex::new(Vec::new()),
             stats: WalStats::default(),
         });
-        let (tx, rx) = unbounded();
-        let next = recovered.next_seq;
-        let writer_shared = Arc::clone(&shared);
+        let st = WriterState {
+            cfg,
+            file,
+            next,
+            batches_since_fsync: 0,
+            records_since_fsync: 0,
+            shared: Arc::clone(&shared),
+            buf: Vec::new(),
+        };
         let writer = std::thread::Builder::new()
             .name("wal-writer".into())
-            .spawn(move || writer_loop(cfg, file, next, rx, writer_shared))
+            .spawn(move || writer_loop(st))
             .expect("failed to spawn wal writer");
         Ok((
             Wal {
                 shared,
-                tx: Some(tx),
                 writer: Some(writer),
             },
             recovered,
@@ -190,53 +351,81 @@ impl Wal {
     pub fn client(&self) -> Wal {
         Wal {
             shared: Arc::clone(&self.shared),
-            tx: self.tx.clone(),
             writer: None,
         }
     }
 
+    /// Hands one committed transaction to the writer and returns without
+    /// waiting for it to reach the file. `seq` must be the dense commit
+    /// sequence the TM handed out, rebased by the caller onto the
+    /// recovered `next_seq`; each sequence is posted exactly once. Waits
+    /// only while slot `seq % depth` still holds the record one lap
+    /// below — never for the owner of the lowest unposted sequence, and a
+    /// thread must post its own sequences in ascending order.
+    ///
+    /// # Errors
+    ///
+    /// [`WalDead`] if the writer is gone. An `Ok` promises nothing yet:
+    /// [`Wal::wait_durable`] does.
+    pub fn post(&self, seq: u64, writes: &[(u64, u64)]) -> Result<(), WalDead> {
+        let sh = &*self.shared;
+        let slot = sh.slot(seq);
+        sh.wait_for(|| slot.turn.load(Ordering::SeqCst) == seq || sh.is_gone());
+        if sh.is_gone() {
+            sh.stats.failed_appends.fetch_add(1, Ordering::Relaxed);
+            return Err(WalDead);
+        }
+        {
+            let mut held = locked(&slot.writes);
+            held.clear();
+            held.extend_from_slice(writes);
+        }
+        slot.turn.store(seq + 1, Ordering::SeqCst);
+        sh.writer.wake();
+        Ok(())
+    }
+
+    /// Blocks until the watermark has passed `seq`: its record is in the
+    /// file, and fsynced if the policy says so.
+    ///
+    /// # Errors
+    ///
+    /// [`WalDead`] if the writer went before it got there; the record may
+    /// or may not have reached the disk.
+    pub fn wait_durable(&self, seq: u64) -> Result<(), WalDead> {
+        let sh = &*self.shared;
+        sh.wait_for(|| self.durable_seq() > seq || sh.is_gone());
+        if self.durable_seq() > seq {
+            Ok(())
+        } else {
+            sh.stats.failed_appends.fetch_add(1, Ordering::Relaxed);
+            Err(WalDead)
+        }
+    }
+
+    /// The durable watermark: every record below this sequence is in the
+    /// file (and fsynced, per policy). Starts at the recovered `next_seq`
+    /// and only grows.
+    pub fn durable_seq(&self) -> u64 {
+        self.shared.durable.0.load(Ordering::SeqCst)
+    }
+
     /// Appends one committed transaction and blocks until the writer
-    /// acks it (after the policy's fsync). `seq` must be the dense
-    /// commit sequence the TM handed out, rebased by the caller onto
-    /// the recovered `next_seq`.
+    /// acks it (after the policy's fsync): [`Wal::post`], then
+    /// [`Wal::wait_durable`].
     ///
     /// # Errors
     ///
     /// [`WalDead`] if the writer has died; the record may or may not
     /// have reached the disk.
     pub fn append(&self, seq: u64, writes: Vec<(u64, u64)>) -> Result<(), WalDead> {
-        if self.shared.dead.load(Ordering::SeqCst) {
-            self.shared
-                .stats
-                .failed_appends
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(WalDead);
-        }
-        let (ack_tx, ack_rx) = bounded(1);
-        let cmd = Cmd::Append {
-            seq,
-            writes,
-            ack: ack_tx,
-        };
-        let sent = self
-            .tx
-            .as_ref()
-            .map(|tx| tx.send(cmd).is_ok())
-            .unwrap_or(false);
-        if sent && ack_rx.recv().is_ok() {
-            Ok(())
-        } else {
-            self.shared
-                .stats
-                .failed_appends
-                .fetch_add(1, Ordering::Relaxed);
-            Err(WalDead)
-        }
+        self.post(seq, &writes)?;
+        self.wait_durable(seq)
     }
 
     /// Writes a checkpoint of `values` (the full key table) and
     /// truncates the log. The caller **must** have quiesced commits: no
-    /// sequence number may be fetched-but-unsubmitted while this runs,
+    /// sequence number may be fetched-but-unposted while this runs,
     /// or the checkpoint would capture state the log cannot reproduce.
     /// Returns the `next_seq` the checkpoint covers up to.
     ///
@@ -245,28 +434,30 @@ impl Wal {
     /// [`WalDead`] if the writer died (possibly mid-checkpoint; recovery
     /// handles every intermediate state).
     pub fn checkpoint(&self, values: Vec<u64>) -> Result<u64, WalDead> {
-        if self.shared.dead.load(Ordering::SeqCst) {
+        let sh = &*self.shared;
+        let _turn = locked(&sh.ckpt_turn);
+        if sh.is_gone() {
             return Err(WalDead);
         }
-        let (done_tx, done_rx) = bounded(1);
-        let cmd = Cmd::Checkpoint {
-            values,
-            done: done_tx,
-        };
-        let sent = self
-            .tx
-            .as_ref()
-            .map(|tx| tx.send(cmd).is_ok())
-            .unwrap_or(false);
-        if !sent {
-            return Err(WalDead);
+        *locked(&sh.ckpt_values) = values;
+        sh.ckpt_wanted.store(true, Ordering::SeqCst);
+        sh.writer.wake();
+        // `ckpt_turn` is held across this wait on purpose: it only orders
+        // checkpointers among themselves (the mailbox holds one request),
+        // and the writer never takes it.
+        sh.wait_for(|| !sh.ckpt_wanted.load(Ordering::SeqCst) || sh.is_gone());
+        if sh.ckpt_wanted.load(Ordering::SeqCst) {
+            Err(WalDead)
+        } else {
+            // Commits are quiesced and the ring drained, so the watermark
+            // is where the writer stands: the checkpoint's `next_seq`.
+            Ok(self.durable_seq())
         }
-        done_rx.recv().map_err(|_| WalDead)
     }
 
     /// Whether the writer has died (crash injection, I/O error).
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::SeqCst)
+        self.shared.state.load(Ordering::SeqCst) == DEAD
     }
 
     /// Point-in-time WAL counters.
@@ -274,17 +465,23 @@ impl Wal {
         self.shared.stats.snapshot()
     }
 
-    /// Stops the writer (flushes queued appends first), joins it, and
-    /// returns the final counters. Dropping the opener handle does the
-    /// same minus the snapshot.
+    /// Stops the writer (it flushes every posted record of the dense
+    /// prefix first), joins it, and returns the final counters. Dropping
+    /// the opener handle does the same minus the snapshot.
     pub fn shutdown(mut self) -> WalSnapshot {
         self.stop_and_join();
         self.shared.stats.snapshot()
     }
 
     fn stop_and_join(&mut self) {
-        self.tx = None; // writer's recv errors out once the queue drains
         if let Some(h) = self.writer.take() {
+            let _ = self.shared.state.compare_exchange(
+                RUNNING,
+                STOPPING,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
+            self.shared.writer.wake();
             let _ = h.join();
         }
     }
@@ -296,31 +493,22 @@ impl Drop for Wal {
     }
 }
 
-/// A record parked until its predecessors arrive: the write set plus the
-/// ack channel to release the appender.
-type PendingRecord = (Vec<(u64, u64)>, Sender<()>);
-
 struct WriterState {
     cfg: WalConfig,
     file: File,
+    /// The next sequence to write: the writer's place in the ring.
     next: u64,
-    pending: BTreeMap<u64, PendingRecord>,
     batches_since_fsync: u32,
+    /// Records written since the last fsync: what the next one covers.
+    records_since_fsync: u64,
     shared: Arc<Shared>,
     /// Batch scratch space, reused so a steady state allocates nothing.
     buf: Vec<u8>,
-    acks: Vec<Sender<()>>,
 }
 
 impl WriterState {
     fn fires(&self, point: KillPoint) -> bool {
         self.cfg.kill.as_ref().is_some_and(|k| k.should_fire(point))
-    }
-
-    /// Kills the writer: drops every pending ack and marks the WAL dead.
-    fn die(&mut self) {
-        self.shared.dead.store(true, Ordering::SeqCst);
-        self.pending.clear();
     }
 
     fn maybe_fsync(&mut self) -> io::Result<()> {
@@ -344,75 +532,72 @@ impl WriterState {
             self.shared.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
             self.shared.stats.fsync_ns.record(dt);
             rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::WalFsync {
-                records: self.shared.stats.acked_records.load(Ordering::Relaxed),
+                records: self.records_since_fsync,
                 ns: dt,
             });
+            self.records_since_fsync = 0;
         }
         Ok(())
     }
 
-    /// Flushes the dense prefix of `pending` as one batch. Returns
-    /// `false` when the writer died (kill point or I/O error).
-    fn flush_dense_prefix(&mut self) -> bool {
-        while self.pending.contains_key(&self.next) {
-            let mut buf = std::mem::take(&mut self.buf);
-            let mut acks = std::mem::take(&mut self.acks);
-            buf.clear();
-            acks.clear();
-            while acks.len() < MAX_BATCH {
-                let Some((writes, ack)) = self.pending.remove(&self.next) else {
-                    break;
-                };
-                WalRecord {
-                    seq: self.next,
-                    writes,
-                }
-                .encode_into(&mut buf);
-                acks.push(ack);
-                self.next += 1;
-            }
-
-            if self.fires(KillPoint::PreAppend) {
-                self.die();
-                return false;
-            }
-            if self.fires(KillPoint::MidAppend) {
-                // Torn write: half the batch reaches the file, cutting
-                // through the final record.
-                let cut = buf.len() - acks.len().min(buf.len() / 2).max(1);
-                let _ = self.file.write_all(&buf[..cut]);
-                let _ = self.file.sync_data();
-                self.die();
-                return false;
-            }
-            if self.file.write_all(&buf).is_err() || self.maybe_fsync().is_err() {
-                self.die();
-                return false;
-            }
-            if self.fires(KillPoint::PostAppendPreAck) {
-                // Data is durable; the acks are not delivered.
-                let _ = self.file.sync_data();
-                self.die();
-                return false;
-            }
-            let stats = &self.shared.stats;
-            stats
-                .appended_records
-                .fetch_add(acks.len() as u64, Ordering::Relaxed);
-            stats
-                .appended_bytes
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.batch_sizes.record(acks.len() as u64);
-            stats
-                .acked_records
-                .fetch_add(acks.len() as u64, Ordering::Relaxed);
-            for ack in acks.drain(..) {
-                let _ = ack.send(());
-            }
-            self.buf = buf;
-            self.acks = acks;
+    /// Writes the dense run of posted slots from `next` on as one batch
+    /// and moves the watermark past it. Returns `false` when the writer
+    /// died (kill point or I/O error).
+    fn flush_batch(&mut self) -> bool {
+        let depth = self.shared.slots.len() as u64;
+        let first = self.next;
+        self.buf.clear();
+        while self.next - first < depth && self.shared.is_posted(self.next) {
+            let slot = self.shared.slot(self.next);
+            encode_frame(self.next, &locked(&slot.writes), &mut self.buf);
+            slot.turn.store(self.next + depth, Ordering::SeqCst);
+            self.next += 1;
         }
+        let records = self.next - first;
+        self.records_since_fsync += records;
+
+        if self.fires(KillPoint::PreAppend) {
+            return false;
+        }
+        if self.fires(KillPoint::MidAppend) {
+            // Torn write: half the batch reaches the file, cutting
+            // through the final record.
+            let cut = self.buf.len() - (records as usize).min(self.buf.len() / 2).max(1);
+            let _ = self.file.write_all(&self.buf[..cut]);
+            let _ = self.file.sync_data();
+            return false;
+        }
+        if self.file.write_all(&self.buf).is_err() || self.maybe_fsync().is_err() {
+            return false;
+        }
+        if self.fires(KillPoint::PostAppendPreAck) {
+            // Data is durable; the watermark never says so.
+            let _ = self.file.sync_data();
+            return false;
+        }
+        let shared = &*self.shared;
+        let stats = &shared.stats;
+        stats.appended_records.fetch_add(records, Ordering::Relaxed);
+        stats
+            .appended_bytes
+            .fetch_add(self.buf.len() as u64, Ordering::Relaxed);
+        stats.batches.fetch_add(1, Ordering::Relaxed);
+        stats.batch_sizes.record(records);
+        stats.acked_records.fetch_add(records, Ordering::Relaxed);
+        shared.durable.0.store(self.next, Ordering::SeqCst);
+        shared.wake_producers();
+        true
+    }
+
+    /// Serves the checkpoint mailbox. Returns `false` when the writer
+    /// died.
+    fn serve_checkpoint(&mut self) -> bool {
+        let values = std::mem::take(&mut *locked(&self.shared.ckpt_values));
+        if !self.do_checkpoint(values) {
+            return false;
+        }
+        self.shared.ckpt_wanted.store(false, Ordering::SeqCst);
+        self.shared.wake_producers();
         true
     }
 
@@ -420,7 +605,7 @@ impl WriterState {
     /// the log. Returns `false` when the writer died.
     fn do_checkpoint(&mut self, values: Vec<u64>) -> bool {
         debug_assert!(
-            self.pending.is_empty(),
+            !self.shared.is_posted(self.next),
             "checkpoint requires quiesced commits"
         );
         let dir = self.cfg.dir.clone();
@@ -481,62 +666,60 @@ impl WriterState {
                     .stats
                     .checkpoints
                     .fetch_add(1, Ordering::Relaxed);
+                // The checkpoint's own sync covered them.
+                self.records_since_fsync = 0;
                 true
             }
-            Ok(false) | Err(_) => {
-                self.die();
-                false
-            }
+            Ok(false) | Err(_) => false,
         }
     }
 }
 
-fn writer_loop(cfg: WalConfig, file: File, next: u64, rx: Receiver<Cmd>, shared: Arc<Shared>) {
-    let mut st = WriterState {
-        cfg,
-        file,
-        next,
-        pending: BTreeMap::new(),
-        batches_since_fsync: 0,
-        shared,
-        buf: Vec::new(),
-        acks: Vec::new(),
+/// Lives on the writer thread's stack: whichever way the thread ends, no
+/// producer is left waiting.
+struct ExitGuard {
+    shared: Arc<Shared>,
+    /// The ring was drained and the tail fsynced.
+    clean: bool,
+}
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        let state = if self.clean { CLOSED } else { DEAD };
+        self.shared.state.store(state, Ordering::SeqCst);
+        self.shared.wake_producers();
+        rococo_telemetry::flush_thread();
+    }
+}
+
+fn writer_loop(mut st: WriterState) {
+    let shared = Arc::clone(&st.shared);
+    let mut exit = ExitGuard {
+        shared: Arc::clone(&shared),
+        clean: false,
     };
-    fn take(cmd: Cmd, st: &mut WriterState, ckpt: &mut Option<(Vec<u64>, Sender<u64>)>) {
-        match cmd {
-            Cmd::Append { seq, writes, ack } => {
-                st.pending.insert(seq, (writes, ack));
+    loop {
+        shared.writer.wait(shared.writer_spin, None, || {
+            shared.is_posted(st.next)
+                || shared.ckpt_wanted.load(Ordering::SeqCst)
+                || shared.state.load(Ordering::SeqCst) != RUNNING
+        });
+        // Posted records first: a checkpoint or a stop is served at a
+        // batch boundary with nothing posted behind it.
+        if shared.is_posted(st.next) {
+            if !st.flush_batch() {
+                return;
             }
-            Cmd::Checkpoint { values, done } => *ckpt = Some((values, done)),
+        } else if shared.ckpt_wanted.load(Ordering::SeqCst) {
+            if !st.serve_checkpoint() {
+                return;
+            }
+        } else {
+            // Stop requested and the ring drained: make the tail durable.
+            exit.clean = st.file.sync_data().is_ok();
+            return;
         }
     }
-    'outer: while let Ok(first) = rx.recv() {
-        let mut ckpt: Option<(Vec<u64>, Sender<u64>)> = None;
-        take(first, &mut st, &mut ckpt);
-        // Greedily drain the queue: this is where group commit's
-        // batching comes from. Stop at a checkpoint command so its
-        // quiesced snapshot is handled at a batch boundary.
-        while ckpt.is_none() {
-            match rx.try_recv() {
-                Ok(cmd) => take(cmd, &mut st, &mut ckpt),
-                Err(_) => break,
-            }
-        }
-        if !st.flush_dense_prefix() {
-            break 'outer;
-        }
-        if let Some((values, done)) = ckpt {
-            if !st.do_checkpoint(values) {
-                break 'outer;
-            }
-            let _ = done.send(st.next);
-        }
-    }
-    // Clean shutdown (all handles dropped): make the tail durable.
-    if !st.shared.dead.load(Ordering::SeqCst) {
-        let _ = st.file.sync_data();
-    }
-    rococo_telemetry::flush_thread();
 }
 
 #[cfg(test)]
@@ -747,5 +930,248 @@ mod tests {
         assert!(st.report.completed_truncation);
         assert_eq!(st.next_seq, 2);
         cleanup(dir);
+    }
+}
+
+/// The ring and the watermark: laps, waits, wake-ups and death.
+#[cfg(test)]
+mod ring_tests {
+    use super::*;
+    use crate::scratch_dir;
+    use std::sync::atomic::AtomicUsize;
+
+    fn spin_until(what: &str, cond: impl Fn() -> bool) {
+        let started = Instant::now();
+        while !cond() {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "timed out: {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    fn open_ring(dir: &PathBuf, depth: usize, kill: Option<Arc<KillSwitch>>) -> Wal {
+        let mut cfg = WalConfig::new(dir);
+        cfg.fsync = FsyncPolicy::Never;
+        cfg.kill = kill;
+        Wal::open_ring(cfg, depth).expect("open the ring").0
+    }
+
+    fn parked_producers(wal: &Wal) -> usize {
+        let spots = wal.shared.spots.iter();
+        spots.filter(|s| s.parker.is_sleeping()).count()
+    }
+
+    #[test]
+    fn shuffled_posts_through_a_tiny_ring_land_in_order() {
+        const THREADS: u64 = 4;
+        const RECORDS: u64 = 600;
+        for depth in [2usize, 4] {
+            let dir = scratch_dir("ring-shuffle");
+            let wal = open_ring(&dir, depth, None);
+            // Sequence `s` belongs to thread `owner[s]`: a fixed shuffle,
+            // so each thread posts an ascending but ragged subsequence.
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ depth as u64;
+            let owner: Vec<u64> = (0..RECORDS)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng % THREADS
+                })
+                .collect();
+            let released = AtomicUsize::new(0);
+            let done = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                // The watermark only grows.
+                let monitor = scope.spawn(|| {
+                    let mut seen = wal.durable_seq();
+                    while !done.load(Ordering::SeqCst) {
+                        let now = wal.durable_seq();
+                        assert!(now >= seen, "watermark went back: {seen} -> {now}");
+                        seen = now;
+                        std::thread::yield_now();
+                    }
+                });
+                let producers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (wal, owner, released) = (wal.client(), &owner, &released);
+                        scope.spawn(move || {
+                            let mine = (0..RECORDS).filter(|&s| owner[s as usize] == t);
+                            let mut unwaited = Vec::new();
+                            for seq in mine {
+                                wal.post(seq, &[(seq, seq * 3)]).expect("live writer");
+                                unwaited.push(seq);
+                                // Even threads wait per record, as `append`
+                                // does; odd ones per run of three, as a
+                                // worker's batch does.
+                                if t % 2 == 0 || unwaited.len() == 3 {
+                                    wal.wait_durable(seq).expect("live writer");
+                                    for s in unwaited.drain(..) {
+                                        assert!(wal.durable_seq() > s);
+                                        released.fetch_add(1, Ordering::SeqCst);
+                                    }
+                                }
+                            }
+                            if let Some(&last) = unwaited.last() {
+                                wal.wait_durable(last).expect("live writer");
+                                released.fetch_add(unwaited.len(), Ordering::SeqCst);
+                            }
+                        })
+                    })
+                    .collect();
+                for p in producers {
+                    p.join().expect("producer panicked");
+                }
+                done.store(true, Ordering::SeqCst);
+                monitor.join().expect("monitor panicked");
+            });
+            assert_eq!(released.load(Ordering::SeqCst) as u64, RECORDS);
+            assert_eq!(wal.durable_seq(), RECORDS);
+            let stats = wal.shutdown();
+            assert_eq!(stats.acked_records, RECORDS);
+            assert_eq!(stats.failed_appends, 0);
+            let st = recover(&dir).unwrap();
+            assert_eq!(st.records.len() as u64, RECORDS);
+            for (i, rec) in st.records.iter().enumerate() {
+                let seq = i as u64;
+                assert_eq!(rec.seq, seq, "file order must be sequence order");
+                assert_eq!(rec.writes, vec![(seq, seq * 3)], "a lap mixed payloads");
+            }
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_lapped_producer_unblocks_when_the_writer_passes_it() {
+        let dir = scratch_dir("ring-lap");
+        let wal = open_ring(&dir, 2, None);
+        // Slot 0 is free for sequence 0: sequence 2 has to wait a lap.
+        let lapped = {
+            let wal = wal.client();
+            std::thread::spawn(move || wal.post(2, &[(2, 2)]))
+        };
+        spin_until("the lapped producer parks", || parked_producers(&wal) == 1);
+        assert_eq!(wal.durable_seq(), 0);
+        wal.post(1, &[(1, 1)]).unwrap();
+        wal.post(0, &[(0, 0)]).unwrap();
+        lapped.join().expect("producer panicked").unwrap();
+        wal.wait_durable(2).unwrap();
+        wal.shutdown();
+        let seqs: Vec<u64> = recover(&dir)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_parked_writer_is_woken_by_a_lone_post() {
+        let dir = scratch_dir("ring-wake-writer");
+        let wal = open_ring(&dir, 4, None);
+        for seq in 0..3u64 {
+            // Idle past its whole budget: it has published `sleeping`.
+            spin_until("writer parks", || wal.shared.writer.is_sleeping());
+            wal.post(seq, &[(seq, 1)]).unwrap();
+            wal.wait_durable(seq).unwrap();
+        }
+        assert_eq!(wal.shutdown().batches, 3);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_parked_waiter_is_woken_by_the_watermark() {
+        let dir = scratch_dir("ring-wake-waiter");
+        let wal = open_ring(&dir, 4, None);
+        for seq in 0..3u64 {
+            let waiter = {
+                let wal = wal.client();
+                std::thread::spawn(move || wal.wait_durable(seq))
+            };
+            spin_until("waiter parks", || parked_producers(&wal) == 1);
+            wal.post(seq, &[(seq, 1)]).unwrap();
+            waiter.join().expect("waiter panicked").unwrap();
+        }
+        wal.shutdown();
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_checkpoint_is_served_by_a_parked_writer() {
+        let dir = scratch_dir("ring-ckpt-parked");
+        let wal = open_ring(&dir, 4, None);
+        wal.append(0, vec![(0, 7)]).unwrap();
+        spin_until("writer parks", || wal.shared.writer.is_sleeping());
+        assert_eq!(wal.checkpoint(vec![7]), Ok(1));
+        wal.shutdown();
+        let st = recover(&dir).unwrap();
+        assert_eq!((st.values, st.next_seq), (vec![7], 1));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Each append-path kill point releases every outstanding waiter with
+    /// `WalDead` and leaves the directory the single-appender kill tests
+    /// above expect.
+    #[test]
+    fn a_dying_writer_releases_every_waiter() {
+        for point in [
+            KillPoint::PreAppend,
+            KillPoint::MidAppend,
+            KillPoint::PostAppendPreAck,
+        ] {
+            let dir = scratch_dir("ring-kill");
+            let kill = KillSwitch::arm(point, 2);
+            let wal = open_ring(&dir, 4, Some(Arc::clone(&kill)));
+            wal.append(0, vec![(0, 1)]).unwrap();
+            let waiters: Vec<_> = (1..=3u64)
+                .map(|seq| {
+                    let wal = wal.client();
+                    std::thread::spawn(move || wal.wait_durable(seq))
+                })
+                .collect();
+            spin_until("three waiters park", || parked_producers(&wal) == 3);
+            // The second batch: the switch fires on it.
+            wal.post(1, &[(1, 2)]).unwrap();
+            for w in waiters {
+                assert_eq!(
+                    w.join().expect("waiter panicked"),
+                    Err(WalDead),
+                    "{point:?}"
+                );
+            }
+            assert!(kill.fired() && wal.is_dead());
+            assert_eq!(wal.durable_seq(), 1, "the watermark stays where it was");
+            // The door is shut: nothing more gets into the ring.
+            assert_eq!(wal.post(2, &[(2, 3)]), Err(WalDead));
+            assert_eq!(wal.checkpoint(vec![1]), Err(WalDead));
+            assert_eq!(wal.shutdown().failed_appends, 4);
+
+            let st = recover(&dir).unwrap();
+            let (records, torn) = (st.records.len(), st.report.torn_truncated_bytes);
+            match point {
+                KillPoint::PreAppend => assert_eq!((records, torn), (1, 0)),
+                KillPoint::MidAppend => assert!(records == 1 && torn > 0, "{:?}", st.report),
+                _ => assert_eq!((records, st.next_seq), (2, 2)),
+            }
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_post_after_shutdown_fails_instead_of_hanging() {
+        let dir = scratch_dir("ring-closed");
+        let wal = open_ring(&dir, 2, None);
+        let client = wal.client();
+        client.append(0, vec![(0, 1)]).unwrap();
+        wal.shutdown();
+        assert!(!client.is_dead(), "a clean stop is not a death");
+        assert_eq!(client.append(1, vec![(1, 2)]), Err(WalDead));
+        assert_eq!(client.wait_durable(5), Err(WalDead));
+        assert_eq!(client.wait_durable(0), Ok(()), "what was durable stays so");
+        let _ = fs::remove_dir_all(dir);
     }
 }
