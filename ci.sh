@@ -82,6 +82,12 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
+echo "== engine vs its reference model, and its zero-allocation bound (release)"
+# The debug runs above cover these too; release is where the allocation
+# count is the shipped one and where wrapping arithmetic would differ.
+cargo test --release -q -p rococo-fpga --lib engine::
+cargo test --release -q -p rococo-fpga --test zero_alloc
+
 echo "== validator link and WAL ring on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first

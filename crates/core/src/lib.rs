@@ -25,7 +25,12 @@
 //! Because hardware resources are bounded, ROCoCo maintains a **sliding
 //! window** of the last `W` committed transactions ([`SlidingWindow`],
 //! paper's Figure 5, `W = 64`); transactions whose snapshot predates the
-//! window must abort ([`RejectReason::WindowOverflow`]).
+//! window must abort ([`RejectReason::WindowOverflow`]). [`RococoValidator`]
+//! keeps matrix and window in lockstep; it takes a candidate's `f`/`b` as
+//! slot-indexed vectors
+//! ([`RococoValidator::validate_and_commit_vectors`], allocation-free — the
+//! FPGA model's Detector→Manager hand-off) or, through an adapter, as lists
+//! of commit sequence numbers ([`TxnDeps`]).
 //!
 //! The [`order`] module provides the order-theoretic vocabulary of section 3
 //! (conflict graphs, acyclicity ⟺ serializability, interval orders and the

@@ -32,6 +32,21 @@ pub struct Closure {
     pub s: DepVec,
 }
 
+impl Closure {
+    /// An all-zero closure for a window of `cap` slots, for
+    /// [`ReachMatrix::validate_into`] to fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == 0`.
+    pub fn new(cap: usize) -> Self {
+        Self {
+            p: DepVec::new(cap),
+            s: DepVec::new(cap),
+        }
+    }
+}
+
 /// The reachability matrix `R` of the ROCoCo manager: `r[i][j]` ⇔ `tᵢ ▷ tⱼ`
 /// (transaction in slot `i` reaches transaction in slot `j`), maintained as
 /// the transitive closure of the committed window DAG.
@@ -105,7 +120,8 @@ impl ReachMatrix {
     /// backward vector `b` (both over live slots; bits at or beyond
     /// [`len`](Self::len) must be clear).
     ///
-    /// Returns the [`Closure`] on success.
+    /// Returns the [`Closure`] on success. Allocates it; a caller on a hot
+    /// path keeps one and calls [`validate_into`](Self::validate_into).
     ///
     /// # Errors
     ///
@@ -117,6 +133,29 @@ impl ReachMatrix {
     /// Panics if `f`/`b` capacities don't match the window capacity, or if a
     /// dependency bit refers to a dead slot.
     pub fn validate(&self, f: &DepVec, b: &DepVec) -> Result<Closure, CycleDetected> {
+        let mut closure = Closure::new(self.cap);
+        self.validate_into(f, b, &mut closure)?;
+        Ok(closure)
+    }
+
+    /// [`validate`](Self::validate) writing `p`/`s` into a closure the
+    /// caller owns (whatever it held is overwritten; after an error its
+    /// contents are unspecified).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleDetected`] if `p ∧ s ≠ 0`.
+    ///
+    /// # Panics
+    ///
+    /// As [`validate`](Self::validate), and if `out`'s capacity does not
+    /// match the window capacity.
+    pub fn validate_into(
+        &self,
+        f: &DepVec,
+        b: &DepVec,
+        out: &mut Closure,
+    ) -> Result<(), CycleDetected> {
         assert_eq!(f.capacity(), self.cap, "f capacity mismatch");
         assert_eq!(b.capacity(), self.cap, "b capacity mismatch");
         debug_assert!(
@@ -126,24 +165,24 @@ impl ReachMatrix {
 
         // p = f | R^T f : candidate reaches slot i directly (f[i]) or
         // through any j with f[j] and r[j][i] (row j read whole).
-        let mut p = f.clone();
+        out.p.copy_from(f);
         for j in f.iter_ones() {
-            p.or_with(&self.rows[j]);
+            out.p.or_with(&self.rows[j]);
         }
 
         // s = b | R b : slot i reaches the candidate directly (b[i]) or
         // through any j with r[i][j] and b[j] (test row i against b).
-        let mut s = b.clone();
+        out.s.copy_from(b);
         for i in 0..self.len {
             if self.rows[i].intersects(b) {
-                s.set(i);
+                out.s.set(i);
             }
         }
 
-        if p.intersects(&s) {
+        if out.p.intersects(&out.s) {
             Err(CycleDetected)
         } else {
-            Ok(Closure { p, s })
+            Ok(())
         }
     }
 
@@ -384,10 +423,25 @@ mod tests {
     fn commit_into_full_matrix_panics() {
         let mut m = ReachMatrix::new(1);
         commit(&mut m, &[], &[]);
-        let c = Closure {
-            p: DepVec::new(1),
-            s: DepVec::new(1),
-        };
-        m.commit(&c);
+        m.commit(&Closure::new(1));
+    }
+
+    #[test]
+    fn validate_into_overwrites_a_reused_closure() {
+        // t0 -> t1 -> t2; the same closure serves a cycle, then a commit.
+        let mut m = ReachMatrix::new(8);
+        commit(&mut m, &[], &[]);
+        commit(&mut m, &[], &[0]);
+        commit(&mut m, &[], &[1]);
+        let mut kept = Closure::new(8);
+        assert_eq!(
+            m.validate_into(&dv(8, &[0]), &dv(8, &[2]), &mut kept),
+            Err(CycleDetected)
+        );
+        for (f, b) in [(&[1usize][..], &[0usize][..]), (&[], &[2]), (&[0, 2], &[])] {
+            let (f, b) = (dv(8, f), dv(8, b));
+            m.validate_into(&f, &b, &mut kept).expect("no cycle");
+            assert_eq!(Ok(&kept), m.validate(&f, &b).as_ref());
+        }
     }
 }

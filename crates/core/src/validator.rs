@@ -2,7 +2,7 @@
 //! interface.
 
 use crate::depvec::DepVec;
-use crate::matrix::ReachMatrix;
+use crate::matrix::{Closure, ReachMatrix};
 use crate::window::{Seq, SlidingWindow};
 use std::fmt;
 
@@ -82,6 +82,10 @@ pub struct RococoValidator<T> {
     /// (and OR-ing the vector into each candidate's backward vector)
     /// preserves those constraints after the matrix forgets `tᵢ`.
     pinned: DepVec,
+    /// Scratch of one validation, kept so that none allocates: the
+    /// candidate's backward vector with `pinned` OR-ed in, and its `p`/`s`.
+    backward: DepVec,
+    closure: Closure,
 }
 
 impl<T> RococoValidator<T> {
@@ -95,6 +99,8 @@ impl<T> RococoValidator<T> {
             matrix: ReachMatrix::new(w),
             window: SlidingWindow::new(w),
             pinned: DepVec::new(w),
+            backward: DepVec::new(w),
+            closure: Closure::new(w),
         }
     }
 
@@ -133,7 +139,10 @@ impl<T> RococoValidator<T> {
     }
 
     /// Validates a candidate and, on success, commits it with bookkeeping
-    /// `entry`, returning its sequence number.
+    /// `entry`, returning its sequence number. An adapter for callers that
+    /// hold their dependencies as sequence numbers: it turns them into slot
+    /// vectors and calls
+    /// [`validate_and_commit_vectors`](Self::validate_and_commit_vectors).
     ///
     /// # Errors
     ///
@@ -142,10 +151,6 @@ impl<T> RococoValidator<T> {
     /// * [`RejectReason::Cycle`] if committing would create a dependency
     ///   cycle.
     pub fn validate_and_commit(&mut self, deps: &TxnDeps, entry: T) -> Result<Seq, RejectReason> {
-        if !self.snapshot_in_window(deps.snapshot) {
-            return Err(RejectReason::WindowOverflow);
-        }
-
         let cap = self.matrix.capacity();
         let mut f = DepVec::new(cap);
         for &seq in &deps.forward {
@@ -165,14 +170,44 @@ impl<T> RococoValidator<T> {
             // A backward dependency on an evicted commit is satisfied by
             // construction: evicted transactions are strictly serialised
             // before every candidate. Transactions that *reach* evicted
-            // commits are covered by the pinned vector below.
+            // commits are covered by the pinned vector.
         }
-        // Everything that reaches an evicted commit precedes the candidate.
-        b.or_with(&self.pinned);
+        self.validate_and_commit_vectors(deps.snapshot, &f, &b, entry)
+    }
 
-        let mut closure = self
-            .matrix
-            .validate(&f, &b)
+    /// Validates a candidate whose dependencies are already slot-indexed
+    /// adjacency vectors — `f[i]`: the candidate must precede the commit in
+    /// window slot `i`, `b[i]`: it must succeed it — and, on success,
+    /// commits it with bookkeeping `entry`, returning its sequence number.
+    /// This is the Detector→Manager hand-off of Figure 5; it allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// * [`RejectReason::WindowOverflow`] if `snapshot` predates the window;
+    /// * [`RejectReason::Cycle`] if committing would create a dependency
+    ///   cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f`/`b` capacities don't match the window capacity, or if a
+    /// dependency bit refers to a dead slot.
+    pub fn validate_and_commit_vectors(
+        &mut self,
+        snapshot: Seq,
+        f: &DepVec,
+        b: &DepVec,
+        entry: T,
+    ) -> Result<Seq, RejectReason> {
+        if !self.snapshot_in_window(snapshot) {
+            return Err(RejectReason::WindowOverflow);
+        }
+
+        // Everything that reaches an evicted commit precedes the candidate.
+        self.backward.copy_from(b);
+        self.backward.or_with(&self.pinned);
+        self.matrix
+            .validate_into(f, &self.backward, &mut self.closure)
             .map_err(|_| RejectReason::Cycle)?;
 
         let mut candidate_pinned = false;
@@ -187,16 +222,16 @@ impl<T> RococoValidator<T> {
             }
             // If the candidate itself serialises before t₀, it too must
             // precede every future transaction.
-            candidate_pinned = closure.p.get(0);
+            candidate_pinned = self.closure.p.get(0);
             // Slot indices shift by one when the oldest commit is evicted;
             // the in-flight vectors shift with them, exactly like the
             // register shift of the hardware pipeline (Figure 5).
             self.matrix.evict_oldest();
-            closure.p.shift_down();
-            closure.s.shift_down();
+            self.closure.p.shift_down();
+            self.closure.s.shift_down();
             self.pinned.shift_down();
         }
-        let slot = self.matrix.commit(&closure);
+        let slot = self.matrix.commit(&self.closure);
         if candidate_pinned {
             self.pinned.set(slot);
         }
@@ -218,68 +253,126 @@ mod tests {
         }
     }
 
+    /// The two entry points; every scenario below runs through both.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Adapter,
+        Vectors,
+    }
+
+    const BOTH: [Path; 2] = [Path::Adapter, Path::Vectors];
+
+    impl Path {
+        fn commit<T>(
+            self,
+            v: &mut RococoValidator<T>,
+            deps: &TxnDeps,
+            entry: T,
+        ) -> Result<Seq, RejectReason> {
+            match self {
+                Path::Adapter => v.validate_and_commit(deps, entry),
+                // What a caller holding slot vectors does: an evicted commit
+                // has no slot, so a backward edge to it is not expressible.
+                Path::Vectors => {
+                    let mut f = DepVec::new(v.capacity());
+                    for &seq in &deps.forward {
+                        f.set(v.window().slot_of(seq).expect("forward dep is live"));
+                    }
+                    let mut b = DepVec::new(v.capacity());
+                    for slot in deps.backward.iter().filter_map(|&s| v.window().slot_of(s)) {
+                        b.set(slot);
+                    }
+                    v.validate_and_commit_vectors(deps.snapshot, &f, &b, entry)
+                }
+            }
+        }
+    }
+
     #[test]
     fn independent_commits_get_sequential_seqs() {
-        let mut v: RococoValidator<()> = RococoValidator::new(4);
-        for i in 0..3 {
-            let seq = v.validate_and_commit(&deps(i, &[], &[]), ()).unwrap();
-            assert_eq!(seq, i);
+        for path in BOTH {
+            let mut v: RococoValidator<()> = RococoValidator::new(4);
+            for i in 0..3 {
+                let seq = path.commit(&mut v, &deps(i, &[], &[]), ()).unwrap();
+                assert_eq!(seq, i, "{path:?}");
+            }
         }
     }
 
     #[test]
     fn cycle_is_rejected() {
-        let mut v: RococoValidator<()> = RococoValidator::new(4);
-        v.validate_and_commit(&deps(0, &[], &[]), ()).unwrap();
-        let err = v.validate_and_commit(&deps(0, &[0], &[0]), ()).unwrap_err();
-        assert_eq!(err, RejectReason::Cycle);
+        for path in BOTH {
+            let mut v: RococoValidator<()> = RococoValidator::new(4);
+            path.commit(&mut v, &deps(0, &[], &[]), ()).unwrap();
+            let err = path.commit(&mut v, &deps(0, &[0], &[0]), ()).unwrap_err();
+            assert_eq!(err, RejectReason::Cycle, "{path:?}");
+        }
     }
 
     #[test]
     fn stale_snapshot_overflows() {
+        for path in BOTH {
+            let mut v: RococoValidator<()> = RococoValidator::new(2);
+            for i in 0..3 {
+                path.commit(&mut v, &deps(i, &[], &[]), ()).unwrap();
+            }
+            // Window now holds seqs {1, 2}; snapshot 0 predates it.
+            let err = path.commit(&mut v, &deps(0, &[], &[]), ()).unwrap_err();
+            assert_eq!(err, RejectReason::WindowOverflow, "{path:?}");
+            // Snapshot 1 is still fine.
+            path.commit(&mut v, &deps(1, &[], &[1]), ()).unwrap();
+        }
+    }
+
+    #[test]
+    fn forward_dep_on_evicted_commit_overflows() {
+        // Only sequence numbers can name an evicted commit.
         let mut v: RococoValidator<()> = RococoValidator::new(2);
         for i in 0..3 {
             v.validate_and_commit(&deps(i, &[], &[]), ()).unwrap();
         }
-        // Window now holds seqs {1, 2}; snapshot 0 predates it.
-        let err = v.validate_and_commit(&deps(0, &[], &[]), ()).unwrap_err();
+        let err = v.validate_and_commit(&deps(1, &[0], &[]), ()).unwrap_err();
         assert_eq!(err, RejectReason::WindowOverflow);
-        // Snapshot 1 is still fine.
-        v.validate_and_commit(&deps(1, &[], &[1]), ()).unwrap();
     }
 
     #[test]
     fn backward_dep_on_evicted_commit_is_dropped() {
-        let mut v: RococoValidator<()> = RococoValidator::new(2);
-        for i in 0..3 {
-            v.validate_and_commit(&deps(i, &[], &[]), ()).unwrap();
+        for path in BOTH {
+            let mut v: RococoValidator<()> = RococoValidator::new(2);
+            for i in 0..3 {
+                path.commit(&mut v, &deps(i, &[], &[]), ()).unwrap();
+            }
+            // seq 0 is evicted; a backward edge to it is harmless.
+            let seq = path.commit(&mut v, &deps(3, &[], &[0, 2]), ()).unwrap();
+            assert_eq!(seq, 3, "{path:?}");
         }
-        // seq 0 is evicted; a backward edge to it is harmless.
-        let seq = v.validate_and_commit(&deps(3, &[], &[0, 2]), ()).unwrap();
-        assert_eq!(seq, 3);
     }
 
     #[test]
     fn transitive_cycle_across_commits() {
-        let mut v: RococoValidator<()> = RococoValidator::new(8);
-        v.validate_and_commit(&deps(0, &[], &[]), ()).unwrap(); // t0
-        v.validate_and_commit(&deps(0, &[], &[0]), ()).unwrap(); // t0 -> t1
-                                                                 // Candidate: t -> t0 (forward), t1 -> t (backward): cycle.
-        let err = v.validate_and_commit(&deps(0, &[0], &[1]), ()).unwrap_err();
-        assert_eq!(err, RejectReason::Cycle);
-        // But t -> t0 alone is the phantom-ordering case ROCoCo admits.
-        v.validate_and_commit(&deps(0, &[0], &[]), ()).unwrap();
+        for path in BOTH {
+            let mut v: RococoValidator<()> = RococoValidator::new(8);
+            path.commit(&mut v, &deps(0, &[], &[]), ()).unwrap(); // t0
+            path.commit(&mut v, &deps(0, &[], &[0]), ()).unwrap(); // t0 -> t1
+                                                                   // Candidate: t -> t0 (forward), t1 -> t (backward): cycle.
+            let err = path.commit(&mut v, &deps(0, &[0], &[1]), ()).unwrap_err();
+            assert_eq!(err, RejectReason::Cycle, "{path:?}");
+            // But t -> t0 alone is the phantom-ordering case ROCoCo admits.
+            path.commit(&mut v, &deps(0, &[0], &[]), ()).unwrap();
+        }
     }
 
     #[test]
     fn bookkeeping_entries_follow_commits() {
-        let mut v: RococoValidator<&'static str> = RococoValidator::new(2);
-        v.validate_and_commit(&deps(0, &[], &[]), "a").unwrap();
-        v.validate_and_commit(&deps(1, &[], &[]), "b").unwrap();
-        v.validate_and_commit(&deps(2, &[], &[]), "c").unwrap();
-        assert_eq!(v.window().get_seq(1), Some(&"b"));
-        assert_eq!(v.window().get_seq(2), Some(&"c"));
-        assert_eq!(v.window().get_seq(0), None);
+        for path in BOTH {
+            let mut v: RococoValidator<&'static str> = RococoValidator::new(2);
+            path.commit(&mut v, &deps(0, &[], &[]), "a").unwrap();
+            path.commit(&mut v, &deps(1, &[], &[]), "b").unwrap();
+            path.commit(&mut v, &deps(2, &[], &[]), "c").unwrap();
+            assert_eq!(v.window().get_seq(1), Some(&"b"));
+            assert_eq!(v.window().get_seq(2), Some(&"c"));
+            assert_eq!(v.window().get_seq(0), None);
+        }
     }
 
     #[test]
@@ -288,24 +381,96 @@ mod tests {
         // evicted. A later candidate with a forward edge to t1 would close
         // the cycle candidate -> t1 -> t0 -> (strict order) -> candidate;
         // the pinned vector must catch it even though t0 is forgotten.
-        let mut v: RococoValidator<()> = RococoValidator::new(2);
-        v.validate_and_commit(&deps(0, &[], &[]), ()).unwrap(); // t0
-        v.validate_and_commit(&deps(0, &[0], &[]), ()).unwrap(); // t1 -> t0
-        v.validate_and_commit(&deps(1, &[], &[]), ()).unwrap(); // t2 evicts t0
-        let err = v.validate_and_commit(&deps(1, &[1], &[]), ()).unwrap_err();
-        assert_eq!(err, RejectReason::Cycle);
+        for path in BOTH {
+            let mut v: RococoValidator<()> = RococoValidator::new(2);
+            path.commit(&mut v, &deps(0, &[], &[]), ()).unwrap(); // t0
+            path.commit(&mut v, &deps(0, &[0], &[]), ()).unwrap(); // t1 -> t0
+            path.commit(&mut v, &deps(1, &[], &[]), ()).unwrap(); // t2 evicts t0
+            let err = path.commit(&mut v, &deps(1, &[1], &[]), ()).unwrap_err();
+            assert_eq!(err, RejectReason::Cycle, "{path:?}");
+        }
     }
 
     #[test]
     fn pinning_does_not_block_forward_progress() {
         // After heavy eviction, ordinary transactions with fresh snapshots
         // still commit.
-        let mut v: RococoValidator<()> = RococoValidator::new(2);
-        for i in 0..20 {
-            v.validate_and_commit(&deps(i, &[], &[i.saturating_sub(1)]), ())
-                .unwrap();
+        for path in BOTH {
+            let mut v: RococoValidator<()> = RococoValidator::new(2);
+            for i in 0..20 {
+                path.commit(&mut v, &deps(i, &[], &[i.saturating_sub(1)]), ())
+                    .unwrap();
+            }
+            assert_eq!(v.next_seq(), 20, "{path:?}");
         }
-        assert_eq!(v.next_seq(), 20);
+    }
+
+    #[test]
+    fn a_rejection_leaves_no_trace_in_the_kept_scratch() {
+        // The closure and backward scratch survive between calls; a cycle
+        // abort's leftovers must not leak into the next verdict.
+        let mut v: RococoValidator<()> = RococoValidator::new(4);
+        let mut fresh = v.clone();
+        Path::Vectors
+            .commit(&mut v, &deps(0, &[], &[]), ())
+            .unwrap();
+        Path::Vectors
+            .commit(&mut fresh, &deps(0, &[], &[]), ())
+            .unwrap();
+        Path::Vectors
+            .commit(&mut v, &deps(0, &[0], &[0]), ())
+            .unwrap_err();
+        for d in [deps(0, &[0], &[]), deps(1, &[], &[1]), deps(0, &[1], &[0])] {
+            assert_eq!(
+                Path::Vectors.commit(&mut v, &d, ()),
+                Path::Adapter.commit(&mut fresh, &d, ())
+            );
+            assert_eq!(v.matrix(), fresh.matrix());
+        }
+    }
+
+    #[test]
+    fn mixed_adapter_and_vector_calls_keep_the_closure_invariant() {
+        // The shape of matrix_props.rs's random histories (snapshot and
+        // dependencies as offsets back from the newest commit), through a
+        // validator whose callers alternate at random between the two entry
+        // points, against one driven through the adapter alone.
+        let mut state = 0x0dd_ba11u64;
+        let mut rand = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for window in [1usize, 2, 3, 8, 64, 65] {
+            let mut mixed: RococoValidator<()> = RococoValidator::new(window);
+            let mut plain = mixed.clone();
+            let (mut commits, mut cycles) = (0, 0);
+            for _ in 0..600 {
+                let next = mixed.next_seq();
+                let oldest = mixed.oldest_seq().unwrap_or(0);
+                // Sometimes one short of the window, to overflow.
+                let snapshot = next.saturating_sub(rand(window as u64 + 2));
+                let live = |back: u64| next.checked_sub(1 + back).filter(|&s| s >= oldest);
+                let forward: Vec<Seq> = (0..rand(3))
+                    .filter_map(|_| live(rand(8)).filter(|&s| s >= snapshot))
+                    .collect();
+                let backward: Vec<Seq> = (0..rand(4)).filter_map(|_| live(rand(12))).collect();
+                let d = deps(snapshot, &forward, &backward);
+                let path = BOTH[rand(2) as usize];
+                let got = path.commit(&mut mixed, &d, ());
+                assert_eq!(got, plain.validate_and_commit(&d, ()), "W={window} {d:?}");
+                match got {
+                    Ok(_) => commits += 1,
+                    Err(RejectReason::Cycle) => cycles += 1,
+                    Err(RejectReason::WindowOverflow) => {}
+                }
+                assert!(mixed.matrix().closure_invariant_holds(), "W={window}");
+                assert_eq!(mixed.matrix(), plain.matrix());
+            }
+            assert!(commits > 100, "W={window}: {commits} commits");
+            assert!(window == 1 || cycles > 0, "W={window}: no cycle exercised");
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! **stage-accurate in its timing**:
 //!
 //! * [`ValidationEngine`] — the functional model: the *Detector* queries a
-//!   transaction's read/write addresses against the bloom-signature history
-//!   of the last `W` commits to build the `f`/`b` dependency vectors, and
-//!   the *Manager* validates them against the reachability matrix
-//!   ([`rococo_core::RococoValidator`]) and slides the window (Figure 5).
+//!   transaction's read/write addresses against the bloom signatures of
+//!   the last `W` commits — all `W` at once, through column tables
+//!   bit-sliced by signature bit — to build the `f`/`b` dependency vectors,
+//!   and the *Manager* takes the vectors as they are, validates them against
+//!   the reachability matrix ([`rococo_core::RococoValidator`]) and slides
+//!   the window (Figure 5). No allocation per verdict.
 //! * [`PipelinedValidator`] — wraps the engine with a timing model
 //!   ([`TimingModel`]): a fully pipelined datapath with an initiation
 //!   interval of one clock cycle at 200 MHz, plus the CCI round-trip latency
@@ -47,9 +49,7 @@ mod pipeline;
 pub mod resources;
 mod service;
 
-pub use engine::{
-    EngineConfig, EngineStats, FpgaVerdict, HistoryEntry, ValidateRequest, ValidationEngine,
-};
+pub use engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 pub use fault::{FaultConfig, FaultSnapshot, FaultStats};
 pub use link::LANE_DEPTH;
 pub use pipeline::{PipelineStats, PipelinedValidator, TimingModel};

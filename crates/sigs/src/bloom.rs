@@ -41,10 +41,16 @@ impl SigScheme {
     ///
     /// # Panics
     ///
-    /// Panics if `m_bits` is not a multiple of `64 * k`, if the partition
-    /// size is not a power of two, or if `k` is 0 or greater than 16.
+    /// Panics if `m_bits` is not a multiple of `64 * k`, if it exceeds
+    /// 65 536 (a [`PrehashedAddr`] stores bit indices as `u16`), if the
+    /// partition size is not a power of two, or if `k` is 0 or greater
+    /// than 16.
     pub fn with_seed(m_bits: usize, k: usize, seed: u64) -> Self {
         assert!(k > 0 && k <= MAX_K, "k must be in 1..=16, got {k}");
+        assert!(
+            m_bits <= 1 << 16,
+            "m_bits ({m_bits}) must fit a u16 bit index (at most 65536)"
+        );
         assert!(
             m_bits.is_multiple_of(64) && m_bits.is_multiple_of(k),
             "m_bits ({m_bits}) must be a multiple of 64 and of k ({k})"
@@ -98,20 +104,6 @@ impl SigScheme {
         }
     }
 
-    /// Computes the `k` (word index, bit mask) positions `addr` maps to, one
-    /// per partition.
-    #[inline]
-    fn positions(&self, addr: u64) -> ([(u32, u64); MAX_K], usize) {
-        let mut out = [(0u32, 0u64); MAX_K];
-        for (i, slot) in out.iter_mut().enumerate().take(self.k) {
-            let h = self.hashers.hash(i, addr) as usize;
-            let bit = i * self.part_bits + h;
-            *slot = ((bit / 64) as u32, 1u64 << (bit % 64));
-            debug_assert!(bit / 64 < self.words);
-        }
-        (out, self.k)
-    }
-
     /// Inserts `addr` into `sig` (one bit per partition).
     ///
     /// # Panics
@@ -119,10 +111,22 @@ impl SigScheme {
     /// Panics if `sig` does not match this scheme's geometry.
     #[inline]
     pub fn insert(&self, sig: &mut Sig, addr: u64) {
+        self.insert_prehashed(sig, &self.prehash(addr));
+    }
+
+    /// [`SigScheme::insert`] of positions computed by [`SigScheme::prehash`]:
+    /// a caller that already prehashed an address to query it (the
+    /// validation engine does, for every request) inserts it without
+    /// hashing a second time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sig` does not match this scheme's geometry.
+    #[inline]
+    pub fn insert_prehashed(&self, sig: &mut Sig, pre: &PrehashedAddr) {
         assert_eq!(sig.words.len(), self.words, "signature geometry mismatch");
-        let (pos, n) = self.positions(addr);
-        for &(w, mask) in &pos[..n] {
-            sig.words[w as usize] |= mask;
+        for &bit in pre.bit_indices() {
+            sig.words[usize::from(bit) / 64] |= 1u64 << (bit % 64);
         }
     }
 
@@ -137,11 +141,7 @@ impl SigScheme {
     /// Panics if `sig` does not match this scheme's geometry.
     #[inline]
     pub fn query(&self, sig: &Sig, addr: u64) -> bool {
-        assert_eq!(sig.words.len(), self.words, "signature geometry mismatch");
-        let (pos, n) = self.positions(addr);
-        pos[..n]
-            .iter()
-            .all(|&(w, mask)| sig.words[w as usize] & mask != 0)
+        self.query_prehashed(sig, &self.prehash(addr))
     }
 
     /// Builds a signature summarising all of `addrs`.
@@ -218,8 +218,16 @@ impl SigScheme {
     /// once per (address, window entry) pair removes the dominant cost.
     #[inline]
     pub fn prehash(&self, addr: u64) -> PrehashedAddr {
-        let (pos, n) = self.positions(addr);
-        PrehashedAddr { pos, n }
+        let mut bits = [0u16; MAX_K];
+        for (i, slot) in bits.iter_mut().enumerate().take(self.k) {
+            let bit = i * self.part_bits + self.hashers.hash(i, addr) as usize;
+            debug_assert!(bit < self.m_bits);
+            *slot = bit as u16;
+        }
+        PrehashedAddr {
+            bits,
+            k: self.k as u8,
+        }
     }
 
     /// [`SigScheme::query`] against positions computed by
@@ -231,21 +239,31 @@ impl SigScheme {
     #[inline]
     pub fn query_prehashed(&self, sig: &Sig, pre: &PrehashedAddr) -> bool {
         assert_eq!(sig.words.len(), self.words, "signature geometry mismatch");
-        pre.pos[..pre.n]
+        pre.bit_indices()
             .iter()
-            .all(|&(w, mask)| sig.words[w as usize] & mask != 0)
+            .all(|&bit| sig.words[usize::from(bit) / 64] & (1u64 << (bit % 64)) != 0)
     }
 }
 
-/// The `k` (word index, bit mask) positions an address maps to under one
-/// [`SigScheme`], precomputed via [`SigScheme::prehash`].
+/// The `k` signature bit indices an address maps to under one
+/// [`SigScheme`], one per partition, precomputed via [`SigScheme::prehash`].
+/// 34 bytes: a 16-address request's prehashes fit nine cache lines.
 ///
 /// Only meaningful with the scheme that produced it — querying through a
 /// different scheme of the same word count silently tests the wrong bits.
 #[derive(Debug, Clone, Copy)]
 pub struct PrehashedAddr {
-    pos: [(u32, u64); MAX_K],
-    n: usize,
+    bits: [u16; MAX_K],
+    k: u8,
+}
+
+impl PrehashedAddr {
+    /// The bit indices in `[0, m)`, in partition order: the address is in a
+    /// signature's set only if the signature has every one of them set.
+    #[inline]
+    pub fn bit_indices(&self) -> &[u16] {
+        &self.bits[..usize::from(self.k)]
+    }
 }
 
 /// A bloom-filter signature: a fixed-width bit vector.
@@ -497,6 +515,42 @@ mod tests {
             let empty = s.new_sig();
             assert!(!s.sets_may_intersect(&empty, &empty));
         }
+    }
+
+    #[test]
+    fn prehashed_insert_sets_exactly_the_named_bits() {
+        // 65 536 bits is the largest geometry a u16 bit index addresses.
+        for (m, k) in [(512, 8), (512, 16), (1024, 8), (256, 16), (65_536, 16)] {
+            let s = SigScheme::new(m, k);
+            for a in (0..40u64).map(|i| i * 131 + 7) {
+                let pre = s.prehash(a);
+                let bits = pre.bit_indices();
+                assert_eq!(bits.len(), k);
+                // One index per partition, in partition order.
+                assert!(bits
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &bit)| usize::from(bit) / (m / k) == i));
+                let mut sig = s.new_sig();
+                s.insert_prehashed(&mut sig, &pre);
+                assert_eq!(sig.count_ones() as usize, k, "m={m} k={k}");
+                assert!(bits
+                    .iter()
+                    .all(|&bit| sig.as_words()[usize::from(bit) / 64] >> (bit % 64) & 1 == 1));
+                assert_eq!(sig, s.sig_of([a]));
+            }
+        }
+    }
+
+    #[test]
+    fn prehashed_addr_is_packed() {
+        assert_eq!(std::mem::size_of::<PrehashedAddr>(), 34);
+    }
+
+    #[test]
+    #[should_panic(expected = "u16 bit index")]
+    fn oversized_signature_rejected() {
+        let _ = SigScheme::new(1 << 17, 8);
     }
 
     #[test]
