@@ -88,16 +88,30 @@ echo "== engine vs its reference model, and its zero-allocation bound (release)"
 cargo test --release -q -p rococo-fpga --lib engine::
 cargo test --release -q -p rococo-fpga --test zero_alloc
 
-echo "== validator link and WAL ring on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
+echo "== request hop: no channel shim on the request path, and what it allocates (release)"
+# The shard queue and the reply cell replaced the last Mutex+Condvar
+# channels between a client and a worker; a dependency edge back to the
+# shim is how they would return.
+if grep -n crossbeam crates/server/Cargo.toml; then
+  echo "crates/server/Cargo.toml names crossbeam: the request hop is crates/server/src/hop.rs" >&2
+  exit 1
+fi
+cargo test --release -q -p rococo-server --lib hop::
+cargo test --release -q -p rococo-server --test alloc_per_request
+
+echo "== validator link, WAL ring and request hop on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first
-# livelocks (PR 1's turn-wait) and the second hangs. Both rings wait with
-# rococo-park's helper, which skips its spin phase here.
+# livelocks (PR 1's turn-wait) and the second hangs. All three hops wait
+# with rococo-park's helper; the two rings skip their spin phase here, the
+# request hop never spins.
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-fpga --lib
   taskset -c 0 cargo test --release -q -p rococo-wal --lib
+  taskset -c 0 cargo test --release -q -p rococo-server --lib -- \
+    hop:: a_lone_request_wakes a_dropped_pending_reply a_panicking_backend overload_sheds
 else
-  echo "taskset not found: skipping the one-CPU run of the rococo-fpga and rococo-wal tests"
+  echo "taskset not found: skipping the one-CPU run of the rococo-fpga, rococo-wal and rococo-server hop tests"
 fi
 
 echo "== pinned benchmark builds (its imports are the frozen stats/telemetry surface)"

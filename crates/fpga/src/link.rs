@@ -58,7 +58,7 @@
 use crate::engine::{EngineStats, FpgaVerdict, ValidateRequest};
 use crate::fault::FaultStats;
 use parking_lot::{Mutex, RwLock};
-use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PRODUCER_SPIN};
+use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PARK_AFTER, PRODUCER_SPIN};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -303,7 +303,7 @@ impl Link {
     /// Blocks until the slot is answered, then frees it.
     pub(crate) fn wait_verdict(&self, pos: u64) -> FpgaVerdict {
         let slot = self.slot(pos);
-        slot.waiter.wait(self.submitter_spin, None, || {
+        slot.waiter.wait(self.submitter_spin, PARK_AFTER, None, || {
             decode(slot.verdict.load(Ordering::SeqCst)).is_some()
         });
         self.poll_verdict(pos).expect("waited for the verdict")
@@ -340,10 +340,11 @@ impl Link {
         let _turn = self.scrape_turn.lock();
         self.snapshot_wanted.store(true, Ordering::SeqCst);
         self.validator.wake();
+        let spin = self.submitter_spin;
+        let served =
+            || !self.snapshot_wanted.load(Ordering::SeqCst) || self.dead.load(Ordering::SeqCst);
         // rococo-lint: allow(guard-across-wait) -- `scrape_turn` only orders scrapers among themselves (the mailbox has one parking spot); the validator never takes it
-        self.scraper.wait(self.submitter_spin, None, || {
-            !self.snapshot_wanted.load(Ordering::SeqCst) || self.dead.load(Ordering::SeqCst)
-        });
+        self.scraper.wait(spin, PARK_AFTER, None, served);
         (!self.snapshot_wanted.load(Ordering::SeqCst)).then(|| *self.last_stats.read())
     }
 
@@ -372,11 +373,12 @@ impl Link {
     /// mailbox or the stop flag is raised, or `deadline` passes.
     pub(crate) fn wait_for_work(&self, deadline: Option<Instant>) {
         let pos = self.head.0.load(Ordering::Relaxed);
-        self.validator.wait(self.validator_spin, deadline, || {
-            self.is_published(pos)
-                || self.snapshot_wanted.load(Ordering::SeqCst)
-                || self.is_stopped()
-        });
+        self.validator
+            .wait(self.validator_spin, PARK_AFTER, deadline, || {
+                self.is_published(pos)
+                    || self.snapshot_wanted.load(Ordering::SeqCst)
+                    || self.is_stopped()
+            });
     }
 
     /// Answers the mailbox, if asked.
@@ -421,7 +423,9 @@ impl Link {
             Ordering::SeqCst,
             Ordering::SeqCst,
         ) {
-            Ok(_) => slot.waiter.wake(),
+            Ok(_) => {
+                slot.waiter.wake();
+            }
             Err(ABANDONED) => self.free(pos),
             Err(_) => {}
         }
@@ -455,7 +459,6 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::fault::FaultConfig;
     use crate::service::{PendingVerdict, ValidationService};
-    use rococo_park::PARK_AFTER;
     use std::collections::{HashSet, VecDeque};
     use std::sync::Arc;
 

@@ -1,19 +1,25 @@
 //! `rococo-park`: how a thread waits for another across a ring.
 //!
-//! Two hops in this workspace hand work to a lone consumer thread through
-//! a bounded in-place ring and wait for its answer — submitters and the
-//! validator (`rococo-fpga`'s link), shard workers and the WAL writer
-//! (`rococo-wal`). Both directions of both hops wait with
-//! [`Parker::wait`]: poll for [`PARK_AFTER`] — spinning, with a yield every
-//! so often ([`CONSUMER_SPIN`], [`PRODUCER_SPIN`]; no spinning at all on a
-//! one-CPU host, see [`spin_on_this_host`]) — then publish a `sleeping`
-//! flag, re-check and `thread::park`. The other side calls
-//! [`Parker::wake`] after every store the sleeper may be waiting for and
-//! issues the `unpark` only when it sees the flag, so a busy pipeline
-//! never makes a futex call and a parked side costs nothing.
+//! Three hops in this workspace hand work to another thread through a
+//! bounded ring and wait for its answer — submitters and the validator
+//! (`rococo-fpga`'s link), shard workers and the WAL writer (`rococo-wal`),
+//! both with a lone consumer thread, and clients and a shard's workers
+//! (`rococo-server`'s request hop), whose ring has as many consumers as the
+//! shard has workers, each with a [`Parker`] of its own. Both directions of
+//! all three wait with [`Parker::wait`]: poll for a budget — spinning, with
+//! a yield every so often — then publish a `sleeping` flag, re-check and
+//! `thread::park`. The other side calls [`Parker::wake`] after every store
+//! the sleeper may be waiting for and issues the `unpark` only when it sees
+//! the flag, so a busy pipeline never makes a futex call and a parked side
+//! costs nothing.
 //!
-//! The budgets are constants sized by sweep on the 2-vCPU reference box
-//! (EXPERIMENTS.md, "Validator link"), not knobs.
+//! The budgets are constants sized by sweep on the 2-vCPU reference box,
+//! not knobs, and they are per hop: the validator and the WAL writer poll
+//! for [`PARK_AFTER`] and spin [`CONSUMER_SPIN`] / [`PRODUCER_SPIN`] between
+//! yields (no spinning at all on a one-CPU host, see [`spin_on_this_host`];
+//! EXPERIMENTS.md, "Validator link"); the request hop, whose waiter would
+//! spin on the CPU its only partner needs, passes budgets of its own
+//! (EXPERIMENTS.md, "Request hop").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +29,8 @@ use std::sync::{Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// How long a waiter polls before it parks, both directions. Sized
+/// How long a waiter of the validator link or the WAL ring polls before it
+/// parks, both directions. Sized
 /// against what a park costs on the 2-vCPU reference box: a halted vCPU
 /// takes 60–100 µs to come back from a futex wake, and a shard worker's
 /// batch leaves the consumer without work for 30–50 µs while it drains.
@@ -65,14 +72,15 @@ pub struct Parker {
 
 impl Parker {
     /// Waits until `ready()` holds or `deadline` passes; returns whether it
-    /// holds. Polls for [`PARK_AFTER`] — spinning `spin` at a time with a
-    /// yield in between — then parks. `ready` must read with `SeqCst` what
-    /// the waker wrote with `SeqCst` before calling [`Parker::wake`]: then
-    /// either this side's re-check sees the write or the waker sees
-    /// `sleeping`.
+    /// holds. Polls for `poll` — spinning `spin` at a time with a yield in
+    /// between, so a zero `spin` yields between any two looks — then parks.
+    /// `ready` must read with `SeqCst` what the waker wrote with `SeqCst`
+    /// before calling [`Parker::wake`]: then either this side's re-check
+    /// sees the write or the waker sees `sleeping`.
     pub fn wait(
         &self,
         spin: Duration,
+        poll: Duration,
         deadline: Option<Instant>,
         ready: impl Fn() -> bool,
     ) -> bool {
@@ -87,7 +95,7 @@ impl Parker {
                 return true;
             }
             let now = Instant::now();
-            if now - started >= PARK_AFTER || deadline.is_some_and(|d| now >= d) {
+            if now - started >= poll || deadline.is_some_and(|d| now >= d) {
                 break;
             }
             if now - yielded_at >= spin {
@@ -114,10 +122,14 @@ impl Parker {
         }
     }
 
-    /// Unparks the waiter if it published `sleeping`.
+    /// Unparks the waiter if it published `sleeping`; returns whether this
+    /// call did (of two racing wakers one does), so a waker with several
+    /// sleepers to choose from can stop at the first it woke.
     #[inline]
-    pub fn wake(&self) {
-        if self.sleeping.load(Ordering::SeqCst) && self.sleeping.swap(false, Ordering::SeqCst) {
+    pub fn wake(&self) -> bool {
+        let woke =
+            self.sleeping.load(Ordering::SeqCst) && self.sleeping.swap(false, Ordering::SeqCst);
+        if woke {
             if let Some(thread) = self
                 .thread
                 .lock()
@@ -127,6 +139,7 @@ impl Parker {
                 thread.unpark();
             }
         }
+        woke
     }
 
     /// Whether the waiter has given up polling and is (about to be) parked.
@@ -151,7 +164,7 @@ mod tests {
     #[test]
     fn a_ready_condition_returns_without_parking() {
         let p = Parker::default();
-        assert!(p.wait(PRODUCER_SPIN, None, || true));
+        assert!(p.wait(PRODUCER_SPIN, PARK_AFTER, None, || true));
         assert!(!p.is_sleeping());
     }
 
@@ -160,7 +173,7 @@ mod tests {
         let p = Parker::default();
         let started = Instant::now();
         let deadline = started + Duration::from_millis(5);
-        assert!(!p.wait(PRODUCER_SPIN, Some(deadline), || false));
+        assert!(!p.wait(PRODUCER_SPIN, PARK_AFTER, Some(deadline), || false));
         assert!(started.elapsed() >= Duration::from_millis(5));
         assert!(!p.is_sleeping(), "the flag is lowered on the way out");
     }
@@ -172,7 +185,9 @@ mod tests {
         let waiter = {
             let (p, word) = (Arc::clone(&p), Arc::clone(&word));
             std::thread::spawn(move || {
-                p.wait(PRODUCER_SPIN, None, || word.load(Ordering::SeqCst) == 1)
+                p.wait(PRODUCER_SPIN, PARK_AFTER, None, || {
+                    word.load(Ordering::SeqCst) == 1
+                })
             })
         };
         let started = Instant::now();
@@ -182,7 +197,7 @@ mod tests {
         }
         // A wake without the store is a spurious one: the waiter re-checks
         // and goes back to sleep.
-        p.wake();
+        assert!(p.wake());
         while !p.is_sleeping() {
             assert!(
                 started.elapsed() < Duration::from_secs(10),
@@ -191,8 +206,9 @@ mod tests {
             std::thread::yield_now();
         }
         word.store(1, Ordering::SeqCst);
-        p.wake();
+        assert!(p.wake());
         assert!(waiter.join().expect("waiter panicked"));
+        assert!(!p.wake(), "nobody sleeps there any more");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! [`TxKvConfig::worker_threads`], constructs the chosen backend
 //! (including the hybrid router), and forwards the service surface.
 
+use crate::hop::PendingReply;
 use crate::request::{Request, Response, TxKvError};
-use crate::service::{PendingReply, TxKv, TxKvConfig};
+use crate::service::{TxKv, TxKvConfig};
 use crate::stats::TxKvReport;
 use rococo_sched::HybridTm;
 use rococo_stm::{RococoTm, TinyStm, TmConfig, TsxHtm};

@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod hop;
 mod request;
 mod retry;
 mod service;
@@ -68,7 +69,8 @@ mod shard;
 mod stats;
 
 pub use backend::{AnyTxKv, BackendChoice};
+pub use hop::PendingReply;
 pub use request::{Key, Request, Response, TxKvError};
 pub use retry::RetryPolicy;
-pub use service::{DurabilityConfig, PendingReply, TelemetryConfig, TxKv, TxKvConfig};
+pub use service::{DurabilityConfig, TelemetryConfig, TxKv, TxKvConfig};
 pub use stats::{ShardSnapshot, ShardStats, TxKvReport};

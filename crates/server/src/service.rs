@@ -1,11 +1,11 @@
 //! The TxKV service front-end: configuration, admission, routing,
 //! lifecycle, and (in durable mode) recovery and checkpointing.
 
+use crate::hop::{reply_pair, PendingReply, Refused, ShardQueue};
 use crate::request::{Request, Response, TxKvError};
 use crate::retry::RetryPolicy;
 use crate::shard::{run_worker, Job, WorkerCtx, WorkerWal};
 use crate::stats::{ShardSnapshot, ShardStats, TxKvReport};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::RwLock;
 use rococo_stm::{Addr, TmSystem};
 use rococo_wal::{FsyncPolicy, KillSwitch, RecoveryReport, Wal, WalConfig};
@@ -146,46 +146,6 @@ impl TxKvConfig {
     }
 }
 
-/// A submitted request's future reply. Obtain via [`TxKv::submit`]; wait
-/// with [`PendingReply::wait`].
-#[derive(Debug)]
-pub struct PendingReply {
-    rx: Receiver<Result<(Response, Option<u64>), TxKvError>>,
-}
-
-impl PendingReply {
-    /// Blocks until the shard worker answers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the worker's [`TxKvError`]; returns
-    /// [`TxKvError::ShuttingDown`] if the service stopped before
-    /// answering.
-    pub fn wait(self) -> Result<Response, TxKvError> {
-        self.wait_with_seq().map(|(resp, _)| resp)
-    }
-
-    /// Blocks until the shard worker answers, returning the commit
-    /// sequence number alongside the response. `None` for read-only
-    /// requests (they commit without consuming a sequence number). In
-    /// durable mode the sequence is the on-disk (rebased) one — the
-    /// number the WAL logged and the replication stream ships, so it can
-    /// be used directly as a read-your-writes watermark against a
-    /// follower.
-    ///
-    /// # Errors
-    ///
-    /// As [`PendingReply::wait`].
-    pub fn wait_with_seq(self) -> Result<(Response, Option<u64>), TxKvError> {
-        self.rx.recv().unwrap_or(Err(TxKvError::ShuttingDown))
-    }
-
-    /// Non-blocking poll: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<Response, TxKvError>> {
-        self.rx.try_recv().ok().map(|r| r.map(|(resp, _)| resp))
-    }
-}
-
 /// The TxKV service: sharded queues and worker pools over one shared
 /// transactional heap. See the crate docs for the architecture.
 #[derive(Debug)]
@@ -193,7 +153,7 @@ pub struct TxKv<S: TmSystem + 'static> {
     system: Arc<S>,
     cfg: TxKvConfig,
     table: Addr,
-    senders: Vec<Sender<Job>>,
+    queues: Vec<Arc<ShardQueue>>,
     stats: Vec<Arc<ShardStats>>,
     workers: Vec<JoinHandle<()>>,
     started: Instant,
@@ -355,11 +315,11 @@ impl<S: TmSystem + 'static> TxKv<S> {
         }
 
         let pause = Arc::new(RwLock::new(()));
-        let mut senders = Vec::with_capacity(cfg.shards);
+        let mut queues = Vec::with_capacity(cfg.shards);
         let mut stats = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.worker_threads());
         for shard in 0..cfg.shards {
-            let (tx, rx) = bounded::<Job>(cfg.queue_capacity);
+            let queue = Arc::new(ShardQueue::new(cfg.queue_capacity, cfg.workers_per_shard));
             let shard_stats = Arc::new(ShardStats::default());
             for w in 0..cfg.workers_per_shard {
                 let ctx = WorkerCtx {
@@ -368,7 +328,8 @@ impl<S: TmSystem + 'static> TxKv<S> {
                     thread_id: shard * cfg.workers_per_shard + w,
                     policy: cfg.retry,
                     stats: Arc::clone(&shard_stats),
-                    rx: rx.clone(),
+                    queue: Arc::clone(&queue),
+                    seat: w,
                     pause: Arc::clone(&pause),
                     wal: wal.as_ref().map(|w| WorkerWal {
                         wal: w.client(),
@@ -382,7 +343,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
                     .expect("failed to spawn txkv worker");
                 workers.push(handle);
             }
-            senders.push(tx);
+            queues.push(queue);
             stats.push(shard_stats);
         }
 
@@ -467,7 +428,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
                 system,
                 cfg,
                 table,
-                senders,
+                queues,
                 stats,
                 workers,
                 started,
@@ -581,19 +542,19 @@ impl<S: TmSystem + 'static> TxKv<S> {
             0
         };
         let enqueued_at = Instant::now();
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply, pending) = reply_pair();
         let job = Job {
             req,
             enqueued_at,
             trace,
-            reply: reply_tx,
+            reply,
         };
-        let out = match self.senders[shard].try_send(job) {
+        let out = match self.queues[shard].post(job) {
             Ok(()) => {
                 self.stats[shard].note_enqueued();
-                Ok(PendingReply { rx: reply_rx })
+                Ok(pending)
             }
-            Err(TrySendError::Full(_)) => {
+            Err(Refused::Full) => {
                 self.stats[shard].note_shed();
                 if trace != 0 {
                     // Close the shed request's chain here — no worker
@@ -610,7 +571,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
                 }
                 Err(TxKvError::Overloaded { shard })
             }
-            Err(TrySendError::Disconnected(_)) => Err(TxKvError::ShuttingDown),
+            Err(Refused::Closed) => Err(TxKvError::ShuttingDown),
         };
         if trace != 0 {
             rococo_telemetry::clear_current_trace();
@@ -661,7 +622,9 @@ impl<S: TmSystem + 'static> TxKv<S> {
         if let Some(h) = self.ckpt_thread.take() {
             let _ = h.join();
         }
-        self.senders.clear(); // workers' recv() errors out once queues drain
+        for queue in &self.queues {
+            queue.close(); // workers leave once their queue is drained
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -706,6 +669,7 @@ impl<S: TmSystem + 'static> Drop for TxKv<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hop::tests::spin_until;
     use rococo_stm::{RococoTm, TinyStm, TmConfig, TsxHtm};
 
     fn tiny(cfg: &TxKvConfig) -> Arc<TinyStm> {
@@ -1121,6 +1085,83 @@ mod tests {
         let report = kv.shutdown();
         assert_eq!(report.aggregate.shed, shed);
         assert_eq!(report.aggregate.committed + shed, 2_000);
+    }
+
+    /// A lone request finds every worker parked (the poll budget is a few
+    /// microseconds): `submit` must wake one, and the reply must wake the
+    /// client that parked waiting for it.
+    #[test]
+    fn a_lone_request_wakes_a_parked_worker() {
+        let cfg = TxKvConfig {
+            shards: 1,
+            workers_per_shard: 2,
+            keys: 16,
+            ..TxKvConfig::default()
+        };
+        let kv = TxKv::start(tiny(&cfg), cfg).unwrap();
+        for round in 0..3u64 {
+            spin_until("both workers park", || {
+                kv.queues[0].worker_sleeps(0) && kv.queues[0].worker_sleeps(1)
+            });
+            assert_eq!(
+                kv.call(Request::Add { key: 1, delta: 1 }).unwrap(),
+                Response::Value(round + 1)
+            );
+        }
+        assert_eq!(kv.shutdown().aggregate.committed, 3);
+    }
+
+    /// A client that drops its `PendingReply` abandons the reply, not the
+    /// request: the worker runs it, answers into the void and moves on.
+    #[test]
+    fn a_dropped_pending_reply_does_not_stall_the_worker() {
+        let cfg = TxKvConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            keys: 16,
+            ..TxKvConfig::default()
+        };
+        let kv = TxKv::start(tiny(&cfg), cfg).unwrap();
+        for _ in 0..100 {
+            drop(kv.submit(Request::Add { key: 2, delta: 1 }).unwrap());
+        }
+        // Same shard, same queue, behind the hundred: it sees them all.
+        assert_eq!(
+            kv.call(Request::Get { key: 2 }).unwrap(),
+            Response::Value(100)
+        );
+        assert_eq!(kv.shutdown().aggregate.committed, 101);
+    }
+
+    /// A backend that panics mid-transaction (here: an address off the end
+    /// of the heap, which `submit` would have refused) costs that request an
+    /// `Internal` and nothing else — the worker keeps its seat.
+    #[test]
+    fn a_panicking_backend_still_answers_internal() {
+        let cfg = TxKvConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            keys: 16,
+            ..TxKvConfig::default()
+        };
+        let kv = TxKv::start(tiny(&cfg), cfg).unwrap();
+        let (reply, pending) = reply_pair();
+        kv.queues[0]
+            .post(Job {
+                req: Request::Get { key: 1 << 40 },
+                enqueued_at: Instant::now(),
+                trace: 0,
+                reply,
+            })
+            .unwrap();
+        assert_eq!(pending.wait(), Err(TxKvError::Internal));
+        assert_eq!(
+            kv.call(Request::Get { key: 0 }).unwrap(),
+            Response::Value(0)
+        );
+        let report = kv.shutdown();
+        assert_eq!(report.aggregate.panics, 1);
+        assert_eq!(report.aggregate.committed, 1);
     }
 
     fn durable_cfg(dir: std::path::PathBuf, checkpoint_every: u64) -> TxKvConfig {

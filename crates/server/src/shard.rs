@@ -1,10 +1,18 @@
 //! Shard workers: the threads that drain a shard's queue and run each
 //! request as one transaction.
+//!
+//! A worker allocates nothing per job or per batch: its batch list, and
+//! the in-flight, retry and staged lists and write-set vectors of its
+//! [`Scratch`], keep their capacity for the worker's life. With the queue
+//! slot filled in place (`crate::hop`), the reply cell the client allocates
+//! in `submit` is the only allocation the service adds to a `Get`; what is
+//! left is the backend's own (each in-tree transaction allocates its read
+//! set). `tests/alloc_per_request.rs` holds the service to that.
 
+use crate::hop::{Replier, Reply, ShardQueue};
 use crate::request::{Request, Response, TxKvError};
 use crate::retry::RetryPolicy;
 use crate::stats::ShardStats;
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::RwLock;
 use rococo_stm::{
     commit_deferred, finish_submitted, try_submit, Abort, Addr, Submitted, TmSystem, Transaction,
@@ -19,7 +27,8 @@ use std::time::Instant;
 /// carries the commit sequence number alongside the response (`None` for
 /// read-only commits) so replication-aware clients can derive
 /// read-your-writes watermarks; [`crate::PendingReply::wait`] drops it
-/// for callers that do not care.
+/// for callers that do not care. A job dropped unanswered orphans its
+/// reply cell: the client reads [`TxKvError::ShuttingDown`].
 pub(crate) struct Job {
     pub(crate) req: Request,
     pub(crate) enqueued_at: Instant,
@@ -27,7 +36,7 @@ pub(crate) struct Job {
     /// disabled at submit time). Workers re-stamp their thread's trace
     /// context from this id around every phase of the job's execution.
     pub(crate) trace: u64,
-    pub(crate) reply: Sender<Result<(Response, Option<u64>), TxKvError>>,
+    pub(crate) reply: Replier,
 }
 
 /// The durable half of a worker's context: the WAL client it posts
@@ -92,15 +101,17 @@ fn apply<T: Transaction>(
 }
 
 /// Everything one worker thread needs: the backend, the key table, its
-/// retry/statistics context, the shard queue, the checkpoint pause gate,
-/// and (in durable mode) its WAL client.
+/// retry/statistics context, the shard queue and its seat at it, the
+/// checkpoint pause gate, and (in durable mode) its WAL client.
 pub(crate) struct WorkerCtx<S: TmSystem + ?Sized> {
     pub(crate) system: Arc<S>,
     pub(crate) table: Addr,
     pub(crate) thread_id: usize,
     pub(crate) policy: RetryPolicy,
     pub(crate) stats: Arc<ShardStats>,
-    pub(crate) rx: Receiver<Job>,
+    pub(crate) queue: Arc<ShardQueue>,
+    /// Which of the queue's parking spots is this worker's.
+    pub(crate) seat: usize,
     pub(crate) pause: Arc<RwLock<()>>,
     pub(crate) wal: Option<WorkerWal>,
     pub(crate) max_batch: usize,
@@ -135,6 +146,29 @@ struct Staged {
     posted: Result<Posted, WalDead>,
 }
 
+/// The lists a worker reuses from job to job and batch to batch; all are
+/// empty between batches and keep their capacity.
+struct Scratch<'a, S: TmSystem + ?Sized + 'a> {
+    inflight: Vec<InFlight<'a, S>>,
+    retry: Vec<Job>,
+    staged: Vec<Staged>,
+    /// Write-set vectors not in use. A job takes one; an [`InFlight`]
+    /// keeps it until its verdict lands and [`WorkerEnv::drain`] puts it
+    /// back, so there are never more than `max_batch + 1` of them.
+    spare: Vec<Vec<(u64, u64)>>,
+}
+
+impl<'a, S: TmSystem + ?Sized + 'a> Scratch<'a, S> {
+    fn new(max_batch: usize) -> Self {
+        Self {
+            inflight: Vec::with_capacity(max_batch),
+            retry: Vec::with_capacity(max_batch),
+            staged: Vec::with_capacity(max_batch),
+            spare: Vec::with_capacity(max_batch + 1),
+        }
+    }
+}
+
 /// The per-worker execution environment shared by the batched fast path
 /// and the synchronous fallback.
 struct WorkerEnv<'a, S: TmSystem + ?Sized> {
@@ -165,11 +199,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
     /// Builds the client reply of a commit [`WorkerEnv::post_commit`]
     /// posted, once the durable watermark has passed it — an `Ok` never
     /// leaves before.
-    fn durable_reply(
-        &self,
-        resp: Response,
-        posted: Result<Posted, WalDead>,
-    ) -> Result<(Response, Option<u64>), TxKvError> {
+    fn durable_reply(&self, resp: Response, posted: Result<Posted, WalDead>) -> Reply {
         let durable = posted.and_then(|posted| {
             if let (Some(w), Some(seq), Some(writes)) = (self.wal, posted.seq, posted.logged) {
                 w.wal.wait_durable(seq)?;
@@ -194,12 +224,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
     }
 
     /// The synchronous paths' commit: post, wait, reply.
-    fn committed_reply(
-        &self,
-        resp: Response,
-        seq: Option<u64>,
-        writes: &[(u64, u64)],
-    ) -> Result<(Response, Option<u64>), TxKvError> {
+    fn committed_reply(&self, resp: Response, seq: Option<u64>, writes: &[(u64, u64)]) -> Reply {
         self.durable_reply(resp, self.post_commit(seq, writes))
     }
 
@@ -226,12 +251,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
     /// keep regardless of latency (retried, deferred, panicked) —
     /// errored replies are always force-kept. The client may have
     /// dropped its PendingReply; that is not the worker's problem.
-    fn send_reply(
-        &self,
-        job: Job,
-        reply: Result<(Response, Option<u64>), TxKvError>,
-        force_sample: bool,
-    ) {
+    fn send_reply(&self, job: Job, reply: Reply, force_sample: bool) {
         let latency_ns = job.enqueued_at.elapsed().as_nanos() as u64;
         self.stats.latency.record(latency_ns);
         if job.trace != 0 {
@@ -248,7 +268,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
             );
             rococo_telemetry::clear_current_trace();
         }
-        let _ = job.reply.send(reply);
+        job.reply.answer(reply);
     }
 
     /// Counts a caught backend panic and dumps the flight recorder.
@@ -268,18 +288,19 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
     /// Must only be called with **no pending commits outstanding**: the
     /// backend's `begin` may escalate to the exclusive commit gate, which
     /// would deadlock against this worker's own read guards.
-    fn run_sync(&self, rng: &mut u64, job: Job, prior_attempts: u32) {
+    ///
+    /// `writes` is a spare write-set vector to collect into.
+    fn run_sync(&self, rng: &mut u64, job: Job, prior_attempts: u32, writes: &mut Vec<(u64, u64)>) {
         // Re-attribute this thread's events to the job (another job's
         // transaction may have run on this thread since the
         // asynchronous attempt) and re-tag its scheduling class.
         rococo_telemetry::set_current_trace(job.trace);
         self.system.set_tx_class(self.thread_id, job.req.class());
-        let mut writes: Vec<(u64, u64)> = Vec::new();
         let result = catch_unwind(AssertUnwindSafe(|| {
             self.policy.execute_seq(
                 self.system,
                 self.thread_id,
-                |tx| apply(tx, self.table, &job.req, &mut writes),
+                |tx| apply(tx, self.table, &job.req, writes),
                 |kind| self.stats.record_abort(kind),
                 rng,
             )
@@ -290,7 +311,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
                     u64::from(attempts - 1) + u64::from(prior_attempts),
                     Ordering::Relaxed,
                 );
-                let reply = self.committed_reply(resp, seq, &writes);
+                let reply = self.committed_reply(resp, seq, writes);
                 // A request that needed more than one attempt is tail
                 // material even if it eventually committed fast.
                 let retried = prior_attempts > 0 || attempts > 1;
@@ -328,9 +349,13 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
     /// backend's escalation counter, and a subsequent `begin` may then
     /// block on the exclusive commit gate — safe only once none of our
     /// own pendings still hold gate read guards.
-    fn drain(&self, rng: &mut u64, inflight: &mut Vec<InFlight<'a, S>>) {
-        let mut retry: Vec<Job> = Vec::new();
-        let mut staged: Vec<Staged> = Vec::new();
+    fn drain(&self, rng: &mut u64, scratch: &mut Scratch<'a, S>) {
+        let Scratch {
+            inflight,
+            retry,
+            staged,
+            spare,
+        } = scratch;
         for f in inflight.drain(..) {
             let InFlight {
                 job,
@@ -366,25 +391,30 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
                     self.send_reply(job, Err(TxKvError::Internal), true);
                 }
             }
+            spare.push(writes);
         }
-        self.release(&mut staged);
-        for job in retry {
-            self.run_sync(rng, job, 1);
+        self.release(staged);
+        if !retry.is_empty() {
+            let mut writes = spare.pop().unwrap_or_default();
+            for job in retry.drain(..) {
+                self.run_sync(rng, job, 1, &mut writes);
+            }
+            spare.push(writes);
         }
     }
 }
 
-/// The worker loop: drain the shard queue until every sender is dropped
+/// The worker loop: drain the shard queue until it is closed and empty
 /// (service shutdown), executing jobs in run-to-completion batches and
 /// recording per-shard statistics.
 ///
-/// Each batch pulls up to `max_batch` queued jobs (one blocking `recv`,
-/// then non-blocking `try_recv`s — an empty queue never delays a lone
-/// request), executes each to its validation point, submits the commits
-/// asynchronously, and completes them in verdict order. The validator
-/// round-trip is thereby amortised across the whole batch (the paper's
-/// Figure 6 pipelining, applied at the worker level) instead of being
-/// paid once per job. Jobs the backend cannot commit asynchronously
+/// Each batch pulls up to `max_batch` queued jobs (one blocking
+/// `next_job`, then non-blocking `try_next_job`s — an empty queue never
+/// delays a lone request), executes each to its validation point, submits
+/// the commits asynchronously, and completes them in verdict order. The
+/// validator round-trip is thereby amortised across the whole batch (the
+/// paper's Figure 6 pipelining, applied at the worker level) instead of
+/// being paid once per job. Jobs the backend cannot commit asynchronously
 /// (synchronous backends use a pre-settled pending; ROCoCoTM defers
 /// irrevocable or gate-contended commits) fall back to the synchronous
 /// retry path after the outstanding batch is drained.
@@ -405,7 +435,8 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
         thread_id,
         policy,
         stats,
-        rx,
+        queue,
+        seat,
         pause,
         wal,
         max_batch,
@@ -422,13 +453,13 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
     // Per-worker jitter state; any distinct nonzero seed works.
     let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((thread_id as u64 + 1) << 17);
     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    let mut inflight: Vec<InFlight<'_, S>> = Vec::with_capacity(max_batch);
-    while let Ok(first) = rx.recv() {
+    let mut scratch: Scratch<'_, S> = Scratch::new(max_batch);
+    while let Some(first) = queue.next_job(seat) {
         batch.push(first);
         while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
+            match queue.try_next_job() {
+                Some(job) => batch.push(job),
+                None => break,
             }
         }
         stats.batches.fetch_add(1, Ordering::Relaxed);
@@ -451,7 +482,7 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
             // before it begins — a no-op on non-routing backends, the
             // router's footprint-prediction key on the hybrid.
             env.system.set_tx_class(thread_id, job.req.class());
-            let mut writes: Vec<(u64, u64)> = Vec::new();
+            let mut writes = scratch.spare.pop().unwrap_or_default();
             let submitted = catch_unwind(AssertUnwindSafe(|| {
                 try_submit(env.system, thread_id, &mut |tx| {
                     apply(tx, table, &job.req, &mut writes)
@@ -459,12 +490,13 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
             }));
             match submitted {
                 Ok(Submitted::Pending(pending, resp)) => {
-                    inflight.push(InFlight {
+                    scratch.inflight.push(InFlight {
                         job,
                         pending,
                         resp,
                         writes,
                     });
+                    continue;
                 }
                 Ok(Submitted::Deferred(tx, resp)) => {
                     // The backend demands a synchronous commit (e.g. an
@@ -473,7 +505,7 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
                     // pendings first so the blocking commit cannot
                     // deadlock against our own read guards.
                     stats.deferred.fetch_add(1, Ordering::Relaxed);
-                    env.drain(&mut rng, &mut inflight);
+                    env.drain(&mut rng, &mut scratch);
                     // The drain re-stamped the trace context for its own
                     // jobs; restore this job's before its commit.
                     rococo_telemetry::set_current_trace(job.trace);
@@ -486,7 +518,7 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
                         }
                         Ok(Err(abort)) => {
                             stats.record_abort(abort.kind);
-                            env.run_sync(&mut rng, job, 1);
+                            env.run_sync(&mut rng, job, 1, &mut writes);
                         }
                         Err(_panic) => {
                             env.note_panic();
@@ -496,19 +528,21 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
                 }
                 Ok(Submitted::Aborted(abort)) => {
                     stats.record_abort(abort.kind);
-                    env.drain(&mut rng, &mut inflight);
-                    env.run_sync(&mut rng, job, 1);
+                    env.drain(&mut rng, &mut scratch);
+                    env.run_sync(&mut rng, job, 1, &mut writes);
                 }
                 Err(_panic) => {
                     env.note_panic();
                     env.send_reply(job, Err(TxKvError::Internal), true);
                 }
             }
+            // Every path but the in-flight one is done with its write set.
+            scratch.spare.push(writes);
         }
-        // Run to completion before blocking in `recv` again: an unfinished
-        // pending holds a commit-gate guard and (under ROCoCoTM) an
-        // unpublished sequence number the whole system waits on.
-        env.drain(&mut rng, &mut inflight);
+        // Run to completion before blocking in `next_job` again: an
+        // unfinished pending holds a commit-gate guard and (under ROCoCoTM)
+        // an unpublished sequence number the whole system waits on.
+        env.drain(&mut rng, &mut scratch);
         drop(pause_guard);
     }
     rococo_telemetry::flush_thread();

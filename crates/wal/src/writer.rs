@@ -71,7 +71,7 @@ use crate::kill::{KillPoint, KillSwitch};
 use crate::record::{encode_frame, Checkpoint};
 use crate::recover::{ckpt_file_name, recover, RecoveredState, CKPT_TMP, LOG_FILE};
 use crate::stats::{WalSnapshot, WalStats};
-use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PRODUCER_SPIN};
+use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PARK_AFTER, PRODUCER_SPIN};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -245,7 +245,8 @@ impl Shared {
                 .find(|s| !s.taken.swap(true, Ordering::SeqCst));
             match free {
                 Some(spot) => {
-                    spot.parker.wait(self.producer_spin, None, &ready);
+                    spot.parker
+                        .wait(self.producer_spin, PARK_AFTER, None, &ready);
                     spot.taken.store(false, Ordering::SeqCst);
                 }
                 None => std::thread::yield_now(),
@@ -699,11 +700,13 @@ fn writer_loop(mut st: WriterState) {
         clean: false,
     };
     loop {
-        shared.writer.wait(shared.writer_spin, None, || {
-            shared.is_posted(st.next)
-                || shared.ckpt_wanted.load(Ordering::SeqCst)
-                || shared.state.load(Ordering::SeqCst) != RUNNING
-        });
+        shared
+            .writer
+            .wait(shared.writer_spin, PARK_AFTER, None, || {
+                shared.is_posted(st.next)
+                    || shared.ckpt_wanted.load(Ordering::SeqCst)
+                    || shared.state.load(Ordering::SeqCst) != RUNNING
+            });
         // Posted records first: a checkpoint or a stop is served at a
         // batch boundary with nothing posted behind it.
         if shared.is_posted(st.next) {
