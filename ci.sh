@@ -1,58 +1,42 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, the full test suite, and the
-# telemetry + trace-attribution smokes.
+# Local CI gate: formatting, lints, build, the full test suite, and one
+# telemetry + trace-attribution smoke whose run directory is checked.
 # Run before every push. Works fully offline (all deps are vendored).
 #
-#   ./ci.sh            # the standard gate
-#   ./ci.sh --stress   # + the pinned chaos tier (deterministic seed matrix
-#                      #   over every TM backend, fault-injected ROCoCoTM
-#                      #   included; prints reproducer commands on failure)
-#   ./ci.sh --recovery # + the crash-recovery tier: the seeded kill-point x
-#                      #   fsync-mode matrix (WAL writer killed under load,
-#                      #   recovery checked for prefix consistency)
-#   ./ci.sh --repl     # + the replication tier: the seeded fail-over matrix
-#                      #   (kill points mid-batch-ship / pre-ack /
-#                      #   during-election, partition, lossy links; replicas
-#                      #   checked for convergence and read-your-writes)
-#   ./ci.sh --lint-json # + write the machine-readable lint report to
-#                      #   LINT_report.json (CI artifact)
-#   ./ci.sh --bench-smoke # + short closed-loop and open-loop txkv_load
-#                      #   runs with the emitted JSON rows schema-validated
-#                      #   (bench_check), including an overload run that
-#                      #   must shed, and the pinned benchmark's own smoke
-#                      #   (benchmark/smoke.sh)
-#   ./ci.sh --sched    # + the hybrid-router tier: a short zipfian
-#                      #   `--backend hybrid` run whose JSON row must carry
-#                      #   the sched counter object (bench_check
-#                      #   --require-hybrid) and whose scraped router
-#                      #   metrics must pass telemetry_check --sched
+#   ./ci.sh          # the standard gate
+#   ./ci.sh --full   # + the seeded correctness tiers (chaos, crash
+#                    #   recovery, replication fail-over: each prints
+#                    #   reproducer commands on failure), the hybrid-router
+#                    #   smoke, one open-loop overload run and one
+#                    #   replicated run of the load driver, and the pinned
+#                    #   benchmark's own smoke (benchmark/smoke.sh)
 #
-# The nightly job sets CHAOS_EXTENDED=1, which widens the stress tier to
-# the full seed sweep and the hostile commit-queue geometries,
-# REPL_EXTENDED=1, which widens the replication tier to every
-# service-capable backend with longer runs, and LINT_EXTENDED=1, which
-# re-runs the linter's interprocedural pass with the summary fixpoint
-# solved twice and compared (nondeterminism tripwire).
+# The nightly job runs `NIGHTLY=1 ./ci.sh --full`, which widens the chaos
+# tier to the full seed sweep and the hostile commit-queue geometries,
+# the replication tier to every service-capable backend with longer
+# runs, and re-runs the linter's interprocedural pass with the summary
+# fixpoint solved twice and compared (nondeterminism tripwire).
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STRESS=0
-RECOVERY=0
-REPL=0
-LINT_JSON=0
-BENCH_SMOKE=0
-SCHED=0
+FULL=0
 for arg in "$@"; do
   case "$arg" in
-    --stress) STRESS=1 ;;
-    --recovery) RECOVERY=1 ;;
-    --repl) REPL=1 ;;
-    --lint-json) LINT_JSON=1 ;;
-    --bench-smoke) BENCH_SMOKE=1 ;;
-    --sched) SCHED=1 ;;
+    --full) FULL=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
+EXTENDED=""
+if [[ "${NIGHTLY:-0}" == "1" ]]; then
+  EXTENDED="--extended"
+fi
+
+# Scratch for the smokes below, removed on exit. cargo rewrites
+# benchmark/Cargo.lock in place (the committed one is stale until the
+# next benchmark PR may touch benchmark/): keep it, put it back on exit.
+SCRATCH="$(mktemp -d)"
+cp benchmark/Cargo.lock "$SCRATCH/Cargo.lock"
+trap 'cp "$SCRATCH/Cargo.lock" benchmark/Cargo.lock; rm -rf "$SCRATCH"' EXIT
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
@@ -66,12 +50,8 @@ echo "== rococo-lint (TM-safety invariants; per-rule timing below)"
 # annotation artifact.
 cargo run --release -q -p rococo-lint -- --root . --sarif LINT_report.sarif
 echo "wrote LINT_report.sarif"
-if [[ "$LINT_JSON" == "1" ]]; then
-  cargo run --release -q -p rococo-lint -- --root . --json > LINT_report.json
-  echo "wrote LINT_report.json"
-fi
-if [[ "${LINT_EXTENDED:-0}" == "1" ]]; then
-  echo "== rococo-lint extended (interprocedural summaries re-solved; fixpoint must agree)"
+if [[ "${NIGHTLY:-0}" == "1" ]]; then
+  echo "== rococo-lint nightly (interprocedural summaries re-solved; fixpoint must agree)"
   cargo run --release -q -p rococo-lint -- --root . --verify-fixpoint
 fi
 
@@ -88,14 +68,16 @@ echo "== engine vs its reference model, and its zero-allocation bound (release)"
 cargo test --release -q -p rococo-fpga --lib engine::
 cargo test --release -q -p rococo-fpga --test zero_alloc
 
-echo "== request hop: no channel shim on the request path, and what it allocates (release)"
-# The shard queue and the reply cell replaced the last Mutex+Condvar
-# channels between a client and a worker; a dependency edge back to the
-# shim is how they would return.
-if grep -n crossbeam crates/server/Cargo.toml; then
-  echo "crates/server/Cargo.toml names crossbeam: the request hop is crates/server/src/hop.rs" >&2
+echo "== no vendored shim that stands for nothing: no crossbeam, no serde"
+# The three thread hops (validator link, WAL ring, request hop) replaced
+# every Mutex+Condvar channel on the request path, and the serde derives
+# expanded to nothing; a dependency edge is how either would return.
+if grep -rn 'crossbeam\|serde' --include=Cargo.toml . | grep -v '^./benchmark/'; then
+  echo "a Cargo.toml outside benchmark/ names crossbeam or serde" >&2
   exit 1
 fi
+
+echo "== request hop and what it allocates (release)"
 cargo test --release -q -p rococo-server --lib hop::
 cargo test --release -q -p rococo-server --test alloc_per_request
 
@@ -119,97 +101,51 @@ echo "== pinned benchmark builds (its imports are the frozen stats/telemetry sur
 # makes an API break of what it uses fail CI, not the next benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== telemetry smoke (flight recorder + scraper + trace, schema-validated)"
-TLM_DIR="$(mktemp -d)"
-trap 'rm -rf "$TLM_DIR"' EXIT
-# Durable run so the rococo_wal_* namespace is populated alongside the
-# txkv/tm/fpga/faults metrics; telemetry_check verifies all five.
-cargo run --release -q -p rococo-bench --bin txkv_load -- \
-  --backend rococo --ops 20000 --clients 4 --keys 4096 \
-  --durability always --telemetry "$TLM_DIR" --json none
-cargo run --release -q -p rococo-bench --bin telemetry_check -- "$TLM_DIR"
-cp "$TLM_DIR/metrics.json" METRICS_snapshot.json
-echo "wrote METRICS_snapshot.json"
+echo "== telemetry + attribution smoke (one run directory, checked)"
+bench() { local bin="$1"; shift; cargo run --release -q -p rococo-bench --bin "$bin" -- "$@"; }
+# Durable, tail-sampled ROCoCoTM run: every rococo_* namespace is
+# populated, and run_check holds the directory to every invariant of
+# rococo_telemetry::rundir::check_run_dir (exposition, metrics.json,
+# transaction spans overlapping Detector slices, anomaly dumps, exact
+# stage sums, flow triplets; zero tx spans is a distinct failure).
+bench txkv_load --backend rococo --ops 20000 --clients 4 --keys 4096 \
+  --durability always --telemetry "$SCRATCH/run" --attribution
+bench run_check "$SCRATCH/run" --fpga --wal --attribution
+bench trace_report "$SCRATCH/run" --top 3
+cp "$SCRATCH/run/metrics.json" METRICS_snapshot.json
+cp "$SCRATCH/run/attribution.json" ATTRIBUTION_snapshot.json
+echo "wrote METRICS_snapshot.json ATTRIBUTION_snapshot.json"
 
-echo "== trace smoke (causal tracing + critical-path attribution, checked)"
-ATTR_TMP="$TLM_DIR/trace-smoke"      # lives under TLM_DIR, cleaned by its trap
-mkdir -p "$ATTR_TMP/tlm"
-# Tail-sampled attribution run: the analyzer must reconstruct every
-# sampled chain (stage shares summing to 1), the Perfetto flow triplets
-# must link each chain across lanes, and the trace artifacts must pass
-# the extended telemetry_check (anomaly dumps validated, zero tx spans
-# is a distinct failure).
-cargo run --release -q -p rococo-bench --bin txkv_load -- \
-  --backend rococo --ops 20000 --clients 4 --keys 4096 \
-  --durability always --telemetry "$ATTR_TMP/tlm" --attribution \
-  --json "$ATTR_TMP/bench.json" --label "ci trace attribution smoke"
-cargo run --release -q -p rococo-bench --bin trace_report -- \
-  "$ATTR_TMP/tlm" --check --top 3
-cargo run --release -q -p rococo-bench --bin telemetry_check -- "$ATTR_TMP/tlm"
-cargo run --release -q -p rococo-bench --bin bench_check -- \
-  "$ATTR_TMP/bench.json" --require-attribution
-cp "$ATTR_TMP/tlm/attribution.json" ATTRIBUTION_snapshot.json
-echo "wrote ATTRIBUTION_snapshot.json"
+if [[ "$FULL" == "1" ]]; then
+  echo "== hybrid-router smoke (zipfian mix; the scrape must carry the sched schema)"
+  # When the router pins the whole mix to the HTM fast path (the expected
+  # outcome on this workload) no commit runs the FPGA pipeline, so only
+  # the rococo_sched_ families are required of this run.
+  bench txkv_load --backend hybrid --ops 30000 --shards 2 --workers 2 \
+    --clients 8 --keys 4096 --theta 1.2 --read-pct 20 \
+    --telemetry "$SCRATCH/hybrid"
+  bench run_check "$SCRATCH/hybrid" --sched
 
-if [[ "$BENCH_SMOKE" == "1" ]]; then
-  echo "== bench smoke (closed + open loop txkv_load, JSON rows schema-validated)"
-  BENCH_TMP="$TLM_DIR/bench-smoke"   # lives under TLM_DIR, cleaned by its trap
-  mkdir -p "$BENCH_TMP"
-  # Closed loop with a batch sweep: two rows (batch 1 vs 8) in one report.
-  cargo run --release -q -p rococo-bench --bin txkv_load -- \
-    --backend rococo --ops 30000 --shards 1 --workers 1 --clients 4 \
-    --keys 4096 --batch 1,8 --json "$BENCH_TMP/bench.json" \
-    --label "ci closed-loop smoke"
-  # Open loop offered well past a one-worker shard's capacity with a tiny
-  # queue: the run must shed, and bench_check asserts that it did.
-  cargo run --release -q -p rococo-bench --bin txkv_load -- \
-    --backend rococo --ops 30000 --shards 1 --workers 1 --clients 4 \
-    --keys 4096 --queue 8 --open-loop 40000 --batch 8 \
-    --json "$BENCH_TMP/bench.json" --append \
-    --label "ci open-loop overload smoke"
-  cargo run --release -q -p rococo-bench --bin bench_check -- \
-    "$BENCH_TMP/bench.json" --min-rows 3 --require-open-shed
-  # The committed report must stay schema-clean too.
-  cargo run --release -q -p rococo-bench --bin bench_check -- BENCH_txkv.json
+  echo "== load driver modes (open-loop overload, replicated) still run"
+  # Offered well past a one-worker shard's capacity with a tiny queue.
+  # That such a run sheds instead of queueing is asserted where it can
+  # fail a test: rococo-server's `overload_sheds_instead_of_queueing`,
+  # `hop::tests`, and tier-1 `overload_sheds_typed_error_and_service_stays_live`.
+  bench txkv_load --backend rococo --ops 30000 --shards 1 --workers 1 \
+    --clients 4 --keys 4096 --queue 8 --open-loop 40000 --batch 8
+  bench txkv_load --replicas 2 --quick
+
   echo "== pinned benchmark smoke (benchmark/smoke.sh)"
   benchmark/smoke.sh
-fi
 
-if [[ "$SCHED" == "1" ]]; then
-  echo "== hybrid-router tier (zipfian hybrid smoke: bench row + sched metrics)"
-  SCHED_TMP="$TLM_DIR/sched-smoke"   # lives under TLM_DIR, cleaned by its trap
-  mkdir -p "$SCHED_TMP/tlm"
-  # High-contention zipfian mix on the hybrid router: the emitted row must
-  # carry the sched counter object, and the scraped metrics must cover the
-  # rococo_sched_ namespace with both route paths labelled out.
-  cargo run --release -q -p rococo-bench --bin txkv_load -- \
-    --backend hybrid --ops 30000 --shards 2 --workers 2 --clients 8 \
-    --keys 4096 --theta 1.2 --read-pct 20 \
-    --telemetry "$SCHED_TMP/tlm" --json "$SCHED_TMP/bench.json" \
-    --label "ci hybrid sched smoke"
-  cargo run --release -q -p rococo-bench --bin bench_check -- \
-    "$SCHED_TMP/bench.json" --require-hybrid
-  # --no-fpga: when the router pins the whole mix to the HTM fast path
-  # (the expected outcome on this workload), no software commit runs the
-  # FPGA validation pipeline, so the trace legitimately has no stage
-  # slices. The sched namespace check is what this tier is for.
-  cargo run --release -q -p rococo-bench --bin telemetry_check -- \
-    "$SCHED_TMP/tlm" --no-wal --no-fpga --sched
-fi
+  echo "== chaos tier (pinned seeds; NIGHTLY=1 for the full sweep)"
+  cargo run --release -q -p rococo-chaos --bin chaos -- --pinned --quiet $EXTENDED
 
-if [[ "$STRESS" == "1" || "${CHAOS_EXTENDED:-0}" == "1" ]]; then
-  echo "== chaos stress tier (pinned seeds; CHAOS_EXTENDED=1 for the nightly sweep)"
-  cargo run --release -q -p rococo-chaos --bin chaos -- --pinned --quiet
-fi
-
-if [[ "$RECOVERY" == "1" ]]; then
   echo "== crash-recovery tier (kill-point x fsync-mode matrix, seeded)"
   cargo run --release -q -p rococo-chaos --bin recovery -- --matrix --quiet
-fi
 
-if [[ "$REPL" == "1" || "${REPL_EXTENDED:-0}" == "1" ]]; then
-  echo "== replication tier (seeded fail-over matrix; REPL_EXTENDED=1 for the nightly sweep)"
-  cargo run --release -q -p rococo-chaos --bin repl_cluster -- --matrix --quiet
+  echo "== replication tier (seeded fail-over matrix; NIGHTLY=1 for every backend)"
+  cargo run --release -q -p rococo-chaos --bin repl_cluster -- --matrix --quiet $EXTENDED
 fi
 
 echo "CI OK"

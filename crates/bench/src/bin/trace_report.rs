@@ -1,10 +1,10 @@
-//! trace_report: critical-path attribution analyzer for a
+//! trace_report: critical-path attribution report for a
 //! `txkv_load --telemetry DIR --attribution` run.
 //!
-//! Usage: `trace_report <DIR> [--check] [--top N]`
+//! Usage: `trace_report <DIR> [--top N]`
 //!
-//! Reads `DIR/attribution.json` (one row per tail-sampled request chain,
-//! each decomposed into the critical-path stages of
+//! Reads the run directory's attribution rows (one per tail-sampled
+//! request chain, each decomposed into the critical-path stages of
 //! [`rococo_telemetry::STAGES`]) and prints a stage-attribution table:
 //! for the overall latency-weighted mean and for the requests at p50,
 //! p99 and p999 end-to-end latency, the share of each stage —
@@ -13,89 +13,18 @@
 //! directly, instead of leaving the reader to eyeball Perfetto spans.
 //!
 //! `--top N` additionally lists the N slowest sampled requests with
-//! their dominant stage. `--check` validates the artifact instead of
-//! just summarising it: every row's stage nanoseconds must sum exactly
-//! to its total, shares must be finite and in `[0, 1]`, and every
-//! sampled trace id must have its `s`/`t`/`f` Perfetto flow triplet in
-//! `DIR/trace.json` (the cross-lane request arrows). Exits 0 on
-//! success, 1 with a diagnostic on the first failure — CI runs this
-//! against the trace smoke artifact.
+//! their dominant stage. Report only: `run_check` validates the
+//! directory.
 
-use rococo_telemetry::json::Json;
 use rococo_telemetry::quantile::rank_of;
+use rococo_telemetry::rundir::{read_attribution, AttributionRow as Row};
 use rococo_telemetry::STAGES;
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// One parsed `attribution.json` row.
-struct Row {
-    trace: u64,
-    total_ns: u64,
-    outcome: String,
-    attempts: u32,
-    stage_ns: Vec<u64>,
-}
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("trace_report: FAIL: {msg}");
     ExitCode::FAILURE
-}
-
-fn parse_rows(doc: &Json) -> Result<Vec<Row>, String> {
-    let stages = doc
-        .get("stages")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"stages\" array")?;
-    let names: Vec<&str> = stages.iter().filter_map(Json::as_str).collect();
-    if names != STAGES {
-        return Err(format!(
-            "stage list {names:?} does not match this binary's {STAGES:?}"
-        ));
-    }
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"rows\" array")?;
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, r) in rows.iter().enumerate() {
-        let num = |key: &str| -> Result<f64, String> {
-            r.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("row {i}: missing or non-numeric field {key:?}"))
-        };
-        let stage_obj = match r.get("stage_ns") {
-            Some(Json::Obj(m)) => m,
-            _ => return Err(format!("row {i}: missing \"stage_ns\" object")),
-        };
-        let mut stage_ns = Vec::with_capacity(STAGES.len());
-        for s in STAGES {
-            let v = stage_obj
-                .get(s)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("row {i}: stage_ns missing stage {s:?}"))?;
-            stage_ns.push(v as u64);
-        }
-        if stage_obj.len() != STAGES.len() {
-            return Err(format!(
-                "row {i}: stage_ns has {} entries, expected {}",
-                stage_obj.len(),
-                STAGES.len()
-            ));
-        }
-        out.push(Row {
-            trace: num("trace")? as u64,
-            total_ns: num("total_ns")? as u64,
-            outcome: r
-                .get("outcome")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("row {i}: missing \"outcome\""))?
-                .to_string(),
-            attempts: num("attempts")? as u32,
-            stage_ns,
-        })
-    }
-    Ok(out)
 }
 
 /// Latency-weighted mean stage shares over `rows`.
@@ -183,81 +112,12 @@ fn print_top(rows: &[Row], n: usize) {
     }
 }
 
-/// `--check`: structural validation of every row plus the flow-event
-/// cross-check against `trace.json`.
-fn check(dir: &std::path::Path, rows: &[Row]) -> Result<(), String> {
-    if rows.is_empty() {
-        return Err("attribution.json has zero rows".into());
-    }
-    for r in rows {
-        let sum: u64 = r.stage_ns.iter().sum();
-        if sum != r.total_ns {
-            return Err(format!(
-                "trace {}: stage_ns sums to {} but total_ns is {}",
-                r.trace, sum, r.total_ns
-            ));
-        }
-        if r.total_ns == 0 {
-            return Err(format!("trace {}: zero total_ns", r.trace));
-        }
-        if r.attempts == 0 && r.outcome != "shed" {
-            return Err(format!(
-                "trace {}: zero attempts on outcome {:?}",
-                r.trace, r.outcome
-            ));
-        }
-    }
-    // Every sampled chain must be linked across lanes in the Perfetto
-    // trace by its s/t/f flow triplet (shed chains never reach a worker,
-    // so only "s" and "f" are required for them).
-    let tjson = std::fs::read_to_string(dir.join("trace.json"))
-        .map_err(|e| format!("cannot read trace.json: {e}"))?;
-    let tdoc = Json::parse(&tjson).map_err(|e| format!("trace.json: {e}"))?;
-    let events = tdoc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("trace.json: missing \"traceEvents\"")?;
-    let mut flows: BTreeMap<u64, BTreeSet<char>> = BTreeMap::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
-        if matches!(ph, "s" | "t" | "f") && e.get("name").and_then(Json::as_str) == Some("req") {
-            if let Some(id) = e.get("id").and_then(Json::as_f64) {
-                flows
-                    .entry(id as u64)
-                    .or_default()
-                    .insert(ph.chars().next().expect("matched non-empty phase"));
-            }
-        }
-    }
-    for r in rows {
-        let phases = flows
-            .get(&r.trace)
-            .ok_or_else(|| format!("trace {}: no flow events in trace.json", r.trace))?;
-        let want: &[char] = if r.outcome == "shed" {
-            &['s', 'f']
-        } else {
-            &['s', 't', 'f']
-        };
-        for ph in want {
-            if !phases.contains(ph) {
-                return Err(format!(
-                    "trace {}: flow phase {ph:?} missing in trace.json (have {phases:?})",
-                    r.trace
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let mut dir: Option<PathBuf> = None;
-    let mut do_check = false;
     let mut top = 0usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => do_check = true,
             "--top" => {
                 top = args
                     .next()
@@ -265,7 +125,7 @@ fn main() -> ExitCode {
                     .expect("--top needs a count");
             }
             "--help" | "-h" => {
-                println!("usage: trace_report <DIR> [--check] [--top N]");
+                println!("usage: trace_report <DIR> [--top N]");
                 return ExitCode::SUCCESS;
             }
             other if dir.is_none() => dir = Some(PathBuf::from(other)),
@@ -273,38 +133,19 @@ fn main() -> ExitCode {
         }
     }
     let Some(dir) = dir else {
-        return fail("missing telemetry directory argument");
+        return fail("missing run directory argument");
     };
-    let path = dir.join("attribution.json");
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("cannot read {}: {e}", path.display())),
-    };
-    let doc = match Json::parse(&src) {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("attribution.json: {e}")),
-    };
-    let rows = match parse_rows(&doc) {
+    let (rows, incomplete) = match read_attribution(&dir) {
         Ok(r) => r,
-        Err(e) => return fail(&format!("attribution.json: {e}")),
+        Err(e) => return fail(&e),
     };
     if rows.is_empty() {
-        return fail("attribution.json: zero rows");
+        return fail("no attribution rows");
     }
     print_table(&rows);
     if top > 0 {
         print_top(&rows, top);
     }
-    if do_check {
-        if let Err(e) = check(&dir, &rows) {
-            return fail(&e);
-        }
-        let incomplete = doc.get("incomplete").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        println!(
-            "trace_report: OK ({} rows checked, {} incomplete chains dropped upstream, flows verified)",
-            rows.len(),
-            incomplete
-        );
-    }
+    println!("({incomplete} incomplete chains dropped upstream)");
     ExitCode::SUCCESS
 }

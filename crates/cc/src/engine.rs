@@ -3,11 +3,10 @@
 use crate::policies::CcPolicy;
 use rococo_core::order::Footprint;
 use rococo_trace::{Trace, TxnTrace};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Why a replayed transaction aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// A lock conflict with a concurrent transaction (pessimistic CC).
     LockConflict,
@@ -78,7 +77,7 @@ impl TxnView<'_> {
 }
 
 /// Aggregate statistics of one replay.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CcStats {
     /// Transactions replayed.
     pub total: usize,

@@ -3,11 +3,10 @@
 use crate::engine::run_policy;
 use crate::policies::{CcPolicy, Rococo, Tocc, TwoPhaseLocking};
 use rococo_trace::{eigen_trace, EigenConfig};
-use serde::{Deserialize, Serialize};
 
 /// One Figure 9 data point: mean abort rates of the three CC algorithms at
 /// one (`N`, `T`) setting, averaged over seeded traces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig9Point {
     /// Locations accessed per transaction (`N`).
     pub accesses: usize,
@@ -24,7 +23,7 @@ pub struct Fig9Point {
 }
 
 /// Parameters of a Figure 9 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Config {
     /// Access counts to sweep (the paper uses 4, 8, …, 32).
     pub access_counts: Vec<usize>,

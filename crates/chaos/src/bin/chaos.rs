@@ -14,7 +14,7 @@
 //!   over every backend, including fault-injected ROCoCoTM runs with a
 //!   tiny commit queue;
 //! * `--extended`: the nightly sweep — many seeds, more thread counts and
-//!   queue geometries (also enabled by `CHAOS_EXTENDED=1`);
+//!   queue geometries;
 //! * `--shrink`: when a run fails, search for a smaller configuration
 //!   that still fails before printing the reproducer.
 //!
@@ -53,7 +53,7 @@ fn parse_args() -> Args {
         all_backends: false,
         do_shrink: false,
         pinned: false,
-        extended: std::env::var("CHAOS_EXTENDED").is_ok_and(|v| v == "1"),
+        extended: false,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);

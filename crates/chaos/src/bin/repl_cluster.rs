@@ -6,13 +6,13 @@
 //!              [--kill none|mid-batch-ship|pre-ack|during-election]
 //!              [--followers N] [--clients N] [--ops N] [--bank-keys N]
 //!              [--partition] [--drop-pct N] [--reorder-pct N]
-//!              [--matrix] [--quiet]
+//!              [--matrix] [--extended] [--quiet]
 //! ```
 //!
 //! * default: run the given configuration once per seed;
 //! * `--matrix`: the CI tier — fault-free, every kill point, partition,
-//!   and lossy-link scenarios over a fixed seed set (`ci.sh --repl` runs
-//!   this). Setting `REPL_EXTENDED=1` widens the matrix to every
+//!   and lossy-link scenarios over a fixed seed set (`ci.sh --full` runs
+//!   this); `--extended` (the nightly tier) widens the matrix to every
 //!   service-capable backend with longer runs.
 //!
 //! Exits non-zero on any oracle violation — lost acked writes, broken
@@ -31,6 +31,7 @@ struct Args {
     params: ClusterParams,
     seeds: Vec<u64>,
     matrix: bool,
+    extended: bool,
     quiet: bool,
 }
 
@@ -39,7 +40,7 @@ fn usage() -> ! {
         "usage: repl_cluster [--backend NAME] [--seed N | --seeds a,b,c] \
          [--kill none|mid-batch-ship|pre-ack|during-election] [--followers N] [--clients N] \
          [--ops N] [--bank-keys N] [--partition] [--drop-pct N] [--reorder-pct N] \
-         [--matrix] [--quiet]"
+         [--matrix] [--extended] [--quiet]"
     );
     std::process::exit(2);
 }
@@ -56,6 +57,7 @@ fn parse_args() -> Args {
         params: ClusterParams::default(),
         seeds: Vec::new(),
         matrix: false,
+        extended: false,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -108,6 +110,7 @@ fn parse_args() -> Args {
                 args.params.reorder_pct = parse_num(&value(&mut it, "--reorder-pct")) as u32;
             }
             "--matrix" => args.matrix = true,
+            "--extended" => args.extended = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => usage(),
             other => {
@@ -145,15 +148,14 @@ fn main() -> ExitCode {
     };
 
     if args.matrix {
-        let extended = std::env::var("REPL_EXTENDED").is_ok_and(|v| v == "1");
         let base = ClusterParams {
             followers: 2,
             clients: 3,
-            ops_per_client: if extended { 250 } else { 80 },
+            ops_per_client: if args.extended { 250 } else { 80 },
             bank_keys: 8,
             ..ClusterParams::default()
         };
-        let backends: &[BackendKind] = if extended {
+        let backends: &[BackendKind] = if args.extended {
             &RECOVERY_BACKENDS
         } else {
             &[BackendKind::Tiny]

@@ -23,6 +23,7 @@
 //! every fail-over is the durability oracle.
 
 use crate::driver::BackendKind;
+use crate::recovery::xorshift;
 use parking_lot::Mutex;
 use rococo_repl::{
     Cluster, ClusterConfig, FailoverReport, LinkConfig, LinkFaults, ReplError, ReplKillPoint,
@@ -667,15 +668,6 @@ fn check_read_your_writes<S: TmSystem + 'static>(
             .violations
             .push(format!("follower {f} read failed: {e}")),
     }
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// Runs the scenario matrix — fault-free, every kill point, partition,

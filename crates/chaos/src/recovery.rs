@@ -402,7 +402,9 @@ fn call_until_admitted<S: TmSystem + 'static>(
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
+/// The workload generator of both service harnesses (this one and
+/// [`crate::cluster`]): pinned seeds replay the same schedules in each.
+pub(crate) fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;

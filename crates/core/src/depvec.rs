@@ -1,6 +1,5 @@
 //! Bit vectors over window slots (the `f`, `b`, `p`, `s` vectors of Fig. 4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A bit vector indexed by window slot, used for the adjacency vectors `f`
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// The capacity is fixed at construction (the window size `W`); all binary
 /// operations require equal capacities.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DepVec {
     bits: usize,
     words: Vec<u64>,

@@ -2,7 +2,6 @@
 
 use rococo_core::{DepVec, RejectReason, RococoValidator, Seq};
 use rococo_sigs::{PrehashedAddr, Sig, SigScheme};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the validation engine.
 #[derive(Debug, Clone)]
@@ -28,7 +27,7 @@ impl Default for EngineConfig {
 /// than signature, so that the query operation on signatures can be used to
 /// minimize the possibility of false positivity" (section 5.3), plus its
 /// `ValidTS` snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateRequest {
     /// Caller-chosen transaction identifier, echoed in the verdict.
     pub tx_id: u64,
@@ -41,7 +40,7 @@ pub struct ValidateRequest {
 }
 
 /// The verdict pushed back to the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FpgaVerdict {
     /// The transaction may commit; it was assigned this global commit
     /// sequence number (the order in which the Manager admitted it).
@@ -74,7 +73,7 @@ impl FpgaVerdict {
 rococo_telemetry::stats_block! {
     /// Aggregate statistics of the engine: plain counters, bumped by the
     /// one thread that owns the engine.
-    #[derive(Copy, Serialize, Deserialize)]
+    #[derive(Copy)]
     pub struct EngineStats;
 
     counters {

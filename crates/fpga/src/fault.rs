@@ -17,13 +17,11 @@
 //! conservative FPGA — the protocol must tolerate them without any
 //! correctness loss.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the fault injector. All probabilities are per-request
 /// and drawn from a deterministic generator seeded with [`FaultConfig::seed`]
 /// (decision `n` of a run is a pure function of the seed, independent of
 /// wall-clock time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the injection decision stream.
     pub seed: u64,
@@ -120,7 +118,7 @@ rococo_telemetry::stats_block! {
     pub struct FaultStats;
     /// A point-in-time copy of [`FaultStats`], surfaced by service layers
     /// so operators can tell injected chaos apart from organic aborts.
-    #[derive(Copy, Serialize, Deserialize)]
+    #[derive(Copy)]
     pub struct FaultSnapshot;
 
     groups {

@@ -1,7 +1,6 @@
 //! Stage-accurate timing model of the validation pipeline.
 
 use crate::engine::{FpgaVerdict, ValidateRequest, ValidationEngine};
-use serde::{Deserialize, Serialize};
 
 /// Timing parameters of the simulated CPU–FPGA platform.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// filter being the critical path), around 200 ns for an FPGA read hit in
 /// the shared LLC and under 400 ns for a write-back, i.e. a sub-600 ns
 /// round trip over the QPI-based low-latency channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// FPGA clock frequency in hertz.
     pub clock_hz: f64,
@@ -86,7 +85,7 @@ impl TimingModel {
 }
 
 /// Timing statistics accumulated by a [`PipelinedValidator`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineStats {
     /// Requests timed.
     pub requests: u64,

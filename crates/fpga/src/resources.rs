@@ -20,10 +20,8 @@
 //! model gets exactly right for DSPs (223 ≈ k × lanes) and BRAM
 //! (history signatures + shell buffers).
 
-use serde::{Deserialize, Serialize};
-
 /// Device capacities of the Arria 10 10AX115 used on HARP2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Device {
     /// Adaptive logic modules.
     pub alms: u64,
@@ -52,7 +50,7 @@ impl Device {
 }
 
 /// Design parameters of the validation pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesignPoint {
     /// Sliding-window capacity `W`.
     pub window: usize,
@@ -77,7 +75,7 @@ impl DesignPoint {
 }
 
 /// Modelled resource consumption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceEstimate {
     /// Flip-flops.
     pub registers: u64,
@@ -104,7 +102,7 @@ impl ResourceEstimate {
 }
 
 /// Utilisation fractions (1.0 = 100 %).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Utilisation {
     /// Register utilisation.
     pub registers: f64,

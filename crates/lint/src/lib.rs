@@ -325,7 +325,7 @@ fn rel_path(root: &Path, path: &Path) -> String {
 #[derive(Debug, Default, Clone)]
 pub struct Options {
     /// Re-run the summary fixpoint from scratch and require the two
-    /// solutions to agree (the `LINT_EXTENDED=1` nondeterminism check).
+    /// solutions to agree (the nightly nondeterminism check).
     pub verify_fixpoint: bool,
 }
 

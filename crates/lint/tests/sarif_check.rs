@@ -1,10 +1,9 @@
-//! SARIF and JSON emitter checks, telemetry_check-style: the SARIF log
+//! SARIF and JSON emitter checks: the SARIF log
 //! for a pinned fixture must match the golden file byte-for-byte
 //! (regenerate with `LINT_BLESS=1 cargo test -p rococo-lint --test
 //! sarif_check`), and both emitters must round-trip through the
-//! in-tree JSON parser from `rococo-telemetry` — the linter has no
-//! serde, so the escaping rules are hand-rolled and deserve a real
-//! decoder on the other end.
+//! in-tree JSON parser from `rococo-telemetry` — the linter's escaping
+//! rules are hand-rolled and deserve a real decoder on the other end.
 
 use rococo_lint::{lint_sources, LintReport, SourceFile};
 use rococo_telemetry::json::Json;

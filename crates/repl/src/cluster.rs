@@ -48,7 +48,6 @@ use crate::kill::{ReplKillPoint, ReplKillSwitch};
 use crate::link::{link, LinkConfig, LinkStats, LinkTx};
 use crate::stats::{ReplSnapshot, ReplStats};
 use crate::stream::StreamBatch;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use rococo_server::{
     DurabilityConfig, Request, Response, RetryPolicy, TxKv, TxKvConfig, TxKvError, TxKvReport,
@@ -60,6 +59,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -309,7 +309,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
         let stop = Arc::new(AtomicBool::new(false));
         let poisoned = Arc::new(AtomicBool::new(false));
         let shipped_seq = Arc::new(AtomicU64::new(0));
-        let (nack_tx, nack_rx) = unbounded::<(u32, u64)>();
+        let (nack_tx, nack_rx) = channel::<(u32, u64)>();
 
         let mut followers = Vec::with_capacity(cfg.followers);
         let mut links = Vec::with_capacity(cfg.followers);

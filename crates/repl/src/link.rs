@@ -11,8 +11,8 @@
 //! *partitioned* — every frame silently dropped until healed — which is
 //! how the chaos driver models a network partition.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -93,7 +93,7 @@ pub struct LinkStats {
 
 /// The sending half, owned by the shipper.
 pub struct LinkTx {
-    tx: Sender<Frame>,
+    tx: SyncSender<Frame>,
     cfg: LinkConfig,
     rng: u64,
     /// A frame held back by the reorder fault, sent after its successor.
@@ -110,7 +110,7 @@ pub struct LinkRx {
 /// Creates a link; returns the two halves plus the shared partition
 /// flag and stats the cluster keeps for control and observability.
 pub fn link(cfg: LinkConfig) -> (LinkTx, LinkRx, Arc<AtomicBool>, Arc<LinkStats>) {
-    let (tx, rx) = bounded(cfg.capacity.max(1));
+    let (tx, rx) = sync_channel(cfg.capacity.max(1));
     let partitioned = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(LinkStats::default());
     (

@@ -68,7 +68,7 @@ mod service;
 mod shard;
 mod stats;
 
-pub use backend::{AnyTxKv, BackendChoice};
+pub use backend::BackendChoice;
 pub use hop::PendingReply;
 pub use request::{Key, Request, Response, TxKvError};
 pub use retry::RetryPolicy;

@@ -71,10 +71,8 @@ impl TelemetryConfig {
 /// Service configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TxKvConfig {
-    /// Which TM runtime executes requests. Only consulted by
-    /// [`AnyTxKv::start`](crate::AnyTxKv::start), which constructs the
-    /// backend from configuration; the generic [`TxKv::start`] takes the
-    /// already-built system and ignores this field.
+    /// Which TM runtime a harness should build for this configuration.
+    /// [`TxKv::start`] takes the already-built system and ignores it.
     pub backend: crate::BackendChoice,
     /// Number of shards (request queues). Requests are hash-routed by
     /// primary key; sharding partitions the queueing and the statistics,
@@ -171,16 +169,8 @@ pub struct TxKv<S: TmSystem + 'static> {
     tlm_thread: Option<JoinHandle<()>>,
 }
 
-/// Writes `contents` to `dir/name` atomically (temp file + rename), so
-/// concurrent readers never observe a torn snapshot.
-fn write_atomic(dir: &std::path::Path, name: &str, contents: &str) -> std::io::Result<()> {
-    let tmp = dir.join(format!(".{name}.tmp"));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, dir.join(name))
-}
-
 /// One telemetry scrape: gathers every subsystem's counters into a
-/// registry and rewrites `metrics.prom` / `metrics.json` in `dir`.
+/// registry and rewrites the run directory's metrics files.
 fn scrape_metrics<S: TmSystem + ?Sized>(
     system: &S,
     stats: &[Arc<ShardStats>],
@@ -213,9 +203,7 @@ fn scrape_metrics<S: TmSystem + ?Sized>(
     }
     // Backend-specific families (e.g. the hybrid's `rococo_sched_*`).
     system.export_extra_metrics(&mut reg);
-    let _ = std::fs::create_dir_all(dir);
-    let _ = write_atomic(dir, "metrics.prom", &reg.render_prometheus());
-    let _ = write_atomic(dir, "metrics.json", &reg.render_json());
+    let _ = rococo_telemetry::rundir::write_metrics(dir, &reg);
 }
 
 impl<S: TmSystem + 'static> TxKv<S> {

@@ -1,8 +1,8 @@
-//! End-to-end telemetry artifact validation: run TxKv on ROCoCoTM with
-//! the flight recorder and metrics scraper on, then schema-check all
-//! three artifacts — Prometheus text, JSON snapshot, and the Chrome
-//! trace — including the requirement that at least one transaction span
-//! overlaps an FPGA stage slice on the shared timeline.
+//! End-to-end run-directory validation: run TxKv on ROCoCoTM with the
+//! flight recorder and metrics scraper on, export the run directory, and
+//! hold it to `rococo_telemetry::rundir::check_run_dir` — the checker CI
+//! runs (`run_check`), including the requirement that a Detector slice
+//! overlaps a transaction span on the shared timeline.
 //!
 //! Own integration-test binary: the flight recorder is process-global.
 //! (The exposition-shape test below may run beside it: it reads only its
@@ -10,18 +10,17 @@
 
 use rococo_server::{DurabilityConfig, Request, TelemetryConfig, TxKv, TxKvConfig};
 use rococo_stm::{RococoTm, TmConfig, TmSystem};
-use rococo_telemetry::json::Json;
-use rococo_telemetry::{build_tx_trace, validate_prometheus, FPGA_PID, TX_PID};
+use rococo_telemetry::rundir::{self, check_run_dir, Expect};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
 #[test]
-fn artifacts_pass_schema_validation_and_spans_overlap() {
+fn a_real_run_directory_passes_the_checker() {
     let dir = std::env::temp_dir().join(format!("rococo-tlm-artifacts-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    rococo_telemetry::enable(rococo_telemetry::DEFAULT_RING_EVENTS);
+    rundir::start(false);
 
     let cfg = TxKvConfig {
         shards: 2,
@@ -48,24 +47,18 @@ fn artifacts_pass_schema_validation_and_spans_overlap() {
     }
     let report = kv.shutdown();
     assert!(report.aggregate.committed >= 400);
+    rundir::export(&dir, false).expect("run directory written");
 
-    let events = rococo_telemetry::drain_events();
-    let lanes = rococo_telemetry::lane_names();
-    rococo_telemetry::disable();
+    let expect = Expect {
+        fpga: true,
+        ..Expect::default()
+    };
+    let checked = check_run_dir(&dir, expect).unwrap_or_else(|e| panic!("{e}"));
+    assert!(checked.prom_samples > 0 && checked.trace_events > 0);
 
-    // --- metrics.prom: strict text-format validation + namespaces ----
-    let prom = std::fs::read_to_string(dir.join("metrics.prom")).expect("scraper wrote prom");
-    let samples = validate_prometheus(&prom).expect("valid Prometheus exposition");
-    assert!(samples > 0);
-    for prefix in ["rococo_txkv_", "rococo_tm_", "rococo_fpga_"] {
-        assert!(
-            prom.lines()
-                .any(|l| !l.starts_with('#') && l.starts_with(prefix)),
-            "missing {prefix} samples in:\n{prom}"
-        );
-    }
     // The final scrape runs after worker shutdown, so it covers the
     // whole run: committed counts must agree with the report.
+    let prom = std::fs::read_to_string(dir.join(rundir::METRICS_PROM)).expect("scraper wrote prom");
     let committed_line = prom
         .lines()
         .find(|l| l.starts_with("rococo_txkv_committed_total "))
@@ -77,44 +70,6 @@ fn artifacts_pass_schema_validation_and_spans_overlap() {
         .parse()
         .unwrap();
     assert_eq!(committed as u64, report.aggregate.committed);
-
-    // --- metrics.json: parses, non-empty metric entries --------------
-    let mjson = std::fs::read_to_string(dir.join("metrics.json")).expect("scraper wrote json");
-    let doc = Json::parse(&mjson).expect("valid JSON snapshot");
-    let metrics = doc.get("metrics").unwrap().as_arr().unwrap();
-    assert!(!metrics.is_empty());
-    assert!(metrics
-        .iter()
-        .all(|m| m.get("name").and_then(Json::as_str).is_some()));
-
-    // --- trace: tx spans overlapping FPGA stage slices ---------------
-    let trace = build_tx_trace(&events, &lanes);
-    let tdoc = Json::parse(&trace).expect("valid trace JSON");
-    let evs = tdoc.get("traceEvents").unwrap().as_arr().unwrap();
-    let span = |e: &Json, name: &str, pid: u32| -> Option<(f64, f64)> {
-        (e.get("name").and_then(Json::as_str) == Some(name)
-            && e.get("ph").and_then(Json::as_str) == Some("X")
-            && e.get("pid").and_then(Json::as_f64) == Some(pid as f64))
-        .then(|| {
-            (
-                e.get("ts").unwrap().as_f64().unwrap(),
-                e.get("dur").unwrap().as_f64().unwrap(),
-            )
-        })
-    };
-    let tx: Vec<_> = evs.iter().filter_map(|e| span(e, "tx", TX_PID)).collect();
-    let det: Vec<_> = evs
-        .iter()
-        .filter_map(|e| span(e, "detector", FPGA_PID))
-        .collect();
-    assert!(!tx.is_empty(), "no transaction spans in trace");
-    assert!(!det.is_empty(), "no detector stage slices in trace");
-    assert!(
-        tx.iter().any(|(tts, tdur)| det
-            .iter()
-            .any(|(dts, ddur)| dts < &(tts + tdur) && tts < &(dts + ddur))),
-        "no tx span overlaps a detector slice"
-    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -138,7 +93,7 @@ fn scraped_exposition<S: TmSystem + 'static>(tm: S, cfg: TxKvConfig, dir: &Path)
         });
     }
     kv.shutdown();
-    std::fs::read_to_string(dir.join("tlm/metrics.prom")).expect("scraper wrote prom")
+    std::fs::read_to_string(dir.join("tlm").join(rundir::METRICS_PROM)).expect("scraper wrote prom")
 }
 
 /// Folds one exposition into `shape`: per metric family its TYPE, HELP

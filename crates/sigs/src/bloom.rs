@@ -1,7 +1,6 @@
 //! Partitioned bloom-filter signatures.
 
 use crate::hash::MultiplyShift;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of partitions a scheme supports (bounds a stack buffer on
@@ -271,7 +270,7 @@ impl PrehashedAddr {
 /// All set-algebra operations (`union_with`, `intersect`, `overlaps`) are
 /// geometry-agnostic bitwise operations; insertion and membership query live
 /// on [`SigScheme`].
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Sig {
     words: Vec<u64>,
 }

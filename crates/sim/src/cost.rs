@@ -13,10 +13,9 @@
 //! 14→28 scaling against signature-based ROCoCoTM).
 
 use rococo_fpga::TimingModel;
-use serde::{Deserialize, Serialize};
 
 /// Per-system simulation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// Physical cores of the simulated machine (HARP2: 14).
     pub cores: usize,

@@ -5,12 +5,11 @@ use crate::workload::Workload;
 use rococo_fpga::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 use rococo_sigs::splitmix64;
 use rococo_stm::{AbortKind, TxnRecord};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// The TM systems the simulator models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimSystem {
     /// TinySTM-style LSA (lazy word-based STM).
     TinyStm,
@@ -41,7 +40,7 @@ impl SimSystem {
 }
 
 /// Result of one simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimOutcome {
     /// System simulated.
     pub system: SimSystem,

@@ -1,7 +1,6 @@
 //! Workloads: phase-structured transaction traces for the simulator.
 
 use rococo_stm::TxnRecord;
-use serde::{Deserialize, Serialize};
 
 /// A phase-structured transaction trace.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// application (kmeans iterations, genome's three phases, …): the
 /// simulator drains one phase completely before starting the next, exactly
 /// like the application's barriers do.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Workload {
     /// Transactions per phase, in commit order.
     pub phases: Vec<Vec<TxnRecord>>,

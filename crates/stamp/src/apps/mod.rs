@@ -11,10 +11,9 @@ pub mod yada;
 
 use crate::harness::Preset;
 use rococo_stm::TmSystem;
-use serde::{Deserialize, Serialize};
 
 /// A STAMP benchmark configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppId {
     /// Gene sequencing: segment deduplication + overlap matching.
     Genome,

@@ -4,11 +4,10 @@ use crate::apps::{self, AppId, AppResult};
 use rococo_stm::{
     GlobalLockTm, RococoTm, SeqTm, StatsSnapshot, TinyStm, TmConfig, TmSystem, TsxHtm,
 };
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// The TM systems Figure 10 compares (plus two reference systems).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Sequential reference (speedup baseline; single-threaded only).
     Seq,
@@ -45,7 +44,7 @@ impl SystemKind {
 }
 
 /// Input-size presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Preset {
     /// Seconds-long unit-test sizes.
     Tiny,
@@ -56,7 +55,7 @@ pub enum Preset {
 }
 
 /// The outcome of one (app, system, threads) run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Outcome {
     /// The application.
     pub app: AppId,

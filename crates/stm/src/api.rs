@@ -1,12 +1,11 @@
 //! The TM-system interface shared by every runtime.
 
 use crate::heap::{Addr, TmHeap, Word};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::Ordering;
 
 /// Why a transaction aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortKind {
     /// Eagerly detected conflict on the CPU side (lock conflict, doomed by
     /// a concurrent transaction, stale read / broken snapshot).
@@ -107,7 +106,7 @@ impl fmt::Display for Abort {
 impl std::error::Error for Abort {}
 
 /// Construction parameters common to all TM systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmConfig {
     /// Heap capacity in 64-bit words.
     pub heap_words: usize,
@@ -511,7 +510,6 @@ rococo_telemetry::stats_block! {
     /// coherent-enough view with [`TmStats::snapshot`].
     pub struct TmStats;
     /// A point-in-time copy of [`TmStats`].
-    #[derive(Serialize, Deserialize)]
     pub struct StatsSnapshot;
 
     counters {

@@ -13,12 +13,11 @@ use crate::api::{Abort, PendingCommit, TmConfig, TmStats, TmSystem, Transaction}
 use crate::heap::{Addr, TmHeap, Word};
 use crate::seq::SeqTm;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One committed transaction's footprint.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TxnRecord {
     /// Deduplicated read set (addresses, excluding read-own-write hits).
     pub reads: Vec<u64>,

@@ -112,7 +112,7 @@ pub fn group_chains(events: &[EventRecord]) -> Vec<(u64, Vec<EventRecord>)> {
 
 /// Validates that one request's chain is *stage-monotone*: the
 /// lifecycle events appear in causally legal order. Used by the chaos
-/// trace-completeness oracle and `trace_report --check`.
+/// trace-completeness oracle.
 ///
 /// Rules: the chain starts with exactly one `Ingress` and ends with
 /// exactly one `Reply`; timestamps never go backwards; at most one
@@ -308,31 +308,6 @@ pub fn attribute(chain: &[EventRecord]) -> Option<Attribution> {
     })
 }
 
-/// Latency-weighted aggregate stage shares over a set of attributions:
-/// summed per-stage nanoseconds over summed totals. Sums to 1.0 for a
-/// non-empty input with non-zero total time; all zeros otherwise.
-pub fn aggregate_shares(attrs: &[Attribution]) -> [f64; STAGE_COUNT] {
-    let mut stage_sums = [0u64; STAGE_COUNT];
-    let mut total = 0u64;
-    for a in attrs {
-        for (acc, s) in stage_sums.iter_mut().zip(a.stage_ns.iter()) {
-            *acc += s;
-        }
-        total += a.total_ns;
-    }
-    let mut out = [0.0; STAGE_COUNT];
-    if total == 0 {
-        return out;
-    }
-    let mut partial = 0.0;
-    for i in 0..STAGE_COUNT - 1 {
-        out[i] = stage_sums[i] as f64 / total as f64;
-        partial += out[i];
-    }
-    out[STAGE_COUNT - 1] = (1.0 - partial).max(0.0);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,14 +486,5 @@ mod tests {
         assert_eq!(chains[0].1.len(), 2);
         assert!(chains[0].1[0].ns <= chains[0].1[1].ns);
         assert_eq!(chains[1].0, 2);
-    }
-
-    #[test]
-    fn aggregate_shares_sum_to_one() {
-        let chain = committed_chain();
-        let a = attribute(&chain).unwrap();
-        let agg = aggregate_shares(&[a.clone(), a]);
-        assert!((agg.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert_eq!(aggregate_shares(&[]), [0.0; STAGE_COUNT]);
     }
 }

@@ -1,8 +1,7 @@
 //! Minimal JSON support: string escaping for the renderers and a strict
 //! recursive-descent parser for the artifact schema tests and the CI
-//! smoke checker. The vendored `serde` shim is declaration-only, so all
-//! JSON in this workspace is hand-rendered; this module is the one place
-//! that knows how to read it back.
+//! smoke checker. All JSON in this workspace is hand-rendered; this
+//! module is the one place that knows how to read it back.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -29,9 +29,10 @@
 //!    occupancy on a shared timeline, either live from drained recorder
 //!    events or from the cycle-level pipeline simulator (`trace_dump`).
 //!
-//! The [`json`] module is a minimal JSON escape/parse helper used by the
-//! renderers and by the artifact schema tests; it exists because the
-//! vendored `serde` shim is declaration-only and serializes nothing.
+//! What a recorded run leaves on disk — the *run directory* — has one
+//! writer, one reader and one checker, all in [`rundir`]. The [`json`]
+//! module is the minimal JSON escape/parse helper under them and under
+//! the renderers.
 //!
 //! On top of the recorder sit the causal-tracing pieces: every
 //! [`EventRecord`] carries the emitting thread's current *trace id*
@@ -40,8 +41,8 @@
 //! for tail-latency and failed requests, and [`attr`] decomposes a
 //! sampled chain's end-to-end latency into critical-path stages. The
 //! [`quantile`] module is the one shared implementation of
-//! nearest-rank percentile selection, under the histogram and under the
-//! bench harness's sorted samples.
+//! nearest-rank percentile selection, under the histogram and under
+//! `trace_report`'s sorted samples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,11 +53,12 @@ pub mod json;
 pub mod quantile;
 pub mod recorder;
 pub mod registry;
+pub mod rundir;
 pub mod sampler;
 pub mod stats;
 pub mod trace;
 
-pub use attr::{aggregate_shares, attribute, check_chain, group_chains, Attribution, STAGES};
+pub use attr::{attribute, check_chain, group_chains, Attribution, STAGES};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use recorder::{
     clear_current_trace, current_trace, disable, drain_events, dump_anomaly, emit, enable, enabled,

@@ -1,6 +1,6 @@
 //! Shared quantile math.
 //!
-//! The histogram's bucket scan and the bench harness's sorted request
+//! The histogram's bucket scan and `trace_report`'s sorted request
 //! totals answer the same question — "which rank does quantile `q`
 //! select, and which bucket/sample holds it?" — with this one
 //! implementation: nearest-rank (inclusive) selection,
@@ -41,16 +41,6 @@ pub fn bucket_index(counts: &[u64], total: u64, q: f64) -> Option<usize> {
         }
     }
     last_nonempty
-}
-
-/// Nearest-rank quantile over an already-sorted ascending sample slice.
-/// Returns 0 for an empty slice.
-pub fn sorted_quantile(sorted: &[u64], q: f64) -> u64 {
-    let rank = rank_of(sorted.len() as u64, q);
-    if rank == 0 {
-        return 0;
-    }
-    sorted[(rank - 1) as usize]
 }
 
 #[cfg(test)]
@@ -101,16 +91,5 @@ mod tests {
     fn bucket_index_torn_total_falls_back_to_last_nonempty() {
         // total (from a separate relaxed counter) exceeds the bucket sum.
         assert_eq!(bucket_index(&[2, 3, 0], 100, 0.99), Some(1));
-    }
-
-    #[test]
-    fn sorted_quantile_boundaries() {
-        assert_eq!(sorted_quantile(&[], 0.5), 0);
-        assert_eq!(sorted_quantile(&[7], 0.0), 7);
-        assert_eq!(sorted_quantile(&[7], 1.0), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(sorted_quantile(&v, 0.5), 50);
-        assert_eq!(sorted_quantile(&v, 0.99), 99);
-        assert_eq!(sorted_quantile(&v, 0.999), 100);
     }
 }

@@ -10,8 +10,7 @@
 //!   is `1 − (1 − N/1024)^N` ([`EigenConfig::collision_rate`]).
 //! * [`ZipfConfig`] / [`zipf_trace`] — skewed-access traces for contention
 //!   studies.
-//! * [`Trace`] — a sequence of transaction footprints, serialisable with
-//!   serde so experiment inputs can be pinned.
+//! * [`Trace`] — a sequence of transaction footprints.
 //!
 //! # Example
 //!
@@ -30,10 +29,9 @@
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One transactional operation in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Read the object at the given address.
     Read(u64),
@@ -56,7 +54,7 @@ impl Op {
 }
 
 /// The recorded operations of a single transaction.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxnTrace {
     /// Operations in program order.
     pub ops: Vec<Op>,
@@ -113,7 +111,7 @@ impl TxnTrace {
 pub type Trace = Vec<TxnTrace>;
 
 /// Configuration of the EigenBench-like micro-benchmark (section 6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EigenConfig {
     /// Size of the shared array (the paper uses 1024 memory locations).
     pub locations: u64,
@@ -192,7 +190,7 @@ pub fn eigen_trace(cfg: &EigenConfig, seed: u64) -> Trace {
 
 /// Configuration of a skewed (Zipf-like) trace generator, used by ablation
 /// studies to model hot-spot contention.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZipfConfig {
     /// Number of addressable locations.
     pub locations: u64,
