@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, the full test suite, and one
+# Local CI gate: formatting, lints, build, the full test suite, the two
+# hybrid service tests looped 200 times under a timeout, and one
 # telemetry + trace-attribution smoke whose run directory is checked.
 # Run before every push. Works fully offline (all deps are vendored).
 #
@@ -61,6 +62,22 @@ cargo test -q
 
 echo "== workspace tests"
 cargo test --workspace -q
+
+echo "== hybrid service tests, 200 runs (a hang or a failure is a red build)"
+# The two rococo-server hybrid tests used to deadlock in about 1 run in
+# 130 (a worker holding pendings against an escalating begin, through the
+# conflict-serialization lock PR 20 deleted) and to lose a bank update in
+# about 1 in 200 (a torn ROCoCoTM read, fixed there too). ~0.1 s a run:
+# the test binary is built once and looped.
+hybrid_bin="$(cargo test -q -p rococo-server --lib --no-run --message-format=json \
+  | grep -o '"executable":"[^"]*rococo_server-[^"]*"' | tail -n 1 | cut -d'"' -f4)"
+for i in $(seq 1 200); do
+  if ! (cd crates/server && timeout 30 "$hybrid_bin" hybrid >"$SCRATCH/hybrid.log" 2>&1); then
+    cat "$SCRATCH/hybrid.log"
+    echo "hybrid service tests: run $i of 200 hung (exit 124) or failed" >&2
+    exit 1
+  fi
+done
 
 echo "== engine vs its reference model, and its zero-allocation bound (release)"
 # The debug runs above cover these too; release is where the allocation

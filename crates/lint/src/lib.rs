@@ -15,7 +15,7 @@
 //! | `commit-seq-outside-critical` | dense durable sequence counters are mutated only inside `commit_seq` (the PR-3 WAL-replay invariant) |
 //! | `missing-forbid-unsafe` | every non-vendored crate root carries `#![forbid(unsafe_code)]` |
 //! | `guard-across-wait` | no held guard flows into a blocking call, directly or through the call graph (the PR-8 deadlock class) |
-//! | `lock-order-cycle` | blocking primitive acquisitions follow the canonical order admission-token < mode-gate < state-mutex < commit-gate < shard-queue |
+//! | `lock-order-cycle` | blocking primitive acquisitions follow the canonical order mode-gate < state-mutex < commit-gate < shard-queue |
 //! | `pending-commit-leak` | every submitted commit reaches `finish`/drop-publish before the worker parks (the PR-7 drain invariant) |
 //!
 //! Findings can be acknowledged in place with a *justified* suppression:

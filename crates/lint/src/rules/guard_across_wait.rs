@@ -1,11 +1,12 @@
 //! `guard-across-wait`: a held guard flows into a blocking operation.
 //!
-//! This is the PR-8 deadlock class: the conflict-serialization
-//! admission token was held across ROCoCoTM's dense commit-sequence
-//! turn-wait, so a worker spinning for its turn could wedge the workers
-//! that owned the earlier sequence numbers and happened to need the
-//! same token. The fix (release the token at the first commit step)
-//! lived only in a commit message until this rule; now any `let`-bound
+//! This is the PR-8 deadlock class: a guard (then the hybrid router's
+//! conflict-serialization lock, since deleted with its mechanism) was
+//! held across ROCoCoTM's dense commit-sequence turn-wait, so a worker
+//! spinning for its turn could wedge the workers that owned the earlier
+//! sequence numbers and happened to need the same guard. The fix
+//! (release it at the first commit step) lived only in a commit
+//! message until this rule; now any `let`-bound
 //! guard from the [annotation registry](crate::summary::guard_sources)
 //! that is still live when the function reaches a blocking operation —
 //! a channel `recv`, a verdict/condvar `wait`, a `park`/`sleep`, or a

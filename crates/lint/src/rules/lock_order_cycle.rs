@@ -1,15 +1,14 @@
 //! `lock-order-cycle`: the cross-crate acquisition-order graph for the
-//! five named blocking primitives must stay acyclic.
+//! four named blocking primitives must stay acyclic.
 //!
 //! The canonical order (DESIGN.md §7.5) is
 //!
-//! > admission-token < mode-gate < state-mutex < commit-gate <
-//! > shard-queue
+//! > mode-gate < state-mutex < commit-gate < shard-queue
 //!
-//! — tokens are acquired at route time, the gate at begin, the gate's
-//! state mutex inside the gate, the commit gate at the first commit
-//! step, and the shard queue is only ever *waited on* with nothing
-//! held. Every blocking acquisition of a ranked primitive while
+//! — the gate is acquired at begin, the gate's state mutex inside the
+//! gate, the commit gate at the first commit step (or, escalating, at
+//! the slow path's own begin), and the shard queue is only ever
+//! *waited on* with nothing held. Every blocking acquisition of a ranked primitive while
 //! another ranked guard is live records an edge `held → acquired`; an
 //! edge that does not strictly descend the order (same rank counts:
 //! re-acquiring a non-reentrant primitive self-deadlocks) is a
@@ -32,7 +31,7 @@ impl WorkspaceRule for LockOrderCycle {
 
     fn description(&self) -> &'static str {
         "blocking primitive acquisitions must follow the canonical order \
-         (admission-token < mode-gate < state-mutex < commit-gate < shard-queue)"
+         (mode-gate < state-mutex < commit-gate < shard-queue)"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -69,8 +68,8 @@ impl WorkspaceRule for LockOrderCycle {
                         message: format!(
                             "`{}` (rank {acq_rank}) acquired while `{}` (rank {held_rank}, \
                              acquired on line {held_line}) is held — back-edge in the \
-                             canonical acquisition order admission-token < mode-gate < \
-                             state-mutex < commit-gate < shard-queue",
+                             canonical acquisition order mode-gate < state-mutex < \
+                             commit-gate < shard-queue",
                             acquired.name(),
                             held.name(),
                         ),

@@ -32,13 +32,10 @@ use crate::callgraph::{CallGraph, DelimMap};
 use crate::lexer::TokKind;
 use crate::model::{FileModel, FnSpan};
 
-/// The five named blocking primitives of the runtime, in canonical
+/// The four named blocking primitives of the runtime, in canonical
 /// acquisition order, plus the unranked catch-all for ordinary mutexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Primitive {
-    /// `rococo-sched` conflict-table admission token (`acquire`,
-    /// `tokens[g].lock()`).
-    AdmissionToken,
     /// `rococo-sched` mode gate (`gate.enter(..)`).
     ModeGate,
     /// The gate/adapt state mutexes (`state.lock()`,
@@ -60,11 +57,10 @@ impl Primitive {
     /// primitive does not participate (LocalMutex).
     pub fn rank(self) -> Option<u8> {
         match self {
-            Primitive::AdmissionToken => Some(0),
-            Primitive::ModeGate => Some(1),
-            Primitive::StateMutex => Some(2),
-            Primitive::CommitGate => Some(3),
-            Primitive::ShardQueue => Some(4),
+            Primitive::ModeGate => Some(0),
+            Primitive::StateMutex => Some(1),
+            Primitive::CommitGate => Some(2),
+            Primitive::ShardQueue => Some(3),
             Primitive::LocalMutex => None,
         }
     }
@@ -72,7 +68,6 @@ impl Primitive {
     /// Display name (matches the DESIGN.md §7 order table).
     pub fn name(self) -> &'static str {
         match self {
-            Primitive::AdmissionToken => "admission-token",
             Primitive::ModeGate => "mode-gate",
             Primitive::StateMutex => "state-mutex",
             Primitive::CommitGate => "commit-gate",
@@ -103,24 +98,6 @@ pub struct GuardSource {
 /// generic mutex entries are the fallback.
 pub fn guard_sources() -> &'static [GuardSource] {
     const S: &[GuardSource] = &[
-        GuardSource {
-            method: "acquire",
-            recv: Some("conflicts"),
-            primitive: Primitive::AdmissionToken,
-            blocking: true,
-        },
-        GuardSource {
-            method: "lock",
-            recv: Some("tokens"),
-            primitive: Primitive::AdmissionToken,
-            blocking: true,
-        },
-        GuardSource {
-            method: "try_lock",
-            recv: Some("tokens"),
-            primitive: Primitive::AdmissionToken,
-            blocking: false,
-        },
         GuardSource {
             method: "enter",
             recv: Some("gate"),
@@ -208,7 +185,6 @@ pub const ACQUIRE_METHOD_NAMES: &[&str] = &[
     "lock",
     "try_lock",
     "enter",
-    "acquire",
     "read",
     "try_read",
     "write",
@@ -914,17 +890,17 @@ mod tests {
     fn blocking_propagates_through_the_call_graph() {
         let evs = events(
             "fn turn_wait(seq: u64) { while busy(seq) { std::thread::yield_now(); } }\n\
-             fn commit(tokens: &Mutex<()>, seq: u64) {\n\
-             let token = tokens.lock();\n\
+             fn commit(state: &Mutex<()>, seq: u64) {\n\
+             let held = state.lock();\n\
              turn_wait(seq);\n\
-             publish(token);\n}",
+             publish(held);\n}",
             "commit",
         );
         assert!(
             matches!(
                 &evs[..],
                 [Event::Blocked {
-                    primitive: Primitive::AdmissionToken,
+                    primitive: Primitive::StateMutex,
                     line: 4,
                     ..
                 }]

@@ -1,25 +1,25 @@
 //! Fixture: acquisition-order back-edges. The canonical order is
-//! admission-token < mode-gate < state-mutex < commit-gate <
-//! shard-queue; two back-edges and one same-rank re-entry must fire,
-//! the forward and `try_*` shapes must not.
+//! mode-gate < state-mutex < commit-gate < shard-queue; two back-edges
+//! and one same-rank re-entry must fire, the forward and `try_*` shapes
+//! must not. (Line numbers are pinned by `tests/lint_rules.rs`.)
+//!
 
 pub struct Router {
-    conflicts: ConflictTable,
     gate: ModeGate,
     state: Mutex<GateState>,
     commit_gate: RwLock<()>,
 }
 
 impl Router {
-    /// mode-gate then admission-token: back-edge (1 -> 0).
-    fn gate_then_token(&self, tx: u64) {
-        let g = self.gate.enter(true);
-        let t = self.conflicts.acquire(tx); // line 17: must fire
-        drop(t);
+    /// commit-gate then mode-gate: back-edge (2 -> 0).
+    fn commit_then_gate(&self) {
+        let shared = self.commit_gate.read();
+        let g = self.gate.enter(true); // line 17: must fire
         drop(g);
+        drop(shared);
     }
 
-    /// commit-gate then state-mutex: back-edge (3 -> 2).
+    /// commit-gate then state-mutex: back-edge (2 -> 1).
     fn gate_then_state(&self) {
         let shared = self.commit_gate.read();
         let st = self.state.lock(); // line 25: must fire
@@ -36,13 +36,13 @@ impl Router {
     }
 
     /// Clean: strictly ascending the canonical order.
-    fn forward_order(&self, tx: u64) {
-        let t = self.conflicts.acquire(tx);
+    fn forward_order(&self) {
         let g = self.gate.enter(true);
         let st = self.state.lock();
+        let shared = self.commit_gate.read();
+        drop(shared);
         drop(st);
         drop(g);
-        drop(t);
     }
 
     /// Clean: `try_*` acquisitions never block, so they make no edge.

@@ -1,18 +1,18 @@
 //! Regression fixture: the PR-8 hybrid-router deadlock, reduced to its
 //! essential shape.
 //!
-//! The router acquired a conflict-serialization admission token and
-//! then entered ROCoCoTM's dense commit-sequence turn-wait still
-//! holding it. A worker that owned an *earlier* sequence number and
-//! needed the *same* token could then never advance the sequence, and
-//! the spinner never reached its turn: a two-party cycle through a
-//! primitive the linter could not see across the call boundary. The
-//! wait here is one call away from the acquisition on purpose — the
-//! blocking fact must propagate over the call graph for the rule to
-//! fire.
+//! The router took a guard and then entered ROCoCoTM's dense
+//! commit-sequence turn-wait still holding it. A worker that owned an
+//! *earlier* sequence number and needed the *same* guard could then
+//! never advance the sequence, and the spinner never reached its turn:
+//! a two-party cycle the linter could not see across the call
+//! boundary. (The guard was the router's conflict-serialization lock,
+//! since deleted; the state mutex stands in for it.) The wait here is
+//! one call away from the acquisition on purpose — the blocking fact
+//! must propagate over the call graph for the rule to fire.
 
 pub struct Router {
-    conflicts: ConflictTable,
+    state: Mutex<RouterState>,
     next_turn: AtomicU64,
 }
 
@@ -24,19 +24,19 @@ impl Router {
         }
     }
 
-    /// The PR-8 bug: token held across the turn-wait. Must fire
+    /// The PR-8 bug: guard held across the turn-wait. Must fire
     /// `guard-across-wait` at the `await_commit_turn` call.
-    pub fn commit_serialized(&self, tx: u64, seq: u64) {
-        let token = self.conflicts.acquire(tx);
+    pub fn commit_serialized(&self, seq: u64) {
+        let held = self.state.lock();
         self.await_commit_turn(seq); // line 31: must fire
         self.publish(seq);
-        drop(token);
+        drop(held);
     }
 
-    /// The PR-8 fix: release the token before waiting for the turn.
-    pub fn commit_fixed(&self, tx: u64, seq: u64) {
-        let token = self.conflicts.acquire(tx);
-        drop(token);
+    /// The PR-8 fix: release the guard before waiting for the turn.
+    pub fn commit_fixed(&self, seq: u64) {
+        let held = self.state.lock();
+        drop(held);
         self.await_commit_turn(seq);
         self.publish(seq);
     }

@@ -230,7 +230,7 @@ fn lock_order_cycle_flags_back_edges_and_reentry() {
     assert_eq!(
         findings(&report),
         vec![
-            ("lock-order-cycle", 17), // mode-gate -> admission-token
+            ("lock-order-cycle", 17), // commit-gate -> mode-gate
             ("lock-order-cycle", 25), // commit-gate -> state-mutex
             ("lock-order-cycle", 33), // state-mutex re-entry (equal rank)
         ],
@@ -277,9 +277,9 @@ fn pending_commit_leak_justified_hold_lints_clean() {
 }
 
 #[test]
-fn pr8_token_across_turn_wait_regression_fires_interprocedurally() {
+fn pr8_guard_across_turn_wait_regression_fires_interprocedurally() {
     // The blocking fact (turn-wait yield loop) sits one call away from
-    // the token acquisition: only the call-graph propagation sees it.
+    // the guard acquisition: only the call-graph propagation sees it.
     let report = lint_one("pr8_regression.rs", "crates/demo/src/pr8.rs", false);
     assert_eq!(
         findings(&report),
@@ -288,7 +288,7 @@ fn pr8_token_across_turn_wait_regression_fires_interprocedurally() {
         report.diagnostics
     );
     let msg = &report.diagnostics[0].message;
-    assert!(msg.contains("admission-token"), "{msg}");
+    assert!(msg.contains("state-mutex"), "{msg}");
     assert!(msg.contains("await_commit_turn"), "{msg}");
 }
 

@@ -2,19 +2,17 @@
 //!
 //! Wraps a [`TsxHtm`] fast path and a [`RococoTm`] slow path over one
 //! shared heap, routing each transaction attempt per the module docs of
-//! [`crate::router`], [`crate::conflict`] and [`crate::gate`].
+//! [`crate::router`] and [`crate::gate`].
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rococo_sigs::{Sig, SigScheme};
 use rococo_stm::{
     Abort, AbortKind, Addr, HtmConfig, PendingCommit, RococoConfig, RococoTm, StatsSnapshot,
     TmConfig, TmHeap, TmStats, TmSystem, Transaction, TsxHtm, Word,
 };
 
-use crate::conflict::ConflictTable;
 use crate::gate::{ModeGate, ModeGuard};
 use crate::router::{Hysteresis, Router};
 
@@ -50,9 +48,6 @@ pub struct HybridConfig {
     pub cooldown: u64,
     /// Cap on the exponential ban backoff.
     pub max_streak_shift: u32,
-    /// Attributed abort edges per adapt interval that make a class pair
-    /// hot enough to serialize through one admission token.
-    pub hot_threshold: u32,
     /// Routes between feedback-loop steps.
     pub adapt_interval: u64,
 }
@@ -69,7 +64,6 @@ impl Default for HybridConfig {
             strike_limit: 3,
             cooldown: 256,
             max_streak_shift: 6,
-            hot_threshold: 32,
             adapt_interval: 1024,
         }
     }
@@ -103,32 +97,16 @@ rococo_telemetry::stats_block! {
             commits_sw: path = "sw";
         }
         "rococo_sched_deferrals_total", "Attempts that waited before admission, by reason" {
-            /// Attempts that waited on a conflict-serialization token.
-            deferrals_token: reason = "token";
             /// Attempts that waited for the other engine's epoch to drain.
             deferrals_mode: reason = "mode-drain";
         }
     }
     gauges {
-        serialized_classes: u32 = "rococo_sched_serialized_classes", "Classes currently inside a conflict-serialization group";
         /// In words.
         read_bound: u32 = "rococo_sched_read_bound_words", "Current admission bound on predicted read footprints";
         /// In words.
         write_bound: u32 = "rococo_sched_write_bound_words", "Current admission bound on predicted write footprints";
     }
-}
-
-impl SchedSnapshot {
-    /// Total routing deferrals (token + mode-drain waits).
-    pub fn deferrals(&self) -> u64 {
-        self.deferrals_token + self.deferrals_mode
-    }
-}
-
-#[derive(Debug, Default)]
-struct AdaptState {
-    last_capacity_aborts: u64,
-    epoch: u64,
 }
 
 /// The adaptive hybrid transaction system. See the crate docs.
@@ -144,8 +122,6 @@ pub struct HybridTm {
     stats: TmStats,
     gate: ModeGate,
     router: Router,
-    conflicts: ConflictTable,
-    scheme: SigScheme,
     /// Per-thread scheduling class, set via `set_tx_class`.
     class_of: Vec<AtomicU32>,
     /// Per-thread flag: the previous attempt died of an HTM capacity
@@ -155,7 +131,9 @@ pub struct HybridTm {
     /// wall clock, so routing decisions stay deterministic under test).
     clock: AtomicU64,
     sched: SchedStats,
-    adapt_state: Mutex<AdaptState>,
+    /// Capacity aborts seen by the last feedback-loop step; whoever holds
+    /// it is the one thread adapting.
+    adapt_state: Mutex<u64>,
     config: HybridConfig,
 }
 
@@ -188,7 +166,6 @@ impl HybridTm {
         let heap = Arc::new(TmHeap::new(config.tm.heap_words));
         let rococo = RococoTm::with_shared_heap(config.rococo.clone(), heap.clone());
         let htm = TsxHtm::with_shared_heap(config.tm, config.htm, heap.clone());
-        let scheme = rococo.scheme().clone();
         let hysteresis = Hysteresis {
             strike_limit: config.strike_limit.max(1),
             cooldown: config.cooldown.max(1),
@@ -201,8 +178,6 @@ impl HybridTm {
                 config.read_bound,
                 config.write_bound,
             ),
-            conflicts: ConflictTable::new(config.classes, scheme.clone()),
-            scheme,
             class_of: (0..config.tm.max_threads)
                 .map(|_| AtomicU32::new(0))
                 .collect(),
@@ -216,7 +191,7 @@ impl HybridTm {
             gate: ModeGate::new(),
             clock: AtomicU64::new(0),
             sched: SchedStats::default(),
-            adapt_state: Mutex::new(AdaptState::default()),
+            adapt_state: Mutex::new(0),
             config,
         }
     }
@@ -228,77 +203,95 @@ impl HybridTm {
 
     /// A point-in-time copy of the router/scheduler counters.
     pub fn sched_snapshot(&self) -> SchedSnapshot {
-        self.sched.snapshot(
-            self.conflicts.serialized_classes(),
-            self.router.read_bound(),
-            self.router.write_bound(),
-        )
+        self.sched
+            .snapshot(self.router.read_bound(), self.router.write_bound())
     }
 
-    /// Commit bookkeeping shared by all commit shapes; runs while the
-    /// committer's mode guard is still held.
-    fn on_commit(&self, thread: usize, class: usize, on_htm: bool, fp: &Footprint) {
-        self.router
-            .record_commit(class, fp.reads, fp.writes, on_htm);
-        if fp.writes > 0 {
-            self.conflicts.record_commit_writes(class, &fp.wsig);
-        }
-        let ctr = if on_htm {
-            &self.sched.commits_htm
-        } else {
-            &self.sched.commits_sw
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
-        self.migrate_next[thread].store(false, Ordering::Relaxed);
-    }
-
-    /// Abort bookkeeping shared by all abort shapes.
-    fn on_abort(&self, thread: usize, class: usize, on_htm: bool, kind: AbortKind, fp: &Footprint) {
-        match kind {
-            AbortKind::Capacity if on_htm => {
-                self.migrate_next[thread].store(true, Ordering::Relaxed);
-                let now = self.clock.load(Ordering::Relaxed);
-                if self.router.record_capacity(class, now) {
-                    self.sched.capacity_bans.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            AbortKind::Conflict | AbortKind::FpgaCycle | AbortKind::FpgaWindow => {
-                self.conflicts.attribute_abort(class, &fp.sig);
-            }
-            _ => {}
-        }
-    }
-
-    /// The feedback loop: consumes the abort-cause counters the generic
-    /// entry points accumulate on the outer stats (the same counters the
+    /// The feedback loop: consumes the capacity-abort counter the generic
+    /// entry points accumulate on the outer stats (the same counter the
     /// telemetry registry exports) plus the footprint samples already
-    /// folded into the router EWMAs, and adapts admission bounds and
-    /// serialization groups. Skipped when another thread is mid-step.
+    /// folded into the router EWMAs, and adapts the admission bounds.
+    /// Skipped when another thread is mid-step.
     fn adapt(&self) {
-        let Some(mut st) = self.adapt_state.try_lock() else {
+        let Some(mut last_caps) = self.adapt_state.try_lock() else {
             return;
         };
         self.sched.adapts.fetch_add(1, Ordering::Relaxed);
         let caps = self.stats.aborts[AbortKind::Capacity.index()].load(Ordering::Relaxed);
-        let delta = caps.saturating_sub(st.last_capacity_aborts);
-        st.last_capacity_aborts = caps;
+        let delta = caps.saturating_sub(*last_caps);
+        *last_caps = caps;
         let now = self.clock.load(Ordering::Relaxed);
         self.router.adapt_bounds(delta, now);
-        self.conflicts.adapt(self.config.hot_threshold, st.epoch);
-        st.epoch += 1;
     }
 }
 
-/// Footprint bookkeeping carried by a transaction from begin to its
-/// commit/abort point.
-#[derive(Debug)]
+/// Words read and written by one attempt (the router's EWMA sample).
+#[derive(Debug, Clone, Copy, Default)]
 struct Footprint {
     reads: u32,
     writes: u32,
-    /// Read+write footprint signature (abort attribution).
-    sig: Sig,
-    /// Write-only footprint signature (published on commit).
-    wsig: Sig,
+}
+
+/// The scheduler's side of one attempt, carried from `begin` to the
+/// commit/abort point — inside the pending on the software path.
+#[derive(Debug)]
+struct Route<'a> {
+    tm: &'a HybridTm,
+    thread: usize,
+    class: usize,
+    on_htm: bool,
+    fp: Footprint,
+    /// Ensures the abort bookkeeping fires at most once per attempt
+    /// (execution-time aborts surface through `read`/`write`, which a
+    /// doomed-but-still-running closure may call again).
+    abort_noted: bool,
+    /// Membership in the current epoch — the one thing an attempt holds,
+    /// kept for its release point (the route's drop), never read.
+    _guard: ModeGuard<'a>,
+}
+
+impl Route<'_> {
+    /// Routes an abort — execution-time (capacity overflow, eager
+    /// conflict detection) or commit-time — into the feedback loop: after
+    /// an HTM capacity abort the thread's next attempt migrates to the
+    /// software path, and the class takes a strike toward a fast-path ban.
+    fn note_abort<T>(&mut self, res: Result<T, Abort>) -> Result<T, Abort> {
+        if let Err(abort) = &res {
+            if !self.abort_noted {
+                self.abort_noted = true;
+                if self.on_htm && abort.kind == AbortKind::Capacity {
+                    let tm = self.tm;
+                    tm.migrate_next[self.thread].store(true, Ordering::Relaxed);
+                    let now = tm.clock.load(Ordering::Relaxed);
+                    if tm.router.record_capacity(self.class, now) {
+                        tm.sched.capacity_bans.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        res
+    }
+
+    /// Retires the attempt with its engine's commit outcome: the one
+    /// bookkeeping step behind `commit_seq`, the HTM half of
+    /// `submit_commit` and a software pending's `finish`. The sequence
+    /// is mapped while the guard (still a field of `self`) pins the mode
+    /// — the rebase invariant of [`crate::gate`] — and only then does
+    /// dropping `self` release the epoch.
+    fn retire(mut self, res: Result<Option<u64>, Abort>) -> Result<Option<u64>, Abort> {
+        let seq = self.note_abort(res)?;
+        let tm = self.tm;
+        tm.router
+            .record_commit(self.class, self.fp.reads, self.fp.writes, self.on_htm);
+        let ctr = if self.on_htm {
+            &tm.sched.commits_htm
+        } else {
+            &tm.sched.commits_sw
+        };
+        ctr.fetch_add(1, Ordering::Relaxed);
+        tm.migrate_next[self.thread].store(false, Ordering::Relaxed);
+        Ok(seq.map(|s| tm.gate.map_seq(self.on_htm, s)))
+    }
 }
 
 #[derive(Debug)]
@@ -310,162 +303,68 @@ enum Inner<'a> {
 /// A [`HybridTm`] transaction.
 ///
 /// Field order is load-bearing: the inner transaction must drop (and
-/// release its engine claims) before the mode guard retires us from the
-/// epoch, and the admission token goes last.
+/// release its engine claims) before the mode guard inside `route`
+/// retires us from the epoch.
 #[derive(Debug)]
 pub struct HybridTx<'a> {
-    tm: &'a HybridTm,
-    thread: usize,
-    class: usize,
-    on_htm: bool,
-    fp: Footprint,
-    /// Ensures `on_abort` bookkeeping fires at most once per attempt
-    /// (execution-time aborts surface through `read`/`write`, which a
-    /// doomed-but-still-running closure may call again).
-    abort_noted: bool,
-    inner: Option<Inner<'a>>,
-    guard: Option<ModeGuard<'a>>,
-    /// Held for its release point, never read: the conflict-serialization
-    /// token covers the *execute* window only. It is released at the
-    /// first commit step (`submit_commit`/`commit_seq`), before anything
-    /// that can block: a committer may turn-wait on sequences whose
-    /// owners are parked in other workers' pending batches, and those
-    /// workers must be able to acquire our token to reach their drain.
-    #[allow(dead_code)]
-    token: Option<parking_lot::MutexGuard<'a, ()>>,
-}
-
-impl HybridTx<'_> {
-    /// Routes execution-time aborts (capacity overflows, eager conflict
-    /// detection) into the scheduler's feedback loop. Commit-time aborts
-    /// take their own path through `commit_seq`/`finish`.
-    fn note_abort<T>(&mut self, res: Result<T, Abort>) -> Result<T, Abort> {
-        if let Err(abort) = &res {
-            if !self.abort_noted {
-                self.abort_noted = true;
-                self.tm
-                    .on_abort(self.thread, self.class, self.on_htm, abort.kind, &self.fp);
-            }
-        }
-        res
-    }
+    inner: Inner<'a>,
+    route: Route<'a>,
 }
 
 impl<'a> Transaction for HybridTx<'a> {
     fn read(&mut self, addr: Addr) -> Result<Word, Abort> {
-        self.fp.reads += 1;
-        self.tm.scheme.insert(&mut self.fp.sig, addr as u64);
-        let res = match self.inner.as_mut().expect("transaction already consumed") {
+        self.route.fp.reads += 1;
+        let res = match &mut self.inner {
             Inner::Htm(tx) => tx.read(addr),
             Inner::Sw(tx) => tx.read(addr),
         };
-        self.note_abort(res)
+        self.route.note_abort(res)
     }
 
     fn write(&mut self, addr: Addr, val: Word) -> Result<(), Abort> {
-        self.fp.writes += 1;
-        self.tm.scheme.insert(&mut self.fp.sig, addr as u64);
-        self.tm.scheme.insert(&mut self.fp.wsig, addr as u64);
-        let res = match self.inner.as_mut().expect("transaction already consumed") {
+        self.route.fp.writes += 1;
+        let res = match &mut self.inner {
             Inner::Htm(tx) => tx.write(addr, val),
             Inner::Sw(tx) => tx.write(addr, val),
         };
-        self.note_abort(res)
+        self.route.note_abort(res)
     }
 
-    fn commit_seq(mut self) -> Result<Option<u64>, Abort> {
-        // Execute window over: release the serialization token before the
-        // commit can turn-wait (deadlock freedom — see the `token` docs).
-        self.token = None;
-        let res = match self.inner.take().expect("transaction already consumed") {
+    fn commit_seq(self) -> Result<Option<u64>, Abort> {
+        let res = match self.inner {
             Inner::Htm(tx) => tx.commit_seq(),
             Inner::Sw(tx) => tx.commit_seq(),
         };
-        match res {
-            Ok(seq) => {
-                self.tm
-                    .on_commit(self.thread, self.class, self.on_htm, &self.fp);
-                // Map while the guard (still a field of `self`) pins the
-                // mode — the rebase invariant of [`crate::gate`].
-                Ok(seq.map(|s| self.tm.gate.map_seq(self.on_htm, s)))
-            }
-            Err(abort) => {
-                if !self.abort_noted {
-                    self.abort_noted = true;
-                    self.tm
-                        .on_abort(self.thread, self.class, self.on_htm, abort.kind, &self.fp);
-                }
-                Err(abort)
-            }
-        }
+        self.route.retire(res)
     }
 
     type Pending = HybridPending<'a>;
 
-    fn submit_commit(mut self) -> Result<HybridPending<'a>, Self> {
-        // Execute window over: release the serialization token before any
-        // commit step, *including* the `Err(self)` hand-backs — the
-        // worker drains its pending batch before the deferred commit, and
-        // that drain turn-waits on sequences whose owners may be blocked
-        // acquiring this very token (deadlock freedom — see `token`).
-        self.token = None;
-        match self.inner.take().expect("transaction already consumed") {
-            Inner::Htm(tx) => {
-                // The HTM emulation settles at submit; do the commit
-                // bookkeeping now, while guard and token are still held.
-                let outcome = match tx.submit_commit() {
-                    Ok(ready) => ready.finish(),
-                    Err(tx) => {
-                        self.inner = Some(Inner::Htm(tx));
-                        return Err(self);
-                    }
-                };
-                let mapped = match outcome {
-                    Ok(seq) => {
-                        self.tm.on_commit(self.thread, self.class, true, &self.fp);
-                        Ok(seq.map(|s| self.tm.gate.map_seq(true, s)))
-                    }
-                    Err(abort) => {
-                        if !self.abort_noted {
-                            self.abort_noted = true;
-                            self.tm
-                                .on_abort(self.thread, self.class, true, abort.kind, &self.fp);
-                        }
-                        Err(abort)
-                    }
-                };
-                Ok(HybridPending(PendingInner::Ready(mapped)))
-            }
+    fn submit_commit(self) -> Result<HybridPending<'a>, Self> {
+        let HybridTx { inner, route } = self;
+        match inner {
+            // The HTM emulation settles at submit: retire now, which also
+            // ends the hardware epoch's hold on this attempt.
+            Inner::Htm(tx) => match tx.submit_commit() {
+                Ok(ready) => Ok(HybridPending(PendingInner::Ready(
+                    route.retire(ready.finish()),
+                ))),
+                Err(tx) => Err(HybridTx {
+                    inner: Inner::Htm(tx),
+                    route,
+                }),
+            },
+            // The pending keeps the route, mode guard included: the
+            // software mode stays pinned until the verdict lands.
             Inner::Sw(tx) => match tx.submit_commit() {
-                Ok(pending) => {
-                    // The pending keeps the mode guard (software mode
-                    // stays pinned until the verdict lands); the token was
-                    // already released above so a hot class's next attempt
-                    // can overlap our verdict wait.
-                    let wsig_empty = Sig::zeroed(0);
-                    let sig_empty = Sig::zeroed(0);
-                    Ok(HybridPending(PendingInner::Sw {
-                        tm: self.tm,
-                        pending,
-                        guard: self.guard.take(),
-                        thread: self.thread,
-                        class: self.class,
-                        fp: Footprint {
-                            reads: self.fp.reads,
-                            writes: self.fp.writes,
-                            sig: std::mem::replace(&mut self.fp.sig, sig_empty),
-                            wsig: std::mem::replace(&mut self.fp.wsig, wsig_empty),
-                        },
-                    }))
-                }
-                Err(tx) => {
-                    // The slow path demands a synchronous commit
-                    // (irrevocable or contended commit gate): hand the
-                    // rebuilt hybrid transaction back for
-                    // `commit_deferred`.
-                    self.inner = Some(Inner::Sw(tx));
-                    Err(self)
-                }
+                Ok(pending) => Ok(HybridPending(PendingInner::Sw { pending, route })),
+                // The slow path demands a synchronous commit (irrevocable
+                // or contended commit gate): hand the transaction back
+                // for `commit_deferred`.
+                Err(tx) => Err(HybridTx {
+                    inner: Inner::Sw(tx),
+                    route,
+                }),
             },
         }
     }
@@ -486,15 +385,12 @@ pub struct HybridPending<'a>(PendingInner<'a>);
 enum PendingInner<'a> {
     /// Settled at submit (HTM path).
     Ready(Result<Option<u64>, Abort>),
-    /// Validation in flight on the software path.
+    /// Validation in flight on the software path. Field order is
+    /// load-bearing as in [`HybridTx`]: a pending dropped unfinished
+    /// settles its engine side before the route releases the epoch.
     Sw {
-        tm: &'a HybridTm,
         pending: SwPending<'a>,
-        /// Pins the software mode until finished/dropped.
-        guard: Option<ModeGuard<'a>>,
-        thread: usize,
-        class: usize,
-        fp: Footprint,
+        route: Route<'a>,
     },
 }
 
@@ -502,28 +398,7 @@ impl PendingCommit for HybridPending<'_> {
     fn finish(self) -> Result<Option<u64>, Abort> {
         match self.0 {
             PendingInner::Ready(outcome) => outcome,
-            PendingInner::Sw {
-                tm,
-                pending,
-                guard,
-                thread,
-                class,
-                fp,
-            } => {
-                let out = match pending.finish() {
-                    Ok(seq) => {
-                        tm.on_commit(thread, class, false, &fp);
-                        Ok(seq.map(|s| tm.gate.map_seq(false, s)))
-                    }
-                    Err(abort) => {
-                        tm.on_abort(thread, class, false, abort.kind, &fp);
-                        Err(abort)
-                    }
-                };
-                // Only now release the epoch.
-                drop(guard);
-                out
-            }
+            PendingInner::Sw { pending, route } => route.retire(pending.finish()),
         }
     }
 }
@@ -551,23 +426,9 @@ impl TmSystem for HybridTm {
         // hysteresis ban may or may not have triggered yet).
         let migrate = self.migrate_next[thread_id].load(Ordering::Relaxed);
         let eligible = !migrate && self.router.htm_eligible(class, now);
-        // Conflict serialization first, gate second — always in this
-        // order, and never while holding a gate guard, so the scheduler's
-        // lock graph stays acyclic.
-        let token = match self.conflicts.token_for(class) {
-            Some(g) => {
-                let (t, waited) = self.conflicts.acquire(g);
-                if waited {
-                    self.sched.deferrals_token.fetch_add(1, Ordering::Relaxed);
-                    rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::RouteDefer {
-                        class: class as u32,
-                        reason: "token",
-                    });
-                }
-                Some(t)
-            }
-            None => None,
-        };
+        // The one blocking acquisition of an attempt. It never blocks a
+        // thread that holds software pendings: those pin the software
+        // mode, and nobody waits while it is active.
         let (guard, on_htm, waited) = self.gate.enter(eligible);
         if waited {
             self.sched.deferrals_mode.fetch_add(1, Ordering::Relaxed);
@@ -601,20 +462,16 @@ impl TmSystem for HybridTm {
             Inner::Sw(self.rococo.begin(thread_id))
         };
         HybridTx {
-            tm: self,
-            thread: thread_id,
-            class,
-            on_htm,
-            fp: Footprint {
-                reads: 0,
-                writes: 0,
-                sig: self.scheme.new_sig(),
-                wsig: self.scheme.new_sig(),
+            inner,
+            route: Route {
+                tm: self,
+                thread: thread_id,
+                class,
+                on_htm,
+                fp: Footprint::default(),
+                abort_noted: false,
+                _guard: guard,
             },
-            abort_noted: false,
-            inner: Some(inner),
-            guard: Some(guard),
-            token,
         }
     }
 

@@ -219,11 +219,6 @@ impl RococoTm {
         }
     }
 
-    /// The signature scheme shared with the simulated FPGA.
-    pub fn scheme(&self) -> &SigScheme {
-        &self.scheme
-    }
-
     /// Statistics of the FPGA-side engine (requests, commits, cycle and
     /// window aborts — the dotted series of Figure 10). Falls back to the
     /// last snapshot once the validator thread has shut down, so metrics
@@ -522,6 +517,51 @@ impl RococoTx<'_> {
         Some((temp, gts))
     }
 
+    /// Lines 9–19 of `TM_READ` plus the ValidTS extension of Figure 8(b):
+    /// folds the commits published since the last look into the snapshot,
+    /// then answers whether a value of `addr` loaded *before this call* is
+    /// the value as of that snapshot. `Ok(false)` means reload and ask
+    /// again; the abort is the CPU-side fast path.
+    #[inline(always)]
+    fn snapshot_covers(&mut self, addr: Addr) -> Result<bool, Abort> {
+        let Some((temp, gts)) = self.drain_temp_set() else {
+            return Err(self.count_abort(AbortKind::FpgaWindow));
+        };
+
+        // The drain advanced `local_ts`, so `temp` is folded in before any
+        // reload is asked for: dropping it would extend the snapshot past
+        // commits never checked against the read set.
+        let mut stale = false;
+        if !temp.is_empty() {
+            let conflict = self.read_set.conflicts_with(&self.tm.scheme, &temp);
+            if self.miss_set.is_empty() && !conflict {
+                self.valid_ts = gts; // snapshot extends
+            } else {
+                self.miss_set.union_with(&temp);
+            }
+            // The caller's load came before the drain: a commit folded in
+            // just now may have stored `addr` after it.
+            stale = self.tm.scheme.query(&temp, addr as u64);
+        } else if self.miss_set.is_empty() {
+            self.valid_ts = gts;
+        }
+        if !self.miss_set.is_empty() && self.tm.scheme.query(&self.miss_set, addr as u64) {
+            // The address we are reading was updated after ValidTS: the
+            // snapshot cannot stay consistent (Figure 8(d)). This is the
+            // CPU-side fast abort path — no out-of-core latency.
+            return Err(self.count_abort(AbortKind::Conflict));
+        }
+
+        // A committer not yet in the queue may also have stored `addr`
+        // before the caller's load. It published its update-set entry
+        // before its first store and clears it only after bumping
+        // `GlobalTS`, so the entry is looked at first and `GlobalTS`
+        // second — one of the two still shows it.
+        Ok(!stale
+            && !self.tm.update_set_hits(addr)
+            && self.tm.global_ts.load(Ordering::SeqCst) == gts)
+    }
+
     /// The read path of Algorithm 1 (`TM_READ`).
     fn tm_read(&mut self, addr: Addr) -> Result<Word, Abort> {
         // Line 1–4: read-own-write.
@@ -546,35 +586,8 @@ impl RococoTx<'_> {
 
             // Line 8: speculative value read.
             let v = self.tm.heap.load_direct(addr);
-
-            // Lines 9–13: fold newly committed write sets into TempSet.
-            let Some((temp, gts)) = self.drain_temp_set() else {
-                return Err(self.count_abort(AbortKind::FpgaWindow));
-            };
-
-            // If a committer was mid-write-back on this address we may have
-            // read a torn (new) value while its signature is not yet in the
-            // queue; re-check the update set and retry in that case.
-            if self.tm.update_set_hits(addr) {
+            if !self.snapshot_covers(addr)? {
                 continue;
-            }
-
-            // Lines 14–19 plus the ValidTS extension of Figure 8(b).
-            if !temp.is_empty() {
-                let conflict = self.read_set.conflicts_with(&self.tm.scheme, &temp);
-                if self.miss_set.is_empty() && !conflict {
-                    self.valid_ts = gts; // snapshot extends
-                } else {
-                    self.miss_set.union_with(&temp);
-                }
-            } else if self.miss_set.is_empty() {
-                self.valid_ts = gts;
-            }
-            if !self.miss_set.is_empty() && self.tm.scheme.query(&self.miss_set, addr as u64) {
-                // The address we are reading was updated after ValidTS: the
-                // snapshot cannot stay consistent (Figure 8(d)). This is the
-                // CPU-side fast abort path — no out-of-core latency.
-                return Err(self.count_abort(AbortKind::Conflict));
             }
 
             // Line 20.
@@ -923,8 +936,15 @@ impl TmSystem for RococoTm {
         // Escalate to irrevocability after repeated aborts: hold the
         // commit gate exclusively so GlobalTS freezes — no update-set
         // hits, no missed updates, no forward edges, guaranteed commit.
+        // Never with commits of this thread's own still in flight: their
+        // read guards are what the exclusive acquisition would wait for.
+        // (A worker drains before it retries an abort, so the counter is
+        // normally 0 here; under the hybrid router it can carry over from
+        // a job that went on to commit on the other engine.)
         let aborts_so_far = self.consecutive_aborts[thread_id].load(Ordering::Relaxed);
-        let irrevocable = if aborts_so_far >= self.config.irrevocable_after {
+        let irrevocable = if aborts_so_far >= self.config.irrevocable_after
+            && self.lane_in_flight[thread_id].load(Ordering::Relaxed) == 0
+        {
             // Escalation is the anomaly the flight recorder exists for:
             // record it and dump this thread's event history.
             if rococo_telemetry::enabled() {
@@ -1228,6 +1248,56 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_between_load_and_drain_forces_a_reload() {
+        // Regression (the torn read behind the hybrid bank failures, ~1 in
+        // 200 runs, and the static-backend one, 2 in 1 200): `tm_read`
+        // loads the value, *then* drains the commit queue. A commit that
+        // lands in between was only checked against the earlier reads, so
+        // a first read took the pre-commit value and still extended
+        // ValidTS past the commit. The steps of `tm_read`, by hand:
+        let tm = tm(64, 2);
+        let mut tx = tm.begin(0);
+        let stale = tm.heap().load_direct(5);
+        atomically(&tm, 1, |other| other.write(5, 9));
+        assert!(
+            !tx.snapshot_covers(5).unwrap(),
+            "the folded commit wrote the address: the load must be redone"
+        );
+        assert_eq!(tx.valid_ts, 1, "nothing read yet, so the snapshot extends");
+        assert!(
+            tx.snapshot_covers(5).unwrap(),
+            "nothing new since the reload"
+        );
+        assert_eq!((stale, tx.read(5).unwrap()), (0, 9));
+    }
+
+    #[test]
+    fn a_reload_keeps_the_commits_the_drain_already_folded() {
+        // Regression: the retry on an update-set hit used to `continue`
+        // past the fold, dropping a drained TempSet on the floor — the
+        // next drain starts after it, so a commit that overwrote an
+        // earlier read was never added to the miss set.
+        let tm = tm(64, 3);
+        let mut tx = tm.begin(0);
+        assert_eq!(tx.read(5).unwrap(), 0);
+        atomically(&tm, 1, |other| other.write(5, 9));
+        // Pretend thread 2 is mid-write-back over address 6.
+        let mut sig = tm.scheme.new_sig();
+        tm.scheme.insert(&mut sig, 6);
+        *tm.update_slots[2].sig.write() = Some(sig);
+        tm.mark_update_slot(2);
+        assert!(
+            !tx.snapshot_covers(6).unwrap(),
+            "a committer holds the address"
+        );
+        assert!(
+            tm.scheme.query(&tx.miss_set, 5),
+            "the commit over address 5 was drained before the reload and must stay missed"
+        );
+        assert_eq!(tx.valid_ts, 0, "the snapshot cannot extend past it");
+    }
+
+    #[test]
     fn pipelined_submissions_commit_in_sequence_order() {
         use crate::api::{finish_submitted, try_submit, Submitted};
         // One worker submits a whole batch before awaiting any verdict —
@@ -1311,6 +1381,32 @@ mod tests {
         }
         assert_eq!(tm.heap().load_direct(0), 1);
         assert_eq!(tm.stats().snapshot().fallback_commits, 1);
+    }
+
+    #[test]
+    fn a_thread_with_commits_in_flight_does_not_escalate() {
+        use crate::api::{finish_submitted, try_submit, Submitted};
+        let tm = RococoTm::with_configs(RococoConfig {
+            tm: TmConfig {
+                heap_words: 64,
+                max_threads: 1,
+            },
+            irrevocable_after: 1,
+            ..RococoConfig::default()
+        });
+        let Submitted::Pending(pending, ()) =
+            try_submit(&tm, 0, &mut |tx: &mut RococoTx<'_>| tx.write(0, 1))
+        else {
+            panic!("an uncontended commit submits asynchronously");
+        };
+        // Past the threshold with a pending outstanding: escalating now
+        // would wait for the exclusive gate behind the pending's own read
+        // guard, forever.
+        tm.consecutive_aborts[0].store(1, Ordering::Relaxed);
+        assert!(tm.begin(0).irrevocable.is_none());
+        finish_submitted(&tm, pending).unwrap();
+        tm.consecutive_aborts[0].store(1, Ordering::Relaxed);
+        assert!(tm.begin(0).irrevocable.is_some(), "drained: now it may");
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * `queue_wait` — shard-queue residency, from the worker's own
 //!   `Dequeue { wait_ns }` measurement;
 //! * `route` — gap between dequeue and the first `Begin`: the sched
-//!   route decision plus any admission deferral (token wait, mode
-//!   drain);
+//!   route decision plus any admission deferral (mode drain);
 //! * `exec` — time inside transaction attempts not otherwise
 //!   attributed;
 //! * `validation` — sum of `ValidateSubmit → Verdict` windows

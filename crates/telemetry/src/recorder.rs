@@ -171,12 +171,12 @@ pub enum TxEvent {
         path: &'static str,
     },
     /// The hybrid scheduler made a transaction wait before admission
-    /// (conflict-serialization token or backend mode drain).
+    /// (backend mode drain).
     RouteDefer {
         /// The caller-supplied scheduling class of the transaction.
         class: u32,
-        /// `"token"` (conflict serialization) or `"mode-drain"` (waiting
-        /// for the other engine's transactions to retire).
+        /// `"mode-drain"`: waiting for the other engine's transactions
+        /// to retire.
         reason: &'static str,
     },
 }
