@@ -9,8 +9,9 @@
 #                    #   recovery, replication fail-over: each prints
 #                    #   reproducer commands on failure), the hybrid-router
 #                    #   smoke, one open-loop overload run and one
-#                    #   replicated run of the load driver, and the pinned
-#                    #   benchmark's own smoke (benchmark/smoke.sh)
+#                    #   replicated run of the load driver, the pinned
+#                    #   benchmark's own smoke (benchmark/smoke.sh), and
+#                    #   fig7 / table_resources diffed against results/
 #
 # The nightly job runs `NIGHTLY=1 ./ci.sh --full`, which widens the chaos
 # tier to the full seed sweep and the hostile commit-queue geometries,
@@ -79,9 +80,11 @@ for i in $(seq 1 200); do
   fi
 done
 
-echo "== engine vs its reference model, and its zero-allocation bound (release)"
+echo "== reachability matrix, engine vs its reference model, and their zero-allocation bounds (release)"
 # The debug runs above cover these too; release is where the allocation
-# count is the shipped one and where wrapping arithmetic would differ.
+# count is the shipped one and where the shifts and the wrapping ring
+# arithmetic are (rococo-core: unit tests, matrix_props, zero_alloc).
+cargo test --release -q -p rococo-core
 cargo test --release -q -p rococo-fpga --lib engine::
 cargo test --release -q -p rococo-fpga --test zero_alloc
 
@@ -154,6 +157,12 @@ if [[ "$FULL" == "1" ]]; then
 
   echo "== pinned benchmark smoke (benchmark/smoke.sh)"
   benchmark/smoke.sh
+
+  echo "== paper figures that are exact: fig7 and table_resources regenerate byte-identical"
+  for figure in fig7 table_resources; do
+    bench "$figure" >"$SCRATCH/$figure.txt"
+    diff "results/$figure.txt" "$SCRATCH/$figure.txt"
+  done
 
   echo "== chaos tier (pinned seeds; NIGHTLY=1 for the full sweep)"
   cargo run --release -q -p rococo-chaos --bin chaos -- --pinned --quiet $EXTENDED

@@ -1,12 +1,13 @@
-//! Bit vectors over window slots (the `f`, `b`, `p`, `s` vectors of Fig. 4).
+//! Fixed-capacity bit vectors: the adjacency rows of [`order`](crate::order)
+//! graphs, and a convenient way to spell an `f` or `b` vector of Fig. 4.
 
 use std::fmt;
 
-/// A bit vector indexed by window slot, used for the adjacency vectors `f`
-/// and `b` and the closure vectors `p` and `s` of the ROCoCo algorithm.
-///
-/// The capacity is fixed at construction (the window size `W`); all binary
-/// operations require equal capacities.
+/// A bit vector over `capacity` slots, fixed at construction; all binary
+/// operations require equal capacities. Over the `W` ring positions of a
+/// window its [`as_words`](Self::as_words) are what
+/// [`ReachMatrix`](crate::ReachMatrix) and
+/// [`RococoValidator`](crate::RococoValidator) take as `f` and `b`.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DepVec {
     bits: usize,
@@ -80,58 +81,6 @@ impl DepVec {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// Overwrites `self` with `other` without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn copy_from(&mut self, other: &DepVec) {
-        assert_eq!(self.bits, other.bits, "DepVec capacity mismatch");
-        self.words.copy_from_slice(&other.words);
-    }
-
-    /// Overwrites `self` with the ring-indexed bit vector `ring` rotated so
-    /// that ring position `start` lands on slot 0: slot `s` becomes bit
-    /// `(start + s) % capacity` of `ring`. This is how a vector indexed by
-    /// `seq % W` (where a commit's bookkeeping sits) turns into one indexed
-    /// by window slot (`seq − oldest`), with `start = oldest % W`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring` does not hold exactly the words of a
-    /// `capacity`-bit vector, has a bit set at or beyond `capacity`, or if
-    /// `start >= capacity`.
-    pub fn copy_rotated_from(&mut self, ring: &[u64], start: usize) {
-        assert_eq!(ring.len(), self.words.len(), "DepVec capacity mismatch");
-        assert!(
-            start < self.bits,
-            "rotation {start} out of range {}",
-            self.bits
-        );
-        self.clear();
-        let head = self.bits - start;
-        self.or_bit_range(ring, start, 0, head);
-        self.or_bit_range(ring, 0, head, start);
-        assert_eq!(
-            self.count_ones(),
-            ring.iter().map(|w| w.count_ones()).sum::<u32>(),
-            "ring vector has bits beyond the capacity"
-        );
-    }
-
-    /// ORs bits `[from, from + len)` of `src` into slots `[to, to + len)`.
-    fn or_bit_range(&mut self, src: &[u64], mut from: usize, mut to: usize, mut len: usize) {
-        while len > 0 {
-            // As many bits as stay inside one source and one destination word.
-            let n = len.min(64 - from % 64).min(64 - to % 64);
-            let chunk = (src[from / 64] >> (from % 64)) & (u64::MAX >> (64 - n));
-            self.words[to / 64] |= chunk << (to % 64);
-            from += n;
-            to += n;
-            len -= n;
-        }
-    }
-
     /// In-place OR (`self |= other`).
     ///
     /// # Panics
@@ -155,51 +104,27 @@ impl DepVec {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
-    /// Shifts the vector one slot towards zero (slot 0 falls off), modelling
-    /// the register shift when the sliding window evicts its oldest
-    /// transaction.
-    pub fn shift_down(&mut self) {
-        let n = self.words.len();
-        for i in 0..n {
-            let carry = if i + 1 < n {
-                self.words[i + 1] << 63
-            } else {
-                0
-            };
-            self.words[i] = (self.words[i] >> 1) | carry;
-        }
-        // Mask off any bit that may have been shifted past the capacity.
-        self.mask_tail();
-    }
-
-    fn mask_tail(&mut self) {
-        let rem = self.bits % 64;
-        if rem != 0 {
-            let last = self.words.len() - 1;
-            self.words[last] &= (1u64 << rem) - 1;
-        }
-    }
-
     /// Iterates the indices of set slots in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(wi, &w)| ones(w).map(move |b| wi * 64 + b))
     }
 
     /// Raw word view.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
+}
+
+/// Indices of the set bits of `word`, ascending.
+pub(crate) fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 impl fmt::Debug for DepVec {
@@ -244,77 +169,6 @@ mod tests {
         a.or_with(&b);
         assert!(a.intersects(&b));
         assert!(a.get(3) && a.get(7));
-    }
-
-    #[test]
-    fn shift_down_drops_slot_zero() {
-        let mut v = DepVec::new(130);
-        v.set(0);
-        v.set(64);
-        v.set(129);
-        v.shift_down();
-        assert!(!v.get(0));
-        assert!(v.get(63), "bit 64 must move to 63");
-        assert!(v.get(128), "bit 129 must move to 128");
-        assert!(!v.get(129));
-        assert_eq!(v.count_ones(), 2);
-    }
-
-    #[test]
-    fn shift_down_of_slot_one_lands_on_zero() {
-        let mut v = DepVec::new(64);
-        v.set(1);
-        v.shift_down();
-        assert!(v.get(0));
-        assert_eq!(v.count_ones(), 1);
-    }
-
-    #[test]
-    fn copy_from_overwrites() {
-        let mut a = DepVec::new(70);
-        a.set(3);
-        let mut b = DepVec::new(70);
-        b.set(69);
-        a.copy_from(&b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity mismatch")]
-    fn copy_from_rejects_other_capacity() {
-        DepVec::new(8).copy_from(&DepVec::new(9));
-    }
-
-    #[test]
-    fn copy_rotated_from_matches_bit_by_bit() {
-        for cap in [1usize, 2, 5, 63, 64, 65, 128, 130] {
-            let words = cap.div_ceil(64);
-            for start in [0, 1, cap / 2, cap.saturating_sub(2), cap - 1] {
-                let start = start.min(cap - 1);
-                // Every third ring position plus the two ends.
-                let mut ring = vec![0u64; words];
-                for pos in (0..cap).filter(|p| p % 3 == 0 || *p == cap - 1) {
-                    ring[pos / 64] |= 1 << (pos % 64);
-                }
-                let mut v = DepVec::new(cap);
-                v.set(0); // stale contents must not survive
-                v.copy_rotated_from(&ring, start);
-                for slot in 0..cap {
-                    let pos = (start + slot) % cap;
-                    assert_eq!(
-                        v.get(slot),
-                        ring[pos / 64] >> (pos % 64) & 1 == 1,
-                        "cap {cap} start {start} slot {slot}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the capacity")]
-    fn copy_rotated_from_rejects_stray_bits() {
-        DepVec::new(10).copy_rotated_from(&[1 << 10], 3);
     }
 
     #[test]

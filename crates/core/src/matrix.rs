@@ -1,6 +1,6 @@
 //! The reachability matrix (Figure 4) — incremental transitive closure.
 
-use crate::depvec::DepVec;
+use crate::depvec::ones;
 use std::fmt;
 
 /// Error returned by [`ReachMatrix::validate`] when committing the candidate
@@ -20,55 +20,34 @@ impl fmt::Display for CycleDetected {
 
 impl std::error::Error for CycleDetected {}
 
-/// The closure vectors computed by a successful validation: what the
-/// candidate reaches (`p`, *proceeding*) and what reaches it (`s`,
-/// *succeeding*). Feed this to [`ReachMatrix::commit`] to admit the
-/// transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Closure {
-    /// `p[i]` ⇔ candidate ▷ `tᵢ` (candidate reaches slot `i`).
-    pub p: DepVec,
-    /// `s[i]` ⇔ `tᵢ` ▷ candidate (slot `i` reaches the candidate).
-    pub s: DepVec,
-}
-
-impl Closure {
-    /// An all-zero closure for a window of `cap` slots, for
-    /// [`ReachMatrix::validate_into`] to fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new(cap: usize) -> Self {
-        Self {
-            p: DepVec::new(cap),
-            s: DepVec::new(cap),
-        }
-    }
-}
-
 /// The reachability matrix `R` of the ROCoCo manager: `r[i][j]` ⇔ `tᵢ ▷ tⱼ`
-/// (transaction in slot `i` reaches transaction in slot `j`), maintained as
-/// the transitive closure of the committed window DAG.
+/// (the transaction in position `i` reaches the one in position `j`),
+/// maintained as the transitive closure of the committed window DAG — the
+/// paper's "2D registers".
 ///
-/// Rows are stored as [`DepVec`]-compatible word arrays; all three
-/// operations map to the bit-parallel structures of the paper's Figure 4/5:
+/// Rows *and* columns are indexed by **ring position**: the commit with
+/// sequence number `seq` owns row and column `seq % W` from its commit until
+/// commit `seq + W` takes them over, and nothing moves when the window
+/// slides. A position no live commit owns holds no bits, neither in its row
+/// nor in its column; a live position `i` has `r[i][i]` set ("a vertex can
+/// always reach itself", `R₁ = [1]` in the paper).
+///
+/// Every vector this type takes or fills (`f`, `b`, `p`, `s`, `pinned`) is
+/// `ceil(W / 64)` words over the same ring positions, bit `i % 64` of word
+/// `i / 64` for position `i`. The two operations map to the bit-parallel
+/// structures of Figures 4 and 5:
 ///
 /// * [`validate`](Self::validate) — `p = f ∨ Rᵀf`, `s = b ∨ Rb`, cycle iff
-///   `p ∧ s ≠ 0`; `O(W)` word-ops (O(1) clock cycles in hardware).
-/// * [`commit`](Self::commit) — append `p`/`s` as new row/column and close
-///   existing entries: `r[i][j] |= s[i] ∧ p[j]`.
-/// * [`evict_oldest`](Self::evict_oldest) — the register shift when the
-///   sliding window discards bookkeeping `h₆₃` (Figure 5, top-left).
-///
-/// Slot indices are *window-relative*: slot 0 is the oldest committed
-/// transaction currently tracked. [`SlidingWindow`](crate::SlidingWindow)
-/// maps slots to global sequence numbers.
+///   `p ∧ s ≠ 0`; `O(W)` word operations (O(1) clock cycles in hardware).
+/// * [`commit`](Self::commit) — one pass that evicts whatever held the new
+///   entry's position (clears that one row and that one column) and closes
+///   every row over the new entry: `r[i][j] |= s[i] ∧ p[j]`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ReachMatrix {
     cap: usize,
-    len: usize,
-    rows: Vec<DepVec>,
+    /// Word-major planes: `rows[k * cap + i]` is word `k` of row `i`, so a
+    /// pass over word `k` of every row is contiguous for any `W`.
+    rows: Vec<u64>,
 }
 
 impl ReachMatrix {
@@ -81,8 +60,7 @@ impl ReachMatrix {
         assert!(cap > 0, "window capacity must be positive");
         Self {
             cap,
-            len: 0,
-            rows: vec![DepVec::new(cap); cap],
+            rows: vec![0; cap.div_ceil(64) * cap],
         }
     }
 
@@ -91,37 +69,26 @@ impl ReachMatrix {
         self.cap
     }
 
-    /// Number of committed transactions currently tracked.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Words per vector over the ring positions, `ceil(W / 64)`.
+    pub fn words(&self) -> usize {
+        self.rows.len() / self.cap
     }
 
-    /// Whether no transaction is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether the window is full (a commit must evict first).
-    pub fn is_full(&self) -> bool {
-        self.len == self.cap
-    }
-
-    /// Whether `tᵢ ▷ tⱼ` (slot `i` reaches slot `j`).
+    /// Whether `tᵢ ▷ tⱼ` (position `i` reaches position `j`); `false` when
+    /// either position is dead, and `reaches(i, i)` says whether `i` is live.
     ///
     /// # Panics
     ///
-    /// Panics if `i` or `j` is not a live slot.
+    /// Panics if `i` or `j` is not below the capacity.
     pub fn reaches(&self, i: usize, j: usize) -> bool {
-        assert!(i < self.len && j < self.len, "slot out of range");
-        self.rows[i].get(j)
+        assert!(i < self.cap && j < self.cap, "position out of range");
+        self.rows[(j / 64) * self.cap + i] >> (j % 64) & 1 == 1
     }
 
     /// Validates a candidate transaction with forward vector `f` and
-    /// backward vector `b` (both over live slots; bits at or beyond
-    /// [`len`](Self::len) must be clear).
-    ///
-    /// Returns the [`Closure`] on success. Allocates it; a caller on a hot
-    /// path keeps one and calls [`validate_into`](Self::validate_into).
+    /// backward vector `b` (bits on live positions only), filling `p` with
+    /// what the candidate reaches and `s` with what reaches it. After an
+    /// error `p` and `s` still hold the closure that showed the cycle.
     ///
     /// # Errors
     ///
@@ -130,143 +97,114 @@ impl ReachMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `f`/`b` capacities don't match the window capacity, or if a
-    /// dependency bit refers to a dead slot.
-    pub fn validate(&self, f: &DepVec, b: &DepVec) -> Result<Closure, CycleDetected> {
-        let mut closure = Closure::new(self.cap);
-        self.validate_into(f, b, &mut closure)?;
-        Ok(closure)
-    }
-
-    /// [`validate`](Self::validate) writing `p`/`s` into a closure the
-    /// caller owns (whatever it held is overwritten; after an error its
-    /// contents are unspecified).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleDetected`] if `p ∧ s ≠ 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`validate`](Self::validate), and if `out`'s capacity does not
-    /// match the window capacity.
-    pub fn validate_into(
+    /// Panics if a vector is not [`words`](Self::words) long or `f` names a
+    /// position at or beyond the capacity.
+    pub fn validate(
         &self,
-        f: &DepVec,
-        b: &DepVec,
-        out: &mut Closure,
+        f: &[u64],
+        b: &[u64],
+        p: &mut [u64],
+        s: &mut [u64],
     ) -> Result<(), CycleDetected> {
-        assert_eq!(f.capacity(), self.cap, "f capacity mismatch");
-        assert_eq!(b.capacity(), self.cap, "b capacity mismatch");
-        debug_assert!(
-            f.iter_ones().all(|i| i < self.len) && b.iter_ones().all(|i| i < self.len),
-            "dependency on a slot outside the live window"
-        );
+        let widths = [f.len(), b.len(), p.len(), s.len()];
+        assert_eq!(widths, [self.words(); 4], "vector width mismatch");
 
-        // p = f | R^T f : candidate reaches slot i directly (f[i]) or
-        // through any j with f[j] and r[j][i] (row j read whole).
-        out.p.copy_from(f);
-        for j in f.iter_ones() {
-            out.p.or_with(&self.rows[j]);
-        }
-
-        // s = b | R b : slot i reaches the candidate directly (b[i]) or
-        // through any j with r[i][j] and b[j] (test row i against b).
-        out.s.copy_from(b);
-        for i in 0..self.len {
-            if self.rows[i].intersects(b) {
-                out.s.set(i);
+        // p = f | R^T f : the candidate reaches position i directly (f[i])
+        // or through any j with f[j] and r[j][i] (row j read whole).
+        p.copy_from_slice(f);
+        for (k, &word) in f.iter().enumerate() {
+            for j in ones(word).map(|bit| k * 64 + bit) {
+                for (p, plane) in p.iter_mut().zip(self.rows.chunks_exact(self.cap)) {
+                    *p |= plane[j];
+                }
             }
         }
 
-        if out.p.intersects(&out.s) {
+        // s = b | R b : position i reaches the candidate directly (b[i]) or
+        // through any j with r[i][j] and b[j] (word k of row i against word
+        // k of b, one plane at a time, packed 64 rows to a word of s).
+        s.copy_from_slice(b);
+        for (plane, &b) in self.rows.chunks_exact(self.cap).zip(b) {
+            for (s, rows) in s.iter_mut().zip(plane.chunks(64)) {
+                for (bit, row) in rows.iter().enumerate() {
+                    *s |= u64::from(row & b != 0) << bit;
+                }
+            }
+        }
+
+        if p.iter().zip(s.iter()).any(|(p, s)| p & s != 0) {
             Err(CycleDetected)
         } else {
             Ok(())
         }
     }
 
-    /// Commits the candidate whose closure was computed by
-    /// [`validate`](Self::validate), appending it as the newest slot.
-    /// Returns the slot index it occupies.
+    /// Commits the candidate whose closure `p`/`s` was computed by
+    /// [`validate`](Self::validate) into ring position `pos`, in one pass
+    /// over the planes: whatever held `pos` is evicted — its row is
+    /// replaced, its column cleared in every row, and every row that
+    /// reached it is OR-ed into `pinned` — and every row that reaches the
+    /// candidate (`s[i]`) gains everything the candidate reaches (`p`) and
+    /// the candidate itself. The candidate's own `pinned` bit says whether
+    /// it reached the entry it evicted.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is full — callers must
-    /// [`evict_oldest`](Self::evict_oldest) first — or if the closure's
-    /// capacity does not match.
-    pub fn commit(&mut self, closure: &Closure) -> usize {
-        assert!(!self.is_full(), "matrix full; evict before committing");
-        assert_eq!(closure.p.capacity(), self.cap, "closure capacity mismatch");
-        let idx = self.len;
+    /// Panics if `pos` is not below the capacity or a vector is not
+    /// [`words`](Self::words) long.
+    pub fn commit(&mut self, pos: usize, p: &[u64], s: &[u64], pinned: &mut [u64]) {
+        assert!(pos < self.cap, "position {pos} out of range {}", self.cap);
+        let widths = [p.len(), s.len(), pinned.len()];
+        assert_eq!(widths, [self.words(); 3], "vector width mismatch");
 
-        // Close existing entries over the new element: every t_i that
-        // reaches the candidate (s[i]) now also reaches everything the
-        // candidate reaches (p), and the candidate itself (bit idx).
-        for i in closure.s.iter_ones() {
-            debug_assert!(i < idx);
-            self.rows[i].or_with(&closure.p);
-            self.rows[i].set(idx);
-        }
-
-        // New row: p plus self-reachability ("a vertex can always reach
-        // itself" — R₁ = [1] in the paper).
-        let row = &mut self.rows[idx];
-        row.clear();
-        row.or_with(&closure.p);
-        row.set(idx);
-
-        self.len = idx + 1;
-        idx
-    }
-
-    /// Evicts the oldest transaction (slot 0): every slot decreases by one,
-    /// modelling the 2D-register shift of Figure 5.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is empty.
-    pub fn evict_oldest(&mut self) {
-        assert!(self.len > 0, "cannot evict from an empty matrix");
-        // Drop row 0, move rows up, and drop column 0 from every row.
-        self.rows.rotate_left(1);
-        self.len -= 1;
-        for (i, row) in self.rows.iter_mut().enumerate() {
-            if i < self.len {
-                row.shift_down();
-            } else {
-                row.clear();
+        let (own, shift) = (pos / 64, pos % 64);
+        for (k, plane) in self.rows.chunks_exact_mut(self.cap).enumerate() {
+            // Word k of the column being replaced, and of the new row: `pos`
+            // stops meaning the evicted entry and starts meaning this one.
+            let column = u64::from(k == own) << shift;
+            let gain = p[k] | column;
+            for ((pinned, &s), rows) in pinned.iter_mut().zip(s).zip(plane.chunks_mut(64)) {
+                for (bit, row) in rows.iter_mut().enumerate() {
+                    *pinned |= u64::from(*row & column != 0) << bit;
+                    let reaches_candidate = 0u64.wrapping_sub(s >> bit & 1);
+                    *row = (*row & !column) | (reaches_candidate & gain);
+                }
             }
+            plane[pos] = gain;
         }
+        pinned[own] = (pinned[own] & !(1 << shift)) | (p[own] & (1 << shift));
     }
 
-    /// Checks the transitive-closure invariant by recomputing reachability
-    /// from scratch (Warshall) and comparing. Intended for tests and debug
+    /// Checks the matrix invariants by recomputing reachability from
+    /// scratch (Warshall) and comparing: the stored matrix is transitively
+    /// closed, and a bit names two live positions (both reach themselves),
+    /// so dead rows and columns are empty. Intended for tests and debug
     /// assertions; `O(W³)`.
     pub fn closure_invariant_holds(&self) -> bool {
-        let n = self.len;
-        let mut ref_rows: Vec<DepVec> = self.rows[..n].to_vec();
-        // The stored matrix *is* supposed to be transitively closed; closing
-        // it again must be a no-op.
-        for k in 0..n {
-            for i in 0..n {
-                if ref_rows[i].get(k) {
-                    let rk = ref_rows[k].clone();
-                    ref_rows[i].or_with(&rk);
+        let mut closed = self.clone();
+        for k in 0..self.cap {
+            for i in 0..self.cap {
+                if closed.reaches(i, k) {
+                    for plane in closed.rows.chunks_exact_mut(self.cap) {
+                        plane[i] |= plane[k];
+                    }
                 }
             }
         }
-        ref_rows.iter().zip(&self.rows[..n]).all(|(a, b)| a == b)
+        let live = |i| self.reaches(i, i);
+        let between_live = (0..self.cap)
+            .all(|i| (0..self.cap).all(|j| !self.reaches(i, j) || (live(i) && live(j))));
+        closed == *self && between_live
     }
 }
 
 impl fmt::Debug for ReachMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "ReachMatrix[{}/{}]", self.len, self.cap)?;
-        for i in 0..self.len {
+        writeln!(f, "ReachMatrix[{}]", self.cap)?;
+        for i in 0..self.cap {
             write!(f, "  {i:3}: ")?;
-            for j in 0..self.len {
-                write!(f, "{}", if self.rows[i].get(j) { '1' } else { '.' })?;
+            for j in 0..self.cap {
+                write!(f, "{}", if self.reaches(i, j) { '1' } else { '.' })?;
             }
             writeln!(f)?;
         }
@@ -277,171 +215,183 @@ impl fmt::Debug for ReachMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DepVec;
 
-    fn dv(cap: usize, ones: &[usize]) -> DepVec {
+    /// The words of a `cap`-position vector with `ones` set.
+    fn bits(cap: usize, ones: &[usize]) -> Vec<u64> {
         let mut v = DepVec::new(cap);
-        for &i in ones {
-            v.set(i);
-        }
-        v
+        ones.iter().for_each(|&i| v.set(i));
+        v.as_words().to_vec()
     }
 
-    /// Commits a transaction with the given direct dependencies, panicking
-    /// on a cycle.
-    fn commit(m: &mut ReachMatrix, f: &[usize], b: &[usize]) -> usize {
-        let c = m
-            .validate(&dv(m.capacity(), f), &dv(m.capacity(), b))
-            .expect("unexpected cycle");
-        m.commit(&c)
+    /// A matrix with the scratch a caller keeps beside it.
+    struct Manager {
+        m: ReachMatrix,
+        next: usize,
+        pinned: Vec<u64>,
+    }
+
+    impl Manager {
+        fn new(cap: usize) -> Self {
+            Self {
+                m: ReachMatrix::new(cap),
+                next: 0,
+                pinned: bits(cap, &[]),
+            }
+        }
+
+        fn validate(&self, f: &[usize], b: &[usize]) -> Result<[Vec<u64>; 2], CycleDetected> {
+            let cap = self.m.capacity();
+            let (mut p, mut s) = (bits(cap, &[]), bits(cap, &[]));
+            self.m
+                .validate(&bits(cap, f), &bits(cap, b), &mut p, &mut s)?;
+            Ok([p, s])
+        }
+
+        /// Commits a transaction with the given direct dependencies into
+        /// the next ring position, panicking on a cycle.
+        fn commit(&mut self, f: &[usize], b: &[usize]) -> usize {
+            let [p, s] = self.validate(f, b).expect("unexpected cycle");
+            let pos = self.next % self.m.capacity();
+            self.m.commit(pos, &p, &s, &mut self.pinned);
+            self.next += 1;
+            assert!(self.m.closure_invariant_holds());
+            pos
+        }
     }
 
     #[test]
     fn first_commit_reaches_itself() {
-        let mut m = ReachMatrix::new(8);
-        let idx = commit(&mut m, &[], &[]);
-        assert_eq!(idx, 0);
-        assert!(m.reaches(0, 0));
-        assert!(m.closure_invariant_holds());
+        let mut m = Manager::new(8);
+        assert!(!m.m.reaches(0, 0), "dead until committed");
+        assert_eq!(m.commit(&[], &[]), 0);
+        assert!(m.m.reaches(0, 0));
     }
 
     #[test]
     fn chain_is_transitively_closed() {
         // t0 -> t1 -> t2 (each new txn is after the previous: b on prev).
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        commit(&mut m, &[], &[0]);
-        commit(&mut m, &[], &[1]);
-        assert!(m.reaches(0, 2), "closure must include t0 -> t2");
-        assert!(!m.reaches(2, 0));
-        assert!(m.closure_invariant_holds());
+        let mut m = Manager::new(8);
+        m.commit(&[], &[]);
+        m.commit(&[], &[0]);
+        m.commit(&[], &[1]);
+        assert!(m.m.reaches(0, 2), "closure must include t0 -> t2");
+        assert!(!m.m.reaches(2, 0));
     }
 
     #[test]
     fn forward_dep_orders_candidate_before() {
         // t0 commits; t1 has f = {0}: t1 ->rw t0 (t1 serialises BEFORE t0).
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        commit(&mut m, &[0], &[]);
-        assert!(m.reaches(1, 0), "t1 must reach t0");
-        assert!(!m.reaches(0, 1));
+        let mut m = Manager::new(8);
+        m.commit(&[], &[]);
+        m.commit(&[0], &[]);
+        assert!(m.m.reaches(1, 0), "t1 must reach t0");
+        assert!(!m.m.reaches(0, 1));
     }
 
     #[test]
     fn direct_cycle_rejected() {
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        let r = m.validate(&dv(8, &[0]), &dv(8, &[0]));
-        assert_eq!(r.unwrap_err(), CycleDetected);
+        let mut m = Manager::new(8);
+        m.commit(&[], &[]);
+        assert_eq!(m.validate(&[0], &[0]).unwrap_err(), CycleDetected);
     }
 
     #[test]
     fn transitive_cycle_rejected() {
-        // t0 -> t1 (b dep). Candidate t with f={1} (t -> t1) and b={0}
-        // wait - that's fine: t0 -> t, t -> t1 requires t1 not reach t0.
-        // Build the cyclic case: t0 -> t1; candidate with f={0} (t -> t0)
-        // and b={1} (t1 -> t): then t -> t0 -> t1 -> t is a cycle.
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        commit(&mut m, &[], &[0]); // t0 -> t1
-        let r = m.validate(&dv(8, &[0]), &dv(8, &[1]));
-        assert_eq!(r.unwrap_err(), CycleDetected, "t -> t0 -> t1 -> t");
+        // t0 -> t1; a candidate with f = {0} (t -> t0) and b = {1}
+        // (t1 -> t) closes t -> t0 -> t1 -> t.
+        let mut m = Manager::new(8);
+        m.commit(&[], &[]);
+        m.commit(&[], &[0]);
+        assert_eq!(m.validate(&[0], &[1]).unwrap_err(), CycleDetected);
+        // f = {1}, b = {0} puts t between them: t0 -> t -> t1, no cycle.
+        m.validate(&[1], &[0]).expect("t0 -> t -> t1");
     }
 
     #[test]
     fn reordering_allowed_without_cycle() {
-        // The phantom-ordering scenario of Fig. 2(a): candidate reads a
-        // version overwritten by t0, so candidate ->rw t0 is NOT required;
-        // rather t0 overwrote what candidate read: candidate -> t0 (f).
-        // TOCC with start timestamps would abort; ROCoCo commits.
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        let c = m.validate(&dv(8, &[0]), &dv(8, &[])).expect("no cycle");
-        let idx = m.commit(&c);
-        assert!(m.reaches(idx, 0));
-        assert!(m.closure_invariant_holds());
+        // The phantom-ordering scenario of Fig. 2(a): t0 overwrote what the
+        // candidate read, so the candidate precedes t0 (f). TOCC with start
+        // timestamps would abort; ROCoCo commits.
+        let mut m = Manager::new(8);
+        m.commit(&[], &[]);
+        let pos = m.commit(&[0], &[]);
+        assert!(m.m.reaches(pos, 0));
     }
 
     #[test]
-    fn eviction_shifts_slots() {
-        let mut m = ReachMatrix::new(4);
-        commit(&mut m, &[], &[]); // t0
-        commit(&mut m, &[], &[0]); // t1, t0 -> t1
-        commit(&mut m, &[], &[1]); // t2, chain
-        m.evict_oldest();
-        assert_eq!(m.len(), 2);
-        // Old t1 is now slot 0, old t2 slot 1; t1 -> t2 must survive.
-        assert!(m.reaches(0, 1));
-        assert!(!m.reaches(1, 0));
-        assert!(m.closure_invariant_holds());
-    }
-
-    #[test]
-    fn fill_evict_refill() {
-        let mut m = ReachMatrix::new(4);
-        for _ in 0..4 {
-            let prev: Vec<usize> = if m.is_empty() {
-                vec![]
-            } else {
-                vec![m.len() - 1]
-            };
-            commit(&mut m, &[], &prev);
+    fn eviction_clears_one_row_and_one_column_and_moves_nothing() {
+        let mut m = Manager::new(4);
+        m.commit(&[], &[]); // t0
+        m.commit(&[], &[0]); // t1, t0 -> t1
+        m.commit(&[], &[1]); // t2, chain
+        m.commit(&[], &[]); // t3, unrelated
+        assert_eq!(m.commit(&[], &[3]), 0, "t4 takes over t0's position");
+        // t1 -> t2 is where it was; nothing reaches or is reached by t0.
+        assert!(m.m.reaches(1, 2) && !m.m.reaches(2, 1));
+        assert!(m.m.reaches(3, 0), "t3 -> t4");
+        for live in 1..3 {
+            assert!(!m.m.reaches(0, live), "t0's row went with it");
+            assert!(!m.m.reaches(live, 0), "t0's column went with it");
         }
-        assert!(m.is_full());
-        m.evict_oldest();
-        assert!(!m.is_full());
-        commit(&mut m, &[], &[2]);
-        assert!(m.is_full());
-        assert!(m.closure_invariant_holds());
+        assert_eq!(m.pinned, [0], "nothing reached t0");
+    }
+
+    #[test]
+    fn commit_pins_what_reached_the_evicted_entry() {
+        let mut m = Manager::new(3);
+        m.commit(&[], &[]); // t0
+        m.commit(&[0], &[]); // t1 -> t0
+        m.commit(&[], &[]); // t2
+                            // t3 evicts t0 and itself precedes it: t1 and t3 are pinned.
+        assert_eq!(m.commit(&[0], &[]), 0);
+        assert_eq!(m.pinned, [0b011]);
+        // t4 evicts t1; nothing live reached t1, and t1's pin goes with it.
+        assert_eq!(m.commit(&[], &[]), 1);
+        assert_eq!(m.pinned, [0b001]);
     }
 
     #[test]
     fn diamond_no_false_cycle() {
         // t0 -> t1, t0 -> t2, candidate after both: no cycle.
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        commit(&mut m, &[], &[0]);
-        commit(&mut m, &[], &[0]);
-        let c = m
-            .validate(&dv(8, &[]), &dv(8, &[1, 2]))
-            .expect("diamond join");
-        m.commit(&c);
-        assert!(m.reaches(0, 3));
-        assert!(m.closure_invariant_holds());
+        let mut m = Manager::new(8);
+        m.commit(&[], &[]);
+        m.commit(&[], &[0]);
+        m.commit(&[], &[0]);
+        m.commit(&[], &[1, 2]);
+        assert!(m.m.reaches(0, 3));
     }
 
     #[test]
     fn concurrent_transactions_stay_unrelated() {
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        commit(&mut m, &[], &[]); // no deps: concurrent with t0
-        assert!(!m.reaches(0, 1));
-        assert!(!m.reaches(1, 0));
+        let mut m = Manager::new(8);
+        m.commit(&[], &[]);
+        m.commit(&[], &[]); // no deps: concurrent with t0
+        assert!(!m.m.reaches(0, 1));
+        assert!(!m.m.reaches(1, 0));
     }
 
     #[test]
-    #[should_panic(expected = "full")]
-    fn commit_into_full_matrix_panics() {
-        let mut m = ReachMatrix::new(1);
-        commit(&mut m, &[], &[]);
-        m.commit(&Closure::new(1));
-    }
-
-    #[test]
-    fn validate_into_overwrites_a_reused_closure() {
-        // t0 -> t1 -> t2; the same closure serves a cycle, then a commit.
-        let mut m = ReachMatrix::new(8);
-        commit(&mut m, &[], &[]);
-        commit(&mut m, &[], &[0]);
-        commit(&mut m, &[], &[1]);
-        let mut kept = Closure::new(8);
-        assert_eq!(
-            m.validate_into(&dv(8, &[0]), &dv(8, &[2]), &mut kept),
-            Err(CycleDetected)
-        );
-        for (f, b) in [(&[1usize][..], &[0usize][..]), (&[], &[2]), (&[0, 2], &[])] {
-            let (f, b) = (dv(8, f), dv(8, b));
-            m.validate_into(&f, &b, &mut kept).expect("no cycle");
-            assert_eq!(Ok(&kept), m.validate(&f, &b).as_ref());
+    fn rows_wider_than_one_word_wrap_the_same_way() {
+        // W = 130: three planes, the last 2 bits wide. A chain through
+        // every position, twice round the ring.
+        let mut m = Manager::new(130);
+        m.commit(&[], &[]);
+        for n in 1..300usize {
+            let pos = m.commit(&[], &[(n - 1) % 130]);
+            assert_eq!(pos, n % 130);
+            let oldest = n.saturating_sub(129);
+            assert!(m.m.reaches(oldest % 130, pos), "commit {n}");
+            assert!(!m.m.reaches(pos, oldest % 130) || oldest == n);
         }
+        assert_eq!(m.pinned, [0; 3], "a chain's head reaches no one older");
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn vectors_of_another_window_are_rejected() {
+        let m = Manager::new(65);
+        let (mut p, mut s) = (vec![0; 2], vec![0; 2]);
+        let _ = m.m.validate(&[0], &[0, 0], &mut p, &mut s);
     }
 }

@@ -1,10 +1,10 @@
 //! The ROCoCo validator: matrix + window bundled behind a sequence-number
 //! interface.
 
-use crate::depvec::DepVec;
-use crate::matrix::{Closure, ReachMatrix};
+use crate::depvec::ones;
+use crate::matrix::ReachMatrix;
 use crate::window::{Seq, SlidingWindow};
-use std::fmt;
+use std::{fmt, mem};
 
 /// Why a transaction was rejected by the validator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,12 +68,14 @@ pub struct TxnDeps {
 ///
 /// This is the *algorithmic* validator used directly by the trace-driven CC
 /// simulators; the FPGA pipeline model in `rococo-fpga` wraps it with
-/// signature-based conflict detection and timing.
+/// signature-based conflict detection and timing. Both drive the one
+/// [`ReachMatrix`], over ring positions: the commit with sequence number
+/// `seq` is position `seq % W` of every vector here.
 #[derive(Debug, Clone)]
 pub struct RococoValidator<T> {
     matrix: ReachMatrix,
     window: SlidingWindow<T>,
-    /// Window slots that must precede every future candidate.
+    /// Window commits that must precede every future candidate.
     ///
     /// When a transaction `tᵢ` is evicted, pairs involving `tᵢ` fall back to
     /// *strict* serializability (section 5.1): `tᵢ` is ordered before every
@@ -81,11 +83,15 @@ pub struct RococoValidator<T> {
     /// therefore also precedes every future candidate; recording `tⱼ` here
     /// (and OR-ing the vector into each candidate's backward vector)
     /// preserves those constraints after the matrix forgets `tᵢ`.
-    pinned: DepVec,
+    pinned: Vec<u64>,
     /// Scratch of one validation, kept so that none allocates: the
-    /// candidate's backward vector with `pinned` OR-ed in, and its `p`/`s`.
-    backward: DepVec,
-    closure: Closure,
+    /// candidate's backward vector with `pinned` OR-ed in, its `p`/`s`, and
+    /// the `f`/`b` the sequence-number adapter builds.
+    backward: Vec<u64>,
+    p: Vec<u64>,
+    s: Vec<u64>,
+    f: Vec<u64>,
+    b: Vec<u64>,
 }
 
 impl<T> RococoValidator<T> {
@@ -95,12 +101,17 @@ impl<T> RococoValidator<T> {
     ///
     /// Panics if `w == 0`.
     pub fn new(w: usize) -> Self {
+        let matrix = ReachMatrix::new(w);
+        let zero = vec![0; matrix.words()];
         Self {
-            matrix: ReachMatrix::new(w),
+            matrix,
             window: SlidingWindow::new(w),
-            pinned: DepVec::new(w),
-            backward: DepVec::new(w),
-            closure: Closure::new(w),
+            pinned: zero.clone(),
+            backward: zero.clone(),
+            p: zero.clone(),
+            s: zero.clone(),
+            f: zero.clone(),
+            b: zero,
         }
     }
 
@@ -114,9 +125,15 @@ impl<T> RococoValidator<T> {
         &self.window
     }
 
-    /// The reachability matrix (slot-indexed; slots align with the window).
+    /// The reachability matrix, indexed by ring position.
     pub fn matrix(&self) -> &ReachMatrix {
         &self.matrix
+    }
+
+    /// The window commits that reached a commit at its eviction, as a bit
+    /// vector over ring positions.
+    pub fn pinned(&self) -> &[u64] {
+        &self.pinned
     }
 
     /// Sequence number the next committed transaction will receive.
@@ -127,6 +144,12 @@ impl<T> RococoValidator<T> {
     /// Oldest sequence still tracked, if any.
     pub fn oldest_seq(&self) -> Option<Seq> {
         self.window.oldest_seq()
+    }
+
+    /// Ring position of commit `seq` (`seq % W`), if it is still tracked.
+    pub fn position_of(&self, seq: Seq) -> Option<usize> {
+        let live = self.window.slot_of(seq).is_some();
+        live.then(|| (seq % self.capacity() as Seq) as usize)
     }
 
     /// Checks whether a transaction with the given snapshot could still be
@@ -140,8 +163,8 @@ impl<T> RococoValidator<T> {
 
     /// Validates a candidate and, on success, commits it with bookkeeping
     /// `entry`, returning its sequence number. An adapter for callers that
-    /// hold their dependencies as sequence numbers: it turns them into slot
-    /// vectors and calls
+    /// hold their dependencies as sequence numbers: it sets each one's ring
+    /// position in kept scratch (allocating nothing) and calls
     /// [`validate_and_commit_vectors`](Self::validate_and_commit_vectors).
     ///
     /// # Errors
@@ -151,36 +174,51 @@ impl<T> RococoValidator<T> {
     /// * [`RejectReason::Cycle`] if committing would create a dependency
     ///   cycle.
     pub fn validate_and_commit(&mut self, deps: &TxnDeps, entry: T) -> Result<Seq, RejectReason> {
-        let cap = self.matrix.capacity();
-        let mut f = DepVec::new(cap);
-        for &seq in &deps.forward {
-            match self.window.slot_of(seq) {
-                Some(slot) => f.set(slot),
-                // A forward dependency on an evicted commit can no longer be
-                // ordered; with the snapshot check this should not occur,
-                // but a caller racing the window must abort.
-                None => return Err(RejectReason::WindowOverflow),
-            }
-        }
-        let mut b = DepVec::new(cap);
-        for &seq in &deps.backward {
-            if let Some(slot) = self.window.slot_of(seq) {
-                b.set(slot);
-            }
-            // A backward dependency on an evicted commit is satisfied by
-            // construction: evicted transactions are strictly serialised
-            // before every candidate. Transactions that *reach* evicted
-            // commits are covered by the pinned vector.
-        }
-        self.validate_and_commit_vectors(deps.snapshot, &f, &b, entry)
+        let (mut f, mut b) = (mem::take(&mut self.f), mem::take(&mut self.b));
+        let verdict = self
+            .ring_vectors(deps, &mut f, &mut b)
+            .and_then(|()| self.validate_and_commit_vectors(deps.snapshot, &f, &b, entry));
+        (self.f, self.b) = (f, b);
+        verdict
     }
 
-    /// Validates a candidate whose dependencies are already slot-indexed
-    /// adjacency vectors — `f[i]`: the candidate must precede the commit in
-    /// window slot `i`, `b[i]`: it must succeed it — and, on success,
-    /// commits it with bookkeeping `entry`, returning its sequence number.
-    /// This is the Detector→Manager hand-off of Figure 5; it allocates
-    /// nothing.
+    /// The dependencies of `deps` as bit vectors over ring positions.
+    fn ring_vectors(
+        &self,
+        deps: &TxnDeps,
+        f: &mut [u64],
+        b: &mut [u64],
+    ) -> Result<(), RejectReason> {
+        f.fill(0);
+        for &seq in &deps.forward {
+            // A forward dependency on an evicted commit can no longer be
+            // ordered; with the snapshot check this should not occur, but a
+            // caller racing the window must abort.
+            let pos = self.position_of(seq).ok_or(RejectReason::WindowOverflow)?;
+            f[pos / 64] |= 1 << (pos % 64);
+        }
+        b.fill(0);
+        // A backward dependency on an evicted commit is satisfied by
+        // construction: evicted transactions are strictly serialised before
+        // every candidate. Transactions that *reach* evicted commits are
+        // covered by the pinned vector.
+        for pos in deps
+            .backward
+            .iter()
+            .filter_map(|&seq| self.position_of(seq))
+        {
+            b[pos / 64] |= 1 << (pos % 64);
+        }
+        Ok(())
+    }
+
+    /// Validates a candidate whose dependencies are already adjacency
+    /// vectors over ring positions — bit `seq % W` of `f`: the candidate
+    /// must precede the live commit `seq`, of `b`: it must succeed it — and,
+    /// on success, commits it with bookkeeping `entry`, returning its
+    /// sequence number. This is the Detector→Manager hand-off of Figure 5;
+    /// it allocates nothing and moves nothing: the commit takes over the
+    /// ring position of the commit it evicts.
     ///
     /// # Errors
     ///
@@ -190,53 +228,44 @@ impl<T> RococoValidator<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `f`/`b` capacities don't match the window capacity, or if a
-    /// dependency bit refers to a dead slot.
+    /// Panics if `f`/`b` are not `ceil(W / 64)` words; in debug builds, if
+    /// a dependency bit names a position no live commit holds.
     pub fn validate_and_commit_vectors(
         &mut self,
         snapshot: Seq,
-        f: &DepVec,
-        b: &DepVec,
+        f: &[u64],
+        b: &[u64],
         entry: T,
     ) -> Result<Seq, RejectReason> {
         if !self.snapshot_in_window(snapshot) {
             return Err(RejectReason::WindowOverflow);
         }
+        assert_eq!(b.len(), self.backward.len(), "vector width mismatch");
+        let live = |v: &[u64]| {
+            let named = |(k, &word)| ones(word).map(move |bit| k * 64 + bit);
+            let mut named = v.iter().enumerate().flat_map(named);
+            named.all(|i| i < self.capacity() && self.matrix.reaches(i, i))
+        };
+        debug_assert!(
+            live(f) && live(b),
+            "dependency on a position outside the live window"
+        );
 
         // Everything that reaches an evicted commit precedes the candidate.
-        self.backward.copy_from(b);
-        self.backward.or_with(&self.pinned);
+        for ((out, b), pinned) in self.backward.iter_mut().zip(b).zip(&self.pinned) {
+            *out = b | pinned;
+        }
         self.matrix
-            .validate_into(f, &self.backward, &mut self.closure)
+            .validate(f, &self.backward, &mut self.p, &mut self.s)
             .map_err(|_| RejectReason::Cycle)?;
 
-        let mut candidate_pinned = false;
-        if self.matrix.is_full() {
-            // Before the oldest commit t₀ is forgotten, everything that
-            // reaches it inherits its must-precede-the-future constraint
-            // (slot 0 itself falls off, so only survivors matter).
-            for j in 1..self.matrix.len() {
-                if self.matrix.reaches(j, 0) {
-                    self.pinned.set(j);
-                }
-            }
-            // If the candidate itself serialises before t₀, it too must
-            // precede every future transaction.
-            candidate_pinned = self.closure.p.get(0);
-            // Slot indices shift by one when the oldest commit is evicted;
-            // the in-flight vectors shift with them, exactly like the
-            // register shift of the hardware pipeline (Figure 5).
-            self.matrix.evict_oldest();
-            self.closure.p.shift_down();
-            self.closure.s.shift_down();
-            self.pinned.shift_down();
-        }
-        let slot = self.matrix.commit(&self.closure);
-        if candidate_pinned {
-            self.pinned.set(slot);
-        }
+        // The commit takes the ring position of the commit W before it.
+        // Before that one is forgotten, everything that reaches it — the
+        // candidate included — inherits its must-precede-the-future
+        // constraint; `commit` collects exactly those into `pinned`.
+        let pos = (self.next_seq() % self.capacity() as Seq) as usize;
+        self.matrix.commit(pos, &self.p, &self.s, &mut self.pinned);
         let (seq, _evicted) = self.window.push(entry);
-        debug_assert_eq!(Some(slot), self.window.slot_of(seq), "matrix/window skew");
         Ok(seq)
     }
 }
@@ -244,6 +273,7 @@ impl<T> RococoValidator<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DepVec;
 
     fn deps(snapshot: Seq, forward: &[Seq], backward: &[Seq]) -> TxnDeps {
         TxnDeps {
@@ -271,18 +301,17 @@ mod tests {
         ) -> Result<Seq, RejectReason> {
             match self {
                 Path::Adapter => v.validate_and_commit(deps, entry),
-                // What a caller holding slot vectors does: an evicted commit
-                // has no slot, so a backward edge to it is not expressible.
+                // What a caller holding ring vectors does: an evicted commit
+                // has no position, so a backward edge to it is not expressible.
                 Path::Vectors => {
-                    let mut f = DepVec::new(v.capacity());
+                    let (mut f, mut b) = (DepVec::new(v.capacity()), DepVec::new(v.capacity()));
                     for &seq in &deps.forward {
-                        f.set(v.window().slot_of(seq).expect("forward dep is live"));
+                        f.set(v.position_of(seq).expect("forward dep is live"));
                     }
-                    let mut b = DepVec::new(v.capacity());
-                    for slot in deps.backward.iter().filter_map(|&s| v.window().slot_of(s)) {
-                        b.set(slot);
+                    for pos in deps.backward.iter().filter_map(|&s| v.position_of(s)) {
+                        b.set(pos);
                     }
-                    v.validate_and_commit_vectors(deps.snapshot, &f, &b, entry)
+                    v.validate_and_commit_vectors(deps.snapshot, f.as_words(), b.as_words(), entry)
                 }
             }
         }
@@ -407,7 +436,7 @@ mod tests {
 
     #[test]
     fn a_rejection_leaves_no_trace_in_the_kept_scratch() {
-        // The closure and backward scratch survive between calls; a cycle
+        // The p/s and backward scratch survive between calls; a cycle
         // abort's leftovers must not leak into the next verdict.
         let mut v: RococoValidator<()> = RococoValidator::new(4);
         let mut fresh = v.clone();
@@ -471,6 +500,13 @@ mod tests {
             assert!(commits > 100, "W={window}: {commits} commits");
             assert!(window == 1 || cycles > 0, "W={window}: no cycle exercised");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn a_short_backward_vector_is_rejected_not_padded_with_the_last_call() {
+        let mut v: RococoValidator<()> = RococoValidator::new(65);
+        let _ = v.validate_and_commit_vectors(0, &[0, 0], &[0], ());
     }
 
     #[test]

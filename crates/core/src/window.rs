@@ -8,14 +8,13 @@ use std::collections::VecDeque;
 pub type Seq = u64;
 
 /// A sliding window of bookkeeping entries for the last `W` committed
-/// transactions, keyed by global [`Seq`] and addressable by window slot.
+/// transactions, keyed by global [`Seq`] and addressable by window slot
+/// (slot 0 is the oldest tracked commit).
 ///
-/// Slot indices align with [`ReachMatrix`](crate::ReachMatrix) slots: slot 0
-/// is the oldest tracked commit. When the window is full, pushing a new
-/// entry evicts slot 0 — callers owning a matrix must call
-/// [`ReachMatrix::evict_oldest`](crate::ReachMatrix::evict_oldest) in
-/// lockstep (see [`RococoValidator`](crate::RococoValidator), which bundles
-/// the two).
+/// When the window is full, pushing a new entry evicts slot 0; in the
+/// [`ReachMatrix`](crate::ReachMatrix) the new commit then takes over the
+/// evicted one's ring position `seq % W` (see
+/// [`RococoValidator`](crate::RococoValidator), which bundles the two).
 #[derive(Debug, Clone)]
 pub struct SlidingWindow<T> {
     entries: VecDeque<T>,

@@ -1,6 +1,6 @@
 //! The functional model of the FPGA validation pipeline: Detector + Manager.
 
-use rococo_core::{DepVec, RejectReason, RococoValidator, Seq};
+use rococo_core::{RejectReason, RococoValidator, Seq};
 use rococo_sigs::{PrehashedAddr, Sig, SigScheme};
 
 /// Configuration of the validation engine.
@@ -152,21 +152,22 @@ impl History {
         })
     }
 
-    /// Replaces the entry in ring position `pos` with `sig`: clears the
-    /// position's bit in exactly the columns the outgoing signature names
-    /// (its words are still stored here, so no other column can hold a
-    /// stale bit), then sets it in the columns `sig` names.
+    /// Replaces the entry in ring position `pos` with `sig`: flips the
+    /// position's bit in exactly the columns where the outgoing signature
+    /// (its words are still stored here, and the columns agree with them, so
+    /// no other column can hold a stale bit) and `sig` differ.
     fn replace(&mut self, pos: usize, sig: &Sig) {
         let words = self.m_bits / 64;
         let plane = &mut self.cols[(pos / 64) * self.m_bits..][..self.m_bits];
         let stored = &mut self.sigs[pos * words..][..words];
         let here = 1u64 << (pos % 64);
-        for (w, (old, &new)) in stored.iter_mut().zip(sig.as_words()).enumerate() {
-            for bit in ones(*old) {
-                plane[w * 64 + bit] &= !here;
-            }
-            for bit in ones(new) {
-                plane[w * 64 + bit] |= here;
+        for ((old, &new), columns) in stored
+            .iter_mut()
+            .zip(sig.as_words())
+            .zip(plane.chunks_mut(64))
+        {
+            for bit in ones(*old ^ new) {
+                columns[bit] ^= here;
             }
             *old = new;
         }
@@ -220,12 +221,12 @@ fn ring_range(word: usize, start: usize, len: usize, window: usize) -> u64 {
 ///    arithmetic against the entries the request's `ValidTS` observed (an
 ///    overlapping writer the transaction already observed is a backward
 ///    read-after-write dependency, an unobserved one is a forward
-///    write-after-read dependency), rotated once from ring positions to
-///    window slots.
+///    write-after-read dependency), over the same ring positions.
 /// 3. **Manager** — takes the two vectors as they are
-///    ([`RococoValidator::validate_and_commit_vectors`]), computes `p`/`s`
-///    against the reachability matrix, detects cycles in O(1) cycles, and
-///    on commit shifts the window.
+///    ([`RococoValidator::validate_and_commit_vectors`]: the reachability
+///    matrix is indexed by ring position too), computes `p`/`s`, detects
+///    cycles in O(1) cycles, and on commit closes the matrix over the new
+///    entry in the row and column of the entry it evicts.
 /// 4. **Bookkeeping** — on commit, the new entry's two signatures are
 ///    built from the step-1 prehashes and replace the evicted entry's, in
 ///    the stored signatures and in the columns ("two signatures (one for
@@ -248,11 +249,9 @@ pub struct ValidationEngine {
     // The request in flight: what each step leaves for the next.
     req_reads: Vec<PrehashedAddr>,
     req_writes: Vec<PrehashedAddr>,
-    /// `f`/`b` over ring positions, then over window slots.
+    /// `f`/`b` over ring positions.
     ring_f: Vec<u64>,
     ring_b: Vec<u64>,
-    f: DepVec,
-    b: DepVec,
     /// The signature being built for the commit.
     sig: Sig,
 }
@@ -275,8 +274,6 @@ impl ValidationEngine {
             req_writes: Vec::new(),
             ring_f: vec![0; window.div_ceil(64)],
             ring_b: vec![0; window.div_ceil(64)],
-            f: DepVec::new(window),
-            b: DepVec::new(window),
             sig: config.scheme.new_sig(),
             scheme: config.scheme,
         }
@@ -334,13 +331,11 @@ impl ValidationEngine {
             let war = self.reads.hits(&self.req_writes, word);
             let waw = self.writes.hits(&self.req_writes, word);
             let seen = ring_range(word, start, observed, window);
+            // Positions outside the live window hold no signature bits, so
+            // they never hit: the vectors name live commits only.
             self.ring_f[word] = raw & !seen;
             self.ring_b[word] = (raw & seen) | war | waw;
         }
-        // Slot `s` is ring position `(oldest + s) % W`. Positions outside
-        // the live window hold no signature bits, so they never hit.
-        self.f.copy_rotated_from(&self.ring_f, start);
-        self.b.copy_rotated_from(&self.ring_b, start);
     }
 
     /// Step 4: the commit `seq` takes over ring position `seq % W` from
@@ -371,9 +366,12 @@ impl ValidationEngine {
         self.prehash(req);
         self.detect(req.valid_ts);
         // Step 3, the Manager.
-        let verdict =
-            self.validator
-                .validate_and_commit_vectors(req.valid_ts, &self.f, &self.b, ());
+        let verdict = self.validator.validate_and_commit_vectors(
+            req.valid_ts,
+            &self.ring_f,
+            &self.ring_b,
+            (),
+        );
         match verdict {
             Ok(seq) => {
                 self.record(seq);
@@ -398,6 +396,7 @@ mod tests {
     use proptest::prelude::*;
     use rococo_core::TxnDeps;
     use rococo_trace::{eigen_trace, EigenConfig};
+    use std::hint::black_box;
     use std::time::{Duration, Instant};
 
     fn req(tx_id: u64, valid_ts: Seq, reads: &[u64], writes: &[u64]) -> ValidateRequest {
@@ -816,10 +815,10 @@ mod tests {
     /// `cargo test --release -p rococo-fpga --lib stage_budget -- --ignored --nocapture`
     ///
     /// Each stage is the engine's own step, timed in place on every request
-    /// of the trace. "Manager validate" is `ReachMatrix::validate_into`
-    /// replayed read-only on the vectors the Manager is about to get
-    /// (without the pinned bits, which cost no extra word operations);
-    /// "commit + evict" is the Manager's whole step less that.
+    /// of the trace. "Manager validate" is `ReachMatrix::validate` replayed
+    /// read-only on the vectors the Manager is about to get (without the
+    /// pinned bits, which cost no extra word operations); "commit + evict"
+    /// is the Manager's whole step less that.
     #[test]
     #[ignore = "a measurement, not a check: run in release with --nocapture"]
     fn stage_budget() {
@@ -871,12 +870,12 @@ mod tests {
         // What one `Instant::now()` costs: every stage boundary pays it once.
         let started = Instant::now();
         for _ in 0..1_000_000 {
-            std::hint::black_box(Instant::now());
+            black_box(Instant::now());
         }
         let now_cost = started.elapsed() / 1_000_000;
 
         let mut stages = [Duration::ZERO; 5];
-        let mut closure = rococo_core::Closure::new(64);
+        let (mut p, mut s) = ([0], [0]);
         let mut staged = EngineStats::default();
         for _ in 0..PASSES {
             staged = pass(&mut |engine, request| {
@@ -887,18 +886,13 @@ mod tests {
                 let t1 = Instant::now();
                 engine.detect(request.valid_ts);
                 let t2 = Instant::now();
-                let _ = std::hint::black_box(engine.validator.matrix().validate_into(
-                    &engine.f,
-                    &engine.b,
-                    &mut closure,
-                ));
+                let (f, b) = (&engine.ring_f, &engine.ring_b);
+                let _ = black_box(engine.validator.matrix().validate(f, b, &mut p, &mut s));
                 let t3 = Instant::now();
-                let verdict = engine.validator.validate_and_commit_vectors(
-                    request.valid_ts,
-                    &engine.f,
-                    &engine.b,
-                    (),
-                );
+                let verdict =
+                    engine
+                        .validator
+                        .validate_and_commit_vectors(request.valid_ts, f, b, ());
                 let t4 = Instant::now();
                 if let Ok(seq) = verdict {
                     engine.record(seq);
@@ -929,7 +923,7 @@ mod tests {
         );
         println!("stage                          ns/verdict");
         println!("prehash                        {prehash:>10.0}");
-        println!("column AND + rotate (Detector) {detect:>10.0}");
+        println!("column AND (Detector)          {detect:>10.0}");
         println!("Manager validate               {validate:>10.0}");
         println!(
             "Manager commit + evict         {:>10.0}",

@@ -110,7 +110,17 @@ impl SigScheme {
     /// Panics if `sig` does not match this scheme's geometry.
     #[inline]
     pub fn insert(&self, sig: &mut Sig, addr: u64) {
-        self.insert_prehashed(sig, &self.prehash(addr));
+        assert_eq!(sig.words.len(), self.words, "signature geometry mismatch");
+        for bit in self.bits_of(addr) {
+            sig.words[bit / 64] |= 1u64 << (bit % 64);
+        }
+    }
+
+    /// The signature bit indices of `addr`, one per partition.
+    #[inline]
+    fn bits_of(&self, addr: u64) -> impl Iterator<Item = usize> + '_ {
+        let buckets = self.hashers.hash_all(addr).enumerate();
+        buckets.map(|(i, bucket)| i * self.part_bits + bucket as usize)
     }
 
     /// [`SigScheme::insert`] of positions computed by [`SigScheme::prehash`]:
@@ -218,8 +228,7 @@ impl SigScheme {
     #[inline]
     pub fn prehash(&self, addr: u64) -> PrehashedAddr {
         let mut bits = [0u16; MAX_K];
-        for (i, slot) in bits.iter_mut().enumerate().take(self.k) {
-            let bit = i * self.part_bits + self.hashers.hash(i, addr) as usize;
+        for (slot, bit) in bits.iter_mut().zip(self.bits_of(addr)) {
             debug_assert!(bit < self.m_bits);
             *slot = bit as u16;
         }

@@ -86,7 +86,8 @@ impl MultiplyShift {
 
     /// Evaluates the whole family on `key`, yielding one bucket per function.
     pub fn hash_all<'a>(&'a self, key: u64) -> impl Iterator<Item = u64> + 'a {
-        (0..self.len()).map(move |i| self.hash(i, key))
+        let shift = 64 - self.out_bits;
+        self.mults.iter().map(move |a| a.wrapping_mul(key) >> shift)
     }
 }
 
