@@ -343,7 +343,7 @@ impl Link {
         let spin = self.submitter_spin;
         let served =
             || !self.snapshot_wanted.load(Ordering::SeqCst) || self.dead.load(Ordering::SeqCst);
-        // rococo-lint: allow(guard-across-wait) -- `scrape_turn` only orders scrapers among themselves (the mailbox has one parking spot); the validator never takes it
+        // Guard held across this wait, on purpose: `scrape_turn` only orders scrapers among themselves (the mailbox has one parking spot); the validator never takes it
         self.scraper.wait(spin, PARK_AFTER, None, served);
         (!self.snapshot_wanted.load(Ordering::SeqCst)).then(|| *self.last_stats.read())
     }

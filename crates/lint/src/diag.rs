@@ -1,8 +1,10 @@
 //! Diagnostics: rustc-style rendering plus machine-readable JSON.
+//!
+//! All JSON this crate emits (the `--json` report and the diagnostic
+//! objects inside it) is hand-assembled; [`push_json_str`] is the one
+//! place that knows how to escape a string for it.
 
 use std::fmt::Write as _;
-
-pub use crate::jsonw::json_escape;
 
 /// One finding, anchored to a file position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,16 +34,37 @@ impl Diagnostic {
 
     /// Serialises one diagnostic as a JSON object.
     pub fn to_json(&self, out: &mut String) {
+        out.push_str("{\"file\":");
+        push_json_str(out, &self.file);
         let _ = write!(
             out,
-            "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&self.file),
-            self.line,
-            self.col,
-            self.rule,
-            json_escape(&self.message),
+            ",\"line\":{},\"col\":{},\"rule\":",
+            self.line, self.col
         );
+        push_json_str(out, self.rule);
+        out.push_str(",\"message\":");
+        push_json_str(out, &self.message);
+        out.push('}');
     }
+}
+
+/// Appends `s` to `out` as a quoted, escaped JSON string literal.
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -65,7 +88,12 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let quoted = |s: &str| {
+            let mut out = String::new();
+            push_json_str(&mut out, s);
+            out
+        };
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quoted("\u{1}"), "\"\\u0001\"");
     }
 }

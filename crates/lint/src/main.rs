@@ -1,6 +1,5 @@
 //! `rococo-lint` CLI: lints the workspace and prints rustc-style
-//! diagnostics (or a JSON report with `--json`, or a SARIF 2.1.0 log
-//! with `--sarif <path>` for CI annotation upload).
+//! diagnostics (or a JSON report with `--json`).
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 usage/IO error.
 
@@ -10,20 +9,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: rococo-lint [--root <path>] [--json] [--sarif <path>] [--verify-fixpoint]
+usage: rococo-lint [--root <path>] [--json]
 
-  --root <path>      workspace root to lint (default: current directory)
-  --json             emit a machine-readable JSON report on stdout
-  --sarif <path>     also write a SARIF 2.1.0 log to <path> (CI artifact)
-  --verify-fixpoint  solve the interprocedural summaries twice and fail
-                     on any divergence (nondeterminism tripwire)
+  --root <path>  workspace root to lint (default: current directory)
+  --json         emit a machine-readable JSON report on stdout
 ";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json = false;
-    let mut sarif: Option<PathBuf> = None;
-    let mut opts = rococo_lint::Options::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -35,14 +29,6 @@ fn main() -> ExitCode {
                 }
             },
             "--json" => json = true,
-            "--sarif" => match args.next() {
-                Some(p) => sarif = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("rococo-lint: --sarif needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--verify-fixpoint" => opts.verify_fixpoint = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -54,20 +40,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = match rococo_lint::lint_workspace_with(&root, &opts) {
+    let report = match rococo_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rococo-lint: failed to read {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &sarif {
-        if let Err(e) = std::fs::write(path, report.to_sarif()) {
-            eprintln!("rococo-lint: failed to write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
 
     if json {
         print!("{}", report.to_json());
@@ -76,14 +55,8 @@ fn main() -> ExitCode {
             eprintln!("{}", d.render());
         }
         eprintln!(
-            "rococo-lint: {} files, {} lines, parse {}us, summaries {}us \
-             ({} fn summaries, {} call edges)",
-            report.files,
-            report.lines,
-            report.parse_micros,
-            report.summary_micros,
-            report.fn_summaries,
-            report.call_edges
+            "rococo-lint: {} files, {} lines, parse {}us",
+            report.files, report.lines, report.parse_micros
         );
         for r in &report.rule_stats {
             eprintln!(
@@ -96,11 +69,6 @@ fn main() -> ExitCode {
             report.suppressions_used,
             report.diagnostics.len()
         );
-    }
-
-    if report.fixpoint_ok == Some(false) {
-        eprintln!("rococo-lint: summary fixpoint diverged between two solves");
-        return ExitCode::from(2);
     }
 
     if report.is_clean() {

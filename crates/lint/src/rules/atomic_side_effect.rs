@@ -84,10 +84,6 @@ impl Rule for AtomicSideEffect {
         "atomic-side-effect"
     }
 
-    fn description(&self) -> &'static str {
-        "no I/O, clocks, RNG, sleeps, locks or channel ops inside re-executable atomic closures"
-    }
-
     fn check(&self, file: &FileModel, out: &mut Vec<Diagnostic>) {
         let allowed = telemetry_ranges(file);
         for closure in &file.closures {

@@ -42,10 +42,6 @@ impl Rule for CommitSeqDiscipline {
         "commit-seq-outside-critical"
     }
 
-    fn description(&self) -> &'static str {
-        "durable sequence counters may only be mutated inside the commit critical section"
-    }
-
     fn check(&self, file: &FileModel, out: &mut Vec<Diagnostic>) {
         for i in 0..file.toks.len() {
             if !COUNTERS.iter().any(|c| file.is_ident(i, c)) {

@@ -20,10 +20,6 @@ impl Rule for ForbidUnsafe {
         "missing-forbid-unsafe"
     }
 
-    fn description(&self) -> &'static str {
-        "every non-vendored crate root carries #![forbid(unsafe_code)]"
-    }
-
     fn check(&self, file: &FileModel, out: &mut Vec<Diagnostic>) {
         if !file.is_crate_root {
             return;

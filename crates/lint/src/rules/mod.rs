@@ -7,32 +7,19 @@
 //! line in [`registry`], fixtures, and nothing else — the walker,
 //! suppression machinery, CLI, timing and JSON output all pick it up
 //! through this list.
-//!
-//! Rules that need the interprocedural layer (call graph + blocking
-//! summaries) implement [`WorkspaceRule`] instead and are listed in
-//! [`workspace_registry`]; the engine routes their diagnostics back
-//! into per-file suppression scopes, so `// rococo-lint: allow(...)`
-//! works identically for both kinds.
 
 mod atomic_side_effect;
 mod commit_seq;
-mod guard_across_wait;
 mod hygiene;
-mod lock_order_cycle;
-mod pending_commit_leak;
 mod uncounted_abort;
 
 pub use atomic_side_effect::AtomicSideEffect;
 pub use commit_seq::CommitSeqDiscipline;
-pub use guard_across_wait::GuardAcrossWait;
 pub use hygiene::ForbidUnsafe;
-pub use lock_order_cycle::LockOrderCycle;
-pub use pending_commit_leak::PendingCommitLeak;
 pub use uncounted_abort::UncountedAbort;
 
 use crate::diag::Diagnostic;
 use crate::model::FileModel;
-use crate::Workspace;
 
 /// A lint rule: scans one file model and appends diagnostics.
 pub trait Rule: Sync {
@@ -40,28 +27,11 @@ pub trait Rule: Sync {
     /// the suppression grammar).
     fn id(&self) -> &'static str;
 
-    /// One-line description for `--help`-style listings and reports.
-    fn description(&self) -> &'static str;
-
     /// Runs the rule over `file`, pushing findings onto `out`.
     fn check(&self, file: &FileModel, out: &mut Vec<Diagnostic>);
 }
 
-/// A workspace-scoped rule: sees every file at once plus the
-/// interprocedural summary layer.
-pub trait WorkspaceRule: Sync {
-    /// Stable kebab-case identifier.
-    fn id(&self) -> &'static str;
-
-    /// One-line description.
-    fn description(&self) -> &'static str;
-
-    /// Runs the rule over the whole workspace, pushing findings onto
-    /// `out` (any file, any order — the engine re-buckets them).
-    fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>);
-}
-
-/// All registered per-file rules, in reporting order.
+/// All registered rules, in reporting order.
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(AtomicSideEffect),
@@ -71,21 +41,8 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// All registered workspace rules, in reporting order.
-pub fn workspace_registry() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
-        Box::new(GuardAcrossWait),
-        Box::new(LockOrderCycle),
-        Box::new(PendingCommitLeak),
-    ]
-}
-
 /// The ids of all registered rules (the vocabulary the suppression
 /// grammar accepts).
 pub fn rule_ids() -> Vec<&'static str> {
-    registry()
-        .iter()
-        .map(|r| r.id())
-        .chain(workspace_registry().iter().map(|r| r.id()))
-        .collect()
+    registry().iter().map(|r| r.id()).collect()
 }

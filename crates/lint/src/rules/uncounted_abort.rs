@@ -29,10 +29,6 @@ impl Rule for UncountedAbort {
         "uncounted-abort"
     }
 
-    fn description(&self) -> &'static str {
-        "ROCoCoTM abort outcomes must be minted via count_abort (escalation counting)"
-    }
-
     fn check(&self, file: &FileModel, out: &mut Vec<Diagnostic>) {
         if !file.path.ends_with(TARGET_FILE) {
             return;

@@ -24,39 +24,12 @@ fn workspace_is_lint_clean() {
         "workspace has lint errors:\n{}",
         rendered.join("\n")
     );
-    // The in-tree allows — the GlobalTS-forging rococotm test plus the
-    // justified intentional-hold sites of the interprocedural rules —
-    // must all be honoured, not dead.
+    // The in-tree allow — the GlobalTS-forging rococotm test — must be
+    // honoured, not dead.
     assert!(
-        report.suppressions_used >= 7,
+        report.suppressions_used >= 1,
         "only {} suppressions honoured",
         report.suppressions_used
-    );
-}
-
-#[test]
-fn interprocedural_summaries_are_not_blind() {
-    let report = lint_workspace(&repo_root()).unwrap();
-    // Tripwires against the summary pass silently going blind: the
-    // workspace currently has ~1.5k functions and ~7.6k call edges; a
-    // collapse below these floors means the call-site scanner or the
-    // fn resolver regressed, not that the code shrank.
-    assert!(
-        report.fn_summaries >= 1000,
-        "only {} function summaries built",
-        report.fn_summaries
-    );
-    assert!(
-        report.call_edges >= 5000,
-        "only {} call edges resolved",
-        report.call_edges
-    );
-    // The acceptance bound is 5s for the whole interprocedural pass;
-    // leave generous headroom for debug builds and loaded CI hosts.
-    assert!(
-        report.summary_micros < 5_000_000,
-        "summary pass took {}us",
-        report.summary_micros
     );
 }
 

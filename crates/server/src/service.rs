@@ -1076,27 +1076,53 @@ mod tests {
     }
 
     /// A lone request finds every worker parked (the poll budget is a few
-    /// microseconds): `submit` must wake one, and the reply must wake the
-    /// client that parked waiting for it.
+    /// microseconds): `submit` must wake one, and the worker must answer
+    /// before it parks again. On ROCoCoTM with batching on, that is the
+    /// PR-7 drain invariant: the lone commit is a pending that holds a
+    /// commit-gate read guard and an unpublished sequence number, so a
+    /// worker that parks without settling it never answers. The reply is
+    /// polled to a deadline, so that bug fails the test instead of hanging
+    /// it.
     #[test]
     fn a_lone_request_wakes_a_parked_worker() {
+        fn lone_requests<S: TmSystem + 'static>(system: Arc<S>, cfg: TxKvConfig) {
+            let kv = TxKv::start(system, cfg).unwrap();
+            for round in 0..3u64 {
+                spin_until("both workers park", || {
+                    kv.queues[0].worker_sleeps(0) && kv.queues[0].worker_sleeps(1)
+                });
+                let pending = kv.submit(Request::Add { key: 1, delta: 1 }).unwrap();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let reply = loop {
+                    if let Some(reply) = pending.try_wait() {
+                        break reply;
+                    }
+                    assert!(
+                        Instant::now() < deadline,
+                        "round {round}: a parked worker never answered the lone request"
+                    );
+                    std::thread::yield_now();
+                };
+                assert_eq!(reply.unwrap(), Response::Value(round + 1));
+            }
+            assert_eq!(kv.shutdown().aggregate.committed, 3);
+        }
         let cfg = TxKvConfig {
             shards: 1,
             workers_per_shard: 2,
             keys: 16,
             ..TxKvConfig::default()
         };
-        let kv = TxKv::start(tiny(&cfg), cfg).unwrap();
-        for round in 0..3u64 {
-            spin_until("both workers park", || {
-                kv.queues[0].worker_sleeps(0) && kv.queues[0].worker_sleeps(1)
-            });
-            assert_eq!(
-                kv.call(Request::Add { key: 1, delta: 1 }).unwrap(),
-                Response::Value(round + 1)
-            );
-        }
-        assert_eq!(kv.shutdown().aggregate.committed, 3);
+        lone_requests(tiny(&cfg), cfg.clone());
+        let cfg = TxKvConfig {
+            max_batch: 16,
+            ..cfg
+        };
+        let rococo = RococoTm::with_config(TmConfig {
+            heap_words: cfg.heap_words(),
+            max_threads: cfg.worker_threads(),
+        });
+        lone_requests(Arc::new(rococo), cfg);
     }
 
     /// A client that drops its `PendingReply` abandons the reply, not the

@@ -434,7 +434,7 @@ impl TmSystem for TsxHtm {
             }
             self.doomed[thread_id].store(false, Ordering::SeqCst);
             while self.committing.iter().any(|c| c.load(Ordering::SeqCst)) {
-                // rococo-lint: allow(guard-across-wait) -- the fallback lock MUST be held while committers drain (they subscribed it to self-doom); committers never take this lock, so the spin is bounded
+                // Guard held across this spin, on purpose: the fallback lock MUST be held while committers drain (they subscribed it to self-doom); committers never take this lock, so the spin is bounded
                 std::hint::spin_loop();
             }
             TxMode::Fallback(guard)

@@ -728,7 +728,7 @@ impl<'a> RococoTx<'a> {
         let n_addrs = reads.len() + self.write_addrs.len();
         let (link, tx_id) = (&tm.handle, thread as u64);
         let verdict = if blocking {
-            // rococo-lint: allow(guard-across-wait) -- the commit gate is held across validation by design (§4): an escalation writer must not interleave between verdict and publication; the validator never takes the gate, and a ring slot this commit may have to wait for belongs to a pending commit, whose owner never blocks on the gate (the non-blocking dispatch only `try_read`s it) and whose own read guard keeps any writer out just as long
+            // Guard held across this wait, on purpose: the commit gate is held across validation by design (§4): an escalation writer must not interleave between verdict and publication; the validator never takes the gate, and a ring slot this commit may have to wait for belongs to a pending commit, whose owner never blocks on the gate (the non-blocking dispatch only `try_read`s it) and whose own read guard keeps any writer out just as long
             link.post(tx_id, self.valid_ts, reads, &self.write_addrs)
         } else {
             // A full ring means the slot this ticket wraps onto is still
