@@ -92,21 +92,24 @@ if grep -rn 'crossbeam\|serde' --include=Cargo.toml . | grep -v '^./benchmark/';
   exit 1
 fi
 
-echo "== request hop and what it allocates (release)"
+echo "== request hop and what it allocates, and a worker that never races its own batch (release)"
 cargo test --release -q -p rococo-server --lib hop::
 cargo test --release -q -p rococo-server --test alloc_per_request
+cargo test --release -q -p rococo-server --lib a_lone_worker_never_races
 
 echo "== validator link, WAL ring and request hop on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first
 # livelocks (PR 1's turn-wait) and the second hangs. All three hops wait
 # with rococo-park's helper; the two rings skip their spin phase here, the
-# request hop never spins.
+# request hop never spins. A worker's mid-batch hazard drain waits for a
+# validator that shares its one CPU.
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-fpga --lib
   taskset -c 0 cargo test --release -q -p rococo-wal --lib
   taskset -c 0 cargo test --release -q -p rococo-server --lib -- \
-    hop:: a_lone_request_wakes a_dropped_pending_reply a_panicking_backend overload_sheds
+    hop:: a_lone_request_wakes a_dropped_pending_reply a_panicking_backend overload_sheds \
+    a_lone_worker_never_races
 else
   echo "taskset not found: skipping the one-CPU run of the rococo-fpga, rococo-wal and rococo-server hop tests"
 fi

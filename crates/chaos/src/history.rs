@@ -247,6 +247,10 @@ impl<'a, S: TmSystem + 'a> PendingCommit for ChaosPending<'a, S> {
         });
         result
     }
+
+    fn in_flight(&self) -> bool {
+        self.inner.in_flight()
+    }
 }
 
 impl<'a, S: TmSystem + 'a> Drop for ChaosTx<'a, S> {

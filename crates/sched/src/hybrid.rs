@@ -401,6 +401,13 @@ impl PendingCommit for HybridPending<'_> {
             PendingInner::Sw { pending, route } => route.retire(pending.finish()),
         }
     }
+
+    fn in_flight(&self) -> bool {
+        match &self.0 {
+            PendingInner::Ready(_) => false,
+            PendingInner::Sw { pending, .. } => pending.in_flight(),
+        }
+    }
 }
 
 impl TmSystem for HybridTm {

@@ -92,8 +92,8 @@ where
 mod tests {
     use super::*;
     use rococo_stm::{
-        finish_submitted, try_submit, AbortKind, HtmConfig, RococoConfig, Submitted, TmConfig,
-        TmSystem, Transaction,
+        finish_submitted, try_submit, AbortKind, HtmConfig, PendingCommit, RococoConfig, Submitted,
+        TmConfig, TmSystem, Transaction,
     };
     use std::sync::{mpsc, Arc};
     use std::time::{Duration, Instant};
@@ -272,6 +272,37 @@ mod tests {
         assert_eq!(tm.stats_snapshot().commits, 1);
     }
 
+    /// A software-path pending holds unpublished writes until `finish`;
+    /// an HTM one was settled at submission.
+    #[test]
+    fn only_a_software_pending_is_in_flight() {
+        // Bounds of 0 words: the first commit runs on HTM, after it the
+        // class predicts a footprint over the bound and routes to software.
+        let tm = HybridTm::with_configs(HybridConfig {
+            tm: TmConfig {
+                heap_words: 1 << 10,
+                max_threads: 2,
+            },
+            read_bound: 0,
+            write_bound: 0,
+            ..HybridConfig::default()
+        });
+        let a = tm.heap().alloc(1);
+        for on_htm in [true, false] {
+            let Submitted::Pending(p, ()) = try_submit(&tm, 0, &mut |tx: &mut HybridTx<'_>| {
+                let v = tx.read(a)?;
+                tx.write(a, v + 1)
+            }) else {
+                panic!("an uncontended commit submits");
+            };
+            assert_eq!(p.in_flight(), !on_htm, "on_htm {on_htm}");
+            finish_submitted(&tm, p).unwrap();
+        }
+        let sched = tm.sched_snapshot();
+        assert_eq!((sched.commits_htm, sched.commits_sw), (1, 1));
+        assert_eq!(tm.heap().load_direct(a), 2);
+    }
+
     #[test]
     fn inner_validation_counters_surface_without_double_counting() {
         // Bounds of 2 words: the 4-read/4-write class's EWMA exceeds them
@@ -406,8 +437,8 @@ mod tests {
             // The next attempt, with the pending outstanding and B parked
             // on the commit gate. Whatever the slow path answers, the
             // worker's protocol is: drain, then commit. (Its own word: two
-            // pipelined bumps of one word are a true rw+ww cycle —
-            // ROADMAP item 2, not this test.)
+            // pipelined bumps of one word are a true rw+ww cycle, which
+            // the TxKV worker drains before — not this test.)
             match try_submit(tm, 0, &mut bump(word + 1)) {
                 Submitted::Pending(second, ()) => {
                     says.send("began again").unwrap();

@@ -15,7 +15,8 @@ use crate::retry::RetryPolicy;
 use crate::stats::ShardStats;
 use parking_lot::RwLock;
 use rococo_stm::{
-    commit_deferred, finish_submitted, try_submit, Abort, Addr, Submitted, TmSystem, Transaction,
+    commit_deferred, finish_submitted, try_submit, Abort, Addr, PendingCommit, Submitted, TmSystem,
+    Transaction,
 };
 use rococo_wal::{Wal, WalDead};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -124,6 +125,23 @@ struct InFlight<'a, S: TmSystem + ?Sized + 'a> {
     pending: <S::Tx<'a> as Transaction>::Pending,
     resp: Response,
     writes: Vec<(u64, u64)>,
+}
+
+/// Whether `req` would race the batch's own pipeline: it writes, and one
+/// of its keys is in the write set of an in-flight commit whose writes
+/// are still unpublished. It would read what that commit is about to
+/// overwrite and overwrite it too — a cycle the validator must reject. A
+/// read-only request is never a hazard: it serializes before them.
+fn hazard<S: TmSystem + ?Sized>(req: &Request, inflight: &[InFlight<'_, S>]) -> bool {
+    let mut hit = false;
+    if !req.is_read_only() {
+        req.for_each_key(|key| {
+            hit |= inflight
+                .iter()
+                .any(|f| f.pending.in_flight() && f.writes.iter().any(|w| w.0 == key));
+        });
+    }
+    hit
 }
 
 /// A commit [`WorkerEnv::post_commit`] has handed to the WAL, or one with
@@ -412,12 +430,14 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
 /// `next_job`, then non-blocking `try_next_job`s — an empty queue never
 /// delays a lone request), executes each to its validation point, submits
 /// the commits asynchronously, and completes them in verdict order. The
-/// validator round-trip is thereby amortised across the whole batch (the
-/// paper's Figure 6 pipelining, applied at the worker level) instead of
-/// being paid once per job. Jobs the backend cannot commit asynchronously
-/// (synchronous backends use a pre-settled pending; ROCoCoTM defers
-/// irrevocable or gate-contended commits) fall back to the synchronous
-/// retry path after the outstanding batch is drained.
+/// validator round-trip is thereby amortised across each hazard-free run
+/// of jobs (the paper's Figure 6 pipelining, applied at the worker level)
+/// instead of being paid once per job: a job that would race an
+/// unpublished commit of its own batch ([`hazard`]) drains the batch
+/// first. Jobs the backend cannot commit asynchronously (synchronous
+/// backends use a pre-settled pending; ROCoCoTM defers irrevocable or
+/// gate-contended commits) fall back to the synchronous retry path after
+/// the outstanding batch is drained.
 ///
 /// A batch runs under a read lock on `pause`, held across the
 /// transactions, the WAL posts and the wait for the durable watermark —
@@ -469,6 +489,10 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
 
         let pause_guard = pause.read();
         for job in batch.drain(..) {
+            if hazard(&job.req, &scratch.inflight) {
+                stats.hazard_drains.fetch_add(1, Ordering::Relaxed);
+                env.drain(&mut rng, &mut scratch);
+            }
             // Stamp this thread's trace context from the job so every
             // downstream event (route, begin, validate, verdict,
             // commit, WAL ack) is attributed to the request's chain.
@@ -551,15 +575,102 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rococo_stm::{try_atomically, TinyStm, TmConfig};
+    use rococo_stm::{try_atomically, RococoTm, TinyStm, TmConfig};
+
+    const CONFIG: TmConfig = TmConfig {
+        heap_words: 256,
+        max_threads: 2,
+    };
 
     fn tm() -> (TinyStm, Addr) {
-        let tm = TinyStm::with_config(TmConfig {
-            heap_words: 256,
-            max_threads: 2,
-        });
+        let tm = TinyStm::with_config(CONFIG);
         let table = tm.heap().alloc(64);
         (tm, table)
+    }
+
+    /// Runs `req` to its submit point on thread 0, as the worker does,
+    /// and keeps the commit in flight.
+    fn submitted<S: TmSystem>(system: &S, table: Addr, req: Request) -> InFlight<'_, S> {
+        let mut writes = Vec::new();
+        let outcome = try_submit(system, 0, &mut |tx| apply(tx, table, &req, &mut writes));
+        let Submitted::Pending(pending, resp) = outcome else {
+            panic!("{req:?} did not reach its submit point");
+        };
+        let job = Job {
+            req,
+            enqueued_at: Instant::now(),
+            trace: 0,
+            reply: crate::hop::reply_pair().0,
+        };
+        InFlight {
+            job,
+            pending,
+            resp,
+            writes,
+        }
+    }
+
+    /// The requests that touch key 3, by whether they write.
+    fn on_key_3() -> ([Request; 3], [Request; 2]) {
+        let writers = [
+            Request::Add { key: 3, delta: 1 },
+            Request::Put { key: 3, value: 9 },
+            Request::Transfer {
+                from: 5,
+                to: 3,
+                amount: 1,
+            },
+        ];
+        let readers = [
+            Request::Get { key: 3 },
+            Request::MultiGet { keys: vec![2, 3] },
+        ];
+        (writers, readers)
+    }
+
+    #[test]
+    fn a_write_to_a_key_the_batch_has_in_flight_is_a_hazard_until_finished() {
+        let tm = RococoTm::with_config(CONFIG);
+        let t = tm.heap().alloc(64);
+        let mut inflight = vec![submitted(&tm, t, Request::Add { key: 3, delta: 1 })];
+        assert!(inflight[0].pending.in_flight());
+        let (writers, readers) = on_key_3();
+        for req in &writers {
+            assert!(hazard(req, &inflight), "{req:?}");
+        }
+        for req in &readers {
+            assert!(!hazard(req, &inflight), "a read is never a hazard: {req:?}");
+        }
+        assert!(!hazard(&Request::Add { key: 4, delta: 1 }, &inflight));
+        let f = inflight.pop().unwrap();
+        assert_eq!(finish_submitted(&tm, f.pending), Ok(Some(0)));
+        assert!(!hazard(&writers[0], &inflight));
+    }
+
+    #[test]
+    fn a_commit_with_nothing_in_flight_is_never_a_hazard() {
+        let (writers, _) = on_key_3();
+        // A declined transfer writes nothing.
+        let rococo = RococoTm::with_config(CONFIG);
+        let t = rococo.heap().alloc(64);
+        let declined = Request::Transfer {
+            from: 3,
+            to: 4,
+            amount: 1,
+        };
+        let inflight = vec![submitted(&rococo, t, declined)];
+        assert!(inflight[0].writes.is_empty());
+        for req in &writers {
+            assert!(!hazard(req, &inflight), "{req:?}");
+        }
+        // TinySTM settles at submission: its writes are already published.
+        let (tiny, t) = tm();
+        let inflight = vec![submitted(&tiny, t, Request::Add { key: 3, delta: 1 })];
+        assert_eq!(inflight[0].writes, vec![(3, 1)]);
+        assert!(!inflight[0].pending.in_flight());
+        for req in &writers {
+            assert!(!hazard(req, &inflight), "{req:?}");
+        }
     }
 
     fn run_with_writes(tm: &TinyStm, table: Addr, req: Request) -> (Response, Vec<(u64, u64)>) {

@@ -39,6 +39,7 @@ rococo_telemetry::stats_block! {
         /// `batch_jobs / batches` = mean batch size actually achieved,
         /// as opposed to the configured ceiling.
         pub(crate) batch_jobs: "rococo_txkv_batch_jobs_total", "Jobs executed across all batches";
+        pub(crate) hazard_drains: "rococo_txkv_hazard_drains_total", "Batches drained early because a job touched a key an in-flight job of the batch writes";
     }
     families {
         /// Indexed by [`AbortKind::index`].
@@ -166,7 +167,7 @@ impl fmt::Display for TxKvReport {
         writeln!(
             f,
             "txkv[{}] {} shards, {:.2}s: {} committed ({:.0} req/s), {} shed, {} deferred, \
-             {} failed, {} retries",
+             {} failed, {} retries, {} hazard drains",
             self.backend,
             self.per_shard.len(),
             self.elapsed.as_secs_f64(),
@@ -176,6 +177,7 @@ impl fmt::Display for TxKvReport {
             a.deferred,
             a.failed,
             a.retries,
+            a.hazard_drains,
         )?;
         writeln!(
             f,
@@ -280,6 +282,7 @@ mod tests {
             per_shard: vec![ShardSnapshot::default()],
             aggregate: ShardSnapshot {
                 committed: 1000,
+                hazard_drains: 3,
                 aborts: [5, 0, 0, 0, 0, 0, 0],
                 ..Default::default()
             },
@@ -292,6 +295,7 @@ mod tests {
         report.aggregate.latency = latency.snapshot();
         let text = report.to_string();
         assert!(text.contains("500 req/s"), "{text}");
+        assert!(text.contains("3 hazard drains"), "{text}");
         assert!(text.contains("cpu-stale-read=5"), "{text}");
         assert!(text.contains("1.5us"), "{text}");
         assert!(!text.contains("injected faults"), "{text}");

@@ -218,6 +218,13 @@ pub trait PendingCommit {
     /// Returns [`Abort`] if validation failed; all buffered writes are
     /// discarded.
     fn finish(self) -> Result<Option<u64>, Abort>;
+
+    /// Whether the commit's writes are still unpublished — its verdict is
+    /// owed and a later transaction of the same thread would read the
+    /// values they overwrite. `false` for a pending settled at submission.
+    fn in_flight(&self) -> bool {
+        false
+    }
 }
 
 /// A [`PendingCommit`] whose verdict was already decided at submission

@@ -175,6 +175,10 @@ impl<'a, S: TmSystem> PendingCommit for RecordPending<'a, S> {
         });
         Ok(seq)
     }
+
+    fn in_flight(&self) -> bool {
+        self.inner.in_flight()
+    }
 }
 
 impl<S: TmSystem> TmSystem for Recorder<S> {
@@ -290,5 +294,36 @@ mod tests {
         let log = rec.into_log();
         assert!(log[0].reads.is_empty());
         assert_eq!(log[0].writes, vec![5]);
+    }
+
+    /// A recorded pending is in flight exactly when the one it wraps is:
+    /// over ROCoCoTM until its verdict is consumed, over a backend that
+    /// commits at submission never.
+    #[test]
+    fn a_recorded_pending_is_in_flight_when_its_inner_one_is() {
+        fn submit<S: TmSystem>(rec: &Recorder<S>) -> RecordPending<'_, S> {
+            let addr = rec.heap().alloc(1);
+            let mut tx = rec.begin(0);
+            tx.write(addr, 1).unwrap();
+            let Ok(pending) = tx.submit_commit() else {
+                panic!("an uncontended commit submits asynchronously");
+            };
+            pending
+        }
+        let config = TmConfig {
+            heap_words: 64,
+            max_threads: 1,
+        };
+        let rococo = Recorder::new(crate::RococoTm::with_config(config));
+        let pending = submit(&rococo);
+        assert!(pending.in_flight());
+        assert!(rococo.log().is_empty(), "logged before the verdict");
+        assert!(pending.finish().is_ok());
+        assert_eq!(rococo.log().len(), 1);
+
+        let seq = recording_seq(config);
+        let pending = submit(&seq);
+        assert!(!pending.in_flight());
+        assert!(pending.finish().is_ok());
     }
 }

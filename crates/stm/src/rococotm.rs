@@ -813,10 +813,7 @@ impl std::fmt::Debug for RococoPending<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RococoPending")
             .field("thread", &self.thread)
-            .field(
-                "in_flight",
-                &matches!(self.state, PendingState::InFlight { .. }),
-            )
+            .field("in_flight", &self.in_flight())
             .finish()
     }
 }
@@ -886,6 +883,10 @@ impl RococoPending<'_> {
 impl PendingCommit for RococoPending<'_> {
     fn finish(self) -> Result<Option<u64>, Abort> {
         self.settle(None)
+    }
+
+    fn in_flight(&self) -> bool {
+        matches!(self.state, PendingState::InFlight { .. })
     }
 }
 
