@@ -92,24 +92,25 @@ if grep -rn 'crossbeam\|serde' --include=Cargo.toml . | grep -v '^./benchmark/';
   exit 1
 fi
 
-echo "== request hop and what it allocates, and a worker that never races its own batch (release)"
+echo "== request hop and what it allocates, a worker that never races its own batch, and one whose every commit is deferred (release)"
 cargo test --release -q -p rococo-server --lib hop::
 cargo test --release -q -p rococo-server --test alloc_per_request
 cargo test --release -q -p rococo-server --lib a_lone_worker_never_races
+cargo test --release -q -p rococo-server --lib every_commit_deferred
 
 echo "== validator link, WAL ring and request hop on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first
 # livelocks (PR 1's turn-wait) and the second hangs. All three hops wait
 # with rococo-park's helper; the two rings skip their spin phase here, the
-# request hop never spins. A worker's mid-batch hazard drain waits for a
-# validator that shares its one CPU.
+# request hop never spins. A worker's mid-batch hazard drain, and an
+# irrevocable commit, wait for a validator that shares their one CPU.
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-fpga --lib
   taskset -c 0 cargo test --release -q -p rococo-wal --lib
   taskset -c 0 cargo test --release -q -p rococo-server --lib -- \
     hop:: a_lone_request_wakes a_dropped_pending_reply a_panicking_backend overload_sheds \
-    a_lone_worker_never_races
+    a_lone_worker_never_races every_commit_deferred
 else
   echo "taskset not found: skipping the one-CPU run of the rococo-fpga, rococo-wal and rococo-server hop tests"
 fi
@@ -150,7 +151,7 @@ if [[ "$FULL" == "1" ]]; then
   # fail a test: rococo-server's `overload_sheds_instead_of_queueing`,
   # `hop::tests`, and tier-1 `overload_sheds_typed_error_and_service_stays_live`.
   bench txkv_load --backend rococo --ops 30000 --shards 1 --workers 1 \
-    --clients 4 --keys 4096 --queue 8 --open-loop 40000 --batch 8
+    --clients 4 --keys 4096 --queue 8 --open-loop 40000
   bench txkv_load --replicas 2 --quick
 
   echo "== pinned benchmark smoke (benchmark/smoke.sh)"

@@ -30,8 +30,7 @@ use rococo_bench::banner;
 use rococo_repl::{Cluster, ClusterConfig, ReplError};
 use rococo_sched::HybridTm;
 use rococo_server::{
-    BackendChoice, DurabilityConfig, PendingReply, Request, Response, TelemetryConfig, TxKv,
-    TxKvConfig, TxKvError,
+    BackendChoice, DurabilityConfig, PendingReply, Request, Response, TxKv, TxKvConfig, TxKvError,
 };
 use rococo_stm::{RococoTm, TinyStm, TmConfig, TmSystem, TsxHtm};
 use rococo_telemetry::{rundir, Histogram};
@@ -56,8 +55,6 @@ struct LoadCfg {
     /// Open loop at this many requests/s per client; closed loop if unset.
     open_loop: Option<u64>,
     queue_capacity: usize,
-    /// Worker batch ceiling (`TxKvConfig::max_batch`).
-    batch: usize,
     /// WAL fsync policy; in-memory if unset.
     durability: Option<FsyncPolicy>,
     /// Run directory: enables the flight recorder, the service's metric
@@ -86,7 +83,6 @@ impl Default for LoadCfg {
             read_pct: 80,
             open_loop: None,
             queue_capacity: 256,
-            batch: TxKvConfig::default().max_batch,
             durability: None,
             telemetry: None,
             attribution: false,
@@ -121,7 +117,6 @@ fn parse_args() -> LoadCfg {
             "--open-loop" => {
                 cfg.open_loop = Some(value("--open-loop").parse().expect("--open-loop"));
             }
-            "--batch" => cfg.batch = value("--batch").parse().expect("--batch"),
             "--durability" => {
                 let mode = value("--durability");
                 cfg.durability = match mode.as_str() {
@@ -140,7 +135,7 @@ fn parse_args() -> LoadCfg {
                 println!(
                     "txkv_load [--backend tinystm|htm|rococo|hybrid] [--ops N] [--shards N] \
                      [--workers N] [--clients N] [--keys N] [--theta F] [--read-pct P] \
-                     [--open-loop R] [--queue N] [--batch N] \
+                     [--open-loop R] [--queue N] \
                      [--durability none|always|everyN|never] [--telemetry DIR] \
                      [--attribution] [--replicas N] [--quick]"
                 );
@@ -333,7 +328,6 @@ fn run_single<S: TmSystem + 'static>(system: Arc<S>, cfg: &LoadCfg) {
         workers_per_shard: cfg.workers_per_shard,
         queue_capacity: cfg.queue_capacity,
         keys: cfg.keys,
-        max_batch: cfg.batch,
         durability: cfg.durability.zip(wal_dir.clone()).map(|(fsync, dir)| {
             DurabilityConfig {
                 dir,
@@ -342,16 +336,15 @@ fn run_single<S: TmSystem + 'static>(system: Arc<S>, cfg: &LoadCfg) {
                 kill: None,
             }
         }),
-        telemetry: cfg.telemetry.clone().map(TelemetryConfig::new),
+        telemetry: cfg.telemetry.clone(),
         ..TxKvConfig::default()
     };
     let kv = TxKv::start(system, kv_cfg).expect("service start");
     banner(&format!(
-        "txkv_load on {} ({} shards x {} workers, batch {}, {} {} clients, durability={})",
+        "txkv_load on {} ({} shards x {} workers, {} {} clients, durability={})",
         kv.backend().name(),
         cfg.shards,
         cfg.workers_per_shard,
-        cfg.batch,
         cfg.clients,
         if cfg.open_loop.is_some() {
             "open-loop"

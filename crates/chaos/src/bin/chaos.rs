@@ -179,8 +179,16 @@ fn main() -> ExitCode {
                 irrevocable_after: 4,
                 ..ChaosParams::default()
             };
-            for r in sweep(&tight, &seeds, &[BackendKind::Rococo]) {
-                handle(r, args.quiet);
+            // A commit queue twice the window, escalating early.
+            let roomy = ChaosParams {
+                queue_len: 16,
+                irrevocable_after: 4,
+                ..base
+            };
+            for params in [tight, roomy] {
+                for r in sweep(&params, &seeds, &[BackendKind::Rococo]) {
+                    handle(r, args.quiet);
+                }
             }
         }
     } else {

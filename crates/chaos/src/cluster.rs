@@ -26,12 +26,12 @@ use crate::driver::BackendKind;
 use crate::recovery::xorshift;
 use parking_lot::Mutex;
 use rococo_repl::{
-    Cluster, ClusterConfig, FailoverReport, LinkConfig, LinkFaults, ReplError, ReplKillPoint,
-    ReplKillSwitch, ReplSnapshot,
+    Cluster, ClusterConfig, FailoverReport, LinkFaults, ReplError, ReplKillPoint, ReplKillSwitch,
+    ReplSnapshot,
 };
-use rococo_server::{Request, RetryPolicy, TxKvError};
+use rococo_server::{Request, TxKvError};
 use rococo_stm::{GlobalLockTm, RococoConfig, RococoTm, TinyStm, TmConfig, TmSystem, TsxHtm};
-use rococo_wal::{FsyncPolicy, KillPoint, KillSwitch};
+use rococo_wal::{KillPoint, KillSwitch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -324,25 +324,15 @@ where
         ),
         None => (None, None),
     };
-    let faults = if params.drop_pct > 0 || params.reorder_pct > 0 {
-        LinkFaults {
-            seed: params.seed,
-            drop_pct: params.drop_pct,
-            reorder_pct: params.reorder_pct,
-            ..LinkFaults::none()
-        }
-    } else {
-        LinkFaults::none()
-    };
     let cfg = ClusterConfig {
         followers: params.followers,
         keys: params.clients as u64 + params.bank_keys,
         queue_capacity: 64,
-        retry: RetryPolicy::default(),
-        fsync: FsyncPolicy::Always,
-        link: LinkConfig {
-            faults,
-            ..LinkConfig::default()
+        // A fault at 0 % never rolls, so the seed alone changes nothing.
+        link_faults: LinkFaults {
+            seed: params.seed,
+            drop_pct: params.drop_pct,
+            reorder_pct: params.reorder_pct,
         },
         kill: repl_kill.clone(),
         wal_kill: wal_kill.clone(),

@@ -262,7 +262,6 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosReport {
         update_spin: params.update_spin,
         irrevocable_after: params.irrevocable_after,
         faults: params.faults.config(params.seed),
-        ..RococoConfig::default()
     };
     match params.backend {
         BackendKind::Rococo => run_on(

@@ -23,9 +23,7 @@
 //! mode, and the oracle must hold in each.
 
 use crate::driver::BackendKind;
-use rococo_server::{
-    DurabilityConfig, Request, Response, RetryPolicy, TxKv, TxKvConfig, TxKvError, TxKvReport,
-};
+use rococo_server::{DurabilityConfig, Request, Response, TxKv, TxKvConfig, TxKvError, TxKvReport};
 use rococo_stm::{GlobalLockTm, RococoConfig, RococoTm, TinyStm, TmConfig, TmSystem, TsxHtm};
 use rococo_wal::{FsyncPolicy, KillPoint, KillSwitch};
 use std::path::PathBuf;
@@ -149,15 +147,12 @@ fn service_config(
         workers_per_shard: 2,
         queue_capacity: 64,
         keys: params.clients as u64 + params.bank_keys,
-        retry: RetryPolicy::default(),
-        max_batch: TxKvConfig::default().max_batch,
         durability: Some(DurabilityConfig {
             dir,
             fsync: params.fsync,
             checkpoint_every: params.checkpoint_every,
             kill,
         }),
-        telemetry: None,
         ..TxKvConfig::default()
     }
 }

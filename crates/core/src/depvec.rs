@@ -66,11 +66,6 @@ impl DepVec {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Whether every slot is zero.
-    pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Number of set slots.
     pub fn count_ones(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()

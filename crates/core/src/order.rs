@@ -52,11 +52,6 @@ impl DiGraph {
         u < self.n && v < self.n && self.adj[u].get(v)
     }
 
-    /// Successors of `u`.
-    pub fn successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
-        self.adj[u].iter_ones()
-    }
-
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.adj.iter().map(|r| r.count_ones() as usize).sum()

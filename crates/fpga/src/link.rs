@@ -65,8 +65,8 @@ use std::time::{Duration, Instant};
 /// How many validations one thread may have outstanding: the ring the STM
 /// runtime asks for has `max_threads × LANE_DEPTH` slots, and a thread
 /// that already holds this many unconsumed slots must consume one before
-/// it submits another. Sized against `TxKvConfig::default().max_batch`
-/// (16): a shard worker's whole batch pipelines without deferring.
+/// it submits another. A TxKV shard worker sizes its batch by this
+/// constant, so a whole batch pipelines without deferring.
 pub const LANE_DEPTH: usize = 16;
 
 /// Lanes of the ring behind [`ValidationService::spawn`](crate::ValidationService::spawn):

@@ -9,7 +9,7 @@
 //!
 //! | rule | invariant |
 //! |---|---|
-//! | `atomic-side-effect` | closures passed to `atomically`/`try_atomically*`/`RetryPolicy::execute*` are re-executed on abort → no I/O, clocks, RNG, sleeps, locks, channel ops inside them |
+//! | `atomic-side-effect` | closures passed to `atomically`/`try_atomically*`/`execute_seq` are re-executed on abort → no I/O, clocks, RNG, sleeps, locks, channel ops inside them |
 //! | `uncounted-abort` | every ROCoCoTM abort path feeds the §4.2 escalation counter via `count_abort` (the PR-2 bug class) |
 //! | `commit-seq-outside-critical` | dense durable sequence counters are mutated only inside `commit_seq` (the PR-3 WAL-replay invariant) |
 //! | `missing-forbid-unsafe` | every non-vendored crate root carries `#![forbid(unsafe_code)]` |

@@ -8,15 +8,14 @@ use crate::lexer::{lex, Comment, Tok, TokKind};
 
 /// Functions whose closure argument is re-executed on abort. A closure
 /// body passed to any of these is a "re-executable region" for the
-/// side-effect rule. `execute`/`execute_seq` are the `RetryPolicy`
-/// methods; their *first* closure argument is the transaction body (the
-/// `on_abort` callback that follows is not re-executed as a transaction
-/// and is exempt).
+/// side-effect rule. `execute_seq` is the service's bounded retry loop;
+/// its *first* closure argument is the transaction body (the `on_abort`
+/// callback that follows is not re-executed as a transaction and is
+/// exempt).
 pub const ATOMIC_CALLEES: &[&str] = &[
     "atomically",
     "try_atomically",
     "try_atomically_seq",
-    "execute",
     "execute_seq",
     "try_submit",
     // `rococo-sched` hybrid-router entry points: the routed closure is
@@ -423,7 +422,7 @@ mod tests {
     #[test]
     fn only_first_closure_of_execute_counts() {
         let m = model(
-            "fn f() { policy.execute_seq(&*sys, tid, |tx| apply(tx), |kind| stats.lock().push(kind), &mut rng); }",
+            "fn f() { execute_seq(&*sys, tid, |tx| apply(tx), |kind| stats.lock().push(kind), &mut rng); }",
         );
         assert_eq!(m.closures.len(), 1);
         let c = &m.closures[0];

@@ -2,7 +2,7 @@
 //! re-executable atomic closure.
 //!
 //! The closures passed to `atomically` / `try_atomically` /
-//! `try_atomically_seq` / `RetryPolicy::execute{,_seq}` are re-executed
+//! `try_atomically_seq` / `execute_seq` are re-executed
 //! from the top on every abort, and an aborted attempt's transactional
 //! writes are discarded — but anything *else* the closure did (printed a
 //! line, read a clock, advanced an RNG, took a lock, sent on a channel)

@@ -27,8 +27,8 @@ fn aliased_callee(tm: &Tm) {
 }
 
 fn rng_and_channel(tm: &Tm, chan: &Sender<u64>) {
-    let policy = RetryPolicy::default();
-    policy.execute(
+    let mut seed = 7;
+    execute_seq(
         tm,
         0,
         |tx| {

@@ -18,8 +18,8 @@ fn effects_around_the_closure(tm: &Tm) {
     seen.lock().push(seed); // after the closure closes: fine
 }
 
-fn on_abort_is_not_transactional(tm: &Tm, policy: &RetryPolicy) {
-    policy.execute(
+fn on_abort_is_not_transactional(tm: &Tm) {
+    execute_seq(
         tm,
         0,
         |tx| tx.write(0, 1),

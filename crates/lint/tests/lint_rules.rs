@@ -36,7 +36,7 @@ fn atomic_side_effect_flags_every_effect_kind() {
             ("atomic-side-effect", 16), // Instant::now
             ("atomic-side-effect", 17), // thread::sleep
             ("atomic-side-effect", 24), // .lock() via the try_atomically alias
-            ("atomic-side-effect", 35), // next_rand in RetryPolicy::execute
+            ("atomic-side-effect", 35), // next_rand in execute_seq
             ("atomic-side-effect", 36), // channel .send
             ("atomic-side-effect", 45), // fs::
             ("atomic-side-effect", 51), // .gen_range in an expression-body closure

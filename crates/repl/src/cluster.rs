@@ -45,13 +45,11 @@
 //! makes [`Cluster::recover_primary`] idempotent for racing observers.
 
 use crate::kill::{ReplKillPoint, ReplKillSwitch};
-use crate::link::{link, LinkConfig, LinkStats, LinkTx};
+use crate::link::{link, LinkFaults, LinkStats, LinkTx};
 use crate::stats::{ReplSnapshot, ReplStats};
 use crate::stream::StreamBatch;
 use parking_lot::{Mutex, RwLock};
-use rococo_server::{
-    DurabilityConfig, Request, Response, RetryPolicy, TxKv, TxKvConfig, TxKvError, TxKvReport,
-};
+use rococo_server::{DurabilityConfig, Request, Response, TxKv, TxKvConfig, TxKvError, TxKvReport};
 use rococo_stm::TmSystem;
 use rococo_wal::record::decode_all;
 use rococo_wal::{FsyncPolicy, KillSwitch, WalRecord};
@@ -68,6 +66,10 @@ use std::time::{Duration, Instant};
 /// mid-broadcast kill point land inside a burst, not after it).
 const MAX_SHIP_RECORDS: usize = 64;
 
+/// Shipper poll cadence: how often the log tail is re-read and cursors
+/// advanced.
+const SHIP_INTERVAL: Duration = Duration::from_micros(500);
+
 /// Cluster topology and failure-injection knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -82,22 +84,12 @@ pub struct ClusterConfig {
     pub workers_per_shard: usize,
     /// Primary's shard queue depth.
     pub queue_capacity: usize,
-    /// Primary's retry policy.
-    pub retry: RetryPolicy,
-    /// The primary log's ack policy. Only [`FsyncPolicy::Always`] gives
-    /// the acked-writes-survive-fail-over guarantee against real power
-    /// loss; the simulated crashes here keep page-cache contents, so the
-    /// chaos oracles hold for every mode.
-    pub fsync: FsyncPolicy,
     /// WAL directory; `None` allocates a scratch directory the cluster
     /// removes at shutdown.
     pub dir: Option<PathBuf>,
-    /// Shape and faults of every primary→follower link (per-follower
-    /// fault streams are decorrelated from this seed).
-    pub link: LinkConfig,
-    /// Shipper poll cadence: how often the log tail is re-read and
-    /// cursors advanced.
-    pub ship_interval: Duration,
+    /// Faults of every primary→follower link (per-follower fault streams
+    /// are decorrelated from this seed).
+    pub link_faults: LinkFaults,
     /// Armed replication-layer crash point (chaos testing only).
     pub kill: Option<Arc<ReplKillSwitch>>,
     /// Armed WAL crash point for the *initial* primary (the `pre-ack`
@@ -114,11 +106,8 @@ impl Default for ClusterConfig {
             shards: 2,
             workers_per_shard: 2,
             queue_capacity: 128,
-            retry: RetryPolicy::default(),
-            fsync: FsyncPolicy::Always,
             dir: None,
-            link: LinkConfig::default(),
-            ship_interval: Duration::from_micros(500),
+            link_faults: LinkFaults::none(),
             kill: None,
             wal_kill: None,
         }
@@ -128,22 +117,21 @@ impl Default for ClusterConfig {
 impl ClusterConfig {
     /// The primary's TxKV configuration for `dir`, with checkpointing
     /// disabled — the log must stay the complete history for the shipper
-    /// to tail and for fail-over recovery to rebuild from.
+    /// to tail and for fail-over recovery to rebuild from — and every
+    /// ack behind an fsync ([`FsyncPolicy::Always`], the one mode whose
+    /// acked writes survive fail-over against real power loss).
     pub fn kv_config(&self, dir: PathBuf, kill: Option<Arc<KillSwitch>>) -> TxKvConfig {
         TxKvConfig {
             shards: self.shards,
             workers_per_shard: self.workers_per_shard,
             queue_capacity: self.queue_capacity,
             keys: self.keys,
-            retry: self.retry,
-            max_batch: TxKvConfig::default().max_batch,
             durability: Some(DurabilityConfig {
                 dir,
-                fsync: self.fsync,
+                fsync: FsyncPolicy::Always,
                 checkpoint_every: 0,
                 kill,
             }),
-            telemetry: None,
             ..TxKvConfig::default()
         }
     }
@@ -314,15 +302,16 @@ impl<S: TmSystem + 'static> Cluster<S> {
         let mut followers = Vec::with_capacity(cfg.followers);
         let mut links = Vec::with_capacity(cfg.followers);
         for f in 0..cfg.followers {
-            let mut link_cfg = cfg.link;
             // Decorrelate the per-link fault streams: identical seeds on
             // every link would drop the same batches everywhere.
-            link_cfg.faults.seed = cfg
-                .link
-                .faults
-                .seed
-                .wrapping_add((f as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let (tx, rx, partitioned, link_stats) = link(link_cfg);
+            let faults = LinkFaults {
+                seed: cfg
+                    .link_faults
+                    .seed
+                    .wrapping_add((f as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                ..cfg.link_faults
+            };
+            let (tx, rx, partitioned, link_stats) = link(faults);
             let store = Arc::new(RwLock::new(vec![0u64; cfg.keys as usize]));
             let next_expected = Arc::new(AtomicU64::new(0));
             let alive = Arc::new(AtomicBool::new(true));
@@ -372,7 +361,6 @@ impl<S: TmSystem + 'static> Cluster<S> {
             let shipped_seq = Arc::clone(&shipped_seq);
             let stats = Arc::clone(&stats);
             let kill = cfg.kill.clone();
-            let interval = cfg.ship_interval;
             std::thread::Builder::new()
                 .name("repl-shipper".into())
                 .spawn(move || {
@@ -386,7 +374,6 @@ impl<S: TmSystem + 'static> Cluster<S> {
                         shipped_seq,
                         stats,
                         kill,
-                        interval,
                     )
                 })
                 .expect("failed to spawn repl shipper")
@@ -567,16 +554,6 @@ impl<S: TmSystem + 'static> Cluster<S> {
             .saturating_sub(node.next_expected.load(Ordering::SeqCst)))
     }
 
-    /// Crashes follower `f` (chaos injection): it stops applying and
-    /// serving immediately and never comes back.
-    pub fn crash_follower(&self, f: usize) {
-        if let Some(node) = self.followers.get(f) {
-            if node.alive.swap(false, Ordering::SeqCst) {
-                self.stats.follower_crashes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Partitions (or heals) the link to follower `f`: while partitioned
     /// every shipped frame is dropped; the gap protocol re-converges the
     /// follower after healing.
@@ -676,7 +653,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
         }
         // Let in-flight frames land so the election sees settled
         // watermarks; bounded, not required for correctness.
-        std::thread::sleep(self.cfg.ship_interval * 2);
+        std::thread::sleep(SHIP_INTERVAL * 2);
 
         let mut crashed = 0u32;
         let (elected, candidate_watermark) = loop {
@@ -820,7 +797,6 @@ fn run_shipper(
     shipped_seq: Arc<AtomicU64>,
     stats: Arc<ReplStats>,
     kill: Option<Arc<ReplKillSwitch>>,
-    interval: Duration,
 ) {
     // The full record cache: `cache[i].seq == i`. The log is dense from
     // 0 and never truncated (checkpointing is disabled), so resends are
@@ -911,7 +887,7 @@ fn run_shipper(
                 }
             }
         }
-        std::thread::sleep(interval);
+        std::thread::sleep(SHIP_INTERVAL);
     }
     rococo_telemetry::flush_thread();
 }
@@ -999,7 +975,6 @@ fn run_follower(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkFaults;
     use rococo_stm::{TinyStm, TmConfig};
 
     fn tiny_cluster(cfg: ClusterConfig) -> Cluster<TinyStm> {
@@ -1048,14 +1023,10 @@ mod tests {
         let cluster = tiny_cluster(ClusterConfig {
             followers: 1,
             keys: 64,
-            link: LinkConfig {
-                faults: LinkFaults {
-                    seed: 11,
-                    drop_pct: 35,
-                    reorder_pct: 20,
-                    ..LinkFaults::none()
-                },
-                ..LinkConfig::default()
+            link_faults: LinkFaults {
+                seed: 11,
+                drop_pct: 35,
+                reorder_pct: 20,
             },
             ..ClusterConfig::default()
         });

@@ -9,8 +9,7 @@
 //!   rejected as a unit on any framing, checksum, or density defect.
 //! * [`link`] — the simulated primary→follower link: bounded queue,
 //!   modelled latency, and seeded sender-side faults (drop, reorder,
-//!   delay, partition) that exercise the receiver's gap/resend
-//!   protocol.
+//!   partition) that exercise the receiver's gap/resend protocol.
 //! * [`cluster`] — the nodes themselves: a shipper tailing the
 //!   primary's log, follower appliers serving watermark-gated
 //!   read-your-writes snapshot reads, and a deterministic fail-over
@@ -39,6 +38,6 @@ pub mod stream;
 
 pub use cluster::{Cluster, ClusterConfig, FailoverReport, ReplError, ReplReport};
 pub use kill::{ReplKillPoint, ReplKillSwitch};
-pub use link::{LinkConfig, LinkFaults, LinkStats};
+pub use link::{LinkFaults, LinkStats};
 pub use stats::{ReplSnapshot, ReplStats};
 pub use stream::{BatchError, StreamBatch, ENVELOPE_LEN, MAX_BATCH_PAYLOAD, STREAM_MAGIC};

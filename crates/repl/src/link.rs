@@ -5,9 +5,8 @@
 //! *sender* so the receiver's protocol handling is what gets exercised.
 //!
 //! Faults are seeded and deterministic per link: dropped frames force
-//! the follower's gap detection, held-back frames arrive out of order
-//! and force the duplicate/overlap handling, and extra delay widens the
-//! replication lag the watermark rule has to absorb. A link can also be
+//! the follower's gap detection, and held-back frames arrive out of order
+//! and force the duplicate/overlap handling. A link can also be
 //! *partitioned* — every frame silently dropped until healed — which is
 //! how the chaos driver models a network partition.
 
@@ -15,6 +14,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Bounded queue depth of every link; a full queue sheds the frame like a
+/// switch dropping under backpressure (the gap protocol recovers it).
+const CAPACITY: usize = 64;
+/// Modelled one-way delivery latency of every link.
+const LATENCY: Duration = Duration::from_micros(50);
 
 /// Seeded fault model for one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,10 +31,6 @@ pub struct LinkFaults {
     /// Percent of frames held back and sent *after* their successor
     /// (reorder path: the follower sees a future batch first).
     pub reorder_pct: u32,
-    /// Percent of frames given `extra_delay` on top of the base latency.
-    pub delay_pct: u32,
-    /// The extra delay for delayed frames.
-    pub extra_delay: Duration,
 }
 
 impl LinkFaults {
@@ -39,34 +40,6 @@ impl LinkFaults {
             seed: 0,
             drop_pct: 0,
             reorder_pct: 0,
-            delay_pct: 0,
-            extra_delay: Duration::ZERO,
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.drop_pct > 0 || self.reorder_pct > 0 || self.delay_pct > 0
-    }
-}
-
-/// One link's shape: queue depth and modelled one-way latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkConfig {
-    /// Bounded queue depth; a full queue sheds the frame like a switch
-    /// dropping under backpressure (the gap protocol recovers it).
-    pub capacity: usize,
-    /// Modelled one-way delivery latency.
-    pub latency: Duration,
-    /// Seeded fault injection.
-    pub faults: LinkFaults,
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        Self {
-            capacity: 64,
-            latency: Duration::from_micros(50),
-            faults: LinkFaults::none(),
         }
     }
 }
@@ -94,7 +67,7 @@ pub struct LinkStats {
 /// The sending half, owned by the shipper.
 pub struct LinkTx {
     tx: SyncSender<Frame>,
-    cfg: LinkConfig,
+    faults: LinkFaults,
     rng: u64,
     /// A frame held back by the reorder fault, sent after its successor.
     held: Option<Frame>,
@@ -107,17 +80,18 @@ pub struct LinkRx {
     rx: Receiver<Frame>,
 }
 
-/// Creates a link; returns the two halves plus the shared partition
-/// flag and stats the cluster keeps for control and observability.
-pub fn link(cfg: LinkConfig) -> (LinkTx, LinkRx, Arc<AtomicBool>, Arc<LinkStats>) {
-    let (tx, rx) = sync_channel(cfg.capacity.max(1));
+/// Creates a link with the given faults; returns the two halves plus the
+/// shared partition flag and stats the cluster keeps for control and
+/// observability.
+pub fn link(faults: LinkFaults) -> (LinkTx, LinkRx, Arc<AtomicBool>, Arc<LinkStats>) {
+    let (tx, rx) = sync_channel(CAPACITY);
     let partitioned = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(LinkStats::default());
     (
         LinkTx {
             tx,
-            rng: cfg.faults.seed | 1,
-            cfg,
+            rng: faults.seed | 1,
+            faults,
             held: None,
             partitioned: Arc::clone(&partitioned),
             stats: Arc::clone(&stats),
@@ -155,30 +129,23 @@ impl LinkTx {
     }
 
     /// Offers a frame to the link. Partition and fault rolls happen
-    /// here; the frame may be dropped, delayed, held back behind its
-    /// successor, or shed by the bounded queue — every loss is
-    /// recoverable through the follower's gap protocol.
+    /// here; the frame may be dropped, held back behind its successor, or
+    /// shed by the bounded queue — every loss is recoverable through the
+    /// follower's gap protocol.
     pub fn send(&mut self, bytes: Vec<u8>) {
         if self.partitioned.load(Ordering::Relaxed) {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if self.cfg.faults.enabled() && self.roll(self.cfg.faults.drop_pct) {
+        if self.roll(self.faults.drop_pct) {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let mut latency = self.cfg.latency;
-        if self.cfg.faults.enabled() && self.roll(self.cfg.faults.delay_pct) {
-            latency += self.cfg.faults.extra_delay;
-        }
         let frame = Frame {
-            deliver_at: Instant::now() + latency,
+            deliver_at: Instant::now() + LATENCY,
             bytes,
         };
-        if self.cfg.faults.enabled()
-            && self.held.is_none()
-            && self.roll(self.cfg.faults.reorder_pct)
-        {
+        if self.held.is_none() && self.roll(self.faults.reorder_pct) {
             // Hold this frame back; it goes out right after the next one
             // (or at flush), arriving out of order at the follower.
             self.held = Some(frame);
@@ -225,10 +192,7 @@ mod tests {
 
     #[test]
     fn faultless_link_delivers_in_order() {
-        let (mut tx, rx, _, stats) = link(LinkConfig {
-            latency: Duration::from_micros(10),
-            ..LinkConfig::default()
-        });
+        let (mut tx, rx, _, stats) = link(LinkFaults::none());
         for i in 0u8..10 {
             tx.send(vec![i]);
         }
@@ -241,7 +205,7 @@ mod tests {
 
     #[test]
     fn partition_drops_everything_until_healed() {
-        let (mut tx, rx, partitioned, stats) = link(LinkConfig::default());
+        let (mut tx, rx, partitioned, stats) = link(LinkFaults::none());
         partitioned.store(true, Ordering::Relaxed);
         tx.send(vec![1]);
         tx.send(vec![2]);
@@ -254,14 +218,10 @@ mod tests {
 
     #[test]
     fn reorder_fault_swaps_adjacent_frames() {
-        let (mut tx, rx, _, stats) = link(LinkConfig {
-            latency: Duration::ZERO,
-            faults: LinkFaults {
-                seed: 7,
-                reorder_pct: 100,
-                ..LinkFaults::none()
-            },
-            ..LinkConfig::default()
+        let (mut tx, rx, _, stats) = link(LinkFaults {
+            seed: 7,
+            reorder_pct: 100,
+            ..LinkFaults::none()
         });
         tx.send(vec![1]); // held
         tx.send(vec![2]); // sent, then releases the held frame
@@ -275,15 +235,11 @@ mod tests {
 
     #[test]
     fn full_queue_sheds() {
-        let (mut tx, _rx, _, stats) = link(LinkConfig {
-            capacity: 2,
-            latency: Duration::ZERO,
-            ..LinkConfig::default()
-        });
-        for i in 0u8..5 {
-            tx.send(vec![i]);
+        let (mut tx, _rx, _, stats) = link(LinkFaults::none());
+        for i in 0..CAPACITY + 3 {
+            tx.send(vec![i as u8]);
         }
-        assert_eq!(stats.sent.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.sent.load(Ordering::Relaxed), CAPACITY as u64);
         assert_eq!(stats.shed.load(Ordering::Relaxed), 3);
     }
 }

@@ -20,6 +20,9 @@ type HwTx<'a> = <TsxHtm as TmSystem>::Tx<'a>;
 type SwTx<'a> = <RococoTm as TmSystem>::Tx<'a>;
 type SwPending<'a> = <SwTx<'a> as Transaction>::Pending;
 
+/// Routes between feedback-loop steps ([`HybridTm::adapt`]).
+const ADAPT_INTERVAL: u64 = 1024;
+
 /// Construction parameters for [`HybridTm`].
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
@@ -44,12 +47,8 @@ pub struct HybridConfig {
     /// fast path.
     pub strike_limit: u32,
     /// Base fast-path ban length, in router-clock ticks (one tick per
-    /// route); doubles per consecutive ban.
+    /// route); doubles per consecutive ban, to at most 64× the base.
     pub cooldown: u64,
-    /// Cap on the exponential ban backoff.
-    pub max_streak_shift: u32,
-    /// Routes between feedback-loop steps.
-    pub adapt_interval: u64,
 }
 
 impl Default for HybridConfig {
@@ -63,8 +62,6 @@ impl Default for HybridConfig {
             write_bound: 64,
             strike_limit: 3,
             cooldown: 256,
-            max_streak_shift: 6,
-            adapt_interval: 1024,
         }
     }
 }
@@ -134,7 +131,6 @@ pub struct HybridTm {
     /// Capacity aborts seen by the last feedback-loop step; whoever holds
     /// it is the one thread adapting.
     adapt_state: Mutex<u64>,
-    config: HybridConfig,
 }
 
 impl HybridTm {
@@ -169,7 +165,6 @@ impl HybridTm {
         let hysteresis = Hysteresis {
             strike_limit: config.strike_limit.max(1),
             cooldown: config.cooldown.max(1),
-            max_streak_shift: config.max_streak_shift,
         };
         Self {
             router: Router::new(
@@ -192,7 +187,6 @@ impl HybridTm {
             clock: AtomicU64::new(0),
             sched: SchedStats::default(),
             adapt_state: Mutex::new(0),
-            config,
         }
     }
 
@@ -425,7 +419,7 @@ impl TmSystem for HybridTm {
         let class = (self.class_of[thread_id].load(Ordering::Relaxed) as usize)
             .min(self.router.n_classes() - 1);
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if now.is_multiple_of(self.config.adapt_interval) {
+        if now.is_multiple_of(ADAPT_INTERVAL) {
             self.adapt();
         }
         // Mid-retry migration: an attempt that just died of an HTM
@@ -484,11 +478,6 @@ impl TmSystem for HybridTm {
 
     fn stats(&self) -> &TmStats {
         &self.stats
-    }
-
-    fn mark_phase(&self) {
-        self.rococo.mark_phase();
-        self.htm.mark_phase();
     }
 
     fn injected_faults(&self) -> Option<rococo_fpga::FaultSnapshot> {

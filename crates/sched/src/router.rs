@@ -17,6 +17,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 const EWMA_FP: u32 = 8;
 /// EWMA smoothing: new = old + (sample - old) / 2^EWMA_SHIFT.
 const EWMA_SHIFT: u32 = 2;
+/// Cap on the exponential ban-streak backoff: a ban lasts at most
+/// `cooldown << MAX_STREAK_SHIFT` ticks.
+const MAX_STREAK_SHIFT: u32 = 6;
 
 /// The pure hysteresis rule, factored out of the per-class atomics so it
 /// can be property-tested: cooldowns are *monotone* — banning a class
@@ -28,8 +31,6 @@ pub struct Hysteresis {
     pub strike_limit: u32,
     /// Base cooldown length, in router-clock ticks (one tick per route).
     pub cooldown: u64,
-    /// Cap on the exponential ban-streak backoff (length ≤ cooldown << cap).
-    pub max_streak_shift: u32,
 }
 
 impl Hysteresis {
@@ -39,7 +40,7 @@ impl Hysteresis {
     pub fn ban(&self, now: u64, streak: u32, current_until: u64) -> u64 {
         let len = self
             .cooldown
-            .saturating_mul(1u64 << streak.min(self.max_streak_shift));
+            .saturating_mul(1u64 << streak.min(MAX_STREAK_SHIFT));
         current_until.max(now.saturating_add(len.max(1)))
     }
 
@@ -227,7 +228,6 @@ mod tests {
         let h = Hysteresis {
             strike_limit: 3,
             cooldown: 16,
-            max_streak_shift: 6,
         };
         let r = Router::new(2, h, 64, 16);
         for _ in 0..8 {
@@ -247,7 +247,6 @@ mod tests {
         let h = Hysteresis {
             strike_limit: 2,
             cooldown: 10,
-            max_streak_shift: 6,
         };
         let r = Router::new(1, h, 64, 16);
         assert!(!r.record_capacity(0, 5));
@@ -271,7 +270,7 @@ mod tests {
             strike_limit in 1u32..8,
             bans in proptest::prop::collection::vec((0u64..10_000, 0u32..12), 1..40),
         ) {
-            let h = Hysteresis { strike_limit, cooldown, max_streak_shift: 6 };
+            let h = Hysteresis { strike_limit, cooldown };
             let mut until = 0u64;
             let mut now = 0u64;
             for (advance, streak) in bans {
@@ -301,7 +300,7 @@ mod tests {
             cooldown in 1u64..200,
             extra_strikes in 0usize..20,
         ) {
-            let h = Hysteresis { strike_limit: 1, cooldown, max_streak_shift: 4 };
+            let h = Hysteresis { strike_limit: 1, cooldown };
             let r = Router::new(1, h, 64, 16);
             prop_assert!(r.record_capacity(0, 0));
             let deadline = cooldown.max(1);

@@ -21,10 +21,10 @@
 //!   bounded queues, each drained by a pool of worker threads. When a
 //!   queue backs up, admission control sheds the request with a typed
 //!   [`TxKvError::Overloaded`] instead of queueing without bound.
-//! * [`RetryPolicy`] — per-attempt retry with bounded exponential backoff
-//!   plus jitter. Repeated aborts feed the backend's own escalation (on
-//!   ROCoCoTM, the consecutive-abort counter eventually runs the attempt
-//!   irrevocably, so starved requests still finish).
+//! * Retries — up to 64 attempts per request with bounded exponential
+//!   backoff plus jitter. Repeated aborts feed the backend's own
+//!   escalation (on ROCoCoTM, the consecutive-abort counter eventually
+//!   runs the attempt irrevocably, so starved requests still finish).
 //! * [`ShardStats`] / [`TxKvReport`] — per-shard observability:
 //!   commit/retry/shed counters, abort-cause breakdown (CPU stale read vs
 //!   FPGA cycle vs window overflow vs HTM capacity/fallback), and
@@ -71,6 +71,5 @@ mod stats;
 pub use backend::BackendChoice;
 pub use hop::PendingReply;
 pub use request::{Key, Request, Response, TxKvError};
-pub use retry::RetryPolicy;
-pub use service::{DurabilityConfig, TelemetryConfig, TxKv, TxKvConfig};
+pub use service::{DurabilityConfig, TxKv, TxKvConfig};
 pub use stats::{ShardSnapshot, ShardStats, TxKvReport};

@@ -3,46 +3,30 @@
 //!
 //! The STM's own [`atomically`](rococo_stm::atomically) spins forever;
 //! a service cannot, because a request holds a queue slot and a reply
-//! channel. [`RetryPolicy`] bounds the attempts and sleeps between them
-//! with decorrelated jitter so colliding workers spread out instead of
-//! re-colliding in lockstep. The retry loop deliberately reuses the
-//! backend's escalation machinery: under ROCoCoTM, consecutive aborts on
-//! the same worker thread trip the irrevocable path, so a bounded policy
-//! still converges on hot keys.
+//! channel. [`execute_seq`] bounds the attempts at [`MAX_ATTEMPTS`] and
+//! sleeps between them with decorrelated jitter so colliding workers
+//! spread out instead of re-colliding in lockstep. The retry loop
+//! deliberately reuses the backend's escalation machinery: under
+//! ROCoCoTM, consecutive aborts on the same worker thread trip the
+//! irrevocable path, so a bounded retry still converges on hot keys.
 
 use rococo_stm::{try_atomically_seq, Abort, AbortKind, TmSystem};
 use std::time::Duration;
 
-/// Retry policy for one request: bounded attempts with capped
-/// exponential backoff plus jitter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum transaction attempts per request; `0` means unlimited
-    /// (rely entirely on the backend's escalation to converge).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt, in nanoseconds.
-    pub base_delay_ns: u64,
-    /// Cap on any single backoff, in nanoseconds.
-    pub max_delay_ns: u64,
-    /// Fraction of the delay randomised away, in `0.0..=1.0`. With
-    /// jitter `j`, the actual sleep is uniform in
-    /// `[delay * (1 - j), delay]`.
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 64,
-            base_delay_ns: 250,
-            max_delay_ns: 100_000,
-            jitter: 0.5,
-        }
-    }
-}
+/// Transaction attempts per request before it fails with
+/// [`TxKvError::RetriesExhausted`](crate::TxKvError::RetriesExhausted).
+const MAX_ATTEMPTS: u32 = 64;
+/// Backoff before the second attempt, in nanoseconds; it doubles with
+/// every further failure.
+const BASE_DELAY_NS: u64 = 250;
+/// Cap on any single backoff, in nanoseconds.
+const MAX_DELAY_NS: u64 = 100_000;
+/// Fraction of each delay randomised away: the actual sleep is uniform
+/// in `[delay * (1 - JITTER), delay]`.
+const JITTER: f64 = 0.5;
 
 /// xorshift64* step — cheap per-worker jitter source.
-pub(crate) fn next_rand(state: &mut u64) -> u64 {
+fn next_rand(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
@@ -51,88 +35,54 @@ pub(crate) fn next_rand(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-impl RetryPolicy {
-    /// The backoff (ns) to sleep after the `attempt`-th failure
-    /// (1-based), jittered using `rng` (xorshift state, must be nonzero).
-    pub fn backoff_ns(&self, attempt: u32, rng: &mut u64) -> u64 {
-        let exp = attempt.saturating_sub(1).min(63);
-        let raw = self
-            .base_delay_ns
-            .saturating_mul(1u64.checked_shl(exp).unwrap_or(u64::MAX))
-            .min(self.max_delay_ns);
-        let j = self.jitter.clamp(0.0, 1.0);
-        if j == 0.0 || raw == 0 {
-            return raw;
-        }
-        // Uniform in [raw * (1 - j), raw].
-        let r = (next_rand(rng) >> 11) as f64 / (1u64 << 53) as f64;
-        let lo = raw as f64 * (1.0 - j);
-        (lo + r * (raw as f64 - lo)) as u64
-    }
+/// The backoff (ns) to sleep after the `attempt`-th failure (1-based),
+/// jittered using `rng` (xorshift state, must be nonzero).
+fn backoff_ns(attempt: u32, rng: &mut u64) -> u64 {
+    let exp = attempt.saturating_sub(1).min(63);
+    let raw = BASE_DELAY_NS.saturating_mul(1 << exp).min(MAX_DELAY_NS);
+    let r = (next_rand(rng) >> 11) as f64 / (1u64 << 53) as f64;
+    let lo = raw as f64 * (1.0 - JITTER);
+    (lo + r * (raw as f64 - lo)) as u64
+}
 
-    /// Runs `body` as repeated transaction attempts on `system` until it
-    /// commits or the policy gives up. Calls `on_abort` for every failed
-    /// attempt (for per-cause accounting). On success returns the result
-    /// and the number of attempts made.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`Abort`] once `max_attempts` is exhausted.
-    pub fn execute<S, R, F>(
-        &self,
-        system: &S,
-        thread_id: usize,
-        body: F,
-        on_abort: impl FnMut(AbortKind),
-        rng: &mut u64,
-    ) -> Result<(R, u32), (Abort, u32)>
-    where
-        S: TmSystem + ?Sized,
-        F: FnMut(&mut S::Tx<'_>) -> Result<R, Abort>,
-    {
-        self.execute_seq(system, thread_id, body, on_abort, rng)
-            .map(|(r, _, attempts)| (r, attempts))
-    }
-
-    /// Like [`RetryPolicy::execute`] but also reports the committed
-    /// attempt's durable sequence number (`None` for read-only commits),
-    /// so the caller can log the transaction in serialization order. See
-    /// [`rococo_stm::Transaction::commit_seq`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`Abort`] once `max_attempts` is exhausted.
-    pub fn execute_seq<S, R, F>(
-        &self,
-        system: &S,
-        thread_id: usize,
-        mut body: F,
-        mut on_abort: impl FnMut(AbortKind),
-        rng: &mut u64,
-    ) -> Result<(R, Option<u64>, u32), (Abort, u32)>
-    where
-        S: TmSystem + ?Sized,
-        F: FnMut(&mut S::Tx<'_>) -> Result<R, Abort>,
-    {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match try_atomically_seq(system, thread_id, &mut body) {
-                Ok((r, seq)) => return Ok((r, seq, attempts)),
-                Err(abort) => {
-                    on_abort(abort.kind);
-                    if self.max_attempts != 0 && attempts >= self.max_attempts {
-                        return Err((abort, attempts));
-                    }
-                    let ns = self.backoff_ns(attempts, rng);
-                    rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Backoff {
-                        attempt: attempts,
-                        delay_ns: ns,
-                    });
-                    if ns > 0 {
-                        sleep_ns(ns);
-                    }
+/// Runs `body` as repeated transaction attempts on `system` until it
+/// commits or [`MAX_ATTEMPTS`] have aborted. Calls `on_abort` for every
+/// failed attempt (for per-cause accounting). On success returns the
+/// result, the committed attempt's durable sequence number (`None` for
+/// read-only commits, see [`rococo_stm::Transaction::commit_seq`]) and
+/// the number of attempts made.
+///
+/// # Errors
+///
+/// Returns the last [`Abort`] and the attempt count once the attempts
+/// are exhausted.
+pub(crate) fn execute_seq<S, R, F>(
+    system: &S,
+    thread_id: usize,
+    mut body: F,
+    mut on_abort: impl FnMut(AbortKind),
+    rng: &mut u64,
+) -> Result<(R, Option<u64>, u32), (Abort, u32)>
+where
+    S: TmSystem + ?Sized,
+    F: FnMut(&mut S::Tx<'_>) -> Result<R, Abort>,
+{
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        match try_atomically_seq(system, thread_id, &mut body) {
+            Ok((r, seq)) => return Ok((r, seq, attempts)),
+            Err(abort) => {
+                on_abort(abort.kind);
+                if attempts >= MAX_ATTEMPTS {
+                    return Err((abort, attempts));
                 }
+                let ns = backoff_ns(attempts, rng);
+                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Backoff {
+                    attempt: attempts,
+                    delay_ns: ns,
+                });
+                sleep_ns(ns);
             }
         }
     }
@@ -159,37 +109,36 @@ fn sleep_ns(ns: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rococo_stm::{TinyStm, TmConfig, Transaction};
+
+    fn tiny() -> TinyStm {
+        TinyStm::with_config(TmConfig {
+            heap_words: 64,
+            max_threads: 1,
+        })
+    }
 
     #[test]
     fn backoff_is_bounded_by_max_delay() {
-        let p = RetryPolicy {
-            max_attempts: 0,
-            base_delay_ns: 100,
-            max_delay_ns: 5_000,
-            jitter: 0.0,
-        };
         let mut rng = 42;
-        assert_eq!(p.backoff_ns(1, &mut rng), 100);
-        assert_eq!(p.backoff_ns(2, &mut rng), 200);
-        assert_eq!(p.backoff_ns(6, &mut rng), 3_200);
-        // Caps instead of growing without bound.
-        assert_eq!(p.backoff_ns(7, &mut rng), 5_000);
-        assert_eq!(p.backoff_ns(63, &mut rng), 5_000);
-        assert_eq!(p.backoff_ns(u32::MAX, &mut rng), 5_000);
+        // Jitter keeps every delay in [raw / 2, raw].
+        for (attempt, raw) in [(1, 250), (2, 500), (6, 8_000), (9, 64_000)] {
+            let d = backoff_ns(attempt, &mut rng);
+            assert!((raw / 2..=raw).contains(&d), "attempt {attempt}: {d}");
+        }
+        // Caps instead of growing without bound, or overflowing the shift.
+        for attempt in [10, 63, 64, u32::MAX] {
+            let d = backoff_ns(attempt, &mut rng);
+            assert!((MAX_DELAY_NS / 2..=MAX_DELAY_NS).contains(&d), "{d}");
+        }
     }
 
     #[test]
     fn backoff_is_jittered_within_band() {
-        let p = RetryPolicy {
-            max_attempts: 0,
-            base_delay_ns: 1_000,
-            max_delay_ns: 1_000_000,
-            jitter: 0.5,
-        };
         let mut rng = 0x1234_5678_9abc_def0;
         let mut seen = std::collections::HashSet::new();
         for _ in 0..64 {
-            let d = p.backoff_ns(4, &mut rng); // raw = 8_000
+            let d = backoff_ns(6, &mut rng); // raw = 8_000
             assert!((4_000..=8_000).contains(&d), "delay {d} out of band");
             seen.insert(d);
         }
@@ -198,27 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_jitter_is_deterministic() {
-        let p = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        let mut a = 1;
-        let mut b = 999;
-        assert_eq!(p.backoff_ns(3, &mut a), p.backoff_ns(3, &mut b));
-    }
-
-    #[test]
     fn jitter_is_reproducible_under_a_fixed_seed() {
-        let p = RetryPolicy {
-            max_attempts: 0,
-            base_delay_ns: 1_000,
-            max_delay_ns: 1_000_000,
-            jitter: 0.5,
-        };
         let seq = |seed: u64| -> Vec<u64> {
             let mut rng = seed;
-            (1..=20).map(|a| p.backoff_ns(a, &mut rng)).collect()
+            (1..=20).map(|a| backoff_ns(a, &mut rng)).collect()
         };
         // Same seed, same delays; a different seed diverges somewhere.
         assert_eq!(seq(0xDEAD_BEEF), seq(0xDEAD_BEEF));
@@ -226,56 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn backoff_degenerate_configs_are_safe() {
-        // Zero base: never sleeps, never divides by zero in the jitter
-        // band computation.
-        let p = RetryPolicy {
-            max_attempts: 0,
-            base_delay_ns: 0,
-            max_delay_ns: 1_000,
-            jitter: 1.0,
-        };
-        let mut rng = 3;
-        assert_eq!(p.backoff_ns(1, &mut rng), 0);
-        assert_eq!(p.backoff_ns(40, &mut rng), 0);
-        // Out-of-range jitter clamps instead of producing negative or
-        // amplified delays.
-        let p = RetryPolicy {
-            max_attempts: 0,
-            base_delay_ns: 100,
-            max_delay_ns: 100,
-            jitter: 7.5,
-        };
-        for _ in 0..32 {
-            assert!(p.backoff_ns(1, &mut rng) <= 100);
-        }
-        // Saturating shift: huge attempt numbers cap at max_delay_ns
-        // rather than overflowing the 1 << exp.
-        let p = RetryPolicy {
-            max_attempts: 0,
-            base_delay_ns: u64::MAX / 2,
-            max_delay_ns: u64::MAX,
-            jitter: 0.0,
-        };
-        assert_eq!(p.backoff_ns(u32::MAX, &mut rng), u64::MAX);
-    }
-
-    #[test]
-    fn execute_gives_up_after_max_attempts() {
-        use rococo_stm::{Abort, TinyStm, TmConfig};
-        let tm = TinyStm::with_config(TmConfig {
-            heap_words: 64,
-            max_threads: 1,
-        });
-        let p = RetryPolicy {
-            max_attempts: 3,
-            base_delay_ns: 0,
-            max_delay_ns: 0,
-            jitter: 0.0,
-        };
+    fn gives_up_after_64_attempts() {
+        let tm = tiny();
         let mut causes = Vec::new();
         let mut rng = 7;
-        let res: Result<((), u32), _> = p.execute(
+        let res: Result<((), _, _), _> = execute_seq(
             &tm,
             0,
             |_tx| Err(Abort::new(AbortKind::Explicit)),
@@ -283,43 +170,34 @@ mod tests {
             &mut rng,
         );
         let (abort, attempts) = res.unwrap_err();
-        assert_eq!(attempts, 3);
+        assert_eq!(attempts, 64);
         assert_eq!(abort.kind, AbortKind::Explicit);
-        assert_eq!(causes, vec![AbortKind::Explicit; 3]);
+        assert_eq!(causes, vec![AbortKind::Explicit; 64]);
     }
 
     #[test]
     fn execute_counts_attempts_on_success() {
-        use rococo_stm::{Abort, TinyStm, TmConfig, Transaction};
-        let tm = TinyStm::with_config(TmConfig {
-            heap_words: 64,
-            max_threads: 1,
-        });
+        let tm = tiny();
         let addr = tm.heap().alloc(1);
-        let p = RetryPolicy {
-            base_delay_ns: 0,
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
         let mut rng = 7;
         let mut fail_first = true;
-        let (val, attempts) = p
-            .execute(
-                &tm,
-                0,
-                |tx| {
-                    if fail_first {
-                        fail_first = false;
-                        return Err(Abort::new(AbortKind::Explicit));
-                    }
-                    tx.write(addr, 5)?;
-                    tx.read(addr)
-                },
-                |_| {},
-                &mut rng,
-            )
-            .unwrap();
+        let (val, seq, attempts) = execute_seq(
+            &tm,
+            0,
+            |tx| {
+                if fail_first {
+                    fail_first = false;
+                    return Err(Abort::new(AbortKind::Explicit));
+                }
+                tx.write(addr, 5)?;
+                tx.read(addr)
+            },
+            |_| {},
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(val, 5);
+        assert_eq!(seq, Some(0));
         assert_eq!(attempts, 2);
     }
 }

@@ -3,12 +3,11 @@
 
 use crate::hop::{reply_pair, PendingReply, Refused, ShardQueue};
 use crate::request::{Request, Response, TxKvError};
-use crate::retry::RetryPolicy;
 use crate::shard::{run_worker, Job, WorkerCtx, WorkerWal};
 use crate::stats::{ShardSnapshot, ShardStats, TxKvReport};
 use parking_lot::RwLock;
 use rococo_stm::{Addr, TmSystem};
-use rococo_wal::{FsyncPolicy, KillSwitch, RecoveryReport, Wal, WalConfig};
+use rococo_wal::{FsyncPolicy, KillSwitch, RecoveryReport, Wal, WalConfig, WalDead};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,28 +44,9 @@ impl DurabilityConfig {
     }
 }
 
-/// Telemetry configuration: periodic metric snapshots written to a
-/// directory as `metrics.prom` (Prometheus text exposition) and
-/// `metrics.json`. Files are written atomically (temp + rename), so a
-/// scraper tailing the directory never sees a torn snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryConfig {
-    /// Directory the snapshots land in (created if missing).
-    pub dir: PathBuf,
-    /// How often the scraper thread refreshes the files. A final scrape
-    /// always runs at shutdown regardless of the interval.
-    pub scrape_interval: Duration,
-}
-
-impl TelemetryConfig {
-    /// Telemetry into `dir` at a 250 ms cadence.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            scrape_interval: Duration::from_millis(250),
-        }
-    }
-}
+/// How often the telemetry scraper refreshes the metric files. A final
+/// scrape always runs at shutdown regardless of the interval.
+const SCRAPE_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Service configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,21 +68,15 @@ pub struct TxKvConfig {
     /// Keyspace size: valid keys are `0..keys`, each one word on the TM
     /// heap.
     pub keys: u64,
-    /// Retry policy applied to every request.
-    pub retry: RetryPolicy,
-    /// Ceiling on the number of jobs a worker pulls off its shard queue
-    /// per run-to-completion batch. Each batch executes every job to its
-    /// validation point, submits the commits asynchronously, and completes
-    /// them in verdict order, amortising the validator round-trip across
-    /// each run of jobs that write no key an earlier one still has in
-    /// flight. `1` restores the old one-request-at-a-time loop (a lone
-    /// queued request is never delayed either way — the fill is non-blocking).
-    pub max_batch: usize,
     /// Write-ahead logging; `None` runs the service in memory (a crash
     /// loses everything, as before this field existed).
     pub durability: Option<DurabilityConfig>,
-    /// Periodic metric snapshots; `None` disables the scraper thread.
-    pub telemetry: Option<TelemetryConfig>,
+    /// Directory for periodic metric snapshots (`metrics.prom`, the
+    /// Prometheus text exposition, and `metrics.json`; created if
+    /// missing, each file written atomically by temp + rename, so a
+    /// scraper tailing it never sees a torn snapshot). `None` disables
+    /// the scraper thread.
+    pub telemetry: Option<PathBuf>,
 }
 
 impl PartialEq for DurabilityConfig {
@@ -122,8 +96,6 @@ impl Default for TxKvConfig {
             workers_per_shard: 2,
             queue_capacity: 128,
             keys: 1 << 16,
-            retry: RetryPolicy::default(),
-            max_batch: 16,
             durability: None,
             telemetry: None,
         }
@@ -167,6 +139,26 @@ pub struct TxKv<S: TmSystem + 'static> {
     final_wal: Option<rococo_wal::WalSnapshot>,
     tlm_stop: Arc<AtomicBool>,
     tlm_thread: Option<JoinHandle<()>>,
+}
+
+/// Quiesces commits, snapshots the key table and checkpoints the log;
+/// returns the sequence number the checkpoint covers up to. The pause
+/// gate is write-locked throughout: every in-flight job finishes
+/// (including its wait for the durable watermark), so no sequence number
+/// is fetched but unposted while the table is read.
+fn checkpoint_table<S: TmSystem + ?Sized>(
+    system: &S,
+    pause: &RwLock<()>,
+    wal: &Wal,
+    table: Addr,
+    keys: u64,
+) -> Result<u64, WalDead> {
+    let _quiesced = pause.write();
+    let heap = system.heap();
+    let values = (0..keys as usize)
+        .map(|k| heap.load_direct(table + k))
+        .collect();
+    wal.checkpoint(values)
 }
 
 /// One telemetry scrape: gathers every subsystem's counters into a
@@ -314,7 +306,6 @@ impl<S: TmSystem + 'static> TxKv<S> {
                     system: Arc::clone(&system),
                     table,
                     thread_id: shard * cfg.workers_per_shard + w,
-                    policy: cfg.retry,
                     stats: Arc::clone(&shard_stats),
                     queue: Arc::clone(&queue),
                     seat: w,
@@ -323,7 +314,6 @@ impl<S: TmSystem + 'static> TxKv<S> {
                         wal: w.client(),
                         base_seq,
                     }),
-                    max_batch: cfg.max_batch,
                 };
                 let handle = std::thread::Builder::new()
                     .name(format!("txkv-{shard}-{w}"))
@@ -356,18 +346,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
                                 if wal.durable_seq() - last < every || wal.is_dead() {
                                     continue;
                                 }
-                                // Write-lock the pause gate: every
-                                // in-flight job finishes (including its
-                                // wait for the durable watermark), so no
-                                // sequence number is fetched but unposted
-                                // while we snapshot.
-                                let quiesced = pause.write();
-                                let heap = system.heap();
-                                let values: Vec<u64> = (0..keys as usize)
-                                    .map(|k| heap.load_direct(table + k))
-                                    .collect();
-                                let _ = wal.checkpoint(values);
-                                drop(quiesced);
+                                let _ = checkpoint_table(&*system, &pause, &wal, table, keys);
                                 last = wal.durable_seq();
                             }
                         })
@@ -382,9 +361,8 @@ impl<S: TmSystem + 'static> TxKv<S> {
         let started = Instant::now();
         let tlm_stop = Arc::new(AtomicBool::new(false));
         let mut tlm_thread = None;
-        if let Some(tlm) = &cfg.telemetry {
-            let dir = tlm.dir.clone();
-            let interval = tlm.scrape_interval;
+        if let Some(dir) = &cfg.telemetry {
+            let dir = dir.clone();
             let system = Arc::clone(&system);
             let stats: Vec<Arc<ShardStats>> = stats.iter().map(Arc::clone).collect();
             let wal = wal.as_ref().map(|w| w.client());
@@ -400,9 +378,9 @@ impl<S: TmSystem + 'static> TxKv<S> {
                             }
                             // Sleep in short slices so shutdown's final
                             // scrape is not delayed a whole interval.
-                            let deadline = Instant::now() + interval;
+                            let deadline = Instant::now() + SCRAPE_INTERVAL;
                             while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
-                                std::thread::sleep(Duration::from_millis(5).min(interval));
+                                std::thread::sleep(Duration::from_millis(5));
                             }
                         }
                         rococo_telemetry::flush_thread();
@@ -446,16 +424,8 @@ impl<S: TmSystem + 'static> TxKv<S> {
                 reason: "checkpoint requires durability to be configured",
             });
         };
-        let quiesced = self.pause.write();
-        let heap = self.system.heap();
-        let values: Vec<u64> = (0..self.cfg.keys as usize)
-            .map(|k| heap.load_direct(self.table + k))
-            .collect();
-        let covered = wal
-            .checkpoint(values)
-            .map_err(|_| TxKvError::DurabilityLost);
-        drop(quiesced);
-        covered
+        checkpoint_table(&*self.system, &self.pause, wal, self.table, self.cfg.keys)
+            .map_err(|_| TxKvError::DurabilityLost)
     }
 
     /// The backend this service runs on.
@@ -658,7 +628,7 @@ impl<S: TmSystem + 'static> Drop for TxKv<S> {
 mod tests {
     use super::*;
     use crate::hop::tests::spin_until;
-    use rococo_stm::{RococoTm, TinyStm, TmConfig, TsxHtm};
+    use rococo_stm::{RococoConfig, RococoTm, TinyStm, TmConfig, TsxHtm};
 
     fn tiny(cfg: &TxKvConfig) -> Arc<TinyStm> {
         Arc::new(TinyStm::with_config(TmConfig {
@@ -805,16 +775,14 @@ mod tests {
         report
     }
 
-    /// The batched commit path (`max_batch > 1` with pipelined
-    /// submissions) must be serializable exactly like the one-at-a-time
-    /// path, on every static backend.
+    /// The batched commit path (pipelined submissions) must be
+    /// serializable on every static backend.
     #[test]
     fn batched_commits_preserve_invariants_on_every_backend() {
         let cfg = TxKvConfig {
             shards: 2,
             workers_per_shard: 2,
             keys: 32,
-            max_batch: 8,
             ..TxKvConfig::default()
         };
         let tm_cfg = TmConfig {
@@ -826,25 +794,27 @@ mod tests {
         bank(Arc::new(RococoTm::with_config(tm_cfg)), cfg);
     }
 
-    /// One shard × one worker on ROCoCoTM, fed by one client that keeps 64
-    /// requests outstanding so the worker's batches fill. Every request
-    /// must commit. Returns the final table sum, the report and the
-    /// engine's statistics.
+    /// One shard × one worker on a ROCoCoTM built from `rococo` (its `tm`
+    /// sized here), fed by one client that keeps 64 requests outstanding so
+    /// the worker's batches fill. Every request must commit. Returns the
+    /// final table sum, the report and the backend.
     fn one_worker_rococo(
-        max_batch: usize,
+        rococo: RococoConfig,
         keys: u64,
         requests: impl Iterator<Item = Request>,
-    ) -> (u64, TxKvReport, rococo_fpga::EngineStats) {
+    ) -> (u64, TxKvReport, Arc<RococoTm>) {
         let cfg = TxKvConfig {
             shards: 1,
             workers_per_shard: 1,
             keys,
-            max_batch,
             ..TxKvConfig::default()
         };
-        let tm = Arc::new(RococoTm::with_config(TmConfig {
-            heap_words: cfg.heap_words(),
-            max_threads: cfg.worker_threads(),
+        let tm = Arc::new(RococoTm::with_configs(RococoConfig {
+            tm: TmConfig {
+                heap_words: cfg.heap_words(),
+                max_threads: cfg.worker_threads(),
+            },
+            ..rococo
         }));
         let kv = TxKv::start(Arc::clone(&tm), cfg).unwrap();
         let mut window = std::collections::VecDeque::new();
@@ -866,78 +836,68 @@ mod tests {
         };
         let report = kv.shutdown();
         assert_eq!(report.aggregate.failed, 0);
-        (sum, report, tm.fpga_stats())
+        (sum, report, tm)
     }
 
-    /// An in-flight commit holds a slot of the validator ring until its
-    /// verdict is consumed, so ROCoCoTM stops a thread at `LANE_DEPTH`
-    /// of them: a batch deeper than that must fall back to the
-    /// synchronous path for the excess, not wedge or lose a request.
+    /// With `irrevocable_after: 0` every ROCoCoTM transaction begins
+    /// irrevocable, so `submit_commit` hands every write back: each one
+    /// drains the batch ahead of it and commits synchronously under the
+    /// exclusive commit gate. None may wedge, fail or lose its update.
     #[test]
-    fn a_batch_deeper_than_the_lane_defers_and_conserves() {
+    fn every_commit_deferred_still_conserves() {
         const KEYS: u64 = 64;
-        const N: u64 = 4_000;
-        let max_batch = 2 * rococo_fpga::LANE_DEPTH;
-        // Distinct keys within any batch: nothing aborts, so the batch
-        // really reaches the lane bound.
+        const N: u64 = 2_000;
         let adds = (0..N).map(|i| Request::Add {
             key: i % KEYS,
             delta: i + 1,
         });
-        let (sum, report, engine) = one_worker_rococo(max_batch, KEYS, adds);
+        let irrevocable = RococoConfig {
+            irrevocable_after: 0,
+            ..RococoConfig::default()
+        };
+        let (sum, report, tm) = one_worker_rococo(irrevocable, KEYS, adds);
         assert_eq!(sum, N * (N + 1) / 2, "ledger not conserved");
-        assert_eq!(report.aggregate.committed, N + 1);
-        assert_eq!(engine.commits, N);
-        assert!(
-            report.aggregate.deferred > 0,
-            "no batch ever outgrew the lane: {:?}",
-            report.aggregate
-        );
+        let a = &report.aggregate;
+        assert_eq!((a.deferred, a.failed), (N, 0), "{a:?}");
+        assert_eq!(tm.stats().snapshot().fallback_commits, N);
     }
 
     /// On a hot-key write stream a one-worker shard's batch would race
     /// itself — job k+1 executing before job k has published, reading what
     /// k is about to overwrite and then overwriting it too, a true rw + ww
-    /// cycle — unless the worker drains before such a job. One job at a
-    /// time there is nothing to race with; sixteen at a time the hazard
+    /// cycle — unless the worker drains before such a job. The hazard
     /// drains keep the engine from rejecting anything while the batches
     /// still pipeline. Every request commits and the sum is conserved.
     #[test]
     fn a_lone_worker_never_races_its_own_pipeline() {
         const KEYS: u64 = 4;
         const N: u64 = 4_000;
-        let stream = || {
-            (0..N).map(|i| {
-                if i % 2 == 0 {
-                    Request::Add {
-                        key: i % KEYS,
-                        delta: 1,
-                    }
-                } else {
-                    // Out of a key the `Add`s feed, so it moves something.
-                    Request::Transfer {
-                        from: (i + 1) % KEYS,
-                        to: i % KEYS,
-                        amount: 1,
-                    }
+        let stream = (0..N).map(|i| {
+            if i % 2 == 0 {
+                Request::Add {
+                    key: i % KEYS,
+                    delta: 1,
                 }
-            })
-        };
-        for max_batch in [1, 16] {
-            let (sum, report, engine) = one_worker_rococo(max_batch, KEYS, stream());
-            assert_eq!(sum, N / 2, "max_batch {max_batch}: sum not conserved");
-            assert_eq!(report.aggregate.committed, N + 1);
-            assert_eq!(engine.aborts_window, 0, "max_batch {max_batch}");
-            assert_eq!(engine.aborts_cycle, 0, "max_batch {max_batch}");
-            let a = &report.aggregate;
-            if max_batch > 1 {
-                assert!(a.hazard_drains > 0, "no job ever hit the batch: {a:?}");
-                assert!(
-                    a.batch_jobs > a.batches,
-                    "the batches stopped pipelining: {a:?}"
-                );
+            } else {
+                // Out of a key the `Add`s feed, so it moves something.
+                Request::Transfer {
+                    from: (i + 1) % KEYS,
+                    to: i % KEYS,
+                    amount: 1,
+                }
             }
-        }
+        });
+        let (sum, report, tm) = one_worker_rococo(RococoConfig::default(), KEYS, stream);
+        assert_eq!(sum, N / 2, "sum not conserved");
+        let engine = tm.fpga_stats();
+        assert_eq!((engine.aborts_window, engine.aborts_cycle), (0, 0));
+        let a = &report.aggregate;
+        assert_eq!(a.committed, N + 1);
+        assert!(a.hazard_drains > 0, "no job ever hit the batch: {a:?}");
+        assert!(
+            a.batch_jobs > a.batches,
+            "the batches stopped pipelining: {a:?}"
+        );
     }
 
     /// A [`HybridTm`](rococo_sched::HybridTm) whose HTM fast path is too
@@ -978,7 +938,6 @@ mod tests {
             shards: 2,
             workers_per_shard: 2,
             keys: 32,
-            max_batch: 8,
             ..TxKvConfig::default()
         };
         let tm = migratory_hybrid(&cfg);
@@ -1005,7 +964,6 @@ mod tests {
             shards: 2,
             workers_per_shard: 2,
             keys: 32,
-            max_batch: 8,
             ..TxKvConfig::default()
         };
         let tm = migratory_hybrid(&cfg);
@@ -1077,7 +1035,7 @@ mod tests {
 
     /// A lone request finds every worker parked (the poll budget is a few
     /// microseconds): `submit` must wake one, and the worker must answer
-    /// before it parks again. On ROCoCoTM with batching on, that is the
+    /// before it parks again. On ROCoCoTM that is the
     /// PR-7 drain invariant: the lone commit is a pending that holds a
     /// commit-gate read guard and an unpublished sequence number, so a
     /// worker that parks without settling it never answers. The reply is
@@ -1114,10 +1072,6 @@ mod tests {
             ..TxKvConfig::default()
         };
         lone_requests(tiny(&cfg), cfg.clone());
-        let cfg = TxKvConfig {
-            max_batch: 16,
-            ..cfg
-        };
         let rococo = RococoTm::with_config(TmConfig {
             heap_words: cfg.heap_words(),
             max_threads: cfg.worker_threads(),
@@ -1248,7 +1202,6 @@ mod tests {
             shards: 1,
             workers_per_shard: 1,
             queue_capacity: 256,
-            max_batch: 16,
             ..durable_cfg(dir.clone(), 0)
         };
         let kv = TxKv::start(tiny(&cfg), cfg).unwrap();

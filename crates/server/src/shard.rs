@@ -11,7 +11,7 @@
 
 use crate::hop::{Replier, Reply, ShardQueue};
 use crate::request::{Request, Response, TxKvError};
-use crate::retry::RetryPolicy;
+use crate::retry::execute_seq;
 use crate::stats::ShardStats;
 use parking_lot::RwLock;
 use rococo_stm::{
@@ -23,6 +23,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Ceiling on the jobs a worker pulls off its shard queue per
+/// run-to-completion batch: one validator lane. ROCoCoTM stops a thread
+/// at [`LANE_DEPTH`](rococo_fpga::LANE_DEPTH) in-flight commits, so a
+/// deeper batch would only defer its excess to the synchronous path.
+const MAX_BATCH: usize = rococo_fpga::LANE_DEPTH;
 
 /// One queued request plus everything needed to answer it. The reply
 /// carries the commit sequence number alongside the response (`None` for
@@ -102,20 +108,18 @@ fn apply<T: Transaction>(
 }
 
 /// Everything one worker thread needs: the backend, the key table, its
-/// retry/statistics context, the shard queue and its seat at it, the
-/// checkpoint pause gate, and (in durable mode) its WAL client.
+/// statistics, the shard queue and its seat at it, the checkpoint pause
+/// gate, and (in durable mode) its WAL client.
 pub(crate) struct WorkerCtx<S: TmSystem + ?Sized> {
     pub(crate) system: Arc<S>,
     pub(crate) table: Addr,
     pub(crate) thread_id: usize,
-    pub(crate) policy: RetryPolicy,
     pub(crate) stats: Arc<ShardStats>,
     pub(crate) queue: Arc<ShardQueue>,
     /// Which of the queue's parking spots is this worker's.
     pub(crate) seat: usize,
     pub(crate) pause: Arc<RwLock<()>>,
     pub(crate) wal: Option<WorkerWal>,
-    pub(crate) max_batch: usize,
 }
 
 /// One submitted-but-unfinished job: the pending commit plus everything
@@ -172,17 +176,17 @@ struct Scratch<'a, S: TmSystem + ?Sized + 'a> {
     staged: Vec<Staged>,
     /// Write-set vectors not in use. A job takes one; an [`InFlight`]
     /// keeps it until its verdict lands and [`WorkerEnv::drain`] puts it
-    /// back, so there are never more than `max_batch + 1` of them.
+    /// back, so there are never more than `MAX_BATCH + 1` of them.
     spare: Vec<Vec<(u64, u64)>>,
 }
 
 impl<'a, S: TmSystem + ?Sized + 'a> Scratch<'a, S> {
-    fn new(max_batch: usize) -> Self {
+    fn new() -> Self {
         Self {
-            inflight: Vec::with_capacity(max_batch),
-            retry: Vec::with_capacity(max_batch),
-            staged: Vec::with_capacity(max_batch),
-            spare: Vec::with_capacity(max_batch + 1),
+            inflight: Vec::with_capacity(MAX_BATCH),
+            retry: Vec::with_capacity(MAX_BATCH),
+            staged: Vec::with_capacity(MAX_BATCH),
+            spare: Vec::with_capacity(MAX_BATCH + 1),
         }
     }
 }
@@ -193,7 +197,6 @@ struct WorkerEnv<'a, S: TmSystem + ?Sized> {
     system: &'a S,
     table: Addr,
     thread_id: usize,
-    policy: RetryPolicy,
     stats: &'a ShardStats,
     wal: &'a Option<WorkerWal>,
 }
@@ -299,7 +302,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
         }
     }
 
-    /// Runs `job` fully synchronously under the retry policy — the
+    /// Runs `job` fully synchronously, retrying with backoff — the
     /// fallback for jobs whose asynchronous attempt aborted (counted via
     /// `prior_attempts`) or whose backend demanded a synchronous commit.
     ///
@@ -315,7 +318,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
         rococo_telemetry::set_current_trace(job.trace);
         self.system.set_tx_class(self.thread_id, job.req.class());
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.policy.execute_seq(
+            execute_seq(
                 self.system,
                 self.thread_id,
                 |tx| apply(tx, self.table, &job.req, writes),
@@ -426,7 +429,7 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
 /// (service shutdown), executing jobs in run-to-completion batches and
 /// recording per-shard statistics.
 ///
-/// Each batch pulls up to `max_batch` queued jobs (one blocking
+/// Each batch pulls up to [`MAX_BATCH`] queued jobs (one blocking
 /// `next_job`, then non-blocking `try_next_job`s — an empty queue never
 /// delays a lone request), executes each to its validation point, submits
 /// the commits asynchronously, and completes them in verdict order. The
@@ -453,30 +456,26 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
         system,
         table,
         thread_id,
-        policy,
         stats,
         queue,
         seat,
         pause,
         wal,
-        max_batch,
     } = ctx;
     let env = WorkerEnv {
         system: &*system,
         table,
         thread_id,
-        policy,
         stats: &stats,
         wal: &wal,
     };
-    let max_batch = max_batch.max(1);
     // Per-worker jitter state; any distinct nonzero seed works.
     let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((thread_id as u64 + 1) << 17);
-    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    let mut scratch: Scratch<'_, S> = Scratch::new(max_batch);
+    let mut batch: Vec<Job> = Vec::with_capacity(MAX_BATCH);
+    let mut scratch: Scratch<'_, S> = Scratch::new();
     while let Some(first) = queue.next_job(seat) {
         batch.push(first);
-        while batch.len() < max_batch {
+        while batch.len() < MAX_BATCH {
             match queue.try_next_job() {
                 Some(job) => batch.push(job),
                 None => break,

@@ -8,7 +8,7 @@
 //! (The exposition-shape test below may run beside it: it reads only its
 //! own scrape, and its events land in its own threads' rings.)
 
-use rococo_server::{DurabilityConfig, Request, TelemetryConfig, TxKv, TxKvConfig};
+use rococo_server::{DurabilityConfig, Request, TxKv, TxKvConfig};
 use rococo_stm::{RococoTm, TmConfig, TmSystem};
 use rococo_telemetry::rundir::{self, check_run_dir, Expect};
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,7 +26,7 @@ fn a_real_run_directory_passes_the_checker() {
         shards: 2,
         workers_per_shard: 2,
         keys: 64,
-        telemetry: Some(TelemetryConfig::new(dir.clone())),
+        telemetry: Some(dir.clone()),
         ..TxKvConfig::default()
     };
     let tm = RococoTm::with_config(TmConfig {
@@ -78,7 +78,7 @@ fn a_real_run_directory_passes_the_checker() {
 /// the final `metrics.prom`.
 fn scraped_exposition<S: TmSystem + 'static>(tm: S, cfg: TxKvConfig, dir: &Path) -> String {
     let cfg = TxKvConfig {
-        telemetry: Some(TelemetryConfig::new(dir.join("tlm"))),
+        telemetry: Some(dir.join("tlm")),
         ..cfg
     };
     let kv = TxKv::start(Arc::new(tm), cfg).expect("service start");

@@ -59,11 +59,6 @@ impl ChunkedSig {
         &self.addrs
     }
 
-    /// The whole-set signature.
-    pub fn whole_sig(&self) -> &Sig {
-        &self.whole
-    }
-
     /// Records `addr` in the whole-set signature and the current chunk.
     ///
     /// Chunk signatures retained by a previous [`ChunkedSig::clear`] are

@@ -77,11 +77,6 @@ pub fn intersection_fp(m: usize, k: usize, n_a: usize, n_b: usize) -> f64 {
     per_partition.powi(k as i32)
 }
 
-/// Expected number of set bits in a signature of `n` elements.
-pub fn expected_ones(m: usize, k: usize, n: usize) -> f64 {
-    m as f64 * bit_set_probability(m, k, n)
-}
-
 /// A single row of a Figure 7 sweep: analytic query and intersection false
 /// positivity for one element count.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -385,28 +385,34 @@ where
     rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Begin);
     let mut tx = system.begin(thread_id);
     match body(&mut tx) {
-        Ok(r) => match tx.commit_seq() {
-            Ok(seq) => {
-                system.stats().commits.fetch_add(1, Ordering::Relaxed);
-                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Commit {
-                    seq: seq.unwrap_or(0),
-                });
-                Ok((r, seq))
-            }
-            Err(abort) => {
-                system.stats().record_abort(abort.kind);
-                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Abort {
-                    kind: abort.kind.as_label(),
-                });
-                Err(abort)
-            }
-        },
+        Ok(r) => {
+            let outcome = tx.commit_seq();
+            tally(system, &outcome);
+            outcome.map(|seq| (r, seq))
+        }
+        Err(abort) => {
+            tally(system, &Err(abort));
+            Err(abort)
+        }
+    }
+}
+
+/// The bookkeeping every attempt gets where it settles: a commit bumps
+/// `commits` and emits `Commit`; an abort — of the body or of the commit —
+/// is counted by kind and emits `Abort`.
+fn tally<S: TmSystem + ?Sized>(system: &S, outcome: &Result<Option<u64>, Abort>) {
+    match outcome {
+        Ok(seq) => {
+            system.stats().commits.fetch_add(1, Ordering::Relaxed);
+            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Commit {
+                seq: seq.unwrap_or(0),
+            });
+        }
         Err(abort) => {
             system.stats().record_abort(abort.kind);
             rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Abort {
                 kind: abort.kind.as_label(),
             });
-            Err(abort)
         }
     }
 }
@@ -444,10 +450,7 @@ where
             Err(tx) => Submitted::Deferred(tx, r),
         },
         Err(abort) => {
-            system.stats().record_abort(abort.kind);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Abort {
-                kind: abort.kind.as_label(),
-            });
+            tally(system, &Err(abort));
             Submitted::Aborted(abort)
         }
     }
@@ -464,22 +467,9 @@ where
     S: TmSystem + ?Sized,
     P: PendingCommit,
 {
-    match pending.finish() {
-        Ok(seq) => {
-            system.stats().commits.fetch_add(1, Ordering::Relaxed);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Commit {
-                seq: seq.unwrap_or(0),
-            });
-            Ok(seq)
-        }
-        Err(abort) => {
-            system.stats().record_abort(abort.kind);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Abort {
-                kind: abort.kind.as_label(),
-            });
-            Err(abort)
-        }
-    }
+    let outcome = pending.finish();
+    tally(system, &outcome);
+    outcome
 }
 
 /// Synchronously commits a transaction handed back by
@@ -493,22 +483,9 @@ pub fn commit_deferred<'a, S>(system: &S, tx: S::Tx<'a>) -> Result<Option<u64>, 
 where
     S: TmSystem + ?Sized + 'a,
 {
-    match tx.commit_seq() {
-        Ok(seq) => {
-            system.stats().commits.fetch_add(1, Ordering::Relaxed);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Commit {
-                seq: seq.unwrap_or(0),
-            });
-            Ok(seq)
-        }
-        Err(abort) => {
-            system.stats().record_abort(abort.kind);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Abort {
-                kind: abort.kind.as_label(),
-            });
-            Err(abort)
-        }
-    }
+    let outcome = tx.commit_seq();
+    tally(system, &outcome);
+    outcome
 }
 
 rococo_telemetry::stats_block! {

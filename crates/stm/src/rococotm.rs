@@ -41,13 +41,9 @@ pub struct RococoConfig {
     pub tm: TmConfig,
     /// FPGA sliding-window capacity `W`.
     pub window: usize,
-    /// Signature geometry shared between CPU and FPGA.
-    pub scheme: SigScheme,
     /// Commit-queue length (must exceed the number of commits that can
     /// happen while one transaction executes; overruns abort the laggard).
     pub queue_len: usize,
-    /// Timing model used to charge model time for validation (Figure 11).
-    pub timing: TimingModel,
     /// Bounded back-off iterations when a read hits the update set before
     /// the conflict is treated as an abort.
     pub update_spin: usize,
@@ -70,9 +66,7 @@ impl Default for RococoConfig {
         Self {
             tm: TmConfig::default(),
             window: 64,
-            scheme: SigScheme::paper_default(),
             queue_len: 1024,
-            timing: TimingModel::default(),
             update_spin: 1 << 14,
             irrevocable_after: 16,
             faults: FaultConfig::disabled(),
@@ -114,6 +108,7 @@ pub struct RococoTm {
     heap: Arc<TmHeap>,
     stats: TmStats,
     config: RococoConfig,
+    /// Signature geometry shared between CPU and FPGA: the paper's m/k.
     scheme: SigScheme,
     /// Count of committed read-write transactions; also the next FPGA
     /// commit sequence to be published.
@@ -177,7 +172,7 @@ impl RococoTm {
             config.queue_len >= config.window,
             "commit queue must cover at least one window"
         );
-        let scheme = config.scheme.clone();
+        let scheme = SigScheme::paper_default();
         let service = ValidationService::spawn_with_lanes(
             EngineConfig {
                 window: config.window,
@@ -190,7 +185,6 @@ impl RococoTm {
         Self {
             heap,
             stats: TmStats::default(),
-            scheme: scheme.clone(),
             global_ts: AtomicU64::new(0),
             commit_queue: (0..config.queue_len)
                 .map(|_| RwLock::new(scheme.new_sig()))
@@ -216,6 +210,7 @@ impl RococoTm {
             _service: service,
             handle,
             config,
+            scheme,
         }
     }
 
@@ -227,13 +222,6 @@ impl RococoTm {
         self.handle
             .stats()
             .unwrap_or_else(|| self.handle.last_stats())
-    }
-
-    /// A cloneable handle onto the shared validation engine. Service
-    /// layers use it to watch validator backlog (admission control) and to
-    /// read engine statistics without going through the runtime.
-    pub fn service_handle(&self) -> ServiceHandle {
-        self.handle.clone()
     }
 
     /// Takes one set of transaction buffers from `thread`'s scratch pool,
@@ -395,12 +383,13 @@ impl RococoTm {
     /// The wall clock measures the *residual* stall: time actually spent
     /// blocked on the verdict after whatever useful work the caller
     /// overlapped with the round-trip. The model time still charges the
-    /// full simulated round-trip (Figure 11).
+    /// full simulated round-trip of the default [`TimingModel`] (Figure 11).
     fn await_verdict(&self, pending: PendingVerdict, n_addrs: usize) -> Result<u64, AbortKind> {
         let t0 = Instant::now();
         let verdict = pending.wait();
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        let model_ns = self.config.timing.latency_ns(n_addrs) as u64;
+        let timing = TimingModel::default();
+        let model_ns = timing.latency_ns(n_addrs) as u64;
         self.stats
             .validation_ns
             .fetch_add(wall_ns, Ordering::Relaxed);
@@ -416,8 +405,8 @@ impl RococoTm {
                 FpgaVerdict::ServiceStopped => "service-stopped",
             },
             model_ns,
-            detector_ns: self.config.timing.detector_ns(n_addrs) as u64,
-            manager_ns: self.config.timing.manager_ns() as u64,
+            detector_ns: timing.detector_ns(n_addrs) as u64,
+            manager_ns: timing.manager_ns() as u64,
             in_flight: self.handle.in_flight() as u32,
         });
         match verdict {
