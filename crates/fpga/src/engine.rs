@@ -235,7 +235,8 @@ fn ring_range(word: usize, start: usize, len: usize, window: usize) -> u64 {
 ///    section 5.3).
 ///
 /// The engine is deterministic and single-threaded; the crate's
-/// `ValidationService` runs it on a dedicated thread for live TM use, and
+/// `ValidationService` runs it for live TM use on whichever thread waits
+/// for a verdict, and
 /// [`PipelinedValidator`](crate::PipelinedValidator) adds model timing.
 #[derive(Debug, Clone)]
 pub struct ValidationEngine {

@@ -9,9 +9,10 @@
 //! `rococo-chaos` harness can drive the commit path through the exact
 //! interleavings where hybrid-TM systems historically break.
 //!
-//! All injection happens at the *service* layer ([`super::ValidationService`]),
-//! never inside [`ValidationEngine`](crate::ValidationEngine): an injected
-//! abort is returned **instead of** processing the request, so the engine's
+//! All injection happens at the *service* layer ([`super::ValidationService`],
+//! on whichever thread serves the request), never inside
+//! [`ValidationEngine`](crate::ValidationEngine): an injected abort is
+//! returned **instead of** processing the request, so the engine's
 //! window/reachability state stays exactly what the CPU side observed. That
 //! keeps injected faults indistinguishable from a legitimately slow or
 //! conservative FPGA — the protocol must tolerate them without any
@@ -38,7 +39,7 @@ pub struct FaultConfig {
     pub spurious_cycle_prob: f64,
     /// Probability of a spurious `AbortWindowOverflow` verdict.
     pub spurious_window_prob: f64,
-    /// Probability that the validator thread pauses for
+    /// Probability that the serving thread pauses for
     /// [`FaultConfig::pause_us`] *before* dequeuing work (stall of the
     /// whole pull queue).
     pub pause_prob: f64,
@@ -113,8 +114,8 @@ impl Default for FaultConfig {
 }
 
 rococo_telemetry::stats_block! {
-    /// Live counters of injected faults, shared between the validator
-    /// thread and every [`ServiceHandle`](crate::ServiceHandle).
+    /// Live counters of injected faults, shared between the serving
+    /// threads and every [`ServiceHandle`](crate::ServiceHandle).
     pub struct FaultStats;
     /// A point-in-time copy of [`FaultStats`], surfaced by service layers
     /// so operators can tell injected chaos apart from organic aborts.
@@ -150,7 +151,7 @@ impl FaultSnapshot {
 }
 
 /// The deterministic decision stream: an xoshiro-class generator owned by
-/// the validator thread. Independent of the `rand` shim so the decision
+/// the validation service. Independent of the `rand` shim so the decision
 /// sequence is stable even if the workload generators evolve.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRng {

@@ -17,10 +17,10 @@
 //!   interval of one clock cycle at 200 MHz, plus the CCI round-trip latency
 //!   of the HARP2 interconnect (< 600 ns, footnote 8). Used by the
 //!   Figure 11 overhead study.
-//! * [`ValidationService`] — a dedicated validator thread connected by one
-//!   lock-free ring that carries requests out and verdicts back, playing
-//!   the role of the physical FPGA inside the live `rococo-stm` runtime
-//!   (the pull/push queues of Figure 6).
+//! * [`ValidationService`] — one lock-free ring that carries requests out
+//!   and verdicts back, with the engine behind it executed by whichever
+//!   thread waits on the ring, playing the role of the physical FPGA inside
+//!   the live `rococo-stm` runtime (the pull/push queues of Figure 6).
 //! * [`resources`] — the analytical resource model reproducing the
 //!   section 6.5 utilisation table.
 //!

@@ -1,9 +1,10 @@
 //! The CPU↔validator link: one bounded lock-free ring whose slots carry a
-//! request to the validator thread *and* its verdict back.
+//! request to the validation engine *and* its verdict back, and the engine
+//! itself, behind one lock, executed by whichever thread waits on the link.
 //!
 //! This is the stand-in for the CCI pull/push queues of Figure 6. A slot
-//! is claimed by a submitter, filled in place, serviced by the validator
-//! and freed by the submitter when it reads the verdict — nothing is
+//! is claimed by a submitter, filled in place, served by the engine and
+//! freed by the submitter when it reads the verdict — nothing is
 //! allocated per request, and a slot goes back to the ring on the thread
 //! that took it (one exception below). Every cell of a slot is an atomic,
 //! so the whole link is safe Rust.
@@ -18,49 +19,54 @@
 //! | free | `pos` | `PENDING` | the previous occupant's [`Link::free`] |
 //! | claimed | `pos` | `PENDING` | a submitter winning the CAS on `tail` ([`Link::try_claim`]) |
 //! | published | `pos + 1` | `PENDING` | that submitter's `SeqCst` store of `seq` ([`Link::publish`]) — releases the payload words written before it |
-//! | answered | `pos + 1` | a verdict | the validator's CAS on `verdict` ([`Link::answer`]) |
-//! | free | `pos + depth` | `PENDING` | the submitter consuming the verdict ([`Link::wait_verdict`] / [`Link::poll_verdict`]) |
+//! | answered | `pos + 1` | a verdict | the serving thread's CAS on `verdict` ([`Link::answer`]) |
+//! | free | `pos + depth` | `PENDING` | the submitter consuming the verdict ([`Link::wait_verdict`]) |
 //!
-//! The validator alone advances `head`, in ring order; a slot that is
-//! still held by a slow consumer therefore blocks the submitter whose
-//! ticket wraps onto it (`try_claim` reports the ring full) and nobody
-//! else. That submitter may be the slow consumer itself: a thread that
-//! holds unconsumed verdicts must not *wait* for a slot ([`Link::claim`]),
-//! it consumes its oldest verdict instead. A submitter that walks away
-//! from an unanswered slot
-//! ([`Link::abandon`]) marks it `ABANDONED`; the validator then frees it
-//! in the submitter's stead, the only cross-thread free there is.
+//! Slots are served in ring order, so a slot that is still held by a slow
+//! consumer blocks the submitter whose ticket wraps onto it (`try_claim`
+//! reports the ring full) and nobody else. That submitter may be the slow
+//! consumer itself: a thread that holds unconsumed verdicts must not
+//! *wait* for a slot ([`Link::claim`]), it consumes its oldest verdict
+//! instead. A submitter that walks away from an unanswered slot
+//! ([`Link::abandon`]) marks it `ABANDONED`; whoever serves it then frees
+//! it in the submitter's stead, the only cross-thread free there is.
 //!
-//! # Waiting
+//! # Serving: flat combining
 //!
-//! Both directions wait with `rococo-park`'s [`Parker::wait`] — the helper
-//! the WAL's ring shares: poll for `PARK_AFTER` — spinning, with a yield
-//! every so often ([`CONSUMER_SPIN`] for the validator, [`PRODUCER_SPIN`]
-//! for submitters; no spinning at all on a one-CPU host) — then publish a
-//! `sleeping` flag, re-check and `thread::park`. The other side calls
-//! [`Parker::wake`] after every store the sleeper may be waiting for and
-//! issues the `unpark` only when it sees the flag, so a busy pipeline
-//! never makes a futex call and a parked side costs nothing.
+//! There is no validator thread. The engine, the fault injector and the
+//! reorder hold ([`Validator`]) sit behind the link's one lock, a leaf: its
+//! holder takes no other lock. Every wait on the link — for a verdict
+//! ([`Link::wait_verdict`]), for a slot of a full ring ([`Link::claim`]),
+//! for statistics ([`Link::stats`]) and for the drain at shutdown
+//! ([`Link::shutdown`]) — takes that lock and serves the published slots in
+//! ring order, advancing `head`, until its own condition holds. The engine
+//! thus gets the same requests in the same order a thread of its own would,
+//! and a verdict costs its waiter the engine's time, not a hand-off to
+//! another CPU. A waiter that finds the lock taken, or the slot at `head`
+//! claimed but not yet published, yields and looks again: nobody parks, so
+//! nobody is ever woken.
 //!
-//! # Stop and validator death
+//! # Stop and death
 //!
 //! `stopped` closes the door: a submitter that sees it gets
-//! [`FpgaVerdict::ServiceStopped`] without touching the ring, so the
-//! validator — which leaves once it sees `stopped` with the ring drained
-//! — leaves in bounded time. A guard on its stack ([`StopGuard`]), run on
-//! return *and* on panic, sets `dead` and answers every published,
-//! unanswered slot `ServiceStopped`. A submitter that published after
-//! that sweep sees `dead` in its own re-check and answers itself: the
-//! sweep reads `seq` after storing `dead`, the submitter reads `dead`
-//! after storing `seq`, all four `SeqCst`, so one side always sees the
-//! other.
+//! [`FpgaVerdict::ServiceStopped`] without touching the ring, and
+//! [`Link::shutdown`] serves what was published before. A panic while
+//! serving — in the engine or the injector — would leave a half-updated
+//! engine behind a lock that does not poison, so every serve is armed with
+//! a guard ([`DeathGuard`]) that, run on unwind, sets `stopped` and `dead`
+//! and answers every published, unanswered slot `ServiceStopped`; the panic
+//! goes on to the waiter that was serving, and nobody serves again. A
+//! submitter that published after that sweep sees `dead` in its own
+//! re-check and answers itself: the sweep reads `seq` after storing `dead`,
+//! the submitter reads `dead` after storing `seq`, all four `SeqCst`, so one
+//! side always sees the other.
 
 use crate::engine::{EngineStats, FpgaVerdict, ValidateRequest};
 use crate::fault::FaultStats;
-use parking_lot::{Mutex, RwLock};
-use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PARK_AFTER, PRODUCER_SPIN};
+use crate::service::Validator;
+use parking_lot::Mutex;
+use rococo_park::Padded;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// How many validations one thread may have outstanding: the ring the STM
 /// runtime asks for has `max_threads × LANE_DEPTH` slots, and a thread
@@ -118,11 +124,9 @@ struct Slot {
     lens: AtomicU64,
     addrs: [AtomicU64; INLINE_ADDRS],
     /// Footprints over `INLINE_ADDRS`, reads then writes. Locked by the
-    /// submitter before `publish` and by the validator after it, never at
-    /// once; keeps its capacity from lap to lap.
+    /// submitter before `publish` and by the serving thread after it,
+    /// never at once; keeps its capacity from lap to lap.
     spill: Mutex<Vec<u64>>,
-    /// Where the submitter sleeps for the verdict.
-    waiter: Parker,
 }
 
 /// The shared state of one validation service.
@@ -131,32 +135,23 @@ pub(crate) struct Link {
     mask: u64,
     /// Next position to claim (submitters, CAS).
     tail: Padded<AtomicU64>,
-    /// Next position to dequeue. The validator alone writes it; others
+    /// Next position to serve. Written only under `validator`; others
     /// read it for [`Link::queue_depth`].
     head: Padded<AtomicU64>,
     in_flight: Padded<AtomicU64>,
     /// Stop requested: no new submissions.
     stopped: AtomicBool,
-    /// The validator thread is gone: nobody will answer but the submitter.
+    /// A serve panicked: nobody will answer but the submitter.
     dead: AtomicBool,
-    /// [`CONSUMER_SPIN`] and [`PRODUCER_SPIN`], zero on a one-CPU host.
-    validator_spin: Duration,
-    submitter_spin: Duration,
-    /// Where the validator sleeps for work.
-    validator: Parker,
-    /// The side mailbox: a scrape asks for `last_stats` to be refreshed.
-    /// One scraper at a time, serialised by `scrape_turn`.
-    snapshot_wanted: AtomicBool,
-    scrape_turn: Mutex<()>,
-    scraper: Parker,
-    pub(crate) last_stats: RwLock<EngineStats>,
+    /// The engine and what surrounds it; whoever holds the lock serves.
+    validator: Mutex<Validator>,
     pub(crate) faults: FaultStats,
 }
 
 impl Link {
     /// A link of `depth` slots, rounded up to a power of two (at least 2:
     /// a published slot must not look like the next lap's free one).
-    pub(crate) fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize, validator: Validator) -> Self {
         let depth = depth.max(2).next_power_of_two();
         Self {
             slots: (0..depth as u64)
@@ -168,7 +163,6 @@ impl Link {
                     lens: AtomicU64::new(0),
                     addrs: std::array::from_fn(|_| AtomicU64::new(0)),
                     spill: Mutex::new(Vec::new()),
-                    waiter: Parker::default(),
                 })
                 .collect(),
             mask: depth as u64 - 1,
@@ -177,13 +171,7 @@ impl Link {
             in_flight: Padded::default(),
             stopped: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            validator_spin: spin_on_this_host(CONSUMER_SPIN),
-            submitter_spin: spin_on_this_host(PRODUCER_SPIN),
-            validator: Parker::default(),
-            snapshot_wanted: AtomicBool::new(false),
-            scrape_turn: Mutex::new(()),
-            scraper: Parker::default(),
-            last_stats: RwLock::new(EngineStats::default()),
+            validator: Mutex::new(validator),
             faults: FaultStats::default(),
         }
     }
@@ -236,11 +224,10 @@ impl Link {
         }
     }
 
-    /// [`Link::try_claim`], spinning then yielding while the ring is full.
-    /// Nobody wakes a submitter waiting for a slot, so this never parks;
-    /// `None` once the link has stopped.
+    /// [`Link::try_claim`], serving the ring while it is full: the slot in
+    /// the way frees once its verdict is served and consumed. `None` once
+    /// the link has stopped.
     pub(crate) fn claim(&self) -> Option<u64> {
-        let started = Instant::now();
         loop {
             if self.is_stopped() {
                 return None;
@@ -248,15 +235,12 @@ impl Link {
             if let Some(pos) = self.try_claim() {
                 return Some(pos);
             }
-            if started.elapsed() < self.submitter_spin {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            self.serve(|| false);
+            std::thread::yield_now();
         }
     }
 
-    /// Fills the claimed slot and hands it to the validator.
+    /// Fills the claimed slot and publishes it.
     pub(crate) fn publish(
         &self,
         pos: u64,
@@ -267,7 +251,7 @@ impl Link {
     ) {
         let slot = self.slot(pos);
         // Relaxed payload stores: the `seq` store below releases them and
-        // the validator's acquire load of `seq` makes them visible.
+        // the serving thread's acquire load of `seq` makes them visible.
         slot.tx_id.store(tx_id, Ordering::Relaxed);
         slot.valid_ts.store(valid_ts, Ordering::Relaxed);
         slot.lens.store(
@@ -285,33 +269,27 @@ impl Link {
             spill.extend_from_slice(writes);
         }
         slot.seq.store(pos + 1, Ordering::SeqCst);
-        self.validator.wake();
         if self.dead.load(Ordering::SeqCst) {
-            // The exit sweep may already have passed this slot.
+            // The death sweep may already have passed this slot.
             self.answer(pos, FpgaVerdict::ServiceStopped);
         }
     }
 
-    /// Non-blocking: the verdict if the slot is answered, freeing it.
-    pub(crate) fn poll_verdict(&self, pos: u64) -> Option<FpgaVerdict> {
-        let verdict = decode(self.slot(pos).verdict.load(Ordering::SeqCst))?;
+    /// Serves the ring until the slot is answered, then frees it.
+    pub(crate) fn wait_verdict(&self, pos: u64) -> FpgaVerdict {
+        let verdict = || decode(self.slot(pos).verdict.load(Ordering::SeqCst));
+        while !self.serve(|| verdict().is_some()) {
+            std::thread::yield_now();
+        }
+        let verdict = verdict().expect("served");
         self.free(pos);
         self.in_flight.0.fetch_sub(1, Ordering::Relaxed);
-        Some(verdict)
-    }
-
-    /// Blocks until the slot is answered, then frees it.
-    pub(crate) fn wait_verdict(&self, pos: u64) -> FpgaVerdict {
-        let slot = self.slot(pos);
-        slot.waiter.wait(self.submitter_spin, PARK_AFTER, None, || {
-            decode(slot.verdict.load(Ordering::SeqCst)).is_some()
-        });
-        self.poll_verdict(pos).expect("waited for the verdict")
+        verdict
     }
 
     /// Walks away from a slot: frees it if it is answered, otherwise
-    /// leaves that to the validator. Either way the request stops counting
-    /// as in flight: nobody is waiting for it.
+    /// leaves that to whoever serves it. Either way the request stops
+    /// counting as in flight: nobody is waiting for it.
     pub(crate) fn abandon(&self, pos: u64) {
         self.in_flight.0.fetch_sub(1, Ordering::Relaxed);
         let unanswered = self.slot(pos).verdict.compare_exchange(
@@ -334,60 +312,68 @@ impl Link {
             .store(pos + self.slots.len() as u64, Ordering::Release);
     }
 
-    /// The mailbox: asks the validator for a fresh `last_stats`. `None`
-    /// when the validator is gone.
-    pub(crate) fn scrape(&self) -> Option<EngineStats> {
-        let _turn = self.scrape_turn.lock();
-        self.snapshot_wanted.store(true, Ordering::SeqCst);
-        self.validator.wake();
-        let spin = self.submitter_spin;
-        let served =
-            || !self.snapshot_wanted.load(Ordering::SeqCst) || self.dead.load(Ordering::SeqCst);
-        // Guard held across this wait, on purpose: `scrape_turn` only orders scrapers among themselves (the mailbox has one parking spot); the validator never takes it
-        self.scraper.wait(spin, PARK_AFTER, None, served);
-        (!self.snapshot_wanted.load(Ordering::SeqCst)).then(|| *self.last_stats.read())
+    /// The engine's counters once everything published is served; `None`
+    /// once the link has stopped.
+    pub(crate) fn stats(&self) -> Option<EngineStats> {
+        let mut v = self.validator.lock();
+        self.serve_locked(&mut v, || false);
+        (!self.is_stopped()).then(|| v.stats())
     }
 
-    /// Closes the door and wakes the validator so it drains and leaves.
-    pub(crate) fn request_stop(&self) {
+    /// The engine's counters as they stand, stopped or not.
+    pub(crate) fn last_stats(&self) -> EngineStats {
+        self.validator.lock().stats()
+    }
+
+    /// Closes the door and serves until every claimed position is served;
+    /// returns the engine's final counters.
+    pub(crate) fn shutdown(&self) -> EngineStats {
         self.stopped.store(true, Ordering::SeqCst);
-        self.validator.wake();
-    }
-
-    // ---- validator side ------------------------------------------------
-
-    fn is_published(&self, pos: u64) -> bool {
-        self.slot(pos).seq.load(Ordering::SeqCst) == pos + 1
-    }
-
-    /// Dequeues the position at `head` if it is published.
-    pub(crate) fn try_dequeue(&self) -> Option<u64> {
-        let pos = self.head.0.load(Ordering::Relaxed);
-        self.is_published(pos).then(|| {
-            self.head.0.store(pos + 1, Ordering::Relaxed);
-            pos
-        })
-    }
-
-    /// Parks the validator until the position at `head` is published, the
-    /// mailbox or the stop flag is raised, or `deadline` passes.
-    pub(crate) fn wait_for_work(&self, deadline: Option<Instant>) {
-        let pos = self.head.0.load(Ordering::Relaxed);
-        self.validator
-            .wait(self.validator_spin, PARK_AFTER, deadline, || {
-                self.is_published(pos)
-                    || self.snapshot_wanted.load(Ordering::SeqCst)
-                    || self.is_stopped()
-            });
-    }
-
-    /// Answers the mailbox, if asked.
-    pub(crate) fn serve_scrape(&self, current: impl FnOnce() -> EngineStats) {
-        if self.snapshot_wanted.load(Ordering::Relaxed) {
-            *self.last_stats.write() = current();
-            self.snapshot_wanted.store(false, Ordering::SeqCst);
-            self.scraper.wake();
+        loop {
+            let mut v = self.validator.lock();
+            // Stopped, a serve also lets go of a held position at once.
+            self.serve_locked(&mut v, || false);
+            let served = self.head.0.load(Ordering::Relaxed) == self.tail.0.load(Ordering::Relaxed);
+            if served || self.dead.load(Ordering::SeqCst) {
+                return v.stats();
+            }
+            // A submitter between its claim and its publish.
+            drop(v);
+            std::thread::yield_now();
         }
+    }
+
+    // ---- serving side --------------------------------------------------
+
+    /// One look: whether `done()` holds, after serving toward it if nobody
+    /// else holds the lock.
+    fn serve(&self, done: impl Fn() -> bool) -> bool {
+        if !done() {
+            if let Some(mut v) = self.validator.try_lock() {
+                self.serve_locked(&mut v, &done);
+            }
+        }
+        done()
+    }
+
+    /// Serves from `head` in ring order until `done()` holds or the
+    /// position at `head` is not published yet (and no held one is due).
+    /// Called with the lock held.
+    fn serve_locked(&self, v: &mut Validator, done: impl Fn() -> bool) {
+        if self.dead.load(Ordering::SeqCst) {
+            return;
+        }
+        let armed = DeathGuard(self);
+        while !done() {
+            let pos = self.head.0.load(Ordering::Relaxed);
+            if self.slot(pos).seq.load(Ordering::SeqCst) == pos + 1 {
+                self.head.0.store(pos + 1, Ordering::Relaxed);
+                v.dequeued(self, pos);
+            } else if !v.flush_held(self, self.is_stopped()) {
+                break;
+            }
+        }
+        std::mem::forget(armed);
     }
 
     /// Copies the request of a dequeued slot into `req`, reusing its
@@ -412,31 +398,29 @@ impl Link {
         }
     }
 
-    /// published → answered, waking the submitter if it sleeps; frees the
-    /// slot if the submitter abandoned it. A slot that is already answered
-    /// (the exit sweep and a self-answer can both reach it) is left alone.
+    /// published → answered; frees the slot if the submitter abandoned
+    /// it. A slot that is already answered (the death sweep and a
+    /// self-answer can both reach it) is left alone.
     pub(crate) fn answer(&self, pos: u64, verdict: FpgaVerdict) {
         let slot = self.slot(pos);
-        match slot.verdict.compare_exchange(
+        let answered = slot.verdict.compare_exchange(
             PENDING,
             encode(verdict),
             Ordering::SeqCst,
             Ordering::SeqCst,
-        ) {
-            Ok(_) => {
-                slot.waiter.wake();
-            }
-            Err(ABANDONED) => self.free(pos),
-            Err(_) => {}
+        );
+        if answered == Err(ABANDONED) {
+            self.free(pos);
         }
     }
 }
 
-/// Lives on the validator thread's stack: whichever way the thread ends,
-/// no submitter is left waiting.
-pub(crate) struct StopGuard<'a>(pub(crate) &'a Link);
+/// Armed around every serve, which `forget`s it on the way out: it is
+/// dropped only when a panic unwinds through the serve, and then no
+/// submitter is left waiting and nobody serves again.
+struct DeathGuard<'a>(&'a Link);
 
-impl Drop for StopGuard<'_> {
+impl Drop for DeathGuard<'_> {
     fn drop(&mut self) {
         let link = self.0;
         link.stopped.store(true, Ordering::SeqCst);
@@ -449,7 +433,6 @@ impl Drop for StopGuard<'_> {
                 link.answer(seq - 1, FpgaVerdict::ServiceStopped);
             }
         }
-        link.scraper.wake();
     }
 }
 
@@ -460,17 +443,13 @@ mod tests {
     use crate::fault::FaultConfig;
     use crate::service::{PendingVerdict, ValidationService};
     use std::collections::{HashSet, VecDeque};
-    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
-    fn spin_until(what: &str, cond: impl Fn() -> bool) {
-        let started = Instant::now();
-        while !cond() {
-            assert!(
-                started.elapsed() < Duration::from_secs(10),
-                "timed out: {what}"
-            );
-            std::thread::yield_now();
-        }
+    fn link(depth: usize) -> Link {
+        Link::new(
+            depth,
+            Validator::new(EngineConfig::default(), FaultConfig::disabled()),
+        )
     }
 
     #[test]
@@ -483,62 +462,64 @@ mod tests {
             EngineConfig::default(),
             FaultConfig::aggressive(11),
         );
-        let global_ts = Arc::new(AtomicU64::new(0));
-        let joins: Vec<_> = (0..PRODUCERS)
-            .map(|t| {
-                let h = svc.handle();
-                let global_ts = Arc::clone(&global_ts);
-                std::thread::spawn(move || {
-                    let mut seqs = Vec::new();
-                    let mut verdicts = 0u64;
-                    let mut settle = |p: PendingVerdict| {
-                        verdicts += 1;
-                        match p.wait() {
-                            FpgaVerdict::Commit { seq } => {
-                                global_ts.fetch_max(seq + 1, Ordering::SeqCst);
-                                seqs.push(seq);
-                            }
-                            FpgaVerdict::ServiceStopped => panic!("live service stopped"),
-                            _ => {}
-                        }
-                    };
-                    let mut pending = VecDeque::with_capacity(IN_FLIGHT);
-                    for i in 0..REQUESTS {
-                        if pending.len() == IN_FLIGHT {
-                            settle(pending.pop_front().expect("full window"));
-                        }
-                        let base = 1_000_000 + t * 100_000 + i * 4;
-                        let valid_ts = global_ts.load(Ordering::SeqCst);
-                        // A thread that holds verdicts must not wait for a
-                        // slot — the one in its way may be its own — so it
-                        // consumes its oldest instead.
-                        let posted = loop {
-                            match h.try_post(t, valid_ts, &[base], &[base + 1]) {
-                                Some(posted) => break posted,
-                                None => match pending.pop_front() {
-                                    Some(oldest) => settle(oldest),
-                                    None => std::thread::yield_now(),
-                                },
+        let global_ts = AtomicU64::new(0);
+        let mut all_seqs = HashSet::new();
+        std::thread::scope(|s| {
+            let joins: Vec<_> = (0..PRODUCERS)
+                .map(|t| {
+                    let h = svc.handle();
+                    let global_ts = &global_ts;
+                    s.spawn(move || {
+                        let mut seqs = Vec::new();
+                        let mut verdicts = 0u64;
+                        let mut settle = |p: PendingVerdict| {
+                            verdicts += 1;
+                            match p.wait() {
+                                FpgaVerdict::Commit { seq } => {
+                                    global_ts.fetch_max(seq + 1, Ordering::SeqCst);
+                                    seqs.push(seq);
+                                }
+                                FpgaVerdict::ServiceStopped => panic!("live service stopped"),
+                                _ => {}
                             }
                         };
-                        pending.push_back(posted);
-                    }
-                    pending.into_iter().for_each(&mut settle);
-                    (verdicts, seqs)
+                        let mut pending = VecDeque::with_capacity(IN_FLIGHT);
+                        for i in 0..REQUESTS {
+                            if pending.len() == IN_FLIGHT {
+                                settle(pending.pop_front().expect("full window"));
+                            }
+                            let base = 1_000_000 + t * 100_000 + i * 4;
+                            let valid_ts = global_ts.load(Ordering::SeqCst);
+                            // A thread that holds verdicts must not wait for a
+                            // slot — the one in its way may be its own — so it
+                            // consumes its oldest instead.
+                            let posted = loop {
+                                match h.try_post(t, valid_ts, &[base], &[base + 1]) {
+                                    Some(posted) => break posted,
+                                    None => match pending.pop_front() {
+                                        Some(oldest) => settle(oldest),
+                                        None => std::thread::yield_now(),
+                                    },
+                                }
+                            };
+                            pending.push_back(posted);
+                        }
+                        pending.into_iter().for_each(&mut settle);
+                        (verdicts, seqs)
+                    })
                 })
-            })
-            .collect();
-        let mut all_seqs = HashSet::new();
-        for j in joins {
-            let (verdicts, seqs) = j.join().expect("producer panicked");
-            assert_eq!(verdicts, REQUESTS, "one verdict per ticket");
-            for seq in seqs {
-                assert!(
-                    all_seqs.insert(seq),
-                    "commit {seq} delivered to two submitters"
-                );
+                .collect();
+            for j in joins {
+                let (verdicts, seqs) = j.join().expect("producer panicked");
+                assert_eq!(verdicts, REQUESTS, "one verdict per ticket");
+                for seq in seqs {
+                    assert!(
+                        all_seqs.insert(seq),
+                        "commit {seq} delivered to two submitters"
+                    );
+                }
             }
-        }
+        });
         let h = svc.handle();
         let injected = h.fault_stats();
         assert!(injected.total() > 0, "aggressive preset injected nothing");
@@ -553,45 +534,40 @@ mod tests {
     }
 
     #[test]
-    fn a_parked_validator_is_woken_by_a_lone_request() {
-        let svc = ValidationService::spawn(EngineConfig::default());
-        let h = svc.handle();
-        for round in 0..3u64 {
-            // Idle past its whole budget: it has published `sleeping`.
-            spin_until("validator parks", || svc.link().validator.is_sleeping());
-            assert!(h
-                .post(round, round, &[10 + round], &[20 + round])
-                .wait()
-                .is_commit());
-        }
-    }
-
-    #[test]
-    fn a_parked_submitter_is_woken_by_a_late_verdict() {
-        // Every request stalls the validator for far longer than a
-        // submitter polls, so each wait ends in `park`.
+    fn a_waiter_behind_a_stalled_serve_gets_its_verdict() {
+        // Every request stalls whoever serves it, before or after the
+        // engine, and a second waiter queues behind the first: the stall
+        // runs on a serving thread, the other waiter finds the lock taken
+        // and looks again until one of the two has served its slot.
+        const STALL_US: u64 = 2_000;
         for faults in [
             FaultConfig {
                 seed: 5,
                 pause_prob: 1.0,
-                pause_us: 2_000,
+                pause_us: STALL_US,
                 ..FaultConfig::disabled()
             },
             FaultConfig {
                 seed: 5,
                 delay_prob: 1.0,
-                delay_us: 2_000,
+                delay_us: STALL_US,
                 ..FaultConfig::disabled()
             },
         ] {
             let svc = ValidationService::spawn_with_faults(EngineConfig::default(), faults);
             let h = svc.handle();
-            for i in 0..4u64 {
+            for i in (0..8u64).step_by(2) {
                 let started = Instant::now();
-                assert!(h.post(i, i, &[100 + i], &[200 + i]).wait().is_commit());
+                let first = h.post(i, 0, &[100 + i], &[200 + i]);
+                let second = h.post(i + 1, 0, &[101 + i], &[201 + i]);
+                std::thread::scope(|s| {
+                    let behind = s.spawn(move || second.wait());
+                    assert!(first.wait().is_commit());
+                    assert!(behind.join().expect("waiter panicked").is_commit());
+                });
                 assert!(
-                    started.elapsed() > PARK_AFTER,
-                    "the fault did not outlast the poll"
+                    started.elapsed() >= Duration::from_micros(2 * STALL_US),
+                    "both stalls ran on a waiting thread"
                 );
             }
         }
@@ -642,45 +618,57 @@ mod tests {
     }
 
     #[test]
-    fn a_validator_that_dies_at_birth_stops_the_link() {
-        // `SlidingWindow::new` asserts a positive capacity: the thread
-        // panics before it serves anything.
+    fn an_engine_that_panics_while_serving_stops_the_link() {
+        // `RococoValidator::new` asserts a positive window, and the engine
+        // is built by the first serve: the waiter below panics serving the
+        // slot published ahead of its own.
         let svc = ValidationService::spawn(EngineConfig {
             window: 0,
             ..EngineConfig::default()
         });
         let h = svc.handle();
-        assert_eq!(h.post(1, 0, &[1], &[2]).wait(), FpgaVerdict::ServiceStopped);
+        let ahead = h.post(1, 0, &[1], &[2]);
+        let mine = h.post(2, 0, &[3], &[4]);
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mine.wait()));
+        assert!(served.is_err(), "the serving waiter's panic propagates");
+        assert_eq!(ahead.wait(), FpgaVerdict::ServiceStopped);
+        assert_eq!(h.post(3, 0, &[5], &[6]).wait(), FpgaVerdict::ServiceStopped);
         assert_eq!(h.stats(), None);
         assert_eq!(h.in_flight(), 0);
-        drop(svc); // joins the panicked thread without hanging
+        drop(svc); // the drain returns at once on a dead link
     }
 
     #[test]
-    fn the_stop_guard_answers_a_parked_waiter() {
-        let link = Arc::new(Link::new(4));
-        let pos = link.try_claim().expect("empty ring");
-        link.publish(pos, 1, 0, &[1], &[2]);
-        let waiter = {
-            let link = Arc::clone(&link);
-            std::thread::spawn(move || link.wait_verdict(pos))
-        };
-        spin_until("submitter parks", || link.slot(pos).waiter.is_sleeping());
-        // What the validator thread's stack does when it unwinds.
-        drop(StopGuard(&link));
-        assert_eq!(
-            waiter.join().expect("waiter panicked"),
-            FpgaVerdict::ServiceStopped
-        );
-        // And a submitter that arrives afterwards answers itself.
+    fn the_death_guard_answers_every_published_slot() {
+        let link = link(4);
+        let ahead = link.try_claim().expect("empty ring");
+        link.publish(ahead, 1, 0, &[1], &[2]);
+        let pos = link.try_claim().expect("a free slot");
+        link.publish(pos, 2, 0, &[3], &[4]);
+        // A waiter whose serve is taken by another thread that is about
+        // to panic inside it.
+        std::thread::scope(|s| {
+            let serving = link.validator.lock();
+            let waiter = s.spawn(|| link.wait_verdict(pos));
+            drop(DeathGuard(&link));
+            drop(serving);
+            assert_eq!(
+                waiter.join().expect("waiter panicked"),
+                FpgaVerdict::ServiceStopped
+            );
+        });
+        assert_eq!(link.wait_verdict(ahead), FpgaVerdict::ServiceStopped);
+        // A submitter that publishes afterwards answers itself.
         let late = link.try_claim().expect("a free slot");
-        link.publish(late, 2, 0, &[3], &[4]);
+        link.publish(late, 3, 0, &[5], &[6]);
         assert_eq!(link.wait_verdict(late), FpgaVerdict::ServiceStopped);
+        assert_eq!(link.stats(), None);
+        assert_eq!(link.in_flight(), 0);
     }
 
     #[test]
     fn an_abandoned_slot_is_freed_by_the_answer_not_the_drop() {
-        let link = Link::new(2);
+        let link = link(2);
         let first = link.try_claim().expect("empty ring");
         link.publish(first, 1, 0, &[1], &[2]);
         link.abandon(first);
@@ -690,13 +678,13 @@ mod tests {
             link.try_claim().is_none(),
             "the abandoned slot must stay taken until it is answered"
         );
-        // The validator gets to it: its answer frees the slot.
-        assert_eq!(link.try_dequeue(), Some(first));
-        link.answer(first, FpgaVerdict::Commit { seq: 0 });
+        // A serve gets to it (and stops at the unpublished second): its
+        // answer frees the slot.
+        link.serve(|| false);
         assert_eq!(link.try_claim(), Some(second + 1));
         // Abandoning an answered slot frees it on the spot.
         link.publish(second, 2, 0, &[3], &[4]);
-        link.answer(second, FpgaVerdict::AbortCycle);
+        link.serve(|| false);
         link.abandon(second);
         assert_eq!(link.try_claim(), Some(second + 2));
     }

@@ -1,26 +1,30 @@
-//! The validator thread: the simulated FPGA inside the live TM runtime.
+//! The simulated FPGA inside the live TM runtime: a [`ValidationEngine`]
+//! behind the link's ring, executed by whichever thread waits on the link.
 //!
 //! ROCoCoTM cascades CPU execution/commit stages and FPGA detect/manage
 //! stages through two asynchronous message queues (the pull/push queues of
 //! Figure 6) so that communication latency is amortised by overlapping
-//! transactions. Here the "FPGA" is a dedicated thread owning a
-//! [`ValidationEngine`]; workers write their requests into the slots of
-//! one lock-free ring and read their [`FpgaVerdict`] back from the same
-//! slot (see [`crate::link`] for the slot lifecycle, the wait strategy and
-//! the stop protocol).
+//! transactions. Here workers write their requests into the slots of one
+//! lock-free ring and read their [`FpgaVerdict`] back from the same slot;
+//! the engine serves the slots in ring order on the thread of whoever waits
+//! (see [`crate::link`] for the slot lifecycle, the combining and the stop
+//! protocol). Validation therefore costs the waiting CPU the engine's time
+//! instead of running beside it; the overlap of Figure 6 is modelled by
+//! [`TimingModel`](crate::TimingModel).
 //!
 //! The service optionally runs with a seeded [`FaultConfig`] (chaos
 //! testing): verdicts can be delayed, serviced out of submission order,
 //! or spuriously rejected, and the validator can stall — all without
 //! touching the engine's state, so the CPU-side protocol is exercised
-//! under pathological FPGA timing that stays semantically legal.
+//! under pathological FPGA timing that stays semantically legal. The
+//! faults run, and their flight-recorder events are emitted, on the
+//! serving thread.
 
 use crate::engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 use crate::fault::{FaultConfig, FaultRng, FaultSnapshot, FaultStats};
-use crate::link::{Link, StopGuard, DEFAULT_LANES, LANE_DEPTH};
+use crate::link::{Link, DEFAULT_LANES, LANE_DEPTH};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A handle for submitting validation requests to the service. Cheap to
@@ -46,14 +50,14 @@ impl ServiceHandle {
     ///
     /// The slot stays taken until the verdict is consumed (or the handle
     /// dropped), and slots are claimed in ring order. When the slot this
-    /// ticket maps to is still taken (the ring is full), `post` spins, then
-    /// yields, until it is free — which never happens if the caller itself
-    /// holds it. So call `post` only from a thread that holds no unconsumed
-    /// verdict, or that is the ring's only submitter and consumes in
-    /// submission order with fewer outstanding than the ring has slots (64
-    /// for [`ValidationService::spawn`]); every other caller uses
-    /// [`ServiceHandle::try_post`] and consumes its oldest verdict when
-    /// that reports the ring full.
+    /// ticket maps to is still taken (the ring is full), `post` serves the
+    /// ring and yields until it is free — which never happens if the
+    /// caller itself holds it. So call `post` only from a thread that
+    /// holds no unconsumed verdict, or that is the ring's only submitter
+    /// and consumes in submission order with fewer outstanding than the
+    /// ring has slots (64 for [`ValidationService::spawn`]); every other
+    /// caller uses [`ServiceHandle::try_post`] and consumes its oldest
+    /// verdict when that reports the ring full.
     ///
     /// Once the service has stopped the handle is born settled with
     /// [`FpgaVerdict::ServiceStopped`].
@@ -112,10 +116,10 @@ impl ServiceHandle {
     /// Submits a request and blocks until the verdict arrives (execution
     /// threads in ROCoCoTM "send R/W-set to FPGA and wait for verdict").
     ///
-    /// If the validator thread has shut down — or dies while the request
-    /// is outstanding — this returns [`FpgaVerdict::ServiceStopped`]
-    /// instead of panicking, so a worker blocked here during service
-    /// teardown gets a clean abort path.
+    /// If the service has stopped — or dies while the request is
+    /// outstanding — this returns [`FpgaVerdict::ServiceStopped`] instead
+    /// of panicking, so a worker blocked here during service teardown gets
+    /// a clean abort path.
     pub fn validate(&self, req: ValidateRequest) -> FpgaVerdict {
         self.validate_async(req).wait()
     }
@@ -139,8 +143,8 @@ impl ServiceHandle {
         self.link.in_flight()
     }
 
-    /// Number of submitted requests the validator thread has not yet
-    /// dequeued (queue depth of the pull queue of Figure 6).
+    /// Number of submitted requests nobody has served yet (queue depth of
+    /// the pull queue of Figure 6).
     pub fn queue_depth(&self) -> usize {
         self.link.queue_depth()
     }
@@ -151,22 +155,22 @@ impl ServiceHandle {
         self.link.faults.snapshot()
     }
 
-    /// Reads the engine's statistics (round-trips through the thread).
+    /// Reads the engine's statistics, after serving every request
+    /// published so far.
     ///
-    /// Returns `None` when the validator thread has shut down — a metrics
-    /// scrape racing service teardown must degrade, not panic, exactly like
-    /// every other path degrades to [`FpgaVerdict::ServiceStopped`]. Callers
-    /// that want a best-effort answer fall back to
-    /// [`ServiceHandle::last_stats`].
+    /// Returns `None` once the service has stopped — a metrics scrape
+    /// racing service teardown must degrade, not panic, exactly like every
+    /// other path degrades to [`FpgaVerdict::ServiceStopped`]. Callers that
+    /// want a best-effort answer fall back to [`ServiceHandle::last_stats`].
     pub fn stats(&self) -> Option<EngineStats> {
-        self.link.scrape()
+        self.link.stats()
     }
 
-    /// The last engine snapshot any clone of this handle observed (zeroed
-    /// counters if the engine was never scraped). Once the service has shut
-    /// down this holds the final end-of-run statistics.
+    /// The engine's statistics as they stand, without serving (zeroed
+    /// counters before the first verdict). Once the service has shut down
+    /// this holds the final end-of-run statistics.
     pub fn last_stats(&self) -> EngineStats {
-        *self.link.last_stats.read()
+        self.link.last_stats()
     }
 }
 
@@ -195,8 +199,14 @@ impl std::fmt::Debug for PendingVerdict {
 }
 
 impl PendingVerdict {
-    /// Blocks until the verdict arrives. Returns
-    /// [`FpgaVerdict::ServiceStopped`] if the service shut down first.
+    /// Blocks until the verdict arrives, serving the ring meanwhile.
+    /// Returns [`FpgaVerdict::ServiceStopped`] if the service shut down
+    /// first.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic of the engine while this thread serves it; the
+    /// link is dead from then on (see [`crate::link`]).
     pub fn wait(mut self) -> FpgaVerdict {
         match self.state {
             PendingState::Settled(verdict) => verdict,
@@ -204,18 +214,6 @@ impl PendingVerdict {
                 let verdict = self.link.wait_verdict(pos);
                 self.state = PendingState::Settled(verdict);
                 verdict
-            }
-        }
-    }
-
-    /// Non-blocking poll: `None` while the verdict is still outstanding.
-    pub fn try_wait(&mut self) -> Option<FpgaVerdict> {
-        match self.state {
-            PendingState::Settled(verdict) => Some(verdict),
-            PendingState::Slot(pos) => {
-                let verdict = self.link.poll_verdict(pos)?;
-                self.state = PendingState::Settled(verdict);
-                Some(verdict)
             }
         }
     }
@@ -229,11 +227,11 @@ impl Drop for PendingVerdict {
     }
 }
 
-/// The validator thread itself. Dropping it stops the thread after draining
-/// queued requests.
+/// A validation service: the link and the engine behind it. There is no
+/// thread; dropping the service stops the link after serving what was
+/// already published.
 pub struct ValidationService {
     handle: ServiceHandle,
-    thread: Option<JoinHandle<EngineStats>>,
 }
 
 impl std::fmt::Debug for ValidationService {
@@ -243,14 +241,14 @@ impl std::fmt::Debug for ValidationService {
 }
 
 impl ValidationService {
-    /// Spawns the validator thread with the given engine configuration and
-    /// no fault injection.
+    /// Starts a service with the given engine configuration and no fault
+    /// injection.
     pub fn spawn(config: EngineConfig) -> Self {
         Self::spawn_with_faults(config, FaultConfig::disabled())
     }
 
-    /// Spawns the validator thread with seeded fault injection (chaos
-    /// testing — see [`FaultConfig`]).
+    /// Starts a service with seeded fault injection (chaos testing — see
+    /// [`FaultConfig`]).
     pub fn spawn_with_faults(config: EngineConfig, faults: FaultConfig) -> Self {
         Self::spawn_with_lanes(config, faults, DEFAULT_LANES)
     }
@@ -263,15 +261,11 @@ impl ValidationService {
     }
 
     pub(crate) fn spawn_ring(config: EngineConfig, faults: FaultConfig, depth: usize) -> Self {
-        let link = Arc::new(Link::new(depth));
-        let thread_link = Arc::clone(&link);
-        let thread = std::thread::Builder::new()
-            .name("rococo-fpga".into())
-            .spawn(move || run_engine(&thread_link, config, faults))
-            .expect("failed to spawn validator thread");
+        let link = Link::new(depth, Validator::new(config, faults));
         Self {
-            handle: ServiceHandle { link },
-            thread: Some(thread),
+            handle: ServiceHandle {
+                link: Arc::new(link),
+            },
         }
     }
 
@@ -280,52 +274,33 @@ impl ValidationService {
         self.handle.clone()
     }
 
-    #[cfg(test)]
-    pub(crate) fn link(&self) -> &Link {
-        &self.handle.link
-    }
-
-    /// Stops the thread and returns the final engine statistics.
-    pub fn shutdown(mut self) -> EngineStats {
-        self.handle.link.request_stop();
-        let stats = self
-            .thread
-            .take()
-            .expect("shutdown called twice")
-            .join()
-            .expect("validator thread panicked");
-        *self.handle.link.last_stats.write() = stats;
-        stats
+    /// Stops the service and returns the final engine statistics.
+    pub fn shutdown(self) -> EngineStats {
+        self.handle.link.shutdown()
     }
 }
 
 impl Drop for ValidationService {
     fn drop(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.handle.link.request_stop();
-            if let Ok(stats) = thread.join() {
-                *self.handle.link.last_stats.write() = stats;
-            }
-        }
+        self.handle.link.shutdown();
     }
 }
 
 /// How long a held-back (reordered) request may wait for a successor
-/// before it is serviced anyway — bounds the latency injection can add to
+/// before it is served anyway — bounds the latency injection can add to
 /// the last request of a burst.
 const REORDER_FLUSH: Duration = Duration::from_micros(200);
 
-struct Injector<'a> {
+struct Injector {
     cfg: FaultConfig,
     rng: FaultRng,
-    stats: &'a FaultStats,
 }
 
-impl Injector<'_> {
+impl Injector {
     /// Rolls the pre-dequeue fault: a validator stall.
-    fn maybe_pause(&mut self) {
+    fn maybe_pause(&mut self, stats: &FaultStats) {
         if self.rng.hit(self.cfg.pause_prob) {
-            self.stats.pauses.fetch_add(1, Ordering::Relaxed);
+            stats.pauses.fetch_add(1, Ordering::Relaxed);
             rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "pause" });
             std::thread::sleep(Duration::from_micros(self.cfg.pause_us));
         }
@@ -334,16 +309,16 @@ impl Injector<'_> {
     /// Rolls the spurious-abort fault. `Some(verdict)` replaces engine
     /// processing entirely (the engine never observes the request, so its
     /// window state matches what the CPU side can infer from the abort).
-    fn maybe_spurious(&mut self) -> Option<FpgaVerdict> {
+    fn maybe_spurious(&mut self, stats: &FaultStats) -> Option<FpgaVerdict> {
         if self.rng.hit(self.cfg.spurious_cycle_prob) {
-            self.stats.spurious_cycle.fetch_add(1, Ordering::Relaxed);
+            stats.spurious_cycle.fetch_add(1, Ordering::Relaxed);
             rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault {
                 kind: "spurious-cycle"
             });
             return Some(FpgaVerdict::AbortCycle);
         }
         if self.rng.hit(self.cfg.spurious_window_prob) {
-            self.stats.spurious_window.fetch_add(1, Ordering::Relaxed);
+            stats.spurious_window.fetch_add(1, Ordering::Relaxed);
             rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault {
                 kind: "spurious-window"
             });
@@ -353,103 +328,113 @@ impl Injector<'_> {
     }
 
     /// Rolls the late-verdict fault (sleep before replying).
-    fn maybe_delay(&mut self) {
+    fn maybe_delay(&mut self, stats: &FaultStats) {
         if self.rng.hit(self.cfg.delay_prob) {
-            self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+            stats.delayed.fetch_add(1, Ordering::Relaxed);
             rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "delay" });
             std::thread::sleep(Duration::from_micros(self.cfg.delay_us));
         }
     }
 
     /// Rolls the reorder fault: whether to hold this request back until
-    /// after its successor is serviced.
+    /// after its successor is served.
     fn maybe_hold(&mut self) -> bool {
         self.rng.hit(self.cfg.reorder_prob)
     }
 }
 
-/// The validator thread's state: the engine, the injector and the one
-/// request buffer every slot is copied into.
-struct Validator<'a> {
-    link: &'a Link,
-    engine: ValidationEngine,
-    injector: Option<Injector<'a>>,
+/// What the link's lock guards: the engine, the injector, the position
+/// held back for reordering and the one request buffer every slot is
+/// copied into.
+pub(crate) struct Validator {
+    config: EngineConfig,
+    /// Built by the first serve from `config`, so that an engine which
+    /// rejects its configuration fails the way any engine panic does —
+    /// inside a serve, killing the link — rather than in `spawn`.
+    engine: Option<ValidationEngine>,
+    injector: Option<Injector>,
+    /// A position held back for reordering, and since when: served after
+    /// the next one, or once `REORDER_FLUSH` has passed without one.
+    held: Option<(u64, Instant)>,
     req: ValidateRequest,
 }
 
-impl Validator<'_> {
-    /// Validates the request in ring position `pos` and answers its slot.
-    fn serve(&mut self, pos: u64) {
-        self.link.read_request(pos, &mut self.req);
-        let spurious = self.injector.as_mut().and_then(Injector::maybe_spurious);
-        let verdict = spurious.unwrap_or_else(|| self.engine.process(&self.req));
+impl Validator {
+    pub(crate) fn new(config: EngineConfig, faults: FaultConfig) -> Self {
+        Self {
+            config,
+            engine: None,
+            injector: faults.enabled().then(|| Injector {
+                rng: FaultRng::new(faults.seed),
+                cfg: faults,
+            }),
+            held: None,
+            req: ValidateRequest {
+                tx_id: 0,
+                valid_ts: 0,
+                read_addrs: Vec::new(),
+                write_addrs: Vec::new(),
+            },
+        }
+    }
+
+    pub(crate) fn stats(&self) -> EngineStats {
+        self.engine
+            .as_ref()
+            .map(ValidationEngine::stats)
+            .unwrap_or_default()
+    }
+
+    /// Takes the position `link` just dequeued: maybe stalls, maybe holds
+    /// it back, otherwise serves it — and then the one held before it.
+    pub(crate) fn dequeued(&mut self, link: &Link, pos: u64) {
         if let Some(injector) = &mut self.injector {
-            injector.maybe_delay();
-        }
-        self.link.answer(pos, verdict);
-    }
-}
-
-fn run_engine(link: &Link, config: EngineConfig, faults: FaultConfig) -> EngineStats {
-    // Before the engine exists: its constructor may panic on a bad config.
-    let _stop = StopGuard(link);
-    let mut v = Validator {
-        link,
-        engine: ValidationEngine::new(config),
-        injector: faults.enabled().then(|| Injector {
-            rng: FaultRng::new(faults.seed),
-            cfg: faults,
-            stats: &link.faults,
-        }),
-        req: ValidateRequest {
-            tx_id: 0,
-            valid_ts: 0,
-            read_addrs: Vec::new(),
-            write_addrs: Vec::new(),
-        },
-    };
-    // A position held back for reordering: serviced after the next
-    // request, or after `REORDER_FLUSH` if no successor arrives (liveness).
-    let mut held: Option<u64> = None;
-
-    loop {
-        link.serve_scrape(|| v.engine.stats());
-        let Some(pos) = link.try_dequeue() else {
-            // Ring drained. Stop is honoured only here, so everything
-            // published before it gets a real verdict.
-            if link.is_stopped() {
-                break;
-            }
-            let flush_at = held.map(|_| Instant::now() + REORDER_FLUSH);
-            link.wait_for_work(flush_at);
-            if flush_at.is_some_and(|at| Instant::now() >= at) {
-                // No successor arrived: service the held request now.
-                v.serve(held.take().expect("a flush deadline means a held request"));
-            }
-            continue;
-        };
-        if let Some(injector) = &mut v.injector {
-            injector.maybe_pause();
-            if held.is_none() && injector.maybe_hold() {
-                injector.stats.reordered.fetch_add(1, Ordering::Relaxed);
+            injector.maybe_pause(&link.faults);
+            if self.held.is_none() && injector.maybe_hold() {
+                link.faults.reordered.fetch_add(1, Ordering::Relaxed);
                 rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "reorder" });
-                held = Some(pos);
-                continue;
+                self.held = Some((pos, Instant::now()));
+                return;
             }
         }
-        v.serve(pos);
-        if let Some(held) = held.take() {
-            v.serve(held);
+        self.serve(link, pos);
+        if let Some((held, _)) = self.held.take() {
+            self.serve(link, held);
         }
     }
-    // Shutting down: answer anything still held so blocked workers wake.
-    if let Some(held) = held.take() {
-        v.serve(held);
+
+    /// Serves the held position if no successor came within
+    /// `REORDER_FLUSH`, or at once if `now`; whether it did.
+    pub(crate) fn flush_held(&mut self, link: &Link, now: bool) -> bool {
+        match self.held {
+            Some((pos, since)) if now || since.elapsed() >= REORDER_FLUSH => {
+                self.held = None;
+                self.serve(link, pos);
+                true
+            }
+            _ => false,
+        }
     }
-    // Hand buffered fault events to the flight recorder's collector
-    // before this thread (and its lane) goes away.
-    rococo_telemetry::flush_thread();
-    v.engine.stats()
+
+    /// Validates the request in ring position `pos` and answers its slot.
+    fn serve(&mut self, link: &Link, pos: u64) {
+        link.read_request(pos, &mut self.req);
+        let spurious = self
+            .injector
+            .as_mut()
+            .and_then(|i| i.maybe_spurious(&link.faults));
+        let verdict = spurious.unwrap_or_else(|| {
+            let config = &self.config;
+            let engine = self
+                .engine
+                .get_or_insert_with(|| ValidationEngine::new(config.clone()));
+            engine.process(&self.req)
+        });
+        if let Some(injector) = &mut self.injector {
+            injector.maybe_delay(&link.faults);
+        }
+        link.answer(pos, verdict);
+    }
 }
 
 #[cfg(test)]
@@ -566,9 +551,8 @@ mod tests {
         assert!(h.validate(req(0, 0, &[7], &[8])).is_commit());
         // Write skew partner must abort even when submitted from another
         // thread.
-        let h2 = svc.handle();
-        let join = std::thread::spawn(move || h2.validate(req(1, 0, &[8], &[7])));
-        assert_eq!(join.join().unwrap(), FpgaVerdict::AbortCycle);
+        let skew = std::thread::scope(|s| s.spawn(|| h.validate(req(1, 0, &[8], &[7]))).join());
+        assert_eq!(skew.unwrap(), FpgaVerdict::AbortCycle);
     }
 
     #[test]
@@ -579,26 +563,28 @@ mod tests {
         // per-thread copy only stays inside the window while the scheduler
         // interleaves the threads request by request — which a link that
         // answers without a context switch no longer forces.)
-        let global_ts = Arc::new(AtomicU64::new(0));
-        let mut joins = Vec::new();
-        for t in 0..8u64 {
-            let h = svc.handle();
-            let global_ts = Arc::clone(&global_ts);
-            joins.push(std::thread::spawn(move || {
-                let mut commits = 0;
-                for i in 0..200u64 {
-                    let base = 1_000_000 + t * 10_000 + i * 4;
-                    let valid_ts = global_ts.load(Ordering::SeqCst);
-                    let v = h.validate(req(t * 1000 + i, valid_ts, &[base], &[base + 1]));
-                    if let FpgaVerdict::Commit { seq } = v {
-                        commits += 1;
-                        global_ts.fetch_max(seq + 1, Ordering::SeqCst);
-                    }
-                }
-                commits
-            }));
-        }
-        let total: u64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
+        let global_ts = AtomicU64::new(0);
+        let total: u64 = std::thread::scope(|s| {
+            let joins: Vec<_> = (0..8u64)
+                .map(|t| {
+                    let (h, global_ts) = (svc.handle(), &global_ts);
+                    s.spawn(move || {
+                        let mut commits = 0;
+                        for i in 0..200u64 {
+                            let base = 1_000_000 + t * 10_000 + i * 4;
+                            let valid_ts = global_ts.load(Ordering::SeqCst);
+                            let v = h.validate(req(t * 1000 + i, valid_ts, &[base], &[base + 1]));
+                            if let FpgaVerdict::Commit { seq } = v {
+                                commits += 1;
+                                global_ts.fetch_max(seq + 1, Ordering::SeqCst);
+                            }
+                        }
+                        commits
+                    })
+                })
+                .collect();
+            joins.into_iter().map(|j| j.join().unwrap()).sum()
+        });
         let stats = svc.shutdown();
         assert_eq!(stats.requests, 1600);
         assert_eq!(stats.commits, total);
@@ -606,6 +592,79 @@ mod tests {
         // positives may cause a handful of cycle aborts at worst... but a
         // cycle needs both directions, so expect none or almost none).
         assert!(total > 1500, "commits: {total}");
+    }
+
+    #[test]
+    fn combined_verdicts_match_a_replay_in_ring_order() {
+        // K submitters post random footprints over 96 addresses, each
+        // with a snapshot of its own up to 71 commits behind the newest,
+        // and wait: whoever waits serves. Replayed in ring order through a
+        // fresh engine, every request must get the verdict it got live.
+        const REQUESTS: u64 = 400;
+        for submitters in [1u64, 2, 4, 8] {
+            let svc = ValidationService::spawn(EngineConfig::default());
+            let global_ts = AtomicU64::new(0);
+            let mut log: Vec<_> = std::thread::scope(|s| {
+                let joins: Vec<_> = (0..submitters)
+                    .map(|t| {
+                        let (h, global_ts) = (svc.handle(), &global_ts);
+                        s.spawn(move || {
+                            let mut x = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            let mut next = move || {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                x
+                            };
+                            (0..REQUESTS)
+                                .map(|i| {
+                                    let r = next();
+                                    let reads: Vec<u64> =
+                                        (0..1 + r % 4).map(|_| next() % 96).collect();
+                                    let writes: Vec<u64> =
+                                        (0..1 + (r >> 8) % 4).map(|_| next() % 96).collect();
+                                    let behind = (r >> 16) % 72;
+                                    let valid_ts =
+                                        global_ts.load(Ordering::SeqCst).saturating_sub(behind);
+                                    let request = req(t << 32 | i, valid_ts, &reads, &writes);
+                                    let pending = h.validate_async(request.clone());
+                                    let PendingState::Slot(pos) = pending.state else {
+                                        panic!("the service is live");
+                                    };
+                                    let verdict = pending.wait();
+                                    if let FpgaVerdict::Commit { seq } = verdict {
+                                        global_ts.fetch_max(seq + 1, Ordering::SeqCst);
+                                    }
+                                    (pos, request, verdict)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                joins
+                    .into_iter()
+                    .flat_map(|j| j.join().expect("submitter panicked"))
+                    .collect()
+            });
+            log.sort_by_key(|&(pos, ..)| pos);
+            let positions: Vec<u64> = log.iter().map(|&(pos, ..)| pos).collect();
+            assert_eq!(positions, (0..submitters * REQUESTS).collect::<Vec<_>>());
+
+            let mut replay = ValidationEngine::new(EngineConfig::default());
+            for (pos, request, verdict) in &log {
+                assert_eq!(
+                    replay.process(request),
+                    *verdict,
+                    "K {submitters}, position {pos}"
+                );
+            }
+            let stats = svc.shutdown();
+            assert_eq!(stats, replay.stats(), "K {submitters}");
+            assert!(
+                stats.commits > 0 && stats.aborts_cycle > 0 && stats.aborts_window > 0,
+                "K {submitters}: every verdict kind must occur: {stats:?}"
+            );
+        }
     }
 
     #[test]
@@ -641,34 +700,35 @@ mod tests {
         // thread tears the service down. Every call must return a real
         // verdict or ServiceStopped — never panic, never hang.
         let svc = ValidationService::spawn(EngineConfig::default());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut joins = Vec::new();
-        for t in 0..4u64 {
-            let h = svc.handle();
-            let stop = Arc::clone(&stop);
-            joins.push(std::thread::spawn(move || {
-                let mut stopped_seen = 0u64;
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) || stopped_seen == 0 {
-                    let v = h.validate(req(t * 1_000_000 + i, 0, &[t + 10], &[t + 20]));
-                    if v == FpgaVerdict::ServiceStopped {
-                        stopped_seen += 1;
-                        if stop.load(Ordering::Relaxed) {
-                            break;
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let mut joins = Vec::new();
+            for t in 0..4u64 {
+                let (h, stop) = (svc.handle(), &stop);
+                joins.push(s.spawn(move || {
+                    let mut stopped_seen = 0u64;
+                    let mut i = 0u64;
+                    while !stop.load(Ordering::Relaxed) || stopped_seen == 0 {
+                        let v = h.validate(req(t * 1_000_000 + i, 0, &[t + 10], &[t + 20]));
+                        if v == FpgaVerdict::ServiceStopped {
+                            stopped_seen += 1;
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
                         }
+                        i += 1;
                     }
-                    i += 1;
-                }
-                stopped_seen
-            }));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-        drop(svc);
-        stop.store(true, Ordering::Relaxed);
-        for j in joins {
-            let stopped = j.join().expect("worker panicked during service drop");
-            assert!(stopped >= 1, "worker never saw the clean stop signal");
-        }
+                    stopped_seen
+                }));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            drop(svc);
+            stop.store(true, Ordering::Relaxed);
+            for j in joins {
+                let stopped = j.join().expect("worker panicked during service drop");
+                assert!(stopped >= 1, "worker never saw the clean stop signal");
+            }
+        });
     }
 
     #[test]

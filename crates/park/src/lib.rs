@@ -1,25 +1,25 @@
 //! `rococo-park`: how a thread waits for another across a ring.
 //!
-//! Three hops in this workspace hand work to another thread through a
-//! bounded ring and wait for its answer — submitters and the validator
-//! (`rococo-fpga`'s link), shard workers and the WAL writer (`rococo-wal`),
-//! both with a lone consumer thread, and clients and a shard's workers
-//! (`rococo-server`'s request hop), whose ring has as many consumers as the
-//! shard has workers, each with a [`Parker`] of its own. Both directions of
-//! all three wait with [`Parker::wait`]: poll for a budget — spinning, with
-//! a yield every so often — then publish a `sleeping` flag, re-check and
-//! `thread::park`. The other side calls [`Parker::wake`] after every store
-//! the sleeper may be waiting for and issues the `unpark` only when it sees
-//! the flag, so a busy pipeline never makes a futex call and a parked side
-//! costs nothing.
+//! Two hops in this workspace hand work to another thread through a
+//! bounded ring and wait for its answer — shard workers and the WAL writer
+//! (`rococo-wal`), a lone consumer thread, and clients and a shard's
+//! workers (`rococo-server`'s request hop), whose ring has as many
+//! consumers as the shard has workers, each with a [`Parker`] of its own.
+//! Both directions of both wait with [`Parker::wait`]: poll for a budget —
+//! spinning, with a yield every so often — then publish a `sleeping` flag,
+//! re-check and `thread::park`. The other side calls [`Parker::wake`] after
+//! every store the sleeper may be waiting for and issues the `unpark` only
+//! when it sees the flag, so a busy pipeline never makes a futex call and a
+//! parked side costs nothing. (The validator link has no other side to
+//! wait for: whoever waits on it runs the engine itself.)
 //!
 //! The budgets are constants sized by sweep on the 2-vCPU reference box,
-//! not knobs, and they are per hop: the validator and the WAL writer poll
+//! not knobs, and they are per hop: the WAL writer and its producers poll
 //! for [`PARK_AFTER`] and spin [`CONSUMER_SPIN`] / [`PRODUCER_SPIN`] between
 //! yields (no spinning at all on a one-CPU host, see [`spin_on_this_host`];
-//! EXPERIMENTS.md, "Validator link"); the request hop, whose waiter would
-//! spin on the CPU its only partner needs, passes budgets of its own
-//! (EXPERIMENTS.md, "Request hop").
+//! EXPERIMENTS.md, "Validator link", where they were first swept); the
+//! request hop, whose waiter would spin on the CPU its only partner needs,
+//! passes budgets of its own (EXPERIMENTS.md, "Request hop").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,28 +29,28 @@ use std::sync::{Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// How long a waiter of the validator link or the WAL ring polls before it
-/// parks, both directions. Sized
-/// against what a park costs on the 2-vCPU reference box: a halted vCPU
-/// takes 60–100 µs to come back from a futex wake, and a shard worker's
-/// batch leaves the consumer without work for 30–50 µs while it drains.
+/// How long a waiter of the WAL ring polls before it parks, both
+/// directions. Sized against what a park costs on the 2-vCPU reference
+/// box: a halted vCPU takes 60–100 µs to come back from a futex wake, and a
+/// shard worker's batch leaves the consumer without work for 30–50 µs
+/// while it drains.
 /// A side that parks in such a gap makes the other outwait any shorter
 /// budget and park too, and the pipeline settles into a ping-pong of
 /// futex wakes (measured on `kv-hot-write`: 60–90 k req/s against 220 k).
 /// Twice the wake latency keeps both sides out of it.
 pub const PARK_AFTER: Duration = Duration::from_micros(150);
 
-/// How long a ring's consumer thread (the validator, the WAL writer) spins
-/// between two yields. Its yields are what lets a producer sharing its CPU
-/// run, but on the reference kernel (6.18, EEVDF) a consumer that yields
-/// every few microseconds is scheduled erratically (measured: a third of
-/// the segments at 90 k req/s); one yield per half budget is not.
+/// How long the WAL writer, the ring's consumer thread, spins between two
+/// yields. Its yields are what lets a producer sharing its CPU run, but on
+/// the reference kernel (6.18, EEVDF) a consumer that yields every few
+/// microseconds is scheduled erratically (measured: a third of the
+/// segments at 90 k req/s); one yield per half budget is not.
 pub const CONSUMER_SPIN: Duration = Duration::from_micros(75);
 
-/// How long a producer spins between two yields: two verdicts' worth of
-/// `fpga.process4_ns` (~1.4 µs). If the answer takes longer the consumer is
-/// not running, and on an oversubscribed host it may be waiting for this
-/// very CPU.
+/// How long a producer spins between two yields: a few microseconds, on
+/// the scale of the consumer's per-item work. If the answer takes longer
+/// the consumer is not running, and on an oversubscribed host it may be
+/// waiting for this very CPU.
 pub const PRODUCER_SPIN: Duration = Duration::from_micros(3);
 
 /// `spin` — or zero when this process may run on one CPU only, where the

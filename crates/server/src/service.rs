@@ -1132,6 +1132,46 @@ mod tests {
         assert_eq!(report.aggregate.committed, 1);
     }
 
+    /// The worker that waits for a verdict serves the validation engine
+    /// itself, so a panic in the engine unwinds through the worker's commit.
+    /// (The engine is built by its first serve, and `RococoValidator`
+    /// rejects a zero window.) The worker answers that request `Internal`
+    /// and keeps its seat; the link is dead from then on, so a write fails
+    /// with `ServiceStopped` while a read, which never validates, succeeds.
+    #[test]
+    fn a_panic_while_serving_the_validator_answers_internal() {
+        let cfg = TxKvConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            keys: 16,
+            ..TxKvConfig::default()
+        };
+        let tm = RococoTm::with_configs(RococoConfig {
+            tm: TmConfig {
+                heap_words: cfg.heap_words(),
+                max_threads: cfg.worker_threads(),
+            },
+            window: 0,
+            ..RococoConfig::default()
+        });
+        let kv = TxKv::start(Arc::new(tm), cfg).unwrap();
+        let add = Request::Add { key: 1, delta: 1 };
+        assert_eq!(kv.call(add.clone()), Err(TxKvError::Internal));
+        assert!(matches!(
+            kv.call(add),
+            Err(TxKvError::RetriesExhausted {
+                last: rococo_stm::AbortKind::ServiceStopped,
+                ..
+            })
+        ));
+        assert_eq!(
+            kv.call(Request::Get { key: 1 }).unwrap(),
+            Response::Value(0)
+        );
+        let report = kv.shutdown();
+        assert_eq!(report.aggregate.panics, 1);
+    }
+
     fn durable_cfg(dir: std::path::PathBuf, checkpoint_every: u64) -> TxKvConfig {
         TxKvConfig {
             shards: 2,

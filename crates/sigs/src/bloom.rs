@@ -279,9 +279,24 @@ impl PrehashedAddr {
 /// All set-algebra operations (`union_with`, `intersect`, `overlaps`) are
 /// geometry-agnostic bitwise operations; insertion and membership query live
 /// on [`SigScheme`].
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Sig {
     words: Vec<u64>,
+}
+
+impl Clone for Sig {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies `source`'s bits into this signature's own words: publishing
+    /// a write signature into a slot that already holds one allocates
+    /// nothing (the derived `clone_from` would build a new vector).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl Sig {
@@ -447,6 +462,17 @@ mod tests {
             }
         }
         assert!(overlap < 20, "too many false set-overlaps: {overlap}");
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_same_words() {
+        let s = SigScheme::paper_default();
+        let source = s.sig_of([1, 2, 3]);
+        let mut slot = s.sig_of([99]);
+        let words = slot.words.as_ptr();
+        slot.clone_from(&source);
+        assert_eq!(slot, source);
+        assert_eq!(slot.words.as_ptr(), words, "no new allocation");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! transaction iterates signatures in each sub-set for more accurate
 //! intersection with TempSet."
 
-use crate::bloom::{Sig, SigScheme};
+use crate::bloom::{PrehashedAddr, Sig, SigScheme};
 
 /// A read-set summary holding a whole-set signature plus one signature per
 /// chunk of up to [`ChunkedSig::CHUNK`] addresses, along with the raw
@@ -65,12 +65,20 @@ impl ChunkedSig {
     /// reused in place, so a recycled summary inserts without allocating
     /// until it outgrows its previous high-water mark.
     pub fn insert(&mut self, scheme: &SigScheme, addr: u64) {
-        scheme.insert(&mut self.whole, addr);
+        self.insert_prehashed(scheme, addr, &scheme.prehash(addr));
+    }
+
+    /// [`ChunkedSig::insert`] of an address the caller has already
+    /// prehashed with `scheme` ([`SigScheme::prehash`]): a reader that
+    /// queried other signatures with `pre` records the address without
+    /// hashing it again.
+    pub fn insert_prehashed(&mut self, scheme: &SigScheme, addr: u64, pre: &PrehashedAddr) {
+        scheme.insert_prehashed(&mut self.whole, pre);
         let idx = self.addrs.len() / Self::CHUNK;
         if idx == self.chunks.len() {
             self.chunks.push(scheme.new_sig());
         }
-        scheme.insert(&mut self.chunks[idx], addr);
+        scheme.insert_prehashed(&mut self.chunks[idx], pre);
         self.addrs.push(addr);
     }
 
@@ -217,6 +225,19 @@ mod tests {
         assert!(rs.conflicts_with(&s, &s.sig_of([1000u64])));
         assert!(!rs.conflicts_with(&s, &s.sig_of([31u64 * 3])));
         assert_eq!(rs.addrs(), &[7, 1000, 2000]);
+    }
+
+    #[test]
+    fn a_prehashed_insert_records_what_insert_does() {
+        let s = scheme();
+        let (mut plain, mut pre) = (ChunkedSig::new(&s), ChunkedSig::new(&s));
+        for a in (0..20u64).map(|i| i * 977 + 3) {
+            plain.insert(&s, a);
+            pre.insert_prehashed(&s, a, &s.prehash(a));
+        }
+        assert_eq!(plain.whole, pre.whole);
+        assert_eq!(plain.chunks, pre.chunks);
+        assert_eq!(plain.addrs(), pre.addrs());
     }
 
     #[test]

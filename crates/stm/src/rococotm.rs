@@ -28,8 +28,9 @@ use rococo_fpga::{
     EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, PendingVerdict,
     ServiceHandle, TimingModel, ValidationService, LANE_DEPTH,
 };
-use rococo_sigs::{ChunkedSig, PrehashedAddr, Sig, SigScheme};
+use rococo_sigs::{splitmix64, ChunkedSig, PrehashedAddr, Sig, SigScheme};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -75,10 +76,39 @@ impl Default for RococoConfig {
 }
 
 /// One slot of the update set: the write signature of a transaction that is
-/// currently writing back, used as commit-time locking.
+/// currently writing back, used as commit-time locking. Empty (it then
+/// matches no address) while its thread is not writing back; the signature
+/// is copied in and cleared in place, never allocated.
 #[derive(Debug)]
 struct UpdateSlot {
-    sig: RwLock<Option<Sig>>,
+    sig: RwLock<Sig>,
+}
+
+/// The redo log: the words a transaction wrote, by address. Every read of
+/// a transaction that has written probes it, so it hashes with one
+/// `splitmix64` ([`AddrHasher`]) rather than SipHash.
+type Redo = HashMap<Addr, Word, BuildHasherDefault<AddrHasher>>;
+
+/// [`Redo`]'s hasher, a plain mixer: the keys are heap addresses, bounded
+/// by the heap, and one map holds one transaction's writes, so a set of
+/// colliding addresses slows only the transaction that wrote them.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = addr as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64(&mut self.0.clone())
+    }
 }
 
 /// Recycled per-transaction buffers, pooled per thread so `begin` is
@@ -99,7 +129,7 @@ struct Scratch {
     read_sets: Vec<ChunkedSig>,
     sigs: Vec<Sig>,
     addr_lists: Vec<Vec<u64>>,
-    redos: Vec<HashMap<Addr, Word>>,
+    redos: Vec<Redo>,
 }
 
 /// The ROCoCoTM runtime.
@@ -135,7 +165,7 @@ pub struct RococoTm {
     /// Only the owning thread writes its entry.
     lane_in_flight: Vec<AtomicU32>,
     /// The simulated FPGA; kept alive for the runtime's lifetime (dropping
-    /// it stops the validator thread).
+    /// it stops the validation service).
     _service: ValidationService,
     handle: ServiceHandle,
 }
@@ -191,7 +221,7 @@ impl RococoTm {
                 .collect(),
             update_slots: (0..config.tm.max_threads)
                 .map(|_| UpdateSlot {
-                    sig: RwLock::new(None),
+                    sig: RwLock::new(scheme.new_sig()),
                 })
                 .collect(),
             update_occupancy: (0..config.tm.max_threads.div_ceil(64))
@@ -216,8 +246,8 @@ impl RococoTm {
 
     /// Statistics of the FPGA-side engine (requests, commits, cycle and
     /// window aborts — the dotted series of Figure 10). Falls back to the
-    /// last snapshot once the validator thread has shut down, so metrics
-    /// scrapes racing teardown degrade instead of panicking.
+    /// counters as they stand once the validation service has stopped, so
+    /// metrics scrapes racing teardown degrade instead of panicking.
     pub fn fpga_stats(&self) -> EngineStats {
         self.handle
             .stats()
@@ -228,16 +258,14 @@ impl RococoTm {
     /// allocating fresh ones only when the pool runs dry (cold start, or
     /// buffers lost to an abort path — see [`RococoTm::recycle`]).
     ///
-    /// Returns `(read_set, write_sig, miss_set, write_addrs, redo)`.
-    #[allow(clippy::type_complexity)]
-    fn take_scratch(&self, thread: usize) -> (ChunkedSig, Sig, Sig, Vec<u64>, HashMap<Addr, Word>) {
+    /// Returns `(read_set, [write_sig, miss_set, temp], write_addrs, redo)`.
+    fn take_scratch(&self, thread: usize) -> (ChunkedSig, [Sig; 3], Vec<u64>, Redo) {
         let mut pool = self.scratch[thread].lock();
         (
             pool.read_sets
                 .pop()
                 .unwrap_or_else(|| ChunkedSig::new(&self.scheme)),
-            pool.sigs.pop().unwrap_or_else(|| self.scheme.new_sig()),
-            pool.sigs.pop().unwrap_or_else(|| self.scheme.new_sig()),
+            std::array::from_fn(|_| pool.sigs.pop().unwrap_or_else(|| self.scheme.new_sig())),
             pool.addr_lists.pop().unwrap_or_default(),
             pool.redos.pop().unwrap_or_default(),
         )
@@ -258,9 +286,9 @@ impl RococoTm {
         &self,
         thread: usize,
         read_set: Option<ChunkedSig>,
-        sigs: [Option<Sig>; 2],
+        sigs: [Option<Sig>; 3],
         addrs: Option<Vec<u64>>,
-        redo: Option<HashMap<Addr, Word>>,
+        redo: Option<Redo>,
     ) {
         let mut pool = self.scratch[thread].lock();
         if let Some(mut rs) = read_set {
@@ -301,23 +329,14 @@ impl RococoTm {
     /// with the same race window the old occupancy counter had: a
     /// committer that publishes between our load and the heap read is
     /// caught by the commit-queue drain and the re-check in `tm_read`.
-    fn update_set_hits(&self, addr: Addr) -> bool {
-        let mut pre: Option<PrehashedAddr> = None;
+    fn update_set_hits(&self, pre: &PrehashedAddr) -> bool {
         for (wi, word) in self.update_occupancy.iter().enumerate() {
             let mut bits = word.load(Ordering::SeqCst);
-            if bits == 0 {
-                continue;
-            }
-            let pre = *pre.get_or_insert_with(|| self.scheme.prehash(addr as u64));
             while bits != 0 {
                 let t = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let hit = self.update_slots[t]
-                    .sig
-                    .read()
-                    .as_ref()
-                    .is_some_and(|sig| self.scheme.query_prehashed(sig, &pre));
-                if hit {
+                let sig = self.update_slots[t].sig.read();
+                if self.scheme.query_prehashed(&sig, pre) {
                     return true;
                 }
             }
@@ -337,7 +356,7 @@ impl RococoTm {
     /// the committer we are waiting on may not be running (oversubscribed
     /// or single-core hosts), and a full timeslice of spinning would
     /// stall the whole commit chain.
-    fn publish_commit(&self, thread: usize, seq: u64, write_sig: &Sig, redo: &HashMap<Addr, Word>) {
+    fn publish_commit(&self, thread: usize, seq: u64, write_sig: &Sig, redo: &Redo) {
         let mut spins = 0u32;
         while self.global_ts.load(Ordering::SeqCst) != seq {
             spins += 1;
@@ -350,10 +369,7 @@ impl RococoTm {
 
         // Publish the update-set entry (commit-time locking), write back,
         // publish the commit-queue signature, bump GlobalTS, release.
-        {
-            let mut slot = self.update_slots[thread].sig.write();
-            *slot = Some(write_sig.clone());
-        }
+        self.update_slots[thread].sig.write().clone_from(write_sig);
         self.mark_update_slot(thread);
 
         for (&addr, &val) in redo {
@@ -367,10 +383,7 @@ impl RococoTm {
         }
         self.global_ts.store(seq + 1, Ordering::SeqCst);
 
-        {
-            let mut slot = self.update_slots[thread].sig.write();
-            *slot = None;
-        }
+        self.update_slots[thread].sig.write().clear();
         self.clear_update_slot(thread);
     }
 
@@ -381,8 +394,9 @@ impl RococoTm {
     /// sequence, or the kind of abort the verdict means.
     ///
     /// The wall clock measures the *residual* stall: time actually spent
-    /// blocked on the verdict after whatever useful work the caller
-    /// overlapped with the round-trip. The model time still charges the
+    /// waiting for the verdict — serving the engine, for this request and
+    /// the ones published ahead of it — after whatever useful work the
+    /// caller overlapped with the round-trip. The model time still charges the
     /// full simulated round-trip of the default [`TimingModel`] (Figure 11).
     fn await_verdict(&self, pending: PendingVerdict, n_addrs: usize) -> Result<u64, AbortKind> {
         let t0 = Instant::now();
@@ -436,10 +450,13 @@ pub struct RococoTx<'a> {
     /// them.
     write_addrs: Vec<u64>,
     /// Redo log.
-    redo: HashMap<Addr, Word>,
+    redo: Redo,
     /// Union of committed write signatures this transaction failed to
     /// observe (Figure 8(c)); non-empty means `valid_ts` is frozen.
     miss_set: Sig,
+    /// The `TempSet` of the last drain: the union of the write signatures
+    /// committed since the drain before it (empty when there were none).
+    temp: Sig,
     /// Held exclusively when the transaction runs irrevocably.
     irrevocable: Option<RwLockWriteGuard<'a, ()>>,
 }
@@ -469,16 +486,18 @@ impl RococoTx<'_> {
     }
 
     /// Drains the commit queue from `local_ts` to the current `GlobalTS`
-    /// into a fresh `TempSet` (Algorithm 1 lines 9–13).
+    /// into `temp`, the `TempSet` (Algorithm 1 lines 9–13), and returns
+    /// that `GlobalTS`.
     ///
     /// Returns `None` — meaning the transaction must abort — if the queue
     /// was overrun (the laggard cannot reconstruct what it missed).
-    fn drain_temp_set(&mut self) -> Option<(Sig, u64)> {
+    fn drain_temp_set(&mut self) -> Option<u64> {
         let queue_len = self.tm.config.queue_len as u64;
         let start_ts = self.local_ts;
         let gts = self.tm.global_ts.load(Ordering::SeqCst);
+        self.temp.clear();
         if gts == start_ts {
-            return Some((self.tm.scheme.new_sig(), gts));
+            return Some(gts);
         }
         // The committer at sequence `s` overwrites ring slot `s % queue_len`
         // the moment GlobalTS reaches `s`, so the oldest slot still intact is
@@ -488,10 +507,9 @@ impl RococoTx<'_> {
         if gts - start_ts >= queue_len {
             return None; // ring overrun: history lost
         }
-        let mut temp = self.tm.scheme.new_sig();
         for seq in start_ts..gts {
             let slot = &self.tm.commit_queue[(seq % queue_len) as usize];
-            temp.union_with(&slot.read());
+            self.temp.union_with(&slot.read());
         }
         // The scan itself takes time: committers may have advanced GlobalTS
         // while we were reading and recycled slots out from under us. The
@@ -503,38 +521,40 @@ impl RococoTx<'_> {
             return None; // a scanned slot may have been recycled mid-scan
         }
         self.local_ts = gts;
-        Some((temp, gts))
+        Some(gts)
     }
 
     /// Lines 9–19 of `TM_READ` plus the ValidTS extension of Figure 8(b):
     /// folds the commits published since the last look into the snapshot,
-    /// then answers whether a value of `addr` loaded *before this call* is
-    /// the value as of that snapshot. `Ok(false)` means reload and ask
-    /// again; the abort is the CPU-side fast path.
+    /// then answers whether a value of the address `pre` was prehashed
+    /// from, loaded *before this call*, is the value as of that snapshot.
+    /// `Ok(false)` means reload and ask again; the abort is the CPU-side
+    /// fast path.
     #[inline(always)]
-    fn snapshot_covers(&mut self, addr: Addr) -> Result<bool, Abort> {
-        let Some((temp, gts)) = self.drain_temp_set() else {
+    fn snapshot_covers(&mut self, pre: &PrehashedAddr) -> Result<bool, Abort> {
+        let Some(gts) = self.drain_temp_set() else {
             return Err(self.count_abort(AbortKind::FpgaWindow));
         };
+        let scheme = &self.tm.scheme;
 
         // The drain advanced `local_ts`, so `temp` is folded in before any
         // reload is asked for: dropping it would extend the snapshot past
         // commits never checked against the read set.
         let mut stale = false;
-        if !temp.is_empty() {
-            let conflict = self.read_set.conflicts_with(&self.tm.scheme, &temp);
+        if !self.temp.is_empty() {
+            let conflict = self.read_set.conflicts_with(scheme, &self.temp);
             if self.miss_set.is_empty() && !conflict {
                 self.valid_ts = gts; // snapshot extends
             } else {
-                self.miss_set.union_with(&temp);
+                self.miss_set.union_with(&self.temp);
             }
             // The caller's load came before the drain: a commit folded in
-            // just now may have stored `addr` after it.
-            stale = self.tm.scheme.query(&temp, addr as u64);
+            // just now may have stored the address after it.
+            stale = scheme.query_prehashed(&self.temp, pre);
         } else if self.miss_set.is_empty() {
             self.valid_ts = gts;
         }
-        if !self.miss_set.is_empty() && self.tm.scheme.query(&self.miss_set, addr as u64) {
+        if !self.miss_set.is_empty() && scheme.query_prehashed(&self.miss_set, pre) {
             // The address we are reading was updated after ValidTS: the
             // snapshot cannot stay consistent (Figure 8(d)). This is the
             // CPU-side fast abort path — no out-of-core latency.
@@ -547,22 +567,26 @@ impl RococoTx<'_> {
         // `GlobalTS`, so the entry is looked at first and `GlobalTS`
         // second — one of the two still shows it.
         Ok(!stale
-            && !self.tm.update_set_hits(addr)
+            && !self.tm.update_set_hits(pre)
             && self.tm.global_ts.load(Ordering::SeqCst) == gts)
     }
 
-    /// The read path of Algorithm 1 (`TM_READ`).
+    /// The read path of Algorithm 1 (`TM_READ`). The address is hashed
+    /// once, for every signature it meets.
     fn tm_read(&mut self, addr: Addr) -> Result<Word, Abort> {
         // Line 1–4: read-own-write.
-        if let Some(&v) = self.redo.get(&addr) {
-            return Ok(v);
+        if !self.redo.is_empty() {
+            if let Some(&v) = self.redo.get(&addr) {
+                return Ok(v);
+            }
         }
 
+        let pre = self.tm.scheme.prehash(addr as u64);
         let mut spins = 0usize;
         loop {
             // Lines 5–7: back off while a committer's update set covers the
             // address; if we already missed updates, abort instead.
-            while self.tm.update_set_hits(addr) {
+            while self.tm.update_set_hits(&pre) {
                 if !self.miss_set.is_empty() {
                     return Err(self.count_abort(AbortKind::Conflict));
                 }
@@ -575,12 +599,13 @@ impl RococoTx<'_> {
 
             // Line 8: speculative value read.
             let v = self.tm.heap.load_direct(addr);
-            if !self.snapshot_covers(addr)? {
+            if !self.snapshot_covers(&pre)? {
                 continue;
             }
 
             // Line 20.
-            self.read_set.insert(&self.tm.scheme, addr as u64);
+            self.read_set
+                .insert_prehashed(&self.tm.scheme, addr as u64, &pre);
             // Flight-recorder sampling: record read-set growth at
             // power-of-two sizes so big transactions stay cheap to trace.
             if rococo_telemetry::enabled() {
@@ -601,7 +626,7 @@ impl<'a> Transaction for RococoTx<'a> {
 
     fn write(&mut self, addr: Addr, val: Word) -> Result<(), Abort> {
         // TM_WRITE: signature insert + redo log (lines 21–22).
-        if !self.redo.contains_key(&addr) {
+        if self.redo.insert(addr, val).is_none() {
             self.tm.scheme.insert(&mut self.write_sig, addr as u64);
             self.write_addrs.push(addr as u64);
             if rococo_telemetry::enabled() && self.write_addrs.len().is_power_of_two() {
@@ -610,7 +635,6 @@ impl<'a> Transaction for RococoTx<'a> {
                 });
             }
         }
-        self.redo.insert(addr, val);
         Ok(())
     }
 
@@ -641,8 +665,8 @@ impl<'a> Transaction for RococoTx<'a> {
 }
 
 /// The read-side buffers of a dispatched commit — read set, miss set,
-/// write addresses — done with the moment the request is built.
-type Spent = (ChunkedSig, Sig, Vec<u64>);
+/// `TempSet`, write addresses — done with the moment the request is built.
+type Spent = (ChunkedSig, [Sig; 2], Vec<u64>);
 
 impl<'a> RococoTx<'a> {
     /// Ships the commit to the validator — the one dispatch behind both
@@ -677,7 +701,7 @@ impl<'a> RococoTx<'a> {
             tm.recycle(
                 thread,
                 Some(self.read_set),
-                [Some(self.write_sig), Some(self.miss_set)],
+                [Some(self.write_sig), Some(self.miss_set), Some(self.temp)],
                 Some(self.write_addrs),
                 Some(self.redo),
             );
@@ -748,15 +772,16 @@ impl<'a> RococoTx<'a> {
                 hold,
             },
         };
-        let spent = (self.read_set, self.miss_set, self.write_addrs);
+        let spent = (self.read_set, [self.miss_set, self.temp], self.write_addrs);
         if blocking {
             return Ok((pending, Some(spent)));
         }
+        let (read_set, [miss_set, temp], write_addrs) = spent;
         tm.recycle(
             thread,
-            Some(spent.0),
-            [Some(spent.1), None],
-            Some(spent.2),
+            Some(read_set),
+            [Some(miss_set), Some(temp), None],
+            Some(write_addrs),
             None,
         );
         Ok((pending, None))
@@ -778,7 +803,7 @@ enum PendingState<'a> {
     InFlight {
         verdict: PendingVerdict,
         write_sig: Sig,
-        redo: HashMap<Addr, Word>,
+        redo: Redo,
         n_addrs: usize,
         hold: GateHold<'a>,
     },
@@ -832,10 +857,12 @@ impl RococoPending<'_> {
             return Ok(None);
         };
 
-        let verdict = tm.await_verdict(verdict, n_addrs);
+        // The slot is this thread's to consume from here on; released
+        // before the wait so a panic while serving leaks no lane.
         if matches!(hold, GateHold::Lane { .. }) {
             tm.lane_in_flight[thread].fetch_sub(1, Ordering::Relaxed);
         }
+        let verdict = tm.await_verdict(verdict, n_addrs);
         let outcome = match verdict {
             Ok(seq) => {
                 tm.publish_commit(thread, seq, &write_sig, &redo);
@@ -854,14 +881,14 @@ impl RococoPending<'_> {
         // Also on a verdict-time abort, which retries immediately: handing
         // the buffers straight back keeps the retry's `begin`
         // allocation-free.
-        let (read_set, miss_set, write_addrs) = match spent {
-            Some((r, m, a)) => (Some(r), Some(m), Some(a)),
-            None => (None, None, None),
+        let (read_set, [miss_set, temp], write_addrs) = match spent {
+            Some((r, [m, t], a)) => (Some(r), [Some(m), Some(t)], Some(a)),
+            None => (None, [None, None], None),
         };
         tm.recycle(
             thread,
             read_set,
-            [Some(write_sig), miss_set],
+            [Some(write_sig), miss_set, temp],
             write_addrs,
             Some(redo),
         );
@@ -901,8 +928,13 @@ impl Drop for RococoPending<'_> {
             if let FpgaVerdict::Commit { seq } = verdict {
                 self.tm.publish_commit(self.thread, seq, &write_sig, &redo);
             }
-            self.tm
-                .recycle(self.thread, None, [Some(write_sig), None], None, Some(redo));
+            self.tm.recycle(
+                self.thread,
+                None,
+                [Some(write_sig), None, None],
+                None,
+                Some(redo),
+            );
         }
     }
 }
@@ -950,7 +982,8 @@ impl TmSystem for RococoTm {
         let ts = self.global_ts.load(Ordering::SeqCst);
         // Recycled buffers arrive cleared (see `recycle`), so the steady
         // state pays no allocation here.
-        let (read_set, write_sig, miss_set, write_addrs, redo) = self.take_scratch(thread_id);
+        let (read_set, [write_sig, miss_set, temp], write_addrs, redo) =
+            self.take_scratch(thread_id);
         RococoTx {
             tm: self,
             thread: thread_id,
@@ -961,6 +994,7 @@ impl TmSystem for RococoTm {
             write_addrs,
             redo,
             miss_set,
+            temp,
             irrevocable,
         }
     }
@@ -1228,7 +1262,7 @@ mod tests {
         // Pretend thread 1 is mid-write-back over address 5.
         let mut sig = tm.scheme.new_sig();
         tm.scheme.insert(&mut sig, 5);
-        *tm.update_slots[1].sig.write() = Some(sig);
+        *tm.update_slots[1].sig.write() = sig;
         tm.mark_update_slot(1);
 
         let mut tx = tm.begin(0);
@@ -1250,12 +1284,12 @@ mod tests {
         let stale = tm.heap().load_direct(5);
         atomically(&tm, 1, |other| other.write(5, 9));
         assert!(
-            !tx.snapshot_covers(5).unwrap(),
+            !tx.snapshot_covers(&tm.scheme.prehash(5)).unwrap(),
             "the folded commit wrote the address: the load must be redone"
         );
         assert_eq!(tx.valid_ts, 1, "nothing read yet, so the snapshot extends");
         assert!(
-            tx.snapshot_covers(5).unwrap(),
+            tx.snapshot_covers(&tm.scheme.prehash(5)).unwrap(),
             "nothing new since the reload"
         );
         assert_eq!((stale, tx.read(5).unwrap()), (0, 9));
@@ -1274,10 +1308,10 @@ mod tests {
         // Pretend thread 2 is mid-write-back over address 6.
         let mut sig = tm.scheme.new_sig();
         tm.scheme.insert(&mut sig, 6);
-        *tm.update_slots[2].sig.write() = Some(sig);
+        *tm.update_slots[2].sig.write() = sig;
         tm.mark_update_slot(2);
         assert!(
-            !tx.snapshot_covers(6).unwrap(),
+            !tx.snapshot_covers(&tm.scheme.prehash(6)).unwrap(),
             "a committer holds the address"
         );
         assert!(
@@ -1420,5 +1454,196 @@ mod tests {
         let err = tx.read(0).unwrap_err();
         assert_eq!(err.kind, AbortKind::FpgaWindow);
         assert_eq!(tm.consecutive_aborts[0].load(Ordering::Relaxed), 1);
+    }
+
+    /// The stage budget of one ROCoCoTM read-write transaction — the
+    /// `Add` shape (read a word, write it back incremented) — run the way a
+    /// TxKV shard worker runs it, a batch of `LANE_DEPTH` executed and
+    /// submitted and then settled in order, beside the same transaction on
+    /// TinySTM:
+    ///
+    /// `cargo test --release -p rococo-stm --lib stage_budget -- --ignored --nocapture`
+    ///
+    /// Each stage is the runtime's own step, timed in place: begin + gate
+    /// (`begin`: the escalation check and the scratch pool), reads
+    /// (`tm_read`), writes (redo log and write signature), dispatch (the
+    /// commit gate's `try_read` and the ring slot), serve (the wait for the
+    /// verdict, which runs the validation engine on this thread), publish
+    /// (turn-wait, update set, write-back, commit queue, `GlobalTS`) and
+    /// recycle (the buffers back to the pool). TinySTM's commit is one stage.
+    #[test]
+    #[ignore = "a measurement, not a check: run in release with --nocapture"]
+    fn stage_budget() {
+        use crate::api::{finish_submitted, try_submit, Submitted};
+        use crate::tinystm::TinyStm;
+        use std::hint::black_box;
+        use std::time::Duration;
+
+        const WORDS: usize = 4096;
+        const BATCHES: usize = 20_000;
+        let txns = (BATCHES * LANE_DEPTH) as f64;
+        let addr = |b: usize, j: usize| (b * LANE_DEPTH + j) % WORDS;
+        fn add<T: Transaction>(tx: &mut T, addr: Addr) -> Result<(), Abort> {
+            let v = tx.read(addr)?;
+            tx.write(addr, v + 1)
+        }
+
+        // Uninstrumented, through the entry points the worker calls.
+        let rococo = tm(WORDS, 1);
+        let started = Instant::now();
+        for b in 0..BATCHES {
+            let mut batch = [const { None }; LANE_DEPTH];
+            for (j, pending) in batch.iter_mut().enumerate() {
+                match try_submit(&rococo, 0, &mut |tx| add(tx, addr(b, j))) {
+                    Submitted::Pending(p, ()) => *pending = Some(p),
+                    _ => panic!("an uncontended Add submits asynchronously"),
+                }
+            }
+            for pending in batch.into_iter().flatten() {
+                finish_submitted(&rococo, pending).expect("an uncontended Add commits");
+            }
+        }
+        let rococo_whole = started.elapsed();
+        let tiny = TinyStm::with_config(TmConfig {
+            heap_words: WORDS,
+            max_threads: 1,
+        });
+        let started = Instant::now();
+        for b in 0..BATCHES {
+            for j in 0..LANE_DEPTH {
+                atomically(&tiny, 0, |tx| add(tx, addr(b, j)));
+            }
+        }
+        let tiny_whole = started.elapsed();
+
+        // What one `Instant::now()` costs: every stage boundary pays it once.
+        let started = Instant::now();
+        for _ in 0..1_000_000 {
+            black_box(Instant::now());
+        }
+        let now_cost = started.elapsed() / 1_000_000;
+        let add_stages = |stages: &mut [Duration], marks: &[Instant]| {
+            for (stage, pair) in stages.iter_mut().zip(marks.windows(2)) {
+                *stage += (pair[1] - pair[0]).saturating_sub(now_cost);
+            }
+        };
+
+        // ROCoCoTM, step by step: what `try_submit` and `settle` do.
+        let rococo = tm(WORDS, 1);
+        let mut execute = [Duration::ZERO; 4];
+        let mut settle = [Duration::ZERO; 3];
+        for b in 0..BATCHES {
+            let mut batch = Vec::with_capacity(LANE_DEPTH);
+            for j in 0..LANE_DEPTH {
+                let t0 = Instant::now();
+                let mut tx = rococo.begin(0);
+                let t1 = Instant::now();
+                let v = tx.read(addr(b, j)).expect("uncontended");
+                let t2 = Instant::now();
+                tx.write(addr(b, j), v + 1).expect("uncontended");
+                let t3 = Instant::now();
+                let Ok((pending, None)) = tx.dispatch(false) else {
+                    panic!("an uncontended Add submits asynchronously");
+                };
+                let t4 = Instant::now();
+                add_stages(&mut execute, &[t0, t1, t2, t3, t4]);
+                batch.push(pending);
+            }
+            for mut pending in batch {
+                let PendingState::InFlight {
+                    verdict,
+                    write_sig,
+                    redo,
+                    n_addrs,
+                    hold,
+                } = std::mem::replace(&mut pending.state, PendingState::Done)
+                else {
+                    unreachable!("dispatched with a write");
+                };
+                let t0 = Instant::now();
+                rococo.lane_in_flight[0].fetch_sub(1, Ordering::Relaxed);
+                let seq = rococo.await_verdict(verdict, n_addrs).expect("commits");
+                let t1 = Instant::now();
+                rococo.publish_commit(0, seq, &write_sig, &redo);
+                drop(hold);
+                rococo.consecutive_aborts[0].store(0, Ordering::Relaxed);
+                let t2 = Instant::now();
+                rococo.recycle(0, None, [Some(write_sig), None, None], None, Some(redo));
+                let t3 = Instant::now();
+                add_stages(&mut settle, &[t0, t1, t2, t3]);
+            }
+        }
+        let engine = rococo.fpga_stats();
+        assert_eq!(engine.commits, BATCHES as u64 * LANE_DEPTH as u64);
+        assert_eq!(engine.aborts(), 0);
+
+        // How much of serving is the engine: the same requests straight
+        // into a `ValidationEngine`, each at the newest snapshot.
+        let mut alone = rococo_fpga::ValidationEngine::new(EngineConfig::default());
+        let mut request = rococo_fpga::ValidateRequest {
+            tx_id: 0,
+            valid_ts: 0,
+            read_addrs: vec![0],
+            write_addrs: vec![0],
+        };
+        let started = Instant::now();
+        for b in 0..BATCHES {
+            for j in 0..LANE_DEPTH {
+                request.valid_ts = alone.next_seq();
+                request.read_addrs[0] = addr(b, j) as u64;
+                request.write_addrs[0] = addr(b, j) as u64;
+                black_box(alone.process(&request));
+            }
+        }
+        let process = started.elapsed();
+
+        // TinySTM, step by step.
+        let tiny = TinyStm::with_config(TmConfig {
+            heap_words: WORDS,
+            max_threads: 1,
+        });
+        let mut tiny_stages = [Duration::ZERO; 4];
+        for b in 0..BATCHES {
+            for j in 0..LANE_DEPTH {
+                let t0 = Instant::now();
+                let mut tx = tiny.begin(0);
+                let t1 = Instant::now();
+                let v = tx.read(addr(b, j)).expect("uncontended");
+                let t2 = Instant::now();
+                tx.write(addr(b, j), v + 1).expect("uncontended");
+                let t3 = Instant::now();
+                tx.commit().expect("uncontended");
+                let t4 = Instant::now();
+                add_stages(&mut tiny_stages, &[t0, t1, t2, t3, t4]);
+            }
+        }
+
+        let ns = |d: Duration| d.as_nanos() as f64 / txns;
+        let [begin, reads, writes, dispatch] = execute.map(ns);
+        let [serve, publish, recycle] = settle.map(ns);
+        let [t_begin, t_reads, t_writes, t_commit] = tiny_stages.map(ns);
+        println!(
+            "Instant::now() {} ns, subtracted once per stage",
+            now_cost.as_nanos()
+        );
+        println!("stage                     ROCoCoTM ns/txn   TinySTM ns/txn");
+        println!("begin + gate              {begin:>15.0}   {t_begin:>14.0}");
+        println!("reads                     {reads:>15.0}   {t_reads:>14.0}");
+        println!("writes                    {writes:>15.0}   {t_writes:>14.0}");
+        println!("dispatch (TinySTM commit) {dispatch:>15.0}   {t_commit:>14.0}");
+        println!("serve                     {serve:>15.0}");
+        println!("  of it, the engine alone {:>15.0}", ns(process));
+        println!("publish                   {publish:>15.0}");
+        println!("recycle                   {recycle:>15.0}");
+        println!(
+            "sum of stages             {:>15.0}   {:>14.0}",
+            begin + reads + writes + dispatch + serve + publish + recycle,
+            t_begin + t_reads + t_writes + t_commit
+        );
+        println!(
+            "whole, uninstrumented     {:>15.0}   {:>14.0}",
+            ns(rococo_whole),
+            ns(tiny_whole)
+        );
     }
 }
