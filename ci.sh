@@ -75,20 +75,20 @@ for i in $(seq 1 200); do
   fi
 done
 
-echo "== reachability matrix, engine vs its reference model, combined verdicts vs a ring-order replay, and the zero-allocation bounds (release)"
+echo "== reachability matrix, engine vs its reference model, live verdicts vs an engine-order replay, and the zero-allocation bounds (release)"
 # The debug runs above cover these too; release is where the allocation
 # count is the shipped one and where the shifts and the wrapping ring
 # arithmetic are (rococo-core: unit tests, matrix_props, zero_alloc). The
-# ROCoCoTM bound covers the whole commit path, the engine served on the
+# ROCoCoTM bound covers the whole commit path, the engine run on the
 # committing thread included.
 cargo test --release -q -p rococo-core
 cargo test --release -q -p rococo-fpga --lib engine::
-cargo test --release -q -p rococo-fpga --lib combined_verdicts
+cargo test --release -q -p rococo-fpga --lib combined_verdicts_match_a_replay_in_engine_order
 cargo test --release -q -p rococo-fpga --test zero_alloc
 cargo test --release -q -p rococo-stm --test zero_alloc
 
 echo "== no vendored shim that stands for nothing: no crossbeam, no serde"
-# The validator link, the WAL ring and the request hop replaced every
+# The validator's lock, the WAL ring and the request hop replaced every
 # Mutex+Condvar channel on the request path, and the serde derives
 # expanded to nothing; a dependency edge is how either would return.
 if grep -rn 'crossbeam\|serde' --include=Cargo.toml . | grep -v '^./benchmark/'; then
@@ -102,17 +102,16 @@ cargo test --release -q -p rococo-server --test alloc_per_request
 cargo test --release -q -p rococo-server --lib a_lone_worker_never_races
 cargo test --release -q -p rococo-server --lib every_commit_deferred
 
-echo "== validator link, WAL ring and request hop on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
+echo "== validation service, WAL ring and request hop on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first
 # livelocks (a turn-wait without a yield did) and the second hangs. The WAL
 # ring and the request hop wait with rococo-park's helper (the ring skips
-# its spin phase here, the hop never spins). The validator link has no
-# wait/wake protocol: a waiter serves the ring itself, and yields only
-# while another thread holds the engine or a submitter is between claim
-# and publish — here that other thread needs this CPU to finish. A
-# worker's mid-batch hazard drain and an irrevocable commit serve their
-# own verdicts the same way.
+# its spin phase here, the hop never spins). The validation service has no
+# wait/wake protocol: `post` validates under the engine's lock on the
+# posting thread. The one wait left is the waiter of a request the reorder
+# fault held back, which yields until the next post answers it or it may
+# validate it itself — here that poster needs this CPU to finish.
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-fpga --lib
   taskset -c 0 cargo test --release -q -p rococo-wal --lib

@@ -27,7 +27,7 @@ impl Default for EngineConfig {
 /// than signature, so that the query operation on signatures can be used to
 /// minimize the possibility of false positivity" (section 5.3), plus its
 /// `ValidTS` snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ValidateRequest {
     /// Caller-chosen transaction identifier, echoed in the verdict.
     pub tx_id: u64,

@@ -10,7 +10,7 @@
 //! interleavings where hybrid-TM systems historically break.
 //!
 //! All injection happens at the *service* layer ([`super::ValidationService`],
-//! on whichever thread serves the request), never inside
+//! on the thread that posts the request), never inside
 //! [`ValidationEngine`](crate::ValidationEngine): an injected abort is
 //! returned **instead of** processing the request, so the engine's
 //! window/reachability state stays exactly what the CPU side observed. That
@@ -39,9 +39,9 @@ pub struct FaultConfig {
     pub spurious_cycle_prob: f64,
     /// Probability of a spurious `AbortWindowOverflow` verdict.
     pub spurious_window_prob: f64,
-    /// Probability that the serving thread pauses for
-    /// [`FaultConfig::pause_us`] *before* dequeuing work (stall of the
-    /// whole pull queue).
+    /// Probability that the posting thread pauses for
+    /// [`FaultConfig::pause_us`] *before* validating, under the engine's
+    /// lock (stall of the whole validator).
     pub pause_prob: f64,
     /// Validator pause duration, microseconds.
     pub pause_us: u64,
@@ -114,7 +114,7 @@ impl Default for FaultConfig {
 }
 
 rococo_telemetry::stats_block! {
-    /// Live counters of injected faults, shared between the serving
+    /// Live counters of injected faults, shared between the posting
     /// threads and every [`ServiceHandle`](crate::ServiceHandle).
     pub struct FaultStats;
     /// A point-in-time copy of [`FaultStats`], surfaced by service layers

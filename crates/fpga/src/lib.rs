@@ -17,10 +17,10 @@
 //!   interval of one clock cycle at 200 MHz, plus the CCI round-trip latency
 //!   of the HARP2 interconnect (< 600 ns, footnote 8). Used by the
 //!   Figure 11 overhead study.
-//! * [`ValidationService`] — one lock-free ring that carries requests out
-//!   and verdicts back, with the engine behind it executed by whichever
-//!   thread waits on the ring, playing the role of the physical FPGA inside
-//!   the live `rococo-stm` runtime (the pull/push queues of Figure 6).
+//! * [`ValidationService`] — the engine behind one lock, run by the thread
+//!   that posts a request to it, playing the role of the physical FPGA
+//!   inside the live `rococo-stm` runtime (in place of the pull/push queues
+//!   of Figure 6, whose overlap [`TimingModel`] models).
 //! * [`resources`] — the analytical resource model reproducing the
 //!   section 6.5 utilisation table.
 //!
@@ -44,13 +44,11 @@
 
 mod engine;
 mod fault;
-mod link;
 mod pipeline;
 pub mod resources;
 mod service;
 
 pub use engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 pub use fault::{FaultConfig, FaultSnapshot, FaultStats};
-pub use link::LANE_DEPTH;
 pub use pipeline::{PipelineStats, PipelinedValidator, TimingModel};
 pub use service::{PendingVerdict, ServiceHandle, ValidationService};

@@ -1,16 +1,19 @@
 //! The simulated FPGA inside the live TM runtime: a [`ValidationEngine`]
-//! behind the link's ring, executed by whichever thread waits on the link.
+//! behind one lock, run by the thread that posts a request to it.
 //!
 //! ROCoCoTM cascades CPU execution/commit stages and FPGA detect/manage
 //! stages through two asynchronous message queues (the pull/push queues of
 //! Figure 6) so that communication latency is amortised by overlapping
-//! transactions. Here workers write their requests into the slots of one
-//! lock-free ring and read their [`FpgaVerdict`] back from the same slot;
-//! the engine serves the slots in ring order on the thread of whoever waits
-//! (see [`crate::link`] for the slot lifecycle, the combining and the stop
-//! protocol). Validation therefore costs the waiting CPU the engine's time
-//! instead of running beside it; the overlap of Figure 6 is modelled by
+//! transactions. Those queues exist because the CPU and the FPGA are two
+//! executors; here there is one. [`ServiceHandle::post`] takes the engine's
+//! lock, validates the caller's request on the caller's thread and returns
+//! a [`PendingVerdict`] that already holds the verdict. The engine sees the
+//! requests in lock order, which is the order one pull queue would deliver
+//! them in. Validation costs the posting CPU the engine's time instead of
+//! running beside it; the overlap of Figure 6 is modelled by
 //! [`TimingModel`](crate::TimingModel).
+//!
+//! # Faults
 //!
 //! The service optionally runs with a seeded [`FaultConfig`] (chaos
 //! testing): verdicts can be delayed, serviced out of submission order,
@@ -18,14 +21,99 @@
 //! touching the engine's state, so the CPU-side protocol is exercised
 //! under pathological FPGA timing that stays semantically legal. The
 //! faults run, and their flight-recorder events are emitted, on the
-//! serving thread.
+//! posting thread, under the lock.
+//!
+//! The only verdict still owed when `post` returns is that of a request
+//! the reorder fault holds back. It gets a cell — the one allocation of
+//! this path, chaos runs only — answered by the next `post`, which
+//! validates its own request first and the held one second, or by the held
+//! request's own waiter once `REORDER_FLUSH` has passed without one.
+//!
+//! # Stop and death
+//!
+//! `stopped` is set and read under the lock: a request posted after it is
+//! answered [`FpgaVerdict::ServiceStopped`] without reaching the engine, so
+//! the statistics [`ValidationService::shutdown`] returns are final. A
+//! panic in the engine or the injector would leave a half-updated engine
+//! behind a lock that does not poison, so every run of either is armed
+//! with a guard ([`DeathGuard`]) that, on unwind, sets `stopped` and `dead`.
+//! The panic goes on to the caller and nobody runs the engine again; the
+//! waiter of a held request that sees `dead` returns `ServiceStopped`.
 
 use crate::engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 use crate::fault::{FaultConfig, FaultRng, FaultSnapshot, FaultStats};
-use crate::link::{Link, DEFAULT_LANES, LANE_DEPTH};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// The shared state of one validation service.
+struct Link {
+    /// The engine and what surrounds it. A leaf lock: its holder takes no
+    /// other lock.
+    validator: Mutex<Validator>,
+    /// Stop requested: nothing more reaches the engine. Written under
+    /// `validator`.
+    stopped: AtomicBool,
+    /// An engine run panicked: nobody runs the engine again.
+    dead: AtomicBool,
+    /// Verdicts posted and not yet consumed.
+    in_flight: AtomicU64,
+    faults: FaultStats,
+}
+
+impl Link {
+    /// Runs `f` — the engine, the injector — armed with a [`DeathGuard`].
+    fn armed<R>(&self, f: impl FnOnce() -> R) -> R {
+        let guard = DeathGuard(self);
+        let result = f();
+        std::mem::forget(guard);
+        result
+    }
+
+    /// Waits for a held request's verdict: from the next `post`, or
+    /// validated by this thread once `REORDER_FLUSH` has passed without
+    /// one.
+    fn wait_held(&self, cell: &OnceLock<FpgaVerdict>) -> FpgaVerdict {
+        loop {
+            if let Some(&verdict) = cell.get() {
+                return verdict;
+            }
+            if self.dead.load(Ordering::SeqCst) {
+                return FpgaVerdict::ServiceStopped;
+            }
+            if let Some(mut v) = self.validator.try_lock() {
+                if !self.dead.load(Ordering::SeqCst) {
+                    self.armed(|| v.flush_held(self, false));
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Closes the door and validates a held request; returns the engine's
+    /// final counters.
+    fn shutdown(&self) -> EngineStats {
+        let mut v = self.validator.lock();
+        self.stopped.store(true, Ordering::SeqCst);
+        if !self.dead.load(Ordering::SeqCst) {
+            self.armed(|| v.flush_held(self, true));
+        }
+        v.stats()
+    }
+}
+
+/// Armed around every engine run, which `forget`s it on the way out: it is
+/// dropped only when a panic unwinds through the run, with the lock still
+/// held, and then nobody runs the engine again.
+struct DeathGuard<'a>(&'a Link);
+
+impl Drop for DeathGuard<'_> {
+    fn drop(&mut self) {
+        self.0.stopped.store(true, Ordering::SeqCst);
+        self.0.dead.store(true, Ordering::SeqCst);
+    }
+}
 
 /// A handle for submitting validation requests to the service. Cheap to
 /// clone; one per worker thread.
@@ -43,24 +131,19 @@ impl std::fmt::Debug for ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// Writes a request into the next ring slot without waiting for the
-    /// verdict; returns a [`PendingVerdict`] so the caller can overlap
-    /// other work (meta-pipelining). The address slices are copied into
-    /// the slot: nothing is allocated.
+    /// Validates a request on the calling thread, under the engine's lock,
+    /// and returns its [`PendingVerdict`]; the caller consumes it when it
+    /// is ready to act on the verdict (meta-pipelining). The address slices
+    /// are copied into a buffer the engine keeps: nothing is allocated.
     ///
-    /// The slot stays taken until the verdict is consumed (or the handle
-    /// dropped), and slots are claimed in ring order. When the slot this
-    /// ticket maps to is still taken (the ring is full), `post` serves the
-    /// ring and yields until it is free — which never happens if the
-    /// caller itself holds it. So call `post` only from a thread that
-    /// holds no unconsumed verdict, or that is the ring's only submitter
-    /// and consumes in submission order with fewer outstanding than the
-    /// ring has slots (64 for [`ValidationService::spawn`]); every other
-    /// caller uses [`ServiceHandle::try_post`] and consumes its oldest
-    /// verdict when that reports the ring full.
-    ///
-    /// Once the service has stopped the handle is born settled with
+    /// `post` never refuses and never waits for another request's verdict,
+    /// so a thread may hold any number of unconsumed verdicts. Once the
+    /// service has stopped the handle is born settled with
     /// [`FpgaVerdict::ServiceStopped`].
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic of the engine; the service is dead from then on.
     pub fn post(
         &self,
         tx_id: u64,
@@ -68,58 +151,29 @@ impl ServiceHandle {
         read_addrs: &[u64],
         write_addrs: &[u64],
     ) -> PendingVerdict {
-        let pos = self.link.claim();
-        self.publish(pos, tx_id, valid_ts, read_addrs, write_addrs)
-    }
-
-    /// [`ServiceHandle::post`] that gives up instead of waiting: `None`
-    /// when the ring is full.
-    pub fn try_post(
-        &self,
-        tx_id: u64,
-        valid_ts: u64,
-        read_addrs: &[u64],
-        write_addrs: &[u64],
-    ) -> Option<PendingVerdict> {
-        let pos = if self.link.is_stopped() {
-            None
+        let link = &self.link;
+        let mut v = link.validator.lock();
+        let state = if link.stopped.load(Ordering::SeqCst) {
+            PendingState::Settled(FpgaVerdict::ServiceStopped)
         } else {
-            Some(self.link.try_claim()?)
+            let state = link.armed(|| v.post(link, tx_id, valid_ts, read_addrs, write_addrs));
+            link.in_flight.fetch_add(1, Ordering::Relaxed);
+            state
         };
-        Some(self.publish(pos, tx_id, valid_ts, read_addrs, write_addrs))
-    }
-
-    /// Fills the claimed slot; with no slot (the service has stopped) the
-    /// handle is born settled.
-    fn publish(
-        &self,
-        pos: Option<u64>,
-        tx_id: u64,
-        valid_ts: u64,
-        read_addrs: &[u64],
-        write_addrs: &[u64],
-    ) -> PendingVerdict {
-        let state = match pos {
-            Some(pos) => {
-                self.link
-                    .publish(pos, tx_id, valid_ts, read_addrs, write_addrs);
-                PendingState::Slot(pos)
-            }
-            None => PendingState::Settled(FpgaVerdict::ServiceStopped),
-        };
+        drop(v);
         PendingVerdict {
-            link: Arc::clone(&self.link),
+            link: Arc::clone(link),
             state,
         }
     }
 
-    /// Submits a request and blocks until the verdict arrives (execution
-    /// threads in ROCoCoTM "send R/W-set to FPGA and wait for verdict").
+    /// Submits a request and returns its verdict (execution threads in
+    /// ROCoCoTM "send R/W-set to FPGA and wait for verdict").
     ///
-    /// If the service has stopped — or dies while the request is
-    /// outstanding — this returns [`FpgaVerdict::ServiceStopped`] instead
-    /// of panicking, so a worker blocked here during service teardown gets
-    /// a clean abort path.
+    /// If the service has stopped — or dies while the request is held
+    /// back — this returns [`FpgaVerdict::ServiceStopped`] instead of
+    /// panicking, so a worker submitting during service teardown gets a
+    /// clean abort path.
     pub fn validate(&self, req: ValidateRequest) -> FpgaVerdict {
         self.validate_async(req).wait()
     }
@@ -128,25 +182,18 @@ impl ServiceHandle {
     ///
     /// Async submitters count toward [`ServiceHandle::in_flight`] exactly
     /// like blocking ones: the counter is incremented here and released
-    /// when the verdict is delivered (or the pending handle is dropped),
-    /// so admission-control layers watching the load signal see every
+    /// when the verdict is consumed (or the pending handle is dropped), so
+    /// admission-control layers watching the load signal see every
     /// outstanding validation, not just the blocking ones.
     pub fn validate_async(&self, req: ValidateRequest) -> PendingVerdict {
         self.post(req.tx_id, req.valid_ts, &req.read_addrs, &req.write_addrs)
     }
 
-    /// Number of validations currently waiting for a verdict across *all*
-    /// clients of this engine, blocking and asynchronous alike. A cheap
-    /// load signal: service layers shed or delay work when the shared
-    /// validator backs up.
+    /// Number of verdicts posted and not yet consumed across *all* clients
+    /// of this engine, blocking and asynchronous alike. A cheap load
+    /// signal: service layers shed or delay work when it backs up.
     pub fn in_flight(&self) -> u64 {
-        self.link.in_flight()
-    }
-
-    /// Number of submitted requests nobody has served yet (queue depth of
-    /// the pull queue of Figure 6).
-    pub fn queue_depth(&self) -> usize {
-        self.link.queue_depth()
+        self.link.in_flight.load(Ordering::Relaxed)
     }
 
     /// Counters of injected faults so far (all zero unless the service
@@ -155,28 +202,17 @@ impl ServiceHandle {
         self.link.faults.snapshot()
     }
 
-    /// Reads the engine's statistics, after serving every request
-    /// published so far.
-    ///
-    /// Returns `None` once the service has stopped — a metrics scrape
-    /// racing service teardown must degrade, not panic, exactly like every
-    /// other path degrades to [`FpgaVerdict::ServiceStopped`]. Callers that
-    /// want a best-effort answer fall back to [`ServiceHandle::last_stats`].
-    pub fn stats(&self) -> Option<EngineStats> {
-        self.link.stats()
-    }
-
-    /// The engine's statistics as they stand, without serving (zeroed
+    /// The engine's statistics as they stand, stopped or not (zeroed
     /// counters before the first verdict). Once the service has shut down
-    /// this holds the final end-of-run statistics.
-    pub fn last_stats(&self) -> EngineStats {
-        self.link.last_stats()
+    /// these are the final end-of-run statistics.
+    pub fn stats(&self) -> EngineStats {
+        self.link.validator.lock().stats()
     }
 }
 
-/// An outstanding asynchronous validation. Holds its ring slot, and one
-/// unit of the service's `in_flight` load signal, until the verdict is
-/// consumed or the handle is dropped.
+/// A posted validation whose verdict is not yet consumed. Holds one unit
+/// of the service's `in_flight` load signal until the verdict is consumed
+/// or the handle is dropped.
 pub struct PendingVerdict {
     link: Arc<Link>,
     state: PendingState,
@@ -184,9 +220,12 @@ pub struct PendingVerdict {
 
 #[derive(Debug)]
 enum PendingState {
-    /// The ring position whose verdict is still owed.
-    Slot(u64),
-    /// Consumed, or the service had stopped before submission.
+    /// Validated at `post`.
+    Ready(FpgaVerdict),
+    /// Held back by the reorder fault: answered into the cell. Dropping
+    /// the handle leaves the request to the engine, which still serves it.
+    Held(Arc<OnceLock<FpgaVerdict>>),
+    /// The service had stopped before submission; not counted in flight.
     Settled(FpgaVerdict),
 }
 
@@ -199,37 +238,32 @@ impl std::fmt::Debug for PendingVerdict {
 }
 
 impl PendingVerdict {
-    /// Blocks until the verdict arrives, serving the ring meanwhile.
-    /// Returns [`FpgaVerdict::ServiceStopped`] if the service shut down
-    /// first.
+    /// The verdict: at once, unless the reorder fault held the request
+    /// back. Returns [`FpgaVerdict::ServiceStopped`] if the service had
+    /// stopped at submission, or died before a held request was served.
     ///
     /// # Panics
     ///
-    /// Propagates a panic of the engine while this thread serves it; the
-    /// link is dead from then on (see [`crate::link`]).
-    pub fn wait(mut self) -> FpgaVerdict {
-        match self.state {
-            PendingState::Settled(verdict) => verdict,
-            PendingState::Slot(pos) => {
-                let verdict = self.link.wait_verdict(pos);
-                self.state = PendingState::Settled(verdict);
-                verdict
-            }
+    /// Propagates a panic of the engine while this thread serves a held
+    /// request; the service is dead from then on.
+    pub fn wait(self) -> FpgaVerdict {
+        match &self.state {
+            PendingState::Ready(verdict) | PendingState::Settled(verdict) => *verdict,
+            PendingState::Held(cell) => self.link.wait_held(cell),
         }
     }
 }
 
 impl Drop for PendingVerdict {
     fn drop(&mut self) {
-        if let PendingState::Slot(pos) = self.state {
-            self.link.abandon(pos);
+        if !matches!(self.state, PendingState::Settled(_)) {
+            self.link.in_flight.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
-/// A validation service: the link and the engine behind it. There is no
-/// thread; dropping the service stops the link after serving what was
-/// already published.
+/// A validation service: the engine behind its lock. There is no thread;
+/// dropping the service stops it after validating a held request.
 pub struct ValidationService {
     handle: ServiceHandle,
 }
@@ -250,18 +284,13 @@ impl ValidationService {
     /// Starts a service with seeded fault injection (chaos testing — see
     /// [`FaultConfig`]).
     pub fn spawn_with_faults(config: EngineConfig, faults: FaultConfig) -> Self {
-        Self::spawn_with_lanes(config, faults, DEFAULT_LANES)
-    }
-
-    /// [`ValidationService::spawn_with_faults`] with the ring sized for
-    /// `lanes` submitting threads of [`LANE_DEPTH`] outstanding
-    /// validations each (rounded up to a power of two).
-    pub fn spawn_with_lanes(config: EngineConfig, faults: FaultConfig, lanes: usize) -> Self {
-        Self::spawn_ring(config, faults, lanes.max(1) * LANE_DEPTH)
-    }
-
-    pub(crate) fn spawn_ring(config: EngineConfig, faults: FaultConfig, depth: usize) -> Self {
-        let link = Link::new(depth, Validator::new(config, faults));
+        let link = Link {
+            validator: Mutex::new(Validator::new(config, faults)),
+            stopped: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            in_flight: AtomicU64::new(0),
+            faults: FaultStats::default(),
+        };
         Self {
             handle: ServiceHandle {
                 link: Arc::new(link),
@@ -297,7 +326,7 @@ struct Injector {
 }
 
 impl Injector {
-    /// Rolls the pre-dequeue fault: a validator stall.
+    /// Rolls the pre-validation fault: a validator stall.
     fn maybe_pause(&mut self, stats: &FaultStats) {
         if self.rng.hit(self.cfg.pause_prob) {
             stats.pauses.fetch_add(1, Ordering::Relaxed);
@@ -343,24 +372,31 @@ impl Injector {
     }
 }
 
-/// What the link's lock guards: the engine, the injector, the position
-/// held back for reordering and the one request buffer every slot is
-/// copied into.
-pub(crate) struct Validator {
+/// What the link's lock guards: the engine, the injector, the request
+/// being validated and the one held back for reordering.
+struct Validator {
     config: EngineConfig,
-    /// Built by the first serve from `config`, so that an engine which
-    /// rejects its configuration fails the way any engine panic does —
-    /// inside a serve, killing the link — rather than in `spawn`.
+    /// Built by the first validation from `config`, so that an engine
+    /// which rejects its configuration fails the way any engine panic
+    /// does — inside a `post`, killing the service — rather than in
+    /// `spawn`.
     engine: Option<ValidationEngine>,
     injector: Option<Injector>,
-    /// A position held back for reordering, and since when: served after
-    /// the next one, or once `REORDER_FLUSH` has passed without one.
-    held: Option<(u64, Instant)>,
+    /// The request being validated; its vectors are reused from post to
+    /// post.
     req: ValidateRequest,
+    /// The request held back for reordering, its cell and since when:
+    /// served after the next one, or once `REORDER_FLUSH` has passed
+    /// without one.
+    held_req: ValidateRequest,
+    held: Option<(Arc<OnceLock<FpgaVerdict>>, Instant)>,
+    /// Transaction ids in the order they were validated.
+    #[cfg(test)]
+    order: Vec<u64>,
 }
 
 impl Validator {
-    pub(crate) fn new(config: EngineConfig, faults: FaultConfig) -> Self {
+    fn new(config: EngineConfig, faults: FaultConfig) -> Self {
         Self {
             config,
             engine: None,
@@ -368,57 +404,72 @@ impl Validator {
                 rng: FaultRng::new(faults.seed),
                 cfg: faults,
             }),
+            req: ValidateRequest::default(),
+            held_req: ValidateRequest::default(),
             held: None,
-            req: ValidateRequest {
-                tx_id: 0,
-                valid_ts: 0,
-                read_addrs: Vec::new(),
-                write_addrs: Vec::new(),
-            },
+            #[cfg(test)]
+            order: Vec::new(),
         }
     }
 
-    pub(crate) fn stats(&self) -> EngineStats {
+    fn stats(&self) -> EngineStats {
         self.engine
             .as_ref()
             .map(ValidationEngine::stats)
             .unwrap_or_default()
     }
 
-    /// Takes the position `link` just dequeued: maybe stalls, maybe holds
-    /// it back, otherwise serves it — and then the one held before it.
-    pub(crate) fn dequeued(&mut self, link: &Link, pos: u64) {
+    /// Takes a posted request: maybe stalls, maybe holds it back,
+    /// otherwise validates it — and then the one held before it.
+    fn post(
+        &mut self,
+        link: &Link,
+        tx_id: u64,
+        valid_ts: u64,
+        reads: &[u64],
+        writes: &[u64],
+    ) -> PendingState {
+        let req = &mut self.req;
+        req.tx_id = tx_id;
+        req.valid_ts = valid_ts;
+        req.read_addrs.clear();
+        req.read_addrs.extend_from_slice(reads);
+        req.write_addrs.clear();
+        req.write_addrs.extend_from_slice(writes);
         if let Some(injector) = &mut self.injector {
             injector.maybe_pause(&link.faults);
             if self.held.is_none() && injector.maybe_hold() {
                 link.faults.reordered.fetch_add(1, Ordering::Relaxed);
                 rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "reorder" });
-                self.held = Some((pos, Instant::now()));
-                return;
+                std::mem::swap(&mut self.req, &mut self.held_req);
+                let cell = Arc::new(OnceLock::new());
+                self.held = Some((Arc::clone(&cell), Instant::now()));
+                return PendingState::Held(cell);
             }
         }
-        self.serve(link, pos);
-        if let Some((held, _)) = self.held.take() {
-            self.serve(link, held);
+        let verdict = self.validate(link);
+        self.flush_held(link, true);
+        PendingState::Ready(verdict)
+    }
+
+    /// Validates the held request and answers its cell, if `now` or if no
+    /// successor came within `REORDER_FLUSH`.
+    fn flush_held(&mut self, link: &Link, now: bool) {
+        let due = self
+            .held
+            .take_if(|(_, since)| now || since.elapsed() >= REORDER_FLUSH);
+        if let Some((cell, _)) = due {
+            std::mem::swap(&mut self.req, &mut self.held_req);
+            let verdict = self.validate(link);
+            cell.set(verdict).expect("a held request is answered once");
         }
     }
 
-    /// Serves the held position if no successor came within
-    /// `REORDER_FLUSH`, or at once if `now`; whether it did.
-    pub(crate) fn flush_held(&mut self, link: &Link, now: bool) -> bool {
-        match self.held {
-            Some((pos, since)) if now || since.elapsed() >= REORDER_FLUSH => {
-                self.held = None;
-                self.serve(link, pos);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Validates the request in ring position `pos` and answers its slot.
-    fn serve(&mut self, link: &Link, pos: u64) {
-        link.read_request(pos, &mut self.req);
+    /// Validates `self.req`: a spurious verdict instead of the engine's,
+    /// maybe, and a delay after, maybe.
+    fn validate(&mut self, link: &Link) -> FpgaVerdict {
+        #[cfg(test)]
+        self.order.push(self.req.tx_id);
         let spurious = self
             .injector
             .as_mut()
@@ -433,14 +484,15 @@ impl Validator {
         if let Some(injector) = &mut self.injector {
             injector.maybe_delay(&link.faults);
         }
-        link.answer(pos, verdict);
+        verdict
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::{HashMap, HashSet, VecDeque};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn req(tx_id: u64, valid_ts: u64, reads: &[u64], writes: &[u64]) -> ValidateRequest {
         ValidateRequest {
@@ -448,6 +500,16 @@ mod tests {
             valid_ts,
             read_addrs: reads.to_vec(),
             write_addrs: writes.to_vec(),
+        }
+    }
+
+    /// The reorder fault on every request it can hold (one at a time), and
+    /// no other fault.
+    fn always_reorder() -> FaultConfig {
+        FaultConfig {
+            seed: 1,
+            reorder_prob: 1.0,
+            ..FaultConfig::disabled()
         }
     }
 
@@ -472,66 +534,52 @@ mod tests {
         for p in pending {
             assert!(p.wait().is_commit());
         }
-        assert_eq!(h.stats().expect("service is live").commits, 32);
+        assert_eq!(h.stats().commits, 32);
     }
 
     #[test]
-    fn stats_after_shutdown_degrades_instead_of_panicking() {
-        // Regression: a metrics scrape racing service teardown used to
-        // panic in stats(); it must now degrade to None with the final
-        // counters available via last_stats().
+    fn stats_after_shutdown_equal_the_final_counters() {
         let svc = ValidationService::spawn(EngineConfig::default());
         let h = svc.handle();
         assert!(h.validate(req(0, 0, &[1], &[2])).is_commit());
-        let live = h.stats().expect("live service answers stats");
-        assert_eq!(live.commits, 1);
+        assert_eq!(h.stats().commits, 1);
         let final_stats = svc.shutdown();
-        assert_eq!(h.stats(), None, "stopped service must not answer");
+        assert_eq!(h.stats(), final_stats);
+        // A request posted after the stop never reaches the engine.
         assert_eq!(
-            h.last_stats(),
-            final_stats,
-            "last-known snapshot must hold the end-of-run counters"
+            h.validate(req(1, 0, &[3], &[4])),
+            FpgaVerdict::ServiceStopped
         );
-        // Dropping (instead of shutdown) must also leave the final
-        // counters behind.
+        assert_eq!(h.stats(), final_stats);
+        // Dropping (instead of shutdown) leaves the final counters behind
+        // too.
         let svc = ValidationService::spawn(EngineConfig::default());
         let h = svc.handle();
         assert!(h.validate(req(0, 0, &[3], &[4])).is_commit());
         drop(svc);
-        assert_eq!(h.stats(), None);
-        assert_eq!(h.last_stats().commits, 1);
+        assert_eq!(h.stats().commits, 1);
     }
 
     #[test]
     fn async_submitters_count_as_in_flight() {
-        // Regression: async submissions must hold an in-flight slot until
-        // their verdict is delivered, or admission control undercounts
-        // load. A paused validator keeps the verdicts outstanding
-        // deterministically while we sample the signal.
-        let svc = ValidationService::spawn_with_faults(
-            EngineConfig::default(),
-            FaultConfig {
-                seed: 1,
-                pause_prob: 1.0,
-                pause_us: 2_000,
-                ..FaultConfig::disabled()
-            },
-        );
+        // Regression: async submissions must count as in flight until
+        // their verdict is consumed, or admission control undercounts
+        // load. Every verdict is known at `post`: consuming it is what
+        // releases the count.
+        let svc = ValidationService::spawn(EngineConfig::default());
         let h = svc.handle();
         let pending: Vec<_> = (0..8u64)
             .map(|i| h.validate_async(req(i, 0, &[i + 100], &[i + 200])))
             .collect();
-        // All eight were submitted and none can have been answered within
-        // the first pause window.
-        assert!(
-            h.in_flight() == 8,
-            "async submissions missing from the load signal: {}",
-            h.in_flight()
+        assert_eq!(
+            h.in_flight(),
+            8,
+            "async submissions missing from the load signal"
         );
         for p in pending {
             assert!(p.wait().is_commit());
         }
-        assert_eq!(h.in_flight(), 0, "verdict delivery must release slots");
+        assert_eq!(h.in_flight(), 0, "consuming a verdict must release it");
     }
 
     #[test]
@@ -595,16 +643,17 @@ mod tests {
     }
 
     #[test]
-    fn combined_verdicts_match_a_replay_in_ring_order() {
+    fn combined_verdicts_match_a_replay_in_engine_order() {
         // K submitters post random footprints over 96 addresses, each
-        // with a snapshot of its own up to 71 commits behind the newest,
-        // and wait: whoever waits serves. Replayed in ring order through a
-        // fresh engine, every request must get the verdict it got live.
+        // with a snapshot of its own up to 71 commits behind the newest.
+        // Replayed through a fresh engine in the order the live one took
+        // them under its lock, every request must get the verdict it got
+        // live.
         const REQUESTS: u64 = 400;
         for submitters in [1u64, 2, 4, 8] {
             let svc = ValidationService::spawn(EngineConfig::default());
             let global_ts = AtomicU64::new(0);
-            let mut log: Vec<_> = std::thread::scope(|s| {
+            let live: HashMap<u64, (ValidateRequest, FpgaVerdict)> = std::thread::scope(|s| {
                 let joins: Vec<_> = (0..submitters)
                     .map(|t| {
                         let (h, global_ts) = (svc.handle(), &global_ts);
@@ -627,15 +676,11 @@ mod tests {
                                     let valid_ts =
                                         global_ts.load(Ordering::SeqCst).saturating_sub(behind);
                                     let request = req(t << 32 | i, valid_ts, &reads, &writes);
-                                    let pending = h.validate_async(request.clone());
-                                    let PendingState::Slot(pos) = pending.state else {
-                                        panic!("the service is live");
-                                    };
-                                    let verdict = pending.wait();
+                                    let verdict = h.validate(request.clone());
                                     if let FpgaVerdict::Commit { seq } = verdict {
                                         global_ts.fetch_max(seq + 1, Ordering::SeqCst);
                                     }
-                                    (pos, request, verdict)
+                                    (request.tx_id, (request, verdict))
                                 })
                                 .collect::<Vec<_>>()
                         })
@@ -646,16 +691,21 @@ mod tests {
                     .flat_map(|j| j.join().expect("submitter panicked"))
                     .collect()
             });
-            log.sort_by_key(|&(pos, ..)| pos);
-            let positions: Vec<u64> = log.iter().map(|&(pos, ..)| pos).collect();
-            assert_eq!(positions, (0..submitters * REQUESTS).collect::<Vec<_>>());
+            let order = svc.handle.link.validator.lock().order.clone();
+            assert_eq!(order.len() as u64, submitters * REQUESTS, "K {submitters}");
+            assert_eq!(
+                order.iter().collect::<HashSet<_>>().len(),
+                order.len(),
+                "K {submitters}: every request validated once"
+            );
 
             let mut replay = ValidationEngine::new(EngineConfig::default());
-            for (pos, request, verdict) in &log {
+            for (position, tx_id) in order.iter().enumerate() {
+                let (request, verdict) = &live[tx_id];
                 assert_eq!(
                     replay.process(request),
                     *verdict,
-                    "K {submitters}, position {pos}"
+                    "K {submitters}, position {position}"
                 );
             }
             let stats = svc.shutdown();
@@ -762,16 +812,200 @@ mod tests {
     fn reordering_is_bounded_by_flush_timeout() {
         // With reordering forced on, a lone request (no successor to swap
         // with) must still be answered within the flush window.
-        let svc = ValidationService::spawn_with_faults(
-            EngineConfig::default(),
-            FaultConfig {
-                seed: 9,
-                reorder_prob: 1.0,
-                ..FaultConfig::disabled()
-            },
-        );
+        let svc = ValidationService::spawn_with_faults(EngineConfig::default(), always_reorder());
         let h = svc.handle();
         assert!(h.validate(req(0, 0, &[5], &[6])).is_commit());
         assert!(h.fault_stats().reordered >= 1);
+    }
+
+    #[test]
+    fn every_ticket_gets_its_own_verdict_under_aggressive_faults() {
+        const PRODUCERS: u64 = 8;
+        const REQUESTS: u64 = 2_000;
+        const IN_FLIGHT: usize = 8;
+        let svc = ValidationService::spawn_with_faults(
+            EngineConfig::default(),
+            FaultConfig::aggressive(11),
+        );
+        let global_ts = AtomicU64::new(0);
+        let mut all_seqs = HashSet::new();
+        std::thread::scope(|s| {
+            let joins: Vec<_> = (0..PRODUCERS)
+                .map(|t| {
+                    let h = svc.handle();
+                    let global_ts = &global_ts;
+                    s.spawn(move || {
+                        let mut seqs = Vec::new();
+                        let mut verdicts = 0u64;
+                        let mut settle = |p: PendingVerdict| {
+                            verdicts += 1;
+                            match p.wait() {
+                                FpgaVerdict::Commit { seq } => {
+                                    global_ts.fetch_max(seq + 1, Ordering::SeqCst);
+                                    seqs.push(seq);
+                                }
+                                FpgaVerdict::ServiceStopped => panic!("live service stopped"),
+                                _ => {}
+                            }
+                        };
+                        let mut pending = VecDeque::with_capacity(IN_FLIGHT);
+                        for i in 0..REQUESTS {
+                            if pending.len() == IN_FLIGHT {
+                                settle(pending.pop_front().expect("full window"));
+                            }
+                            let base = 1_000_000 + t * 100_000 + i * 4;
+                            let valid_ts = global_ts.load(Ordering::SeqCst);
+                            pending.push_back(h.post(t, valid_ts, &[base], &[base + 1]));
+                        }
+                        pending.into_iter().for_each(&mut settle);
+                        (verdicts, seqs)
+                    })
+                })
+                .collect();
+            for j in joins {
+                let (verdicts, seqs) = j.join().expect("producer panicked");
+                assert_eq!(verdicts, REQUESTS, "one verdict per ticket");
+                for seq in seqs {
+                    assert!(
+                        all_seqs.insert(seq),
+                        "commit {seq} delivered to two submitters"
+                    );
+                }
+            }
+        });
+        let h = svc.handle();
+        let injected = h.fault_stats();
+        for (class, count) in [
+            ("delay", injected.delayed),
+            ("reorder", injected.reordered),
+            ("pause", injected.pauses),
+            ("spurious-cycle", injected.spurious_cycle),
+            ("spurious-window", injected.spurious_window),
+        ] {
+            assert!(count > 0, "no {class} fault injected: {injected:?}");
+        }
+        assert_eq!(h.in_flight(), 0);
+        let stats = svc.shutdown();
+        assert_eq!(
+            stats.requests + injected.spurious_aborts(),
+            PRODUCERS * REQUESTS
+        );
+        // Every commit the engine granted reached exactly one submitter.
+        assert_eq!(stats.commits, all_seqs.len() as u64);
+    }
+
+    #[test]
+    fn a_poster_behind_a_stalled_post_gets_its_verdict() {
+        // Every request stalls the thread that posts it, before or after
+        // the engine, under the lock; a second poster queues behind the
+        // first on the lock and gets its own verdict once the first is
+        // done.
+        const STALL: Duration = Duration::from_micros(2_000);
+        for faults in [
+            FaultConfig {
+                seed: 5,
+                pause_prob: 1.0,
+                pause_us: STALL.as_micros() as u64,
+                ..FaultConfig::disabled()
+            },
+            FaultConfig {
+                seed: 5,
+                delay_prob: 1.0,
+                delay_us: STALL.as_micros() as u64,
+                ..FaultConfig::disabled()
+            },
+        ] {
+            let svc = ValidationService::spawn_with_faults(EngineConfig::default(), faults);
+            let h = svc.handle();
+            for i in (0..8u64).step_by(2) {
+                let started = Instant::now();
+                std::thread::scope(|s| {
+                    let behind = s.spawn(|| h.post(i + 1, 0, &[101 + i], &[201 + i]).wait());
+                    let posted = Instant::now();
+                    let first = h.post(i, 0, &[100 + i], &[200 + i]);
+                    assert!(posted.elapsed() >= STALL, "the stall ran in post");
+                    assert!(first.wait().is_commit());
+                    assert!(behind.join().expect("poster panicked").is_commit());
+                });
+                assert!(
+                    started.elapsed() >= 2 * STALL,
+                    "the two stalls ran one after the other"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_large_footprint_arrives_intact() {
+        let svc = ValidationService::spawn(EngineConfig::default());
+        let h = svc.handle();
+        let n = 64;
+        let reads: Vec<u64> = (0..n).map(|i| 10_000 + i).collect();
+        let writes: Vec<u64> = (0..n).map(|i| 20_000 + i).collect();
+        assert!(h.post(1, 0, &reads, &writes).wait().is_commit());
+        // The write-skew partner over the *last* read and write: it
+        // commits only if one of them was lost on the way.
+        let (r, w) = (reads[n as usize - 1], writes[n as usize - 1]);
+        assert_eq!(h.post(2, 0, &[w], &[r]).wait(), FpgaVerdict::AbortCycle);
+    }
+
+    /// A window of 0 makes the engine, built by the first validation,
+    /// panic (`RococoValidator::new` asserts a positive window).
+    fn dying_engine() -> EngineConfig {
+        EngineConfig {
+            window: 0,
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn an_engine_that_panics_in_post_stops_the_service() {
+        let svc = ValidationService::spawn(dying_engine());
+        let h = svc.handle();
+        let posted = catch_unwind(AssertUnwindSafe(|| h.post(1, 0, &[1], &[2])));
+        assert!(
+            posted.is_err(),
+            "the engine's panic propagates to the poster"
+        );
+        assert_eq!(h.post(2, 0, &[3], &[4]).wait(), FpgaVerdict::ServiceStopped);
+        assert_eq!(h.stats(), EngineStats::default());
+        assert_eq!(h.in_flight(), 0);
+        drop(svc); // the shutdown returns at once on a dead service
+    }
+
+    #[test]
+    fn a_held_verdict_is_answered_stopped_when_the_engine_dies_first() {
+        let svc = ValidationService::spawn_with_faults(dying_engine(), always_reorder());
+        let h = svc.handle();
+        // Held back before any engine exists; the next post validates its
+        // own request first and dies there.
+        let held = h.post(1, 0, &[1], &[2]);
+        assert!(matches!(held.state, PendingState::Held(_)));
+        let posted = catch_unwind(AssertUnwindSafe(|| h.post(2, 0, &[3], &[4])));
+        assert!(
+            posted.is_err(),
+            "the engine's panic propagates to the poster"
+        );
+        assert_eq!(held.wait(), FpgaVerdict::ServiceStopped);
+        assert_eq!(h.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_dropped_held_verdict_is_still_served() {
+        let svc = ValidationService::spawn_with_faults(EngineConfig::default(), always_reorder());
+        let h = svc.handle();
+        let held = h.post(1, 0, &[1], &[2]);
+        assert!(matches!(held.state, PendingState::Held(_)));
+        drop(held);
+        assert_eq!(h.in_flight(), 0, "nobody waits for it any more");
+        // The next post validates its own request, then the held one.
+        assert!(h.post(2, 0, &[3], &[4]).wait().is_commit());
+        assert_eq!(
+            h.stats().requests,
+            2,
+            "the engine still saw the dropped request"
+        );
+        assert_eq!(h.in_flight(), 0);
+        assert_eq!(svc.shutdown().commits, 2);
     }
 }

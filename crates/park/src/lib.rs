@@ -10,8 +10,8 @@
 //! re-check and `thread::park`. The other side calls [`Parker::wake`] after
 //! every store the sleeper may be waiting for and issues the `unpark` only
 //! when it sees the flag, so a busy pipeline never makes a futex call and a
-//! parked side costs nothing. (The validator link has no other side to
-//! wait for: whoever waits on it runs the engine itself.)
+//! parked side costs nothing. (The validator has no other side to wait
+//! for: whoever posts to it runs the engine itself.)
 //!
 //! The budgets are constants sized by sweep on the 2-vCPU reference box,
 //! not knobs, and they are per hop: the WAL writer and its producers poll

@@ -11,8 +11,7 @@
 //! A slot is therefore free again the moment a worker has taken the job out
 //! of it: `queue_capacity` bounds the jobs *queued*, not the replies
 //! outstanding, and a client that sits on a `PendingReply` holds up nobody's
-//! admission. (The validator link keeps the verdict in the slot; there the
-//! submitter that would be held up is the one sitting on it.)
+//! admission.
 //!
 //! # Queue slot lifecycle
 //!

@@ -1132,11 +1132,11 @@ mod tests {
         assert_eq!(report.aggregate.committed, 1);
     }
 
-    /// The worker that waits for a verdict serves the validation engine
-    /// itself, so a panic in the engine unwinds through the worker's commit.
-    /// (The engine is built by its first serve, and `RococoValidator`
+    /// The worker that posts a commit runs the validation engine itself,
+    /// so a panic in the engine unwinds through the worker's commit. (The
+    /// engine is built by its first validation, and `RococoValidator`
     /// rejects a zero window.) The worker answers that request `Internal`
-    /// and keeps its seat; the link is dead from then on, so a write fails
+    /// and keeps its seat; the service is dead from then on, so a write fails
     /// with `ServiceStopped` while a read, which never validates, succeeds.
     #[test]
     fn a_panic_while_serving_the_validator_answers_internal() {

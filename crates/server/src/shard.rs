@@ -25,10 +25,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Ceiling on the jobs a worker pulls off its shard queue per
-/// run-to-completion batch: one validator lane. ROCoCoTM stops a thread
-/// at [`LANE_DEPTH`](rococo_fpga::LANE_DEPTH) in-flight commits, so a
-/// deeper batch would only defer its excess to the synchronous path.
-const MAX_BATCH: usize = rococo_fpga::LANE_DEPTH;
+/// run-to-completion batch: the batch the pinned workloads were measured
+/// with (EXPERIMENTS.md "Hazard-aware batching"). A batch's commits stay
+/// in flight until it settles, so a deeper one also delays every reply.
+const MAX_BATCH: usize = 16;
 
 /// One queued request plus everything needed to answer it. The reply
 /// carries the commit sequence number alongside the response (`None` for

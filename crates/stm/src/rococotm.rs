@@ -26,7 +26,7 @@ use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rococo_fpga::{
     EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, PendingVerdict,
-    ServiceHandle, TimingModel, ValidationService, LANE_DEPTH,
+    ServiceHandle, TimingModel, ValidationService,
 };
 use rococo_sigs::{splitmix64, ChunkedSig, PrehashedAddr, Sig, SigScheme};
 use std::collections::HashMap;
@@ -159,10 +159,9 @@ pub struct RococoTm {
     consecutive_aborts: Vec<AtomicU32>,
     /// Per-thread recycled transaction buffers (see [`Scratch`]).
     scratch: Vec<Mutex<Scratch>>,
-    /// Per-thread count of submitted commits whose verdict is not yet
-    /// consumed. Each holds a slot of the validator ring, which is sized
-    /// `max_threads × LANE_DEPTH`; `submit_commit` stops at `LANE_DEPTH`.
-    /// Only the owning thread writes its entry.
+    /// Per-thread count of submitted commits that still owe a
+    /// publication (`begin` does not escalate a thread that has any). Only
+    /// the owning thread writes its entry.
     lane_in_flight: Vec<AtomicU32>,
     /// The simulated FPGA; kept alive for the runtime's lifetime (dropping
     /// it stops the validation service).
@@ -203,13 +202,12 @@ impl RococoTm {
             "commit queue must cover at least one window"
         );
         let scheme = SigScheme::paper_default();
-        let service = ValidationService::spawn_with_lanes(
+        let service = ValidationService::spawn_with_faults(
             EngineConfig {
                 window: config.window,
                 scheme: scheme.clone(),
             },
             config.faults.clone(),
-            config.tm.max_threads,
         );
         let handle = service.handle();
         Self {
@@ -245,13 +243,9 @@ impl RococoTm {
     }
 
     /// Statistics of the FPGA-side engine (requests, commits, cycle and
-    /// window aborts — the dotted series of Figure 10). Falls back to the
-    /// counters as they stand once the validation service has stopped, so
-    /// metrics scrapes racing teardown degrade instead of panicking.
+    /// window aborts — the dotted series of Figure 10).
     pub fn fpga_stats(&self) -> EngineStats {
-        self.handle
-            .stats()
-            .unwrap_or_else(|| self.handle.last_stats())
+        self.handle.stats()
     }
 
     /// Takes one set of transaction buffers from `thread`'s scratch pool,
@@ -394,10 +388,10 @@ impl RococoTm {
     /// sequence, or the kind of abort the verdict means.
     ///
     /// The wall clock measures the *residual* stall: time actually spent
-    /// waiting for the verdict — serving the engine, for this request and
-    /// the ones published ahead of it — after whatever useful work the
-    /// caller overlapped with the round-trip. The model time still charges the
-    /// full simulated round-trip of the default [`TimingModel`] (Figure 11).
+    /// waiting for the verdict after it was posted — nothing, unless a
+    /// fault held the request back; the engine ran inside the dispatch.
+    /// The model time still charges the full simulated round-trip of the
+    /// default [`TimingModel`] (Figure 11).
     fn await_verdict(&self, pending: PendingVerdict, n_addrs: usize) -> Result<u64, AbortKind> {
         let t0 = Instant::now();
         let verdict = pending.wait();
@@ -653,12 +647,9 @@ impl<'a> Transaction for RococoTx<'a> {
     ///
     /// Demands a synchronous commit (`Err(self)`) when the transaction is
     /// irrevocable (it must commit under its exclusive gate, immediately),
-    /// when the commit gate cannot be acquired without blocking (a
+    /// or when the commit gate cannot be acquired without blocking (a
     /// waiting escalation writer means parking here could deadlock a
-    /// worker whose own earlier pendings still hold read guards), or when
-    /// this thread already has [`LANE_DEPTH`] commits in flight or the
-    /// validator ring is full: every in-flight commit holds a ring slot
-    /// until its verdict is consumed.
+    /// worker whose own earlier pendings still hold read guards).
     fn submit_commit(self) -> Result<RococoPending<'a>, Self> {
         self.dispatch(false).map(|(pending, _)| pending)
     }
@@ -669,12 +660,12 @@ impl<'a> Transaction for RococoTx<'a> {
 type Spent = (ChunkedSig, [Sig; 2], Vec<u64>);
 
 impl<'a> RococoTx<'a> {
-    /// Ships the commit to the validator — the one dispatch behind both
-    /// halves of the commit API. [`Transaction::commit_seq`] is the
-    /// `blocking` dispatch followed at once by what
-    /// [`PendingCommit::finish`] does: it waits for the gate and for a
-    /// ring slot and so never refuses; [`Transaction::submit_commit`] is
-    /// the non-blocking one.
+    /// Ships the commit to the validator, which decides it on this thread
+    /// — the one dispatch behind both halves of the commit API.
+    /// [`Transaction::commit_seq`] is the `blocking` dispatch followed at
+    /// once by what [`PendingCommit::finish`] does: it waits for the gate
+    /// and so never refuses; [`Transaction::submit_commit`] is the
+    /// non-blocking one.
     ///
     /// A pending that stays in flight hands its [`Spent`] buffers back to
     /// the pool here (the next `begin` wants them); a blocking commit gets
@@ -713,7 +704,6 @@ impl<'a> RococoTx<'a> {
             return Ok((settled, None));
         }
 
-        let lane = &tm.lane_in_flight[thread];
         let hold = if blocking {
             // Ordinary committers share the gate; an irrevocable
             // transaction already holds it exclusively.
@@ -724,10 +714,7 @@ impl<'a> RococoTx<'a> {
                 },
             }
         } else {
-            // One thread holds at most `LANE_DEPTH` ring slots: past that
-            // its earlier verdicts must be consumed first, which is what
-            // the synchronous-commit demand makes the caller do.
-            if self.irrevocable.is_some() || lane.load(Ordering::Relaxed) as usize >= LANE_DEPTH {
+            if self.irrevocable.is_some() {
                 return Err(self);
             }
             match tm.commit_gate.try_read() {
@@ -739,22 +726,13 @@ impl<'a> RococoTx<'a> {
         // Ship (read addresses, write addresses, ValidTS) to the FPGA.
         let reads = self.read_set.addrs();
         let n_addrs = reads.len() + self.write_addrs.len();
-        let (link, tx_id) = (&tm.handle, thread as u64);
-        let verdict = if blocking {
-            // Guard held across this wait, on purpose: the commit gate is held across validation by design (§4): an escalation writer must not interleave between verdict and publication; the validator never takes the gate, and a ring slot this commit may have to wait for belongs to a pending commit, whose owner never blocks on the gate (the non-blocking dispatch only `try_read`s it) and whose own read guard keeps any writer out just as long
-            link.post(tx_id, self.valid_ts, reads, &self.write_addrs)
-        } else {
-            // A full ring means the slot this ticket wraps onto is still
-            // held — possibly by this thread's own earlier submission, so
-            // waiting for it here could wait forever.
-            match link.try_post(tx_id, self.valid_ts, reads, &self.write_addrs) {
-                Some(verdict) => {
-                    lane.fetch_add(1, Ordering::Relaxed);
-                    verdict
-                }
-                None => return Err(self),
-            }
-        };
+        // Guard held across this call, on purpose: the commit gate is held across validation by design (§4): an escalation writer must not interleave between verdict and publication, and the validator's lock is a leaf that never waits on the gate
+        let verdict = tm
+            .handle
+            .post(thread as u64, self.valid_ts, reads, &self.write_addrs);
+        if !blocking {
+            tm.lane_in_flight[thread].fetch_add(1, Ordering::Relaxed);
+        }
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ValidateSubmit {
             reads: reads.len() as u32,
             writes: self.write_addrs.len() as u32,
@@ -813,8 +791,8 @@ enum PendingState<'a> {
 /// verdict is consumed so an irrevocable escalation cannot slip between
 /// a validation and its publication.
 enum GateHold<'a> {
-    /// `submit_commit`: shared, taken without blocking, and counted
-    /// against the thread's [`LANE_DEPTH`].
+    /// `submit_commit`: shared, taken without blocking, and counted in the
+    /// thread's `lane_in_flight`.
     Lane { _gate: RwLockReadGuard<'a, ()> },
     /// `commit_seq`: shared.
     Shared { _gate: RwLockReadGuard<'a, ()> },
@@ -857,8 +835,8 @@ impl RococoPending<'_> {
             return Ok(None);
         };
 
-        // The slot is this thread's to consume from here on; released
-        // before the wait so a panic while serving leaks no lane.
+        // Released before the wait so a panic while serving a held
+        // request leaks no count.
         if matches!(hold, GateHold::Lane { .. }) {
             tm.lane_in_flight[thread].fetch_sub(1, Ordering::Relaxed);
         }
@@ -1458,7 +1436,7 @@ mod tests {
 
     /// The stage budget of one ROCoCoTM read-write transaction — the
     /// `Add` shape (read a word, write it back incremented) — run the way a
-    /// TxKV shard worker runs it, a batch of `LANE_DEPTH` executed and
+    /// TxKV shard worker runs it, a batch of `BATCH` executed and
     /// submitted and then settled in order, beside the same transaction on
     /// TinySTM:
     ///
@@ -1466,11 +1444,12 @@ mod tests {
     ///
     /// Each stage is the runtime's own step, timed in place: begin + gate
     /// (`begin`: the escalation check and the scratch pool), reads
-    /// (`tm_read`), writes (redo log and write signature), dispatch (the
-    /// commit gate's `try_read` and the ring slot), serve (the wait for the
-    /// verdict, which runs the validation engine on this thread), publish
-    /// (turn-wait, update set, write-back, commit queue, `GlobalTS`) and
-    /// recycle (the buffers back to the pool). TinySTM's commit is one stage.
+    /// (`tm_read`), writes (redo log and write signature), dispatch +
+    /// engine (the commit gate's `try_read` and `post`, which runs the
+    /// validation engine on this thread), verdict (consuming what `post`
+    /// decided), publish (turn-wait, update set, write-back, commit queue,
+    /// `GlobalTS`) and recycle (the buffers back to the pool). TinySTM's
+    /// commit is one stage.
     #[test]
     #[ignore = "a measurement, not a check: run in release with --nocapture"]
     fn stage_budget() {
@@ -1481,8 +1460,10 @@ mod tests {
 
         const WORDS: usize = 4096;
         const BATCHES: usize = 20_000;
-        let txns = (BATCHES * LANE_DEPTH) as f64;
-        let addr = |b: usize, j: usize| (b * LANE_DEPTH + j) % WORDS;
+        // A shard worker's batch (`rococo-server`'s `MAX_BATCH`).
+        const BATCH: usize = 16;
+        let txns = (BATCHES * BATCH) as f64;
+        let addr = |b: usize, j: usize| (b * BATCH + j) % WORDS;
         fn add<T: Transaction>(tx: &mut T, addr: Addr) -> Result<(), Abort> {
             let v = tx.read(addr)?;
             tx.write(addr, v + 1)
@@ -1492,7 +1473,7 @@ mod tests {
         let rococo = tm(WORDS, 1);
         let started = Instant::now();
         for b in 0..BATCHES {
-            let mut batch = [const { None }; LANE_DEPTH];
+            let mut batch = [const { None }; BATCH];
             for (j, pending) in batch.iter_mut().enumerate() {
                 match try_submit(&rococo, 0, &mut |tx| add(tx, addr(b, j))) {
                     Submitted::Pending(p, ()) => *pending = Some(p),
@@ -1510,7 +1491,7 @@ mod tests {
         });
         let started = Instant::now();
         for b in 0..BATCHES {
-            for j in 0..LANE_DEPTH {
+            for j in 0..BATCH {
                 atomically(&tiny, 0, |tx| add(tx, addr(b, j)));
             }
         }
@@ -1533,8 +1514,8 @@ mod tests {
         let mut execute = [Duration::ZERO; 4];
         let mut settle = [Duration::ZERO; 3];
         for b in 0..BATCHES {
-            let mut batch = Vec::with_capacity(LANE_DEPTH);
-            for j in 0..LANE_DEPTH {
+            let mut batch = Vec::with_capacity(BATCH);
+            for j in 0..BATCH {
                 let t0 = Instant::now();
                 let mut tx = rococo.begin(0);
                 let t1 = Instant::now();
@@ -1574,10 +1555,10 @@ mod tests {
             }
         }
         let engine = rococo.fpga_stats();
-        assert_eq!(engine.commits, BATCHES as u64 * LANE_DEPTH as u64);
+        assert_eq!(engine.commits, BATCHES as u64 * BATCH as u64);
         assert_eq!(engine.aborts(), 0);
 
-        // How much of serving is the engine: the same requests straight
+        // How much of dispatch is the engine: the same requests straight
         // into a `ValidationEngine`, each at the newest snapshot.
         let mut alone = rococo_fpga::ValidationEngine::new(EngineConfig::default());
         let mut request = rococo_fpga::ValidateRequest {
@@ -1588,7 +1569,7 @@ mod tests {
         };
         let started = Instant::now();
         for b in 0..BATCHES {
-            for j in 0..LANE_DEPTH {
+            for j in 0..BATCH {
                 request.valid_ts = alone.next_seq();
                 request.read_addrs[0] = addr(b, j) as u64;
                 request.write_addrs[0] = addr(b, j) as u64;
@@ -1604,7 +1585,7 @@ mod tests {
         });
         let mut tiny_stages = [Duration::ZERO; 4];
         for b in 0..BATCHES {
-            for j in 0..LANE_DEPTH {
+            for j in 0..BATCH {
                 let t0 = Instant::now();
                 let mut tx = tiny.begin(0);
                 let t1 = Instant::now();
@@ -1620,7 +1601,7 @@ mod tests {
 
         let ns = |d: Duration| d.as_nanos() as f64 / txns;
         let [begin, reads, writes, dispatch] = execute.map(ns);
-        let [serve, publish, recycle] = settle.map(ns);
+        let [verdict, publish, recycle] = settle.map(ns);
         let [t_begin, t_reads, t_writes, t_commit] = tiny_stages.map(ns);
         println!(
             "Instant::now() {} ns, subtracted once per stage",
@@ -1630,14 +1611,14 @@ mod tests {
         println!("begin + gate              {begin:>15.0}   {t_begin:>14.0}");
         println!("reads                     {reads:>15.0}   {t_reads:>14.0}");
         println!("writes                    {writes:>15.0}   {t_writes:>14.0}");
-        println!("dispatch (TinySTM commit) {dispatch:>15.0}   {t_commit:>14.0}");
-        println!("serve                     {serve:>15.0}");
+        println!("dispatch + engine         {dispatch:>15.0}   {t_commit:>14.0} (commit)");
         println!("  of it, the engine alone {:>15.0}", ns(process));
+        println!("verdict                   {verdict:>15.0}");
         println!("publish                   {publish:>15.0}");
         println!("recycle                   {recycle:>15.0}");
         println!(
             "sum of stages             {:>15.0}   {:>14.0}",
-            begin + reads + writes + dispatch + serve + publish + recycle,
+            begin + reads + writes + dispatch + verdict + publish + recycle,
             t_begin + t_reads + t_writes + t_commit
         );
         println!(

@@ -37,7 +37,7 @@
 //! # Waiting
 //!
 //! Both directions wait with `rococo-park`'s [`Parker::wait`] (spin, yield,
-//! park — the validator link's helper and budgets). The writer has one
+//! park, with the budgets swept for this ring). The writer has one
 //! parking spot; a `post` wakes it. Producers — any number of threads,
 //! waiting for the watermark, a lapped slot or a checkpoint — each claim
 //! one of [`WAIT_SPOTS`] spots for the length of one wait, and the writer
