@@ -61,8 +61,8 @@ cargo test --workspace -q
 
 echo "== hybrid service tests, 200 runs (a hang or a failure is a red build)"
 # The two rococo-server hybrid tests used to deadlock in about 1 run in
-# 130 (a worker holding pendings against an escalating begin, through the
-# conflict-serialization lock PR 20 deleted) and to lose a bank update in
+# 130 (a worker holding commits in flight against an escalating begin,
+# through the conflict-serialization lock PR 20 deleted) and to lose a bank update in
 # about 1 in 200 (a torn ROCoCoTM read, fixed there too). ~0.1 s a run:
 # the test binary is built once and looped.
 hybrid_bin="$(cargo test -q -p rococo-server --lib --no-run --message-format=json \
@@ -96,11 +96,21 @@ if grep -rn 'crossbeam\|serde' --include=Cargo.toml . | grep -v '^./benchmark/';
   exit 1
 fi
 
-echo "== request hop and what it allocates, a worker that never races its own batch, and one whose every commit is deferred (release)"
+echo "== one commit path: no submit/finish split, no in-flight batch, no hazard drain"
+# A commit validates, publishes and returns; a worker runs each job to its
+# reply. A second commit path would bring back the self-race the hazard
+# drain existed for.
+if grep -rnE 'submit_commit|try_submit|finish_submitted|commit_deferred|PendingCommit|ReadyCommit|lane_in_flight|hazard_drains' crates/; then
+  echo "a second commit path is back under crates/" >&2
+  exit 1
+fi
+
+echo "== request hop and what it allocates, a worker on hot keys that aborts nothing, one whose every commit is irrevocable, and a reply that leaves before its batch ends (release)"
 cargo test --release -q -p rococo-server --lib hop::
 cargo test --release -q -p rococo-server --test alloc_per_request
-cargo test --release -q -p rococo-server --lib a_lone_worker_never_races
-cargo test --release -q -p rococo-server --lib every_commit_deferred
+cargo test --release -q -p rococo-server --lib a_lone_worker_on_hot_keys_aborts_nothing
+cargo test --release -q -p rococo-server --lib every_commit_irrevocable_still_conserves
+cargo test --release -q -p rococo-server --lib a_reply_leaves_before_its_batch_ends
 
 echo "== validation service, WAL ring and request hop on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
@@ -117,7 +127,8 @@ if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-wal --lib
   taskset -c 0 cargo test --release -q -p rococo-server --lib -- \
     hop:: a_lone_request_wakes a_dropped_pending_reply a_panicking_backend overload_sheds \
-    a_lone_worker_never_races every_commit_deferred
+    a_lone_worker_on_hot_keys_aborts_nothing every_commit_irrevocable_still_conserves \
+    a_reply_leaves_before_its_batch_ends
 else
   echo "taskset not found: skipping the one-CPU run of the rococo-fpga, rococo-wal and rococo-server hop tests"
 fi

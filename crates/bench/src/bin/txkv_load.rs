@@ -283,10 +283,7 @@ fn open_loop<S: TmSystem + 'static>(
             Err(TxKvError::Overloaded { .. }) => {
                 // Open loop drops shed requests: that is the load shedding
                 // working as intended under overload. Only admission-control
-                // rejections land here — requests the backend *defers* to
-                // the synchronous commit path are still answered and are
-                // counted separately, server-side, in the report's
-                // `deferred` column.
+                // rejections land here.
                 totals.shed.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {

@@ -17,9 +17,7 @@
 //! schedule under test the way a single global log would.
 
 use parking_lot::Mutex;
-use rococo_stm::{
-    Abort, AbortKind, Addr, PendingCommit, TmHeap, TmStats, TmSystem, Transaction, Word,
-};
+use rococo_stm::{Abort, AbortKind, Addr, TmHeap, TmStats, TmSystem, Transaction, Word};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a transaction attempt ended.
@@ -181,75 +179,6 @@ impl<'a, S: TmSystem + 'a> Transaction for ChaosTx<'a, S> {
                 Err(abort)
             }
         }
-    }
-
-    type Pending = ChaosPending<'a, S>;
-
-    fn submit_commit(mut self) -> Result<ChaosPending<'a, S>, Self> {
-        match self
-            .inner
-            .take()
-            .expect("attempt already settled")
-            .submit_commit()
-        {
-            Ok(inner) => {
-                // The history entry is written when the verdict lands
-                // (`finish`), keeping the response stamp a true real-time
-                // upper bound on the commit.
-                self.settled = true;
-                Ok(ChaosPending {
-                    inner,
-                    log: self.log,
-                    clock: self.clock,
-                    thread: self.thread,
-                    inv: self.inv,
-                    reads: std::mem::take(&mut self.reads),
-                    writes: std::mem::take(&mut self.writes),
-                })
-            }
-            Err(inner) => {
-                self.inner = Some(inner);
-                Err(self)
-            }
-        }
-    }
-}
-
-/// An in-flight [`ChaosTx`] commit. `finish` **must** be called: dropping
-/// it unfinished leaves the attempt out of the history even though the
-/// inner commit may still take effect, which would make the oracle's
-/// input unsound.
-pub struct ChaosPending<'a, S: TmSystem + 'a> {
-    inner: <S::Tx<'a> as Transaction>::Pending,
-    log: &'a Mutex<Vec<TxnHistory>>,
-    clock: &'a AtomicU64,
-    thread: usize,
-    inv: u64,
-    reads: Vec<(Addr, Word)>,
-    writes: Vec<(Addr, Word)>,
-}
-
-impl<'a, S: TmSystem + 'a> PendingCommit for ChaosPending<'a, S> {
-    fn finish(self) -> Result<Option<u64>, Abort> {
-        let result = self.inner.finish();
-        let outcome = match &result {
-            Ok(_) => Outcome::Committed,
-            Err(abort) => Outcome::Aborted(abort.kind),
-        };
-        let resp = self.clock.fetch_add(1, Ordering::SeqCst);
-        self.log.lock().push(TxnHistory {
-            thread: self.thread,
-            inv: self.inv,
-            resp,
-            outcome,
-            reads: self.reads,
-            writes: self.writes,
-        });
-        result
-    }
-
-    fn in_flight(&self) -> bool {
-        self.inner.in_flight()
     }
 }
 

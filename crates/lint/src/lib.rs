@@ -14,9 +14,9 @@
 //! | `commit-seq-outside-critical` | dense durable sequence counters are mutated only inside `commit_seq` (the PR-3 WAL-replay invariant) |
 //! | `missing-forbid-unsafe` | every non-vendored crate root carries `#![forbid(unsafe_code)]` |
 //!
-//! Blocking bugs (a guard held across a wait, a worker parking with a
-//! pending commit) are not checked here; runtime tests guard them
-//! (`DESIGN.md` §7.5).
+//! Blocking bugs (a guard held across a wait, a worker parking before it
+//! answers) are not checked here; runtime tests guard them (`DESIGN.md`
+//! §7.5).
 //!
 //! Findings can be acknowledged in place with a *justified* suppression:
 //!

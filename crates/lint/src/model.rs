@@ -17,7 +17,6 @@ pub const ATOMIC_CALLEES: &[&str] = &[
     "try_atomically",
     "try_atomically_seq",
     "execute_seq",
-    "try_submit",
     // `rococo-sched` hybrid-router entry points: the routed closure is
     // re-executed across *backends* (an attempt may start on the HTM
     // fast path and retry on the software path), so side-effect hygiene

@@ -10,23 +10,18 @@
 //! queue. A software commit would be invisible to a concurrently running
 //! hardware transaction and vice versa. The gate therefore admits
 //! transactions in *epochs*: at any instant every in-flight transaction
-//! (including software transactions whose validation verdict is still
-//! pending) runs on the same engine. This is the classic phased approach
-//! of hybrid TMs — cheap, and safe by construction.
+//! runs on the same engine. This is the classic phased approach of hybrid
+//! TMs — cheap, and safe by construction.
 //!
 //! # Deadlock freedom
 //!
 //! A blocked `enter` holds no gate resource, and everything that *does*
-//! hold the gate makes progress without acquiring anything new:
-//!
-//! * HTM-mode guards are held only between `begin` and the submit point
-//!   (hardware commits settle synchronously at submit), so an HTM epoch
-//!   drains as soon as its runners stop being admitted.
-//! * Software-mode guards may additionally be parked inside pending
-//!   commits, but a worker holding software pendings can never be the
-//!   one waiting: its pendings pin the mode to software, and nobody
-//!   waits while the software mode is active (every transaction may run
-//!   on the software path).
+//! hold the gate makes progress without acquiring anything new: a guard
+//! is held only between `begin` and the return of `commit_seq` (both
+//! engines validate and publish inside it), so an HTM epoch drains as
+//! soon as its runners stop being admitted, and nobody waits while the
+//! software mode is active (every transaction may run on the software
+//! path).
 //!
 //! # Dense sequences across mode switches
 //!

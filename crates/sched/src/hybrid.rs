@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rococo_stm::{
-    Abort, AbortKind, Addr, HtmConfig, PendingCommit, RococoConfig, RococoTm, StatsSnapshot,
-    TmConfig, TmHeap, TmStats, TmSystem, Transaction, TsxHtm, Word,
+    Abort, AbortKind, Addr, HtmConfig, RococoConfig, RococoTm, StatsSnapshot, TmConfig, TmHeap,
+    TmStats, TmSystem, Transaction, TsxHtm, Word,
 };
 
 use crate::gate::{ModeGate, ModeGuard};
@@ -18,7 +18,6 @@ use crate::router::{Hysteresis, Router};
 
 type HwTx<'a> = <TsxHtm as TmSystem>::Tx<'a>;
 type SwTx<'a> = <RococoTm as TmSystem>::Tx<'a>;
-type SwPending<'a> = <SwTx<'a> as Transaction>::Pending;
 
 /// Routes between feedback-loop steps ([`HybridTm::adapt`]).
 const ADAPT_INTERVAL: u64 = 1024;
@@ -227,7 +226,7 @@ struct Footprint {
 }
 
 /// The scheduler's side of one attempt, carried from `begin` to the
-/// commit/abort point — inside the pending on the software path.
+/// commit/abort point.
 #[derive(Debug)]
 struct Route<'a> {
     tm: &'a HybridTm,
@@ -266,10 +265,9 @@ impl Route<'_> {
         res
     }
 
-    /// Retires the attempt with its engine's commit outcome: the one
-    /// bookkeeping step behind `commit_seq`, the HTM half of
-    /// `submit_commit` and a software pending's `finish`. The sequence
-    /// is mapped while the guard (still a field of `self`) pins the mode
+    /// Retires the attempt with its engine's commit outcome: the
+    /// bookkeeping step behind `commit_seq`. The sequence is mapped while
+    /// the guard (still a field of `self`) pins the mode
     /// — the rebase invariant of [`crate::gate`] — and only then does
     /// dropping `self` release the epoch.
     fn retire(mut self, res: Result<Option<u64>, Abort>) -> Result<Option<u64>, Abort> {
@@ -305,7 +303,7 @@ pub struct HybridTx<'a> {
     route: Route<'a>,
 }
 
-impl<'a> Transaction for HybridTx<'a> {
+impl Transaction for HybridTx<'_> {
     fn read(&mut self, addr: Addr) -> Result<Word, Abort> {
         self.route.fp.reads += 1;
         let res = match &mut self.inner {
@@ -330,77 +328,6 @@ impl<'a> Transaction for HybridTx<'a> {
             Inner::Sw(tx) => tx.commit_seq(),
         };
         self.route.retire(res)
-    }
-
-    type Pending = HybridPending<'a>;
-
-    fn submit_commit(self) -> Result<HybridPending<'a>, Self> {
-        let HybridTx { inner, route } = self;
-        match inner {
-            // The HTM emulation settles at submit: retire now, which also
-            // ends the hardware epoch's hold on this attempt.
-            Inner::Htm(tx) => match tx.submit_commit() {
-                Ok(ready) => Ok(HybridPending(PendingInner::Ready(
-                    route.retire(ready.finish()),
-                ))),
-                Err(tx) => Err(HybridTx {
-                    inner: Inner::Htm(tx),
-                    route,
-                }),
-            },
-            // The pending keeps the route, mode guard included: the
-            // software mode stays pinned until the verdict lands.
-            Inner::Sw(tx) => match tx.submit_commit() {
-                Ok(pending) => Ok(HybridPending(PendingInner::Sw { pending, route })),
-                // The slow path demands a synchronous commit (irrevocable
-                // or contended commit gate): hand the transaction back
-                // for `commit_deferred`.
-                Err(tx) => Err(HybridTx {
-                    inner: Inner::Sw(tx),
-                    route,
-                }),
-            },
-        }
-    }
-}
-
-/// A [`HybridTx`] whose commit was submitted. HTM commits are settled
-/// already; software commits carry the ROCoCoTM pending plus the mode
-/// guard that pins the software epoch until the verdict lands.
-#[derive(Debug)]
-pub struct HybridPending<'a>(PendingInner<'a>);
-
-// The size skew is deliberate: a pending is created per commit on the
-// hot path and lives on the worker's stack/batch vector only — boxing
-// the software variant would buy a heap allocation per transaction to
-// save bytes nobody keeps around.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum PendingInner<'a> {
-    /// Settled at submit (HTM path).
-    Ready(Result<Option<u64>, Abort>),
-    /// Validation in flight on the software path. Field order is
-    /// load-bearing as in [`HybridTx`]: a pending dropped unfinished
-    /// settles its engine side before the route releases the epoch.
-    Sw {
-        pending: SwPending<'a>,
-        route: Route<'a>,
-    },
-}
-
-impl PendingCommit for HybridPending<'_> {
-    fn finish(self) -> Result<Option<u64>, Abort> {
-        match self.0 {
-            PendingInner::Ready(outcome) => outcome,
-            PendingInner::Sw { pending, route } => route.retire(pending.finish()),
-        }
-    }
-
-    fn in_flight(&self) -> bool {
-        match &self.0 {
-            PendingInner::Ready(_) => false,
-            PendingInner::Sw { pending, .. } => pending.in_flight(),
-        }
     }
 }
 
@@ -427,9 +354,8 @@ impl TmSystem for HybridTm {
         // hysteresis ban may or may not have triggered yet).
         let migrate = self.migrate_next[thread_id].load(Ordering::Relaxed);
         let eligible = !migrate && self.router.htm_eligible(class, now);
-        // The one blocking acquisition of an attempt. It never blocks a
-        // thread that holds software pendings: those pin the software
-        // mode, and nobody waits while it is active.
+        // The one blocking acquisition of an attempt; the thread holds no
+        // guard here, since its every earlier commit retired its own.
         let (guard, on_htm, waited) = self.gate.enter(eligible);
         if waited {
             self.sched.deferrals_mode.fetch_add(1, Ordering::Relaxed);

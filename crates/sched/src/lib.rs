@@ -44,7 +44,7 @@ mod gate;
 mod hybrid;
 mod router;
 
-pub use hybrid::{HybridConfig, HybridPending, HybridTm, HybridTx, SchedSnapshot};
+pub use hybrid::{HybridConfig, HybridTm, HybridTx, SchedSnapshot};
 pub use router::Hysteresis;
 
 use rococo_stm::{atomically, try_atomically_seq, Abort, TmSystem};
@@ -91,12 +91,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rococo_stm::{
-        finish_submitted, try_submit, AbortKind, HtmConfig, PendingCommit, RococoConfig, Submitted,
-        TmConfig, TmSystem, Transaction,
-    };
-    use std::sync::{mpsc, Arc};
-    use std::time::{Duration, Instant};
+    use rococo_stm::{AbortKind, HtmConfig, TmConfig, TmSystem, Transaction};
+    use std::sync::Arc;
 
     fn small_tm() -> HybridTm {
         HybridTm::with_config(TmConfig {
@@ -250,32 +246,11 @@ mod tests {
         }
     }
 
+    /// `commit_seq` validates, publishes and retires on whichever engine
+    /// ran the attempt, and the hybrid sequence stays dense across the
+    /// switch between them.
     #[test]
-    fn submit_finish_path_works_and_holds_the_epoch() {
-        let tm = small_tm();
-        let a = tm.heap().alloc(1);
-        let submitted = try_submit(&tm, 0, &mut |tx: &mut HybridTx<'_>| {
-            let v = tx.read(a)?;
-            tx.write(a, v + 5)
-        });
-        match submitted {
-            Submitted::Pending(p, ()) => {
-                let seq = finish_submitted(&tm, p).unwrap();
-                assert!(seq.is_some());
-            }
-            Submitted::Deferred(tx, ()) => {
-                rococo_stm::commit_deferred(&tm, tx).unwrap();
-            }
-            Submitted::Aborted(a) => panic!("unexpected abort: {a}"),
-        }
-        assert_eq!(tm.heap().load_direct(a), 5);
-        assert_eq!(tm.stats_snapshot().commits, 1);
-    }
-
-    /// A software-path pending holds unpublished writes until `finish`;
-    /// an HTM one was settled at submission.
-    #[test]
-    fn only_a_software_pending_is_in_flight() {
+    fn commit_seq_retires_on_either_engine() {
         // Bounds of 0 words: the first commit runs on HTM, after it the
         // class predicts a footprint over the bound and routes to software.
         let tm = HybridTm::with_configs(HybridConfig {
@@ -288,19 +263,15 @@ mod tests {
             ..HybridConfig::default()
         });
         let a = tm.heap().alloc(1);
-        for on_htm in [true, false] {
-            let Submitted::Pending(p, ()) = try_submit(&tm, 0, &mut |tx: &mut HybridTx<'_>| {
-                let v = tx.read(a)?;
-                tx.write(a, v + 1)
-            }) else {
-                panic!("an uncontended commit submits");
-            };
-            assert_eq!(p.in_flight(), !on_htm, "on_htm {on_htm}");
-            finish_submitted(&tm, p).unwrap();
+        for seq in 0..2u64 {
+            let mut tx = tm.begin(0);
+            let v = tx.read(a).unwrap();
+            tx.write(a, v + 1).unwrap();
+            assert_eq!(tx.commit_seq(), Ok(Some(seq)));
+            assert_eq!(tm.heap().load_direct(a), seq + 1, "published at commit");
         }
         let sched = tm.sched_snapshot();
         assert_eq!((sched.commits_htm, sched.commits_sw), (1, 1));
-        assert_eq!(tm.heap().load_direct(a), 2);
     }
 
     #[test]
@@ -362,147 +333,5 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
-    }
-
-    /// ROADMAP item 1(a)'s schedule, pinned. Thread A keeps a software
-    /// pending (a commit-gate read guard lives inside it); thread B, one
-    /// abort past `irrevocable_after`, escalates in `begin` and blocks on
-    /// the exclusive commit gate behind that guard; A then begins its
-    /// next attempt. A's `begin` must return — it acquires the mode gate
-    /// only, which A's own pending pins to software — so A reaches its
-    /// drain and B's `begin` returns. Every wait is bounded: the watchdog
-    /// fails the test instead of hanging it.
-    #[test]
-    fn begin_with_pendings_outstanding_never_waits_on_another_begin() {
-        const WATCHDOG: Duration = Duration::from_secs(20);
-        fn bump(addr: usize) -> impl FnMut(&mut HybridTx<'_>) -> Result<(), rococo_stm::Abort> {
-            move |tx| {
-                let v = tx.read(addr)?;
-                tx.write(addr, v + 1)
-            }
-        }
-        let tm = Arc::new(HybridTm::with_configs(HybridConfig {
-            tm: TmConfig {
-                heap_words: 1 << 10,
-                max_threads: 2,
-            },
-            rococo: RococoConfig {
-                window: 4,
-                queue_len: 4,
-                irrevocable_after: 1,
-                ..RococoConfig::default()
-            },
-            // Bounds of 0 words: after the first commit the class
-            // predicts a footprint over the bound and routes to software.
-            read_bound: 0,
-            write_bound: 0,
-            ..HybridConfig::default()
-        }));
-        let (a_word, b_word) = (tm.heap().alloc(2), tm.heap().alloc(1));
-        run_classed(&*tm, 0, 0, bump(a_word));
-
-        // B's doomed attempt: four foreign commits wrap the 4-entry
-        // commit queue under its snapshot, so its first read aborts and
-        // its escalation counter reaches `irrevocable_after`.
-        let sw_before = tm.sched_snapshot().routes_sw;
-        let mut doomed = tm.begin(1);
-        for _ in 0..4 {
-            run_classed(&*tm, 0, 0, bump(a_word));
-        }
-        let abort = doomed
-            .read(b_word)
-            .expect_err("the commit queue was overrun");
-        assert_eq!(abort.kind, AbortKind::FpgaWindow);
-        drop(doomed);
-        assert_eq!(
-            tm.sched_snapshot().routes_sw - sw_before,
-            5,
-            "every attempt after the warm-up runs on the software path"
-        );
-
-        /// Thread A, a worker in miniature: submit, keep the pending,
-        /// begin again, drain, commit.
-        fn worker_a(
-            tm: &HybridTm,
-            word: usize,
-            says: mpsc::Sender<&'static str>,
-            may_go: mpsc::Receiver<()>,
-        ) {
-            let Submitted::Pending(first, ()) = try_submit(tm, 0, &mut bump(word)) else {
-                panic!("an uncontended software commit submits asynchronously");
-            };
-            says.send("holds a pending").unwrap();
-            // Pending held across this park, on purpose: parking with a pending outstanding is the schedule under test; the main thread's watchdog bounds the wait
-            may_go.recv().unwrap();
-            // The next attempt, with the pending outstanding and B parked
-            // on the commit gate. Whatever the slow path answers, the
-            // worker's protocol is: drain, then commit. (Its own word: two
-            // pipelined bumps of one word are a true rw+ww cycle, which
-            // the TxKV worker drains before — not this test.)
-            match try_submit(tm, 0, &mut bump(word + 1)) {
-                Submitted::Pending(second, ()) => {
-                    says.send("began again").unwrap();
-                    finish_submitted(tm, first).unwrap();
-                    finish_submitted(tm, second).unwrap();
-                }
-                Submitted::Deferred(tx, ()) => {
-                    says.send("began again").unwrap();
-                    finish_submitted(tm, first).unwrap();
-                    rococo_stm::commit_deferred(tm, tx).unwrap();
-                }
-                Submitted::Aborted(abort) => panic!("unexpected abort: {abort}"),
-            }
-            says.send("drained").unwrap();
-        }
-        let (a_says, a_progress) = mpsc::channel();
-        let (b_says, b_progress) = mpsc::channel();
-        let (release_a, a_may_go) = mpsc::channel::<()>();
-        let a = {
-            let tm = tm.clone();
-            std::thread::spawn(move || worker_a(&tm, a_word, a_says, a_may_go))
-        };
-        assert_eq!(a_progress.recv_timeout(WATCHDOG), Ok("holds a pending"));
-
-        let routes_before = tm.sched_snapshot().routes_sw;
-        let b = {
-            let tm = tm.clone();
-            std::thread::spawn(move || {
-                // `begin` escalates: `commit_gate.write()` behind A's
-                // pending.
-                let mut tx = tm.begin(1);
-                b_says.send("begin returned").unwrap();
-                tx.write(b_word, 1).unwrap();
-                tx.commit_seq().expect("an irrevocable transaction commits");
-            })
-        };
-        // B is routed (it passed the mode gate) and is at most a few
-        // instructions short of the commit gate; give it time to park
-        // there. The schedule holds either way — it only decides whether
-        // A's second submit is answered `Pending` or `Deferred`.
-        let deadline = Instant::now() + WATCHDOG;
-        while tm.sched_snapshot().routes_sw == routes_before {
-            assert!(Instant::now() < deadline, "B never passed the mode gate");
-            std::thread::yield_now();
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(
-            b_progress.try_recv().is_err(),
-            "B's begin returned while A's pending held the commit gate"
-        );
-
-        release_a.send(()).unwrap();
-        assert_eq!(
-            a_progress.recv_timeout(WATCHDOG),
-            Ok("began again"),
-            "A's begin waited on B's begin"
-        );
-        assert_eq!(b_progress.recv_timeout(WATCHDOG), Ok("begin returned"));
-        assert_eq!(a_progress.recv_timeout(WATCHDOG), Ok("drained"));
-        a.join().unwrap();
-        b.join().unwrap();
-        assert_eq!(tm.heap().load_direct(a_word), 6);
-        assert_eq!(tm.heap().load_direct(a_word + 1), 1);
-        assert_eq!(tm.heap().load_direct(b_word), 1);
-        assert_eq!(tm.stats_snapshot().fallback_commits, 1, "B ran irrevocably");
     }
 }

@@ -65,7 +65,7 @@ impl Request {
         }
     }
 
-    /// Every key the request touches: bounds checks, the hazard check.
+    /// Every key the request touches, for the bounds check.
     pub(crate) fn for_each_key(&self, mut f: impl FnMut(Key)) {
         match self {
             Request::Get { key } | Request::Put { key, .. } | Request::Add { key, .. } => f(*key),

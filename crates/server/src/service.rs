@@ -629,6 +629,7 @@ mod tests {
     use super::*;
     use crate::hop::tests::spin_until;
     use rococo_stm::{RococoConfig, RococoTm, TinyStm, TmConfig, TsxHtm};
+    use std::sync::atomic::AtomicUsize;
 
     fn tiny(cfg: &TxKvConfig) -> Arc<TinyStm> {
         Arc::new(TinyStm::with_config(TmConfig {
@@ -775,8 +776,8 @@ mod tests {
         report
     }
 
-    /// The batched commit path (pipelined submissions) must be
-    /// serializable on every static backend.
+    /// Batches of pipelined client submissions, two workers a shard,
+    /// must stay serializable on every static backend.
     #[test]
     fn batched_commits_preserve_invariants_on_every_backend() {
         let cfg = TxKvConfig {
@@ -840,11 +841,11 @@ mod tests {
     }
 
     /// With `irrevocable_after: 0` every ROCoCoTM transaction begins
-    /// irrevocable, so `submit_commit` hands every write back: each one
-    /// drains the batch ahead of it and commits synchronously under the
-    /// exclusive commit gate. None may wedge, fail or lose its update.
+    /// irrevocable: each write commits under the exclusive commit gate,
+    /// taken in `begin` by a worker that holds no other guard. None may
+    /// wedge, fail or lose its update.
     #[test]
-    fn every_commit_deferred_still_conserves() {
+    fn every_commit_irrevocable_still_conserves() {
         const KEYS: u64 = 64;
         const N: u64 = 2_000;
         let adds = (0..N).map(|i| Request::Add {
@@ -857,19 +858,16 @@ mod tests {
         };
         let (sum, report, tm) = one_worker_rococo(irrevocable, KEYS, adds);
         assert_eq!(sum, N * (N + 1) / 2, "ledger not conserved");
-        let a = &report.aggregate;
-        assert_eq!((a.deferred, a.failed), (N, 0), "{a:?}");
+        assert_eq!(report.aggregate.failed, 0);
         assert_eq!(tm.stats().snapshot().fallback_commits, N);
     }
 
-    /// On a hot-key write stream a one-worker shard's batch would race
-    /// itself — job k+1 executing before job k has published, reading what
-    /// k is about to overwrite and then overwriting it too, a true rw + ww
-    /// cycle — unless the worker drains before such a job. The hazard
-    /// drains keep the engine from rejecting anything while the batches
-    /// still pipeline. Every request commits and the sum is conserved.
+    /// On a hot-key write stream a one-worker shard runs job k+1 only after
+    /// job k has published, so a job always reads what the one before it
+    /// wrote: the engine never sees a cycle or a window overflow, every
+    /// request commits and the sum is conserved.
     #[test]
-    fn a_lone_worker_never_races_its_own_pipeline() {
+    fn a_lone_worker_on_hot_keys_aborts_nothing() {
         const KEYS: u64 = 4;
         const N: u64 = 4_000;
         let stream = (0..N).map(|i| {
@@ -893,10 +891,104 @@ mod tests {
         assert_eq!((engine.aborts_window, engine.aborts_cycle), (0, 0));
         let a = &report.aggregate;
         assert_eq!(a.committed, N + 1);
-        assert!(a.hazard_drains > 0, "no job ever hit the batch: {a:?}");
-        assert!(
-            a.batch_jobs > a.batches,
-            "the batches stopped pipelining: {a:?}"
+        assert!(a.batch_jobs > a.batches, "the batches never filled: {a:?}");
+    }
+
+    /// A [`TinyStm`] whose `begin` the test can hold: the first `begin`
+    /// waits for `queued`, the third for `replied`. Each wait gives up after
+    /// [`Gated::PATIENCE`] and counts in `timeouts`.
+    struct Gated {
+        inner: TinyStm,
+        begins: AtomicUsize,
+        queued: AtomicBool,
+        replied: AtomicBool,
+        timeouts: AtomicUsize,
+    }
+
+    impl Gated {
+        const PATIENCE: Duration = Duration::from_secs(5);
+
+        fn wait_for(&self, flag: &AtomicBool) {
+            let deadline = Instant::now() + Self::PATIENCE;
+            while !flag.load(Ordering::SeqCst) {
+                if Instant::now() > deadline {
+                    self.timeouts.fetch_add(1, Ordering::SeqCst);
+                    return;
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    impl TmSystem for Gated {
+        type Tx<'a> = <TinyStm as TmSystem>::Tx<'a>;
+
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+
+        fn heap(&self) -> &rococo_stm::TmHeap {
+            self.inner.heap()
+        }
+
+        fn begin(&self, thread_id: usize) -> Self::Tx<'_> {
+            match self.begins.fetch_add(1, Ordering::SeqCst) {
+                0 => self.wait_for(&self.queued),
+                2 => self.wait_for(&self.replied),
+                _ => {}
+            }
+            self.inner.begin(thread_id)
+        }
+
+        fn stats(&self) -> &rococo_stm::TmStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Jobs 1 and 2 land in one batch (job 0's `begin` holds the worker
+    /// until both are queued), and job 2 cannot begin until the client
+    /// holds job 1's reply: the reply must leave when job 1 commits, not
+    /// when its batch ends.
+    #[test]
+    fn a_reply_leaves_before_its_batch_ends() {
+        use Ordering::SeqCst;
+        let cfg = TxKvConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            keys: 16,
+            ..TxKvConfig::default()
+        };
+        let gated = Arc::new(Gated {
+            inner: TinyStm::with_config(TmConfig {
+                heap_words: cfg.heap_words(),
+                max_threads: cfg.worker_threads(),
+            }),
+            begins: Default::default(),
+            queued: Default::default(),
+            replied: Default::default(),
+            timeouts: Default::default(),
+        });
+        let kv = TxKv::start(Arc::clone(&gated), cfg).unwrap();
+        let job0 = kv.submit(Request::Put { key: 0, value: 1 }).unwrap();
+        spin_until("job 0 begins", || gated.begins.load(SeqCst) == 1);
+        let job1 = kv.submit(Request::Put { key: 1, value: 1 }).unwrap();
+        let job2 = kv.submit(Request::Put { key: 2, value: 1 }).unwrap();
+        gated.queued.store(true, SeqCst);
+        job0.wait().unwrap();
+        job1.wait().unwrap();
+        gated.replied.store(true, SeqCst);
+        job2.wait().unwrap();
+        assert_eq!(
+            gated.timeouts.load(SeqCst),
+            0,
+            "job 1's reply waited for job 2 to begin"
+        );
+        let report = kv.shutdown();
+        assert_eq!(report.aggregate.committed, 3);
+        assert_eq!(
+            (report.aggregate.batches, report.aggregate.batch_jobs),
+            (2, 3),
+            "jobs 1 and 2 shared a batch"
         );
     }
 
@@ -1035,12 +1127,10 @@ mod tests {
 
     /// A lone request finds every worker parked (the poll budget is a few
     /// microseconds): `submit` must wake one, and the worker must answer
-    /// before it parks again. On ROCoCoTM that is the
-    /// PR-7 drain invariant: the lone commit is a pending that holds a
-    /// commit-gate read guard and an unpublished sequence number, so a
-    /// worker that parks without settling it never answers. The reply is
-    /// polled to a deadline, so that bug fails the test instead of hanging
-    /// it.
+    /// before it parks again — the invariant a worker that deferred its
+    /// commits or replies to the end of a batch once broke on ROCoCoTM.
+    /// The reply is polled to a deadline, so that bug fails the test
+    /// instead of hanging it.
     #[test]
     fn a_lone_request_wakes_a_parked_worker() {
         fn lone_requests<S: TmSystem + 'static>(system: Arc<S>, cfg: TxKvConfig) {

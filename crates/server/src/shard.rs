@@ -1,33 +1,30 @@
 //! Shard workers: the threads that drain a shard's queue and run each
 //! request as one transaction.
 //!
-//! A worker allocates nothing per job or per batch: its batch list, and
-//! the in-flight, retry and staged lists and write-set vectors of its
-//! [`Scratch`], keep their capacity for the worker's life. With the queue
-//! slot filled in place (`crate::hop`), the reply cell the client allocates
-//! in `submit` is the only allocation the service adds to a `Get`; what is
-//! left is the backend's own (each in-tree transaction allocates its read
-//! set). `tests/alloc_per_request.rs` holds the service to that.
+//! A worker allocates nothing per job or per batch: its batch list, its
+//! staged replies and its write-set vector keep their capacity for the
+//! worker's life. With the queue slot filled in place (`crate::hop`), the
+//! reply cell the client allocates in `submit` is the only allocation the
+//! service adds to a `Get`; what is left is the backend's own (each in-tree
+//! transaction allocates its read set). `tests/alloc_per_request.rs` holds
+//! the service to that.
 
 use crate::hop::{Replier, Reply, ShardQueue};
 use crate::request::{Request, Response, TxKvError};
 use crate::retry::execute_seq;
 use crate::stats::ShardStats;
 use parking_lot::RwLock;
-use rococo_stm::{
-    commit_deferred, finish_submitted, try_submit, Abort, Addr, PendingCommit, Submitted, TmSystem,
-    Transaction,
-};
+use rococo_stm::{Abort, Addr, TmSystem, Transaction};
 use rococo_wal::{Wal, WalDead};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Ceiling on the jobs a worker pulls off its shard queue per
-/// run-to-completion batch: the batch the pinned workloads were measured
-/// with (EXPERIMENTS.md "Hazard-aware batching"). A batch's commits stay
-/// in flight until it settles, so a deeper one also delays every reply.
+/// Ceiling on the jobs a worker pulls off its shard queue per batch: the
+/// batch the pinned workloads were measured with. Every job commits and
+/// publishes before the next one begins, so a deeper batch only delays
+/// the replies staged behind its one durable wait.
 const MAX_BATCH: usize = 16;
 
 /// One queued request plus everything needed to answer it. The reply
@@ -122,32 +119,6 @@ pub(crate) struct WorkerCtx<S: TmSystem + ?Sized> {
     pub(crate) wal: Option<WorkerWal>,
 }
 
-/// One submitted-but-unfinished job: the pending commit plus everything
-/// needed to complete the reply once the verdict lands.
-struct InFlight<'a, S: TmSystem + ?Sized + 'a> {
-    job: Job,
-    pending: <S::Tx<'a> as Transaction>::Pending,
-    resp: Response,
-    writes: Vec<(u64, u64)>,
-}
-
-/// Whether `req` would race the batch's own pipeline: it writes, and one
-/// of its keys is in the write set of an in-flight commit whose writes
-/// are still unpublished. It would read what that commit is about to
-/// overwrite and overwrite it too — a cycle the validator must reject. A
-/// read-only request is never a hazard: it serializes before them.
-fn hazard<S: TmSystem + ?Sized>(req: &Request, inflight: &[InFlight<'_, S>]) -> bool {
-    let mut hit = false;
-    if !req.is_read_only() {
-        req.for_each_key(|key| {
-            hit |= inflight
-                .iter()
-                .any(|f| f.pending.in_flight() && f.writes.iter().any(|w| w.0 == key));
-        });
-    }
-    hit
-}
-
 /// A commit [`WorkerEnv::post_commit`] has handed to the WAL, or one with
 /// nothing to make durable (in-memory mode, a read-only commit).
 #[derive(Clone, Copy)]
@@ -160,39 +131,17 @@ struct Posted {
     logged: Option<u32>,
 }
 
-/// A committed job of the batch being drained: its commit is posted, its
-/// reply waits for the durable watermark.
+/// A committed job of the current batch: its commit is posted, its reply
+/// waits for the durable watermark.
 struct Staged {
     job: Job,
     resp: Response,
     posted: Result<Posted, WalDead>,
+    /// It took more than one attempt: the tail sampler keeps it.
+    retried: bool,
 }
 
-/// The lists a worker reuses from job to job and batch to batch; all are
-/// empty between batches and keep their capacity.
-struct Scratch<'a, S: TmSystem + ?Sized + 'a> {
-    inflight: Vec<InFlight<'a, S>>,
-    retry: Vec<Job>,
-    staged: Vec<Staged>,
-    /// Write-set vectors not in use. A job takes one; an [`InFlight`]
-    /// keeps it until its verdict lands and [`WorkerEnv::drain`] puts it
-    /// back, so there are never more than `MAX_BATCH + 1` of them.
-    spare: Vec<Vec<(u64, u64)>>,
-}
-
-impl<'a, S: TmSystem + ?Sized + 'a> Scratch<'a, S> {
-    fn new() -> Self {
-        Self {
-            inflight: Vec::with_capacity(MAX_BATCH),
-            retry: Vec::with_capacity(MAX_BATCH),
-            staged: Vec::with_capacity(MAX_BATCH),
-            spare: Vec::with_capacity(MAX_BATCH + 1),
-        }
-    }
-}
-
-/// The per-worker execution environment shared by the batched fast path
-/// and the synchronous fallback.
+/// The per-worker execution environment.
 struct WorkerEnv<'a, S: TmSystem + ?Sized> {
     system: &'a S,
     table: Addr,
@@ -201,7 +150,7 @@ struct WorkerEnv<'a, S: TmSystem + ?Sized> {
     wal: &'a Option<WorkerWal>,
 }
 
-impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
+impl<S: TmSystem + ?Sized> WorkerEnv<'_, S> {
     /// Posts the committed write set to the WAL (durable mode) without
     /// waiting for it. Read-only commits (seq `None`) have nothing to make
     /// durable.
@@ -244,11 +193,6 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
         }
     }
 
-    /// The synchronous paths' commit: post, wait, reply.
-    fn committed_reply(&self, resp: Response, seq: Option<u64>, writes: &[(u64, u64)]) -> Reply {
-        self.durable_reply(resp, self.post_commit(seq, writes))
-    }
-
     /// Releases the batch's staged replies in commit order once the
     /// durable watermark has passed them: one wait, for the last record
     /// posted, covers every one before it.
@@ -262,16 +206,16 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
             // The durable ack belongs to *this* request's chain.
             rococo_telemetry::set_current_trace(s.job.trace);
             let reply = self.durable_reply(s.resp, s.posted);
-            self.send_reply(s.job, reply, false);
+            self.send_reply(s.job, reply, s.retried);
         }
     }
 
     /// Answers `job`, recording end-to-end latency, emitting the
     /// trace-closing `Reply` event, and offering the finished request to
     /// the tail sampler. `force_sample` marks requests the sampler must
-    /// keep regardless of latency (retried, deferred, panicked) —
-    /// errored replies are always force-kept. The client may have
-    /// dropped its PendingReply; that is not the worker's problem.
+    /// keep regardless of latency (retried, panicked) — errored replies
+    /// are always force-kept. The client may have dropped its
+    /// PendingReply; that is not the worker's problem.
     fn send_reply(&self, job: Job, reply: Reply, force_sample: bool) {
         let latency_ns = job.enqueued_at.elapsed().as_nanos() as u64;
         self.stats.latency.record(latency_ns);
@@ -302,20 +246,28 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
         }
     }
 
-    /// Runs `job` fully synchronously, retrying with backoff — the
-    /// fallback for jobs whose asynchronous attempt aborted (counted via
-    /// `prior_attempts`) or whose backend demanded a synchronous commit.
+    /// Runs `job` to its reply. [`execute_seq`] commits it (the first
+    /// attempt without backoff) — the backend validates and publishes
+    /// inside the commit — and the write set is posted to the WAL at
+    /// once. The reply leaves at once too, unless a commit ahead of it in
+    /// the batch is still waiting to become durable: then it is staged
+    /// for [`WorkerEnv::release`]. An error reply promises nothing durable
+    /// and never waits.
     ///
-    /// Must only be called with **no pending commits outstanding**: the
-    /// backend's `begin` may escalate to the exclusive commit gate, which
-    /// would deadlock against this worker's own read guards.
-    ///
-    /// `writes` is a spare write-set vector to collect into.
-    fn run_sync(&self, rng: &mut u64, job: Job, prior_attempts: u32, writes: &mut Vec<(u64, u64)>) {
-        // Re-attribute this thread's events to the job (another job's
-        // transaction may have run on this thread since the
-        // asynchronous attempt) and re-tag its scheduling class.
+    /// `writes` is the worker's write-set vector to collect into.
+    fn run(&self, rng: &mut u64, job: Job, writes: &mut Vec<(u64, u64)>, staged: &mut Vec<Staged>) {
+        // Stamp this thread's trace context from the job so every
+        // downstream event (route, begin, validate, verdict, commit, WAL
+        // ack) is attributed to the request's chain.
         rococo_telemetry::set_current_trace(job.trace);
+        if job.trace != 0 {
+            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Dequeue {
+                wait_ns: job.enqueued_at.elapsed().as_nanos() as u64,
+            });
+        }
+        // Tag the transaction with the op-type scheduling class before it
+        // begins — a no-op on non-routing backends, the router's
+        // footprint-prediction key on the hybrid.
         self.system.set_tx_class(self.thread_id, job.req.class());
         let result = catch_unwind(AssertUnwindSafe(|| {
             execute_seq(
@@ -328,30 +280,40 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
         }));
         match result {
             Ok(Ok((resp, seq, attempts))) => {
-                self.stats.retries.fetch_add(
-                    u64::from(attempts - 1) + u64::from(prior_attempts),
-                    Ordering::Relaxed,
-                );
-                let reply = self.committed_reply(resp, seq, writes);
+                self.stats
+                    .retries
+                    .fetch_add(u64::from(attempts - 1), Ordering::Relaxed);
+                let posted = self.post_commit(seq, writes);
                 // A request that needed more than one attempt is tail
                 // material even if it eventually committed fast.
-                let retried = prior_attempts > 0 || attempts > 1;
-                self.send_reply(job, reply, retried);
+                let retried = attempts > 1;
+                // A reply waits behind the batch's first logged record, as
+                // it did when every append blocked; with none ahead of it
+                // (in-memory mode, leading reads) there is nothing to wait
+                // for.
+                let logged = posted.is_ok_and(|p| p.logged.is_some());
+                if logged || !staged.is_empty() {
+                    staged.push(Staged {
+                        job,
+                        resp,
+                        posted,
+                        retried,
+                    });
+                } else {
+                    let reply = self.durable_reply(resp, posted);
+                    self.send_reply(job, reply, retried);
+                }
             }
             Ok(Err((abort, attempts))) => {
                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.stats.retries.fetch_add(
-                    u64::from(attempts - 1) + u64::from(prior_attempts),
-                    Ordering::Relaxed,
-                );
-                self.send_reply(
-                    job,
-                    Err(TxKvError::RetriesExhausted {
-                        attempts: attempts + prior_attempts,
-                        last: abort.kind,
-                    }),
-                    true,
-                );
+                self.stats
+                    .retries
+                    .fetch_add(u64::from(attempts - 1), Ordering::Relaxed);
+                let reply = Err(TxKvError::RetriesExhausted {
+                    attempts,
+                    last: abort.kind,
+                });
+                self.send_reply(job, reply, true);
             }
             Err(_panic) => {
                 self.note_panic();
@@ -359,88 +321,19 @@ impl<'a, S: TmSystem + ?Sized> WorkerEnv<'a, S> {
             }
         }
     }
-
-    /// Finishes every in-flight commit in submission (= verdict) order,
-    /// posting each committed write set to the WAL as its verdict lands and
-    /// staging its reply (and every later one of the batch); releases the
-    /// staged replies once the batch's last record is durable; then
-    /// synchronously retries the jobs whose verdict was an abort.
-    ///
-    /// The retries run strictly *after* the drain: an abort bumps the
-    /// backend's escalation counter, and a subsequent `begin` may then
-    /// block on the exclusive commit gate — safe only once none of our
-    /// own pendings still hold gate read guards.
-    fn drain(&self, rng: &mut u64, scratch: &mut Scratch<'a, S>) {
-        let Scratch {
-            inflight,
-            retry,
-            staged,
-            spare,
-        } = scratch;
-        for f in inflight.drain(..) {
-            let InFlight {
-                job,
-                pending,
-                resp,
-                writes,
-            } = f;
-            // The verdict/commit events for this pending must be
-            // attributed to *its* request, not whichever job this
-            // thread processed last.
-            rococo_telemetry::set_current_trace(job.trace);
-            match catch_unwind(AssertUnwindSafe(|| finish_submitted(self.system, pending))) {
-                Ok(Ok(seq)) => {
-                    let posted = self.post_commit(seq, &writes);
-                    // A reply waits behind the batch's first logged
-                    // record, as it did when every append blocked; with
-                    // none ahead of it (in-memory mode, leading reads)
-                    // there is nothing to wait for.
-                    let logged = posted.is_ok_and(|p| p.logged.is_some());
-                    if logged || !staged.is_empty() {
-                        staged.push(Staged { job, resp, posted });
-                    } else {
-                        let reply = self.durable_reply(resp, posted);
-                        self.send_reply(job, reply, false);
-                    }
-                }
-                Ok(Err(abort)) => {
-                    self.stats.record_abort(abort.kind);
-                    retry.push(job);
-                }
-                Err(_panic) => {
-                    self.note_panic();
-                    self.send_reply(job, Err(TxKvError::Internal), true);
-                }
-            }
-            spare.push(writes);
-        }
-        self.release(staged);
-        if !retry.is_empty() {
-            let mut writes = spare.pop().unwrap_or_default();
-            for job in retry.drain(..) {
-                self.run_sync(rng, job, 1, &mut writes);
-            }
-            spare.push(writes);
-        }
-    }
 }
 
 /// The worker loop: drain the shard queue until it is closed and empty
-/// (service shutdown), executing jobs in run-to-completion batches and
-/// recording per-shard statistics.
+/// (service shutdown), running each job to its reply and recording
+/// per-shard statistics.
 ///
 /// Each batch pulls up to [`MAX_BATCH`] queued jobs (one blocking
 /// `next_job`, then non-blocking `try_next_job`s — an empty queue never
-/// delays a lone request), executes each to its validation point, submits
-/// the commits asynchronously, and completes them in verdict order. The
-/// validator round-trip is thereby amortised across each hazard-free run
-/// of jobs (the paper's Figure 6 pipelining, applied at the worker level)
-/// instead of being paid once per job: a job that would race an
-/// unpublished commit of its own batch ([`hazard`]) drains the batch
-/// first. Jobs the backend cannot commit asynchronously (synchronous
-/// backends use a pre-settled pending; ROCoCoTM defers irrevocable or
-/// gate-contended commits) fall back to the synchronous retry path after
-/// the outstanding batch is drained.
+/// delays a lone request) and runs them one after the other
+/// ([`WorkerEnv::run`]). A job's commit is validated and published before
+/// the next job begins, so no job of a batch can race another; what the
+/// batch shares is durability: one wait for its last logged record
+/// releases every reply staged behind it.
 ///
 /// A batch runs under a read lock on `pause`, held across the
 /// transactions, the WAL posts and the wait for the durable watermark —
@@ -472,7 +365,8 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
     // Per-worker jitter state; any distinct nonzero seed works.
     let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((thread_id as u64 + 1) << 17);
     let mut batch: Vec<Job> = Vec::with_capacity(MAX_BATCH);
-    let mut scratch: Scratch<'_, S> = Scratch::new();
+    let mut staged: Vec<Staged> = Vec::with_capacity(MAX_BATCH);
+    let mut writes = Vec::new();
     while let Some(first) = queue.next_job(seat) {
         batch.push(first);
         while batch.len() < MAX_BATCH {
@@ -488,84 +382,11 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
 
         let pause_guard = pause.read();
         for job in batch.drain(..) {
-            if hazard(&job.req, &scratch.inflight) {
-                stats.hazard_drains.fetch_add(1, Ordering::Relaxed);
-                env.drain(&mut rng, &mut scratch);
-            }
-            // Stamp this thread's trace context from the job so every
-            // downstream event (route, begin, validate, verdict,
-            // commit, WAL ack) is attributed to the request's chain.
-            rococo_telemetry::set_current_trace(job.trace);
-            if job.trace != 0 {
-                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Dequeue {
-                    wait_ns: job.enqueued_at.elapsed().as_nanos() as u64,
-                });
-            }
-            // Tag the transaction with the op-type scheduling class
-            // before it begins — a no-op on non-routing backends, the
-            // router's footprint-prediction key on the hybrid.
-            env.system.set_tx_class(thread_id, job.req.class());
-            let mut writes = scratch.spare.pop().unwrap_or_default();
-            let submitted = catch_unwind(AssertUnwindSafe(|| {
-                try_submit(env.system, thread_id, &mut |tx| {
-                    apply(tx, table, &job.req, &mut writes)
-                })
-            }));
-            match submitted {
-                Ok(Submitted::Pending(pending, resp)) => {
-                    scratch.inflight.push(InFlight {
-                        job,
-                        pending,
-                        resp,
-                        writes,
-                    });
-                    continue;
-                }
-                Ok(Submitted::Deferred(tx, resp)) => {
-                    // The backend demands a synchronous commit (e.g. an
-                    // irrevocable transaction, or a waiting escalation
-                    // writer on the commit gate). Settle the outstanding
-                    // pendings first so the blocking commit cannot
-                    // deadlock against our own read guards.
-                    stats.deferred.fetch_add(1, Ordering::Relaxed);
-                    env.drain(&mut rng, &mut scratch);
-                    // The drain re-stamped the trace context for its own
-                    // jobs; restore this job's before its commit.
-                    rococo_telemetry::set_current_trace(job.trace);
-                    match catch_unwind(AssertUnwindSafe(|| commit_deferred(env.system, tx))) {
-                        Ok(Ok(seq)) => {
-                            let reply = env.committed_reply(resp, seq, &writes);
-                            // Deferred commits mark escalation or gate
-                            // contention: always tail-sample them.
-                            env.send_reply(job, reply, true);
-                        }
-                        Ok(Err(abort)) => {
-                            stats.record_abort(abort.kind);
-                            env.run_sync(&mut rng, job, 1, &mut writes);
-                        }
-                        Err(_panic) => {
-                            env.note_panic();
-                            env.send_reply(job, Err(TxKvError::Internal), true);
-                        }
-                    }
-                }
-                Ok(Submitted::Aborted(abort)) => {
-                    stats.record_abort(abort.kind);
-                    env.drain(&mut rng, &mut scratch);
-                    env.run_sync(&mut rng, job, 1, &mut writes);
-                }
-                Err(_panic) => {
-                    env.note_panic();
-                    env.send_reply(job, Err(TxKvError::Internal), true);
-                }
-            }
-            // Every path but the in-flight one is done with its write set.
-            scratch.spare.push(writes);
+            env.run(&mut rng, job, &mut writes, &mut staged);
         }
-        // Run to completion before blocking in `next_job` again: an
-        // unfinished pending holds a commit-gate guard and (under ROCoCoTM)
-        // an unpublished sequence number the whole system waits on.
-        env.drain(&mut rng, &mut scratch);
+        // Answer the staged replies before blocking in `next_job` again:
+        // their clients are waiting.
+        env.release(&mut staged);
         drop(pause_guard);
     }
     rococo_telemetry::flush_thread();
@@ -574,7 +395,7 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rococo_stm::{try_atomically, RococoTm, TinyStm, TmConfig};
+    use rococo_stm::{try_atomically, TinyStm, TmConfig};
 
     const CONFIG: TmConfig = TmConfig {
         heap_words: 256,
@@ -585,91 +406,6 @@ mod tests {
         let tm = TinyStm::with_config(CONFIG);
         let table = tm.heap().alloc(64);
         (tm, table)
-    }
-
-    /// Runs `req` to its submit point on thread 0, as the worker does,
-    /// and keeps the commit in flight.
-    fn submitted<S: TmSystem>(system: &S, table: Addr, req: Request) -> InFlight<'_, S> {
-        let mut writes = Vec::new();
-        let outcome = try_submit(system, 0, &mut |tx| apply(tx, table, &req, &mut writes));
-        let Submitted::Pending(pending, resp) = outcome else {
-            panic!("{req:?} did not reach its submit point");
-        };
-        let job = Job {
-            req,
-            enqueued_at: Instant::now(),
-            trace: 0,
-            reply: crate::hop::reply_pair().0,
-        };
-        InFlight {
-            job,
-            pending,
-            resp,
-            writes,
-        }
-    }
-
-    /// The requests that touch key 3, by whether they write.
-    fn on_key_3() -> ([Request; 3], [Request; 2]) {
-        let writers = [
-            Request::Add { key: 3, delta: 1 },
-            Request::Put { key: 3, value: 9 },
-            Request::Transfer {
-                from: 5,
-                to: 3,
-                amount: 1,
-            },
-        ];
-        let readers = [
-            Request::Get { key: 3 },
-            Request::MultiGet { keys: vec![2, 3] },
-        ];
-        (writers, readers)
-    }
-
-    #[test]
-    fn a_write_to_a_key_the_batch_has_in_flight_is_a_hazard_until_finished() {
-        let tm = RococoTm::with_config(CONFIG);
-        let t = tm.heap().alloc(64);
-        let mut inflight = vec![submitted(&tm, t, Request::Add { key: 3, delta: 1 })];
-        assert!(inflight[0].pending.in_flight());
-        let (writers, readers) = on_key_3();
-        for req in &writers {
-            assert!(hazard(req, &inflight), "{req:?}");
-        }
-        for req in &readers {
-            assert!(!hazard(req, &inflight), "a read is never a hazard: {req:?}");
-        }
-        assert!(!hazard(&Request::Add { key: 4, delta: 1 }, &inflight));
-        let f = inflight.pop().unwrap();
-        assert_eq!(finish_submitted(&tm, f.pending), Ok(Some(0)));
-        assert!(!hazard(&writers[0], &inflight));
-    }
-
-    #[test]
-    fn a_commit_with_nothing_in_flight_is_never_a_hazard() {
-        let (writers, _) = on_key_3();
-        // A declined transfer writes nothing.
-        let rococo = RococoTm::with_config(CONFIG);
-        let t = rococo.heap().alloc(64);
-        let declined = Request::Transfer {
-            from: 3,
-            to: 4,
-            amount: 1,
-        };
-        let inflight = vec![submitted(&rococo, t, declined)];
-        assert!(inflight[0].writes.is_empty());
-        for req in &writers {
-            assert!(!hazard(req, &inflight), "{req:?}");
-        }
-        // TinySTM settles at submission: its writes are already published.
-        let (tiny, t) = tm();
-        let inflight = vec![submitted(&tiny, t, Request::Add { key: 3, delta: 1 })];
-        assert_eq!(inflight[0].writes, vec![(3, 1)]);
-        assert!(!inflight[0].pending.in_flight());
-        for req in &writers {
-            assert!(!hazard(req, &inflight), "{req:?}");
-        }
     }
 
     fn run_with_writes(tm: &TinyStm, table: Addr, req: Request) -> (Response, Vec<(u64, u64)>) {

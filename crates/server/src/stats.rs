@@ -23,9 +23,6 @@ rococo_telemetry::stats_block! {
         pub(crate) enqueued: "rococo_txkv_enqueued_total", "Requests admitted to the shard queue";
         /// The queue was full.
         pub(crate) shed: "rococo_txkv_shed_total", "Requests shed by admission control";
-        /// Irrevocable escalation, commit-gate contention, or a hybrid
-        /// router hand-off — completed inline, distinct from `shed`.
-        pub(crate) deferred: "rococo_txkv_deferred_total", "Requests whose commit the backend deferred to the synchronous path";
         pub(crate) committed: "rococo_txkv_committed_total", "Requests whose transaction committed";
         pub(crate) failed: "rococo_txkv_failed_total", "Requests that failed (retries exhausted)";
         /// Across all requests.
@@ -39,7 +36,6 @@ rococo_telemetry::stats_block! {
         /// `batch_jobs / batches` = mean batch size actually achieved,
         /// as opposed to the configured ceiling.
         pub(crate) batch_jobs: "rococo_txkv_batch_jobs_total", "Jobs executed across all batches";
-        pub(crate) hazard_drains: "rococo_txkv_hazard_drains_total", "Batches drained early because a job touched a key an in-flight job of the batch writes";
     }
     families {
         /// Indexed by [`AbortKind::index`].
@@ -166,18 +162,16 @@ impl fmt::Display for TxKvReport {
         let a = &self.aggregate;
         writeln!(
             f,
-            "txkv[{}] {} shards, {:.2}s: {} committed ({:.0} req/s), {} shed, {} deferred, \
-             {} failed, {} retries, {} hazard drains",
+            "txkv[{}] {} shards, {:.2}s: {} committed ({:.0} req/s), {} shed, \
+             {} failed, {} retries",
             self.backend,
             self.per_shard.len(),
             self.elapsed.as_secs_f64(),
             a.committed,
             self.throughput(),
             a.shed,
-            a.deferred,
             a.failed,
             a.retries,
-            a.hazard_drains,
         )?;
         writeln!(
             f,
@@ -282,7 +276,7 @@ mod tests {
             per_shard: vec![ShardSnapshot::default()],
             aggregate: ShardSnapshot {
                 committed: 1000,
-                hazard_drains: 3,
+                retries: 3,
                 aborts: [5, 0, 0, 0, 0, 0, 0],
                 ..Default::default()
             },
@@ -295,7 +289,7 @@ mod tests {
         report.aggregate.latency = latency.snapshot();
         let text = report.to_string();
         assert!(text.contains("500 req/s"), "{text}");
-        assert!(text.contains("3 hazard drains"), "{text}");
+        assert!(text.contains("3 retries"), "{text}");
         assert!(text.contains("cpu-stale-read=5"), "{text}");
         assert!(text.contains("1.5us"), "{text}");
         assert!(!text.contains("injected faults"), "{text}");

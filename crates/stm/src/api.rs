@@ -178,72 +178,6 @@ pub trait Transaction {
     {
         self.commit_seq().map(|_| ())
     }
-
-    /// The in-flight commit handle produced by [`Transaction::submit_commit`].
-    /// Backends without asynchronous validation use [`ReadyCommit`], which
-    /// holds the already-final verdict.
-    type Pending: PendingCommit;
-
-    /// Splits the commit into **submit** and **await + write back** so a
-    /// caller can overlap the validation round-trips of several
-    /// transactions (the paper's Figure 6 pipelining argument applied at
-    /// the worker level).
-    ///
-    /// On `Ok`, validation has been dispatched (or already finished for
-    /// synchronous backends) and the caller must eventually call
-    /// [`PendingCommit::finish`] to learn the verdict and publish the
-    /// writes. On `Err`, the backend demands a synchronous commit for this
-    /// attempt (e.g. an irrevocable transaction, or the commit gate is
-    /// contended); the transaction is handed back untouched so the caller
-    /// can fall through to [`Transaction::commit_seq`].
-    ///
-    /// # Errors
-    ///
-    /// `Err(self)` — not a failure, merely "commit me synchronously".
-    fn submit_commit(self) -> Result<Self::Pending, Self>
-    where
-        Self: Sized;
-}
-
-/// An in-flight commit: validation has been submitted, the verdict and
-/// the write-back are still owed. Produced by
-/// [`Transaction::submit_commit`].
-pub trait PendingCommit {
-    /// Awaits the verdict, publishes buffered writes on success, and
-    /// reports the durable sequence number exactly like
-    /// [`Transaction::commit_seq`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Abort`] if validation failed; all buffered writes are
-    /// discarded.
-    fn finish(self) -> Result<Option<u64>, Abort>;
-
-    /// Whether the commit's writes are still unpublished — its verdict is
-    /// owed and a later transaction of the same thread would read the
-    /// values they overwrite. `false` for a pending settled at submission.
-    fn in_flight(&self) -> bool {
-        false
-    }
-}
-
-/// A [`PendingCommit`] whose verdict was already decided at submission
-/// time — the degenerate pending handle used by backends that commit
-/// synchronously (seqlock, global-lock, TinySTM, HTM).
-#[derive(Debug)]
-pub struct ReadyCommit(Result<Option<u64>, Abort>);
-
-impl ReadyCommit {
-    /// Wraps an already-final commit outcome.
-    pub fn new(outcome: Result<Option<u64>, Abort>) -> Self {
-        Self(outcome)
-    }
-}
-
-impl PendingCommit for ReadyCommit {
-    fn finish(self) -> Result<Option<u64>, Abort> {
-        self.0
-    }
 }
 
 /// A transactional-memory runtime.
@@ -415,77 +349,6 @@ fn tally<S: TmSystem + ?Sized>(system: &S, outcome: &Result<Option<u64>, Abort>)
             });
         }
     }
-}
-
-/// Outcome of one batched transaction attempt ([`try_submit`]).
-pub enum Submitted<'a, S: TmSystem + ?Sized + 'a, R> {
-    /// The body succeeded and validation is in flight; call
-    /// [`finish_submitted`] to collect the verdict and write back.
-    Pending(<S::Tx<'a> as Transaction>::Pending, R),
-    /// The body succeeded but the backend demands a synchronous commit
-    /// for this attempt; call [`commit_deferred`] (after draining any
-    /// earlier pendings, so lock-ordering stays acyclic).
-    Deferred(S::Tx<'a>, R),
-    /// The body itself aborted (already recorded in the stats).
-    Aborted(Abort),
-}
-
-/// Runs one transaction attempt up to the validation point and submits
-/// the commit without waiting for the verdict — the batch-friendly half
-/// of [`try_atomically_seq`]. Pair every [`Submitted::Pending`] with a
-/// [`finish_submitted`] call and every [`Submitted::Deferred`] with
-/// [`commit_deferred`]; both record the commit/abort bookkeeping that
-/// `try_atomically_seq` would.
-pub fn try_submit<'a, S, R, F>(system: &'a S, thread_id: usize, body: &mut F) -> Submitted<'a, S, R>
-where
-    S: TmSystem + ?Sized,
-    F: FnMut(&mut S::Tx<'a>) -> Result<R, Abort>,
-{
-    system.stats().starts.fetch_add(1, Ordering::Relaxed);
-    rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Begin);
-    let mut tx = system.begin(thread_id);
-    match body(&mut tx) {
-        Ok(r) => match tx.submit_commit() {
-            Ok(pending) => Submitted::Pending(pending, r),
-            Err(tx) => Submitted::Deferred(tx, r),
-        },
-        Err(abort) => {
-            tally(system, &Err(abort));
-            Submitted::Aborted(abort)
-        }
-    }
-}
-
-/// Awaits a pending commit produced by [`try_submit`] and records the
-/// same commit/abort bookkeeping as [`try_atomically_seq`].
-///
-/// # Errors
-///
-/// Returns the [`Abort`] if validation failed.
-pub fn finish_submitted<S, P>(system: &S, pending: P) -> Result<Option<u64>, Abort>
-where
-    S: TmSystem + ?Sized,
-    P: PendingCommit,
-{
-    let outcome = pending.finish();
-    tally(system, &outcome);
-    outcome
-}
-
-/// Synchronously commits a transaction handed back by
-/// [`Submitted::Deferred`], with the same bookkeeping as
-/// [`try_atomically_seq`].
-///
-/// # Errors
-///
-/// Returns the [`Abort`] if validation failed.
-pub fn commit_deferred<'a, S>(system: &S, tx: S::Tx<'a>) -> Result<Option<u64>, Abort>
-where
-    S: TmSystem + ?Sized + 'a,
-{
-    let outcome = tx.commit_seq();
-    tally(system, &outcome);
-    outcome
 }
 
 rococo_telemetry::stats_block! {

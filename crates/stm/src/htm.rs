@@ -20,7 +20,7 @@
 //!   fallback lock which dooms every in-flight hardware transaction (lock
 //!   subscription).
 
-use crate::api::{Abort, AbortKind, ReadyCommit, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -386,12 +386,6 @@ impl Transaction for HtmTx<'_> {
                 Ok(seq)
             }
         }
-    }
-
-    type Pending = ReadyCommit;
-
-    fn submit_commit(self) -> Result<ReadyCommit, Self> {
-        Ok(ReadyCommit::new(self.commit_seq()))
     }
 }
 

@@ -8,7 +8,7 @@
 //!   read/write sets, redo logging, the `GlobalTS`/`LocalTS`/`ValidTS`
 //!   snapshot-extension algorithm of Algorithm 1 and Figure 8 on the CPU
 //!   side, and validation offloaded to the simulated FPGA pipeline of
-//!   `rococo-fpga` through asynchronous queues (Figure 6).
+//!   `rococo-fpga`, which decides each commit on the committing thread.
 //! * [`TinyStm`] — the baseline STM: a word-based Lazy Snapshot Algorithm
 //!   with commit-time locking and write-back (the TinySTM configuration the
 //!   paper benchmarks against).
@@ -46,13 +46,12 @@ mod seq;
 mod tinystm;
 
 pub use api::{
-    atomically, commit_deferred, finish_submitted, try_atomically, try_atomically_seq, try_submit,
-    Abort, AbortKind, PendingCommit, ReadyCommit, StatsSnapshot, Submitted, TmConfig, TmStats,
-    TmSystem, Transaction,
+    atomically, try_atomically, try_atomically_seq, Abort, AbortKind, StatsSnapshot, TmConfig,
+    TmStats, TmSystem, Transaction,
 };
 pub use heap::{Addr, TmHeap, Word, NULL};
 pub use htm::{HtmConfig, TsxHtm};
 pub use record::{recording_seq, RecordTx, Recorder, TxnRecord};
-pub use rococotm::{RococoConfig, RococoPending, RococoTm};
+pub use rococotm::{RococoConfig, RococoTm};
 pub use seq::{GlobalLockTm, SeqTm};
 pub use tinystm::TinyStm;

@@ -9,7 +9,7 @@
 //! which the STAMP harness calls at parallel-phase boundaries — so that
 //! sequential setup work can be separated from the timed parallel region.
 
-use crate::api::{Abort, PendingCommit, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{Abort, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use crate::seq::SeqTm;
 use parking_lot::Mutex;
@@ -124,60 +124,6 @@ impl<'a, S: TmSystem> Transaction for RecordTx<'a, S> {
             epoch: self.epoch.load(Ordering::Relaxed),
         });
         Ok(seq)
-    }
-
-    type Pending = RecordPending<'a, S>;
-
-    fn submit_commit(self) -> Result<RecordPending<'a, S>, Self> {
-        // Execution time stops at submission: the verdict wait is commit
-        // overhead, not workload execution.
-        let exec_ns = self.started.elapsed().as_nanos() as f64;
-        match self.inner.submit_commit() {
-            Ok(inner) => Ok(RecordPending {
-                inner,
-                log: self.log,
-                epoch: self.epoch,
-                reads: self.reads,
-                writes: self.writes,
-                exec_ns,
-            }),
-            Err(inner) => Err(Self {
-                inner,
-                log: self.log,
-                epoch: self.epoch,
-                reads: self.reads,
-                writes: self.writes,
-                started: self.started,
-            }),
-        }
-    }
-}
-
-/// An in-flight [`RecordTx`] commit: logs the footprint once the inner
-/// commit is confirmed.
-pub struct RecordPending<'a, S: TmSystem + 'a> {
-    inner: <S::Tx<'a> as Transaction>::Pending,
-    log: &'a Mutex<Vec<TxnRecord>>,
-    epoch: &'a AtomicU64,
-    reads: Vec<u64>,
-    writes: Vec<u64>,
-    exec_ns: f64,
-}
-
-impl<'a, S: TmSystem> PendingCommit for RecordPending<'a, S> {
-    fn finish(self) -> Result<Option<u64>, Abort> {
-        let seq = self.inner.finish()?;
-        self.log.lock().push(TxnRecord {
-            reads: self.reads,
-            writes: self.writes,
-            exec_ns: self.exec_ns,
-            epoch: self.epoch.load(Ordering::Relaxed),
-        });
-        Ok(seq)
-    }
-
-    fn in_flight(&self) -> bool {
-        self.inner.in_flight()
     }
 }
 
@@ -296,34 +242,21 @@ mod tests {
         assert_eq!(log[0].writes, vec![5]);
     }
 
-    /// A recorded pending is in flight exactly when the one it wraps is:
-    /// over ROCoCoTM until its verdict is consumed, over a backend that
-    /// commits at submission never.
+    /// A recorded ROCoCoTM commit is logged by its `commit_seq`, which
+    /// validates and publishes before it returns: not before, and with the
+    /// sequence the engine granted.
     #[test]
-    fn a_recorded_pending_is_in_flight_when_its_inner_one_is() {
-        fn submit<S: TmSystem>(rec: &Recorder<S>) -> RecordPending<'_, S> {
-            let addr = rec.heap().alloc(1);
-            let mut tx = rec.begin(0);
-            tx.write(addr, 1).unwrap();
-            let Ok(pending) = tx.submit_commit() else {
-                panic!("an uncontended commit submits asynchronously");
-            };
-            pending
-        }
-        let config = TmConfig {
+    fn a_recorded_commit_is_logged_when_its_commit_returns() {
+        let rococo = Recorder::new(crate::RococoTm::with_config(TmConfig {
             heap_words: 64,
             max_threads: 1,
-        };
-        let rococo = Recorder::new(crate::RococoTm::with_config(config));
-        let pending = submit(&rococo);
-        assert!(pending.in_flight());
-        assert!(rococo.log().is_empty(), "logged before the verdict");
-        assert!(pending.finish().is_ok());
+        }));
+        let addr = rococo.heap().alloc(1);
+        let mut tx = rococo.begin(0);
+        tx.write(addr, 1).unwrap();
+        assert!(rococo.log().is_empty(), "logged before the commit");
+        assert_eq!(tx.commit_seq(), Ok(Some(0)));
         assert_eq!(rococo.log().len(), 1);
-
-        let seq = recording_seq(config);
-        let pending = submit(&seq);
-        assert!(!pending.in_flight());
-        assert!(pending.finish().is_ok());
+        assert_eq!(rococo.heap().load_direct(addr), 1, "published");
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The CPU side implements Algorithm 1 and the snapshot machinery of
 //! Figure 8; validation of read-write transactions is offloaded to the
-//! simulated FPGA pipeline (`rococo-fpga`) through asynchronous queues:
+//! simulated FPGA pipeline (`rococo-fpga`), which decides each commit on
+//! the committing thread:
 //!
 //! * a global timestamp `GlobalTS` counts committed read-write
 //!   transactions and doubles as the FPGA's commit sequence;
@@ -21,9 +22,9 @@
 //!   back its redo log, publishes the commit-queue signature and bumps
 //!   `GlobalTS`. Read-only transactions commit directly on the CPU.
 
-use crate::api::{Abort, AbortKind, PendingCommit, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rococo_fpga::{
     EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, PendingVerdict,
     ServiceHandle, TimingModel, ValidationService,
@@ -120,10 +121,8 @@ impl Hasher for AddrHasher {
 /// it is handed back.
 ///
 /// The pool is per thread (the same index space as the update slots), so
-/// the mutex is effectively uncontended — only the owning thread takes
-/// from it, and the only cross-thread traffic is a pending commit handle
-/// finishing on another thread, which cannot happen under the worker
-/// model (`finish` runs on the submitting worker).
+/// the mutex is uncontended: only the owning thread's `begin` takes from
+/// it and only its commit gives back.
 #[derive(Debug, Default)]
 struct Scratch {
     read_sets: Vec<ChunkedSig>,
@@ -159,10 +158,6 @@ pub struct RococoTm {
     consecutive_aborts: Vec<AtomicU32>,
     /// Per-thread recycled transaction buffers (see [`Scratch`]).
     scratch: Vec<Mutex<Scratch>>,
-    /// Per-thread count of submitted commits that still owe a
-    /// publication (`begin` does not escalate a thread that has any). Only
-    /// the owning thread writes its entry.
-    lane_in_flight: Vec<AtomicU32>,
     /// The simulated FPGA; kept alive for the runtime's lifetime (dropping
     /// it stops the validation service).
     _service: ValidationService,
@@ -232,9 +227,6 @@ impl RococoTm {
             scratch: (0..config.tm.max_threads)
                 .map(|_| Mutex::new(Scratch::default()))
                 .collect(),
-            lane_in_flight: (0..config.tm.max_threads)
-                .map(|_| AtomicU32::new(0))
-                .collect(),
             _service: service,
             handle,
             config,
@@ -250,7 +242,7 @@ impl RococoTm {
 
     /// Takes one set of transaction buffers from `thread`'s scratch pool,
     /// allocating fresh ones only when the pool runs dry (cold start, or
-    /// buffers lost to an abort path — see [`RococoTm::recycle`]).
+    /// buffers lost to an abort path — see [`RococoTx::recycle`]).
     ///
     /// Returns `(read_set, [write_sig, miss_set, temp], write_addrs, redo)`.
     fn take_scratch(&self, thread: usize) -> (ChunkedSig, [Sig; 3], Vec<u64>, Redo) {
@@ -263,44 +255,6 @@ impl RococoTm {
             pool.addr_lists.pop().unwrap_or_default(),
             pool.redos.pop().unwrap_or_default(),
         )
-    }
-
-    /// Returns transaction buffers to `thread`'s scratch pool, clearing
-    /// each piece as it is shelved so `take_scratch` can hand them out
-    /// as-is. Any piece may be `None`: the submit path recycles the
-    /// read-side buffers at submission while the write signature and redo
-    /// log travel with the pending handle and come back at `finish`.
-    ///
-    /// Buffers owned by a transaction that aborts mid-execution (the
-    /// `tm_read` conflict paths) are simply dropped with it — aborts are
-    /// the rare path, and recovering them would require a `Drop` impl that
-    /// conflicts with the commit paths moving fields out of the
-    /// transaction.
-    fn recycle(
-        &self,
-        thread: usize,
-        read_set: Option<ChunkedSig>,
-        sigs: [Option<Sig>; 3],
-        addrs: Option<Vec<u64>>,
-        redo: Option<Redo>,
-    ) {
-        let mut pool = self.scratch[thread].lock();
-        if let Some(mut rs) = read_set {
-            rs.clear();
-            pool.read_sets.push(rs);
-        }
-        for mut sig in sigs.into_iter().flatten() {
-            sig.clear();
-            pool.sigs.push(sig);
-        }
-        if let Some(mut a) = addrs {
-            a.clear();
-            pool.addr_lists.push(a);
-        }
-        if let Some(mut m) = redo {
-            m.clear();
-            pool.redos.push(m);
-        }
     }
 
     /// Marks thread `t`'s update slot occupied in the fast-path bitmap.
@@ -341,8 +295,7 @@ impl RococoTm {
     /// Publishes a validated commit at its FPGA-granted sequence: waits
     /// for the turn (`GlobalTS == seq`), installs the update-set entry,
     /// writes back the redo log, publishes the commit-queue signature and
-    /// bumps `GlobalTS`. Shared by the synchronous commit path and
-    /// [`RococoPending::finish`].
+    /// bumps `GlobalTS`.
     ///
     /// Every sequence before `seq` was granted to some committer that
     /// will publish it; write-backs are thereby ordered, which subsumes
@@ -381,10 +334,9 @@ impl RococoTm {
         self.clear_update_slot(thread);
     }
 
-    /// Waits for a submitted validation's verdict and does the bookkeeping
+    /// Waits for a posted validation's verdict and does the bookkeeping
     /// every verdict gets — validation time (wall and model), the
-    /// `Verdict` flight-recorder event — for the synchronous commit and
-    /// [`RococoPending::finish`] alike. Returns the granted commit
+    /// `Verdict` flight-recorder event. Returns the granted commit
     /// sequence, or the kind of abort the verdict means.
     ///
     /// The wall clock measures the *residual* stall: time actually spent
@@ -477,6 +429,32 @@ impl RococoTx<'_> {
     fn count_abort(&self, kind: AbortKind) -> Abort {
         self.tm.consecutive_aborts[self.thread].fetch_add(1, Ordering::Relaxed);
         Abort::new(kind)
+    }
+
+    /// Returns this transaction's buffers to its thread's scratch pool,
+    /// clearing each as it is shelved so `take_scratch` can hand them out
+    /// as-is. Every commit ends here, a verdict-time abort included: it
+    /// retries at once, and its `begin` then allocates nothing.
+    ///
+    /// A transaction that aborts mid-execution (the `tm_read` conflict
+    /// paths) is simply dropped with its buffers — aborts are the rare
+    /// path, and recovering them would take a `Drop` impl, which forbids
+    /// moving the buffers out here.
+    fn recycle(self) {
+        let mut pool = self.tm.scratch[self.thread].lock();
+        let mut read_set = self.read_set;
+        read_set.clear();
+        pool.read_sets.push(read_set);
+        for mut sig in [self.write_sig, self.miss_set, self.temp] {
+            sig.clear();
+            pool.sigs.push(sig);
+        }
+        let mut addrs = self.write_addrs;
+        addrs.clear();
+        pool.addr_lists.push(addrs);
+        let mut redo = self.redo;
+        redo.clear();
+        pool.redos.push(redo);
     }
 
     /// Drains the commit queue from `local_ts` to the current `GlobalTS`
@@ -632,219 +610,43 @@ impl<'a> Transaction for RococoTx<'a> {
         Ok(())
     }
 
-    fn commit_seq(self) -> Result<Option<u64>, Abort> {
-        match self.dispatch(true) {
-            Ok((pending, spent)) => pending.settle(spent),
-            Err(_) => unreachable!("a blocking dispatch never demands a synchronous commit"),
-        }
-    }
-
-    type Pending = RococoPending<'a>;
-
-    /// Dispatches validation without waiting for the verdict — the
-    /// batch-friendly half of the commit, amortising the validator
-    /// round-trip across many in-flight transactions (Figure 6).
-    ///
-    /// Demands a synchronous commit (`Err(self)`) when the transaction is
-    /// irrevocable (it must commit under its exclusive gate, immediately),
-    /// or when the commit gate cannot be acquired without blocking (a
-    /// waiting escalation writer means parking here could deadlock a
-    /// worker whose own earlier pendings still hold read guards).
-    fn submit_commit(self) -> Result<RococoPending<'a>, Self> {
-        self.dispatch(false).map(|(pending, _)| pending)
-    }
-}
-
-/// The read-side buffers of a dispatched commit — read set, miss set,
-/// `TempSet`, write addresses — done with the moment the request is built.
-type Spent = (ChunkedSig, [Sig; 2], Vec<u64>);
-
-impl<'a> RococoTx<'a> {
-    /// Ships the commit to the validator, which decides it on this thread
-    /// — the one dispatch behind both halves of the commit API.
-    /// [`Transaction::commit_seq`] is the `blocking` dispatch followed at
-    /// once by what [`PendingCommit::finish`] does: it waits for the gate
-    /// and so never refuses; [`Transaction::submit_commit`] is the
-    /// non-blocking one.
-    ///
-    /// A pending that stays in flight hands its [`Spent`] buffers back to
-    /// the pool here (the next `begin` wants them); a blocking commit gets
-    /// them back to pass to [`RococoPending::settle`], which is about to
-    /// run, so it locks the pool once.
-    //
-    // Inlined: `blocking` is a constant at both call sites, so each caller
-    // compiles to its own straight-line commit, with no extra move of the
-    // transaction or the pending handle (measured: −2 % on `kv-hot-write`
-    // as an outlined call). `Err` hands the whole transaction back, which
-    // is `submit_commit`'s contract.
-    #[allow(clippy::result_large_err)]
-    #[inline(always)]
-    fn dispatch(mut self, blocking: bool) -> Result<(RococoPending<'a>, Option<Spent>), Self> {
+    /// The one commit. A read-only transaction commits on the CPU: its
+    /// read set is consistent at `valid_ts` by construction. One with
+    /// writes takes the commit gate, ships (read addresses, write
+    /// addresses, `ValidTS`) to the FPGA — whose engine decides it on
+    /// this thread — and publishes at the granted sequence before it
+    /// returns. Nothing between the verdict and `publish_commit` may
+    /// unwind: every later committer waits for the granted turn.
+    fn commit_seq(mut self) -> Result<Option<u64>, Abort> {
         let tm = self.tm;
         let thread = self.thread;
-
-        // Read-only transactions commit directly on the CPU: their read
-        // set is consistent at valid_ts by construction, so the pending
-        // handle is born settled.
         if self.write_addrs.is_empty() {
             tm.stats.read_only_commits.fetch_add(1, Ordering::Relaxed);
             tm.consecutive_aborts[thread].store(0, Ordering::Relaxed);
-            tm.recycle(
-                thread,
-                Some(self.read_set),
-                [Some(self.write_sig), Some(self.miss_set), Some(self.temp)],
-                Some(self.write_addrs),
-                Some(self.redo),
-            );
-            let settled = RococoPending {
-                tm,
-                thread,
-                state: PendingState::Done,
-            };
-            return Ok((settled, None));
+            self.recycle();
+            return Ok(None);
         }
 
-        let hold = if blocking {
-            // Ordinary committers share the gate; an irrevocable
-            // transaction already holds it exclusively.
-            match self.irrevocable.take() {
-                Some(_gate) => GateHold::Exclusive { _gate },
-                None => GateHold::Shared {
-                    _gate: tm.commit_gate.read(),
-                },
-            }
-        } else {
-            if self.irrevocable.is_some() {
-                return Err(self);
-            }
-            match tm.commit_gate.try_read() {
-                Some(_gate) => GateHold::Lane { _gate },
-                None => return Err(self),
-            }
-        };
-
-        // Ship (read addresses, write addresses, ValidTS) to the FPGA.
+        // Ordinary committers share the gate; an irrevocable transaction
+        // already holds it exclusively. Either guard is held to the end,
+        // so an escalation cannot slip between a verdict and its
+        // publication (§4).
+        let irrevocable = self.irrevocable.take();
+        let _shared = irrevocable.is_none().then(|| tm.commit_gate.read());
         let reads = self.read_set.addrs();
         let n_addrs = reads.len() + self.write_addrs.len();
-        // Guard held across this call, on purpose: the commit gate is held across validation by design (§4): an escalation writer must not interleave between verdict and publication, and the validator's lock is a leaf that never waits on the gate
+        // The validator's lock is a leaf that never waits on the gate.
         let verdict = tm
             .handle
             .post(thread as u64, self.valid_ts, reads, &self.write_addrs);
-        if !blocking {
-            tm.lane_in_flight[thread].fetch_add(1, Ordering::Relaxed);
-        }
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ValidateSubmit {
             reads: reads.len() as u32,
             writes: self.write_addrs.len() as u32,
         });
-        // The write signature and redo log travel with the pending
-        // handle: write-back happens when it settles.
-        let pending = RococoPending {
-            tm,
-            thread,
-            state: PendingState::InFlight {
-                verdict,
-                write_sig: self.write_sig,
-                redo: self.redo,
-                n_addrs,
-                hold,
-            },
-        };
-        let spent = (self.read_set, [self.miss_set, self.temp], self.write_addrs);
-        if blocking {
-            return Ok((pending, Some(spent)));
-        }
-        let (read_set, [miss_set, temp], write_addrs) = spent;
-        tm.recycle(
-            thread,
-            Some(read_set),
-            [Some(miss_set), Some(temp), None],
-            Some(write_addrs),
-            None,
-        );
-        Ok((pending, None))
-    }
-}
-
-/// An in-flight [`RococoTx`] commit: validation has been shipped to the
-/// FPGA, the verdict and the write-back are still owed.
-pub struct RococoPending<'a> {
-    tm: &'a RococoTm,
-    thread: usize,
-    state: PendingState<'a>,
-}
-
-enum PendingState<'a> {
-    /// Settled at submission (read-only commit, or already finished).
-    Done,
-    /// Awaiting the FPGA verdict.
-    InFlight {
-        verdict: PendingVerdict,
-        write_sig: Sig,
-        redo: Redo,
-        n_addrs: usize,
-        hold: GateHold<'a>,
-    },
-}
-
-/// How an in-flight commit holds the commit gate. It is held until the
-/// verdict is consumed so an irrevocable escalation cannot slip between
-/// a validation and its publication.
-enum GateHold<'a> {
-    /// `submit_commit`: shared, taken without blocking, and counted in the
-    /// thread's `lane_in_flight`.
-    Lane { _gate: RwLockReadGuard<'a, ()> },
-    /// `commit_seq`: shared.
-    Shared { _gate: RwLockReadGuard<'a, ()> },
-    /// `commit_seq` of an irrevocable transaction: the exclusive guard it
-    /// has held since `begin`.
-    Exclusive { _gate: RwLockWriteGuard<'a, ()> },
-}
-
-impl std::fmt::Debug for RococoPending<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RococoPending")
-            .field("thread", &self.thread)
-            .field("in_flight", &self.in_flight())
-            .finish()
-    }
-}
-
-impl RococoPending<'_> {
-    /// See [`RococoTx::count_abort`]: every abort path must bump the
-    /// escalation counter, including verdict-time aborts.
-    fn count_abort(tm: &RococoTm, thread: usize, kind: AbortKind) -> Abort {
-        tm.consecutive_aborts[thread].fetch_add(1, Ordering::Relaxed);
-        Abort::new(kind)
-    }
-
-    /// The one verdict → publish → recycle sequence of every update
-    /// commit; `spent` is recycled along with the pending's own buffers.
-    #[inline(always)]
-    fn settle(mut self, spent: Option<Spent>) -> Result<Option<u64>, Abort> {
-        let tm = self.tm;
-        let thread = self.thread;
-        let PendingState::InFlight {
-            verdict,
-            write_sig,
-            redo,
-            n_addrs,
-            hold,
-        } = std::mem::replace(&mut self.state, PendingState::Done)
-        else {
-            return Ok(None);
-        };
-
-        // Released before the wait so a panic while serving a held
-        // request leaks no count.
-        if matches!(hold, GateHold::Lane { .. }) {
-            tm.lane_in_flight[thread].fetch_sub(1, Ordering::Relaxed);
-        }
-        let verdict = tm.await_verdict(verdict, n_addrs);
-        let outcome = match verdict {
+        let outcome = match tm.await_verdict(verdict, n_addrs) {
             Ok(seq) => {
-                tm.publish_commit(thread, seq, &write_sig, &redo);
-                if matches!(hold, GateHold::Exclusive { .. }) {
+                tm.publish_commit(thread, seq, &self.write_sig, &self.redo);
+                if irrevocable.is_some() {
                     tm.stats.fallback_commits.fetch_add(1, Ordering::Relaxed);
                 }
                 tm.consecutive_aborts[thread].store(0, Ordering::Relaxed);
@@ -854,66 +656,10 @@ impl RococoPending<'_> {
                 // publish in exactly this order.
                 Ok(Some(seq))
             }
-            Err(kind) => Err(Self::count_abort(tm, thread, kind)),
+            Err(kind) => Err(self.count_abort(kind)),
         };
-        // Also on a verdict-time abort, which retries immediately: handing
-        // the buffers straight back keeps the retry's `begin`
-        // allocation-free.
-        let (read_set, [miss_set, temp], write_addrs) = match spent {
-            Some((r, [m, t], a)) => (Some(r), [Some(m), Some(t)], Some(a)),
-            None => (None, [None, None], None),
-        };
-        tm.recycle(
-            thread,
-            read_set,
-            [Some(write_sig), miss_set, temp],
-            write_addrs,
-            Some(redo),
-        );
+        self.recycle();
         outcome
-    }
-}
-
-impl PendingCommit for RococoPending<'_> {
-    fn finish(self) -> Result<Option<u64>, Abort> {
-        self.settle(None)
-    }
-
-    fn in_flight(&self) -> bool {
-        matches!(self.state, PendingState::InFlight { .. })
-    }
-}
-
-impl Drop for RococoPending<'_> {
-    fn drop(&mut self) {
-        // An abandoned in-flight commit still owes the system its
-        // publication: if the validator granted a sequence, every later
-        // committer spins waiting for that turn. Await the verdict and
-        // publish (no stats — the caller walked away from the outcome).
-        let state = std::mem::replace(&mut self.state, PendingState::Done);
-        if let PendingState::InFlight {
-            verdict,
-            write_sig,
-            redo,
-            hold,
-            ..
-        } = state
-        {
-            let verdict = verdict.wait();
-            if matches!(hold, GateHold::Lane { .. }) {
-                self.tm.lane_in_flight[self.thread].fetch_sub(1, Ordering::Relaxed);
-            }
-            if let FpgaVerdict::Commit { seq } = verdict {
-                self.tm.publish_commit(self.thread, seq, &write_sig, &redo);
-            }
-            self.tm.recycle(
-                self.thread,
-                None,
-                [Some(write_sig), None, None],
-                None,
-                Some(redo),
-            );
-        }
     }
 }
 
@@ -936,15 +682,10 @@ impl TmSystem for RococoTm {
         // Escalate to irrevocability after repeated aborts: hold the
         // commit gate exclusively so GlobalTS freezes — no update-set
         // hits, no missed updates, no forward edges, guaranteed commit.
-        // Never with commits of this thread's own still in flight: their
-        // read guards are what the exclusive acquisition would wait for.
-        // (A worker drains before it retries an abort, so the counter is
-        // normally 0 here; under the hybrid router it can carry over from
-        // a job that went on to commit on the other engine.)
+        // The thread holds no gate guard here: its every earlier commit
+        // released its own before returning.
         let aborts_so_far = self.consecutive_aborts[thread_id].load(Ordering::Relaxed);
-        let irrevocable = if aborts_so_far >= self.config.irrevocable_after
-            && self.lane_in_flight[thread_id].load(Ordering::Relaxed) == 0
-        {
+        let irrevocable = if aborts_so_far >= self.config.irrevocable_after {
             // Escalation is the anomaly the flight recorder exists for:
             // record it and dump this thread's event history.
             if rococo_telemetry::enabled() {
@@ -1300,118 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_submissions_commit_in_sequence_order() {
-        use crate::api::{finish_submitted, try_submit, Submitted};
-        // One worker submits a whole batch before awaiting any verdict —
-        // the run-to-completion shard-loop shape. Verdicts are granted in
-        // submission order and published FIFO, so sequences stay dense.
-        let tm = tm(256, 2);
-        let mut pendings = Vec::new();
-        for i in 0..8usize {
-            match try_submit(&tm, 0, &mut |tx: &mut RococoTx<'_>| {
-                let v = tx.read(i)?;
-                tx.write(i, v + 1)
-            }) {
-                Submitted::Pending(p, ()) => pendings.push(p),
-                Submitted::Deferred(..) => panic!("uncontended submit must not defer"),
-                Submitted::Aborted(a) => panic!("uncontended submit aborted: {a}"),
-            }
-        }
-        let mut seqs = Vec::new();
-        for p in pendings {
-            seqs.push(finish_submitted(&tm, p).unwrap().unwrap());
-        }
-        assert_eq!(seqs, (0..8u64).collect::<Vec<_>>());
-        for i in 0..8 {
-            assert_eq!(tm.heap().load_direct(i), 1);
-        }
-        assert_eq!(tm.stats().snapshot().commits, 8);
-        assert_eq!(tm.fpga_stats().commits, 8);
-    }
-
-    #[test]
-    fn read_only_submission_settles_immediately() {
-        use crate::api::{finish_submitted, try_submit, Submitted};
-        let tm = tm(64, 1);
-        match try_submit(&tm, 0, &mut |tx: &mut RococoTx<'_>| tx.read(0)) {
-            Submitted::Pending(p, v) => {
-                assert_eq!(v, 0);
-                assert_eq!(finish_submitted(&tm, p).unwrap(), None);
-            }
-            _ => panic!("read-only submit must pend (settled)"),
-        }
-        assert_eq!(tm.stats().snapshot().read_only_commits, 1);
-        assert_eq!(tm.fpga_stats().requests, 0);
-    }
-
-    #[test]
-    fn dropped_pending_still_publishes_its_sequence() {
-        use crate::api::{try_submit, Submitted};
-        // Abandoning an in-flight commit must not wedge the commit chain:
-        // its granted sequence is published on drop so later committers
-        // get their turn.
-        let tm = tm(64, 2);
-        match try_submit(&tm, 0, &mut |tx: &mut RococoTx<'_>| tx.write(3, 7)) {
-            Submitted::Pending(p, ()) => drop(p),
-            _ => panic!("submit must pend"),
-        }
-        atomically(&tm, 1, |tx| {
-            let v = tx.read(4)?;
-            tx.write(4, v + 1)
-        });
-        assert_eq!(tm.heap().load_direct(3), 7);
-        assert_eq!(tm.heap().load_direct(4), 1);
-        assert_eq!(tm.global_ts.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn irrevocable_transactions_refuse_async_submission() {
-        use crate::api::{try_submit, Submitted};
-        let tm = RococoTm::with_configs(RococoConfig {
-            tm: TmConfig {
-                heap_words: 64,
-                max_threads: 1,
-            },
-            irrevocable_after: 0,
-            ..RococoConfig::default()
-        });
-        match try_submit(&tm, 0, &mut |tx: &mut RococoTx<'_>| tx.write(0, 1)) {
-            Submitted::Deferred(tx, ()) => {
-                assert!(crate::api::commit_deferred(&tm, tx).unwrap().is_some());
-            }
-            _ => panic!("irrevocable transactions must demand a synchronous commit"),
-        }
-        assert_eq!(tm.heap().load_direct(0), 1);
-        assert_eq!(tm.stats().snapshot().fallback_commits, 1);
-    }
-
-    #[test]
-    fn a_thread_with_commits_in_flight_does_not_escalate() {
-        use crate::api::{finish_submitted, try_submit, Submitted};
-        let tm = RococoTm::with_configs(RococoConfig {
-            tm: TmConfig {
-                heap_words: 64,
-                max_threads: 1,
-            },
-            irrevocable_after: 1,
-            ..RococoConfig::default()
-        });
-        let Submitted::Pending(pending, ()) =
-            try_submit(&tm, 0, &mut |tx: &mut RococoTx<'_>| tx.write(0, 1))
-        else {
-            panic!("an uncontended commit submits asynchronously");
-        };
-        // Past the threshold with a pending outstanding: escalating now
-        // would wait for the exclusive gate behind the pending's own read
-        // guard, forever.
-        tm.consecutive_aborts[0].store(1, Ordering::Relaxed);
-        assert!(tm.begin(0).irrevocable.is_none());
-        finish_submitted(&tm, pending).unwrap();
-        tm.consecutive_aborts[0].store(1, Ordering::Relaxed);
-        assert!(tm.begin(0).irrevocable.is_some(), "drained: now it may");
-    }
-
-    #[test]
     fn commit_queue_lag_of_exactly_queue_len_aborts_the_laggard() {
         // Regression: `drain_temp_set` accepted a lag equal to `queue_len`,
         // scanning the slot the next committer recycles concurrently.
@@ -1435,54 +1064,43 @@ mod tests {
     }
 
     /// The stage budget of one ROCoCoTM read-write transaction — the
-    /// `Add` shape (read a word, write it back incremented) — run the way a
-    /// TxKV shard worker runs it, a batch of `BATCH` executed and
-    /// submitted and then settled in order, beside the same transaction on
-    /// TinySTM:
+    /// `Add` shape (read a word, write it back incremented) — committed the
+    /// way a TxKV shard worker commits it, one `commit_seq` per
+    /// transaction, beside the same transaction on TinySTM:
     ///
     /// `cargo test --release -p rococo-stm --lib stage_budget -- --ignored --nocapture`
     ///
     /// Each stage is the runtime's own step, timed in place: begin + gate
     /// (`begin`: the escalation check and the scratch pool), reads
-    /// (`tm_read`), writes (redo log and write signature), dispatch +
-    /// engine (the commit gate's `try_read` and `post`, which runs the
-    /// validation engine on this thread), verdict (consuming what `post`
-    /// decided), publish (turn-wait, update set, write-back, commit queue,
-    /// `GlobalTS`) and recycle (the buffers back to the pool). TinySTM's
-    /// commit is one stage.
+    /// (`tm_read`), writes (redo log and write signature), then the steps
+    /// of `commit_seq`: dispatch + engine (the commit gate's shared guard
+    /// and `post`, which runs the validation engine on this thread),
+    /// verdict (consuming what `post` decided), publish (turn-wait, update
+    /// set, write-back, commit queue, `GlobalTS`) and recycle (the buffers
+    /// back to the pool). TinySTM's commit is one stage.
     #[test]
     #[ignore = "a measurement, not a check: run in release with --nocapture"]
     fn stage_budget() {
-        use crate::api::{finish_submitted, try_submit, Submitted};
+        use crate::api::try_atomically_seq;
         use crate::tinystm::TinyStm;
         use std::hint::black_box;
         use std::time::Duration;
 
         const WORDS: usize = 4096;
-        const BATCHES: usize = 20_000;
-        // A shard worker's batch (`rococo-server`'s `MAX_BATCH`).
-        const BATCH: usize = 16;
-        let txns = (BATCHES * BATCH) as f64;
-        let addr = |b: usize, j: usize| (b * BATCH + j) % WORDS;
+        const TXNS: usize = 320_000;
+        let txns = TXNS as f64;
+        let addr = |i: usize| i % WORDS;
         fn add<T: Transaction>(tx: &mut T, addr: Addr) -> Result<(), Abort> {
             let v = tx.read(addr)?;
             tx.write(addr, v + 1)
         }
 
-        // Uninstrumented, through the entry points the worker calls.
+        // Uninstrumented, through the entry point the worker calls.
         let rococo = tm(WORDS, 1);
         let started = Instant::now();
-        for b in 0..BATCHES {
-            let mut batch = [const { None }; BATCH];
-            for (j, pending) in batch.iter_mut().enumerate() {
-                match try_submit(&rococo, 0, &mut |tx| add(tx, addr(b, j))) {
-                    Submitted::Pending(p, ()) => *pending = Some(p),
-                    _ => panic!("an uncontended Add submits asynchronously"),
-                }
-            }
-            for pending in batch.into_iter().flatten() {
-                finish_submitted(&rococo, pending).expect("an uncontended Add commits");
-            }
+        for i in 0..TXNS {
+            try_atomically_seq(&rococo, 0, &mut |tx| add(tx, addr(i)))
+                .expect("an uncontended Add commits");
         }
         let rococo_whole = started.elapsed();
         let tiny = TinyStm::with_config(TmConfig {
@@ -1490,10 +1108,9 @@ mod tests {
             max_threads: 1,
         });
         let started = Instant::now();
-        for b in 0..BATCHES {
-            for j in 0..BATCH {
-                atomically(&tiny, 0, |tx| add(tx, addr(b, j)));
-            }
+        for i in 0..TXNS {
+            try_atomically_seq(&tiny, 0, &mut |tx| add(tx, addr(i)))
+                .expect("an uncontended Add commits");
         }
         let tiny_whole = started.elapsed();
 
@@ -1509,53 +1126,34 @@ mod tests {
             }
         };
 
-        // ROCoCoTM, step by step: what `try_submit` and `settle` do.
+        // ROCoCoTM, step by step: what `begin`, the body and `commit_seq` do.
         let rococo = tm(WORDS, 1);
-        let mut execute = [Duration::ZERO; 4];
-        let mut settle = [Duration::ZERO; 3];
-        for b in 0..BATCHES {
-            let mut batch = Vec::with_capacity(BATCH);
-            for j in 0..BATCH {
-                let t0 = Instant::now();
-                let mut tx = rococo.begin(0);
-                let t1 = Instant::now();
-                let v = tx.read(addr(b, j)).expect("uncontended");
-                let t2 = Instant::now();
-                tx.write(addr(b, j), v + 1).expect("uncontended");
-                let t3 = Instant::now();
-                let Ok((pending, None)) = tx.dispatch(false) else {
-                    panic!("an uncontended Add submits asynchronously");
-                };
-                let t4 = Instant::now();
-                add_stages(&mut execute, &[t0, t1, t2, t3, t4]);
-                batch.push(pending);
-            }
-            for mut pending in batch {
-                let PendingState::InFlight {
-                    verdict,
-                    write_sig,
-                    redo,
-                    n_addrs,
-                    hold,
-                } = std::mem::replace(&mut pending.state, PendingState::Done)
-                else {
-                    unreachable!("dispatched with a write");
-                };
-                let t0 = Instant::now();
-                rococo.lane_in_flight[0].fetch_sub(1, Ordering::Relaxed);
-                let seq = rococo.await_verdict(verdict, n_addrs).expect("commits");
-                let t1 = Instant::now();
-                rococo.publish_commit(0, seq, &write_sig, &redo);
-                drop(hold);
-                rococo.consecutive_aborts[0].store(0, Ordering::Relaxed);
-                let t2 = Instant::now();
-                rococo.recycle(0, None, [Some(write_sig), None, None], None, Some(redo));
-                let t3 = Instant::now();
-                add_stages(&mut settle, &[t0, t1, t2, t3]);
-            }
+        let mut stages = [Duration::ZERO; 7];
+        for i in 0..TXNS {
+            let t0 = Instant::now();
+            let mut tx = rococo.begin(0);
+            let t1 = Instant::now();
+            let v = tx.read(addr(i)).expect("uncontended");
+            let t2 = Instant::now();
+            tx.write(addr(i), v + 1).expect("uncontended");
+            let t3 = Instant::now();
+            let gate = rococo.commit_gate.read();
+            let reads = tx.read_set.addrs();
+            let n_addrs = reads.len() + tx.write_addrs.len();
+            let verdict = rococo.handle.post(0, tx.valid_ts, reads, &tx.write_addrs);
+            let t4 = Instant::now();
+            let seq = rococo.await_verdict(verdict, n_addrs).expect("commits");
+            let t5 = Instant::now();
+            rococo.publish_commit(0, seq, &tx.write_sig, &tx.redo);
+            rococo.consecutive_aborts[0].store(0, Ordering::Relaxed);
+            let t6 = Instant::now();
+            tx.recycle();
+            let t7 = Instant::now();
+            drop(gate);
+            add_stages(&mut stages, &[t0, t1, t2, t3, t4, t5, t6, t7]);
         }
         let engine = rococo.fpga_stats();
-        assert_eq!(engine.commits, BATCHES as u64 * BATCH as u64);
+        assert_eq!(engine.commits, TXNS as u64);
         assert_eq!(engine.aborts(), 0);
 
         // How much of dispatch is the engine: the same requests straight
@@ -1568,13 +1166,11 @@ mod tests {
             write_addrs: vec![0],
         };
         let started = Instant::now();
-        for b in 0..BATCHES {
-            for j in 0..BATCH {
-                request.valid_ts = alone.next_seq();
-                request.read_addrs[0] = addr(b, j) as u64;
-                request.write_addrs[0] = addr(b, j) as u64;
-                black_box(alone.process(&request));
-            }
+        for i in 0..TXNS {
+            request.valid_ts = alone.next_seq();
+            request.read_addrs[0] = addr(i) as u64;
+            request.write_addrs[0] = addr(i) as u64;
+            black_box(alone.process(&request));
         }
         let process = started.elapsed();
 
@@ -1584,24 +1180,21 @@ mod tests {
             max_threads: 1,
         });
         let mut tiny_stages = [Duration::ZERO; 4];
-        for b in 0..BATCHES {
-            for j in 0..BATCH {
-                let t0 = Instant::now();
-                let mut tx = tiny.begin(0);
-                let t1 = Instant::now();
-                let v = tx.read(addr(b, j)).expect("uncontended");
-                let t2 = Instant::now();
-                tx.write(addr(b, j), v + 1).expect("uncontended");
-                let t3 = Instant::now();
-                tx.commit().expect("uncontended");
-                let t4 = Instant::now();
-                add_stages(&mut tiny_stages, &[t0, t1, t2, t3, t4]);
-            }
+        for i in 0..TXNS {
+            let t0 = Instant::now();
+            let mut tx = tiny.begin(0);
+            let t1 = Instant::now();
+            let v = tx.read(addr(i)).expect("uncontended");
+            let t2 = Instant::now();
+            tx.write(addr(i), v + 1).expect("uncontended");
+            let t3 = Instant::now();
+            tx.commit().expect("uncontended");
+            let t4 = Instant::now();
+            add_stages(&mut tiny_stages, &[t0, t1, t2, t3, t4]);
         }
 
         let ns = |d: Duration| d.as_nanos() as f64 / txns;
-        let [begin, reads, writes, dispatch] = execute.map(ns);
-        let [verdict, publish, recycle] = settle.map(ns);
+        let [begin, reads, writes, dispatch, verdict, publish, recycle] = stages.map(ns);
         let [t_begin, t_reads, t_writes, t_commit] = tiny_stages.map(ns);
         println!(
             "Instant::now() {} ns, subtracted once per stage",

@@ -1,6 +1,6 @@
 //! Reference runtimes: sequential execution and a single global lock.
 
-use crate::api::{Abort, ReadyCommit, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{Abort, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -63,12 +63,6 @@ impl Transaction for SeqTx<'_> {
             self.tm.heap.store_direct(addr, val);
         }
         Ok(seq)
-    }
-
-    type Pending = ReadyCommit;
-
-    fn submit_commit(self) -> Result<ReadyCommit, Self> {
-        Ok(ReadyCommit::new(self.commit_seq()))
     }
 }
 
@@ -150,12 +144,6 @@ impl Transaction for GlobalLockTx<'_> {
             self.tm.heap.store_direct(addr, val);
         }
         Ok(seq)
-    }
-
-    type Pending = ReadyCommit;
-
-    fn submit_commit(self) -> Result<ReadyCommit, Self> {
-        Ok(ReadyCommit::new(self.commit_seq()))
     }
 }
 

@@ -8,7 +8,7 @@
 //! TPDS'10]: a global version clock, one versioned lock word per heap word,
 //! snapshot extension on read, and commit-time lock–validate–write-back.
 
-use crate::api::{Abort, AbortKind, ReadyCommit, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,6 +90,23 @@ impl TinyTx<'_> {
             Err(Abort::new(AbortKind::Conflict))
         }
     }
+
+    /// Adds a read of `addr`, loaded at version `ver`, to the read set. A
+    /// version past the snapshot slides the snapshot forward (this is
+    /// what distinguishes LSA from abort-on-sight TL2), and the
+    /// validation covers this read too: a commit that overwrote the word
+    /// between its load and the extension would otherwise sit inside the
+    /// new snapshot while the read returns the value before it.
+    fn record_read(&mut self, addr: Addr, ver: u64) -> Result<(), Abort> {
+        self.read_set.push((addr, ver));
+        if ver > self.rv {
+            self.extend()?;
+            if ver > self.rv {
+                return Err(Abort::new(AbortKind::Conflict));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Transaction for TinyTx<'_> {
@@ -114,17 +131,7 @@ impl Transaction for TinyTx<'_> {
             if l1 != l2 {
                 continue; // torn read; retry the seqlock
             }
-            let ver = l1 >> 1;
-            if ver > self.rv {
-                // The word changed after our snapshot: try to slide the
-                // snapshot forward (this is what distinguishes LSA from
-                // abort-on-sight TL2).
-                self.extend()?;
-                if ver > self.rv {
-                    return Err(Abort::new(AbortKind::Conflict));
-                }
-            }
-            self.read_set.push((addr, ver));
+            self.record_read(addr, l1 >> 1)?;
             return Ok(v);
         }
     }
@@ -210,12 +217,6 @@ impl Transaction for TinyTx<'_> {
             self.tm.lock_of(a).store(wv << 1, Ordering::SeqCst);
         }
         Ok(Some(seq))
-    }
-
-    type Pending = ReadyCommit;
-
-    fn submit_commit(self) -> Result<ReadyCommit, Self> {
-        Ok(ReadyCommit::new(self.commit_seq()))
     }
 }
 
@@ -404,6 +405,29 @@ mod tests {
         // Read-only commits take no sequence.
         let (_, seq) = try_atomically_seq(&*tm, 0, &mut |tx: &mut TinyTx<'_>| tx.read(3)).unwrap();
         assert_eq!(seq, None);
+    }
+
+    #[test]
+    fn a_commit_between_load_and_extension_aborts_the_reader() {
+        // Regression (the torn snapshot of tier-1 `tinystm_opacity`): the
+        // extension used to validate the read set *before* the read that
+        // triggered it joined it. The steps of `read`, by hand:
+        let tm = tm(4);
+        let mut tx = tm.begin(0);
+        atomically(&tm, 1, |w| w.write(0, 1));
+        let ver = tm.lock_of(0).load(Ordering::SeqCst) >> 1;
+        let stale = tm.heap().load_direct(0);
+        // Lands between the load and the extension: new values of both.
+        atomically(&tm, 1, |w| {
+            w.write(0, 2)?;
+            w.write(1, 2)
+        });
+        assert!(ver > tx.rv, "the load is past the snapshot");
+        assert_eq!(
+            tx.record_read(0, ver),
+            Err(Abort::new(AbortKind::Conflict)),
+            "{stale} is not the value at the extended snapshot"
+        );
     }
 
     #[test]

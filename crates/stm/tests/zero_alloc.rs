@@ -6,11 +6,10 @@
 //! which serves the validation engine on this very thread — the write-back
 //! and the recycling of the buffers. This binary's own counting allocator
 //! (the library stays `#![forbid(unsafe_code)]`) holds it to zero, through
-//! `atomically` and through the worker's `try_submit` / `finish_submitted`.
+//! `atomically` and through the worker's `try_atomically_seq`.
 
 use rococo_stm::{
-    atomically, finish_submitted, try_submit, Abort, RococoTm, Submitted, TmConfig, TmSystem,
-    Transaction,
+    atomically, try_atomically_seq, Abort, RococoTm, TmConfig, TmSystem, Transaction,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -57,7 +56,7 @@ fn allocations() -> u64 {
 
 /// Words the transactions touch.
 const ADDRS: usize = 4096;
-/// A worker's batch: one validator lane.
+/// A worker's batch.
 const BATCH: usize = 16;
 
 /// The `Add` shape: read a word, write it back incremented.
@@ -72,32 +71,20 @@ fn get<T: Transaction>(tx: &mut T, addr: usize) -> Result<u64, Abort> {
 }
 
 /// Round `i`: an `Add` and a `Get` through `atomically`, then a batch of
-/// `Add`s and a batch of `Get`s submitted whole and finished in order, as
-/// a shard worker does. Touches `2 * BATCH + 1` distinct words.
+/// `Add`s and a batch of `Get`s, each committed at once through
+/// `try_atomically_seq`, as a shard worker does. Touches `2 * BATCH + 1`
+/// distinct words.
 fn round(tm: &RococoTm, i: usize) {
     let base = i * (2 * BATCH + 1);
     let addr = |j: usize| (base + j) % ADDRS;
     atomically(tm, 0, |tx| add(tx, addr(0)));
     atomically(tm, 0, |tx| get(tx, addr(0)));
-    let mut adds = [const { None }; BATCH];
-    for (j, slot) in adds.iter_mut().enumerate() {
-        match try_submit(tm, 0, &mut |tx| add(tx, addr(1 + j))) {
-            Submitted::Pending(pending, ()) => *slot = Some(pending),
-            _ => panic!("an uncontended Add submits asynchronously"),
-        }
+    for j in 0..BATCH {
+        try_atomically_seq(tm, 0, &mut |tx| add(tx, addr(1 + j)))
+            .expect("an uncontended Add commits");
     }
-    for pending in adds.into_iter().flatten() {
-        finish_submitted(tm, pending).expect("an uncontended Add commits");
-    }
-    let mut gets = [const { None }; BATCH];
-    for (j, slot) in gets.iter_mut().enumerate() {
-        match try_submit(tm, 0, &mut |tx| get(tx, addr(1 + BATCH + j))) {
-            Submitted::Pending(pending, _) => *slot = Some(pending),
-            _ => panic!("a Get settles at submission"),
-        }
-    }
-    for pending in gets.into_iter().flatten() {
-        finish_submitted(tm, pending).expect("a Get commits");
+    for j in 0..BATCH {
+        try_atomically_seq(tm, 0, &mut |tx| get(tx, addr(1 + BATCH + j))).expect("a Get commits");
     }
 }
 
