@@ -96,12 +96,20 @@ if grep -rn 'crossbeam\|serde' --include=Cargo.toml . | grep -v '^./benchmark/';
   exit 1
 fi
 
-echo "== one commit path: no submit/finish split, no in-flight batch, no hazard drain"
+echo "== one commit path: no submit/finish split, no in-flight batch, no hazard drain, no owed verdict"
 # A commit validates, publishes and returns; a worker runs each job to its
 # reply. A second commit path would bring back the self-race the hazard
-# drain existed for.
-if grep -rnE 'submit_commit|try_submit|finish_submitted|commit_deferred|PendingCommit|ReadyCommit|lane_in_flight|hazard_drains' crates/; then
+# drain existed for. `post` returns the verdict: no pending state, no held
+# cell a waiter polls for, no hand-rolled death flag, no load counter.
+if grep -rnE 'submit_commit|try_submit|finish_submitted|commit_deferred|PendingCommit|ReadyCommit|lane_in_flight|hazard_drains|PendingState|wait_held|flush_held|REORDER_FLUSH|reorder_prob|DeathGuard|\.in_flight\(\)' crates/; then
   echo "a second commit path is back under crates/" >&2
+  exit 1
+fi
+# `validate_async` and `PendingVerdict` are a shim kept for the pinned
+# benchmark's `fpga.pipelined_ns` probe; nothing under crates/ uses them.
+if grep -rnE 'validate_async|PendingVerdict' crates/ \
+  | grep -vE '^crates/fpga/src/(service|lib)\.rs:'; then
+  echo "the benchmark's PendingVerdict shim has a user under crates/" >&2
   exit 1
 fi
 
@@ -119,9 +127,10 @@ echo "== validation service, WAL ring and request hop on one CPU (release: where
 # ring and the request hop wait with rococo-park's helper (the ring skips
 # its spin phase here, the hop never spins). The validation service has no
 # wait/wake protocol: `post` validates under the engine's lock on the
-# posting thread. The one wait left is the waiter of a request the reorder
-# fault held back, which yields until the next post answers it or it may
-# validate it itself — here that poster needs this CPU to finish.
+# posting thread and returns the verdict. Its one sleep outside the lock is
+# the late-verdict fault; `a_poster_behind_a_stalled_post_gets_its_verdict`
+# checks that a second poster gets its verdict while the first sleeps,
+# which on this CPU means the sleeper holds nothing the other needs.
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-fpga --lib
   taskset -c 0 cargo test --release -q -p rococo-wal --lib

@@ -78,8 +78,8 @@ impl BackendKind {
 pub enum FaultPreset {
     /// No injection.
     None,
-    /// Delays, reply reordering and validator pauses — verdicts stay
-    /// truthful, so liveness oracles remain valid.
+    /// Late verdicts (delivered after a successor's) and validator
+    /// pauses — verdicts stay truthful, so liveness oracles remain valid.
     Timing,
     /// Timing faults plus spurious abort verdicts. Safety must still
     /// hold; liveness oracles are suspended (an injected abort is

@@ -8,9 +8,10 @@
 //! wrong answer from a slow one. This crate provides both:
 //!
 //! * **Fault injection** ([`rococo_fpga::FaultConfig`], driven from
-//!   [`driver::ChaosParams`]): seeded delays, reply reordering, validator
-//!   pauses and (optionally) spurious abort verdicts inside the validation
-//!   service, stretching the windows in which commit-path races can fire.
+//!   [`driver::ChaosParams`]): seeded late verdicts (delivered after a
+//!   successor's), validator pauses and (optionally) spurious abort
+//!   verdicts inside the validation service, stretching the windows in
+//!   which commit-path races can fire.
 //! * **History recording** ([`history::ChaosRecorder`]): a [`TmSystem`]
 //!   wrapper that logs every transaction attempt — externally-read
 //!   `(addr, value)` pairs, the final write set, and globally-stamped

@@ -190,7 +190,6 @@ mod tests {
                     model_ns: 5,
                     detector_ns: 2,
                     manager_ns: 3,
-                    in_flight: 1,
                 },
             ),
             rec(30, TxEvent::Reply { outcome: "ok" }),

@@ -2,8 +2,8 @@
 //!
 //! The CPU-side ROCoCoTM protocol (commit queue, update set, `ValidTS`
 //! extension) is only exercised under *pathological* FPGA timing when the
-//! validator misbehaves: verdicts arrive late, requests are serviced out
-//! of submission order, transactions are spuriously rejected, or the
+//! validator misbehaves: verdicts arrive late — after a successor's, so
+//! out of commit order —, transactions are spuriously rejected, or the
 //! validator simply stalls. On real hardware those schedules are rare and
 //! unreproducible; here they are produced on demand from a seed, so the
 //! `rococo-chaos` harness can drive the commit path through the exact
@@ -26,11 +26,9 @@
 pub struct FaultConfig {
     /// Seed of the injection decision stream.
     pub seed: u64,
-    /// Probability that the verdict reply is held until after the *next*
-    /// message is serviced (reply reordering relative to submission).
-    pub reorder_prob: f64,
-    /// Probability that the validator sleeps [`FaultConfig::delay_us`]
-    /// before replying (late verdict).
+    /// Probability that the posting thread sleeps [`FaultConfig::delay_us`]
+    /// after it has released the engine's lock, before it returns the
+    /// verdict (late verdict: a successor may get its verdict first).
     pub delay_prob: f64,
     /// Verdict delay duration, microseconds.
     pub delay_us: u64,
@@ -52,7 +50,6 @@ impl FaultConfig {
     pub fn disabled() -> Self {
         Self {
             seed: 0,
-            reorder_prob: 0.0,
             delay_prob: 0.0,
             delay_us: 0,
             spurious_cycle_prob: 0.0,
@@ -62,15 +59,14 @@ impl FaultConfig {
         }
     }
 
-    /// Timing-only chaos: late, reordered and stalled verdicts, but every
-    /// verdict the engine produces is delivered unchanged. Under this
-    /// preset liveness properties (e.g. the irrevocability escalation
-    /// bound) still hold, so harnesses can assert them.
+    /// Timing-only chaos: late and stalled verdicts, but every verdict
+    /// the engine produces is delivered unchanged. Under this preset
+    /// liveness properties (e.g. the irrevocability escalation bound)
+    /// still hold, so harnesses can assert them.
     pub fn timing_only(seed: u64) -> Self {
         Self {
             seed,
-            reorder_prob: 0.2,
-            delay_prob: 0.15,
+            delay_prob: 0.35,
             delay_us: 30,
             spurious_cycle_prob: 0.0,
             spurious_window_prob: 0.0,
@@ -89,15 +85,6 @@ impl FaultConfig {
             spurious_window_prob: 0.05,
             ..Self::timing_only(seed)
         }
-    }
-
-    /// Whether any fault class has a nonzero rate.
-    pub fn enabled(&self) -> bool {
-        self.reorder_prob > 0.0
-            || self.delay_prob > 0.0
-            || self.spurious_cycle_prob > 0.0
-            || self.spurious_window_prob > 0.0
-            || self.pause_prob > 0.0
     }
 
     /// Whether verdicts can be falsified (not just delayed): spurious
@@ -124,10 +111,8 @@ rococo_telemetry::stats_block! {
 
     groups {
         "rococo_faults_injected_total", "Faults injected into the validation service, by class" {
-            /// Verdict replies delayed.
+            /// Verdicts delivered late.
             pub(crate) delayed: kind = "delay";
-            /// Requests serviced out of submission order.
-            pub(crate) reordered: kind = "reorder";
             /// Spurious `AbortCycle` verdicts injected.
             pub(crate) spurious_cycle: kind = "spurious-cycle";
             /// Spurious `AbortWindowOverflow` verdicts injected.
@@ -141,7 +126,7 @@ rococo_telemetry::stats_block! {
 impl FaultSnapshot {
     /// Total injected faults of every class.
     pub fn total(&self) -> u64 {
-        self.delayed + self.reordered + self.spurious_cycle + self.spurious_window + self.pauses
+        self.delayed + self.spurious_cycle + self.spurious_window + self.pauses
     }
 
     /// Spurious abort verdicts of either kind.
@@ -206,7 +191,6 @@ mod tests {
     #[test]
     fn disabled_config_injects_nothing() {
         let cfg = FaultConfig::disabled();
-        assert!(!cfg.enabled());
         assert!(!cfg.falsifies_verdicts());
         let mut rng = FaultRng::new(1);
         for _ in 0..1000 {
@@ -227,7 +211,6 @@ mod tests {
 
     #[test]
     fn presets_classify_correctly() {
-        assert!(FaultConfig::timing_only(7).enabled());
         assert!(!FaultConfig::timing_only(7).falsifies_verdicts());
         assert!(FaultConfig::aggressive(7).falsifies_verdicts());
     }

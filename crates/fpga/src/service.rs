@@ -7,111 +7,50 @@
 //! transactions. Those queues exist because the CPU and the FPGA are two
 //! executors; here there is one. [`ServiceHandle::post`] takes the engine's
 //! lock, validates the caller's request on the caller's thread and returns
-//! a [`PendingVerdict`] that already holds the verdict. The engine sees the
-//! requests in lock order, which is the order one pull queue would deliver
-//! them in. Validation costs the posting CPU the engine's time instead of
-//! running beside it; the overlap of Figure 6 is modelled by
-//! [`TimingModel`](crate::TimingModel).
+//! the verdict. The engine sees the requests in lock order, which is the
+//! order one pull queue would deliver them in. The overlap of Figure 6 is
+//! modelled by [`TimingModel`](crate::TimingModel).
 //!
 //! # Faults
 //!
-//! The service optionally runs with a seeded [`FaultConfig`] (chaos
-//! testing): verdicts can be delayed, serviced out of submission order,
-//! or spuriously rejected, and the validator can stall — all without
-//! touching the engine's state, so the CPU-side protocol is exercised
-//! under pathological FPGA timing that stays semantically legal. The
-//! faults run, and their flight-recorder events are emitted, on the
-//! posting thread, under the lock.
-//!
-//! The only verdict still owed when `post` returns is that of a request
-//! the reorder fault holds back. It gets a cell — the one allocation of
-//! this path, chaos runs only — answered by the next `post`, which
-//! validates its own request first and the held one second, or by the held
-//! request's own waiter once `REORDER_FLUSH` has passed without one.
+//! With a seeded [`FaultConfig`] (chaos testing) the validator can stall,
+//! reject spuriously, or deliver late — without touching the engine's
+//! state, so the CPU-side protocol meets pathological but legal FPGA
+//! timing. Every fault is rolled under the lock, in lock order. A stall
+//! sleeps under the lock and holds every other poster back; a late verdict
+//! sleeps after the lock is released, so a successor can get its verdict —
+//! a later commit sequence — first: verdicts arrive out of order.
 //!
 //! # Stop and death
 //!
-//! `stopped` is set and read under the lock: a request posted after it is
-//! answered [`FpgaVerdict::ServiceStopped`] without reaching the engine, so
-//! the statistics [`ValidationService::shutdown`] returns are final. A
-//! panic in the engine or the injector would leave a half-updated engine
-//! behind a lock that does not poison, so every run of either is armed
-//! with a guard ([`DeathGuard`]) that, on unwind, sets `stopped` and `dead`.
-//! The panic goes on to the caller and nobody runs the engine again; the
-//! waiter of a held request that sees `dead` returns `ServiceStopped`.
+//! Once `stopped` is set (under the lock), a request is answered
+//! [`FpgaVerdict::ServiceStopped`] without reaching the engine, so the
+//! statistics [`ValidationService::shutdown`] returns are final. A panic in
+//! the engine or the injector poisons the lock: it goes on to the poster,
+//! every later `post` answers `ServiceStopped`, and the statistics are read
+//! through the poison.
 
 use crate::engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 use crate::fault::{FaultConfig, FaultRng, FaultSnapshot, FaultStats};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// The shared state of one validation service.
 struct Link {
     /// The engine and what surrounds it. A leaf lock: its holder takes no
     /// other lock.
-    validator: Mutex<Validator>,
-    /// Stop requested: nothing more reaches the engine. Written under
-    /// `validator`.
-    stopped: AtomicBool,
-    /// An engine run panicked: nobody runs the engine again.
-    dead: AtomicBool,
-    /// Verdicts posted and not yet consumed.
-    in_flight: AtomicU64,
+    validator: EngineLock,
     faults: FaultStats,
 }
 
-impl Link {
-    /// Runs `f` — the engine, the injector — armed with a [`DeathGuard`].
-    fn armed<R>(&self, f: impl FnOnce() -> R) -> R {
-        let guard = DeathGuard(self);
-        let result = f();
-        std::mem::forget(guard);
-        result
-    }
+/// The engine's lock: a `std` mutex, so that a panic under it poisons it.
+struct EngineLock(Mutex<Validator>);
 
-    /// Waits for a held request's verdict: from the next `post`, or
-    /// validated by this thread once `REORDER_FLUSH` has passed without
-    /// one.
-    fn wait_held(&self, cell: &OnceLock<FpgaVerdict>) -> FpgaVerdict {
-        loop {
-            if let Some(&verdict) = cell.get() {
-                return verdict;
-            }
-            if self.dead.load(Ordering::SeqCst) {
-                return FpgaVerdict::ServiceStopped;
-            }
-            if let Some(mut v) = self.validator.try_lock() {
-                if !self.dead.load(Ordering::SeqCst) {
-                    self.armed(|| v.flush_held(self, false));
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Closes the door and validates a held request; returns the engine's
-    /// final counters.
-    fn shutdown(&self) -> EngineStats {
-        let mut v = self.validator.lock();
-        self.stopped.store(true, Ordering::SeqCst);
-        if !self.dead.load(Ordering::SeqCst) {
-            self.armed(|| v.flush_held(self, true));
-        }
-        v.stats()
-    }
-}
-
-/// Armed around every engine run, which `forget`s it on the way out: it is
-/// dropped only when a panic unwinds through the run, with the lock still
-/// held, and then nobody runs the engine again.
-struct DeathGuard<'a>(&'a Link);
-
-impl Drop for DeathGuard<'_> {
-    fn drop(&mut self) {
-        self.0.stopped.store(true, Ordering::SeqCst);
-        self.0.dead.store(true, Ordering::SeqCst);
+impl EngineLock {
+    /// The validator, poisoned or not.
+    fn lock(&self) -> MutexGuard<'_, Validator> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -124,22 +63,18 @@ pub struct ServiceHandle {
 
 impl std::fmt::Debug for ServiceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceHandle")
-            .field("in_flight", &self.in_flight())
-            .finish()
+        f.debug_struct("ServiceHandle").finish_non_exhaustive()
     }
 }
 
 impl ServiceHandle {
     /// Validates a request on the calling thread, under the engine's lock,
-    /// and returns its [`PendingVerdict`]; the caller consumes it when it
-    /// is ready to act on the verdict (meta-pipelining). The address slices
-    /// are copied into a buffer the engine keeps: nothing is allocated.
+    /// and returns its verdict. The address slices are copied into a
+    /// buffer the engine keeps: nothing is allocated.
     ///
-    /// `post` never refuses and never waits for another request's verdict,
-    /// so a thread may hold any number of unconsumed verdicts. Once the
-    /// service has stopped the handle is born settled with
-    /// [`FpgaVerdict::ServiceStopped`].
+    /// Once the service has stopped, or died of a panic, the verdict is
+    /// [`FpgaVerdict::ServiceStopped`] and the request never reaches the
+    /// engine.
     ///
     /// # Panics
     ///
@@ -150,50 +85,31 @@ impl ServiceHandle {
         valid_ts: u64,
         read_addrs: &[u64],
         write_addrs: &[u64],
-    ) -> PendingVerdict {
-        let link = &self.link;
-        let mut v = link.validator.lock();
-        let state = if link.stopped.load(Ordering::SeqCst) {
-            PendingState::Settled(FpgaVerdict::ServiceStopped)
-        } else {
-            let state = link.armed(|| v.post(link, tx_id, valid_ts, read_addrs, write_addrs));
-            link.in_flight.fetch_add(1, Ordering::Relaxed);
-            state
+    ) -> FpgaVerdict {
+        // A poisoned lock is a dead engine.
+        let Some(mut v) = self.link.validator.0.lock().ok().filter(|v| !v.stopped) else {
+            return FpgaVerdict::ServiceStopped;
         };
+        let (verdict, late) = v.post(&self.link.faults, tx_id, valid_ts, read_addrs, write_addrs);
         drop(v);
-        PendingVerdict {
-            link: Arc::clone(link),
-            state,
+        if let Some(late) = late {
+            std::thread::sleep(late);
         }
+        verdict
     }
 
-    /// Submits a request and returns its verdict (execution threads in
-    /// ROCoCoTM "send R/W-set to FPGA and wait for verdict").
-    ///
-    /// If the service has stopped — or dies while the request is held
-    /// back — this returns [`FpgaVerdict::ServiceStopped`] instead of
-    /// panicking, so a worker submitting during service teardown gets a
-    /// clean abort path.
+    /// [`ServiceHandle::post`] for a request built by value (execution
+    /// threads in ROCoCoTM "send R/W-set to FPGA and wait for verdict").
     pub fn validate(&self, req: ValidateRequest) -> FpgaVerdict {
-        self.validate_async(req).wait()
-    }
-
-    /// [`ServiceHandle::post`] for a request built by value.
-    ///
-    /// Async submitters count toward [`ServiceHandle::in_flight`] exactly
-    /// like blocking ones: the counter is incremented here and released
-    /// when the verdict is consumed (or the pending handle is dropped), so
-    /// admission-control layers watching the load signal see every
-    /// outstanding validation, not just the blocking ones.
-    pub fn validate_async(&self, req: ValidateRequest) -> PendingVerdict {
         self.post(req.tx_id, req.valid_ts, &req.read_addrs, &req.write_addrs)
     }
 
-    /// Number of verdicts posted and not yet consumed across *all* clients
-    /// of this engine, blocking and asynchronous alike. A cheap load
-    /// signal: service layers shed or delay work when it backs up.
-    pub fn in_flight(&self) -> u64 {
-        self.link.in_flight.load(Ordering::Relaxed)
+    /// [`ServiceHandle::validate`], its verdict wrapped in a
+    /// [`PendingVerdict`]. Kept only for the pinned benchmark's
+    /// `fpga.pipelined_ns` probe, and deleted by its next refresh
+    /// (ROADMAP.md, item 2).
+    pub fn validate_async(&self, req: ValidateRequest) -> PendingVerdict {
+        PendingVerdict(self.validate(req))
     }
 
     /// Counters of injected faults so far (all zero unless the service
@@ -210,60 +126,21 @@ impl ServiceHandle {
     }
 }
 
-/// A posted validation whose verdict is not yet consumed. Holds one unit
-/// of the service's `in_flight` load signal until the verdict is consumed
-/// or the handle is dropped.
-pub struct PendingVerdict {
-    link: Arc<Link>,
-    state: PendingState,
-}
-
+/// A verdict already decided, for the one caller that still consumes
+/// verdicts through `wait`: the pinned benchmark's `fpga.pipelined_ns`
+/// probe. Deleted with [`ServiceHandle::validate_async`].
 #[derive(Debug)]
-enum PendingState {
-    /// Validated at `post`.
-    Ready(FpgaVerdict),
-    /// Held back by the reorder fault: answered into the cell. Dropping
-    /// the handle leaves the request to the engine, which still serves it.
-    Held(Arc<OnceLock<FpgaVerdict>>),
-    /// The service had stopped before submission; not counted in flight.
-    Settled(FpgaVerdict),
-}
-
-impl std::fmt::Debug for PendingVerdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingVerdict")
-            .field("state", &self.state)
-            .finish()
-    }
-}
+pub struct PendingVerdict(FpgaVerdict);
 
 impl PendingVerdict {
-    /// The verdict: at once, unless the reorder fault held the request
-    /// back. Returns [`FpgaVerdict::ServiceStopped`] if the service had
-    /// stopped at submission, or died before a held request was served.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic of the engine while this thread serves a held
-    /// request; the service is dead from then on.
+    /// The verdict.
     pub fn wait(self) -> FpgaVerdict {
-        match &self.state {
-            PendingState::Ready(verdict) | PendingState::Settled(verdict) => *verdict,
-            PendingState::Held(cell) => self.link.wait_held(cell),
-        }
-    }
-}
-
-impl Drop for PendingVerdict {
-    fn drop(&mut self) {
-        if !matches!(self.state, PendingState::Settled(_)) {
-            self.link.in_flight.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.0
     }
 }
 
 /// A validation service: the engine behind its lock. There is no thread;
-/// dropping the service stops it after validating a held request.
+/// dropping the service stops it.
 pub struct ValidationService {
     handle: ServiceHandle,
 }
@@ -284,11 +161,18 @@ impl ValidationService {
     /// Starts a service with seeded fault injection (chaos testing — see
     /// [`FaultConfig`]).
     pub fn spawn_with_faults(config: EngineConfig, faults: FaultConfig) -> Self {
+        let validator = Validator {
+            config,
+            engine: None,
+            rng: FaultRng::new(faults.seed),
+            faults,
+            stopped: false,
+            req: ValidateRequest::default(),
+            #[cfg(test)]
+            order: Vec::new(),
+        };
         let link = Link {
-            validator: Mutex::new(Validator::new(config, faults)),
-            stopped: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
+            validator: EngineLock(Mutex::new(validator)),
             faults: FaultStats::default(),
         };
         Self {
@@ -305,75 +189,25 @@ impl ValidationService {
 
     /// Stops the service and returns the final engine statistics.
     pub fn shutdown(self) -> EngineStats {
-        self.handle.link.shutdown()
+        self.stop()
+    }
+
+    /// Closes the door: nothing posted from now on reaches the engine.
+    fn stop(&self) -> EngineStats {
+        let mut v = self.handle.link.validator.lock();
+        v.stopped = true;
+        v.stats()
     }
 }
 
 impl Drop for ValidationService {
     fn drop(&mut self) {
-        self.handle.link.shutdown();
+        self.stop();
     }
 }
 
-/// How long a held-back (reordered) request may wait for a successor
-/// before it is served anyway — bounds the latency injection can add to
-/// the last request of a burst.
-const REORDER_FLUSH: Duration = Duration::from_micros(200);
-
-struct Injector {
-    cfg: FaultConfig,
-    rng: FaultRng,
-}
-
-impl Injector {
-    /// Rolls the pre-validation fault: a validator stall.
-    fn maybe_pause(&mut self, stats: &FaultStats) {
-        if self.rng.hit(self.cfg.pause_prob) {
-            stats.pauses.fetch_add(1, Ordering::Relaxed);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "pause" });
-            std::thread::sleep(Duration::from_micros(self.cfg.pause_us));
-        }
-    }
-
-    /// Rolls the spurious-abort fault. `Some(verdict)` replaces engine
-    /// processing entirely (the engine never observes the request, so its
-    /// window state matches what the CPU side can infer from the abort).
-    fn maybe_spurious(&mut self, stats: &FaultStats) -> Option<FpgaVerdict> {
-        if self.rng.hit(self.cfg.spurious_cycle_prob) {
-            stats.spurious_cycle.fetch_add(1, Ordering::Relaxed);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault {
-                kind: "spurious-cycle"
-            });
-            return Some(FpgaVerdict::AbortCycle);
-        }
-        if self.rng.hit(self.cfg.spurious_window_prob) {
-            stats.spurious_window.fetch_add(1, Ordering::Relaxed);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault {
-                kind: "spurious-window"
-            });
-            return Some(FpgaVerdict::AbortWindowOverflow);
-        }
-        None
-    }
-
-    /// Rolls the late-verdict fault (sleep before replying).
-    fn maybe_delay(&mut self, stats: &FaultStats) {
-        if self.rng.hit(self.cfg.delay_prob) {
-            stats.delayed.fetch_add(1, Ordering::Relaxed);
-            rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "delay" });
-            std::thread::sleep(Duration::from_micros(self.cfg.delay_us));
-        }
-    }
-
-    /// Rolls the reorder fault: whether to hold this request back until
-    /// after its successor is served.
-    fn maybe_hold(&mut self) -> bool {
-        self.rng.hit(self.cfg.reorder_prob)
-    }
-}
-
-/// What the link's lock guards: the engine, the injector, the request
-/// being validated and the one held back for reordering.
+/// What the engine's lock guards: the engine, the fault injector and the
+/// request being validated.
 struct Validator {
     config: EngineConfig,
     /// Built by the first validation from `config`, so that an engine
@@ -381,37 +215,21 @@ struct Validator {
     /// does — inside a `post`, killing the service — rather than in
     /// `spawn`.
     engine: Option<ValidationEngine>,
-    injector: Option<Injector>,
+    /// The injector: its rates and its decision stream. A rate of 0 never
+    /// draws from the stream.
+    faults: FaultConfig,
+    rng: FaultRng,
+    /// Stop requested: nothing more reaches the engine.
+    stopped: bool,
     /// The request being validated; its vectors are reused from post to
     /// post.
     req: ValidateRequest,
-    /// The request held back for reordering, its cell and since when:
-    /// served after the next one, or once `REORDER_FLUSH` has passed
-    /// without one.
-    held_req: ValidateRequest,
-    held: Option<(Arc<OnceLock<FpgaVerdict>>, Instant)>,
     /// Transaction ids in the order they were validated.
     #[cfg(test)]
     order: Vec<u64>,
 }
 
 impl Validator {
-    fn new(config: EngineConfig, faults: FaultConfig) -> Self {
-        Self {
-            config,
-            engine: None,
-            injector: faults.enabled().then(|| Injector {
-                rng: FaultRng::new(faults.seed),
-                cfg: faults,
-            }),
-            req: ValidateRequest::default(),
-            held_req: ValidateRequest::default(),
-            held: None,
-            #[cfg(test)]
-            order: Vec::new(),
-        }
-    }
-
     fn stats(&self) -> EngineStats {
         self.engine
             .as_ref()
@@ -419,16 +237,16 @@ impl Validator {
             .unwrap_or_default()
     }
 
-    /// Takes a posted request: maybe stalls, maybe holds it back,
-    /// otherwise validates it — and then the one held before it.
+    /// Validates a posted request and returns the verdict with how late it
+    /// is to be delivered, if at all.
     fn post(
         &mut self,
-        link: &Link,
+        counts: &FaultStats,
         tx_id: u64,
         valid_ts: u64,
         reads: &[u64],
         writes: &[u64],
-    ) -> PendingState {
+    ) -> (FpgaVerdict, Option<Duration>) {
         let req = &mut self.req;
         req.tx_id = tx_id;
         req.valid_ts = valid_ts;
@@ -436,63 +254,57 @@ impl Validator {
         req.read_addrs.extend_from_slice(reads);
         req.write_addrs.clear();
         req.write_addrs.extend_from_slice(writes);
-        if let Some(injector) = &mut self.injector {
-            injector.maybe_pause(&link.faults);
-            if self.held.is_none() && injector.maybe_hold() {
-                link.faults.reordered.fetch_add(1, Ordering::Relaxed);
-                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind: "reorder" });
-                std::mem::swap(&mut self.req, &mut self.held_req);
-                let cell = Arc::new(OnceLock::new());
-                self.held = Some((Arc::clone(&cell), Instant::now()));
-                return PendingState::Held(cell);
-            }
-        }
-        let verdict = self.validate(link);
-        self.flush_held(link, true);
-        PendingState::Ready(verdict)
-    }
-
-    /// Validates the held request and answers its cell, if `now` or if no
-    /// successor came within `REORDER_FLUSH`.
-    fn flush_held(&mut self, link: &Link, now: bool) {
-        let due = self
-            .held
-            .take_if(|(_, since)| now || since.elapsed() >= REORDER_FLUSH);
-        if let Some((cell, _)) = due {
-            std::mem::swap(&mut self.req, &mut self.held_req);
-            let verdict = self.validate(link);
-            cell.set(verdict).expect("a held request is answered once");
-        }
-    }
-
-    /// Validates `self.req`: a spurious verdict instead of the engine's,
-    /// maybe, and a delay after, maybe.
-    fn validate(&mut self, link: &Link) -> FpgaVerdict {
         #[cfg(test)]
-        self.order.push(self.req.tx_id);
-        let spurious = self
-            .injector
-            .as_mut()
-            .and_then(|i| i.maybe_spurious(&link.faults));
-        let verdict = spurious.unwrap_or_else(|| {
+        self.order.push(tx_id);
+        let (f, rng) = (&self.faults, &mut self.rng);
+        if roll(rng, f.pause_prob, &counts.pauses, "pause") {
+            std::thread::sleep(Duration::from_micros(f.pause_us));
+        }
+        // A spurious abort replaces the engine's run: the engine never sees
+        // the request, so its window state is what the CPU side infers.
+        let verdict = if roll(
+            rng,
+            f.spurious_cycle_prob,
+            &counts.spurious_cycle,
+            "spurious-cycle",
+        ) {
+            FpgaVerdict::AbortCycle
+        } else if roll(
+            rng,
+            f.spurious_window_prob,
+            &counts.spurious_window,
+            "spurious-window",
+        ) {
+            FpgaVerdict::AbortWindowOverflow
+        } else {
             let config = &self.config;
             let engine = self
                 .engine
                 .get_or_insert_with(|| ValidationEngine::new(config.clone()));
             engine.process(&self.req)
-        });
-        if let Some(injector) = &mut self.injector {
-            injector.maybe_delay(&link.faults);
-        }
-        verdict
+        };
+        let late = roll(rng, f.delay_prob, &counts.delayed, "delay");
+        (verdict, late.then(|| Duration::from_micros(f.delay_us)))
     }
+}
+
+/// Rolls one fault class; a hit is counted and recorded.
+fn roll(rng: &mut FaultRng, rate: f64, count: &AtomicU64, kind: &'static str) -> bool {
+    let hit = rng.hit(rate);
+    if hit {
+        count.fetch_add(1, Ordering::Relaxed);
+        rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind });
+    }
+    hit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet, VecDeque};
+    use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
 
     fn req(tx_id: u64, valid_ts: u64, reads: &[u64], writes: &[u64]) -> ValidateRequest {
         ValidateRequest {
@@ -500,16 +312,6 @@ mod tests {
             valid_ts,
             read_addrs: reads.to_vec(),
             write_addrs: writes.to_vec(),
-        }
-    }
-
-    /// The reorder fault on every request it can hold (one at a time), and
-    /// no other fault.
-    fn always_reorder() -> FaultConfig {
-        FaultConfig {
-            seed: 1,
-            reorder_prob: 1.0,
-            ..FaultConfig::disabled()
         }
     }
 
@@ -558,38 +360,6 @@ mod tests {
         assert!(h.validate(req(0, 0, &[3], &[4])).is_commit());
         drop(svc);
         assert_eq!(h.stats().commits, 1);
-    }
-
-    #[test]
-    fn async_submitters_count_as_in_flight() {
-        // Regression: async submissions must count as in flight until
-        // their verdict is consumed, or admission control undercounts
-        // load. Every verdict is known at `post`: consuming it is what
-        // releases the count.
-        let svc = ValidationService::spawn(EngineConfig::default());
-        let h = svc.handle();
-        let pending: Vec<_> = (0..8u64)
-            .map(|i| h.validate_async(req(i, 0, &[i + 100], &[i + 200])))
-            .collect();
-        assert_eq!(
-            h.in_flight(),
-            8,
-            "async submissions missing from the load signal"
-        );
-        for p in pending {
-            assert!(p.wait().is_commit());
-        }
-        assert_eq!(h.in_flight(), 0, "consuming a verdict must release it");
-    }
-
-    #[test]
-    fn dropping_pending_verdict_releases_in_flight() {
-        let svc = ValidationService::spawn(EngineConfig::default());
-        let h = svc.handle();
-        let p = h.validate_async(req(0, 0, &[1], &[2]));
-        assert_eq!(h.in_flight(), 1);
-        drop(p);
-        assert_eq!(h.in_flight(), 0);
     }
 
     #[test]
@@ -735,13 +505,11 @@ mod tests {
             h.validate(req(0, 0, &[1], &[2])),
             FpgaVerdict::ServiceStopped
         );
-        assert_eq!(h.in_flight(), 0);
         // Async submissions resolve the same way.
         assert_eq!(
             h.validate_async(req(1, 0, &[3], &[4])).wait(),
             FpgaVerdict::ServiceStopped
         );
-        assert_eq!(h.in_flight(), 0);
     }
 
     #[test]
@@ -809,20 +577,9 @@ mod tests {
     }
 
     #[test]
-    fn reordering_is_bounded_by_flush_timeout() {
-        // With reordering forced on, a lone request (no successor to swap
-        // with) must still be answered within the flush window.
-        let svc = ValidationService::spawn_with_faults(EngineConfig::default(), always_reorder());
-        let h = svc.handle();
-        assert!(h.validate(req(0, 0, &[5], &[6])).is_commit());
-        assert!(h.fault_stats().reordered >= 1);
-    }
-
-    #[test]
     fn every_ticket_gets_its_own_verdict_under_aggressive_faults() {
         const PRODUCERS: u64 = 8;
         const REQUESTS: u64 = 2_000;
-        const IN_FLIGHT: usize = 8;
         let svc = ValidationService::spawn_with_faults(
             EngineConfig::default(),
             FaultConfig::aggressive(11),
@@ -832,14 +589,13 @@ mod tests {
         std::thread::scope(|s| {
             let joins: Vec<_> = (0..PRODUCERS)
                 .map(|t| {
-                    let h = svc.handle();
-                    let global_ts = &global_ts;
+                    let (h, global_ts) = (svc.handle(), &global_ts);
                     s.spawn(move || {
                         let mut seqs = Vec::new();
-                        let mut verdicts = 0u64;
-                        let mut settle = |p: PendingVerdict| {
-                            verdicts += 1;
-                            match p.wait() {
+                        for i in 0..REQUESTS {
+                            let base = 1_000_000 + t * 100_000 + i * 4;
+                            let valid_ts = global_ts.load(Ordering::SeqCst);
+                            match h.post(t, valid_ts, &[base], &[base + 1]) {
                                 FpgaVerdict::Commit { seq } => {
                                     global_ts.fetch_max(seq + 1, Ordering::SeqCst);
                                     seqs.push(seq);
@@ -847,25 +603,13 @@ mod tests {
                                 FpgaVerdict::ServiceStopped => panic!("live service stopped"),
                                 _ => {}
                             }
-                        };
-                        let mut pending = VecDeque::with_capacity(IN_FLIGHT);
-                        for i in 0..REQUESTS {
-                            if pending.len() == IN_FLIGHT {
-                                settle(pending.pop_front().expect("full window"));
-                            }
-                            let base = 1_000_000 + t * 100_000 + i * 4;
-                            let valid_ts = global_ts.load(Ordering::SeqCst);
-                            pending.push_back(h.post(t, valid_ts, &[base], &[base + 1]));
                         }
-                        pending.into_iter().for_each(&mut settle);
-                        (verdicts, seqs)
+                        seqs
                     })
                 })
                 .collect();
             for j in joins {
-                let (verdicts, seqs) = j.join().expect("producer panicked");
-                assert_eq!(verdicts, REQUESTS, "one verdict per ticket");
-                for seq in seqs {
+                for seq in j.join().expect("producer panicked") {
                     assert!(
                         all_seqs.insert(seq),
                         "commit {seq} delivered to two submitters"
@@ -873,18 +617,15 @@ mod tests {
                 }
             }
         });
-        let h = svc.handle();
-        let injected = h.fault_stats();
+        let injected = svc.handle().fault_stats();
         for (class, count) in [
             ("delay", injected.delayed),
-            ("reorder", injected.reordered),
             ("pause", injected.pauses),
             ("spurious-cycle", injected.spurious_cycle),
             ("spurious-window", injected.spurious_window),
         ] {
             assert!(count > 0, "no {class} fault injected: {injected:?}");
         }
-        assert_eq!(h.in_flight(), 0);
         let stats = svc.shutdown();
         assert_eq!(
             stats.requests + injected.spurious_aborts(),
@@ -896,43 +637,75 @@ mod tests {
 
     #[test]
     fn a_poster_behind_a_stalled_post_gets_its_verdict() {
-        // Every request stalls the thread that posts it, before or after
-        // the engine, under the lock; a second poster queues behind the
+        // A stall runs under the lock: a second poster queues behind the
         // first on the lock and gets its own verdict once the first is
         // done.
         const STALL: Duration = Duration::from_micros(2_000);
-        for faults in [
+        let svc = ValidationService::spawn_with_faults(
+            EngineConfig::default(),
             FaultConfig {
                 seed: 5,
                 pause_prob: 1.0,
                 pause_us: STALL.as_micros() as u64,
                 ..FaultConfig::disabled()
             },
+        );
+        let h = svc.handle();
+        for i in (0..8u64).step_by(2) {
+            let started = Instant::now();
+            std::thread::scope(|s| {
+                let behind = s.spawn(|| h.post(i + 1, 0, &[101 + i], &[201 + i]));
+                let posted = Instant::now();
+                assert!(h.post(i, 0, &[100 + i], &[200 + i]).is_commit());
+                assert!(posted.elapsed() >= STALL, "the stall ran in post");
+                assert!(behind.join().expect("poster panicked").is_commit());
+            });
+            assert!(
+                started.elapsed() >= 2 * STALL,
+                "the two stalls ran one after the other"
+            );
+        }
+
+        // A late verdict sleeps after the lock is released: a second
+        // poster gets its verdict, a later commit, while the first still
+        // sleeps. The seed makes the first delay roll hit and the second
+        // miss.
+        const LATE: Duration = Duration::from_millis(20);
+        let seed = (0..)
+            .find(|&seed| {
+                let mut rng = FaultRng::new(seed);
+                rng.hit(0.5) && !rng.hit(0.5)
+            })
+            .expect("some seed delays only the first verdict");
+        let svc = ValidationService::spawn_with_faults(
+            EngineConfig::default(),
             FaultConfig {
-                seed: 5,
-                delay_prob: 1.0,
-                delay_us: STALL.as_micros() as u64,
+                seed,
+                delay_prob: 0.5,
+                delay_us: LATE.as_micros() as u64,
                 ..FaultConfig::disabled()
             },
-        ] {
-            let svc = ValidationService::spawn_with_faults(EngineConfig::default(), faults);
-            let h = svc.handle();
-            for i in (0..8u64).step_by(2) {
-                let started = Instant::now();
-                std::thread::scope(|s| {
-                    let behind = s.spawn(|| h.post(i + 1, 0, &[101 + i], &[201 + i]).wait());
-                    let posted = Instant::now();
-                    let first = h.post(i, 0, &[100 + i], &[200 + i]);
-                    assert!(posted.elapsed() >= STALL, "the stall ran in post");
-                    assert!(first.wait().is_commit());
-                    assert!(behind.join().expect("poster panicked").is_commit());
-                });
-                assert!(
-                    started.elapsed() >= 2 * STALL,
-                    "the two stalls ran one after the other"
-                );
+        );
+        let h = svc.handle();
+        let posted = Instant::now();
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(|| h.post(1, 0, &[1], &[2]));
+            while h.stats().requests == 0 {
+                std::thread::yield_now();
             }
+            let second = h.post(2, 0, &[3], &[4]);
+            assert!(
+                posted.elapsed() < LATE,
+                "the second verdict waited for the first to wake"
+            );
+            (first.join().expect("poster panicked"), second)
+        });
+        assert!(posted.elapsed() >= LATE, "the first verdict came late");
+        match (first, second) {
+            (FpgaVerdict::Commit { seq: a }, FpgaVerdict::Commit { seq: b }) => assert!(a < b),
+            other => panic!("two disjoint commits expected: {other:?}"),
         }
+        assert_eq!(h.fault_stats().delayed, 1);
     }
 
     #[test]
@@ -942,70 +715,33 @@ mod tests {
         let n = 64;
         let reads: Vec<u64> = (0..n).map(|i| 10_000 + i).collect();
         let writes: Vec<u64> = (0..n).map(|i| 20_000 + i).collect();
-        assert!(h.post(1, 0, &reads, &writes).wait().is_commit());
+        assert!(h.post(1, 0, &reads, &writes).is_commit());
         // The write-skew partner over the *last* read and write: it
         // commits only if one of them was lost on the way.
         let (r, w) = (reads[n as usize - 1], writes[n as usize - 1]);
-        assert_eq!(h.post(2, 0, &[w], &[r]).wait(), FpgaVerdict::AbortCycle);
-    }
-
-    /// A window of 0 makes the engine, built by the first validation,
-    /// panic (`RococoValidator::new` asserts a positive window).
-    fn dying_engine() -> EngineConfig {
-        EngineConfig {
-            window: 0,
-            ..EngineConfig::default()
-        }
+        assert_eq!(h.post(2, 0, &[w], &[r]), FpgaVerdict::AbortCycle);
     }
 
     #[test]
     fn an_engine_that_panics_in_post_stops_the_service() {
-        let svc = ValidationService::spawn(dying_engine());
+        // A window of 0 makes the engine, built by the first validation,
+        // panic (`RococoValidator::new` asserts a positive window).
+        let svc = ValidationService::spawn(EngineConfig {
+            window: 0,
+            ..EngineConfig::default()
+        });
         let h = svc.handle();
         let posted = catch_unwind(AssertUnwindSafe(|| h.post(1, 0, &[1], &[2])));
         assert!(
             posted.is_err(),
             "the engine's panic propagates to the poster"
         );
-        assert_eq!(h.post(2, 0, &[3], &[4]).wait(), FpgaVerdict::ServiceStopped);
-        assert_eq!(h.stats(), EngineStats::default());
-        assert_eq!(h.in_flight(), 0);
-        drop(svc); // the shutdown returns at once on a dead service
-    }
-
-    #[test]
-    fn a_held_verdict_is_answered_stopped_when_the_engine_dies_first() {
-        let svc = ValidationService::spawn_with_faults(dying_engine(), always_reorder());
-        let h = svc.handle();
-        // Held back before any engine exists; the next post validates its
-        // own request first and dies there.
-        let held = h.post(1, 0, &[1], &[2]);
-        assert!(matches!(held.state, PendingState::Held(_)));
-        let posted = catch_unwind(AssertUnwindSafe(|| h.post(2, 0, &[3], &[4])));
         assert!(
-            posted.is_err(),
-            "the engine's panic propagates to the poster"
+            h.link.validator.0.is_poisoned(),
+            "the panic poisoned the engine's lock"
         );
-        assert_eq!(held.wait(), FpgaVerdict::ServiceStopped);
-        assert_eq!(h.in_flight(), 0);
-    }
-
-    #[test]
-    fn a_dropped_held_verdict_is_still_served() {
-        let svc = ValidationService::spawn_with_faults(EngineConfig::default(), always_reorder());
-        let h = svc.handle();
-        let held = h.post(1, 0, &[1], &[2]);
-        assert!(matches!(held.state, PendingState::Held(_)));
-        drop(held);
-        assert_eq!(h.in_flight(), 0, "nobody waits for it any more");
-        // The next post validates its own request, then the held one.
-        assert!(h.post(2, 0, &[3], &[4]).wait().is_commit());
-        assert_eq!(
-            h.stats().requests,
-            2,
-            "the engine still saw the dropped request"
-        );
-        assert_eq!(h.in_flight(), 0);
-        assert_eq!(svc.shutdown().commits, 2);
+        assert_eq!(h.post(2, 0, &[3], &[4]), FpgaVerdict::ServiceStopped);
+        assert_eq!(h.stats(), EngineStats::default());
+        assert_eq!(svc.shutdown(), EngineStats::default());
     }
 }

@@ -1,9 +1,10 @@
 //! `ValidationEngine::process` allocates nothing in steady state.
 //!
-//! The validator thread decides every ROCoCoTM commit in the system; an
-//! allocation per verdict there is a lock and a cache miss on everyone's
-//! critical path. This binary's own counting allocator (the library stays
-//! `#![forbid(unsafe_code)]`) holds the engine to zero.
+//! The engine decides every ROCoCoTM commit in the system, on the
+//! committing thread and under the service's one lock; an allocation per
+//! verdict there is an allocator call inside that lock, on every
+//! committer's critical path. This binary's own counting allocator (the
+//! library stays `#![forbid(unsafe_code)]`) holds the engine to zero.
 
 use rococo_fpga::{EngineConfig, FpgaVerdict, ValidateRequest, ValidationEngine};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -193,9 +193,9 @@ impl fmt::Display for TxKvReport {
             if fs.total() > 0 {
                 writeln!(
                     f,
-                    "  injected faults: delayed={} reordered={} spurious-cycle={} \
-                     spurious-window={} pauses={}",
-                    fs.delayed, fs.reordered, fs.spurious_cycle, fs.spurious_window, fs.pauses,
+                    "  injected faults: delayed={} spurious-cycle={} spurious-window={} \
+                     pauses={}",
+                    fs.delayed, fs.spurious_cycle, fs.spurious_window, fs.pauses,
                 )?;
             }
         }

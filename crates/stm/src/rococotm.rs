@@ -26,8 +26,8 @@ use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rococo_fpga::{
-    EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, PendingVerdict,
-    ServiceHandle, TimingModel, ValidationService,
+    EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, ServiceHandle, TimingModel,
+    ValidationService,
 };
 use rococo_sigs::{splitmix64, ChunkedSig, PrehashedAddr, Sig, SigScheme};
 use std::collections::HashMap;
@@ -334,20 +334,22 @@ impl RococoTm {
         self.clear_update_slot(thread);
     }
 
-    /// Waits for a posted validation's verdict and does the bookkeeping
-    /// every verdict gets — validation time (wall and model), the
-    /// `Verdict` flight-recorder event. Returns the granted commit
-    /// sequence, or the kind of abort the verdict means.
+    /// Does the bookkeeping every verdict gets — validation time (wall and
+    /// model), the `Verdict` flight-recorder event — for a request posted
+    /// at `posted`. Returns the granted commit sequence, or the kind of
+    /// abort the verdict means.
     ///
-    /// The wall clock measures the *residual* stall: time actually spent
-    /// waiting for the verdict after it was posted — nothing, unless a
-    /// fault held the request back; the engine ran inside the dispatch.
-    /// The model time still charges the full simulated round-trip of the
-    /// default [`TimingModel`] (Figure 11).
-    fn await_verdict(&self, pending: PendingVerdict, n_addrs: usize) -> Result<u64, AbortKind> {
-        let t0 = Instant::now();
-        let verdict = pending.wait();
-        let wall_ns = t0.elapsed().as_nanos() as u64;
+    /// The wall clock runs from `posted` to now: the whole `post`, the
+    /// engine and any injected stall or late delivery included. The model
+    /// time charges the simulated round-trip of the default
+    /// [`TimingModel`] (Figure 11).
+    fn await_verdict(
+        &self,
+        posted: Instant,
+        verdict: FpgaVerdict,
+        n_addrs: usize,
+    ) -> Result<u64, AbortKind> {
+        let wall_ns = posted.elapsed().as_nanos() as u64;
         let timing = TimingModel::default();
         let model_ns = timing.latency_ns(n_addrs) as u64;
         self.stats
@@ -367,7 +369,6 @@ impl RococoTm {
             model_ns,
             detector_ns: timing.detector_ns(n_addrs) as u64,
             manager_ns: timing.manager_ns() as u64,
-            in_flight: self.handle.in_flight() as u32,
         });
         match verdict {
             FpgaVerdict::Commit { seq } => Ok(seq),
@@ -635,15 +636,16 @@ impl<'a> Transaction for RococoTx<'a> {
         let _shared = irrevocable.is_none().then(|| tm.commit_gate.read());
         let reads = self.read_set.addrs();
         let n_addrs = reads.len() + self.write_addrs.len();
-        // The validator's lock is a leaf that never waits on the gate.
-        let verdict = tm
-            .handle
-            .post(thread as u64, self.valid_ts, reads, &self.write_addrs);
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ValidateSubmit {
             reads: reads.len() as u32,
             writes: self.write_addrs.len() as u32,
         });
-        let outcome = match tm.await_verdict(verdict, n_addrs) {
+        // The validator's lock is a leaf that never waits on the gate.
+        let posted = Instant::now();
+        let verdict = tm
+            .handle
+            .post(thread as u64, self.valid_ts, reads, &self.write_addrs);
+        let outcome = match tm.await_verdict(posted, verdict, n_addrs) {
             Ok(seq) => {
                 tm.publish_commit(thread, seq, &self.write_sig, &self.redo);
                 if irrevocable.is_some() {
@@ -867,6 +869,53 @@ mod tests {
         let snap = tm.stats().snapshot();
         assert_eq!(snap.validations, 1);
         assert!(snap.validation_model_ns > 0);
+    }
+
+    #[test]
+    fn validation_time_covers_the_post() {
+        // Every `post` stalls 1 ms under the engine's lock, before the
+        // engine runs: the stall is validation time, in the statistics and
+        // in the traced `ValidateSubmit → Verdict` window.
+        const STALL_US: u64 = 1_000;
+        let tm = RococoTm::with_configs(RococoConfig {
+            tm: TmConfig {
+                heap_words: 64,
+                max_threads: 1,
+            },
+            faults: FaultConfig {
+                seed: 1,
+                pause_prob: 1.0,
+                pause_us: STALL_US,
+                ..FaultConfig::disabled()
+            },
+            ..RococoConfig::default()
+        });
+        rococo_telemetry::enable(1024);
+        let trace = rococo_telemetry::mint_trace();
+        rococo_telemetry::set_current_trace(trace);
+        for addr in 0..3 {
+            atomically(&tm, 0, |tx| tx.write(addr, 1));
+        }
+        rococo_telemetry::clear_current_trace();
+        let events = rococo_telemetry::drain_events();
+        rococo_telemetry::disable();
+
+        let mean_us = tm.stats().snapshot().mean_validation_us();
+        assert!(mean_us >= STALL_US as f64, "validation {mean_us} µs");
+        let mut submitted = None;
+        let mut windows = 0;
+        for e in events.iter().filter(|e| e.trace == trace) {
+            match e.event {
+                rococo_telemetry::TxEvent::ValidateSubmit { .. } => submitted = Some(e.ns),
+                rococo_telemetry::TxEvent::Verdict { .. } => {
+                    let window = e.ns - submitted.take().expect("a verdict answers a submit");
+                    assert!(window >= STALL_US * 1_000, "traced window {window} ns");
+                    windows += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(windows, 3, "one traced validation per commit");
     }
 
     #[test]
@@ -1140,9 +1189,12 @@ mod tests {
             let gate = rococo.commit_gate.read();
             let reads = tx.read_set.addrs();
             let n_addrs = reads.len() + tx.write_addrs.len();
+            let posted = Instant::now();
             let verdict = rococo.handle.post(0, tx.valid_ts, reads, &tx.write_addrs);
             let t4 = Instant::now();
-            let seq = rococo.await_verdict(verdict, n_addrs).expect("commits");
+            let seq = rococo
+                .await_verdict(posted, verdict, n_addrs)
+                .expect("commits");
             let t5 = Instant::now();
             rococo.publish_commit(0, seq, &tx.write_sig, &tx.redo);
             rococo.consecutive_aborts[0].store(0, Ordering::Relaxed);

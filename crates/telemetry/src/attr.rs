@@ -344,7 +344,6 @@ mod tests {
                     model_ns: 1_000,
                     detector_ns: 600,
                     manager_ns: 400,
-                    in_flight: 1,
                 },
             ),
             rec(5_500, 5, 7, TxEvent::Commit { seq: 42 }),

@@ -79,7 +79,8 @@ pub enum TxEvent {
     },
     /// The FPGA verdict arrived.
     Verdict {
-        /// `"commit"`, `"abort-cycle"`, `"abort-window"` or `"stopped"`.
+        /// `"commit"`, `"abort-cycle"`, `"abort-window"` or
+        /// `"service-stopped"`.
         verdict: &'static str,
         /// Modelled end-to-end validation latency (timing model), ns.
         model_ns: u64,
@@ -87,8 +88,6 @@ pub enum TxEvent {
         detector_ns: u64,
         /// Modelled Manager-stage share of `model_ns`, ns.
         manager_ns: u64,
-        /// Requests in flight at the validation service (occupancy).
-        in_flight: u32,
     },
     /// The attempt aborted.
     Abort {
@@ -129,7 +128,7 @@ pub enum TxEvent {
     },
     /// The fault injector perturbed the validation service.
     Fault {
-        /// Injected fault kind (delay, reorder, spurious verdict, ...).
+        /// Injected fault kind (delay, pause, spurious verdict, ...).
         kind: &'static str,
     },
     /// A committed transaction's durability acknowledgement was lost

@@ -312,7 +312,6 @@ pub fn build_tx_trace(events: &[EventRecord], lanes: &[(u32, String)]) -> String
                     model_ns,
                     detector_ns,
                     manager_ns,
-                    in_flight,
                 } => {
                     if let Some(sub) = submit_ns.take() {
                         let wall = (e.ns.saturating_sub(sub)).max(1) as f64;
@@ -323,11 +322,7 @@ pub fn build_tx_trace(events: &[EventRecord], lanes: &[(u32, String)]) -> String
                             lane,
                             sub as f64 / 1000.0,
                             wall / 1000.0,
-                            &[
-                                ("verdict", verdict.into()),
-                                ("model_ns", model_ns.into()),
-                                ("in_flight", in_flight.into()),
-                            ],
+                            &[("verdict", verdict.into()), ("model_ns", model_ns.into())],
                         );
                         // Project model-time stage occupancy onto the
                         // wall-clock validation window: CCI transfer
@@ -584,7 +579,6 @@ mod tests {
                     model_ns: 3_000,
                     detector_ns: 1_000,
                     manager_ns: 1_000,
-                    in_flight: 1,
                 },
             ),
             rec(9_000, 0, 1, TxEvent::Commit { seq: 5 }),
