@@ -190,14 +190,10 @@ if [[ "$FULL" == "1" ]]; then
     diff "results/$figure.txt" "$SCRATCH/$figure.txt"
   done
 
-  echo "== chaos tier (pinned seeds; NIGHTLY=1 for the full sweep)"
-  cargo run --release -q -p rococo-chaos --bin chaos -- --pinned --quiet $EXTENDED
-
-  echo "== crash-recovery tier (kill-point x fsync-mode matrix, seeded)"
-  cargo run --release -q -p rococo-chaos --bin recovery -- --matrix --quiet
-
-  echo "== replication tier (seeded fail-over matrix; NIGHTLY=1 for every backend)"
-  cargo run --release -q -p rococo-chaos --bin repl_cluster -- --matrix --quiet $EXTENDED
+  echo "== chaos tiers: serializability, crash recovery, replication fail-over (pinned seeds; NIGHTLY=1 for the full sweeps)"
+  for harness in stm recovery cluster; do
+    cargo run --release -q -p rococo-chaos --bin chaos -- "$harness" --pinned --quiet $EXTENDED
+  done
 fi
 
 echo "CI OK"

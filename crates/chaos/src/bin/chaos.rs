@@ -1,33 +1,59 @@
-//! `chaos` — CLI front-end for the concurrency-fault harness.
+//! `chaos` — one command over the three chaos harnesses.
 //!
 //! ```text
-//! chaos [--backend rococo|tiny|htm|lock|hybrid|seq] [--seed N | --seeds a,b,c]
-//!       [--threads N] [--ops N] [--accounts N]
-//!       [--faults none|timing|aggressive] [--queue-len N] [--window N]
-//!       [--update-spin N] [--irrevocable-after N] [--no-strict]
-//!       [--all-backends] [--shrink] [--pinned] [--extended] [--quiet]
+//! chaos [stm]     [--backend rococo|tiny|htm|lock|hybrid|seq] [--threads N]
+//!                 [--ops N] [--accounts N] [--faults none|timing|aggressive]
+//!                 [--queue-len N] [--window N] [--update-spin N]
+//!                 [--irrevocable-after N] [--no-strict] [--all-backends] [--shrink]
+//! chaos recovery  [--backend rococo|tiny|htm|lock|hybrid] [--clients N] [--ops N]
+//!                 [--bank-keys N] [--kill none|pre-append|mid-append|
+//!                 post-append-pre-ack|mid-checkpoint|mid-truncate]
+//!                 [--fsync always|everyN|never] [--checkpoint-every N]
+//! chaos cluster   [--backend rococo|tiny|htm|lock|hybrid] [--clients N] [--ops N]
+//!                 [--bank-keys N] [--kill none|mid-batch-ship|pre-ack|during-election]
+//!                 [--followers N] [--partition] [--drop-pct N] [--reorder-pct N]
+//!
+//! every harness:  [--seed N | --seeds a,b,c] [--pinned] [--extended] [--quiet]
 //! ```
 //!
-//! * default: run the given configuration once per seed and print a
-//!   summary line per run;
-//! * `--pinned`: the fast deterministic CI tier — a fixed seed matrix
-//!   over every backend, including fault-injected ROCoCoTM runs with a
-//!   tiny commit queue;
-//! * `--extended`: the nightly sweep — many seeds, more thread counts and
-//!   queue geometries;
-//! * `--shrink`: when a run fails, search for a smaller configuration
-//!   that still fails before printing the reproducer.
+//! * `stm` (the default): seeded workloads straight on a TM backend,
+//!   judged by the serializability and liveness oracles;
+//! * `recovery`: a durable TxKV under the service workload with its WAL
+//!   writer killed at an armed point, judged after recovery;
+//! * `cluster`: a replicated TxKV under the same workload through kills,
+//!   partitions and lossy links, judged on the primary and every
+//!   surviving follower.
 //!
-//! Exits non-zero on any violation and prints a ready-to-paste
-//! reproducer command for every failing configuration.
+//! Without a tier flag each seed runs the given configuration once.
+//! `--pinned` runs the harness's CI tier (`ci.sh --full` runs all three);
+//! `--extended` its nightly tier: more seeds and commit-queue geometries
+//! for `stm`, every service backend and longer runs for `cluster`
+//! (`recovery` has one tier). `--shrink` searches a failing `stm` run for
+//! a smaller configuration that still fails.
+//!
+//! Exits non-zero on any violation and prints a ready-to-paste reproducer
+//! command for every failing configuration.
 
 use rococo_chaos::{
-    reproducer_command, run_chaos, shrink, sweep, BackendKind, ChaosParams, FaultPreset,
+    cluster_reproducer, cluster_sweep, recovery_reproducer, recovery_sweep, reproducer_command,
+    run_chaos, run_cluster, run_recovery, shrink, sweep, BackendKind, ChaosParams, ChaosReport,
+    ClusterKill, ClusterParams, FaultPreset, RecoveryParams, SERVICE_BACKENDS,
 };
+use rococo_wal::{FsyncPolicy, KillPoint};
 use std::process::ExitCode;
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Harness {
+    Stm,
+    Recovery,
+    Cluster,
+}
+
 struct Args {
-    params: ChaosParams,
+    harness: Harness,
+    stm: ChaosParams,
+    recovery: RecoveryParams,
+    cluster: ClusterParams,
     seeds: Vec<u64>,
     all_backends: bool,
     do_shrink: bool,
@@ -38,87 +64,18 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: chaos [--backend NAME] [--seed N | --seeds a,b,c] [--threads N] \
-         [--ops N] [--accounts N] [--faults none|timing|aggressive] [--queue-len N] \
-         [--window N] [--update-spin N] [--irrevocable-after N] [--no-strict] \
-         [--all-backends] [--shrink] [--pinned] [--extended] [--quiet]"
+        "usage: chaos [stm|recovery|cluster] [--backend NAME] [--seed N | --seeds a,b,c] \
+         [--ops N] [--pinned] [--extended] [--quiet] [HARNESS FLAGS]\n  \
+         stm:      [--threads N] [--accounts N] [--faults none|timing|aggressive] \
+         [--queue-len N] [--window N] [--update-spin N] [--irrevocable-after N] \
+         [--no-strict] [--all-backends] [--shrink]\n  \
+         recovery: [--clients N] [--bank-keys N] [--kill POINT|none] \
+         [--fsync always|everyN|never] [--checkpoint-every N]\n  \
+         cluster:  [--clients N] [--bank-keys N] \
+         [--kill none|mid-batch-ship|pre-ack|during-election] [--followers N] \
+         [--partition] [--drop-pct N] [--reorder-pct N]"
     );
     std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        params: ChaosParams::default(),
-        seeds: Vec::new(),
-        all_backends: false,
-        do_shrink: false,
-        pinned: false,
-        extended: false,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    let value = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage()
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--backend" => {
-                let v = value(&mut it, "--backend");
-                args.params.backend = BackendKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown backend {v:?}");
-                    usage()
-                });
-            }
-            "--seed" => args.seeds = vec![parse_num(&value(&mut it, "--seed"))],
-            "--seeds" => {
-                args.seeds = value(&mut it, "--seeds")
-                    .split(',')
-                    .map(parse_num)
-                    .collect();
-            }
-            "--threads" => args.params.threads = parse_num(&value(&mut it, "--threads")) as usize,
-            "--ops" => args.params.ops_per_thread = parse_num(&value(&mut it, "--ops")) as usize,
-            "--accounts" => {
-                args.params.accounts = parse_num(&value(&mut it, "--accounts")) as usize
-            }
-            "--faults" => {
-                let v = value(&mut it, "--faults");
-                args.params.faults = FaultPreset::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown fault preset {v:?}");
-                    usage()
-                });
-            }
-            "--queue-len" => {
-                args.params.queue_len = parse_num(&value(&mut it, "--queue-len")) as usize;
-            }
-            "--window" => args.params.window = parse_num(&value(&mut it, "--window")) as usize,
-            "--update-spin" => {
-                args.params.update_spin = parse_num(&value(&mut it, "--update-spin")) as usize;
-            }
-            "--irrevocable-after" => {
-                args.params.irrevocable_after =
-                    parse_num(&value(&mut it, "--irrevocable-after")) as u32;
-            }
-            "--no-strict" => args.params.strict = false,
-            "--all-backends" => args.all_backends = true,
-            "--shrink" => args.do_shrink = true,
-            "--pinned" => args.pinned = true,
-            "--extended" => args.extended = true,
-            "--quiet" => args.quiet = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-    }
-    if args.seeds.is_empty() {
-        args.seeds = vec![args.params.seed];
-    }
-    args
 }
 
 fn parse_num(s: &str) -> u64 {
@@ -128,99 +85,289 @@ fn parse_num(s: &str) -> u64 {
     })
 }
 
-fn main() -> ExitCode {
-    let args = parse_args();
-    let mut failures: Vec<ChaosParams> = Vec::new();
-    let mut runs = 0usize;
+/// `v` parsed by `parse`, or a usage error naming `what`.
+fn parsed<T>(v: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> T {
+    parse(v).unwrap_or_else(|| {
+        eprintln!("unknown {what} {v:?}");
+        usage()
+    })
+}
 
-    let mut handle = |report: rococo_chaos::ChaosReport, quiet: bool| {
-        runs += 1;
-        if !quiet || !report.ok() {
-            println!("{}", report.summary());
-        }
-        if !report.ok() {
-            for v in &report.violations {
-                println!("  violation: {v}");
-            }
-            failures.push(report.params);
+/// `none`, or a kill point `parse` knows.
+fn kill<T>(v: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    (v != "none").then(|| parsed(v, "kill point", parse))
+}
+
+fn parse_args() -> Args {
+    let mut it = std::env::args().skip(1).peekable();
+    let harness = match it.next_if(|a| !a.starts_with('-')).as_deref() {
+        None | Some("stm") => Harness::Stm,
+        Some("recovery") => Harness::Recovery,
+        Some("cluster") => Harness::Cluster,
+        Some(other) => {
+            eprintln!("unknown harness {other:?}");
+            usage()
         }
     };
-
-    if args.pinned || args.extended {
-        // The CI matrices. Pinned: fast and deterministic in shape; the
-        // extended tier layers on more seeds and hostile geometries.
-        let seeds: Vec<u64> = if args.extended {
-            (0..16).collect()
-        } else {
-            vec![1, 7, 42]
+    let mut args = Args {
+        harness,
+        stm: ChaosParams::default(),
+        recovery: RecoveryParams::default(),
+        cluster: ClusterParams::default(),
+        seeds: Vec::new(),
+        all_backends: false,
+        do_shrink: false,
+        pinned: false,
+        extended: false,
+        quiet: false,
+    };
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next().unwrap_or_else(|| {
+                eprintln!("missing value for {arg}");
+                usage()
+            })
         };
-        let base = ChaosParams {
-            threads: 4,
-            ops_per_thread: if args.extended { 500 } else { 200 },
-            accounts: 12,
-            queue_len: 8,
-            window: 8,
-            update_spin: 512,
-            irrevocable_after: 8,
+        let (stm, rec, clu) = (&mut args.stm, &mut args.recovery, &mut args.cluster);
+        match (harness, arg.as_str()) {
+            (_, "--backend") => {
+                let b = parsed(&value(), "backend", BackendKind::parse);
+                (stm.backend, rec.backend, clu.backend) = (b, b, b);
+            }
+            (_, "--seed") => args.seeds = vec![parse_num(&value())],
+            (_, "--seeds") => args.seeds = value().split(',').map(parse_num).collect(),
+            (_, "--ops") => {
+                let n = parse_num(&value()) as usize;
+                (stm.ops_per_thread, rec.ops_per_client, clu.ops_per_client) = (n, n, n);
+            }
+            (_, "--pinned") => args.pinned = true,
+            (_, "--extended") => args.extended = true,
+            (_, "--quiet") => args.quiet = true,
+            (_, "--help" | "-h") => usage(),
+            (Harness::Stm, "--threads") => stm.threads = parse_num(&value()) as usize,
+            (Harness::Stm, "--accounts") => stm.accounts = parse_num(&value()) as usize,
+            (Harness::Stm, "--faults") => {
+                stm.faults = parsed(&value(), "fault preset", FaultPreset::parse);
+            }
+            (Harness::Stm, "--queue-len") => stm.queue_len = parse_num(&value()) as usize,
+            (Harness::Stm, "--window") => stm.window = parse_num(&value()) as usize,
+            (Harness::Stm, "--update-spin") => stm.update_spin = parse_num(&value()) as usize,
+            (Harness::Stm, "--irrevocable-after") => {
+                stm.irrevocable_after = parse_num(&value()) as u32;
+            }
+            (Harness::Stm, "--no-strict") => stm.strict = false,
+            (Harness::Stm, "--all-backends") => args.all_backends = true,
+            (Harness::Stm, "--shrink") => args.do_shrink = true,
+            (Harness::Recovery | Harness::Cluster, "--clients") => {
+                let n = parse_num(&value()) as usize;
+                (rec.clients, clu.clients) = (n, n);
+            }
+            (Harness::Recovery | Harness::Cluster, "--bank-keys") => {
+                let n = parse_num(&value());
+                (rec.bank_keys, clu.bank_keys) = (n, n);
+            }
+            (Harness::Recovery, "--kill") => rec.kill_point = kill(&value(), KillPoint::parse),
+            (Harness::Recovery, "--fsync") => {
+                rec.fsync = parsed(&value(), "fsync policy", FsyncPolicy::parse);
+            }
+            (Harness::Recovery, "--checkpoint-every") => {
+                rec.checkpoint_every = parse_num(&value());
+            }
+            (Harness::Cluster, "--kill") => clu.kill = kill(&value(), ClusterKill::parse),
+            (Harness::Cluster, "--followers") => clu.followers = parse_num(&value()) as usize,
+            (Harness::Cluster, "--partition") => clu.partition = true,
+            (Harness::Cluster, "--drop-pct") => clu.drop_pct = parse_num(&value()) as u32,
+            (Harness::Cluster, "--reorder-pct") => clu.reorder_pct = parse_num(&value()) as u32,
+            (_, other) => {
+                eprintln!("unknown argument {other:?}");
+                usage();
+            }
+        }
+    }
+    if args.seeds.is_empty() {
+        // The seed every params default carries.
+        args.seeds = vec![1];
+    }
+    args
+}
+
+/// Runs, failures and their reproducers across one invocation.
+struct Tally {
+    quiet: bool,
+    runs: usize,
+    reproducers: Vec<String>,
+}
+
+impl Tally {
+    /// Books one run: prints its summary (always when it failed) and its
+    /// violations, and keeps the command that replays a failure.
+    fn book(
+        &mut self,
+        summary: String,
+        violations: &[String],
+        reproducer: impl FnOnce() -> String,
+    ) {
+        self.runs += 1;
+        if !self.quiet || !violations.is_empty() {
+            println!("{summary}");
+        }
+        if !violations.is_empty() {
+            for v in violations {
+                println!("  violation: {v}");
+            }
+            self.reproducers.push(reproducer());
+        }
+    }
+
+    fn finish(self) -> ExitCode {
+        if self.reproducers.is_empty() {
+            println!("chaos: {} runs, all passed", self.runs);
+            return ExitCode::SUCCESS;
+        }
+        eprintln!(
+            "chaos: {} of {} runs FAILED",
+            self.reproducers.len(),
+            self.runs
+        );
+        for r in &self.reproducers {
+            eprintln!("  reproduce with: {r}");
+        }
+        ExitCode::FAILURE
+    }
+}
+
+/// The `stm` CI matrices. Pinned: fast and deterministic in shape; the
+/// extended tier layers on more seeds and hostile geometries.
+fn stm_tier(extended: bool) -> Vec<ChaosReport> {
+    let seeds: Vec<u64> = if extended {
+        (0..16).collect()
+    } else {
+        vec![1, 7, 42]
+    };
+    let base = ChaosParams {
+        threads: 4,
+        ops_per_thread: if extended { 500 } else { 200 },
+        accounts: 12,
+        queue_len: 8,
+        window: 8,
+        update_spin: 512,
+        irrevocable_after: 8,
+        ..ChaosParams::default()
+    };
+    let mut reports = sweep(&base, &seeds, &BackendKind::ALL);
+    if extended {
+        // Hostile geometry: minimum ring, long scans likely to lag.
+        let tight = ChaosParams {
+            threads: 8,
+            ops_per_thread: 300,
+            accounts: 24,
+            queue_len: 4,
+            window: 4,
+            update_spin: 128,
+            irrevocable_after: 4,
             ..ChaosParams::default()
         };
-        for r in sweep(&base, &seeds, &BackendKind::ALL) {
-            handle(r, args.quiet);
-        }
-        if args.extended {
-            // Hostile geometry: minimum ring, long scans likely to lag.
-            let tight = ChaosParams {
-                threads: 8,
-                ops_per_thread: 300,
-                accounts: 24,
-                queue_len: 4,
-                window: 4,
-                update_spin: 128,
-                irrevocable_after: 4,
-                ..ChaosParams::default()
-            };
-            // A commit queue twice the window, escalating early.
-            let roomy = ChaosParams {
-                queue_len: 16,
-                irrevocable_after: 4,
-                ..base
-            };
-            for params in [tight, roomy] {
-                for r in sweep(&params, &seeds, &[BackendKind::Rococo]) {
-                    handle(r, args.quiet);
-                }
-            }
-        }
-    } else {
-        let backends: Vec<BackendKind> = if args.all_backends {
-            BackendKind::ALL.to_vec()
-        } else {
-            vec![args.params.backend]
+        // A commit queue twice the window, escalating early.
+        let roomy = ChaosParams {
+            queue_len: 16,
+            irrevocable_after: 4,
+            ..base
         };
-        for backend in backends {
-            for &seed in &args.seeds {
-                let params = ChaosParams {
-                    seed,
-                    backend,
-                    ..args.params
-                };
-                handle(run_chaos(&params), args.quiet);
-            }
+        for params in [tight, roomy] {
+            reports.extend(sweep(&params, &seeds, &[BackendKind::Rococo]));
         }
     }
+    reports
+}
 
-    if failures.is_empty() {
-        println!("chaos: {runs} runs, all passed");
-        return ExitCode::SUCCESS;
+fn main() -> ExitCode {
+    let args = parse_args();
+    let mut tally = Tally {
+        quiet: args.quiet,
+        runs: 0,
+        reproducers: Vec::new(),
+    };
+    let tier = args.pinned || args.extended;
+    match args.harness {
+        Harness::Stm => {
+            let reports = if tier {
+                stm_tier(args.extended)
+            } else {
+                let backends = if args.all_backends {
+                    BackendKind::ALL.to_vec()
+                } else {
+                    vec![args.stm.backend]
+                };
+                let runs = backends.into_iter().flat_map(|backend| {
+                    args.seeds.iter().map(move |&seed| ChaosParams {
+                        seed,
+                        backend,
+                        ..args.stm
+                    })
+                });
+                runs.map(|params| run_chaos(&params)).collect()
+            };
+            for r in reports {
+                let params = r.params;
+                tally.book(r.summary(), &r.violations, || {
+                    let minimal = if args.do_shrink {
+                        shrink(&params)
+                    } else {
+                        params
+                    };
+                    reproducer_command(&minimal)
+                });
+            }
+        }
+        Harness::Recovery => {
+            let reports = if tier {
+                let base = RecoveryParams {
+                    clients: 4,
+                    ops_per_client: 150,
+                    bank_keys: 8,
+                    checkpoint_every: 48,
+                    ..RecoveryParams::default()
+                };
+                recovery_sweep(&base, &[1, 9, 23], &SERVICE_BACKENDS)
+            } else {
+                let runs = args.seeds.iter().map(|&seed| RecoveryParams {
+                    seed,
+                    ..args.recovery.clone()
+                });
+                runs.map(|params| run_recovery(&params)).collect()
+            };
+            for r in reports {
+                tally.book(r.summary(), &r.violations, || {
+                    recovery_reproducer(&r.params)
+                });
+            }
+        }
+        Harness::Cluster => {
+            let reports = if tier {
+                let base = ClusterParams {
+                    followers: 2,
+                    clients: 3,
+                    ops_per_client: if args.extended { 250 } else { 80 },
+                    bank_keys: 8,
+                    ..ClusterParams::default()
+                };
+                let backends: &[BackendKind] = if args.extended {
+                    &SERVICE_BACKENDS
+                } else {
+                    &[BackendKind::Tiny]
+                };
+                cluster_sweep(&base, &[1, 9, 23], backends)
+            } else {
+                let runs = args.seeds.iter().map(|&seed| ClusterParams {
+                    seed,
+                    ..args.cluster.clone()
+                });
+                runs.map(|params| run_cluster(&params)).collect()
+            };
+            for r in reports {
+                tally.book(r.summary(), &r.violations, || cluster_reproducer(&r.params));
+            }
+        }
     }
-    eprintln!("chaos: {} of {runs} runs FAILED", failures.len());
-    for params in &failures {
-        let minimal = if args.do_shrink {
-            shrink(params)
-        } else {
-            *params
-        };
-        eprintln!("  reproduce with: {}", reproducer_command(&minimal));
-    }
-    ExitCode::FAILURE
+    tally.finish()
 }

@@ -31,6 +31,15 @@
 //! * **A stress driver** ([`driver::run_chaos`]): seeded workloads over
 //!   every backend, sweep and shrink helpers, and one-line reproducer
 //!   commands for failing seeds.
+//! * **Two service harnesses over one workload** ([`service`]): a durable
+//!   TxKV whose WAL writer is killed at an armed point, then recovered
+//!   ([`recovery::run_recovery`]), and a replicated cluster driven
+//!   through kills, partitions and lossy links
+//!   ([`cluster::run_cluster`]). Both run the same ledger-and-transfer
+//!   clients on the same backend factory and judge what survives with
+//!   the same ledger and bank oracle.
+//!
+//! One command runs all three: `chaos [stm|recovery|cluster]`.
 //!
 //! [`TmSystem`]: rococo_stm::TmSystem
 
@@ -42,12 +51,12 @@ pub mod driver;
 pub mod history;
 pub mod oracle;
 pub mod recovery;
+pub mod service;
 pub mod trace_oracle;
 pub mod workload;
 
 pub use cluster::{
     cluster_reproducer, cluster_sweep, run_cluster, ClusterKill, ClusterParams, ClusterRunReport,
-    CLUSTER_BANK_BALANCE,
 };
 pub use driver::{
     reproducer_command, run_chaos, shrink, sweep, BackendKind, ChaosParams, ChaosReport,
@@ -57,7 +66,7 @@ pub use history::{ChaosRecorder, Outcome, TxnHistory};
 pub use oracle::{check_history, OracleInput};
 pub use recovery::{
     recovery_reproducer, recovery_sweep, run_recovery, RecoveryParams, RecoveryRunReport,
-    RECOVERY_BACKENDS,
 };
+pub use service::{BANK_BALANCE, SERVICE_BACKENDS};
 pub use trace_oracle::{check_trace, TraceOracleReport};
 pub use workload::{gen_ops, Layout, Op, INITIAL_BALANCE};

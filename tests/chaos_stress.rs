@@ -1,6 +1,6 @@
 //! Tier-1 chaos harness runs: pinned seeds, every backend, bounded
 //! runtime. The full matrices live behind `chaos --pinned` and
-//! `chaos --extended` (see `ci.sh --stress`); this file keeps a small
+//! `chaos --extended` (in `ci.sh --full`); this file keeps a small
 //! always-on slice in `cargo test` so a commit-path regression cannot
 //! land without tripping the serializability oracle.
 

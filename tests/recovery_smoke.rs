@@ -1,6 +1,6 @@
 //! Tier-1 recovery smoke: a fast slice of the crash-recovery chaos
 //! matrix. The full kill-point × fsync-mode sweep lives behind
-//! `ci.sh --recovery` (the `recovery` binary's `--matrix` mode); this
+//! `chaos recovery --pinned` (in `ci.sh --full`); this
 //! file keeps one representative of each failure family in the default
 //! test run so a durability regression cannot land silently.
 
