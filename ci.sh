@@ -113,6 +113,21 @@ if grep -rnE 'validate_async|PendingVerdict' crates/ \
   exit 1
 fi
 
+echo "== the WAL runs on the threads that use it: no writer thread, no spin budgets, no checkpoint mailbox"
+# Whoever waits for the durable watermark writes the batch under the
+# writer lock; a thread of its own would bring back the hand-off and the
+# budgets that made a lone append bimodal.
+if grep -rnE 'writer_loop|ExitGuard|ckpt_wanted|WAIT_SPOTS|CONSUMER_SPIN|PRODUCER_SPIN|PARK_AFTER|spin_on_this_host' crates/; then
+  echo "the WAL writer thread or one of its budgets is back under crates/" >&2
+  exit 1
+fi
+for f in crates/wal/src/*.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'thread::spawn|thread::Builder'; then
+    echo "$f starts a thread outside its tests" >&2
+    exit 1
+  fi
+done
+
 echo "== request hop and what it allocates, a worker on hot keys that aborts nothing, one whose every commit is irrevocable, and a reply that leaves before its batch ends (release)"
 cargo test --release -q -p rococo-server --lib hop::
 cargo test --release -q -p rococo-server --test alloc_per_request
@@ -123,12 +138,18 @@ cargo test --release -q -p rococo-server --lib a_reply_leaves_before_its_batch_e
 echo "== validation service, WAL ring and request hop on one CPU (release: where a spin-wait livelocks and a lost unpark hangs)"
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first
-# livelocks (a turn-wait without a yield did) and the second hangs. The WAL
-# ring and the request hop wait with rococo-park's helper (the ring skips
-# its spin phase here, the hop never spins). The validation service has no
-# wait/wake protocol: `post` validates under the engine's lock on the
-# posting thread and returns the verdict. Its one sleep outside the lock is
-# the late-verdict fault; `a_poster_behind_a_stalled_post_gets_its_verdict`
+# livelocks (a turn-wait without a yield did) and the second hangs. The
+# request hop waits with rococo-park's helper (it never spins). The WAL has
+# no thread to wake: a waiter behind a gap yields to the gap's owner, which
+# here is the only other thread that can run, and a waiter behind a held
+# writer lock naps until the holder's release wakes it (the WAL's
+# `a_waiter_behind_a_gap_returns_once_its_owner_posts`,
+# `a_batch_posted_before_its_wait_is_one_write` and
+# `a_holder_that_leaves_without_writing_wakes_its_nappers`, and the
+# service's two `group_commit_groups_*` tests, check it). The validation
+# service has no wait/wake protocol: `post` validates under the engine's
+# lock on the posting thread and returns the verdict. Its one sleep outside
+# the lock is the late-verdict fault; `a_poster_behind_a_stalled_post_gets_its_verdict`
 # checks that a second poster gets its verdict while the first sleeps,
 # which on this CPU means the sleeper holds nothing the other needs.
 if command -v taskset >/dev/null 2>&1; then
@@ -137,7 +158,7 @@ if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test --release -q -p rococo-server --lib -- \
     hop:: a_lone_request_wakes a_dropped_pending_reply a_panicking_backend overload_sheds \
     a_lone_worker_on_hot_keys_aborts_nothing every_commit_irrevocable_still_conserves \
-    a_reply_leaves_before_its_batch_ends
+    a_reply_leaves_before_its_batch_ends group_commit_groups_
 else
   echo "taskset not found: skipping the one-CPU run of the rococo-fpga, rococo-wal and rococo-server hop tests"
 fi

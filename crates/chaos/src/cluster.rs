@@ -44,8 +44,8 @@ pub enum ClusterKill {
     /// The primary dies midway through broadcasting a stream batch
     /// ([`ReplKillPoint::MidShip`]).
     MidShip,
-    /// The primary's WAL writer dies after appending but before acking
-    /// ([`KillPoint::PostAppendPreAck`]): the classic acked-vs-logged
+    /// The primary's WAL dies after a batch is appended but before it is
+    /// acked ([`KillPoint::PostAppendPreAck`]): the classic acked-vs-logged
     /// ambiguity, resolved by fencing plus log-replay fail-over.
     PreAck,
     /// The harness demotes a healthy primary mid-run and the elected
@@ -98,8 +98,8 @@ pub struct ClusterParams {
     /// Failure scenario; `None` runs fault-free (the baseline the
     /// convergence oracle must hold on too).
     pub kill: Option<ClusterKill>,
-    /// Partition follower 0 mid-run and heal it: the gap protocol must
-    /// re-converge the replica.
+    /// Partition the first follower still alive mid-run and heal it: the
+    /// gap protocol must re-converge the replica.
     pub partition: bool,
     /// Percent of stream frames the links drop (gap + resend path).
     pub drop_pct: u32,
@@ -374,14 +374,33 @@ impl OnBackend for &ClusterParams {
         // very early crash (a WAL kill countdown landing inside it) is
         // recovered and the preload still completes.
         let mut harness_errors: Vec<String> = Vec::new();
+        // The follower whose link the partition cut. The cut must fall on
+        // a link that carries frames: a fenced primary ships nothing, so a
+        // fail-over in progress is waited out first (the partition never
+        // overlaps one), and the shipper skips a promoted follower, so the
+        // cut takes the first one still alive.
+        let mut partitioned = None;
         let load = run_load(&driver, &w, || {
             // Chaos from the coordinator's seat while the clients hammer
             // the cluster.
             if params.partition {
                 std::thread::sleep(Duration::from_millis(5));
-                cluster.set_partitioned(0, true);
-                std::thread::sleep(Duration::from_millis(40));
-                cluster.set_partitioned(0, false);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while cluster.poisoned() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                if cluster.poisoned() {
+                    harness_errors
+                        .push("the primary stayed fenced 5 s, so nothing was partitioned".into());
+                } else {
+                    partitioned =
+                        (0..cluster.follower_count()).find(|&f| cluster.follower_alive(f));
+                }
+                if let Some(f) = partitioned {
+                    cluster.set_partitioned(f, true);
+                    std::thread::sleep(Duration::from_millis(40));
+                    cluster.set_partitioned(f, false);
+                }
             }
             if params.kill == Some(ClusterKill::DuringElection) {
                 // Let some load land, then demote the healthy primary;
@@ -441,8 +460,8 @@ impl OnBackend for &ClusterParams {
             }
         }
         if params.partition {
-            let dropped = cluster
-                .link_stats(0)
+            let dropped = partitioned
+                .and_then(|f| cluster.link_stats(f))
                 .map_or(0, |s| s.dropped.load(Ordering::Relaxed));
             if dropped == 0 {
                 violations.push("partition scenario dropped no frames".into());
@@ -608,6 +627,24 @@ mod tests {
         assert!(report.crashed, "armed kill never fired");
         assert!(!report.failovers.is_empty());
         assert!(report.snapshot.epoch >= 1);
+    }
+
+    /// Seed 1's mid-ship kill elects follower 0 before the partition
+    /// falls, and seed 6's leaves the primary fenced across the whole
+    /// partition window: either way the harness must cut a link that
+    /// still carries frames.
+    #[test]
+    fn partition_after_promotion_still_drops_frames() {
+        for seed in [1, 6] {
+            let report = run_cluster(&ClusterParams {
+                seed,
+                kill: Some(ClusterKill::MidShip),
+                partition: true,
+                ..ClusterParams::default()
+            });
+            assert!(report.ok(), "seed {seed}: {:?}", report.violations);
+            assert!(report.crashed, "seed {seed}: armed kill never fired");
+        }
     }
 
     #[test]

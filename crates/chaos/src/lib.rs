@@ -32,7 +32,7 @@
 //!   every backend, sweep and shrink helpers, and one-line reproducer
 //!   commands for failing seeds.
 //! * **Two service harnesses over one workload** ([`service`]): a durable
-//!   TxKV whose WAL writer is killed at an armed point, then recovered
+//!   TxKV whose WAL is killed at an armed point, then recovered
 //!   ([`recovery::run_recovery`]), and a replicated cluster driven
 //!   through kills, partitions and lossy links
 //!   ([`cluster::run_cluster`]). Both run the same ledger-and-transfer

@@ -1,4 +1,4 @@
-//! Crash-recovery chaos: kill the WAL writer at an armed point under
+//! Crash-recovery chaos: kill the WAL at an armed point under
 //! live TxKV load, recover the directory, and check prefix consistency.
 //!
 //! The harness drives a durable [`TxKv`] with the service workload
@@ -7,8 +7,8 @@
 //! is the documented [`KillPoint::PostAppendPreAck`] anomaly — but never
 //! lose an ack; a clean shutdown must recover exactly.
 //!
-//! Because the simulated crash kills the writer thread in place (the
-//! page cache survives), the acked-writes-survive invariant holds for
+//! Because the simulated crash stops the WAL in place, in whichever
+//! worker thread is writing the batch (the page cache survives), the acked-writes-survive invariant holds for
 //! every [`FsyncPolicy`] — the fsync mode changes what a real power cut
 //! could lose, not what this harness can observe. The matrix still runs
 //! all modes: group-commit batching and the ack protocol differ per

@@ -1,25 +1,21 @@
 //! `rococo-park`: how a thread waits for another across a ring.
 //!
-//! Two hops in this workspace hand work to another thread through a
-//! bounded ring and wait for its answer — shard workers and the WAL writer
-//! (`rococo-wal`), a lone consumer thread, and clients and a shard's
-//! workers (`rococo-server`'s request hop), whose ring has as many
-//! consumers as the shard has workers, each with a [`Parker`] of its own.
-//! Both directions of both wait with [`Parker::wait`]: poll for a budget —
-//! spinning, with a yield every so often — then publish a `sleeping` flag,
-//! re-check and `thread::park`. The other side calls [`Parker::wake`] after
-//! every store the sleeper may be waiting for and issues the `unpark` only
-//! when it sees the flag, so a busy pipeline never makes a futex call and a
-//! parked side costs nothing. (The validator has no other side to wait
-//! for: whoever posts to it runs the engine itself.)
+//! One hop in this workspace hands work to another thread through a
+//! bounded ring and waits for its answer: `rococo-server`'s request hop,
+//! between clients and a shard's workers, whose ring has as many consumers
+//! as the shard has workers, each with a [`Parker`] of its own. Both
+//! directions wait with [`Parker::wait`]: poll for a budget — spinning,
+//! with a yield every so often — then publish a `sleeping` flag, re-check
+//! and `thread::park`. The other side calls [`Parker::wake`] after every
+//! store the sleeper may be waiting for and issues the `unpark` only when
+//! it sees the flag, so a busy pipeline never makes a futex call and a
+//! parked side costs nothing. (The validator and the WAL have no other
+//! side to wait for: whoever posts to the validator runs the engine, and
+//! whoever waits for the WAL's watermark writes the batch.)
 //!
-//! The budgets are constants sized by sweep on the 2-vCPU reference box,
-//! not knobs, and they are per hop: the WAL writer and its producers poll
-//! for [`PARK_AFTER`] and spin [`CONSUMER_SPIN`] / [`PRODUCER_SPIN`] between
-//! yields (no spinning at all on a one-CPU host, see [`spin_on_this_host`];
-//! EXPERIMENTS.md, "Validator link", where they were first swept); the
-//! request hop, whose waiter would spin on the CPU its only partner needs,
-//! passes budgets of its own (EXPERIMENTS.md, "Request hop").
+//! The budgets belong to the hop, not to this crate: they are constants
+//! sized by sweep on the 2-vCPU reference box (EXPERIMENTS.md, "Request
+//! hop"), not knobs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,39 +24,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
-
-/// How long a waiter of the WAL ring polls before it parks, both
-/// directions. Sized against what a park costs on the 2-vCPU reference
-/// box: a halted vCPU takes 60–100 µs to come back from a futex wake, and a
-/// shard worker's batch leaves the consumer without work for 30–50 µs
-/// while it drains.
-/// A side that parks in such a gap makes the other outwait any shorter
-/// budget and park too, and the pipeline settles into a ping-pong of
-/// futex wakes (measured on `kv-hot-write`: 60–90 k req/s against 220 k).
-/// Twice the wake latency keeps both sides out of it.
-pub const PARK_AFTER: Duration = Duration::from_micros(150);
-
-/// How long the WAL writer, the ring's consumer thread, spins between two
-/// yields. Its yields are what lets a producer sharing its CPU run, but on
-/// the reference kernel (6.18, EEVDF) a consumer that yields every few
-/// microseconds is scheduled erratically (measured: a third of the
-/// segments at 90 k req/s); one yield per half budget is not.
-pub const CONSUMER_SPIN: Duration = Duration::from_micros(75);
-
-/// How long a producer spins between two yields: a few microseconds, on
-/// the scale of the consumer's per-item work. If the answer takes longer
-/// the consumer is not running, and on an oversubscribed host it may be
-/// waiting for this very CPU.
-pub const PRODUCER_SPIN: Duration = Duration::from_micros(3);
-
-/// `spin` — or zero when this process may run on one CPU only, where the
-/// other side cannot be running while this one spins.
-pub fn spin_on_this_host(spin: Duration) -> Duration {
-    match std::thread::available_parallelism().map(usize::from) {
-        Ok(1) => Duration::ZERO,
-        _ => spin,
-    }
-}
 
 /// One thread's parking spot. At most one thread may be inside
 /// [`Parker::wait`] at a time.
@@ -161,10 +124,13 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
+    const SPIN: Duration = Duration::from_micros(3);
+    const POLL: Duration = Duration::from_micros(150);
+
     #[test]
     fn a_ready_condition_returns_without_parking() {
         let p = Parker::default();
-        assert!(p.wait(PRODUCER_SPIN, PARK_AFTER, None, || true));
+        assert!(p.wait(SPIN, POLL, None, || true));
         assert!(!p.is_sleeping());
     }
 
@@ -173,7 +139,7 @@ mod tests {
         let p = Parker::default();
         let started = Instant::now();
         let deadline = started + Duration::from_millis(5);
-        assert!(!p.wait(PRODUCER_SPIN, PARK_AFTER, Some(deadline), || false));
+        assert!(!p.wait(SPIN, POLL, Some(deadline), || false));
         assert!(started.elapsed() >= Duration::from_millis(5));
         assert!(!p.is_sleeping(), "the flag is lowered on the way out");
     }
@@ -185,9 +151,7 @@ mod tests {
         let waiter = {
             let (p, word) = (Arc::clone(&p), Arc::clone(&word));
             std::thread::spawn(move || {
-                p.wait(PRODUCER_SPIN, PARK_AFTER, None, || {
-                    word.load(Ordering::SeqCst) == 1
-                })
+                p.wait(SPIN, POLL, None, || word.load(Ordering::SeqCst) == 1)
             })
         };
         let started = Instant::now();

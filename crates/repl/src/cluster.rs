@@ -7,7 +7,7 @@
 //! The primary is an ordinary durable [`TxKv`] (checkpointing disabled,
 //! so its log is the complete history). A **shipper** thread tails the
 //! primary's `wal.log`, decodes complete record frames (a partial frame
-//! at the tail is withheld until the writer finishes it), and broadcasts
+//! at the tail is withheld until its writer finishes it), and broadcasts
 //! dense [`StreamBatch`]es to each follower over a simulated
 //! [`link`](crate::link) — per-follower cursors, so a slow or faulty
 //! link never stalls the others. Followers validate every batch
@@ -439,7 +439,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
         match kv.call_with_seq(req) {
             Ok(ok) => Ok(ok),
             Err(TxKvError::DurabilityLost) => {
-                // The log writer died: fence immediately so no later
+                // The log died: fence immediately so no later
                 // request can be acked by a primary that cannot log it.
                 self.poisoned.store(true, Ordering::SeqCst);
                 Err(ReplError::PrimaryDown)
@@ -645,7 +645,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
         rococo_telemetry::dump_anomaly("primary-demoted");
         if let Some(kv) = self.primary.write().take() {
             // Drain: queued requests finish (their acks are backed by
-            // the log) and the WAL writer flushes and exits.
+            // the log) and the WAL writes what is posted and closes.
             // The fail-over lock is held across the drain on purpose: it
             // exists to serialize recovery, and shutdown's drain is
             // bounded and never takes it, so the hold cannot deadlock.

@@ -89,14 +89,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How long a worker out of jobs, or a client out of replies, polls before
-/// it parks. The validator and the WAL writer poll for 150 µs
-/// (`rococo_park::PARK_AFTER`) because their partner is always a few
-/// microseconds away; here the partner is a thread that needs a CPU to make
-/// progress at all, and with a client, a worker and a validator on two
-/// vCPUs a waiter that polls for long polls on the CPU the other side
-/// needs. Long enough to ride out the gap between two batches, no longer;
-/// sized by sweep on the 2-vCPU reference box (EXPERIMENTS.md, "Request
-/// hop"), not a knob.
+/// it parks. The partner is a thread that needs a CPU to make progress at
+/// all, and with clients and workers on two vCPUs a waiter that polls for
+/// long polls on the CPU the other side needs (the old WAL writer thread's
+/// 150 µs budget cost the service 3× here). Long enough to ride out the
+/// gap between two batches, no longer; sized by sweep on the 2-vCPU
+/// reference box (EXPERIMENTS.md, "Request hop"), not a knob.
 pub(crate) const HOP_POLL: Duration = Duration::from_micros(5);
 
 /// How long a waiter of this hop spins between two yields: not at all. It

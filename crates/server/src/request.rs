@@ -147,7 +147,7 @@ pub enum TxKvError {
         last: AbortKind,
     },
     /// The transaction committed in memory but the write-ahead log could
-    /// not acknowledge it (the WAL writer died — simulated crash or I/O
+    /// not acknowledge it (the WAL died — simulated crash or I/O
     /// error). The write may or may not survive a restart; the service
     /// stops accepting further writes on this log.
     DurabilityLost,

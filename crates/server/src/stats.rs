@@ -27,8 +27,8 @@ rococo_telemetry::stats_block! {
         pub(crate) failed: "rococo_txkv_failed_total", "Requests that failed (retries exhausted)";
         /// Across all requests.
         pub(crate) retries: "rococo_txkv_retries_total", "Extra attempts beyond the first";
-        /// The transaction committed in memory but the writer died
-        /// before acknowledging its append.
+        /// The transaction committed in memory but the WAL died before
+        /// its record became durable.
         pub(crate) durability_lost: "rococo_txkv_durability_lost_total", "Commits never acknowledged by the WAL";
         /// The worker caught it and kept serving.
         pub(crate) panics: "rococo_txkv_panics_total", "Requests whose transaction panicked inside the backend";

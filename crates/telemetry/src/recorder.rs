@@ -112,7 +112,7 @@ pub enum TxEvent {
         /// Number of key-value writes in the record.
         writes: u32,
     },
-    /// The WAL writer completed an fsync batch.
+    /// A WAL fsync completed (on the thread that wrote the batch).
     WalFsync {
         /// Records covered by the fsync.
         records: u64,

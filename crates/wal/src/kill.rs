@@ -1,15 +1,16 @@
-//! Crash-point injection for the WAL writer.
+//! Crash-point injection for the WAL.
 //!
 //! A [`KillSwitch`] is armed with one [`KillPoint`] and a 1-based
-//! occurrence count; the writer thread polls it at each point and, when
-//! it fires, dies on the spot — leaving the directory in exactly the
-//! state a process crash there would. The harness then recovers from the
-//! directory and checks the prefix-consistency invariants.
+//! occurrence count; whichever thread holds the WAL's writer lock polls it
+//! at each point and, when it fires, marks the WAL dead on the spot —
+//! leaving the directory in exactly the state a process crash there
+//! would. The harness then recovers from the directory and checks the
+//! prefix-consistency invariants.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Where in the writer's lifecycle the simulated crash strikes.
+/// Where in a batch's or a checkpoint's write the simulated crash strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillPoint {
     /// A batch was formed but nothing reached the file: every write in
@@ -78,7 +79,7 @@ impl KillSwitch {
         })
     }
 
-    /// Called by the writer at each kill point; `true` means "die now".
+    /// Called under the writer lock at each kill point; `true` means "die now".
     pub fn should_fire(&self, point: KillPoint) -> bool {
         if point != self.point || self.fired.load(Ordering::SeqCst) {
             return false;

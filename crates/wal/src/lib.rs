@@ -15,13 +15,14 @@
 //!   order.
 //! * **Group commit** ([`writer::Wal`]): shard workers *post*
 //!   `(seq, write-set)` into a bounded ring indexed by the commit sequence
-//!   itself (record `seq` lives in slot `seq % depth`) and carry on; a
-//!   single writer thread waits for slot `next`, batches the dense run of
-//!   posted slots into one `write(2)`, fsyncs per
-//!   [`writer::FsyncPolicy`], and only then advances the **durable
-//!   watermark** that [`writer::Wal::wait_durable`] waits on. Out-of-order
-//!   arrivals simply sit in their slots until the gap fills, so the file is
-//!   dense by construction.
+//!   itself (record `seq` lives in slot `seq % depth`) and carry on. There
+//!   is no writer thread: a worker that waits for the **durable
+//!   watermark** ([`writer::Wal::wait_durable`]) takes the one writer
+//!   lock, batches the dense run of posted slots from `next` into one
+//!   `write(2)`, fsyncs per [`writer::FsyncPolicy`], and only then
+//!   advances the watermark — unless a thread that held the lock while
+//!   it napped already did. Out-of-order arrivals simply sit in their
+//!   slots until the gap fills, so the file is dense by construction.
 //! * **Checkpoints** ([`record::Checkpoint`]): a full snapshot of the
 //!   key table written to `ckpt.tmp`, fsynced, atomically renamed to
 //!   `ckpt-<next_seq>.snap`, and only *then* the log is truncated —
@@ -34,7 +35,7 @@
 //!   completes any interrupted truncation.
 //! * **Crash injection** ([`kill::KillSwitch`]): the chaos harness arms
 //!   a kill point (`PreAppend`, `MidAppend`, `PostAppendPreAck`,
-//!   `MidCheckpoint`, `MidTruncate`); when it fires the writer dies on
+//!   `MidCheckpoint`, `MidTruncate`); when it fires the WAL dies on
 //!   the spot — leaving exactly the on-disk state a crash there would,
 //!   the watermark where it was — and every in-flight and future append
 //!   fails with [`writer::WalDead`].

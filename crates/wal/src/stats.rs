@@ -5,7 +5,8 @@
 use rococo_telemetry::HistogramSnapshot;
 
 rococo_telemetry::stats_block! {
-    /// Live WAL counters, updated by the writer thread and the append path.
+    /// Live WAL counters, updated by the append path and whichever thread
+    /// writes a batch.
     pub struct WalStats;
     /// A point-in-time copy of [`WalStats`], surfaced in TxKV reports.
     pub struct WalSnapshot;

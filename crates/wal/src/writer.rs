@@ -1,85 +1,96 @@
 //! The group-commit WAL writer.
 //!
-//! One writer thread owns the log file. Shard workers hand it committed
-//! write sets through one bounded ring **indexed by the commit sequence
-//! itself**: record `seq` lives in slot `seq % depth`. The TM already
-//! handed out a dense ticket inside its commit critical section, so there
-//! is no tail to CAS and nothing to re-order — the writer waits for slot
-//! `next`, encodes the dense run of posted slots into one `write(2)` + one
-//! fsync (per policy), and the file is in commit order by construction.
-//! Nothing is allocated per record: a slot's vector keeps its capacity
-//! from lap to lap.
+//! The WAL has no thread of its own: it runs on the threads that use it.
+//! Shard workers hand it committed write sets through one bounded ring
+//! **indexed by the commit sequence itself**: record `seq` lives in slot
+//! `seq % depth`. The TM already handed out a dense ticket inside its
+//! commit critical section, so there is no tail to CAS and nothing to
+//! re-order. Whoever needs a record on disk takes the **writer lock** —
+//! the log file, the next sequence to write, the batch buffer and the
+//! fsync counters — encodes the dense run of posted slots from `next` into
+//! one `write(2)` + one fsync (per policy), and the file is in commit
+//! order by construction. Nothing is allocated per record: a slot's vector
+//! keeps its capacity from lap to lap.
 //!
 //! Acknowledgement is one monotone **durable watermark**: after each
-//! batch's write (and its fsync, per [`FsyncPolicy`]) the writer stores
-//! `next` into it. [`Wal::post`] fills a slot and returns; a worker posts
-//! every commit of its batch as the verdicts land and calls
-//! [`Wal::wait_durable`] once, for the last of them. [`Wal::append`] is the
-//! two in a row.
+//! batch's write (and its fsync, per [`FsyncPolicy`]) the lock holder
+//! stores `next` into it. [`Wal::post`] fills a slot without taking the
+//! lock and returns; a worker posts every commit of its batch as the
+//! verdicts land and calls [`Wal::wait_durable`] once, for the last of
+//! them. That call writes the batch itself, or finds that the thread it
+//! napped behind already did: whatever is posted while one thread fsyncs
+//! is the next one's batch. [`Wal::append`] is the two in a row.
 //!
 //! # Slot lifecycle
 //!
 //! | state | `turn` | entered by |
 //! |---|---|---|
-//! | free for `seq` | `seq` | [`Wal::open`] (first lap), or the writer consuming `seq − depth` |
+//! | free for `seq` | `seq` | [`Wal::open`] (first lap), or a flush consuming `seq − depth` |
 //! | posted | `seq + 1` | the owner of `seq`, by the `SeqCst` store of `turn` in [`Wal::post`] — after it copied the write set in under the slot's lock |
-//! | free for `seq + depth` | `seq + depth` | the writer, once it has encoded the record into its batch buffer (before the `write(2)`: the slot is free while the batch is on its way to disk) |
+//! | free for `seq + depth` | `seq + depth` | the writer lock's holder, once it has encoded the record into its batch buffer (before the `write(2)`: the slot is free while the batch is on its way to disk) |
 //!
-//! Only the owner of `seq` posts it and only the writer frees, so a slot's
-//! lock is never contended; it is there because this crate forbids
-//! `unsafe`. A producer whose slot still holds the previous lap waits for
-//! the writer to pass it. That cannot deadlock: the writer stalls only on
-//! the lowest unposted sequence `L`, every slot below `L` is consumed, so
-//! `L < next + depth` — the owner of `L` never waits on the ring, and it
-//! posts its sequences in ascending order, so nothing it waits for earlier
-//! is above `L`.
+//! Only the owner of `seq` posts it and only the writer lock's holder
+//! frees, so a slot's lock is never contended; it is there because this
+//! crate forbids `unsafe`.
 //!
 //! # Waiting
 //!
-//! Both directions wait with `rococo-park`'s [`Parker::wait`] (spin, yield,
-//! park, with the budgets swept for this ring). The writer has one
-//! parking spot; a `post` wakes it. Producers — any number of threads,
-//! waiting for the watermark, a lapped slot or a checkpoint — each claim
-//! one of [`WAIT_SPOTS`] spots for the length of one wait, and the writer
-//! wakes every claimed spot after each batch; a spurious wake re-checks
-//! and parks again.
+//! A thread that waits — for the watermark, or for a slot that still
+//! holds the record one lap below its own — loops. If another thread holds
+//! the writer lock (it is writing or fsyncing), it **naps** on a condition
+//! variable until the holder releases the lock after a change — a batch, a
+//! checkpoint, close or death — and then looks again: every napper wakes
+//! at once, so none waits for another to take the lock and leave, and the
+//! nappers whose records that batch covered return without touching it.
+//! Otherwise it takes the lock, and if slot `next` is posted writes the
+//! dense run from there; if not, a lower sequence is not posted yet, so it
+//! drops the lock and yields to that sequence's owner, which is between
+//! its commit and its `post`. The napping is not a spin budget: it costs
+//! nothing while the lock is free, and a flush pays one atomic add and
+//! load for it unless someone naps.
+//!
+//! This cannot deadlock. Let `L` be the lowest unposted sequence: every
+//! sequence below it is posted or written, so the owner of `L` finds slot
+//! `L % depth` either free for `L`, or holding `L − depth`, which is
+//! posted, and then it frees the slot itself by writing the dense run
+//! below `L`. So `L` gets posted, and a thread posts its own sequences in
+//! ascending order, so nothing it waited for earlier is above `L`. Nor
+//! does every waiter nap at once: a thread naps only while another holds
+//! the lock, and a holder that changed nothing (it found the gap) goes on
+//! looping awake, so someone always sees `L` posted and writes it.
 //!
 //! # Checkpoints
 //!
-//! A checkpoint is a side mailbox, not a ring entry: the caller quiesces
-//! commits (TxKV holds its pause gate), snapshots the key table, leaves it
-//! in the mailbox and raises a flag the writer polls at a batch boundary
-//! with nothing posted. The writer fsyncs the log, writes `ckpt.tmp`,
-//! fsyncs, renames to `ckpt-<next_seq>.snap`, and only then truncates the
-//! log — the rename-before-truncate order is what makes a crash anywhere
-//! in between recoverable.
+//! The caller quiesces commits (TxKV holds its pause gate), snapshots the
+//! key table and calls [`Wal::checkpoint`], which under the writer lock
+//! writes any posted records, fsyncs the log, writes `ckpt.tmp`, fsyncs,
+//! renames to `ckpt-<next_seq>.snap`, and only then truncates the log —
+//! the rename-before-truncate order is what makes a crash anywhere in
+//! between recoverable.
 //!
-//! # Stop and writer death
+//! # Close and death
 //!
-//! [`Wal::shutdown`] (or dropping the handle [`Wal::open`] returned) asks
-//! the writer to stop; it leaves once slot `next` is unposted, after a
-//! final fsync. When an armed [`KillSwitch`] fires (or on an I/O error) the
-//! writer **dies**: the watermark stays where it was and nothing is
-//! cleaned up — the directory holds exactly what a crash would leave.
-//! Either way a guard on the writer's stack marks the WAL closed or dead
-//! and wakes every spot: each outstanding and future
-//! [`Wal::wait_durable`] above the watermark returns [`WalDead`]. A waiter
-//! re-checks the state after it published `sleeping` and the guard wakes
-//! after it stored the state, both `SeqCst`, so one sees the other.
+//! [`Wal::shutdown`] (or dropping the handle [`Wal::open`] returned)
+//! writes the posted dense prefix under the writer lock, fsyncs and marks
+//! the WAL closed. When an armed [`KillSwitch`] fires (or on an I/O
+//! error, or when a panic poisoned the writer lock) the WAL **dies**: the
+//! watermark stays where it was and nothing is cleaned up — the directory
+//! holds exactly what a crash would leave. Either way every waiter sees
+//! the state on its next loop: each outstanding and future
+//! [`Wal::wait_durable`] above the watermark returns [`WalDead`].
 
 use crate::kill::{KillPoint, KillSwitch};
 use crate::record::{encode_frame, Checkpoint};
 use crate::recover::{ckpt_file_name, recover, RecoveredState, CKPT_TMP, LOG_FILE};
 use crate::stats::{WalSnapshot, WalStats};
-use rococo_park::{spin_on_this_host, Padded, Parker, CONSUMER_SPIN, PARK_AFTER, PRODUCER_SPIN};
+use rococo_park::Padded;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::time::Instant;
 
 /// Slots of the ring, and so the most records one batch can hold. Twice
 /// what the default service can have outstanding (8 workers × a 16-job
@@ -87,11 +98,6 @@ use std::time::{Duration, Instant};
 /// worker of it ever waits for a slot; 256 slots of one cache line are
 /// 16 KiB.
 const RING_DEPTH: usize = 256;
-
-/// Producer threads that can be parked at once; a thread that finds every
-/// spot taken polls with a yield instead. Twice the default service's 8
-/// workers.
-const WAIT_SPOTS: usize = 16;
 
 /// When the writer acks an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +160,8 @@ impl WalConfig {
     }
 }
 
-/// The writer is dead (simulated crash, I/O error, or shutdown): the
-/// append was **not** acked and may or may not be durable.
+/// The WAL is dead (simulated crash, I/O error) or closed: the append was
+/// **not** acked and may or may not be durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalDead;
 
@@ -167,56 +173,68 @@ impl fmt::Display for WalDead {
 
 impl std::error::Error for WalDead {}
 
-/// The writer serves the ring.
+/// The WAL takes posts and writes them.
 const RUNNING: u8 = 0;
-/// [`Wal::shutdown`] asked it to leave once the ring is drained.
-const STOPPING: u8 = 1;
-/// It left after a clean drain and a final fsync.
-const CLOSED: u8 = 2;
+/// It was closed after writing the posted dense prefix and a final fsync.
+const CLOSED: u8 = 1;
 /// It died at a kill point, on an I/O error or in a panic.
-const DEAD: u8 = 3;
+const DEAD: u8 = 2;
 
 #[repr(align(64))]
 struct Slot {
     /// Which sequence the slot is free for (`seq`) or holds (`seq + 1`).
     turn: AtomicU64,
     /// The posted write set. Locked by the owner of `seq` before it posts
-    /// and by the writer after, never at once.
+    /// and by the writer lock's holder after, never at once.
     writes: Mutex<Vec<(u64, u64)>>,
-}
-
-/// One producer's parking spot, claimed for the length of one wait.
-#[derive(Default)]
-struct Spot {
-    taken: AtomicBool,
-    parker: Parker,
 }
 
 struct Shared {
     slots: Box<[Slot]>,
     mask: u64,
     /// Every record below this sequence has been written, and fsynced as
-    /// far as the policy promises. The writer alone stores it.
+    /// far as the policy promises. Stored under the writer lock only.
     durable: Padded<AtomicU64>,
-    /// [`RUNNING`] → [`STOPPING`] → [`CLOSED`], or → [`DEAD`] from either.
+    /// [`RUNNING`] → [`CLOSED`] or [`DEAD`]; stored under the writer lock
+    /// (or by the thread that found it poisoned).
     state: AtomicU8,
-    /// Where the writer sleeps for work.
-    writer: Parker,
-    spots: [Spot; WAIT_SPOTS],
-    /// [`CONSUMER_SPIN`] and [`PRODUCER_SPIN`], zero on a one-CPU host.
-    writer_spin: Duration,
-    producer_spin: Duration,
-    /// The checkpoint mailbox: one request at a time (`ckpt_turn`), the
-    /// table image in `ckpt_values`, served once the writer lowers
-    /// `ckpt_wanted`.
-    ckpt_wanted: AtomicBool,
-    ckpt_turn: Mutex<()>,
-    ckpt_values: Mutex<Vec<u64>>,
+    /// The writer lock: the log file and where its dense prefix ends.
+    writer: Mutex<WriterState>,
+    /// Bumped each time the writer lock is released after a change a
+    /// waiter may be waiting for: a batch, a checkpoint, close or death.
+    released: AtomicU64,
+    /// Threads napping on `wake` until `released` moves.
+    nappers: AtomicUsize,
+    nap: Mutex<()>,
+    wake: Condvar,
     stats: WalStats,
 }
 
-/// Every critical section here leaves its data whole at every step, so a
-/// poisoned lock is taken over as it stands.
+/// Declared before a writer lock guard, so it drops after it: once the
+/// lock is free, wakes the nappers, unless `changed` was cleared (or in a
+/// panic, which poisons the lock).
+struct Nudge<'a> {
+    sh: &'a Shared,
+    /// Cleared only by a holder that changed nothing and stays awake to
+    /// look again: any other release may leave no one else awake.
+    changed: bool,
+}
+
+impl Drop for Nudge<'_> {
+    fn drop(&mut self) {
+        if self.changed || std::thread::panicking() {
+            let sh = self.sh;
+            sh.released.fetch_add(1, Ordering::SeqCst);
+            if sh.nappers.load(Ordering::SeqCst) > 0 {
+                drop(locked(&sh.nap));
+                sh.wake.notify_all();
+            }
+        }
+    }
+}
+
+/// Every slot's critical section leaves its data whole at every step, so
+/// a poisoned slot lock is taken over as it stands.
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -230,46 +248,85 @@ impl Shared {
         self.slot(seq).turn.load(Ordering::SeqCst) == seq + 1
     }
 
-    /// The writer thread has left, cleanly or not.
+    /// The WAL is closed or dead.
     fn is_gone(&self) -> bool {
-        self.state.load(Ordering::SeqCst) >= CLOSED
+        self.state.load(Ordering::SeqCst) != RUNNING
     }
 
-    /// Blocks a producer until `ready()`, which must read with `SeqCst`
-    /// what the writer stores before [`Shared::wake_producers`].
-    fn wait_for(&self, ready: impl Fn() -> bool) {
+    /// Bind before taking the writer lock: see [`Nudge`].
+    fn nudge(&self, changed: bool) -> Nudge<'_> {
+        Nudge { sh: self, changed }
+    }
+
+    /// The writer lock, unless the WAL is gone. A panic under the lock may
+    /// have left the file mid-batch, so a poisoned lock kills the WAL.
+    fn writer(&self) -> Option<MutexGuard<'_, WriterState>> {
+        let Ok(w) = self.writer.lock() else {
+            self.state.store(DEAD, Ordering::SeqCst);
+            return None;
+        };
+        (!self.is_gone()).then_some(w)
+    }
+
+    /// Writes batches until `ready()` holds or the WAL is gone; naps
+    /// while another thread holds the writer lock, and yields while the
+    /// next record to write is not posted yet (see the module doc for why
+    /// its owner gets there). `ready()` is asked again under the lock: a
+    /// holder may have done the work since, and whatever was posted
+    /// meanwhile is the next waiter's batch.
+    fn lead_until(&self, ready: impl Fn() -> bool) {
         while !ready() {
-            let free = self
-                .spots
-                .iter()
-                .find(|s| !s.taken.swap(true, Ordering::SeqCst));
-            match free {
-                Some(spot) => {
-                    spot.parker
-                        .wait(self.producer_spin, PARK_AFTER, None, &ready);
-                    spot.taken.store(false, Ordering::SeqCst);
+            let seen = self.released.load(Ordering::SeqCst);
+            let mut nudge = self.nudge(true);
+            let mut w = match self.writer.try_lock() {
+                Ok(w) => w,
+                Err(TryLockError::WouldBlock) => {
+                    nudge.changed = false;
+                    self.nap(seen, &ready);
+                    continue;
                 }
-                None => std::thread::yield_now(),
+                Err(TryLockError::Poisoned(_)) => {
+                    return self.state.store(DEAD, Ordering::SeqCst);
+                }
+            };
+            if self.is_gone() || ready() {
+                // Leaving: the nappers wake to write their own records.
+                return;
+            }
+            if self.is_posted(w.next) {
+                w.flush_batch(self);
+            } else {
+                // Nothing changed, and this thread stays awake to look
+                // again, so it strands no napper.
+                nudge.changed = false;
+                drop(w);
+                std::thread::yield_now();
             }
         }
     }
 
-    fn wake_producers(&self) {
-        for spot in &self.spots {
-            spot.parker.wake();
+    /// Sleeps until `ready()` holds or the writer lock is released after a
+    /// change made since `released` read `seen`. All the holder's waiters
+    /// wake at once, so none waits for another to take the lock and leave.
+    fn nap(&self, seen: u64, ready: &impl Fn() -> bool) {
+        let mut g = locked(&self.nap);
+        self.nappers.fetch_add(1, Ordering::SeqCst);
+        while self.released.load(Ordering::SeqCst) == seen && !ready() {
+            g = self.wake.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
+        self.nappers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// A handle to the group-commit WAL. Clone freely with [`Wal::client`];
-/// all handles feed the same writer thread. The [`Wal`] returned by
-/// [`Wal::open`] owns the writer: shutting it down or dropping it drains
-/// the ring, stops the writer and joins it, and every other handle's
-/// later appends fail with [`WalDead`].
+/// all handles write through the same writer lock. The [`Wal`] returned
+/// by [`Wal::open`] owns the log: shutting it down or dropping it writes
+/// what is posted and closes the WAL, and every other handle's later
+/// appends fail with [`WalDead`].
 pub struct Wal {
     shared: Arc<Shared>,
-    /// Present only on the handle returned by `open`.
-    writer: Option<JoinHandle<()>>,
+    /// Set only on the handle returned by `open`.
+    owner: bool,
 }
 
 impl fmt::Debug for Wal {
@@ -282,7 +339,7 @@ impl fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// Recovers `cfg.dir` (see [`recover`]) and starts the writer thread
+    /// Recovers `cfg.dir` (see [`recover`]) and opens the log for
     /// appending at the recovered `next_seq`. Returns the handle and the
     /// recovered state for the caller to rebuild its table from.
     ///
@@ -316,62 +373,55 @@ impl Wal {
             mask,
             durable: Padded(AtomicU64::new(next)),
             state: AtomicU8::new(RUNNING),
-            writer: Parker::default(),
-            spots: Default::default(),
-            writer_spin: spin_on_this_host(CONSUMER_SPIN),
-            producer_spin: spin_on_this_host(PRODUCER_SPIN),
-            ckpt_wanted: AtomicBool::new(false),
-            ckpt_turn: Mutex::new(()),
-            ckpt_values: Mutex::new(Vec::new()),
+            released: AtomicU64::new(0),
+            nappers: AtomicUsize::new(0),
+            nap: Mutex::new(()),
+            wake: Condvar::new(),
+            writer: Mutex::new(WriterState {
+                cfg,
+                file,
+                next,
+                batches_since_fsync: 0,
+                records_since_fsync: 0,
+                buf: Vec::new(),
+            }),
             stats: WalStats::default(),
         });
-        let st = WriterState {
-            cfg,
-            file,
-            next,
-            batches_since_fsync: 0,
-            records_since_fsync: 0,
-            shared: Arc::clone(&shared),
-            buf: Vec::new(),
-        };
-        let writer = std::thread::Builder::new()
-            .name("wal-writer".into())
-            .spawn(move || writer_loop(st))
-            .expect("failed to spawn wal writer");
         Ok((
             Wal {
                 shared,
-                writer: Some(writer),
+                owner: true,
             },
             recovered,
         ))
     }
 
-    /// A cheap clone for shard workers (does not own the writer join
-    /// handle).
+    /// A cheap clone for shard workers (does not close the WAL when
+    /// dropped).
     pub fn client(&self) -> Wal {
         Wal {
             shared: Arc::clone(&self.shared),
-            writer: None,
+            owner: false,
         }
     }
 
-    /// Hands one committed transaction to the writer and returns without
+    /// Hands one committed transaction to the log and returns without
     /// waiting for it to reach the file. `seq` must be the dense commit
     /// sequence the TM handed out, rebased by the caller onto the
-    /// recovered `next_seq`; each sequence is posted exactly once. Waits
-    /// only while slot `seq % depth` still holds the record one lap
-    /// below — never for the owner of the lowest unposted sequence, and a
-    /// thread must post its own sequences in ascending order.
+    /// recovered `next_seq`; each sequence is posted exactly once, and a
+    /// thread must post its own sequences in ascending order. Waits only
+    /// while slot `seq % depth` still holds the record one lap below: it
+    /// then writes that lap itself, yielding while a sequence under it is
+    /// unposted.
     ///
     /// # Errors
     ///
-    /// [`WalDead`] if the writer is gone. An `Ok` promises nothing yet:
+    /// [`WalDead`] if the WAL is gone. An `Ok` promises nothing yet:
     /// [`Wal::wait_durable`] does.
     pub fn post(&self, seq: u64, writes: &[(u64, u64)]) -> Result<(), WalDead> {
         let sh = &*self.shared;
         let slot = sh.slot(seq);
-        sh.wait_for(|| slot.turn.load(Ordering::SeqCst) == seq || sh.is_gone());
+        sh.lead_until(|| slot.turn.load(Ordering::SeqCst) == seq);
         if sh.is_gone() {
             sh.stats.failed_appends.fetch_add(1, Ordering::Relaxed);
             return Err(WalDead);
@@ -382,20 +432,21 @@ impl Wal {
             held.extend_from_slice(writes);
         }
         slot.turn.store(seq + 1, Ordering::SeqCst);
-        sh.writer.wake();
         Ok(())
     }
 
     /// Blocks until the watermark has passed `seq`: its record is in the
-    /// file, and fsynced if the policy says so.
+    /// file, and fsynced if the policy says so. The calling thread writes
+    /// the batch itself unless a thread that held the writer lock while it
+    /// napped already did.
     ///
     /// # Errors
     ///
-    /// [`WalDead`] if the writer went before it got there; the record may
-    /// or may not have reached the disk.
+    /// [`WalDead`] if the WAL went before it got there; the record may or
+    /// may not have reached the disk.
     pub fn wait_durable(&self, seq: u64) -> Result<(), WalDead> {
         let sh = &*self.shared;
-        sh.wait_for(|| self.durable_seq() > seq || sh.is_gone());
+        sh.lead_until(|| self.durable_seq() > seq);
         if self.durable_seq() > seq {
             Ok(())
         } else {
@@ -411,14 +462,14 @@ impl Wal {
         self.shared.durable.0.load(Ordering::SeqCst)
     }
 
-    /// Appends one committed transaction and blocks until the writer
-    /// acks it (after the policy's fsync): [`Wal::post`], then
+    /// Appends one committed transaction and blocks until it is durable
+    /// (after the policy's fsync): [`Wal::post`], then
     /// [`Wal::wait_durable`].
     ///
     /// # Errors
     ///
-    /// [`WalDead`] if the writer has died; the record may or may not
-    /// have reached the disk.
+    /// [`WalDead`] if the WAL has died; the record may or may not have
+    /// reached the disk.
     pub fn append(&self, seq: u64, writes: Vec<(u64, u64)>) -> Result<(), WalDead> {
         self.post(seq, &writes)?;
         self.wait_durable(seq)
@@ -432,31 +483,23 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// [`WalDead`] if the writer died (possibly mid-checkpoint; recovery
-    /// handles every intermediate state).
+    /// [`WalDead`] if the WAL is gone or died here (possibly
+    /// mid-checkpoint; recovery handles every intermediate state).
     pub fn checkpoint(&self, values: Vec<u64>) -> Result<u64, WalDead> {
         let sh = &*self.shared;
-        let _turn = locked(&sh.ckpt_turn);
-        if sh.is_gone() {
+        let _nudge = sh.nudge(true);
+        let mut w = sh.writer().ok_or(WalDead)?;
+        if !w.flush_posted(sh) {
             return Err(WalDead);
         }
-        *locked(&sh.ckpt_values) = values;
-        sh.ckpt_wanted.store(true, Ordering::SeqCst);
-        sh.writer.wake();
-        // `ckpt_turn` is held across this wait on purpose: it only orders
-        // checkpointers among themselves (the mailbox holds one request),
-        // and the writer never takes it.
-        sh.wait_for(|| !sh.ckpt_wanted.load(Ordering::SeqCst) || sh.is_gone());
-        if sh.ckpt_wanted.load(Ordering::SeqCst) {
-            Err(WalDead)
-        } else {
-            // Commits are quiesced and the ring drained, so the watermark
-            // is where the writer stands: the checkpoint's `next_seq`.
-            Ok(self.durable_seq())
+        if !w.checkpoint(sh, values) {
+            sh.state.store(DEAD, Ordering::SeqCst);
+            return Err(WalDead);
         }
+        Ok(w.next)
     }
 
-    /// Whether the writer has died (crash injection, I/O error).
+    /// Whether the WAL has died (crash injection, I/O error).
     pub fn is_dead(&self) -> bool {
         self.shared.state.load(Ordering::SeqCst) == DEAD
     }
@@ -466,43 +509,44 @@ impl Wal {
         self.shared.stats.snapshot()
     }
 
-    /// Stops the writer (it flushes every posted record of the dense
-    /// prefix first), joins it, and returns the final counters. Dropping
-    /// the opener handle does the same minus the snapshot.
-    pub fn shutdown(mut self) -> WalSnapshot {
-        self.stop_and_join();
+    /// Writes every posted record of the dense prefix, fsyncs, closes the
+    /// WAL and returns the final counters. Dropping the opener handle does
+    /// the same minus the snapshot.
+    pub fn shutdown(self) -> WalSnapshot {
+        self.close();
         self.shared.stats.snapshot()
     }
 
-    fn stop_and_join(&mut self) {
-        if let Some(h) = self.writer.take() {
-            let _ = self.shared.state.compare_exchange(
-                RUNNING,
-                STOPPING,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            self.shared.writer.wake();
-            let _ = h.join();
+    fn close(&self) {
+        let sh = &*self.shared;
+        let _nudge = sh.nudge(true);
+        let Some(mut w) = sh.writer() else { return };
+        if !w.flush_posted(sh) {
+            return;
         }
+        let synced = w.file.sync_data().is_ok();
+        sh.state
+            .store(if synced { CLOSED } else { DEAD }, Ordering::SeqCst);
     }
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        self.stop_and_join();
+        if self.owner {
+            self.close();
+        }
     }
 }
 
+/// What the writer lock guards.
 struct WriterState {
     cfg: WalConfig,
     file: File,
-    /// The next sequence to write: the writer's place in the ring.
+    /// The next sequence to write: where the dense prefix on file ends.
     next: u64,
     batches_since_fsync: u32,
     /// Records written since the last fsync: what the next one covers.
     records_since_fsync: u64,
-    shared: Arc<Shared>,
     /// Batch scratch space, reused so a steady state allocates nothing.
     buf: Vec<u8>,
 }
@@ -512,17 +556,12 @@ impl WriterState {
         self.cfg.kill.as_ref().is_some_and(|k| k.should_fire(point))
     }
 
-    fn maybe_fsync(&mut self) -> io::Result<()> {
+    fn maybe_fsync(&mut self, stats: &WalStats) -> io::Result<()> {
         let due = match self.cfg.fsync {
             FsyncPolicy::Always => true,
             FsyncPolicy::EveryN(n) => {
-                self.batches_since_fsync += 1;
-                if self.batches_since_fsync >= n {
-                    self.batches_since_fsync = 0;
-                    true
-                } else {
-                    false
-                }
+                self.batches_since_fsync = (self.batches_since_fsync + 1) % n;
+                self.batches_since_fsync == 0
             }
             FsyncPolicy::Never => false,
         };
@@ -530,8 +569,8 @@ impl WriterState {
             let t0 = Instant::now();
             self.file.sync_data()?;
             let dt = t0.elapsed().as_nanos() as u64;
-            self.shared.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.shared.stats.fsync_ns.record(dt);
+            stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+            stats.fsync_ns.record(dt);
             rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::WalFsync {
                 records: self.records_since_fsync,
                 ns: dt,
@@ -542,14 +581,33 @@ impl WriterState {
     }
 
     /// Writes the dense run of posted slots from `next` on as one batch
-    /// and moves the watermark past it. Returns `false` when the writer
-    /// died (kill point or I/O error).
-    fn flush_batch(&mut self) -> bool {
-        let depth = self.shared.slots.len() as u64;
+    /// and moves the watermark past it. Returns `false`, with the WAL
+    /// marked dead, at a kill point or on an I/O error.
+    fn flush_batch(&mut self, sh: &Shared) -> bool {
+        let written = self.write_batch(sh);
+        if !written {
+            sh.state.store(DEAD, Ordering::SeqCst);
+        }
+        written
+    }
+
+    /// Writes every posted record of the dense prefix; `false` when the
+    /// WAL died doing so.
+    fn flush_posted(&mut self, sh: &Shared) -> bool {
+        while sh.is_posted(self.next) {
+            if !self.flush_batch(sh) {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn write_batch(&mut self, sh: &Shared) -> bool {
+        let depth = sh.slots.len() as u64;
         let first = self.next;
         self.buf.clear();
-        while self.next - first < depth && self.shared.is_posted(self.next) {
-            let slot = self.shared.slot(self.next);
+        while self.next - first < depth && sh.is_posted(self.next) {
+            let slot = sh.slot(self.next);
             encode_frame(self.next, &locked(&slot.writes), &mut self.buf);
             slot.turn.store(self.next + depth, Ordering::SeqCst);
             self.next += 1;
@@ -568,7 +626,7 @@ impl WriterState {
             let _ = self.file.sync_data();
             return false;
         }
-        if self.file.write_all(&self.buf).is_err() || self.maybe_fsync().is_err() {
+        if self.file.write_all(&self.buf).is_err() || self.maybe_fsync(&sh.stats).is_err() {
             return false;
         }
         if self.fires(KillPoint::PostAppendPreAck) {
@@ -576,8 +634,7 @@ impl WriterState {
             let _ = self.file.sync_data();
             return false;
         }
-        let shared = &*self.shared;
-        let stats = &shared.stats;
+        let stats = &sh.stats;
         stats.appended_records.fetch_add(records, Ordering::Relaxed);
         stats
             .appended_bytes
@@ -585,30 +642,13 @@ impl WriterState {
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.batch_sizes.record(records);
         stats.acked_records.fetch_add(records, Ordering::Relaxed);
-        shared.durable.0.store(self.next, Ordering::SeqCst);
-        shared.wake_producers();
-        true
-    }
-
-    /// Serves the checkpoint mailbox. Returns `false` when the writer
-    /// died.
-    fn serve_checkpoint(&mut self) -> bool {
-        let values = std::mem::take(&mut *locked(&self.shared.ckpt_values));
-        if !self.do_checkpoint(values) {
-            return false;
-        }
-        self.shared.ckpt_wanted.store(false, Ordering::SeqCst);
-        self.shared.wake_producers();
+        sh.durable.0.store(self.next, Ordering::SeqCst);
         true
     }
 
     /// Writes `ckpt-<next>.snap` (temp + fsync + rename) then truncates
-    /// the log. Returns `false` when the writer died.
-    fn do_checkpoint(&mut self, values: Vec<u64>) -> bool {
-        debug_assert!(
-            !self.shared.is_posted(self.next),
-            "checkpoint requires quiesced commits"
-        );
+    /// the log. Returns `false` at a kill point or on an I/O error.
+    fn checkpoint(&mut self, sh: &Shared, values: Vec<u64>) -> bool {
         let dir = self.cfg.dir.clone();
         let ck = Checkpoint {
             next_seq: self.next,
@@ -655,72 +695,17 @@ impl WriterState {
                     }
                 }
             }
-            self.shared
-                .stats
-                .truncations
-                .fetch_add(1, Ordering::Relaxed);
+            sh.stats.truncations.fetch_add(1, Ordering::Relaxed);
             Ok(true)
         };
         match run() {
             Ok(true) => {
-                self.shared
-                    .stats
-                    .checkpoints
-                    .fetch_add(1, Ordering::Relaxed);
+                sh.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
                 // The checkpoint's own sync covered them.
                 self.records_since_fsync = 0;
                 true
             }
             Ok(false) | Err(_) => false,
-        }
-    }
-}
-
-/// Lives on the writer thread's stack: whichever way the thread ends, no
-/// producer is left waiting.
-struct ExitGuard {
-    shared: Arc<Shared>,
-    /// The ring was drained and the tail fsynced.
-    clean: bool,
-}
-
-impl Drop for ExitGuard {
-    fn drop(&mut self) {
-        let state = if self.clean { CLOSED } else { DEAD };
-        self.shared.state.store(state, Ordering::SeqCst);
-        self.shared.wake_producers();
-        rococo_telemetry::flush_thread();
-    }
-}
-
-fn writer_loop(mut st: WriterState) {
-    let shared = Arc::clone(&st.shared);
-    let mut exit = ExitGuard {
-        shared: Arc::clone(&shared),
-        clean: false,
-    };
-    loop {
-        shared
-            .writer
-            .wait(shared.writer_spin, PARK_AFTER, None, || {
-                shared.is_posted(st.next)
-                    || shared.ckpt_wanted.load(Ordering::SeqCst)
-                    || shared.state.load(Ordering::SeqCst) != RUNNING
-            });
-        // Posted records first: a checkpoint or a stop is served at a
-        // batch boundary with nothing posted behind it.
-        if shared.is_posted(st.next) {
-            if !st.flush_batch() {
-                return;
-            }
-        } else if shared.ckpt_wanted.load(Ordering::SeqCst) {
-            if !st.serve_checkpoint() {
-                return;
-            }
-        } else {
-            // Stop requested and the ring drained: make the tail durable.
-            exit.clean = st.file.sync_data().is_ok();
-            return;
         }
     }
 }
@@ -936,34 +921,19 @@ mod tests {
     }
 }
 
-/// The ring and the watermark: laps, waits, wake-ups and death.
+/// The ring and the watermark: laps, waits behind a gap, batches and death.
 #[cfg(test)]
 mod ring_tests {
     use super::*;
     use crate::scratch_dir;
-    use std::sync::atomic::AtomicUsize;
-
-    fn spin_until(what: &str, cond: impl Fn() -> bool) {
-        let started = Instant::now();
-        while !cond() {
-            assert!(
-                started.elapsed() < Duration::from_secs(10),
-                "timed out: {what}"
-            );
-            std::thread::yield_now();
-        }
-    }
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::time::Duration;
 
     fn open_ring(dir: &PathBuf, depth: usize, kill: Option<Arc<KillSwitch>>) -> Wal {
         let mut cfg = WalConfig::new(dir);
         cfg.fsync = FsyncPolicy::Never;
         cfg.kill = kill;
         Wal::open_ring(cfg, depth).expect("open the ring").0
-    }
-
-    fn parked_producers(wal: &Wal) -> usize {
-        let spots = wal.shared.spots.iter();
-        spots.filter(|s| s.parker.is_sleeping()).count()
     }
 
     #[test]
@@ -1046,8 +1016,15 @@ mod ring_tests {
         }
     }
 
+    /// Gives `thread` a while to finish and checks that it has not: it is
+    /// waiting for something the test has not done yet.
+    fn still_waiting<T>(what: &str, thread: &std::thread::JoinHandle<T>) {
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!thread.is_finished(), "{what} returned early");
+    }
+
     #[test]
-    fn a_lapped_producer_unblocks_when_the_writer_passes_it() {
+    fn a_lapped_producer_writes_the_lap_below_it() {
         let dir = scratch_dir("ring-lap");
         let wal = open_ring(&dir, 2, None);
         // Slot 0 is free for sequence 0: sequence 2 has to wait a lap.
@@ -1055,11 +1032,12 @@ mod ring_tests {
             let wal = wal.client();
             std::thread::spawn(move || wal.post(2, &[(2, 2)]))
         };
-        spin_until("the lapped producer parks", || parked_producers(&wal) == 1);
-        assert_eq!(wal.durable_seq(), 0);
+        still_waiting("the lapped post", &lapped);
         wal.post(1, &[(1, 1)]).unwrap();
         wal.post(0, &[(0, 0)]).unwrap();
         lapped.join().expect("producer panicked").unwrap();
+        // Nobody else waited: the lapped producer wrote 0 and 1 itself.
+        assert_eq!(wal.durable_seq(), 2);
         wal.wait_durable(2).unwrap();
         wal.shutdown();
         let seqs: Vec<u64> = recover(&dir)
@@ -1073,29 +1051,110 @@ mod ring_tests {
     }
 
     #[test]
-    fn a_parked_writer_is_woken_by_a_lone_post() {
-        let dir = scratch_dir("ring-wake-writer");
+    fn lone_appends_are_one_batch_each() {
+        let dir = scratch_dir("ring-lone");
         let wal = open_ring(&dir, 4, None);
         for seq in 0..3u64 {
-            // Idle past its whole budget: it has published `sleeping`.
-            spin_until("writer parks", || wal.shared.writer.is_sleeping());
-            wal.post(seq, &[(seq, 1)]).unwrap();
-            wal.wait_durable(seq).unwrap();
+            wal.append(seq, vec![(seq, 1)]).unwrap();
         }
         assert_eq!(wal.shutdown().batches, 3);
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Posted before anyone waits, the run is one write and one fsync: a
+    /// post writes nothing, so no thread takes the first record alone.
     #[test]
-    fn a_parked_waiter_is_woken_by_the_watermark() {
-        let dir = scratch_dir("ring-wake-waiter");
+    fn a_batch_posted_before_its_wait_is_one_write() {
+        let dir = scratch_dir("ring-one-write");
+        let (wal, _) = Wal::open(WalConfig::new(&dir)).unwrap();
+        for seq in 0..8u64 {
+            wal.post(seq, &[(seq, seq)]).unwrap();
+            if seq == 0 {
+                // Time for a thread that writes on a post to take it alone.
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        wal.wait_durable(7).unwrap();
+        let stats = wal.shutdown();
+        assert_eq!((stats.batches, stats.fsyncs), (1, 1));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Between a waiter's look at the watermark and its taking the writer
+    /// lock, another thread writes its record and a later one is posted:
+    /// the waiter looks again under the lock and writes nothing.
+    #[test]
+    fn a_waiter_served_by_the_lock_holder_writes_nothing() {
+        let dir = scratch_dir("ring-served");
+        let wal = open_ring(&dir, 4, None);
+        wal.post(0, &[(0, 1)]).unwrap();
+        let sh = &*wal.shared;
+        let looks = AtomicUsize::new(0);
+        sh.lead_until(|| {
+            if looks.fetch_add(1, Ordering::SeqCst) == 0 {
+                // The other thread, between this look and the lock.
+                let _nudge = sh.nudge(true);
+                assert!(sh.writer.lock().unwrap().flush_batch(sh));
+                wal.post(1, &[(1, 2)]).unwrap();
+                return false;
+            }
+            wal.durable_seq() > 0
+        });
+        assert_eq!(looks.load(Ordering::SeqCst), 2);
+        assert_eq!(wal.stats().batches, 1, "the waiter wrote seq 1");
+        wal.shutdown();
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A holder that leaves the lock without writing (what it waited for
+    /// was done) still wakes a waiter that napped behind it: nobody else
+    /// would write the waiter's record.
+    #[test]
+    fn a_holder_that_leaves_without_writing_wakes_its_nappers() {
+        let dir = scratch_dir("ring-leaver");
+        let wal = open_ring(&dir, 4, None);
+        wal.post(0, &[(0, 1)]).unwrap();
+        let sh = &*wal.shared;
+        let (holding, held) = std::sync::mpsc::channel();
+        let (tx, woke) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let looks = AtomicUsize::new(0);
+                // Not done at the loop's top; done under the lock once a
+                // waiter naps behind it.
+                sh.lead_until(|| {
+                    if looks.fetch_add(1, Ordering::SeqCst) == 0 {
+                        return false;
+                    }
+                    holding.send(()).unwrap();
+                    let patience = Instant::now() + Duration::from_secs(5);
+                    while sh.nappers.load(Ordering::SeqCst) == 0 && Instant::now() < patience {
+                        std::thread::yield_now();
+                    }
+                    true
+                });
+            });
+            held.recv().unwrap();
+            // Not scoped: a stranded waiter never returns.
+            let client = wal.client();
+            std::thread::spawn(move || tx.send(client.wait_durable(0)));
+        });
+        let woken = woke.recv_timeout(Duration::from_secs(5));
+        assert_eq!(woken, Ok(Ok(())), "the napping waiter was stranded");
+        wal.shutdown();
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_waiter_behind_a_gap_returns_once_its_owner_posts() {
+        let dir = scratch_dir("ring-gap");
         let wal = open_ring(&dir, 4, None);
         for seq in 0..3u64 {
             let waiter = {
                 let wal = wal.client();
                 std::thread::spawn(move || wal.wait_durable(seq))
             };
-            spin_until("waiter parks", || parked_producers(&wal) == 1);
+            still_waiting("a wait behind the gap", &waiter);
             wal.post(seq, &[(seq, 1)]).unwrap();
             waiter.join().expect("waiter panicked").unwrap();
         }
@@ -1103,24 +1162,11 @@ mod ring_tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Each append-path kill point, fired in whichever waiter writes the
+    /// batch, releases every outstanding waiter with `WalDead` and leaves
+    /// the directory the single-appender kill tests above expect.
     #[test]
-    fn a_checkpoint_is_served_by_a_parked_writer() {
-        let dir = scratch_dir("ring-ckpt-parked");
-        let wal = open_ring(&dir, 4, None);
-        wal.append(0, vec![(0, 7)]).unwrap();
-        spin_until("writer parks", || wal.shared.writer.is_sleeping());
-        assert_eq!(wal.checkpoint(vec![7]), Ok(1));
-        wal.shutdown();
-        let st = recover(&dir).unwrap();
-        assert_eq!((st.values, st.next_seq), (vec![7], 1));
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    /// Each append-path kill point releases every outstanding waiter with
-    /// `WalDead` and leaves the directory the single-appender kill tests
-    /// above expect.
-    #[test]
-    fn a_dying_writer_releases_every_waiter() {
+    fn a_kill_in_any_flushing_thread_releases_every_waiter() {
         for point in [
             KillPoint::PreAppend,
             KillPoint::MidAppend,
@@ -1136,7 +1182,9 @@ mod ring_tests {
                     std::thread::spawn(move || wal.wait_durable(seq))
                 })
                 .collect();
-            spin_until("three waiters park", || parked_producers(&wal) == 3);
+            for w in &waiters {
+                still_waiting("a wait behind the gap", w);
+            }
             // The second batch: the switch fires on it.
             wal.post(1, &[(1, 2)]).unwrap();
             for w in waiters {
@@ -1162,6 +1210,28 @@ mod ring_tests {
             }
             let _ = fs::remove_dir_all(dir);
         }
+    }
+
+    /// A panic under the writer lock may have left the file mid-batch: the
+    /// next thread to want the lock finds it poisoned and the WAL dead.
+    #[test]
+    fn a_poisoned_writer_lock_kills_the_wal() {
+        let dir = scratch_dir("ring-poison");
+        let wal = open_ring(&dir, 4, None);
+        wal.append(0, vec![(0, 1)]).unwrap();
+        let shared = Arc::clone(&wal.shared);
+        let panicked = std::thread::spawn(move || {
+            let _held = shared.writer.lock();
+            panic!("a panic under the writer lock");
+        });
+        assert!(panicked.join().is_err());
+        assert_eq!(wal.append(1, vec![(1, 2)]), Err(WalDead));
+        assert!(wal.is_dead());
+        assert_eq!(wal.checkpoint(vec![1]), Err(WalDead));
+        assert_eq!(wal.durable_seq(), 1);
+        wal.shutdown();
+        assert_eq!(recover(&dir).unwrap().records.len(), 1);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

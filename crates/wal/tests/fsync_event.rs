@@ -12,7 +12,7 @@ fn fsync_records(policy: FsyncPolicy, drive: impl FnOnce(&Wal)) -> Vec<u64> {
     rococo_telemetry::enable(1024);
     let (wal, _) = Wal::open(cfg).unwrap();
     drive(&wal);
-    wal.shutdown(); // the writer flushes its lane on the way out
+    wal.shutdown(); // the fsyncs ran on this thread: its lane holds them
     let events = rococo_telemetry::drain_events();
     rococo_telemetry::disable();
     let _ = std::fs::remove_dir_all(dir);

@@ -81,7 +81,7 @@ fn untruncated_log_skips_stale_records() {
 
 /// No reply before durable: workers post a whole batch to the WAL and
 /// release its replies on the durable watermark, so whichever way the
-/// writer dies, every `Ok` a client saw names a sequence inside the
+/// WAL dies, every `Ok` a client saw names a sequence inside the
 /// recovered prefix — and that prefix still conserves the bank.
 #[test]
 fn no_reply_leaves_before_its_record_is_durable() {
