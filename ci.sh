@@ -128,6 +128,35 @@ for f in crates/wal/src/*.rs; do
   fi
 done
 
+echo "== replication runs on one thread: the shipper, no channel"
+# The shipper hands every frame a link delivers to its follower; a
+# follower thread or a link queue would bring back the hand-off (and the
+# mpsc the schedule explorer would have to wrap).
+repl_src="$(for f in crates/repl/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)"
+if grep -nE 'mpsc|sync_channel|recv_timeout' <<<"$repl_src"; then
+  echo "crates/repl/src uses a channel outside its tests" >&2
+  exit 1
+fi
+if (( $(grep -cE 'thread::spawn|thread::Builder' <<<"$repl_src") > 1 )); then
+  echo "crates/repl/src starts more than one thread outside its tests" >&2
+  exit 1
+fi
+
+echo "== docs name crates/ paths that exist"
+# benchmark/README.md is left out: it still names the deleted
+# crates/bench/benches/, and only a change to the benchmark may edit it.
+missing=0
+for p in $(grep -ohE 'crates/[A-Za-z0-9_./*-]*' README.md DESIGN.md .claude/skills/verify/SKILL.md | sort -u); do
+  p="${p%.}"
+  if ! compgen -G "$p" >/dev/null; then
+    echo "a doc names $p, which does not exist" >&2
+    missing=1
+  fi
+done
+if (( missing )); then
+  exit 1
+fi
+
 echo "== request hop and what it allocates, a worker on hot keys that aborts nothing, one whose every commit is irrevocable, and a reply that leaves before its batch ends (release)"
 cargo test --release -q -p rococo-server --lib hop::
 cargo test --release -q -p rococo-server --test alloc_per_request

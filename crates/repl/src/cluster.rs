@@ -5,18 +5,20 @@
 //! # Architecture
 //!
 //! The primary is an ordinary durable [`TxKv`] (checkpointing disabled,
-//! so its log is the complete history). A **shipper** thread tails the
-//! primary's `wal.log`, decodes complete record frames (a partial frame
-//! at the tail is withheld until its writer finishes it), and broadcasts
-//! dense [`StreamBatch`]es to each follower over a simulated
-//! [`link`](crate::link) — per-follower cursors, so a slow or faulty
-//! link never stalls the others. Followers validate every batch
-//! (CRC, framing, density), apply it batch-atomically into their own
-//! key table, and advance a `next_expected` watermark; a gap or a
-//! rejected batch triggers a **Nack** carrying the expected sequence,
-//! which rewinds the shipper's cursor (resend). Resends overlap, so
-//! followers skip duplicates by sequence number — the stream is
-//! idempotent by construction.
+//! so its log is the complete history). A **shipper** thread, the
+//! cluster's only one, tails the primary's `wal.log`, decodes complete
+//! record frames (a partial frame at the tail is withheld until its
+//! writer finishes it), and broadcasts dense [`StreamBatch`]es to each
+//! follower over a simulated [`link`](crate::link) — per-follower
+//! cursors, so a faulty link never stalls the others. A follower is a
+//! key table the shipper writes: each frame a link delivers is received
+//! on the shipper's thread, which validates the batch (CRC, framing,
+//! density), applies it batch-atomically, and advances the follower's
+//! `next_expected` watermark; a gap or a rejected batch leaves a
+//! **nack** at the expected sequence in the follower's nack cell, and
+//! the shipper's next round rewinds that follower's cursor to it
+//! (resend). Resends overlap, so followers skip duplicates by sequence
+//! number — the stream is idempotent by construction.
 //!
 //! # Read-your-writes
 //!
@@ -45,7 +47,7 @@
 //! makes [`Cluster::recover_primary`] idempotent for racing observers.
 
 use crate::kill::{ReplKillPoint, ReplKillSwitch};
-use crate::link::{link, LinkFaults, LinkStats, LinkTx};
+use crate::link::{LinkFaults, LinkStats, LinkTx};
 use crate::stats::{ReplSnapshot, ReplStats};
 use crate::stream::StreamBatch;
 use parking_lot::{Mutex, RwLock};
@@ -57,7 +59,6 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -235,14 +236,33 @@ pub struct ReplReport {
     pub demoted: Vec<TxKvReport>,
 }
 
-/// One follower node's shared state (the applier thread holds clones).
-struct FollowerNode {
-    store: Arc<RwLock<Vec<u64>>>,
-    next_expected: Arc<AtomicU64>,
-    alive: Arc<AtomicBool>,
-    partitioned: Arc<AtomicBool>,
+/// One follower node: a key table the shipper writes.
+struct Follower {
+    index: u32,
+    store: RwLock<Vec<u64>>,
+    next_expected: AtomicU64,
+    alive: AtomicBool,
+    /// The lowest sequence a gap or a rejected batch asked to be resent
+    /// from since the shipper last looked; [`NO_NACK`] when none.
+    nack: AtomicU64,
+    partitioned: AtomicBool,
     link_stats: Arc<LinkStats>,
-    handle: Option<JoinHandle<()>>,
+}
+
+/// The empty nack cell.
+const NO_NACK: u64 = u64::MAX;
+
+/// What the cluster shares with its shipper thread.
+struct Shared {
+    followers: Vec<Follower>,
+    /// Fence: set the instant the primary is known dead or demoted;
+    /// requests fail fast instead of reaching a zombie.
+    poisoned: AtomicBool,
+    stop: AtomicBool,
+    /// Sequence the shipper has read off the log (== durable records
+    /// known to replication); follower lag is measured against this.
+    shipped_seq: AtomicU64,
+    stats: ReplStats,
 }
 
 /// A replicated TxKV cluster. See the module docs for the architecture.
@@ -253,18 +273,10 @@ pub struct Cluster<S: TmSystem + 'static> {
     /// Fresh-backend factory: durable recovery requires a backend that
     /// has never committed, so fail-over constructs a new one.
     make: Box<dyn Fn() -> Arc<S> + Send + Sync>,
-    primary: Arc<RwLock<Option<TxKv<S>>>>,
-    /// Fence: set the instant the primary is known dead or demoted;
-    /// requests fail fast instead of reaching a zombie.
-    poisoned: Arc<AtomicBool>,
-    epoch: Arc<AtomicU64>,
-    stats: Arc<ReplStats>,
-    /// Sequence the shipper has read off the log (== durable records
-    /// known to replication); follower lag is measured against this.
-    shipped_seq: Arc<AtomicU64>,
-    followers: Vec<FollowerNode>,
+    primary: RwLock<Option<TxKv<S>>>,
+    epoch: AtomicU64,
+    shared: Arc<Shared>,
     shipper: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
     failover_lock: Mutex<()>,
     demoted: Mutex<Vec<TxKvReport>>,
     final_primary: Option<TxKvReport>,
@@ -293,89 +305,30 @@ impl<S: TmSystem + 'static> Cluster<S> {
         let kv_cfg = cfg.kv_config(dir.clone(), cfg.wal_kill.clone());
         let (kv, _) = TxKv::recover(make(), kv_cfg).map_err(ReplError::Kv)?;
 
-        let stats = Arc::new(ReplStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let poisoned = Arc::new(AtomicBool::new(false));
-        let shipped_seq = Arc::new(AtomicU64::new(0));
-        let (nack_tx, nack_rx) = channel::<(u32, u64)>();
-
-        let mut followers = Vec::with_capacity(cfg.followers);
-        let mut links = Vec::with_capacity(cfg.followers);
-        for f in 0..cfg.followers {
-            // Decorrelate the per-link fault streams: identical seeds on
-            // every link would drop the same batches everywhere.
-            let faults = LinkFaults {
-                seed: cfg
-                    .link_faults
-                    .seed
-                    .wrapping_add((f as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                ..cfg.link_faults
-            };
-            let (tx, rx, partitioned, link_stats) = link(faults);
-            let store = Arc::new(RwLock::new(vec![0u64; cfg.keys as usize]));
-            let next_expected = Arc::new(AtomicU64::new(0));
-            let alive = Arc::new(AtomicBool::new(true));
-            let handle = {
-                let store = Arc::clone(&store);
-                let next_expected = Arc::clone(&next_expected);
-                let alive = Arc::clone(&alive);
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let nack = nack_tx.clone();
-                let keys = cfg.keys;
-                std::thread::Builder::new()
-                    .name(format!("repl-follower-{f}"))
-                    .spawn(move || {
-                        run_follower(
-                            f as u32,
-                            keys,
-                            rx,
-                            store,
-                            next_expected,
-                            alive,
-                            stop,
-                            nack,
-                            stats,
-                        )
-                    })
-                    .expect("failed to spawn repl follower")
-            };
-            followers.push(FollowerNode {
-                store,
-                next_expected,
-                alive,
-                partitioned,
-                link_stats,
-                handle: Some(handle),
-            });
-            links.push(tx);
-        }
-        drop(nack_tx);
-
+        let followers = (0..cfg.followers as u32)
+            .map(|index| Follower {
+                index,
+                store: RwLock::new(vec![0u64; cfg.keys as usize]),
+                next_expected: AtomicU64::new(0),
+                alive: AtomicBool::new(true),
+                nack: AtomicU64::new(NO_NACK),
+                partitioned: AtomicBool::new(false),
+                link_stats: Arc::default(),
+            })
+            .collect();
+        let shared = Arc::new(Shared {
+            followers,
+            poisoned: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            shipped_seq: AtomicU64::new(0),
+            stats: ReplStats::default(),
+        });
         let shipper = {
-            let log = dir.join("wal.log");
-            let alive: Vec<Arc<AtomicBool>> =
-                followers.iter().map(|n| Arc::clone(&n.alive)).collect();
-            let stop = Arc::clone(&stop);
-            let poisoned = Arc::clone(&poisoned);
-            let shipped_seq = Arc::clone(&shipped_seq);
-            let stats = Arc::clone(&stats);
-            let kill = cfg.kill.clone();
+            let ship = Shipper::new(dir.join("wal.log"), &cfg);
+            let (shared, kill) = (Arc::clone(&shared), cfg.kill.clone());
             std::thread::Builder::new()
                 .name("repl-shipper".into())
-                .spawn(move || {
-                    run_shipper(
-                        log,
-                        links,
-                        alive,
-                        nack_rx,
-                        stop,
-                        poisoned,
-                        shipped_seq,
-                        stats,
-                        kill,
-                    )
-                })
+                .spawn(move || ship.run(&shared, kill.as_deref()))
                 .expect("failed to spawn repl shipper")
         };
 
@@ -384,14 +337,10 @@ impl<S: TmSystem + 'static> Cluster<S> {
             dir,
             owns_dir,
             make,
-            primary: Arc::new(RwLock::new(Some(kv))),
-            poisoned,
-            epoch: Arc::new(AtomicU64::new(0)),
-            stats,
-            shipped_seq,
-            followers,
+            primary: RwLock::new(Some(kv)),
+            epoch: AtomicU64::new(0),
+            shared,
             shipper: Some(shipper),
-            stop,
             failover_lock: Mutex::new(()),
             demoted: Mutex::new(Vec::new()),
             final_primary: None,
@@ -416,7 +365,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
     /// Whether the primary is fenced (crashed or demoted, fail-over not
     /// yet completed).
     pub fn poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
+        self.shared.poisoned.load(Ordering::SeqCst)
     }
 
     /// Sends a request to the primary, returning the response and — for
@@ -429,7 +378,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
     /// died mid-request (the fence is raised as a side effect);
     /// [`ReplError::Kv`] for service-level failures.
     pub fn call(&self, req: Request) -> Result<(Response, Option<u64>), ReplError> {
-        if self.poisoned.load(Ordering::SeqCst) {
+        if self.shared.poisoned.load(Ordering::SeqCst) {
             return Err(ReplError::PrimaryDown);
         }
         let guard = self.primary.read();
@@ -441,12 +390,12 @@ impl<S: TmSystem + 'static> Cluster<S> {
             Err(TxKvError::DurabilityLost) => {
                 // The log died: fence immediately so no later
                 // request can be acked by a primary that cannot log it.
-                self.poisoned.store(true, Ordering::SeqCst);
+                self.shared.poisoned.store(true, Ordering::SeqCst);
                 Err(ReplError::PrimaryDown)
             }
             Err(e) => {
                 if let TxKvError::RetriesExhausted { last, .. } = e {
-                    self.stats.note_retries_exhausted(last);
+                    self.shared.stats.note_retries_exhausted(last);
                 }
                 Err(ReplError::Kv(e))
             }
@@ -527,7 +476,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
 
     /// A batch-atomic snapshot of follower `f`'s whole key table plus
     /// the watermark it is consistent with: the returned table reflects
-    /// exactly the writes with sequence `< watermark` (appliers update
+    /// exactly the writes with sequence `< watermark` (the shipper updates
     /// the store and the watermark under one write lock).
     ///
     /// # Errors
@@ -549,6 +498,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
     pub fn lag(&self, f: usize) -> Result<u64, ReplError> {
         let node = self.follower(f)?;
         Ok(self
+            .shared
             .shipped_seq
             .load(Ordering::SeqCst)
             .saturating_sub(node.next_expected.load(Ordering::SeqCst)))
@@ -558,28 +508,27 @@ impl<S: TmSystem + 'static> Cluster<S> {
     /// every shipped frame is dropped; the gap protocol re-converges the
     /// follower after healing.
     pub fn set_partitioned(&self, f: usize, partitioned: bool) {
-        if let Some(node) = self.followers.get(f) {
+        if let Some(node) = self.shared.followers.get(f) {
             node.partitioned.store(partitioned, Ordering::SeqCst);
         }
     }
 
     /// Whether follower `f` is alive and serving reads.
     pub fn follower_alive(&self, f: usize) -> bool {
-        self.followers
-            .get(f)
-            .is_some_and(|n| n.alive.load(Ordering::SeqCst))
+        self.follower(f).is_ok()
     }
 
     /// Configured follower count (including crashed and promoted ones —
     /// indices are stable for the cluster's lifetime).
     pub fn follower_count(&self) -> usize {
-        self.followers.len()
+        self.shared.followers.len()
     }
 
-    /// Link counters for follower `f`'s stream (sent, dropped, shed,
+    /// Link counters for follower `f`'s stream (sent, dropped,
     /// reordered), for harness assertions.
     pub fn link_stats(&self, f: usize) -> Option<Arc<LinkStats>> {
-        self.followers.get(f).map(|n| Arc::clone(&n.link_stats))
+        let node = self.shared.followers.get(f);
+        node.map(|n| Arc::clone(&n.link_stats))
     }
 
     /// Blocks until every live follower has applied sequence numbers up
@@ -587,7 +536,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
     pub fn wait_catch_up(&self, min_seq: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            let behind = self.followers.iter().any(|n| {
+            let behind = self.shared.followers.iter().any(|n| {
                 n.alive.load(Ordering::SeqCst) && n.next_expected.load(Ordering::SeqCst) < min_seq
             });
             if !behind {
@@ -641,7 +590,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
         let t0 = Instant::now();
         // Fence first: from here no request reaches the old primary, so
         // nothing can be acked by a node about to lose its identity.
-        self.poisoned.store(true, Ordering::SeqCst);
+        self.shared.poisoned.store(true, Ordering::SeqCst);
         rococo_telemetry::dump_anomaly("primary-demoted");
         if let Some(kv) = self.primary.write().take() {
             // Drain: queued requests finish (their acks are backed by
@@ -651,13 +600,11 @@ impl<S: TmSystem + 'static> Cluster<S> {
             // bounded and never takes it, so the hold cannot deadlock.
             self.demoted.lock().push(kv.shutdown());
         }
-        // Let in-flight frames land so the election sees settled
-        // watermarks; bounded, not required for correctness.
-        std::thread::sleep(SHIP_INTERVAL * 2);
 
         let mut crashed = 0u32;
         let (elected, candidate_watermark) = loop {
             let best = self
+                .shared
                 .followers
                 .iter()
                 .enumerate()
@@ -675,7 +622,8 @@ impl<S: TmSystem + 'static> Cluster<S> {
                 // The winner dies before catch-up completes; count it
                 // and re-elect among the survivors.
                 node.alive.store(false, Ordering::SeqCst);
-                self.stats.follower_crashes.fetch_add(1, Ordering::Relaxed);
+                let crashes = &self.shared.stats.follower_crashes;
+                crashes.fetch_add(1, Ordering::Relaxed);
                 crashed += 1;
                 continue;
             }
@@ -695,14 +643,14 @@ impl<S: TmSystem + 'static> Cluster<S> {
         // The promoted node stops serving follower reads: its replica
         // is now the primary's identity.
         if let Some(f) = elected {
-            self.followers[f as usize]
+            self.shared.followers[f as usize]
                 .alive
                 .store(false, Ordering::SeqCst);
         }
         *self.primary.write() = Some(kv);
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.poisoned.store(false, Ordering::SeqCst);
-        self.stats.failovers.fetch_add(1, Ordering::Relaxed);
+        self.shared.poisoned.store(false, Ordering::SeqCst);
+        self.shared.stats.failovers.fetch_add(1, Ordering::Relaxed);
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Failover {
             epoch,
             elected: elected.unwrap_or(u32::MAX),
@@ -719,17 +667,16 @@ impl<S: TmSystem + 'static> Cluster<S> {
 
     /// Point-in-time replication counters plus per-follower lag.
     pub fn snapshot(&self) -> ReplSnapshot {
-        let shipped = self.shipped_seq.load(Ordering::SeqCst);
-        let lags = self
-            .followers
-            .iter()
+        let shared = &*self.shared;
+        let shipped = shared.shipped_seq.load(Ordering::SeqCst);
+        let lags = (shared.followers.iter())
             .map(|n| shipped.saturating_sub(n.next_expected.load(Ordering::SeqCst)))
             .collect();
-        self.stats.snapshot(lags, self.epoch.load(Ordering::SeqCst))
+        shared.stats.snapshot(lags, self.epoch())
     }
 
-    /// Stops the cluster — shipper, primary, appliers, in that order —
-    /// and returns the final accounting.
+    /// Stops the cluster — shipper, then primary — and returns the final
+    /// accounting.
     pub fn shutdown(mut self) -> ReplReport {
         self.stop_and_join();
         ReplReport {
@@ -739,29 +686,19 @@ impl<S: TmSystem + 'static> Cluster<S> {
         }
     }
 
-    fn follower(&self, f: usize) -> Result<&FollowerNode, ReplError> {
-        let node = self
-            .followers
-            .get(f)
-            .ok_or(ReplError::FollowerDown { follower: f as u32 })?;
-        if !node.alive.load(Ordering::SeqCst) {
-            return Err(ReplError::FollowerDown { follower: f as u32 });
-        }
-        Ok(node)
+    fn follower(&self, f: usize) -> Result<&Follower, ReplError> {
+        let node = self.shared.followers.get(f);
+        node.filter(|n| n.alive.load(Ordering::SeqCst))
+            .ok_or(ReplError::FollowerDown { follower: f as u32 })
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.shipper.take() {
             let _ = h.join();
         }
         if let Some(kv) = self.primary.write().take() {
             self.final_primary = Some(kv.shutdown());
-        }
-        for node in &mut self.followers {
-            if let Some(h) = node.handle.take() {
-                let _ = h.join();
-            }
         }
         if self.owns_dir {
             let _ = std::fs::remove_dir_all(&self.dir);
@@ -778,165 +715,188 @@ impl<S: TmSystem + 'static> Drop for Cluster<S> {
 impl<S: TmSystem + 'static> std::fmt::Debug for Cluster<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
-            .field("followers", &self.followers.len())
+            .field("followers", &self.shared.followers.len())
             .field("epoch", &self.epoch())
             .field("poisoned", &self.poisoned())
             .finish()
     }
 }
 
-/// The shipper loop: tail the log, honour nacks, broadcast batches.
-#[allow(clippy::too_many_arguments)]
-fn run_shipper(
+/// The shipper's own state: per follower a link and a cursor, and the
+/// log it tails.
+struct Shipper {
     log: PathBuf,
-    mut links: Vec<LinkTx>,
-    alive: Vec<Arc<AtomicBool>>,
-    nacks: Receiver<(u32, u64)>,
-    stop: Arc<AtomicBool>,
-    poisoned: Arc<AtomicBool>,
-    shipped_seq: Arc<AtomicU64>,
-    stats: Arc<ReplStats>,
-    kill: Option<Arc<ReplKillSwitch>>,
-) {
-    // The full record cache: `cache[i].seq == i`. The log is dense from
-    // 0 and never truncated (checkpointing is disabled), so resends are
-    // an index, not a disk seek.
-    let mut cache: Vec<WalRecord> = Vec::new();
-    let mut offset: u64 = 0; // bytes of complete frames consumed
-    let mut cursors = vec![0u64; links.len()];
-    let mut tick: u64 = 0;
-    loop {
-        tick += 1;
-        if stop.load(Ordering::SeqCst) {
-            for l in &mut links {
-                l.flush();
-            }
-            break;
+    links: Vec<LinkTx>,
+    cursors: Vec<u64>,
+    /// The full record cache: `cache[i].seq == i`. The log is dense from
+    /// 0 and never truncated (checkpointing is disabled), so resends are
+    /// an index, not a disk seek.
+    cache: Vec<WalRecord>,
+    /// Bytes of complete frames consumed.
+    offset: u64,
+    tick: u64,
+}
+
+impl Shipper {
+    fn new(log: PathBuf, cfg: &ClusterConfig) -> Self {
+        // Decorrelate the per-link fault streams: identical seeds on
+        // every link would drop the same batches everywhere.
+        let links = (1..=cfg.followers as u64)
+            .map(|f| {
+                let seed = f.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                LinkTx::new(LinkFaults {
+                    seed: cfg.link_faults.seed.wrapping_add(seed),
+                    ..cfg.link_faults
+                })
+            })
+            .collect();
+        Self {
+            log,
+            links,
+            cursors: vec![0; cfg.followers],
+            cache: Vec::new(),
+            offset: 0,
+            tick: 0,
         }
-        while let Ok((f, expected)) = nacks.try_recv() {
-            let f = f as usize;
-            if expected < cursors[f] {
-                cursors[f] = expected;
+    }
+
+    /// Runs a round every [`SHIP_INTERVAL`] until the cluster stops.
+    fn run(mut self, shared: &Shared, kill: Option<&ReplKillSwitch>) {
+        while !shared.stop.load(Ordering::SeqCst) {
+            self.round(shared, kill);
+            std::thread::sleep(SHIP_INTERVAL);
+        }
+        rococo_telemetry::flush_thread();
+    }
+
+    /// One round: honour nacks, tail the log, broadcast batches and hand
+    /// every frame a link delivers to its follower.
+    fn round(&mut self, shared: &Shared, kill: Option<&ReplKillSwitch>) {
+        let stats = &shared.stats;
+        self.tick += 1;
+        for (node, cursor) in shared.followers.iter().zip(&mut self.cursors) {
+            let expected = node.nack.swap(NO_NACK, Ordering::SeqCst);
+            if expected < *cursor {
+                *cursor = expected;
                 stats.resends.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if !poisoned.load(Ordering::SeqCst) {
-            // Tail the log: decode complete frames past our offset; a
-            // partial frame mid-append is left for the next poll. A
-            // fail-over may truncate the torn tail, but never a complete
-            // frame — the offset stays valid across primary changes.
-            if let Ok(mut file) = File::open(&log) {
-                let mut buf = Vec::new();
-                if file.seek(SeekFrom::Start(offset)).is_ok()
-                    && file.read_to_end(&mut buf).is_ok()
-                    && !buf.is_empty()
-                {
-                    let (records, _end) = decode_all(&buf);
-                    for rec in records {
-                        debug_assert_eq!(rec.seq, cache.len() as u64, "log must be dense");
-                        offset += rec.frame_len() as u64;
-                        cache.push(rec);
-                    }
-                    shipped_seq.store(cache.len() as u64, Ordering::SeqCst);
+        if shared.poisoned.load(Ordering::SeqCst) {
+            return;
+        }
+        // Tail the log: decode complete frames past our offset; a
+        // partial frame mid-append is left for the next poll. A
+        // fail-over may truncate the torn tail, but never a complete
+        // frame — the offset stays valid across primary changes.
+        if let Ok(mut file) = File::open(&self.log) {
+            let mut buf = Vec::new();
+            if file.seek(SeekFrom::Start(self.offset)).is_ok()
+                && file.read_to_end(&mut buf).is_ok()
+                && !buf.is_empty()
+            {
+                let (records, _end) = decode_all(&buf);
+                for rec in records {
+                    debug_assert_eq!(rec.seq, self.cache.len() as u64, "log must be dense");
+                    self.offset += rec.frame_len() as u64;
+                    self.cache.push(rec);
                 }
+                shared
+                    .shipped_seq
+                    .store(self.cache.len() as u64, Ordering::SeqCst);
             }
-            'broadcast: for (f, l) in links.iter_mut().enumerate() {
-                if !alive[f].load(Ordering::SeqCst) {
-                    // Dead follower: fast-forward so the loop stays cheap.
-                    cursors[f] = cache.len() as u64;
-                    continue;
-                }
-                while (cursors[f] as usize) < cache.len() {
-                    if kill
-                        .as_ref()
-                        .is_some_and(|k| k.should_fire(ReplKillPoint::MidShip))
-                    {
-                        // Primary dies mid-broadcast: a strict prefix of
-                        // the followers got this round's batches. Fence
-                        // and stop shipping until fail-over recovers.
-                        poisoned.store(true, Ordering::SeqCst);
-                        break 'broadcast;
-                    }
-                    let first = cursors[f];
-                    let end = (first as usize + MAX_SHIP_RECORDS).min(cache.len());
-                    let batch = StreamBatch::new(first, cache[first as usize..end].to_vec());
-                    let n = batch.records.len();
-                    l.send(batch.encode());
-                    cursors[f] = batch.next_seq();
-                    stats.batches_shipped.fetch_add(1, Ordering::Relaxed);
-                    stats.records_shipped.fetch_add(n as u64, Ordering::Relaxed);
-                    rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ReplShip {
-                        first_seq: first,
-                        records: n as u32,
-                        follower: f as u32,
-                    });
-                }
-                l.flush();
+        }
+        let cache = &self.cache;
+        'broadcast: for (f, node) in shared.followers.iter().enumerate() {
+            let (link, cursor) = (&mut self.links[f], &mut self.cursors[f]);
+            if !node.alive.load(Ordering::SeqCst) {
+                continue; // a dead follower never comes back
             }
-            // Heartbeat: an empty batch at the cursor position, every
-            // few polls. A caught-up follower skips it as a duplicate; a
-            // follower whose *last* data batch was dropped sees a gap it
-            // would otherwise never learn about (nothing newer is coming
-            // to trigger detection) and nacks for the resend.
-            if tick.is_multiple_of(8) && !poisoned.load(Ordering::SeqCst) {
-                for (f, l) in links.iter_mut().enumerate() {
-                    if alive[f].load(Ordering::SeqCst) {
-                        l.send(StreamBatch::new(cursors[f], Vec::new()).encode());
-                        l.flush();
-                    }
+            while (*cursor as usize) < cache.len() {
+                if kill.is_some_and(|k| k.should_fire(ReplKillPoint::MidShip)) {
+                    // Primary dies mid-broadcast: a strict prefix of
+                    // the followers got this round's batches. Fence
+                    // and stop shipping until fail-over recovers.
+                    shared.poisoned.store(true, Ordering::SeqCst);
+                    break 'broadcast;
+                }
+                let first = *cursor;
+                let end = (first as usize + MAX_SHIP_RECORDS).min(cache.len());
+                let batch = StreamBatch::new(first, cache[first as usize..end].to_vec());
+                let n = batch.records.len();
+                node.ship(link, batch.encode(), stats);
+                *cursor = batch.next_seq();
+                stats.batches_shipped.fetch_add(1, Ordering::Relaxed);
+                stats.records_shipped.fetch_add(n as u64, Ordering::Relaxed);
+                rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ReplShip {
+                    first_seq: first,
+                    records: n as u32,
+                    follower: f as u32,
+                });
+            }
+            node.flush(link, stats);
+        }
+        // Heartbeat: an empty batch at the cursor position, every
+        // few polls. A caught-up follower skips it as a duplicate; a
+        // follower whose *last* data batch was dropped sees a gap it
+        // would otherwise never learn about (nothing newer is coming
+        // to trigger detection) and nacks for the resend.
+        if self.tick.is_multiple_of(8) && !shared.poisoned.load(Ordering::SeqCst) {
+            for (f, node) in shared.followers.iter().enumerate() {
+                if node.alive.load(Ordering::SeqCst) {
+                    let beat = StreamBatch::new(self.cursors[f], Vec::new()).encode();
+                    node.ship(&mut self.links[f], beat, stats);
+                    node.flush(&mut self.links[f], stats);
                 }
             }
         }
-        std::thread::sleep(SHIP_INTERVAL);
     }
-    rococo_telemetry::flush_thread();
 }
 
-/// One follower's apply loop: validate, gap-check, apply batch-atomically.
-#[allow(clippy::too_many_arguments)]
-fn run_follower(
-    f: u32,
-    keys: u64,
-    rx: crate::link::LinkRx,
-    store: Arc<RwLock<Vec<u64>>>,
-    next_expected: Arc<AtomicU64>,
-    alive: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    nack: Sender<(u32, u64)>,
-    stats: Arc<ReplStats>,
-) {
-    while !stop.load(Ordering::SeqCst) && alive.load(Ordering::SeqCst) {
-        let Some(bytes) = rx.recv(Duration::from_millis(5)) else {
-            continue;
-        };
-        if !alive.load(Ordering::SeqCst) {
-            break;
+impl Follower {
+    /// Offers `bytes` to this follower's link, receiving what it delivers.
+    fn ship(&self, link: &mut LinkTx, bytes: Vec<u8>, stats: &ReplStats) {
+        let partitioned = self.partitioned.load(Ordering::SeqCst);
+        for frame in link.send(bytes, partitioned, &self.link_stats) {
+            self.receive(&frame, stats);
         }
-        let batch = match StreamBatch::decode(&bytes) {
-            Ok(b) => b,
-            Err(_) => {
-                // Corrupt on the wire: discard as a unit and rewind the
-                // shipper to our position (a resend is idempotent).
-                stats.batches_rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = nack.send((f, next_expected.load(Ordering::SeqCst)));
-                continue;
+    }
+
+    /// Receives the frame this follower's link is holding back, if any.
+    fn flush(&self, link: &mut LinkTx, stats: &ReplStats) {
+        if let Some(frame) = link.flush(&self.link_stats) {
+            self.receive(&frame, stats);
+        }
+    }
+
+    /// Validates, gap-checks and applies one frame batch-atomically.
+    fn receive(&self, bytes: &[u8], stats: &ReplStats) {
+        if !self.alive.load(Ordering::SeqCst) {
+            return;
+        }
+        let expected = self.next_expected.load(Ordering::SeqCst);
+        let batch = match StreamBatch::decode(bytes) {
+            Ok(batch) if batch.first_seq <= expected => batch,
+            refused => {
+                // Corrupt on the wire (discarded as a unit), or a gap: a
+                // predecessor was dropped or is held back by a reordering
+                // link. Either way, ask for a resend from our position; a
+                // resend is idempotent, and a batch past the gap arrives
+                // again after it.
+                let counter = match refused {
+                    Err(_) => &stats.batches_rejected,
+                    Ok(_) => &stats.gaps_detected,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                self.nack.fetch_min(expected, Ordering::SeqCst);
+                return;
             }
         };
-        let expected = next_expected.load(Ordering::SeqCst);
-        if batch.first_seq > expected {
-            // Gap: a predecessor was dropped or is still in flight
-            // behind a reordering link. Ask for a resend from our
-            // position; this batch will arrive again after it.
-            stats.gaps_detected.fetch_add(1, Ordering::Relaxed);
-            let _ = nack.send((f, expected));
-            continue;
-        }
         if batch.next_seq() <= expected {
             // Entirely behind us: an overlapping resend already applied.
             stats
                 .duplicates_skipped
                 .fetch_add(batch.records.len() as u64, Ordering::Relaxed);
-            continue;
+            return;
         }
         let skip = (expected - batch.first_seq) as usize;
         stats
@@ -947,15 +907,15 @@ fn run_follower(
             // One write lock per batch: snapshot readers see whole
             // batches or nothing, and the watermark moves under the same
             // lock so a snapshot's (table, watermark) pair is exact.
-            let mut table = store.write();
+            let mut table = self.store.write();
             for rec in &batch.records[skip..] {
                 for &(k, v) in &rec.writes {
-                    if k < keys {
-                        table[k as usize] = v;
+                    if let Some(slot) = table.get_mut(k as usize) {
+                        *slot = v;
                     }
                 }
             }
-            next_expected.store(batch.next_seq(), Ordering::SeqCst);
+            self.next_expected.store(batch.next_seq(), Ordering::SeqCst);
         }
         let applied = batch.records.len() - skip;
         stats.apply_ns.record(t0.elapsed().as_nanos() as u64);
@@ -964,12 +924,11 @@ fn run_follower(
             .records_applied
             .fetch_add(applied as u64, Ordering::Relaxed);
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ReplApply {
-            follower: f,
+            follower: self.index,
             next_seq: batch.next_seq(),
             records: applied as u32,
         });
     }
-    rococo_telemetry::flush_thread();
 }
 
 #[cfg(test)]
@@ -1167,6 +1126,43 @@ mod tests {
         }
         let snap = cluster.snapshot();
         assert_eq!(snap.follower_crashes, 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_rejected_nacked_and_resent() {
+        let mut cluster = tiny_cluster(ClusterConfig {
+            followers: 1,
+            keys: 8,
+            ..ClusterConfig::default()
+        });
+        // Step the shipper by hand: stop the thread, drive rounds here.
+        cluster.shared.stop.store(true, Ordering::SeqCst);
+        cluster.shipper.take().unwrap().join().unwrap();
+        let mut shipper = Shipper::new(cluster.dir.join("wal.log"), &cluster.cfg);
+        let seq = cluster.put(3, 42).unwrap();
+        cluster.set_partitioned(0, true);
+        shipper.round(&cluster.shared, None); // the batch is dropped
+        cluster.set_partitioned(0, false);
+        assert_eq!(shipper.cursors[0], seq + 1, "the cursor is past the write");
+
+        let log = std::fs::read(cluster.dir.join("wal.log")).unwrap();
+        let mut frame = StreamBatch::new(0, decode_all(&log).0).encode();
+        frame[crate::stream::ENVELOPE_LEN] ^= 1;
+        let node = &cluster.shared.followers[0];
+        node.receive(&frame, &cluster.shared.stats);
+        assert_eq!(cluster.follower_snapshot(0).unwrap(), (vec![0; 8], 0));
+        assert_eq!(cluster.snapshot().batches_rejected, 1);
+        assert_eq!(
+            node.nack.load(Ordering::SeqCst),
+            0,
+            "nacked at next_expected"
+        );
+
+        shipper.round(&cluster.shared, None);
+        let read = cluster.follower_read(0, 3, Some(seq), Duration::ZERO);
+        assert_eq!(read, Ok(42));
+        assert_eq!(cluster.snapshot().resends, 1);
         cluster.shutdown();
     }
 

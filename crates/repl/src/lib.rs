@@ -1,19 +1,20 @@
 //! `rococo-repl`: WAL-shipped replication for TxKV.
 //!
 //! Turns the durable TxKV service into a replicated primary/follower
-//! cluster of in-process "nodes" connected by the same bounded-queue +
-//! latency-model idiom the `rococo-fpga` crate uses for the CCI link:
+//! cluster of in-process "nodes" joined by simulated links, all driven
+//! by one shipper thread:
 //!
 //! * [`stream`] — the wire format: group-committed WAL records shipped
 //!   as CRC-checked [`StreamBatch`]es, dense in commit-sequence order,
 //!   rejected as a unit on any framing, checksum, or density defect.
-//! * [`link`] — the simulated primary→follower link: bounded queue,
-//!   modelled latency, and seeded sender-side faults (drop, reorder,
-//!   partition) that exercise the receiver's gap/resend protocol.
+//! * [`link`] — the simulated primary→follower link: seeded
+//!   sender-side faults (drop, reorder, partition) that exercise the
+//!   receiver's gap/resend protocol.
 //! * [`cluster`] — the nodes themselves: a shipper tailing the
-//!   primary's log, follower appliers serving watermark-gated
-//!   read-your-writes snapshot reads, and a deterministic fail-over
-//!   coordinator with election, WAL-recovery catch-up, and fencing.
+//!   primary's log and writing each delivered batch into its follower's
+//!   table, watermark-gated read-your-writes snapshot reads, and a
+//!   deterministic fail-over coordinator with election, WAL-recovery
+//!   catch-up, and fencing.
 //! * [`kill`] — replication-layer crash points (`mid-batch-ship`,
 //!   `during-election`) mirroring the WAL's kill-switch idiom.
 //! * [`stats`] — counters, per-follower lag, and apply-latency

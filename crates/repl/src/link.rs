@@ -1,8 +1,7 @@
-//! The simulated primary→follower link: a bounded queue plus a latency
-//! model, the same idiom the `rococo-fpga` crate uses for the CCI
-//! round-trip — messages carry a deliver-at timestamp, the receiver
-//! sleeps out the remaining latency, and faults are injected at the
-//! *sender* so the receiver's protocol handling is what gets exercised.
+//! The simulated primary→follower link: seeded sender-side faults. The
+//! shipper offers each frame to [`LinkTx::send`], which rolls the faults
+//! and returns the frames to deliver now; the shipper hands those to the
+//! follower itself, so the faults are what exercise its protocol.
 //!
 //! Faults are seeded and deterministic per link: dropped frames force
 //! the follower's gap detection, and held-back frames arrive out of order
@@ -10,16 +9,7 @@
 //! *partitioned* — every frame silently dropped until healed — which is
 //! how the chaos driver models a network partition.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Bounded queue depth of every link; a full queue sheds the frame like a
-/// switch dropping under backpressure (the gap protocol recovers it).
-const CAPACITY: usize = 64;
-/// Modelled one-way delivery latency of every link.
-const LATENCY: Duration = Duration::from_micros(50);
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Seeded fault model for one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,62 +34,23 @@ impl LinkFaults {
     }
 }
 
-/// A frame in flight: the encoded batch plus when the model says it may
-/// be delivered.
-struct Frame {
-    deliver_at: Instant,
-    bytes: Vec<u8>,
-}
-
 /// Sender-side counters for one link.
 #[derive(Debug, Default)]
 pub struct LinkStats {
-    /// Frames handed to the queue.
+    /// Frames delivered to the follower.
     pub sent: AtomicU64,
     /// Frames dropped by fault injection or partition.
     pub dropped: AtomicU64,
-    /// Frames shed because the bounded queue was full.
-    pub shed: AtomicU64,
     /// Frames delivered out of order by the reorder fault.
     pub reordered: AtomicU64,
 }
 
-/// The sending half, owned by the shipper.
+/// The shipper's end of one link: the fault stream and the frame the
+/// reorder fault holds back.
 pub struct LinkTx {
-    tx: SyncSender<Frame>,
     faults: LinkFaults,
     rng: u64,
-    /// A frame held back by the reorder fault, sent after its successor.
-    held: Option<Frame>,
-    partitioned: Arc<AtomicBool>,
-    stats: Arc<LinkStats>,
-}
-
-/// The receiving half, owned by the follower's apply thread.
-pub struct LinkRx {
-    rx: Receiver<Frame>,
-}
-
-/// Creates a link with the given faults; returns the two halves plus the
-/// shared partition flag and stats the cluster keeps for control and
-/// observability.
-pub fn link(faults: LinkFaults) -> (LinkTx, LinkRx, Arc<AtomicBool>, Arc<LinkStats>) {
-    let (tx, rx) = sync_channel(CAPACITY);
-    let partitioned = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(LinkStats::default());
-    (
-        LinkTx {
-            tx,
-            rng: faults.seed | 1,
-            faults,
-            held: None,
-            partitioned: Arc::clone(&partitioned),
-            stats: Arc::clone(&stats),
-        },
-        LinkRx { rx },
-        partitioned,
-        stats,
-    )
+    held: Option<Vec<u8>>,
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -112,77 +63,51 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 impl LinkTx {
+    /// A link with the given faults.
+    pub fn new(faults: LinkFaults) -> Self {
+        Self {
+            rng: faults.seed | 1,
+            faults,
+            held: None,
+        }
+    }
+
     fn roll(&mut self, pct: u32) -> bool {
         pct > 0 && xorshift(&mut self.rng) % 100 < u64::from(pct)
     }
 
-    fn push(&mut self, frame: Frame) {
-        match self.tx.try_send(frame) {
-            Ok(()) => {
-                self.stats.sent.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(_)) => {
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Disconnected(_)) => {} // follower gone
-        }
-    }
-
-    /// Offers a frame to the link. Partition and fault rolls happen
-    /// here; the frame may be dropped, held back behind its successor, or
-    /// shed by the bounded queue — every loss is recoverable through the
+    /// Offers a frame to the link and returns the frames to deliver now,
+    /// in order. Partition and fault rolls happen here: the frame may be
+    /// dropped, or held back and delivered after its successor (or at
+    /// [`LinkTx::flush`]) — every loss is recoverable through the
     /// follower's gap protocol.
-    pub fn send(&mut self, bytes: Vec<u8>) {
-        if self.partitioned.load(Ordering::Relaxed) {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+    pub fn send(
+        &mut self,
+        bytes: Vec<u8>,
+        partitioned: bool,
+        stats: &LinkStats,
+    ) -> impl Iterator<Item = Vec<u8>> {
+        let mut now = None;
+        let mut after = None;
+        if partitioned || self.roll(self.faults.drop_pct) {
+            stats.dropped.fetch_add(1, Ordering::Relaxed);
+        } else if self.held.is_none() && self.roll(self.faults.reorder_pct) {
+            self.held = Some(bytes);
+        } else {
+            stats.sent.fetch_add(1, Ordering::Relaxed);
+            now = Some(bytes);
+            after = self.flush(stats);
         }
-        if self.roll(self.faults.drop_pct) {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let frame = Frame {
-            deliver_at: Instant::now() + LATENCY,
-            bytes,
-        };
-        if self.held.is_none() && self.roll(self.faults.reorder_pct) {
-            // Hold this frame back; it goes out right after the next one
-            // (or at flush), arriving out of order at the follower.
-            self.held = Some(frame);
-            return;
-        }
-        self.push(frame);
-        if let Some(held) = self.held.take() {
-            self.stats.reordered.fetch_add(1, Ordering::Relaxed);
-            self.push(held);
-        }
+        now.into_iter().chain(after)
     }
 
-    /// Sends any frame the reorder fault is still holding (called when
-    /// the shipper goes idle, bounding the reordering delay like the
-    /// FPGA service's reorder flush).
-    pub fn flush(&mut self) {
-        if let Some(held) = self.held.take() {
-            self.stats.reordered.fetch_add(1, Ordering::Relaxed);
-            self.push(held);
-        }
-    }
-}
-
-impl LinkRx {
-    /// Receives the next frame, honouring its modelled latency; `None`
-    /// on timeout or when the sender is gone and the queue is drained.
-    pub fn recv(&self, timeout: Duration) -> Option<Vec<u8>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => {
-                let now = Instant::now();
-                if frame.deliver_at > now {
-                    std::thread::sleep(frame.deliver_at - now);
-                }
-                Some(frame.bytes)
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+    /// Releases the frame the reorder fault is still holding (called
+    /// after every burst, bounding the reordering delay).
+    pub fn flush(&mut self, stats: &LinkStats) -> Option<Vec<u8>> {
+        let held = self.held.take()?;
+        stats.sent.fetch_add(1, Ordering::Relaxed);
+        stats.reordered.fetch_add(1, Ordering::Relaxed);
+        Some(held)
     }
 }
 
@@ -190,56 +115,47 @@ impl LinkRx {
 mod tests {
     use super::*;
 
+    fn sent(tx: &mut LinkTx, byte: u8, partitioned: bool, stats: &LinkStats) -> Vec<Vec<u8>> {
+        tx.send(vec![byte], partitioned, stats).collect()
+    }
+
     #[test]
     fn faultless_link_delivers_in_order() {
-        let (mut tx, rx, _, stats) = link(LinkFaults::none());
+        let (mut tx, stats) = (LinkTx::new(LinkFaults::none()), LinkStats::default());
         for i in 0u8..10 {
-            tx.send(vec![i]);
+            assert_eq!(sent(&mut tx, i, false, &stats), vec![vec![i]]);
         }
-        for i in 0u8..10 {
-            assert_eq!(rx.recv(Duration::from_secs(1)), Some(vec![i]));
-        }
+        assert_eq!(tx.flush(&stats), None);
         assert_eq!(stats.sent.load(Ordering::Relaxed), 10);
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn partition_drops_everything_until_healed() {
-        let (mut tx, rx, partitioned, stats) = link(LinkFaults::none());
-        partitioned.store(true, Ordering::Relaxed);
-        tx.send(vec![1]);
-        tx.send(vec![2]);
-        assert_eq!(rx.recv(Duration::from_millis(10)), None);
-        partitioned.store(false, Ordering::Relaxed);
-        tx.send(vec![3]);
-        assert_eq!(rx.recv(Duration::from_secs(1)), Some(vec![3]));
+        let (mut tx, stats) = (LinkTx::new(LinkFaults::none()), LinkStats::default());
+        assert!(sent(&mut tx, 1, true, &stats).is_empty());
+        assert!(sent(&mut tx, 2, true, &stats).is_empty());
+        assert_eq!(tx.flush(&stats), None);
+        assert_eq!(sent(&mut tx, 3, false, &stats), vec![vec![3]]);
         assert_eq!(stats.dropped.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.sent.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn reorder_fault_swaps_adjacent_frames() {
-        let (mut tx, rx, _, stats) = link(LinkFaults {
+        let stats = LinkStats::default();
+        let mut tx = LinkTx::new(LinkFaults {
             seed: 7,
             reorder_pct: 100,
             ..LinkFaults::none()
         });
-        tx.send(vec![1]); // held
-        tx.send(vec![2]); // sent, then releases the held frame
-        assert_eq!(rx.recv(Duration::from_secs(1)), Some(vec![2]));
-        assert_eq!(rx.recv(Duration::from_secs(1)), Some(vec![1]));
-        tx.send(vec![3]); // held again
-        tx.flush();
-        assert_eq!(rx.recv(Duration::from_secs(1)), Some(vec![3]));
+        assert!(sent(&mut tx, 1, false, &stats).is_empty(), "held");
+        // Sent, then the held frame right behind it.
+        assert_eq!(sent(&mut tx, 2, false, &stats), vec![vec![2], vec![1]]);
+        assert!(sent(&mut tx, 3, false, &stats).is_empty(), "held again");
+        assert_eq!(tx.flush(&stats), Some(vec![3]));
+        assert_eq!(tx.flush(&stats), None);
         assert_eq!(stats.reordered.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn full_queue_sheds() {
-        let (mut tx, _rx, _, stats) = link(LinkFaults::none());
-        for i in 0..CAPACITY + 3 {
-            tx.send(vec![i as u8]);
-        }
-        assert_eq!(stats.sent.load(Ordering::Relaxed), CAPACITY as u64);
-        assert_eq!(stats.shed.load(Ordering::Relaxed), 3);
+        assert_eq!(stats.sent.load(Ordering::Relaxed), 3);
     }
 }

@@ -7,8 +7,9 @@ use rococo_telemetry::HistogramSnapshot;
 use std::sync::atomic::Ordering;
 
 rococo_telemetry::stats_block! {
-    /// Live replication counters, shared between the shipper, the
-    /// follower apply threads, and the fail-over coordinator.
+    /// Live replication counters, shared between the shipper (which
+    /// also applies every follower's batches) and the fail-over
+    /// coordinator.
     pub struct ReplStats;
     /// A point-in-time copy of [`ReplStats`] plus the cluster-level
     /// gauges, which the cluster measures at snapshot time.
