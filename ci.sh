@@ -142,6 +142,15 @@ if (( $(grep -cE 'thread::spawn|thread::Builder' <<<"$repl_src") > 1 )); then
   exit 1
 fi
 
+echo "== the Detector's history stores no signatures and evicts nothing bit by bit"
+# A commit sets its bits in its generation's bank and a new generation
+# zeroes its bank; stored signature words and an XOR `replace` were the
+# eviction that cost the largest stage of a verdict.
+if sed '/^#\[cfg(test)\]/,$d' crates/fpga/src/engine.rs | grep -nE 'fn replace\b|\bsigs[[:space:]]*:'; then
+  echo "crates/fpga/src/engine.rs stores signatures or evicts by XOR outside its tests" >&2
+  exit 1
+fi
+
 echo "== docs name crates/ paths that exist"
 # benchmark/README.md is left out: it still names the deleted
 # crates/bench/benches/, and only a change to the benchmark may edit it.

@@ -8,10 +8,12 @@
 //! * [`ValidationEngine`] — the functional model: the *Detector* queries a
 //!   transaction's read/write addresses against the bloom signatures of
 //!   the last `W` commits — all `W` at once, through column tables
-//!   bit-sliced by signature bit — to build the `f`/`b` dependency vectors,
-//!   and the *Manager* takes the vectors as they are, validates them against
-//!   the reachability matrix ([`rococo_core::RococoValidator`]) and slides
-//!   the window (Figure 5). No allocation per verdict.
+//!   bit-sliced by signature bit, in two banks that a commit only sets bits
+//!   in and each new generation of `W` commits zeroes one of — to build the
+//!   `f`/`b` dependency vectors, and the *Manager* takes the vectors as they
+//!   are, validates them against the reachability matrix
+//!   ([`rococo_core::RococoValidator`]) and slides the window (Figure 5). No
+//!   allocation per verdict.
 //! * [`PipelinedValidator`] — wraps the engine with a timing model
 //!   ([`TimingModel`]): a fully pipelined datapath with an initiation
 //!   interval of one clock cycle at 200 MHz, plus the CCI round-trip latency
