@@ -128,17 +128,25 @@ for f in crates/wal/src/*.rs; do
   fi
 done
 
-echo "== replication runs on one thread: the shipper, no channel"
-# The shipper hands every frame a link delivers to its follower; a
-# follower thread or a link queue would bring back the hand-off (and the
-# mpsc the schedule explorer would have to wrap).
+echo "== replication starts no thread, sleeps nowhere and uses no channel"
+# A shipper round runs on the thread that needs it (a gated read,
+# catch_up, the load driver's tick) and hands every frame a link
+# delivers to its follower. A thread, a sleep or a channel would bring
+# back the wall-clock schedule a seed cannot replay (and the mpsc the
+# schedule explorer would have to wrap); the chaos cluster harness times
+# its scenario by acknowledged puts, not by sleeps.
 repl_src="$(for f in crates/repl/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)"
 if grep -nE 'mpsc|sync_channel|recv_timeout' <<<"$repl_src"; then
   echo "crates/repl/src uses a channel outside its tests" >&2
   exit 1
 fi
-if (( $(grep -cE 'thread::spawn|thread::Builder' <<<"$repl_src") > 1 )); then
-  echo "crates/repl/src starts more than one thread outside its tests" >&2
+if grep -nE 'thread::spawn|thread::Builder|thread::scope' <<<"$repl_src"; then
+  echo "crates/repl/src starts a thread outside its tests" >&2
+  exit 1
+fi
+cluster_src="$(sed '/^#\[cfg(test)\]/,$d' crates/chaos/src/cluster.rs)"
+if grep -nE 'sleep\(' <<<"$repl_src"$'\n'"$cluster_src"; then
+  echo "crates/repl/src or crates/chaos/src/cluster.rs sleeps outside its tests" >&2
   exit 1
 fi
 

@@ -405,7 +405,7 @@ fn run_single<S: TmSystem + 'static>(system: Arc<S>, cfg: &LoadCfg) {
 /// Replicated-mode request mix: as [`gen_request`], except transfers
 /// become blind adds — cluster preloads would have to replicate through
 /// the WAL key by key, and the chaos harness already owns transfer
-/// correctness; the bench measures shipping, lag, and fail-over cost.
+/// correctness; the bench measures shipping and fail-over cost.
 fn gen_repl_request(rng: &mut StdRng, zipf: &ZipfSampler, cfg: &LoadCfg) -> Request {
     match gen_request(rng, zipf, cfg) {
         Request::Transfer { from, amount, .. } => Request::Add {
@@ -442,10 +442,7 @@ fn repl_closed_loop<S: TmSystem + 'static>(
         if let Request::Get { key } = req {
             if followers > 0 {
                 next_follower = (next_follower + 1) % followers;
-                if cluster
-                    .follower_read(next_follower, key, None, Duration::ZERO)
-                    .is_ok()
-                {
+                if cluster.follower_read(next_follower, key, None).is_ok() {
                     follower_reads.fetch_add(1, Ordering::Relaxed);
                     totals.ok.fetch_add(1, Ordering::Relaxed);
                     latency.record(start.elapsed().as_nanos() as u64);
@@ -480,21 +477,25 @@ fn repl_closed_loop<S: TmSystem + 'static>(
         done += 1;
     }
 }
-/// One replicated cluster run: closed-loop load, a lag sampler, and one
-/// mid-run fail-over so the report carries a measured downtime.
+/// One replicated cluster run: closed-loop load, a coordinator that
+/// ships rounds, and one mid-run fail-over so the report carries a
+/// measured downtime.
 fn run_replicated<S: TmSystem + 'static>(
     make: impl Fn() -> Arc<S> + Send + Sync + 'static,
     cfg: &LoadCfg,
 ) {
-    let rcfg = ClusterConfig {
-        followers: cfg.replicas,
-        keys: cfg.keys,
+    let kv = TxKvConfig {
         shards: cfg.shards,
         workers_per_shard: cfg.workers_per_shard,
         queue_capacity: cfg.queue_capacity,
+        keys: cfg.keys,
+        ..TxKvConfig::default()
+    };
+    let rcfg = ClusterConfig {
+        followers: cfg.replicas,
         ..ClusterConfig::default()
     };
-    let cluster = Cluster::start(make, rcfg).expect("cluster start");
+    let cluster = Cluster::start(make, kv, rcfg).expect("cluster start");
     banner(&format!(
         "txkv_load replicated ({} shards x {} workers, {} followers, {} closed-loop clients)",
         cfg.shards, cfg.workers_per_shard, cfg.replicas, cfg.clients,
@@ -502,25 +503,20 @@ fn run_replicated<S: TmSystem + 'static>(
 
     let totals = ClientTotals::default();
     let latency = Histogram::default();
-    let lag_hist = Histogram::default();
     let follower_reads = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let fail_at = cfg.ops / 2;
 
     let started = Instant::now();
     let failover_ms = std::thread::scope(|s| {
-        // Coordinator: sample replication lag, and demote the primary
-        // once half the offered load has been answered so the fail-over
-        // downtime is measured under live traffic.
+        // Coordinator: every 500 µs ship a round (the replication
+        // cadence of this run), and demote the primary once half the
+        // offered load has been answered so the fail-over downtime is
+        // measured under live traffic.
         let coordinator = s.spawn(|| {
             let mut failover_ms = None;
             while !stop.load(Ordering::Relaxed) {
-                if let Some(max_lag) = (0..cluster.follower_count())
-                    .filter_map(|f| cluster.lag(f).ok())
-                    .max()
-                {
-                    lag_hist.record(max_lag);
-                }
+                cluster.ship();
                 if failover_ms.is_none() && totals.ok.load(Ordering::Relaxed) >= fail_at {
                     failover_ms = Some(
                         cluster
@@ -551,7 +547,6 @@ fn run_replicated<S: TmSystem + 'static>(
     let report = cluster.shutdown();
     let ok = totals.ok.load(Ordering::Relaxed);
     let lat = latency.snapshot();
-    let lag = lag_hist.snapshot();
     println!(
         "client view: {} offered, {} answered ({} by followers), {} shed, {} failed, \
          {:.0} req/s over {:.2}s, latency p50/p99/p999 {}/{}/{} ns",
@@ -567,12 +562,10 @@ fn run_replicated<S: TmSystem + 'static>(
         lat.quantile(0.999),
     );
     println!(
-        "replication: {} batches shipped, {} applied, lag p50/p99 {}/{} seq, \
-         {} gaps, {} resends, fail-over {:.2}ms, epoch {}",
+        "replication: {} batches shipped, {} applied, {} gaps, {} resends, \
+         fail-over {:.2}ms, epoch {}",
         report.snapshot.batches_shipped,
         report.snapshot.batches_applied,
-        lag.quantile(0.5),
-        lag.quantile(0.99),
         report.snapshot.gaps_detected,
         report.snapshot.resends,
         failover_ms,

@@ -19,6 +19,17 @@
 //! epoch check ([`ReplError::StaleEpoch`] means someone else won). The
 //! run must always end with a *serving* primary; acked writes surviving
 //! every fail-over is the durability oracle.
+//!
+//! Nothing here sleeps or polls. The clients' gated reads run the
+//! shipper rounds, and a read that finds the primary fenced drives the
+//! fail-over and reads again, so reads across a fail-over are checked
+//! too. The scenario's clock is the count of acknowledged ledger puts:
+//! from a quarter of the run's puts the harness cuts the first live
+//! follower's link (or demotes the primary for `during-election`), and
+//! from half of them, once the cut link has refused a gated read, it
+//! heals the link (`Driver::tick`). A partition run whose cut link
+//! refused no read is a violation: that is the check that the cut
+//! overlapped the load.
 
 use crate::driver::BackendKind;
 use crate::service::{
@@ -30,13 +41,11 @@ use rococo_repl::{
     Cluster, ClusterConfig, FailoverReport, LinkFaults, ReplError, ReplKillPoint, ReplKillSwitch,
     ReplSnapshot,
 };
-use rococo_server::{Request, TxKvError};
+use rococo_server::{DurabilityConfig, Request, TxKvConfig, TxKvError};
 use rococo_stm::{TmConfig, TmSystem};
-use rococo_wal::{KillPoint, KillSwitch};
-use std::path::PathBuf;
+use rococo_wal::{FsyncPolicy, KillPoint, KillSwitch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Where the simulated failure strikes a cluster run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,9 +145,9 @@ pub struct ClusterRunReport {
     pub acked: u64,
     /// Watermark-gated follower reads that returned a value.
     pub reads_checked: u64,
-    /// Follower reads that timed out while a partition or fail-over was
-    /// in flight (tolerated: the watermark rule refuses stale data
-    /// rather than serving it).
+    /// Follower reads refused by the cut link (tolerated: the watermark
+    /// rule refuses stale data rather than serving it) or addressed to a
+    /// follower that crashed or was promoted away.
     pub reads_tolerated: u64,
     /// Every completed fail-over, in order.
     pub failovers: Vec<FailoverReport>,
@@ -164,7 +173,7 @@ impl ClusterRunReport {
             .unwrap_or(0);
         format!(
             "cluster {} kill={} partition={} drop={}% seed={}: {} acked, {} reads \
-             ({} lag-tolerated), {} fail-overs (max downtime {}us), epoch {} -> {}",
+             ({} tolerated), {} fail-overs (max downtime {}us), epoch {} -> {}",
             self.params.backend.name(),
             self.params.kill.map_or("none", |k| k.name()),
             self.params.partition,
@@ -192,10 +201,12 @@ struct Driver<'a, S: TmSystem + 'static> {
     params: &'a ClusterParams,
     /// Every completed fail-over, in order.
     failovers: Mutex<Vec<FailoverReport>>,
-    /// Highest acknowledged commit sequence.
-    max_seq: AtomicU64,
-    /// How long a watermark-gated follower read may wait.
-    read_timeout: Duration,
+    /// The scenario clock: acknowledged ledger puts so far.
+    puts: AtomicU64,
+    /// The follower whose link the partition cut.
+    cut: Mutex<Option<usize>>,
+    /// Watermark-gated reads the cut link refused.
+    refused: AtomicU64,
 }
 
 impl<S: TmSystem + 'static> Driver<'_, S> {
@@ -219,6 +230,51 @@ impl<S: TmSystem + 'static> Driver<'_, S> {
             }
         }
     }
+
+    /// Recovers a fenced primary: observe the epoch, attempt the
+    /// fail-over; `false` when it failed.
+    fn recover(&self, errors: &mut Vec<String>) -> bool {
+        let observed = self.cluster.epoch();
+        self.book(self.cluster.recover_primary(observed), "fail-over", errors)
+    }
+
+    /// Advances the scenario clock to `puts` acknowledged ledger puts.
+    ///
+    /// * At a quarter of the run's puts `during-election` demotes the
+    ///   healthy primary; its armed kill crashes the winning candidate.
+    /// * The partition cuts the first follower still alive (the shipper
+    ///   skips a promoted one) at the first put from a quarter on that
+    ///   finds the primary serving: the fail-over a fenced primary waits
+    ///   for may promote the follower just cut.
+    /// * The link heals at the first put from half of the run on once
+    ///   the cut has refused a read. A heal at a bare count can rescue
+    ///   every read still shipping against the cut link (on a short run
+    ///   it does), and one after the load would cost a refused read's
+    ///   rounds on every read routed to the cut link.
+    fn tick(&self, puts: u64, errors: &mut Vec<String>) {
+        let (cluster, params) = (self.cluster, self.params);
+        let run = (params.clients * params.ops_per_client) as u64;
+        let quarter = (run / 4).max(1);
+        if puts == quarter && params.kill == Some(ClusterKill::DuringElection) {
+            self.book(cluster.fail_over(), "harness demotion", errors);
+        }
+        if !params.partition || puts < quarter {
+            return;
+        }
+        let mut cut = self.cut.lock();
+        match *cut {
+            None if !cluster.poisoned() => {
+                *cut = (0..cluster.follower_count()).find(|&f| cluster.follower_alive(f));
+                if let Some(f) = *cut {
+                    cluster.set_partitioned(f, true);
+                }
+            }
+            Some(f) if puts >= run / 2 && self.refused.load(Ordering::SeqCst) > 0 => {
+                cluster.set_partitioned(f, false);
+            }
+            _ => {}
+        }
+    }
 }
 
 impl<S: TmSystem + 'static> Service for Driver<'_, S> {
@@ -230,17 +286,13 @@ impl<S: TmSystem + 'static> Service for Driver<'_, S> {
         for _ in 0..10_000 {
             match self.cluster.call(req.clone()) {
                 Ok((_, seq)) => {
-                    match seq {
-                        Some(seq) => {
-                            self.max_seq.fetch_max(seq, Ordering::Relaxed);
-                        }
-                        None => errors.push(format!("{req:?} acked without a sequence")),
+                    if seq.is_none() {
+                        errors.push(format!("{req:?} acked without a sequence"));
                     }
                     return Reply::Acked(seq);
                 }
                 Err(ReplError::PrimaryDown) => {
-                    let observed = self.cluster.epoch();
-                    if !self.book(self.cluster.recover_primary(observed), "fail-over", errors) {
+                    if !self.recover(errors) {
                         return Reply::Lost;
                     }
                 }
@@ -261,14 +313,21 @@ impl<S: TmSystem + 'static> Service for Driver<'_, S> {
     /// One watermark-gated read-back. The ledger key is single-writer, so
     /// a read gated on the put's own sequence must return exactly the
     /// value just written — anything else is a replication bug, not
-    /// staleness.
+    /// staleness. A fenced primary ships nothing: the read drives the
+    /// fail-over as [`Service::issue`] does and reads again.
     fn acked_put(&self, c: usize, value: u64, seq: Option<u64>, ledger: &mut Ledger) {
         let Some(seq) = seq else { return };
+        let puts = self.puts.fetch_add(1, Ordering::SeqCst) + 1;
+        self.tick(puts, &mut ledger.violations);
         let f = (c + value as usize) % self.params.followers.max(1);
-        match self
-            .cluster
-            .follower_read(f, c as u64, Some(seq), self.read_timeout)
-        {
+        let mut read = self.cluster.follower_read(f, c as u64, Some(seq));
+        while read == Err(ReplError::PrimaryDown) {
+            if !self.recover(&mut ledger.violations) {
+                return;
+            }
+            read = self.cluster.follower_read(f, c as u64, Some(seq));
+        }
+        match read {
             Ok(v) => {
                 ledger.reads_checked += 1;
                 if v != value {
@@ -278,12 +337,12 @@ impl<S: TmSystem + 'static> Service for Driver<'_, S> {
                     ));
                 }
             }
-            // A timed-out read under partition or fail-over is the
-            // watermark rule doing its job: refuse stale data rather than
-            // serve it.
-            Err(ReplError::LagTimeout { .. })
-                if self.params.partition || self.params.kill.is_some() =>
-            {
+            // The cut link refusing a read is the watermark rule doing its
+            // job: refuse stale data rather than serve it. A gated read on
+            // a fenced primary returns `PrimaryDown`, never `LagTimeout`,
+            // so this one was refused by the cut alone.
+            Err(ReplError::LagTimeout { .. }) if *self.cut.lock() == Some(f) => {
+                self.refused.fetch_add(1, Ordering::SeqCst);
                 ledger.reads_tolerated += 1;
             }
             // Crashed or promoted away mid-run: no read to check.
@@ -314,31 +373,30 @@ impl OnBackend for &ClusterParams {
             ops_per_client: params.ops_per_client,
             bank_keys: params.bank_keys,
         };
-        let (repl_kill, wal_kill) = match params.kill {
-            Some(ClusterKill::MidShip) => (
-                Some(ReplKillSwitch::arm(
-                    ReplKillPoint::MidShip,
-                    1 + params.seed % 8,
-                )),
-                None,
-            ),
-            Some(ClusterKill::DuringElection) => (
-                Some(ReplKillSwitch::arm(ReplKillPoint::DuringElection, 1)),
-                None,
-            ),
-            Some(ClusterKill::PreAck) => (
-                None,
-                Some(KillSwitch::arm(
-                    KillPoint::PostAppendPreAck,
-                    1 + params.seed % 16,
-                )),
-            ),
-            None => (None, None),
+        let repl_kill = match params.kill {
+            Some(ClusterKill::MidShip) => Some((ReplKillPoint::MidShip, 1 + params.seed % 8)),
+            Some(ClusterKill::DuringElection) => Some((ReplKillPoint::DuringElection, 1)),
+            _ => None,
+        }
+        .map(|(point, countdown)| ReplKillSwitch::arm(point, countdown));
+        let wal_kill = (params.kill == Some(ClusterKill::PreAck))
+            .then(|| KillSwitch::arm(KillPoint::PostAppendPreAck, 1 + params.seed % 16));
+        let dir = rococo_wal::scratch_dir("chaos-cluster");
+        let kv = TxKvConfig {
+            shards: 2,
+            workers_per_shard: 2,
+            queue_capacity: 64,
+            keys: w.keys(),
+            durability: Some(DurabilityConfig {
+                dir: dir.clone(),
+                fsync: FsyncPolicy::Always,
+                checkpoint_every: 0,
+                kill: wal_kill.clone(),
+            }),
+            ..TxKvConfig::default()
         };
         let cfg = ClusterConfig {
             followers: params.followers,
-            keys: w.keys(),
-            queue_capacity: 64,
             // A fault at 0 % never rolls, so the seed alone changes nothing.
             link_faults: LinkFaults {
                 seed: params.seed,
@@ -346,83 +404,40 @@ impl OnBackend for &ClusterParams {
                 reorder_pct: params.reorder_pct,
             },
             kill: repl_kill.clone(),
-            wal_kill: wal_kill.clone(),
-            ..ClusterConfig::default()
         };
-        let kv = cfg.kv_config(PathBuf::new(), None);
         let tm = TmConfig {
             heap_words: kv.heap_words(),
             max_threads: kv.worker_threads(),
         };
         let cluster =
-            Cluster::start(move || Arc::new(make(tm)), cfg).expect("cluster failed to start");
+            Cluster::start(move || Arc::new(make(tm)), kv, cfg).expect("cluster failed to start");
         let driver = Driver {
             cluster: &cluster,
             params,
             failovers: Mutex::new(Vec::new()),
-            max_seq: AtomicU64::new(0),
-            // Reads against the partitioned follower are *expected* to
-            // time out — keep the stall short so the run stays bounded.
-            read_timeout: if params.partition {
-                Duration::from_millis(150)
-            } else {
-                Duration::from_secs(2)
-            },
+            puts: AtomicU64::new(0),
+            cut: Mutex::new(None),
+            refused: AtomicU64::new(0),
         };
 
         // The preload goes through the fail-over protocol too, so even a
         // very early crash (a WAL kill countdown landing inside it) is
         // recovered and the preload still completes.
-        let mut harness_errors: Vec<String> = Vec::new();
-        // The follower whose link the partition cut. The cut must fall on
-        // a link that carries frames: a fenced primary ships nothing, so a
-        // fail-over in progress is waited out first (the partition never
-        // overlaps one), and the shipper skips a promoted follower, so the
-        // cut takes the first one still alive.
-        let mut partitioned = None;
-        let load = run_load(&driver, &w, || {
-            // Chaos from the coordinator's seat while the clients hammer
-            // the cluster.
-            if params.partition {
-                std::thread::sleep(Duration::from_millis(5));
-                let deadline = Instant::now() + Duration::from_secs(5);
-                while cluster.poisoned() && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                if cluster.poisoned() {
-                    harness_errors
-                        .push("the primary stayed fenced 5 s, so nothing was partitioned".into());
-                } else {
-                    partitioned =
-                        (0..cluster.follower_count()).find(|&f| cluster.follower_alive(f));
-                }
-                if let Some(f) = partitioned {
-                    cluster.set_partitioned(f, true);
-                    std::thread::sleep(Duration::from_millis(40));
-                    cluster.set_partitioned(f, false);
-                }
-            }
-            if params.kill == Some(ClusterKill::DuringElection) {
-                // Let some load land, then demote the healthy primary;
-                // the armed kill crashes the winning candidate and the
-                // election must fall back.
-                std::thread::sleep(Duration::from_millis(15));
-                driver.book(cluster.fail_over(), "harness demotion", &mut harness_errors);
-            }
-        });
+        let load = run_load(&driver, &w);
+        // A load cut short may stop before the heal.
+        let cut = *driver.cut.lock();
+        if let Some(f) = cut {
+            cluster.set_partitioned(f, false);
+        }
 
         // The run must end with a serving primary, whatever the scenario
         // threw at it.
+        let mut violations = load.violations();
         if cluster.poisoned() {
             let observed = cluster.epoch();
-            driver.book(
-                cluster.recover_primary(observed),
-                "final fail-over",
-                &mut harness_errors,
-            );
+            let attempt = cluster.recover_primary(observed);
+            driver.book(attempt, "final fail-over", &mut violations);
         }
-        let mut violations = load.violations();
-        violations.extend(harness_errors);
 
         // Durability oracle: every acked write is visible on the
         // (possibly several-times-failed-over) primary.
@@ -433,13 +448,7 @@ impl OnBackend for &ClusterParams {
             Err(e) => violations.push(format!("run must end with a serving primary: {e}")),
             Ok(primary) => {
                 check_table(&primary, &load, false, "the primary", &mut violations);
-                converge(
-                    &cluster,
-                    &primary,
-                    &load,
-                    driver.max_seq.load(Ordering::Relaxed),
-                    &mut violations,
-                );
+                converge(&cluster, &primary, &load, &mut violations);
             }
         }
 
@@ -459,23 +468,28 @@ impl OnBackend for &ClusterParams {
                 violations.push("the kill fired but no fail-over completed".into());
             }
         }
+        let reads_tolerated = load.total(|l| l.reads_tolerated);
         if params.partition {
-            let dropped = partitioned
-                .and_then(|f| cluster.link_stats(f))
+            let dropped = (cut.and_then(|f| cluster.link_stats(f)))
                 .map_or(0, |s| s.dropped.load(Ordering::Relaxed));
             if dropped == 0 {
                 violations.push("partition scenario dropped no frames".into());
             }
+            if driver.refused.load(Ordering::SeqCst) == 0 {
+                violations.push("the partition overlapped no watermark-gated read".into());
+            }
         }
 
+        let snapshot = cluster.shutdown().snapshot;
+        let _ = std::fs::remove_dir_all(&dir);
         ClusterRunReport {
             params: params.clone(),
             crashed,
             acked: load.total(|l| l.acked),
             reads_checked: load.total(|l| l.reads_checked),
-            reads_tolerated: load.total(|l| l.reads_tolerated),
+            reads_tolerated,
             failovers,
-            snapshot: cluster.shutdown().snapshot,
+            snapshot,
             violations,
         }
     }
@@ -483,33 +497,16 @@ impl OnBackend for &ClusterParams {
 
 /// Convergence oracle: every surviving follower reaches the primary's
 /// exact table once the stream drains, and its snapshot conserves the
-/// bank. Waiting to `final_seq + 1` covers every acked write; the
-/// lag-drain poll then covers any committed-but-unacked suffix a dying
-/// writer appended past the last ack.
+/// bank. Catching up to the whole log covers every acked write and any
+/// committed-but-unacked suffix a dying writer appended past the last
+/// ack.
 fn converge<S: TmSystem + 'static>(
     cluster: &Cluster<S>,
     primary: &[u64],
     load: &Load,
-    final_seq: u64,
     violations: &mut Vec<String>,
 ) {
-    if !cluster.wait_catch_up(final_seq + 1, Duration::from_secs(5)) {
-        violations.push(format!(
-            "followers never caught up to seq {final_seq} after the run"
-        ));
-    }
-    let deadline = Instant::now() + Duration::from_secs(3);
-    let drained = loop {
-        let behind = (0..cluster.follower_count()).any(|f| cluster.lag(f).is_ok_and(|l| l > 0));
-        if !behind {
-            break true;
-        }
-        if Instant::now() >= deadline {
-            break false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    if !drained {
+    if !cluster.catch_up() {
         violations.push("replication stream never drained after the run".into());
     }
     for f in 0..cluster.follower_count() {

@@ -175,7 +175,7 @@ impl OnBackend for &RecoveryParams {
         };
         let kv =
             TxKv::start(Arc::new(make(tm)), cfg.clone()).expect("durable service failed to start");
-        let load = run_load(&kv, &w, || {});
+        let load = run_load(&kv, &w);
         let crashed = kill.as_ref().is_some_and(|k| k.fired());
         kv.shutdown();
 

@@ -180,10 +180,10 @@ impl Load {
 }
 
 /// Preloads the bank through `svc`, then runs every client's stream
-/// against it; `chaos` runs on the calling thread once every client is
-/// at the start line. A preload the service went down under runs no
-/// client: each bank key is then untouched or holds its preload.
-pub(crate) fn run_load(svc: &impl Service, w: &Workload, chaos: impl FnOnce()) -> Load {
+/// against it, all clients released at once. A preload the service went
+/// down under runs no client: each bank key is then untouched or holds
+/// its preload.
+pub(crate) fn run_load(svc: &impl Service, w: &Workload) -> Load {
     let mut preload = Ledger::default();
     for b in 0..w.bank_keys {
         let put = Request::Put {
@@ -198,7 +198,7 @@ pub(crate) fn run_load(svc: &impl Service, w: &Workload, chaos: impl FnOnce()) -
 
     let mut clients = vec![Ledger::default(); w.clients];
     if preload_complete {
-        let barrier = Barrier::new(w.clients + 1);
+        let barrier = Barrier::new(w.clients);
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for (c, ledger) in clients.iter_mut().enumerate() {
@@ -232,8 +232,6 @@ pub(crate) fn run_load(svc: &impl Service, w: &Workload, chaos: impl FnOnce()) -
                     }
                 });
             }
-            barrier.wait();
-            chaos();
         });
     }
     Load {

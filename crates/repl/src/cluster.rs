@@ -5,28 +5,30 @@
 //! # Architecture
 //!
 //! The primary is an ordinary durable [`TxKv`] (checkpointing disabled,
-//! so its log is the complete history). A **shipper** thread, the
-//! cluster's only one, tails the primary's `wal.log`, decodes complete
+//! so its log is the complete history). A **shipper round**
+//! ([`Cluster::ship`]) tails the primary's `wal.log`, decodes complete
 //! record frames (a partial frame at the tail is withheld until its
 //! writer finishes it), and broadcasts dense [`StreamBatch`]es to each
 //! follower over a simulated [`link`](crate::link) — per-follower
-//! cursors, so a faulty link never stalls the others. A follower is a
-//! key table the shipper writes: each frame a link delivers is received
-//! on the shipper's thread, which validates the batch (CRC, framing,
-//! density), applies it batch-atomically, and advances the follower's
-//! `next_expected` watermark; a gap or a rejected batch leaves a
-//! **nack** at the expected sequence in the follower's nack cell, and
-//! the shipper's next round rewinds that follower's cursor to it
-//! (resend). Resends overlap, so followers skip duplicates by sequence
-//! number — the stream is idempotent by construction.
+//! cursors, so a faulty link never stalls the others. The cluster starts
+//! no thread: a round runs on whichever thread needs one (a gated read,
+//! [`Cluster::catch_up`], a load generator's tick), one at a time under
+//! the shipper's lock. A follower is a key table the shipper writes:
+//! each frame a link delivers is received in the round, which validates
+//! the batch (CRC, framing, density), applies it batch-atomically, and
+//! advances the follower's `next_expected` watermark; a gap or a
+//! rejected batch leaves a **nack** at the expected sequence in the
+//! follower's nack cell, and the next round rewinds that follower's
+//! cursor to it (resend). Resends overlap, so followers skip duplicates
+//! by sequence number — the stream is idempotent by construction.
 //!
 //! # Read-your-writes
 //!
 //! A durable write's ack carries its on-disk commit sequence `s`
 //! ([`TxKv::call_with_seq`]). A follower read that passes `min_seq = s`
-//! blocks until the follower's `next_expected > s`, at which point the
-//! follower has applied that write and every write serialized before it
-//! — the log is dense, so the watermark comparison is exact, not
+//! ships rounds until the follower's `next_expected > s`, at which point
+//! the follower has applied that write and every write serialized before
+//! it — the log is dense, so the watermark comparison is exact, not
 //! heuristic.
 //!
 //! # Fail-over
@@ -54,86 +56,46 @@ use parking_lot::{Mutex, RwLock};
 use rococo_server::{DurabilityConfig, Request, Response, TxKv, TxKvConfig, TxKvError, TxKvReport};
 use rococo_stm::TmSystem;
 use rococo_wal::record::decode_all;
-use rococo_wal::{FsyncPolicy, KillSwitch, WalRecord};
+use rococo_wal::{FsyncPolicy, WalRecord};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Records per stream batch at most (bounds batch latency and makes the
 /// mid-broadcast kill point land inside a burst, not after it).
 const MAX_SHIP_RECORDS: usize = 64;
 
-/// Shipper poll cadence: how often the log tail is re-read and cursors
-/// advanced.
-const SHIP_INTERVAL: Duration = Duration::from_micros(500);
+/// Rounds a gated read or [`Cluster::catch_up`] ships before it gives
+/// up. A round delivers every record in the log unless its link drops
+/// the frame; a lost tail is seen at the next heartbeat (at most 8
+/// rounds) and resent the round after, so only a partition or a fenced
+/// primary (which ships nothing) exhausts this. A gated read stops at
+/// once on a fenced primary instead.
+const CATCH_UP_ROUNDS: u32 = 512;
 
-/// Cluster topology and failure-injection knobs.
+/// Cluster topology and failure-injection knobs; the primary's own shape
+/// is the [`TxKvConfig`] passed to [`Cluster::start`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Follower node count (0 is legal: a cluster that can only recover
     /// from disk).
     pub followers: usize,
-    /// Keyspace size, shared by the primary and every follower replica.
-    pub keys: u64,
-    /// Primary's shard count.
-    pub shards: usize,
-    /// Primary's workers per shard.
-    pub workers_per_shard: usize,
-    /// Primary's shard queue depth.
-    pub queue_capacity: usize,
-    /// WAL directory; `None` allocates a scratch directory the cluster
-    /// removes at shutdown.
-    pub dir: Option<PathBuf>,
     /// Faults of every primary→follower link (per-follower fault streams
     /// are decorrelated from this seed).
     pub link_faults: LinkFaults,
     /// Armed replication-layer crash point (chaos testing only).
     pub kill: Option<Arc<ReplKillSwitch>>,
-    /// Armed WAL crash point for the *initial* primary (the `pre-ack`
-    /// scenario arms `PostAppendPreAck` here); a recovered primary runs
-    /// without one.
-    pub wal_kill: Option<Arc<KillSwitch>>,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
             followers: 2,
-            keys: 1 << 10,
-            shards: 2,
-            workers_per_shard: 2,
-            queue_capacity: 128,
-            dir: None,
             link_faults: LinkFaults::none(),
             kill: None,
-            wal_kill: None,
-        }
-    }
-}
-
-impl ClusterConfig {
-    /// The primary's TxKV configuration for `dir`, with checkpointing
-    /// disabled — the log must stay the complete history for the shipper
-    /// to tail and for fail-over recovery to rebuild from — and every
-    /// ack behind an fsync ([`FsyncPolicy::Always`], the one mode whose
-    /// acked writes survive fail-over against real power loss).
-    pub fn kv_config(&self, dir: PathBuf, kill: Option<Arc<KillSwitch>>) -> TxKvConfig {
-        TxKvConfig {
-            shards: self.shards,
-            workers_per_shard: self.workers_per_shard,
-            queue_capacity: self.queue_capacity,
-            keys: self.keys,
-            durability: Some(DurabilityConfig {
-                dir,
-                fsync: FsyncPolicy::Always,
-                checkpoint_every: 0,
-                kill,
-            }),
-            ..TxKvConfig::default()
         }
     }
 }
@@ -149,8 +111,8 @@ pub enum ReplError {
         /// The follower index.
         follower: u32,
     },
-    /// A watermark-gated follower read timed out before the follower
-    /// caught up to `min_seq`.
+    /// A watermark-gated follower read shipped its rounds and the
+    /// follower still had not caught up to `min_seq`.
     LagTimeout {
         /// The follower index.
         follower: u32,
@@ -190,7 +152,7 @@ impl std::fmt::Display for ReplError {
                 applied,
             } => write!(
                 f,
-                "follower {follower} read timed out: needs seq > {min_seq}, applied {applied}"
+                "follower {follower} did not catch up: needs seq > {min_seq}, applied {applied}"
             ),
             ReplError::StaleEpoch { observed, current } => write!(
                 f,
@@ -252,13 +214,12 @@ struct Follower {
 /// The empty nack cell.
 const NO_NACK: u64 = u64::MAX;
 
-/// What the cluster shares with its shipper thread.
+/// What a shipper round reads and writes besides its own state.
 struct Shared {
     followers: Vec<Follower>,
     /// Fence: set the instant the primary is known dead or demoted;
     /// requests fail fast instead of reaching a zombie.
     poisoned: AtomicBool,
-    stop: AtomicBool,
     /// Sequence the shipper has read off the log (== durable records
     /// known to replication); follower lag is measured against this.
     shipped_seq: AtomicU64,
@@ -266,49 +227,78 @@ struct Shared {
 }
 
 /// A replicated TxKV cluster. See the module docs for the architecture.
+///
+/// Lock order: the shipper's lock is taken before a follower's store
+/// lock, and never while `primary` or `failover_lock` is held.
 pub struct Cluster<S: TmSystem + 'static> {
-    cfg: ClusterConfig,
+    /// The primary's configuration; a recovered primary runs it as is
+    /// (its WAL kill switch is cleared after the first start).
+    kv: TxKvConfig,
     dir: PathBuf,
     owns_dir: bool,
+    kill: Option<Arc<ReplKillSwitch>>,
     /// Fresh-backend factory: durable recovery requires a backend that
     /// has never committed, so fail-over constructs a new one.
     make: Box<dyn Fn() -> Arc<S> + Send + Sync>,
     primary: RwLock<Option<TxKv<S>>>,
     epoch: AtomicU64,
-    shared: Arc<Shared>,
-    shipper: Option<JoinHandle<()>>,
+    shared: Shared,
+    shipper: Mutex<Shipper>,
     failover_lock: Mutex<()>,
     demoted: Mutex<Vec<TxKvReport>>,
     final_primary: Option<TxKvReport>,
 }
 
 impl<S: TmSystem + 'static> Cluster<S> {
-    /// Starts (or restarts, if `cfg.dir` holds state) a cluster. The
-    /// factory must return a freshly constructed backend sized for
-    /// [`ClusterConfig::kv_config`] on every call — fail-over uses it to
-    /// build the recovered primary.
+    /// Starts (or restarts, if the WAL directory holds state) a cluster
+    /// whose primary runs `kv`. With `kv.durability` unset the cluster
+    /// logs to a scratch directory it removes at shutdown; a supplied one
+    /// must ack behind every fsync ([`FsyncPolicy::Always`], the one mode
+    /// whose acked writes survive fail-over against real power loss) and
+    /// never checkpoint (the log must stay the complete history for the
+    /// shipper to tail and for fail-over to rebuild from). Its WAL kill
+    /// switch arms the first primary only. The factory must return a
+    /// freshly constructed backend sized for `kv` on every call —
+    /// fail-over uses it to build the recovered primary.
     ///
     /// # Errors
     ///
     /// [`ReplError::Kv`] when the primary cannot start (bad
-    /// configuration, unopenable WAL directory).
+    /// configuration, a durability mode the cluster cannot replicate, an
+    /// unopenable WAL directory).
     pub fn start(
         make: impl Fn() -> Arc<S> + Send + Sync + 'static,
+        mut kv: TxKvConfig,
         cfg: ClusterConfig,
     ) -> Result<Self, ReplError> {
-        let owns_dir = cfg.dir.is_none();
-        let dir = cfg
-            .dir
-            .clone()
-            .unwrap_or_else(|| rococo_wal::scratch_dir("repl-cluster"));
+        let owns_dir = kv.durability.is_none();
+        let dur = kv.durability.get_or_insert_with(|| DurabilityConfig {
+            dir: rococo_wal::scratch_dir("repl-cluster"),
+            fsync: FsyncPolicy::Always,
+            checkpoint_every: 0,
+            kill: None,
+        });
+        if dur.fsync != FsyncPolicy::Always || dur.checkpoint_every != 0 {
+            return Err(ReplError::Kv(TxKvError::InvalidConfig {
+                reason: "a replicated primary needs fsync always and no checkpoints",
+            }));
+        }
+        let dir = dur.dir.clone();
         let make: Box<dyn Fn() -> Arc<S> + Send + Sync> = Box::new(make);
-        let kv_cfg = cfg.kv_config(dir.clone(), cfg.wal_kill.clone());
-        let (kv, _) = TxKv::recover(make(), kv_cfg).map_err(ReplError::Kv)?;
+        let (primary, _) = TxKv::recover(make(), kv.clone()).map_err(|e| {
+            if owns_dir {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            ReplError::Kv(e)
+        })?;
+        if let Some(dur) = &mut kv.durability {
+            dur.kill = None;
+        }
 
         let followers = (0..cfg.followers as u32)
             .map(|index| Follower {
                 index,
-                store: RwLock::new(vec![0u64; cfg.keys as usize]),
+                store: RwLock::new(vec![0u64; kv.keys as usize]),
                 next_expected: AtomicU64::new(0),
                 alive: AtomicBool::new(true),
                 nack: AtomicU64::new(NO_NACK),
@@ -316,31 +306,21 @@ impl<S: TmSystem + 'static> Cluster<S> {
                 link_stats: Arc::default(),
             })
             .collect();
-        let shared = Arc::new(Shared {
-            followers,
-            poisoned: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            shipped_seq: AtomicU64::new(0),
-            stats: ReplStats::default(),
-        });
-        let shipper = {
-            let ship = Shipper::new(dir.join("wal.log"), &cfg);
-            let (shared, kill) = (Arc::clone(&shared), cfg.kill.clone());
-            std::thread::Builder::new()
-                .name("repl-shipper".into())
-                .spawn(move || ship.run(&shared, kill.as_deref()))
-                .expect("failed to spawn repl shipper")
-        };
-
         Ok(Self {
-            cfg,
+            shipper: Mutex::new(Shipper::new(dir.join("wal.log"), &cfg)),
+            kv,
             dir,
             owns_dir,
+            kill: cfg.kill,
             make,
-            primary: RwLock::new(Some(kv)),
+            primary: RwLock::new(Some(primary)),
             epoch: AtomicU64::new(0),
-            shared,
-            shipper: Some(shipper),
+            shared: Shared {
+                followers,
+                poisoned: AtomicBool::new(false),
+                shipped_seq: AtomicU64::new(0),
+                stats: ReplStats::default(),
+            },
             failover_lock: Mutex::new(()),
             demoted: Mutex::new(Vec::new()),
             final_primary: None,
@@ -350,11 +330,6 @@ impl<S: TmSystem + 'static> Cluster<S> {
     /// The WAL directory the cluster replicates from.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The configuration the cluster started with.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 
     /// Current cluster epoch (bumped by every completed fail-over).
@@ -430,38 +405,46 @@ impl<S: TmSystem + 'static> Cluster<S> {
     }
 
     /// Snapshot read against follower `f`, gated on the read-your-writes
-    /// watermark: with `min_seq = Some(s)` the read blocks until the
-    /// follower has applied sequence `s` (i.e. `next_expected > s`), so
-    /// a client that writes with [`Cluster::put`] and reads back with
+    /// watermark: with `min_seq = Some(s)` the read ships rounds until
+    /// the follower has applied sequence `s` (i.e. `next_expected > s`),
+    /// so a client that writes with [`Cluster::put`] and reads back with
     /// that sequence always sees its own write.
     ///
     /// # Errors
     ///
     /// [`ReplError::FollowerDown`] for a crashed or promoted follower;
-    /// [`ReplError::LagTimeout`] when the watermark is not reached in
-    /// `timeout`; [`ReplError::Kv`] for an out-of-range key.
+    /// [`ReplError::PrimaryDown`] when the read must wait and the primary
+    /// is fenced (retry after [`Cluster::recover_primary`]);
+    /// [`ReplError::LagTimeout`] when `CATCH_UP_ROUNDS` rounds, each
+    /// begun with the primary serving, do not reach the watermark;
+    /// [`ReplError::Kv`] for an out-of-range key.
     pub fn follower_read(
         &self,
         f: usize,
         key: u64,
         min_seq: Option<u64>,
-        timeout: Duration,
     ) -> Result<u64, ReplError> {
         let node = self.follower(f)?;
         if let Some(min) = min_seq {
-            let deadline = Instant::now() + timeout;
+            let mut rounds = 0;
             while node.next_expected.load(Ordering::SeqCst) <= min {
                 if !node.alive.load(Ordering::SeqCst) {
                     return Err(ReplError::FollowerDown { follower: f as u32 });
                 }
-                if Instant::now() >= deadline {
+                if self.poisoned() {
+                    // A fenced primary ships nothing: no round can help
+                    // until the fail-over the caller must drive.
+                    return Err(ReplError::PrimaryDown);
+                }
+                if rounds == CATCH_UP_ROUNDS {
                     return Err(ReplError::LagTimeout {
                         follower: f as u32,
                         min_seq: min,
                         applied: node.next_expected.load(Ordering::SeqCst),
                     });
                 }
-                std::thread::sleep(Duration::from_micros(100));
+                self.ship();
+                rounds += 1;
             }
         }
         let store = node.store.read();
@@ -470,7 +453,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
             .copied()
             .ok_or(ReplError::Kv(TxKvError::KeyOutOfRange {
                 key,
-                keys: self.cfg.keys,
+                keys: self.kv.keys,
             }))
     }
 
@@ -531,22 +514,21 @@ impl<S: TmSystem + 'static> Cluster<S> {
         node.map(|n| Arc::clone(&n.link_stats))
     }
 
-    /// Blocks until every live follower has applied sequence numbers up
-    /// to at least `min_seq`; `false` on timeout.
-    pub fn wait_catch_up(&self, min_seq: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let behind = self.shared.followers.iter().any(|n| {
-                n.alive.load(Ordering::SeqCst) && n.next_expected.load(Ordering::SeqCst) < min_seq
-            });
-            if !behind {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+    /// Runs one shipper round on the calling thread: honour nacks, tail
+    /// the log, broadcast, and hand every frame a link delivers to its
+    /// follower. Rounds are serialised; a fenced primary ships nothing.
+    pub fn ship(&self) {
+        let kill = self.kill.as_deref();
+        self.shipper.lock().round(&self.shared, kill);
+    }
+
+    /// Ships rounds until every live follower has applied the whole log
+    /// (lag 0); `false` when `CATCH_UP_ROUNDS` rounds do not get there.
+    pub fn catch_up(&self) -> bool {
+        (0..CATCH_UP_ROUNDS).any(|_| {
+            self.ship();
+            (0..self.follower_count()).all(|f| self.lag(f).map_or(true, |l| l == 0))
+        })
     }
 
     /// Demotes the current primary (even a healthy one) and fails over.
@@ -614,7 +596,6 @@ impl<S: TmSystem + 'static> Cluster<S> {
                 break (None, 0);
             };
             if self
-                .cfg
                 .kill
                 .as_ref()
                 .is_some_and(|k| k.should_fire(ReplKillPoint::DuringElection))
@@ -632,8 +613,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
 
         // Catch-up = WAL recovery on the shared disk: replays the full
         // log (torn tail truncated) and resumes the dense sequence.
-        let kv_cfg = self.cfg.kv_config(self.dir.clone(), None);
-        let (kv, report) = TxKv::recover((self.make)(), kv_cfg).map_err(ReplError::Kv)?;
+        let (kv, report) = TxKv::recover((self.make)(), self.kv.clone()).map_err(ReplError::Kv)?;
         let recovered_next_seq = report.checkpoint_seq.unwrap_or(0) + report.replayed;
         if candidate_watermark > recovered_next_seq {
             return Err(ReplError::Inconsistent {
@@ -667,7 +647,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
 
     /// Point-in-time replication counters plus per-follower lag.
     pub fn snapshot(&self) -> ReplSnapshot {
-        let shared = &*self.shared;
+        let shared = &self.shared;
         let shipped = shared.shipped_seq.load(Ordering::SeqCst);
         let lags = (shared.followers.iter())
             .map(|n| shipped.saturating_sub(n.next_expected.load(Ordering::SeqCst)))
@@ -675,10 +655,9 @@ impl<S: TmSystem + 'static> Cluster<S> {
         shared.stats.snapshot(lags, self.epoch())
     }
 
-    /// Stops the cluster — shipper, then primary — and returns the final
-    /// accounting.
+    /// Stops the primary and returns the final accounting.
     pub fn shutdown(mut self) -> ReplReport {
-        self.stop_and_join();
+        self.stop();
         ReplReport {
             snapshot: self.snapshot(),
             primary: self.final_primary.take(),
@@ -692,11 +671,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
             .ok_or(ReplError::FollowerDown { follower: f as u32 })
     }
 
-    fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.shipper.take() {
-            let _ = h.join();
-        }
+    fn stop(&mut self) {
         if let Some(kv) = self.primary.write().take() {
             self.final_primary = Some(kv.shutdown());
         }
@@ -708,7 +683,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
 
 impl<S: TmSystem + 'static> Drop for Cluster<S> {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.stop();
     }
 }
 
@@ -760,15 +735,6 @@ impl Shipper {
         }
     }
 
-    /// Runs a round every [`SHIP_INTERVAL`] until the cluster stops.
-    fn run(mut self, shared: &Shared, kill: Option<&ReplKillSwitch>) {
-        while !shared.stop.load(Ordering::SeqCst) {
-            self.round(shared, kill);
-            std::thread::sleep(SHIP_INTERVAL);
-        }
-        rococo_telemetry::flush_thread();
-    }
-
     /// One round: honour nacks, tail the log, broadcast batches and hand
     /// every frame a link delivers to its follower.
     fn round(&mut self, shared: &Shared, kill: Option<&ReplKillSwitch>) {
@@ -785,7 +751,7 @@ impl Shipper {
             return;
         }
         // Tail the log: decode complete frames past our offset; a
-        // partial frame mid-append is left for the next poll. A
+        // partial frame mid-append is left for the next round. A
         // fail-over may truncate the torn tail, but never a complete
         // frame — the offset stays valid across primary changes.
         if let Ok(mut file) = File::open(&self.log) {
@@ -836,7 +802,7 @@ impl Shipper {
             node.flush(link, stats);
         }
         // Heartbeat: an empty batch at the cursor position, every
-        // few polls. A caught-up follower skips it as a duplicate; a
+        // few rounds. A caught-up follower skips it as a duplicate; a
         // follower whose *last* data batch was dropped sees a gap it
         // would otherwise never learn about (nothing newer is coming
         // to trigger detection) and nacks for the resend.
@@ -936,36 +902,47 @@ mod tests {
     use super::*;
     use rococo_stm::{TinyStm, TmConfig};
 
-    fn tiny_cluster(cfg: ClusterConfig) -> Cluster<TinyStm> {
-        let kv_cfg = cfg.kv_config(PathBuf::new(), None);
+    /// A primary of `keys` keys on 2 shards × 2 workers, logging to a
+    /// scratch directory the cluster owns.
+    fn kv(keys: u64) -> TxKvConfig {
+        TxKvConfig {
+            shards: 2,
+            workers_per_shard: 2,
+            keys,
+            ..TxKvConfig::default()
+        }
+    }
+
+    fn start_tiny(kv: TxKvConfig, cfg: ClusterConfig) -> Result<Cluster<TinyStm>, ReplError> {
         let tm_cfg = TmConfig {
-            heap_words: kv_cfg.heap_words(),
-            max_threads: kv_cfg.worker_threads(),
+            heap_words: kv.heap_words(),
+            max_threads: kv.worker_threads(),
         };
-        Cluster::start(move || Arc::new(TinyStm::with_config(tm_cfg)), cfg).unwrap()
+        Cluster::start(move || Arc::new(TinyStm::with_config(tm_cfg)), kv, cfg)
+    }
+
+    fn tiny_cluster(keys: u64, cfg: ClusterConfig) -> Cluster<TinyStm> {
+        start_tiny(kv(keys), cfg).unwrap()
     }
 
     #[test]
     fn followers_catch_up_and_serve_read_your_writes() {
-        let cluster = tiny_cluster(ClusterConfig {
-            followers: 2,
-            keys: 128,
-            ..ClusterConfig::default()
-        });
+        let cluster = tiny_cluster(
+            128,
+            ClusterConfig {
+                followers: 2,
+                ..ClusterConfig::default()
+            },
+        );
         let mut last_seq = 0;
         for k in 0..50u64 {
             last_seq = cluster.put(k, k + 1000).unwrap();
         }
-        assert!(cluster.wait_catch_up(last_seq + 1, Duration::from_secs(10)));
+        assert!(cluster.catch_up());
         for f in 0..2 {
             // The watermark rule: a read gated on the write's sequence
             // must see it.
-            assert_eq!(
-                cluster
-                    .follower_read(f, 49, Some(last_seq), Duration::from_secs(5))
-                    .unwrap(),
-                1049
-            );
+            assert_eq!(cluster.follower_read(f, 49, Some(last_seq)).unwrap(), 1049);
             let (snap, watermark) = cluster.follower_snapshot(f).unwrap();
             assert!(watermark > last_seq);
             assert_eq!(snap[7], 1007);
@@ -979,33 +956,30 @@ mod tests {
 
     #[test]
     fn dropped_batches_gap_detect_and_resend() {
-        let cluster = tiny_cluster(ClusterConfig {
-            followers: 1,
-            keys: 64,
-            link_faults: LinkFaults {
-                seed: 11,
-                drop_pct: 35,
-                reorder_pct: 20,
+        let cluster = tiny_cluster(
+            64,
+            ClusterConfig {
+                followers: 1,
+                link_faults: LinkFaults {
+                    seed: 11,
+                    drop_pct: 35,
+                    reorder_pct: 20,
+                },
+                ..ClusterConfig::default()
             },
-            ..ClusterConfig::default()
-        });
+        );
         let mut last_seq = 0;
         for k in 0..60u64 {
             last_seq = cluster.put(k % 64, k).unwrap();
             // One record per ship round, so drops hit distinct batches.
-            std::thread::sleep(Duration::from_millis(1));
+            cluster.ship();
         }
         assert!(
-            cluster.wait_catch_up(last_seq + 1, Duration::from_secs(10)),
+            cluster.catch_up(),
             "follower never converged past the faulty link: {:?}",
             cluster.snapshot()
         );
-        assert_eq!(
-            cluster
-                .follower_read(0, 59, Some(last_seq), Duration::from_secs(5))
-                .unwrap(),
-            59
-        );
+        assert_eq!(cluster.follower_read(0, 59, Some(last_seq)).unwrap(), 59);
         let snap = cluster.snapshot();
         assert!(
             snap.gaps_detected > 0 && snap.resends > 0,
@@ -1016,16 +990,18 @@ mod tests {
 
     #[test]
     fn failover_preserves_acked_writes() {
-        let cluster = tiny_cluster(ClusterConfig {
-            followers: 2,
-            keys: 64,
-            ..ClusterConfig::default()
-        });
+        let cluster = tiny_cluster(
+            64,
+            ClusterConfig {
+                followers: 2,
+                ..ClusterConfig::default()
+            },
+        );
         let mut last_seq = 0;
         for k in 0..20u64 {
             last_seq = cluster.put(k, k * 3).unwrap();
         }
-        cluster.wait_catch_up(last_seq + 1, Duration::from_secs(10));
+        cluster.catch_up();
         let report = cluster.fail_over().unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(cluster.epoch(), 1);
@@ -1042,12 +1018,7 @@ mod tests {
         let seq = cluster.put(5, 999).unwrap();
         assert!(seq >= last_seq, "sequence must continue densely");
         let survivor = (0..2).find(|&f| cluster.follower_alive(f)).unwrap();
-        assert_eq!(
-            cluster
-                .follower_read(survivor, 5, Some(seq), Duration::from_secs(10))
-                .unwrap(),
-            999
-        );
+        assert_eq!(cluster.follower_read(survivor, 5, Some(seq)).unwrap(), 999);
         // Idempotency: a coordinator that observed the old epoch loses.
         assert!(matches!(
             cluster.recover_primary(0),
@@ -1064,12 +1035,14 @@ mod tests {
     #[test]
     fn mid_ship_kill_demotes_and_recovery_keeps_acked_writes() {
         let kill = ReplKillSwitch::arm(ReplKillPoint::MidShip, 3);
-        let cluster = tiny_cluster(ClusterConfig {
-            followers: 2,
-            keys: 64,
-            kill: Some(Arc::clone(&kill)),
-            ..ClusterConfig::default()
-        });
+        let cluster = tiny_cluster(
+            64,
+            ClusterConfig {
+                followers: 2,
+                kill: Some(Arc::clone(&kill)),
+                ..ClusterConfig::default()
+            },
+        );
         let mut acked = Vec::new();
         for k in 0..200u64 {
             match cluster.put(k % 64, k + 1) {
@@ -1077,7 +1050,7 @@ mod tests {
                 Err(ReplError::PrimaryDown) => break,
                 Err(e) => panic!("unexpected error: {e}"),
             }
-            std::thread::sleep(Duration::from_micros(300));
+            cluster.ship();
         }
         assert!(kill.fired(), "the mid-ship kill never triggered");
         assert!(cluster.poisoned());
@@ -1096,19 +1069,46 @@ mod tests {
     }
 
     #[test]
+    fn a_gated_read_on_a_fenced_primary_fails_fast_and_reads_after_recovery() {
+        let kill = ReplKillSwitch::arm(ReplKillPoint::MidShip, 1);
+        let cluster = tiny_cluster(
+            8,
+            ClusterConfig {
+                followers: 2,
+                kill: Some(Arc::clone(&kill)),
+                ..ClusterConfig::default()
+            },
+        );
+        let seq = cluster.put(3, 42).unwrap();
+        // The read's first round dies before its batch leaves: the
+        // fence stops the read there, not after its rounds run out.
+        assert_eq!(
+            cluster.follower_read(0, 3, Some(seq)),
+            Err(ReplError::PrimaryDown)
+        );
+        assert!(kill.fired());
+        assert_eq!(cluster.snapshot().batches_shipped, 0);
+        let report = cluster.recover_primary(0).unwrap();
+        let f = (0..2).find(|&f| Some(f as u32) != report.elected).unwrap();
+        assert_eq!(cluster.follower_read(f, 3, Some(seq)), Ok(42));
+        cluster.shutdown();
+    }
+
+    #[test]
     fn during_election_kill_crashes_the_candidate_and_reelects() {
         let kill = ReplKillSwitch::arm(ReplKillPoint::DuringElection, 1);
-        let cluster = tiny_cluster(ClusterConfig {
-            followers: 2,
-            keys: 32,
-            kill: Some(Arc::clone(&kill)),
-            ..ClusterConfig::default()
-        });
-        let mut last_seq = 0;
+        let cluster = tiny_cluster(
+            32,
+            ClusterConfig {
+                followers: 2,
+                kill: Some(Arc::clone(&kill)),
+                ..ClusterConfig::default()
+            },
+        );
         for k in 0..10u64 {
-            last_seq = cluster.put(k, k).unwrap();
+            cluster.put(k, k).unwrap();
         }
-        cluster.wait_catch_up(last_seq + 1, Duration::from_secs(10));
+        cluster.catch_up();
         let report = cluster.fail_over().unwrap();
         assert!(kill.fired());
         assert_eq!(report.crashed_candidates, 1);
@@ -1118,7 +1118,7 @@ mod tests {
         assert!(!cluster.follower_alive(0));
         assert!(!cluster.follower_alive(1));
         assert!(matches!(
-            cluster.follower_read(elected as usize, 0, None, Duration::ZERO),
+            cluster.follower_read(elected as usize, 0, None),
             Err(ReplError::FollowerDown { .. })
         ));
         for k in 0..10u64 {
@@ -1131,20 +1131,19 @@ mod tests {
 
     #[test]
     fn a_corrupt_frame_is_rejected_nacked_and_resent() {
-        let mut cluster = tiny_cluster(ClusterConfig {
-            followers: 1,
-            keys: 8,
-            ..ClusterConfig::default()
-        });
-        // Step the shipper by hand: stop the thread, drive rounds here.
-        cluster.shared.stop.store(true, Ordering::SeqCst);
-        cluster.shipper.take().unwrap().join().unwrap();
-        let mut shipper = Shipper::new(cluster.dir.join("wal.log"), &cluster.cfg);
+        let cluster = tiny_cluster(
+            8,
+            ClusterConfig {
+                followers: 1,
+                ..ClusterConfig::default()
+            },
+        );
         let seq = cluster.put(3, 42).unwrap();
         cluster.set_partitioned(0, true);
-        shipper.round(&cluster.shared, None); // the batch is dropped
+        cluster.ship(); // the batch is dropped
         cluster.set_partitioned(0, false);
-        assert_eq!(shipper.cursors[0], seq + 1, "the cursor is past the write");
+        let cursor = cluster.shipper.lock().cursors[0];
+        assert_eq!(cursor, seq + 1, "the cursor is past the write");
 
         let log = std::fs::read(cluster.dir.join("wal.log")).unwrap();
         let mut frame = StreamBatch::new(0, decode_all(&log).0).encode();
@@ -1159,8 +1158,8 @@ mod tests {
             "nacked at next_expected"
         );
 
-        shipper.round(&cluster.shared, None);
-        let read = cluster.follower_read(0, 3, Some(seq), Duration::ZERO);
+        cluster.ship();
+        let read = cluster.follower_read(0, 3, Some(seq));
         assert_eq!(read, Ok(42));
         assert_eq!(cluster.snapshot().resends, 1);
         cluster.shutdown();
@@ -1168,13 +1167,15 @@ mod tests {
 
     #[test]
     fn partition_heals_through_the_gap_protocol() {
-        let cluster = tiny_cluster(ClusterConfig {
-            followers: 1,
-            keys: 32,
-            ..ClusterConfig::default()
-        });
-        let seq0 = cluster.put(1, 10).unwrap();
-        assert!(cluster.wait_catch_up(seq0 + 1, Duration::from_secs(10)));
+        let cluster = tiny_cluster(
+            32,
+            ClusterConfig {
+                followers: 1,
+                ..ClusterConfig::default()
+            },
+        );
+        cluster.put(1, 10).unwrap();
+        assert!(cluster.catch_up());
         cluster.set_partitioned(0, true);
         let mut last_seq = 0;
         for k in 0..20u64 {
@@ -1182,23 +1183,108 @@ mod tests {
         }
         // Partitioned: the follower cannot reach the new watermark.
         assert!(matches!(
-            cluster.follower_read(0, 0, Some(last_seq), Duration::from_millis(50)),
+            cluster.follower_read(0, 0, Some(last_seq)),
             Err(ReplError::LagTimeout { .. })
         ));
         cluster.set_partitioned(0, false);
         assert!(
-            cluster.wait_catch_up(last_seq + 1, Duration::from_secs(10)),
+            cluster.catch_up(),
             "follower never re-converged after healing: {:?}",
             cluster.snapshot()
         );
-        assert_eq!(
-            cluster
-                .follower_read(0, 19, Some(last_seq), Duration::from_secs(5))
-                .unwrap(),
-            119
-        );
+        assert_eq!(cluster.follower_read(0, 19, Some(last_seq)).unwrap(), 119);
         let stats = cluster.link_stats(0).unwrap();
         assert!(stats.dropped.load(Ordering::Relaxed) > 0);
         cluster.shutdown();
+    }
+
+    /// A seed is a schedule: one thread drives the puts and the rounds,
+    /// so every drop, reorder, gap and resend replays exactly.
+    #[test]
+    fn a_seeded_lossy_link_replays_exactly() {
+        let run = || {
+            let cluster = tiny_cluster(
+                64,
+                ClusterConfig {
+                    followers: 2,
+                    link_faults: LinkFaults {
+                        seed: 7,
+                        drop_pct: 30,
+                        reorder_pct: 20,
+                    },
+                    ..ClusterConfig::default()
+                },
+            );
+            for k in 0..40u64 {
+                cluster.put(k, k + 1).unwrap();
+                cluster.ship();
+            }
+            assert!(cluster.catch_up(), "{:?}", cluster.snapshot());
+            let s = cluster.snapshot();
+            let counters = [
+                s.batches_shipped,
+                s.records_shipped,
+                s.batches_applied,
+                s.records_applied,
+                s.gaps_detected,
+                s.resends,
+                s.batches_rejected,
+                s.duplicates_skipped,
+            ];
+            let links: Vec<[u64; 3]> = (0..2)
+                .map(|f| {
+                    let l = cluster.link_stats(f).unwrap();
+                    [&l.sent, &l.dropped, &l.reordered].map(|c| c.load(Ordering::Relaxed))
+                })
+                .collect();
+            let tables: Vec<_> = (0..2)
+                .map(|f| cluster.follower_snapshot(f).unwrap())
+                .collect();
+            cluster.shutdown();
+            (counters, links, tables)
+        };
+        let first = run();
+        assert!(first.0[4] > 0, "the lossy link opened no gap: {first:?}");
+        for _ in 1..6 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    #[test]
+    fn the_cluster_refuses_a_primary_it_cannot_replicate() {
+        let dir = rococo_wal::scratch_dir("repl-refused");
+        for (fsync, checkpoint_every) in [
+            (FsyncPolicy::EveryN(8), 0),
+            (FsyncPolicy::Never, 0),
+            (FsyncPolicy::Always, 64),
+        ] {
+            let durability = DurabilityConfig {
+                dir: dir.clone(),
+                fsync,
+                checkpoint_every,
+                kill: None,
+            };
+            let kv = TxKvConfig {
+                durability: Some(durability),
+                ..kv(8)
+            };
+            assert!(
+                matches!(
+                    start_tiny(kv, ClusterConfig::default()),
+                    Err(ReplError::Kv(TxKvError::InvalidConfig { .. }))
+                ),
+                "{fsync:?}, checkpoint every {checkpoint_every}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let cluster = tiny_cluster(8, ClusterConfig::default());
+        let scratch = cluster.dir().to_path_buf();
+        assert!(scratch.join("wal.log").exists());
+        cluster.shutdown();
+        assert!(
+            !scratch.exists(),
+            "the cluster removes the directory it made"
+        );
     }
 }

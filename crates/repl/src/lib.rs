@@ -1,8 +1,10 @@
 //! `rococo-repl`: WAL-shipped replication for TxKV.
 //!
 //! Turns the durable TxKV service into a replicated primary/follower
-//! cluster of in-process "nodes" joined by simulated links, all driven
-//! by one shipper thread:
+//! cluster of in-process "nodes" joined by simulated links. It starts no
+//! thread: a shipper round is a call ([`Cluster::ship`]) that runs on the
+//! thread that needs it — a watermark-gated read, [`Cluster::catch_up`],
+//! or a load generator's tick:
 //!
 //! * [`stream`] — the wire format: group-committed WAL records shipped
 //!   as CRC-checked [`StreamBatch`]es, dense in commit-sequence order,
