@@ -159,6 +159,22 @@ if sed '/^#\[cfg(test)\]/,$d' crates/fpga/src/engine.rs | grep -nE 'fn replace\b
   exit 1
 fi
 
+echo "== the commit path keeps no buffer pool and reads no clock"
+# An open ROCoCoTM transaction holds its thread's buffers, and the one
+# validation timer (TmStats::time_validation in api.rs) reads the clock
+# around one verdict in 61. A pool and a clock per commit were a quarter
+# of an uncontended Add.
+if sed '/^#\[cfg(test)\]/,$d' crates/stm/src/rococotm.rs | grep -nE 'struct Scratch\b|fn take_scratch\b'; then
+  echo "crates/stm/src/rococotm.rs pools transaction buffers outside its tests" >&2
+  exit 1
+fi
+for f in crates/stm/src/rococotm.rs crates/stm/src/tinystm.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Instant::now'; then
+    echo "$f reads the clock outside its tests; time validations in api.rs" >&2
+    exit 1
+  fi
+done
+
 echo "== docs name crates/ paths that exist"
 # benchmark/README.md is left out: it still names the deleted
 # crates/bench/benches/, and only a change to the benchmark may edit it.

@@ -18,8 +18,10 @@
 //! `p = f ∨ Rᵀf` (everything `t` reaches) and the *succeeding* vector
 //! `s = b ∨ Rb` (everything that reaches `t`) are computed with `O(W)` word
 //! operations; a cycle exists iff `p ∧ s ≠ 0` ([`ReachMatrix::validate`]).
-//! On commit, one pass over the matrix writes `p` as the new entry's row
-//! and closes every row that reaches it over it ([`ReachMatrix::commit`]).
+//! The matrix is stored by column, so `s` is an OR of the columns `b`
+//! names and `p` is looked up only where `f` has bits. On commit the new
+//! entry's column becomes `s`, and every column it reaches (`p`) gains `s`
+//! ([`ReachMatrix::commit`]).
 //!
 //! Because hardware resources are bounded, ROCoCo maintains a **sliding
 //! window** of the last `W` committed transactions ([`SlidingWindow`],

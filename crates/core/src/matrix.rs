@@ -32,22 +32,29 @@ impl std::error::Error for CycleDetected {}
 /// nor in its column; a live position `i` has `r[i][i]` set ("a vertex can
 /// always reach itself", `R₁ = [1]` in the paper).
 ///
+/// The matrix is stored by **column**: column `j` is the set of positions
+/// that reach `j`, in the same words as every vector below, so a column is
+/// OR-ed into `s` or tested against `f` one word at a time.
+///
 /// Every vector this type takes or fills (`f`, `b`, `p`, `s`, `pinned`) is
 /// `ceil(W / 64)` words over the same ring positions, bit `i % 64` of word
 /// `i / 64` for position `i`. The two operations map to the bit-parallel
 /// structures of Figures 4 and 5:
 ///
-/// * [`validate`](Self::validate) — `p = f ∨ Rᵀf`, `s = b ∨ Rb`, cycle iff
-///   `p ∧ s ≠ 0`; `O(W)` word operations (O(1) clock cycles in hardware).
-/// * [`commit`](Self::commit) — one pass that evicts whatever held the new
-///   entry's position (clears that one row and that one column) and closes
-///   every row over the new entry: `r[i][j] |= s[i] ∧ p[j]`.
+/// * [`validate`](Self::validate) — `s = b ∨ Rb` (an OR of the columns `b`
+///   names), `p = f ∨ Rᵀf` (the columns that meet `f`, looked at only in
+///   the planes where `f` has a bit), cycle iff `p ∧ s ≠ 0`; `O(W)` word
+///   operations (O(1) clock cycles in hardware).
+/// * [`commit`](Self::commit) — evicts whatever held the new entry's
+///   position (clears that one row and that one column) and closes every
+///   column the new entry reaches over it: `col j |= s` for `j ∈ p`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ReachMatrix {
     cap: usize,
-    /// Word-major planes: `rows[k * cap + i]` is word `k` of row `i`, so a
-    /// pass over word `k` of every row is contiguous for any `W`.
-    rows: Vec<u64>,
+    /// Word-major planes: `cols[k * cap + j]` is word `k` of column `j`
+    /// (bit `i % 64` of it is `r[i][j]` for `i` in plane `k`), so a pass
+    /// over word `k` of every column is contiguous for any `W`.
+    cols: Vec<u64>,
 }
 
 impl ReachMatrix {
@@ -60,7 +67,7 @@ impl ReachMatrix {
         assert!(cap > 0, "window capacity must be positive");
         Self {
             cap,
-            rows: vec![0; cap.div_ceil(64) * cap],
+            cols: vec![0; cap.div_ceil(64) * cap],
         }
     }
 
@@ -71,7 +78,7 @@ impl ReachMatrix {
 
     /// Words per vector over the ring positions, `ceil(W / 64)`.
     pub fn words(&self) -> usize {
-        self.rows.len() / self.cap
+        self.cols.len() / self.cap
     }
 
     /// Whether `tᵢ ▷ tⱼ` (position `i` reaches position `j`); `false` when
@@ -82,7 +89,7 @@ impl ReachMatrix {
     /// Panics if `i` or `j` is not below the capacity.
     pub fn reaches(&self, i: usize, j: usize) -> bool {
         assert!(i < self.cap && j < self.cap, "position out of range");
-        self.rows[(j / 64) * self.cap + i] >> (j % 64) & 1 == 1
+        self.cols[(i / 64) * self.cap + j] >> (i % 64) & 1 == 1
     }
 
     /// Validates a candidate transaction with forward vector `f` and
@@ -97,7 +104,7 @@ impl ReachMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if a vector is not [`words`](Self::words) long or `f` names a
+    /// Panics if a vector is not [`words`](Self::words) long or `b` names a
     /// position at or beyond the capacity.
     pub fn validate(
         &self,
@@ -109,25 +116,29 @@ impl ReachMatrix {
         let widths = [f.len(), b.len(), p.len(), s.len()];
         assert_eq!(widths, [self.words(); 4], "vector width mismatch");
 
-        // p = f | R^T f : the candidate reaches position i directly (f[i])
-        // or through any j with f[j] and r[j][i] (row j read whole).
-        p.copy_from_slice(f);
-        for (k, &word) in f.iter().enumerate() {
+        // s = b | R b : position i reaches the candidate directly (b[i]) or
+        // through any j with b[j] and r[i][j] (column j read whole).
+        s.copy_from_slice(b);
+        for (k, &word) in b.iter().enumerate() {
             for j in ones(word).map(|bit| k * 64 + bit) {
-                for (p, plane) in p.iter_mut().zip(self.rows.chunks_exact(self.cap)) {
-                    *p |= plane[j];
+                for (s, plane) in s.iter_mut().zip(self.cols.chunks_exact(self.cap)) {
+                    *s |= plane[j];
                 }
             }
         }
 
-        // s = b | R b : position i reaches the candidate directly (b[i]) or
-        // through any j with r[i][j] and b[j] (word k of row i against word
-        // k of b, one plane at a time, packed 64 rows to a word of s).
-        s.copy_from_slice(b);
-        for (plane, &b) in self.rows.chunks_exact(self.cap).zip(b) {
-            for (s, rows) in s.iter_mut().zip(plane.chunks(64)) {
-                for (bit, row) in rows.iter().enumerate() {
-                    *s |= u64::from(row & b != 0) << bit;
+        // p = f | R^T f : the candidate reaches position j directly (f[j])
+        // or through any i with f[i] and r[i][j] (word k of column j
+        // against word k of f, packed 64 columns to a word of p). A plane
+        // where f has no bit adds nothing and is skipped.
+        p.copy_from_slice(f);
+        for (plane, &f) in self.cols.chunks_exact(self.cap).zip(f) {
+            if f == 0 {
+                continue;
+            }
+            for (p, cols) in p.iter_mut().zip(plane.chunks(64)) {
+                for (bit, col) in cols.iter().enumerate() {
+                    *p |= u64::from(col & f != 0) << bit;
                 }
             }
         }
@@ -140,13 +151,13 @@ impl ReachMatrix {
     }
 
     /// Commits the candidate whose closure `p`/`s` was computed by
-    /// [`validate`](Self::validate) into ring position `pos`, in one pass
-    /// over the planes: whatever held `pos` is evicted — its row is
-    /// replaced, its column cleared in every row, and every row that
-    /// reached it is OR-ed into `pinned` — and every row that reaches the
-    /// candidate (`s[i]`) gains everything the candidate reaches (`p`) and
-    /// the candidate itself. The candidate's own `pinned` bit says whether
-    /// it reached the entry it evicted.
+    /// [`validate`](Self::validate) into ring position `pos`: whatever held
+    /// `pos` is evicted — its column (the rows that reached it) is OR-ed
+    /// into `pinned` and replaced, its row cleared from every column — and
+    /// every column the candidate reaches (`p[j]`) gains every row that
+    /// reaches the candidate (`s`) and the candidate itself. The new
+    /// column `pos` is `s` and the candidate. The candidate's own `pinned`
+    /// bit says whether it reached the entry it evicted.
     ///
     /// # Panics
     ///
@@ -157,36 +168,44 @@ impl ReachMatrix {
         let widths = [p.len(), s.len(), pinned.len()];
         assert_eq!(widths, [self.words(); 3], "vector width mismatch");
 
-        let (own, shift) = (pos / 64, pos % 64);
-        for (k, plane) in self.rows.chunks_exact_mut(self.cap).enumerate() {
-            // Word k of the column being replaced, and of the new row: `pos`
-            // stops meaning the evicted entry and starts meaning this one.
-            let column = u64::from(k == own) << shift;
-            let gain = p[k] | column;
-            for ((pinned, &s), rows) in pinned.iter_mut().zip(s).zip(plane.chunks_mut(64)) {
-                for (bit, row) in rows.iter_mut().enumerate() {
-                    *pinned |= u64::from(*row & column != 0) << bit;
-                    let reaches_candidate = 0u64.wrapping_sub(s >> bit & 1);
-                    *row = (*row & !column) | (reaches_candidate & gain);
+        let (own, bit) = (pos / 64, 1u64 << (pos % 64));
+        // Word k of `s ∨ bit(pos)`: what reaches the candidate, itself
+        // included.
+        let gain = |k: usize, s: u64| s | if k == own { bit } else { 0 };
+        for (pinned, plane) in pinned.iter_mut().zip(self.cols.chunks_exact(self.cap)) {
+            *pinned |= plane[pos];
+        }
+        // `pos` stops meaning the evicted entry: its row leaves every
+        // column, one contiguous sweep over the plane that holds it.
+        for col in &mut self.cols[own * self.cap..(own + 1) * self.cap] {
+            *col &= !bit;
+        }
+        for (w, &word) in p.iter().enumerate() {
+            for j in ones(word).map(|b| w * 64 + b) {
+                for (k, (plane, &s)) in self.cols.chunks_exact_mut(self.cap).zip(s).enumerate() {
+                    plane[j] |= gain(k, s);
                 }
             }
-            plane[pos] = gain;
         }
-        pinned[own] = (pinned[own] & !(1 << shift)) | (p[own] & (1 << shift));
+        for (k, (plane, &s)) in self.cols.chunks_exact_mut(self.cap).zip(s).enumerate() {
+            plane[pos] = gain(k, s);
+        }
+        pinned[own] = (pinned[own] & !bit) | (p[own] & bit);
     }
 
     /// Checks the matrix invariants by recomputing reachability from
-    /// scratch (Warshall) and comparing: the stored matrix is transitively
-    /// closed, and a bit names two live positions (both reach themselves),
-    /// so dead rows and columns are empty. Intended for tests and debug
-    /// assertions; `O(W³)`.
+    /// scratch (Warshall, on columns: `r[k][j]` adds column `k` to column
+    /// `j`) and comparing: the stored matrix is transitively closed, and a
+    /// bit names two live positions (both reach themselves), so dead rows
+    /// and columns are empty. Intended for tests and debug assertions;
+    /// `O(W³)`.
     pub fn closure_invariant_holds(&self) -> bool {
         let mut closed = self.clone();
         for k in 0..self.cap {
-            for i in 0..self.cap {
-                if closed.reaches(i, k) {
-                    for plane in closed.rows.chunks_exact_mut(self.cap) {
-                        plane[i] |= plane[k];
+            for j in 0..self.cap {
+                if closed.reaches(k, j) {
+                    for plane in closed.cols.chunks_exact_mut(self.cap) {
+                        plane[j] |= plane[k];
                     }
                 }
             }

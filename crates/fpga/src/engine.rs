@@ -903,9 +903,11 @@ mod tests {
     /// Each stage is the engine's own step, timed in place on every request
     /// of the trace. "Manager validate" is `ReachMatrix::validate` replayed
     /// read-only on the vectors the Manager is about to get (without the
-    /// pinned bits, which cost no extra word operations); "commit + evict"
-    /// is the Manager's whole step less that; "bit sets + bank zeroing" is
-    /// step 4, its one bank zeroing per `W` commits spread over them.
+    /// pinned bits, which cost no extra word operations): `s` is an OR over
+    /// the columns `b` names, and `p` is packed from the columns only when
+    /// `f ≠ 0`. "Commit + evict" is the Manager's whole step less that;
+    /// "bit sets + bank zeroing" is step 4, its one bank zeroing per `W`
+    /// commits spread over them.
     #[test]
     #[ignore = "a measurement, not a check: run in release with --nocapture"]
     fn stage_budget() {

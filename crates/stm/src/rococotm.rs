@@ -24,7 +24,7 @@
 
 use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rococo_fpga::{
     EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, ServiceHandle, TimingModel,
     ValidationService,
@@ -34,7 +34,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// ROCoCoTM-specific configuration.
 #[derive(Debug, Clone)]
@@ -112,23 +111,52 @@ impl Hasher for AddrHasher {
     }
 }
 
-/// Recycled per-transaction buffers, pooled per thread so `begin` is
-/// allocation-free in the steady state. At a few hundred thousand
-/// transactions per second the handful of small vector allocations each
-/// `begin` would otherwise perform (read-set summary, write/miss
-/// signatures, write-address list, redo map) is measurable on the commit
-/// hot path, and all of them are trivially reusable: each is cleared when
-/// it is handed back.
-///
-/// The pool is per thread (the same index space as the update slots), so
-/// the mutex is uncontended: only the owning thread's `begin` takes from
-/// it and only its commit gives back.
-#[derive(Debug, Default)]
-struct Scratch {
-    read_sets: Vec<ChunkedSig>,
-    sigs: Vec<Sig>,
-    addr_lists: Vec<Vec<u64>>,
-    redos: Vec<Redo>,
+/// One thread's transaction buffers (the same index space as the update
+/// slots). `begin` takes them under the thread's lock and clears them, and
+/// the open transaction holds the guard until it commits or is dropped, so
+/// a thread's transactions allocate nothing once the buffers have grown,
+/// whether they commit, abort or are abandoned.
+#[derive(Debug)]
+struct Buffers {
+    /// Chunked read-set summary (whole-set + per-8-address signatures +
+    /// raw addresses).
+    read_set: ChunkedSig,
+    /// Write-set signature.
+    write_sig: Sig,
+    /// Write-set addresses in first-write order, as the validator takes
+    /// them.
+    write_addrs: Vec<u64>,
+    /// Redo log.
+    redo: Redo,
+    /// Union of committed write signatures this transaction failed to
+    /// observe (Figure 8(c)); non-empty means `valid_ts` is frozen.
+    miss_set: Sig,
+    /// The `TempSet` of the last drain: the union of the write signatures
+    /// committed since the drain before it (empty when there were none).
+    temp: Sig,
+}
+
+impl Buffers {
+    fn new(scheme: &SigScheme) -> Self {
+        Self {
+            read_set: ChunkedSig::new(scheme),
+            write_sig: scheme.new_sig(),
+            write_addrs: Vec::new(),
+            redo: Redo::default(),
+            miss_set: scheme.new_sig(),
+            temp: scheme.new_sig(),
+        }
+    }
+
+    /// Empties every buffer, keeping its capacity.
+    fn clear(&mut self) {
+        self.read_set.clear();
+        self.write_sig.clear();
+        self.write_addrs.clear();
+        self.redo.clear();
+        self.miss_set.clear();
+        self.temp.clear();
+    }
 }
 
 /// The ROCoCoTM runtime.
@@ -156,8 +184,12 @@ pub struct RococoTm {
     commit_gate: RwLock<()>,
     /// Consecutive aborts per thread (irrevocability escalation).
     consecutive_aborts: Vec<AtomicU32>,
-    /// Per-thread recycled transaction buffers (see [`Scratch`]).
-    scratch: Vec<Mutex<Scratch>>,
+    /// One set of transaction buffers per thread, held by its open
+    /// transaction (see [`Buffers`]).
+    scratch: Vec<Mutex<Buffers>>,
+    /// The simulated platform's validation latency, charged as model
+    /// time for every verdict.
+    timing: TimingModel,
     /// The simulated FPGA; kept alive for the runtime's lifetime (dropping
     /// it stops the validation service).
     _service: ValidationService,
@@ -225,8 +257,9 @@ impl RococoTm {
                 .map(|_| AtomicU32::new(0))
                 .collect(),
             scratch: (0..config.tm.max_threads)
-                .map(|_| Mutex::new(Scratch::default()))
+                .map(|_| Mutex::new(Buffers::new(&scheme)))
                 .collect(),
+            timing: TimingModel::default(),
             _service: service,
             handle,
             config,
@@ -238,23 +271,6 @@ impl RococoTm {
     /// window aborts — the dotted series of Figure 10).
     pub fn fpga_stats(&self) -> EngineStats {
         self.handle.stats()
-    }
-
-    /// Takes one set of transaction buffers from `thread`'s scratch pool,
-    /// allocating fresh ones only when the pool runs dry (cold start, or
-    /// buffers lost to an abort path — see [`RococoTx::recycle`]).
-    ///
-    /// Returns `(read_set, [write_sig, miss_set, temp], write_addrs, redo)`.
-    fn take_scratch(&self, thread: usize) -> (ChunkedSig, [Sig; 3], Vec<u64>, Redo) {
-        let mut pool = self.scratch[thread].lock();
-        (
-            pool.read_sets
-                .pop()
-                .unwrap_or_else(|| ChunkedSig::new(&self.scheme)),
-            std::array::from_fn(|_| pool.sigs.pop().unwrap_or_else(|| self.scheme.new_sig())),
-            pool.addr_lists.pop().unwrap_or_default(),
-            pool.redos.pop().unwrap_or_default(),
-        )
     }
 
     /// Marks thread `t`'s update slot occupied in the fast-path bitmap.
@@ -334,31 +350,18 @@ impl RococoTm {
         self.clear_update_slot(thread);
     }
 
-    /// Does the bookkeeping every verdict gets — validation time (wall and
-    /// model), the `Verdict` flight-recorder event — for a request posted
-    /// at `posted`. Returns the granted commit sequence, or the kind of
-    /// abort the verdict means.
-    ///
-    /// The wall clock runs from `posted` to now: the whole `post`, the
-    /// engine and any injected stall or late delivery included. The model
-    /// time charges the simulated round-trip of the default
-    /// [`TimingModel`] (Figure 11).
-    fn await_verdict(
-        &self,
-        posted: Instant,
-        verdict: FpgaVerdict,
-        n_addrs: usize,
-    ) -> Result<u64, AbortKind> {
-        let wall_ns = posted.elapsed().as_nanos() as u64;
-        let timing = TimingModel::default();
+    /// Does the bookkeeping every verdict gets once it is in hand — the
+    /// model time of the simulated round-trip (Figure 11) and the
+    /// `Verdict` flight-recorder event. Returns the granted commit
+    /// sequence, or the kind of abort the verdict means. The wall clock is
+    /// the caller's: `commit_seq` posts through
+    /// [`TmStats::time_validation`].
+    fn settle_verdict(&self, verdict: FpgaVerdict, n_addrs: usize) -> Result<u64, AbortKind> {
+        let timing = &self.timing;
         let model_ns = timing.latency_ns(n_addrs) as u64;
-        self.stats
-            .validation_ns
-            .fetch_add(wall_ns, Ordering::Relaxed);
         self.stats
             .validation_model_ns
             .fetch_add(model_ns, Ordering::Relaxed);
-        self.stats.validations.fetch_add(1, Ordering::Relaxed);
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Verdict {
             verdict: match verdict {
                 FpgaVerdict::Commit { .. } => "commit",
@@ -388,22 +391,8 @@ pub struct RococoTx<'a> {
     local_ts: u64,
     /// The read set is consistent as of this sequence.
     valid_ts: u64,
-    /// Chunked read-set summary (whole-set + per-8-address signatures +
-    /// raw addresses).
-    read_set: ChunkedSig,
-    /// Write-set signature.
-    write_sig: Sig,
-    /// Write-set addresses in first-write order, as the validator takes
-    /// them.
-    write_addrs: Vec<u64>,
-    /// Redo log.
-    redo: Redo,
-    /// Union of committed write signatures this transaction failed to
-    /// observe (Figure 8(c)); non-empty means `valid_ts` is frozen.
-    miss_set: Sig,
-    /// The `TempSet` of the last drain: the union of the write signatures
-    /// committed since the drain before it (empty when there were none).
-    temp: Sig,
+    /// The thread's buffers, held until the transaction ends.
+    buf: MutexGuard<'a, Buffers>,
     /// Held exclusively when the transaction runs irrevocably.
     irrevocable: Option<RwLockWriteGuard<'a, ()>>,
 }
@@ -415,8 +404,8 @@ impl std::fmt::Debug for RococoTx<'_> {
             .field("thread", &self.thread)
             .field("local_ts", &self.local_ts)
             .field("valid_ts", &self.valid_ts)
-            .field("reads", &self.read_set.len())
-            .field("writes", &self.write_addrs.len())
+            .field("reads", &self.buf.read_set.len())
+            .field("writes", &self.buf.write_addrs.len())
             .finish()
     }
 }
@@ -432,32 +421,6 @@ impl RococoTx<'_> {
         Abort::new(kind)
     }
 
-    /// Returns this transaction's buffers to its thread's scratch pool,
-    /// clearing each as it is shelved so `take_scratch` can hand them out
-    /// as-is. Every commit ends here, a verdict-time abort included: it
-    /// retries at once, and its `begin` then allocates nothing.
-    ///
-    /// A transaction that aborts mid-execution (the `tm_read` conflict
-    /// paths) is simply dropped with its buffers — aborts are the rare
-    /// path, and recovering them would take a `Drop` impl, which forbids
-    /// moving the buffers out here.
-    fn recycle(self) {
-        let mut pool = self.tm.scratch[self.thread].lock();
-        let mut read_set = self.read_set;
-        read_set.clear();
-        pool.read_sets.push(read_set);
-        for mut sig in [self.write_sig, self.miss_set, self.temp] {
-            sig.clear();
-            pool.sigs.push(sig);
-        }
-        let mut addrs = self.write_addrs;
-        addrs.clear();
-        pool.addr_lists.push(addrs);
-        let mut redo = self.redo;
-        redo.clear();
-        pool.redos.push(redo);
-    }
-
     /// Drains the commit queue from `local_ts` to the current `GlobalTS`
     /// into `temp`, the `TempSet` (Algorithm 1 lines 9–13), and returns
     /// that `GlobalTS`.
@@ -468,7 +431,8 @@ impl RococoTx<'_> {
         let queue_len = self.tm.config.queue_len as u64;
         let start_ts = self.local_ts;
         let gts = self.tm.global_ts.load(Ordering::SeqCst);
-        self.temp.clear();
+        let temp = &mut self.buf.temp;
+        temp.clear();
         if gts == start_ts {
             return Some(gts);
         }
@@ -482,7 +446,7 @@ impl RococoTx<'_> {
         }
         for seq in start_ts..gts {
             let slot = &self.tm.commit_queue[(seq % queue_len) as usize];
-            self.temp.union_with(&slot.read());
+            temp.union_with(&slot.read());
         }
         // The scan itself takes time: committers may have advanced GlobalTS
         // while we were reading and recycled slots out from under us. The
@@ -509,25 +473,26 @@ impl RococoTx<'_> {
             return Err(self.count_abort(AbortKind::FpgaWindow));
         };
         let scheme = &self.tm.scheme;
+        let buf = &mut *self.buf;
 
         // The drain advanced `local_ts`, so `temp` is folded in before any
         // reload is asked for: dropping it would extend the snapshot past
         // commits never checked against the read set.
         let mut stale = false;
-        if !self.temp.is_empty() {
-            let conflict = self.read_set.conflicts_with(scheme, &self.temp);
-            if self.miss_set.is_empty() && !conflict {
+        if !buf.temp.is_empty() {
+            let conflict = buf.read_set.conflicts_with(scheme, &buf.temp);
+            if buf.miss_set.is_empty() && !conflict {
                 self.valid_ts = gts; // snapshot extends
             } else {
-                self.miss_set.union_with(&self.temp);
+                buf.miss_set.union_with(&buf.temp);
             }
             // The caller's load came before the drain: a commit folded in
             // just now may have stored the address after it.
-            stale = scheme.query_prehashed(&self.temp, pre);
-        } else if self.miss_set.is_empty() {
+            stale = scheme.query_prehashed(&buf.temp, pre);
+        } else if buf.miss_set.is_empty() {
             self.valid_ts = gts;
         }
-        if !self.miss_set.is_empty() && scheme.query_prehashed(&self.miss_set, pre) {
+        if !buf.miss_set.is_empty() && scheme.query_prehashed(&buf.miss_set, pre) {
             // The address we are reading was updated after ValidTS: the
             // snapshot cannot stay consistent (Figure 8(d)). This is the
             // CPU-side fast abort path — no out-of-core latency.
@@ -548,8 +513,8 @@ impl RococoTx<'_> {
     /// once, for every signature it meets.
     fn tm_read(&mut self, addr: Addr) -> Result<Word, Abort> {
         // Line 1–4: read-own-write.
-        if !self.redo.is_empty() {
-            if let Some(&v) = self.redo.get(&addr) {
+        if !self.buf.redo.is_empty() {
+            if let Some(&v) = self.buf.redo.get(&addr) {
                 return Ok(v);
             }
         }
@@ -560,7 +525,7 @@ impl RococoTx<'_> {
             // Lines 5–7: back off while a committer's update set covers the
             // address; if we already missed updates, abort instead.
             while self.tm.update_set_hits(&pre) {
-                if !self.miss_set.is_empty() {
+                if !self.buf.miss_set.is_empty() {
                     return Err(self.count_abort(AbortKind::Conflict));
                 }
                 spins += 1;
@@ -577,12 +542,13 @@ impl RococoTx<'_> {
             }
 
             // Line 20.
-            self.read_set
+            self.buf
+                .read_set
                 .insert_prehashed(&self.tm.scheme, addr as u64, &pre);
             // Flight-recorder sampling: record read-set growth at
             // power-of-two sizes so big transactions stay cheap to trace.
             if rococo_telemetry::enabled() {
-                let len = self.read_set.len();
+                let len = self.buf.read_set.len();
                 if len.is_power_of_two() {
                     rococo_telemetry::emit(rococo_telemetry::TxEvent::ReadSet { len: len as u32 });
                 }
@@ -599,12 +565,13 @@ impl<'a> Transaction for RococoTx<'a> {
 
     fn write(&mut self, addr: Addr, val: Word) -> Result<(), Abort> {
         // TM_WRITE: signature insert + redo log (lines 21–22).
-        if self.redo.insert(addr, val).is_none() {
-            self.tm.scheme.insert(&mut self.write_sig, addr as u64);
-            self.write_addrs.push(addr as u64);
-            if rococo_telemetry::enabled() && self.write_addrs.len().is_power_of_two() {
+        let buf = &mut *self.buf;
+        if buf.redo.insert(addr, val).is_none() {
+            self.tm.scheme.insert(&mut buf.write_sig, addr as u64);
+            buf.write_addrs.push(addr as u64);
+            if rococo_telemetry::enabled() && buf.write_addrs.len().is_power_of_two() {
                 rococo_telemetry::emit(rococo_telemetry::TxEvent::WriteSet {
-                    len: self.write_addrs.len() as u32,
+                    len: buf.write_addrs.len() as u32,
                 });
             }
         }
@@ -618,13 +585,13 @@ impl<'a> Transaction for RococoTx<'a> {
     /// this thread — and publishes at the granted sequence before it
     /// returns. Nothing between the verdict and `publish_commit` may
     /// unwind: every later committer waits for the granted turn.
-    fn commit_seq(mut self) -> Result<Option<u64>, Abort> {
+    fn commit_seq(self) -> Result<Option<u64>, Abort> {
         let tm = self.tm;
         let thread = self.thread;
-        if self.write_addrs.is_empty() {
+        let buf = &*self.buf;
+        if buf.write_addrs.is_empty() {
             tm.stats.read_only_commits.fetch_add(1, Ordering::Relaxed);
             tm.consecutive_aborts[thread].store(0, Ordering::Relaxed);
-            self.recycle();
             return Ok(None);
         }
 
@@ -632,23 +599,23 @@ impl<'a> Transaction for RococoTx<'a> {
         // already holds it exclusively. Either guard is held to the end,
         // so an escalation cannot slip between a verdict and its
         // publication (§4).
-        let irrevocable = self.irrevocable.take();
-        let _shared = irrevocable.is_none().then(|| tm.commit_gate.read());
-        let reads = self.read_set.addrs();
-        let n_addrs = reads.len() + self.write_addrs.len();
+        let _shared = self.irrevocable.is_none().then(|| tm.commit_gate.read());
+        let reads = buf.read_set.addrs();
+        let n_addrs = reads.len() + buf.write_addrs.len();
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::ValidateSubmit {
             reads: reads.len() as u32,
-            writes: self.write_addrs.len() as u32,
+            writes: buf.write_addrs.len() as u32,
         });
         // The validator's lock is a leaf that never waits on the gate.
-        let posted = Instant::now();
-        let verdict = tm
-            .handle
-            .post(thread as u64, self.valid_ts, reads, &self.write_addrs);
-        let outcome = match tm.await_verdict(posted, verdict, n_addrs) {
+        let post = || {
+            tm.handle
+                .post(thread as u64, self.valid_ts, reads, &buf.write_addrs)
+        };
+        let verdict = tm.stats.time_validation(post);
+        match tm.settle_verdict(verdict, n_addrs) {
             Ok(seq) => {
-                tm.publish_commit(thread, seq, &self.write_sig, &self.redo);
-                if irrevocable.is_some() {
+                tm.publish_commit(thread, seq, &buf.write_sig, &buf.redo);
+                if self.irrevocable.is_some() {
                     tm.stats.fallback_commits.fetch_add(1, Ordering::Relaxed);
                 }
                 tm.consecutive_aborts[thread].store(0, Ordering::Relaxed);
@@ -659,9 +626,7 @@ impl<'a> Transaction for RococoTx<'a> {
                 Ok(Some(seq))
             }
             Err(kind) => Err(self.count_abort(kind)),
-        };
-        self.recycle();
-        outcome
+        }
     }
 }
 
@@ -676,16 +641,28 @@ impl TmSystem for RococoTm {
         &self.heap
     }
 
+    /// # Panics
+    ///
+    /// Panics if `thread_id` is out of range or already has a transaction
+    /// open.
     fn begin(&self, thread_id: usize) -> RococoTx<'_> {
         assert!(
             thread_id < self.update_slots.len(),
             "thread id out of range"
         );
+        // The thread's buffers first, without waiting: they are held only
+        // while this thread id has a transaction open, and that one may
+        // hold the gate exclusively, so waiting for either would never end.
+        let Some(mut buf) = self.scratch[thread_id].try_lock() else {
+            panic!("thread {thread_id} already has a transaction open");
+        };
+        buf.clear();
         // Escalate to irrevocability after repeated aborts: hold the
         // commit gate exclusively so GlobalTS freezes — no update-set
         // hits, no missed updates, no forward edges, guaranteed commit.
-        // The thread holds no gate guard here: its every earlier commit
-        // released its own before returning.
+        // The thread holds no gate guard here: it has no transaction open
+        // (it holds its buffers now), and its every earlier commit
+        // released its own guard before returning.
         let aborts_so_far = self.consecutive_aborts[thread_id].load(Ordering::Relaxed);
         let irrevocable = if aborts_so_far >= self.config.irrevocable_after {
             // Escalation is the anomaly the flight recorder exists for:
@@ -701,21 +678,12 @@ impl TmSystem for RococoTm {
             None
         };
         let ts = self.global_ts.load(Ordering::SeqCst);
-        // Recycled buffers arrive cleared (see `recycle`), so the steady
-        // state pays no allocation here.
-        let (read_set, [write_sig, miss_set, temp], write_addrs, redo) =
-            self.take_scratch(thread_id);
         RococoTx {
             tm: self,
             thread: thread_id,
             local_ts: ts,
             valid_ts: ts,
-            read_set,
-            write_sig,
-            write_addrs,
-            redo,
-            miss_set,
-            temp,
+            buf,
             irrevocable,
         }
     }
@@ -738,6 +706,7 @@ mod tests {
     use super::*;
     use crate::api::atomically;
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn tm(words: usize, threads: usize) -> RococoTm {
         RococoTm::with_config(TmConfig {
@@ -1083,7 +1052,7 @@ mod tests {
             "a committer holds the address"
         );
         assert!(
-            tm.scheme.query(&tx.miss_set, 5),
+            tm.scheme.query(&tx.buf.miss_set, 5),
             "the commit over address 5 was drained before the reload and must stay missed"
         );
         assert_eq!(tx.valid_ts, 0, "the snapshot cannot extend past it");
@@ -1112,6 +1081,33 @@ mod tests {
         assert_eq!(tm.consecutive_aborts[0].load(Ordering::Relaxed), 1);
     }
 
+    #[test]
+    #[should_panic(expected = "thread 0 already has a transaction open")]
+    fn a_second_begin_on_one_thread_panics() {
+        let tm = tm(64, 2);
+        let mut open = tm.begin(0);
+        open.read(1).unwrap();
+        let _second = tm.begin(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread 0 already has a transaction open")]
+    fn a_second_begin_behind_an_irrevocable_one_panics_instead_of_waiting() {
+        // Every attempt runs irrevocably, so the open transaction holds the
+        // commit gate exclusively: a `begin` that went for the gate before
+        // the thread's buffers would wait on itself.
+        let tm = RococoTm::with_configs(RococoConfig {
+            tm: TmConfig {
+                heap_words: 64,
+                max_threads: 1,
+            },
+            irrevocable_after: 0,
+            ..RococoConfig::default()
+        });
+        let _open = tm.begin(0);
+        let _second = tm.begin(0);
+    }
+
     /// The stage budget of one ROCoCoTM read-write transaction — the
     /// `Add` shape (read a word, write it back incremented) — committed the
     /// way a TxKV shard worker commits it, one `commit_seq` per
@@ -1120,13 +1116,15 @@ mod tests {
     /// `cargo test --release -p rococo-stm --lib stage_budget -- --ignored --nocapture`
     ///
     /// Each stage is the runtime's own step, timed in place: begin + gate
-    /// (`begin`: the escalation check and the scratch pool), reads
-    /// (`tm_read`), writes (redo log and write signature), then the steps
-    /// of `commit_seq`: dispatch + engine (the commit gate's shared guard
-    /// and `post`, which runs the validation engine on this thread),
-    /// verdict (consuming what `post` decided), publish (turn-wait, update
-    /// set, write-back, commit queue, `GlobalTS`) and recycle (the buffers
-    /// back to the pool). TinySTM's commit is one stage.
+    /// (`begin`: the thread's buffers taken and cleared, the escalation
+    /// check), reads (`tm_read`), writes (redo log and write signature),
+    /// then the steps of `commit_seq`: dispatch + engine (the commit gate's
+    /// shared guard and `post`, which runs the validation engine on this
+    /// thread, through the sampled validation timer `commit_seq` uses),
+    /// verdict (model time, the `Verdict` event, the sequence), publish
+    /// (turn-wait, update set, write-back, commit queue, `GlobalTS`) and
+    /// release (dropping the transaction, which hands its buffers back).
+    /// TinySTM's commit is one stage.
     #[test]
     #[ignore = "a measurement, not a check: run in release with --nocapture"]
     fn stage_budget() {
@@ -1187,19 +1185,18 @@ mod tests {
             tx.write(addr(i), v + 1).expect("uncontended");
             let t3 = Instant::now();
             let gate = rococo.commit_gate.read();
-            let reads = tx.read_set.addrs();
-            let n_addrs = reads.len() + tx.write_addrs.len();
-            let posted = Instant::now();
-            let verdict = rococo.handle.post(0, tx.valid_ts, reads, &tx.write_addrs);
+            let buf = &*tx.buf;
+            let reads = buf.read_set.addrs();
+            let n_addrs = reads.len() + buf.write_addrs.len();
+            let post = || rococo.handle.post(0, tx.valid_ts, reads, &buf.write_addrs);
+            let verdict = rococo.stats.time_validation(post);
             let t4 = Instant::now();
-            let seq = rococo
-                .await_verdict(posted, verdict, n_addrs)
-                .expect("commits");
+            let seq = rococo.settle_verdict(verdict, n_addrs).expect("commits");
             let t5 = Instant::now();
-            rococo.publish_commit(0, seq, &tx.write_sig, &tx.redo);
+            rococo.publish_commit(0, seq, &buf.write_sig, &buf.redo);
             rococo.consecutive_aborts[0].store(0, Ordering::Relaxed);
             let t6 = Instant::now();
-            tx.recycle();
+            drop(tx);
             let t7 = Instant::now();
             drop(gate);
             add_stages(&mut stages, &[t0, t1, t2, t3, t4, t5, t6, t7]);
@@ -1246,7 +1243,7 @@ mod tests {
         }
 
         let ns = |d: Duration| d.as_nanos() as f64 / txns;
-        let [begin, reads, writes, dispatch, verdict, publish, recycle] = stages.map(ns);
+        let [begin, reads, writes, dispatch, verdict, publish, release] = stages.map(ns);
         let [t_begin, t_reads, t_writes, t_commit] = tiny_stages.map(ns);
         println!(
             "Instant::now() {} ns, subtracted once per stage",
@@ -1260,10 +1257,10 @@ mod tests {
         println!("  of it, the engine alone {:>15.0}", ns(process));
         println!("verdict                   {verdict:>15.0}");
         println!("publish                   {publish:>15.0}");
-        println!("recycle                   {recycle:>15.0}");
+        println!("release                   {release:>15.0}");
         println!(
             "sum of stages             {:>15.0}   {:>14.0}",
-            begin + reads + writes + dispatch + verdict + publish + recycle,
+            begin + reads + writes + dispatch + verdict + publish + release,
             t_begin + t_reads + t_writes + t_commit
         );
         println!(

@@ -12,7 +12,6 @@ use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Bounded spinning on a locked word before giving up and aborting.
 const LOCK_SPIN: usize = 256;
@@ -187,16 +186,8 @@ impl Transaction for TinyTx<'_> {
 
         // Commit-time validation: the dedicated phase the paper instruments
         // for Figure 11 ("the CPU goes over all timestamped objects in [the]
-        // read set").
-        let t0 = Instant::now();
-        let valid = self.read_set_valid();
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.tm.stats.validation_ns.fetch_add(dt, Ordering::Relaxed);
-        self.tm
-            .stats
-            .validation_model_ns
-            .fetch_add(dt, Ordering::Relaxed); // CPU validation: model = wall
-        self.tm.stats.validations.fetch_add(1, Ordering::Relaxed);
+        // read set"), timed the way ROCoCoTM's verdict is.
+        let valid = self.tm.stats.time_validation(|| self.read_set_valid());
         if !valid {
             release(&acquired);
             return Err(Abort::new(AbortKind::Conflict));

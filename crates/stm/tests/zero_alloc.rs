@@ -4,7 +4,7 @@
 //! the reads (commit-queue drain, update-set and snapshot checks, read-set
 //! insert), the writes, the validation request, the wait for the verdict —
 //! which serves the validation engine on this very thread — the write-back
-//! and the recycling of the buffers. This binary's own counting allocator
+//! and the release of the thread's buffers. This binary's own counting allocator
 //! (the library stays `#![forbid(unsafe_code)]`) holds it to zero, through
 //! `atomically` and through the worker's `try_atomically_seq`.
 
@@ -95,7 +95,7 @@ fn the_commit_path_allocates_nothing_in_steady_state() {
         max_threads: 1,
     });
     // Warm up: lap the validation window and the commit queue, and let
-    // every pooled buffer reach its size.
+    // every buffer of the thread reach its size.
     const WARM: usize = 200;
     const ROUNDS: usize = 1_000;
     for i in 0..WARM {
@@ -116,6 +116,38 @@ fn the_commit_path_allocates_nothing_in_steady_state() {
         tm.fpga_stats().commits,
         (WARM + ROUNDS) as u64 * (1 + BATCH as u64)
     );
+    assert_eq!(allocated, 0, "{ROUNDS} rounds allocated {allocated} times");
+}
+
+#[test]
+fn an_abandoned_transaction_keeps_its_threads_buffers() {
+    // A transaction dropped without a commit — the caller gave up on it
+    // mid-body — still leaves the thread its buffers: the next `begin`
+    // allocates nothing.
+    let tm = RococoTm::with_config(TmConfig {
+        heap_words: ADDRS + 64,
+        max_threads: 1,
+    });
+    let abandon_then_add = |i: usize| {
+        let mut tx = tm.begin(0);
+        get(&mut tx, i % ADDRS).expect("an uncontended read");
+        drop(tx);
+        try_atomically_seq(&tm, 0, &mut |tx| add(tx, (i + 1) % ADDRS))
+            .expect("an uncontended Add commits");
+    };
+    const WARM: usize = 200;
+    const ROUNDS: usize = 1_000;
+    for i in 0..WARM {
+        abandon_then_add(i);
+    }
+
+    let before = allocations();
+    for i in WARM..WARM + ROUNDS {
+        abandon_then_add(i);
+    }
+    let allocated = allocations() - before;
+
+    assert_eq!(tm.stats().snapshot().commits, (WARM + ROUNDS) as u64);
     assert_eq!(allocated, 0, "{ROUNDS} rounds allocated {allocated} times");
 }
 
