@@ -175,6 +175,29 @@ for f in crates/stm/src/rococotm.rs crates/stm/src/tinystm.rs; do
   fi
 done
 
+echo "== a request crosses the hop in its slot and its reply cell: no admitted counter, no head read to admit"
+# The admitted count is the shard queue's tail, and admission reads the
+# cached head; only a refusal reads the workers' head. A counter bumped
+# per request or a head read on the fast path drags a line between client
+# and worker that carries no data.
+if grep -rn 'note_enqueued' crates/; then
+  echo "a per-request admitted counter is back under crates/" >&2
+  exit 1
+fi
+# The wait helper and the cache-line pad live with their users; a crate of
+# their own (deleted) would be the first place they come back.
+if grep -rlE 'struct (Parker|Padded)\b' crates/ \
+  | grep -vxE 'crates/server/src/(park|hop)\.rs|crates/wal/src/writer\.rs'; then
+  echo "a Parker or Padded is defined outside rococo-server's hop and the WAL" >&2
+  exit 1
+fi
+head_reads="$(sed '/^#\[cfg(test)\]/,$d' crates/server/src/hop.rs \
+  | sed -n '/pub(crate) fn post(/,/^    }$/p' | grep -c 'self\.head\.0\.load')"
+if (( head_reads > 1 )); then
+  echo "ShardQueue::post reads head $head_reads times; only its refusal may" >&2
+  exit 1
+fi
+
 echo "== docs name crates/ paths that exist"
 # benchmark/README.md is left out: it still names the deleted
 # crates/bench/benches/, and only a change to the benchmark may edit it.
@@ -201,7 +224,8 @@ echo "== validation service, WAL ring and request hop on one CPU (release: where
 # With a second CPU a missing yield only wastes time and a lost wake-up is
 # papered over by the other side's polling; pinned to one, the first
 # livelocks (a turn-wait without a yield did) and the second hangs. The
-# request hop waits with rococo-park's helper (it never spins). The WAL has
+# request hop waits with rococo-server's Parker (it never spins), and
+# `hop::` includes `a_stale_cached_head_never_sheds_below_capacity`. The WAL has
 # no thread to wake: a waiter behind a gap yields to the gap's owner, which
 # here is the only other thread that can run, and a waiter behind a held
 # writer lock naps until the holder's release wakes it (the WAL's

@@ -37,12 +37,36 @@
 //! A request is shed when `queue_capacity` jobs are queued — claimed,
 //! published or taken-but-not-yet-moved-out — and only then, at the
 //! configured capacity exactly, power of two or not. The count is
-//! `tail − head`, which is only a count when both are read at one instant:
-//! `post` reads `head` first (so it never passes the `tail` read after it),
-//! and before it *refuses* it reads `head` again and checks that `tail` has
-//! not moved meanwhile. A slot whose previous occupant is taken but not yet
-//! moved out makes the client retry, not shed: fewer than `queue_capacity`
-//! jobs are queued, the slot is free in a moment.
+//! `tail − head`, but a client does not read the workers' `head` to admit a
+//! job: it reads `head_seen`, a cache of `head` that clients refresh with
+//! `fetch_max`, so `head_seen ≤ head` always and a stale cache can only
+//! overestimate the count. Only when `tail − head_seen` says full does
+//! `post` read `head` itself, raise `head_seen` to it, and refuse if a
+//! fresh `tail − head` is still full with `tail` standing still across
+//! that read of `head`. So a refusal is decided on a fresh count, and on
+//! the fast path no client touches the line the workers' CAS writes. A slot
+//! whose previous occupant is taken but not yet moved out makes the client
+//! retry, not shed: fewer than `queue_capacity` jobs are queued, the slot is
+//! free in a moment. Every position a client claims is published, so `tail`
+//! is also the number of jobs the queue ever admitted
+//! ([`ShardQueue::admitted`], the shard's `enqueued` counter).
+//!
+//! # What crosses the hop
+//!
+//! Per request, the lines both sides write are the slot and the reply cell,
+//! plus a [`Parker`]'s flag around a park; every other word below has one
+//! writing side. A change that adds a shared write adds a row.
+//!
+//! | word or line | written by | read by |
+//! |---|---|---|
+//! | the slot (`seq` and the job) | the client that claimed it, then the worker that takes it | both |
+//! | the reply cell (state, reply, the client's [`Parker`]) | the worker, then the client | both |
+//! | a worker's [`Parker`] | that worker before it parks, the client that wakes it | clients, to find a sleeper |
+//! | `tail` | clients (CAS) | clients, and the report ([`ShardQueue::admitted`]) |
+//! | `head_seen` | a client whose cached count says full (`fetch_max`) | clients |
+//! | `head` | workers (CAS) | workers, and a client before it refuses |
+//! | `closed` | [`ShardQueue::close`], once | both |
+//! | the shard's `ShardStats` | workers, and a client that sheds | the report |
 //!
 //! # Reply cell lifecycle
 //!
@@ -60,13 +84,13 @@
 //! # Waiting
 //!
 //! A worker out of jobs and a client out of replies both wait with
-//! `rococo-park`'s [`Parker::wait`]: look, yield, look again for
-//! [`HOP_POLL`], then publish `sleeping`, re-check and park. A client wakes
-//! a worker — the first it finds asleep, each worker has a [`Parker`] of its
-//! own — after it published a job, a worker wakes the client after it
-//! answered, both through [`Parker::wake`], which makes the `unpark` call
-//! only when the other side published `sleeping`. A busy hop makes no
-//! system call in either direction.
+//! [`Parker::wait`] (`park.rs`): look, yield, look again for [`HOP_POLL`],
+//! then publish `sleeping`, re-check and park. A client wakes a worker — the
+//! first it finds asleep, each worker has a [`Parker`] of its own — after it
+//! published a job, a worker wakes the client after it answered, both
+//! through [`Parker::wake`], which makes the `unpark` call only when the
+//! other side published `sleeping`. A busy hop makes no system call in
+//! either direction.
 //!
 //! # Stop and panics
 //!
@@ -80,9 +104,9 @@
 //! [`TxKvError::Internal`](crate::TxKvError::Internal); should the worker
 //! itself die, the jobs it holds are dropped by the unwinding, and orphaned.
 
+use crate::park::Parker;
 use crate::request::{Response, TxKvError};
 use crate::shard::Job;
-use rococo_park::{Padded, Parker};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -100,6 +124,12 @@ pub(crate) const HOP_POLL: Duration = Duration::from_micros(5);
 /// How long a waiter of this hop spins between two yields: not at all. It
 /// offers its CPU after every look (same sweep).
 pub(crate) const HOP_SPIN: Duration = Duration::ZERO;
+
+/// `T` on a cache line of its own, so a word one side hammers does not
+/// share a line with a word the other side polls.
+#[repr(align(64))]
+#[derive(Default)]
+struct Padded<T>(T);
 
 /// Every critical section here is one whole assignment of an `Option`, so
 /// a poisoned lock is taken over as it stands.
@@ -283,10 +313,14 @@ pub(crate) struct ShardQueue {
     mask: u64,
     /// Jobs the queue admits; at most `slots.len()`.
     capacity: u64,
-    /// Next position to claim (clients, CAS).
+    /// Next position to claim (clients, CAS); every position below it was
+    /// admitted.
     tail: Padded<AtomicU64>,
     /// Next position to take (workers, CAS).
     head: Padded<AtomicU64>,
+    /// A value `head` had, raised by a client whose count from it says
+    /// full: what admission reads instead of `head`.
+    head_seen: Padded<AtomicU64>,
     closed: AtomicBool,
     /// One parking spot per worker of the shard, indexed by its seat.
     workers: Box<[Parker]>,
@@ -319,6 +353,7 @@ impl ShardQueue {
             capacity: capacity as u64,
             tail: Padded::default(),
             head: Padded::default(),
+            head_seen: Padded::default(),
             closed: AtomicBool::new(false),
             workers: (0..workers).map(|_| Parker::default()).collect(),
         }
@@ -351,14 +386,16 @@ impl ShardQueue {
             if self.is_closed() {
                 return Err(Refused::Closed);
             }
-            // `head` first: it never passes `tail`, so neither does this
-            // read of it pass the read of `tail` after it.
-            let head = self.head.0.load(Ordering::SeqCst);
+            // `head_seen` first: it never passes `head`, which never
+            // passes `tail`, so neither does this read of it pass the read
+            // of `tail` after it.
+            let seen = self.head_seen.0.load(Ordering::SeqCst);
             let pos = self.tail.0.load(Ordering::SeqCst);
-            if pos - head >= self.capacity {
-                // That `head` may be stale. A fresh one is a count if
+            if pos - seen >= self.capacity {
+                // The cached `head` may be stale. A fresh one is a count if
                 // `tail` stood still across reading it.
                 let head = self.head.0.load(Ordering::SeqCst);
+                self.head_seen.0.fetch_max(head, Ordering::SeqCst);
                 if self.tail.0.load(Ordering::SeqCst) == pos && pos - head >= self.capacity {
                     return Err(Refused::Full);
                 }
@@ -370,7 +407,8 @@ impl ShardQueue {
             let seq = slot.seq.load(Ordering::Acquire);
             if seq == pos {
                 // free → claimed. Winning proves `tail` was still `pos`, so
-                // fewer than `capacity` jobs were queued at this instant too.
+                // fewer than `capacity` jobs were queued at this instant too
+                // (`head` was at least `seen`).
                 if self
                     .tail
                     .0
@@ -396,6 +434,12 @@ impl ShardQueue {
             }
             // Otherwise `tail` has moved on since we read it: look again.
         }
+    }
+
+    /// Jobs this queue has admitted since it was made: `tail`, since every
+    /// claimed position is published.
+    pub(crate) fn admitted(&self) -> u64 {
+        self.tail.0.load(Ordering::SeqCst)
     }
 
     /// Refuses every later [`ShardQueue::post`] and wakes every worker, so
@@ -627,6 +671,32 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_stale_cached_head_never_sheds_below_capacity() {
+        // Capacity 3 on four slots and no worker: the test takes by hand.
+        let queue = Arc::new(ShardQueue::new(3, 1));
+        for i in 0..3 {
+            assert_eq!(queue.post(job(0, i).0), Ok(()));
+        }
+        // Two out: `head` is 2, the cached head still 0.
+        for _ in 0..2 {
+            assert!(queue.try_next_job().is_some());
+        }
+        // The cached count says full; the refresh must raise the cache, or
+        // the post looks again for ever (or refuses with one job queued).
+        let poster = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || (3..5).map(|i| queue.post(job(0, i).0)).collect::<Vec<_>>())
+        };
+        spin_until("two posts behind a stale head return", || {
+            poster.is_finished()
+        });
+        assert_eq!(poster.join().expect("poster panicked"), [Ok(()), Ok(())]);
+        assert_eq!(queue.post(job(0, 5).0), Err(Refused::Full));
+        assert_eq!(queue.queued(), 3);
+        assert_eq!(queue.admitted(), 5);
+    }
+
+    #[test]
     fn admission_never_sheds_below_capacity_under_contention() {
         for capacity in [1usize, 3, 4, 256] {
             // Closed-loop clients, one job outstanding each and no more of
@@ -692,6 +762,12 @@ pub(crate) mod tests {
             queue.close();
             assert_eq!(worker.join().expect("worker panicked"), 3);
         });
+    }
+
+    #[test]
+    fn padded_is_a_cache_line() {
+        assert_eq!(std::mem::align_of::<Padded<AtomicU64>>(), 64);
+        assert_eq!(std::mem::size_of::<Padded<AtomicU64>>(), 64);
     }
 
     #[test]

@@ -62,6 +62,7 @@
 
 mod backend;
 mod hop;
+mod park;
 mod request;
 mod retry;
 mod service;

@@ -1,24 +1,18 @@
-//! `rococo-park`: how a thread waits for another across a ring.
+//! How one side of the request hop waits for the other.
 //!
-//! One hop in this workspace hands work to another thread through a
-//! bounded ring and waits for its answer: `rococo-server`'s request hop,
-//! between clients and a shard's workers, whose ring has as many consumers
-//! as the shard has workers, each with a [`Parker`] of its own. Both
-//! directions wait with [`Parker::wait`]: poll for a budget — spinning,
-//! with a yield every so often — then publish a `sleeping` flag, re-check
-//! and `thread::park`. The other side calls [`Parker::wake`] after every
-//! store the sleeper may be waiting for and issues the `unpark` only when
-//! it sees the flag, so a busy pipeline never makes a futex call and a
-//! parked side costs nothing. (The validator and the WAL have no other
-//! side to wait for: whoever posts to the validator runs the engine, and
-//! whoever waits for the WAL's watermark writes the batch.)
+//! The hop (`hop.rs`) hands a job from a client to a shard's workers and
+//! the reply back, and both directions wait with [`Parker::wait`]: poll for
+//! a budget — spinning, with a yield every so often — then publish a
+//! `sleeping` flag, re-check and `thread::park`. The other side calls
+//! [`Parker::wake`] after every store the sleeper may be waiting for and
+//! issues the `unpark` only when it sees the flag, so a busy pipeline never
+//! makes a futex call and a parked side costs nothing. (The validator and
+//! the WAL have no other side to wait for: whoever posts to the validator
+//! runs the engine, and whoever waits for the WAL's watermark writes the
+//! batch.)
 //!
-//! The budgets belong to the hop, not to this crate: they are constants
-//! sized by sweep on the 2-vCPU reference box (EXPERIMENTS.md, "Request
-//! hop"), not knobs.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! The budgets belong to the hop: they are constants sized by sweep on the
+//! 2-vCPU reference box (EXPERIMENTS.md, "Request hop"), not knobs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -28,7 +22,7 @@ use std::time::{Duration, Instant};
 /// One thread's parking spot. At most one thread may be inside
 /// [`Parker::wait`] at a time.
 #[derive(Debug, Default)]
-pub struct Parker {
+pub(crate) struct Parker {
     sleeping: AtomicBool,
     thread: Mutex<Option<Thread>>,
 }
@@ -40,7 +34,7 @@ impl Parker {
     /// `ready` must read with `SeqCst` what the waker wrote with `SeqCst`
     /// before calling [`Parker::wake`]: then either this side's re-check
     /// sees the write or the waker sees `sleeping`.
-    pub fn wait(
+    pub(crate) fn wait(
         &self,
         spin: Duration,
         poll: Duration,
@@ -89,7 +83,7 @@ impl Parker {
     /// call did (of two racing wakers one does), so a waker with several
     /// sleepers to choose from can stop at the first it woke.
     #[inline]
-    pub fn wake(&self) -> bool {
+    pub(crate) fn wake(&self) -> bool {
         let woke =
             self.sleeping.load(Ordering::SeqCst) && self.sleeping.swap(false, Ordering::SeqCst);
         if woke {
@@ -107,16 +101,11 @@ impl Parker {
 
     /// Whether the waiter has given up polling and is (about to be) parked.
     /// For tests that must catch a side asleep before they wake it.
-    pub fn is_sleeping(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_sleeping(&self) -> bool {
         self.sleeping.load(Ordering::SeqCst)
     }
 }
-
-/// `T` on a cache line of its own, so a word one side hammers does not
-/// share a line with a word the other side polls.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-pub struct Padded<T>(pub T);
 
 #[cfg(test)]
 mod tests {
@@ -173,11 +162,5 @@ mod tests {
         assert!(p.wake());
         assert!(waiter.join().expect("waiter panicked"));
         assert!(!p.wake(), "nobody sleeps there any more");
-    }
-
-    #[test]
-    fn padded_is_a_cache_line() {
-        assert_eq!(std::mem::align_of::<Padded<AtomicU64>>(), 64);
-        assert_eq!(std::mem::size_of::<Padded<AtomicU64>>(), 64);
     }
 }

@@ -161,28 +161,45 @@ fn checkpoint_table<S: TmSystem + ?Sized>(
     wal.checkpoint(values)
 }
 
+/// The service's report as its counters stand now. A shard's `enqueued`
+/// is what its queue admitted: the queue's `tail`, not a counter.
+fn report_of<S: TmSystem + ?Sized>(
+    system: &S,
+    stats: &[Arc<ShardStats>],
+    queues: &[Arc<ShardQueue>],
+    wal: Option<rococo_wal::WalSnapshot>,
+    elapsed: Duration,
+) -> TxKvReport {
+    let per_shard: Vec<ShardSnapshot> = stats
+        .iter()
+        .zip(queues)
+        .map(|(s, q)| s.snapshot(q.admitted()))
+        .collect();
+    let mut aggregate = ShardSnapshot::default();
+    for s in &per_shard {
+        aggregate.merge(s);
+    }
+    TxKvReport {
+        backend: system.name(),
+        per_shard,
+        aggregate,
+        injected_faults: system.injected_faults(),
+        wal,
+        elapsed,
+    }
+}
+
 /// One telemetry scrape: gathers every subsystem's counters into a
 /// registry and rewrites the run directory's metrics files.
 fn scrape_metrics<S: TmSystem + ?Sized>(
     system: &S,
     stats: &[Arc<ShardStats>],
+    queues: &[Arc<ShardQueue>],
     wal: Option<&Wal>,
     elapsed: Duration,
     dir: &std::path::Path,
 ) {
-    let per_shard: Vec<ShardSnapshot> = stats.iter().map(|s| s.snapshot()).collect();
-    let mut aggregate = ShardSnapshot::default();
-    for s in &per_shard {
-        aggregate.merge(s);
-    }
-    let report = TxKvReport {
-        backend: system.name(),
-        per_shard,
-        aggregate,
-        injected_faults: system.injected_faults(),
-        wal: wal.map(|w| w.stats()),
-        elapsed,
-    };
+    let report = report_of(system, stats, queues, wal.map(|w| w.stats()), elapsed);
     let mut reg = rococo_telemetry::MetricsRegistry::new();
     report.export_metrics(&mut reg);
     // `stats_snapshot` (not `stats().snapshot()`): a routing backend
@@ -365,6 +382,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
             let dir = dir.clone();
             let system = Arc::clone(&system);
             let stats: Vec<Arc<ShardStats>> = stats.iter().map(Arc::clone).collect();
+            let queues: Vec<Arc<ShardQueue>> = queues.iter().map(Arc::clone).collect();
             let wal = wal.as_ref().map(|w| w.client());
             let stop = Arc::clone(&tlm_stop);
             tlm_thread = Some(
@@ -372,7 +390,8 @@ impl<S: TmSystem + 'static> TxKv<S> {
                     .name("txkv-telemetry".into())
                     .spawn(move || {
                         loop {
-                            scrape_metrics(&*system, &stats, wal.as_ref(), started.elapsed(), &dir);
+                            let elapsed = started.elapsed();
+                            scrape_metrics(&*system, &stats, &queues, wal.as_ref(), elapsed, &dir);
                             if stop.load(Ordering::SeqCst) {
                                 break;
                             }
@@ -508,10 +527,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
             reply,
         };
         let out = match self.queues[shard].post(job) {
-            Ok(()) => {
-                self.stats[shard].note_enqueued();
-                Ok(pending)
-            }
+            Ok(()) => Ok(pending),
             Err(Refused::Full) => {
                 self.stats[shard].note_shed();
                 if trace != 0 {
@@ -598,23 +614,18 @@ impl<S: TmSystem + 'static> TxKv<S> {
     }
 
     fn build_report(&self) -> TxKvReport {
-        let per_shard: Vec<ShardSnapshot> = self.stats.iter().map(|s| s.snapshot()).collect();
-        let mut aggregate = ShardSnapshot::default();
-        for s in &per_shard {
-            aggregate.merge(s);
-        }
-        TxKvReport {
-            backend: self.system.name(),
-            per_shard,
-            aggregate,
-            injected_faults: self.system.injected_faults(),
-            wal: self
-                .wal
-                .as_ref()
-                .map(|w| w.stats())
-                .or_else(|| self.final_wal.clone()),
-            elapsed: self.started.elapsed(),
-        }
+        let wal = self
+            .wal
+            .as_ref()
+            .map(|w| w.stats())
+            .or_else(|| self.final_wal.clone());
+        report_of(
+            &*self.system,
+            &self.stats,
+            &self.queues,
+            wal,
+            self.started.elapsed(),
+        )
     }
 }
 
@@ -1123,6 +1134,77 @@ mod tests {
         let report = kv.shutdown();
         assert_eq!(report.aggregate.shed, shed);
         assert_eq!(report.aggregate.committed + shed, 2_000);
+    }
+
+    /// `enqueued` is the queue's `tail`, so it counts the submits that
+    /// returned `Ok` and none that were refused, full or closed: per shard
+    /// and in total, in the report and in the exported counter.
+    #[test]
+    fn enqueued_counts_exactly_the_admitted_submits() {
+        let dir = std::env::temp_dir().join(format!("rococo-enqueued-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TxKvConfig {
+            shards: 2,
+            workers_per_shard: 1,
+            queue_capacity: 4,
+            keys: 16,
+            telemetry: Some(dir.clone()),
+            ..TxKvConfig::default()
+        };
+        let kv = TxKv::start(tiny(&cfg), cfg).unwrap();
+        let mut admitted = [0u64; 2];
+        let (mut overloaded, mut shutting_down) = (0u64, 0u64);
+        let mut pending = Vec::new();
+        for i in 0..100_000u64 {
+            if i == 2_000 {
+                // From here on shard 0 refuses everything as closed.
+                kv.queues[0].close();
+            }
+            if i >= 2_000 && overloaded > 0 && shutting_down > 0 {
+                break;
+            }
+            let key = i % 16;
+            match kv.submit(Request::Put { key, value: i }) {
+                Ok(reply) => {
+                    admitted[kv.shard_of(key)] += 1;
+                    pending.push(reply);
+                }
+                Err(TxKvError::Overloaded { .. }) => overloaded += 1,
+                Err(TxKvError::ShuttingDown) => shutting_down += 1,
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+        assert!(overloaded > 0, "blind submits never filled a 4-deep queue");
+        assert!(shutting_down > 0, "a closed shard admitted everything");
+        for reply in pending {
+            reply.wait().unwrap();
+        }
+        let report = kv.report();
+        for (shard, snap) in report.per_shard.iter().enumerate() {
+            assert_eq!(snap.enqueued, admitted[shard], "shard {shard}");
+        }
+        assert_eq!(report.aggregate.enqueued, admitted.iter().sum::<u64>());
+        assert_eq!(report.aggregate.shed, overloaded);
+        kv.shutdown();
+        // The final scrape runs after the workers left.
+        let prom = std::fs::read_to_string(dir.join(rococo_telemetry::rundir::METRICS_PROM))
+            .expect("scraper wrote prom");
+        let exported = |series: &str| -> u64 {
+            let line = prom
+                .lines()
+                .find(|l| l.strip_prefix(series).is_some_and(|v| v.starts_with(' ')))
+                .unwrap_or_else(|| panic!("no {series} in:\n{prom}"));
+            line.split_whitespace().nth(1).unwrap().parse().unwrap()
+        };
+        assert_eq!(
+            exported("rococo_txkv_enqueued_total"),
+            admitted.iter().sum::<u64>()
+        );
+        for (shard, &n) in admitted.iter().enumerate() {
+            let series = format!("rococo_txkv_enqueued_total{{shard=\"{shard}\"}}");
+            assert_eq!(exported(&series), n, "shard {shard}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A lone request finds every worker parked (the poll budget is a few

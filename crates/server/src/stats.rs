@@ -11,8 +11,10 @@ use std::time::Duration;
 const LATENCY_BOUNDS_NS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
 rococo_telemetry::stats_block! {
-    /// Live counters for one shard. All counters are relaxed atomics
-    /// updated by that shard's workers and the submitting clients.
+    /// Live counters for one shard: relaxed atomics written by that
+    /// shard's workers, except `shed`, which a client writes when it sheds.
+    /// The admitted count is not here: it is the shard queue's `tail`,
+    /// passed to [`ShardStats::snapshot`].
     pub struct ShardStats;
     /// A point-in-time copy of one shard's counters (or, for
     /// [`TxKvReport::aggregate`], their sum across shards).
@@ -20,7 +22,6 @@ rococo_telemetry::stats_block! {
     export_metrics(reg, labels);
 
     counters {
-        pub(crate) enqueued: "rococo_txkv_enqueued_total", "Requests admitted to the shard queue";
         /// The queue was full.
         pub(crate) shed: "rococo_txkv_shed_total", "Requests shed by admission control";
         pub(crate) committed: "rococo_txkv_committed_total", "Requests whose transaction committed";
@@ -47,17 +48,15 @@ rococo_telemetry::stats_block! {
         pub(crate) latency: "rococo_txkv_latency_ns", "Request latency from enqueue to reply, nanoseconds",
             le = |_| LATENCY_BOUNDS_NS;
     }
+    supplied {
+        enqueued: "rococo_txkv_enqueued_total", "Requests admitted to the shard queue";
+    }
 }
 
 impl ShardStats {
     /// Records one abort of the given cause.
     pub fn record_abort(&self, kind: AbortKind) {
         self.aborts[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Notes a request admitted to the shard queue.
-    pub fn note_enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Notes a request shed by admission control.
@@ -240,7 +239,7 @@ mod tests {
         s.record_abort(AbortKind::Conflict);
         s.record_abort(AbortKind::Conflict);
         s.record_abort(AbortKind::FpgaWindow);
-        let snap = s.snapshot();
+        let snap = s.snapshot(0);
         assert_eq!(snap.total_aborts(), 3);
         assert_eq!(
             snap.abort_breakdown(),

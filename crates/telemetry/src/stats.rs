@@ -59,7 +59,11 @@
 //! written on its header), `Live::snapshot(gauges..)`,
 //! `Snapshot::merge(&other)` (counters, families and histograms add;
 //! gauges are readings, not sums, and stay) and
-//! `Snapshot::export_metrics(reg)`. The help text doubles as the field's
+//! `Snapshot::export_metrics(reg)`. A last section, `supplied { name:
+//! "metric", "help"; }`, declares counters with no atomic in the live
+//! struct: a total some other structure already keeps, which the caller
+//! passes to `snapshot` after the gauges; they merge and export as
+//! counters. The help text doubles as the field's
 //! doc comment; further attributes on a member are copied to both
 //! structs. Sections are optional but ordered as above.
 //!
@@ -109,6 +113,9 @@ macro_rules! stats_block {
         $(gauges {$(
             $(#[$gm:meta])* $g:ident: $gty:ty = $gname:literal, $ghelp:literal $(, by $gkey:literal)?;
         )*})?
+        $(supplied {$(
+            $(#[$um:meta])* $u:ident: $uname:literal, $uhelp:literal;
+        )*})?
     ) => {
         $(#[$sm])*
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -118,6 +125,7 @@ macro_rules! stats_block {
             $($(#[doc = $fhelp] $(#[$fm])* pub $f: [u64; $flen],)*)?
             $($(#[doc = $hhelp] $(#[$hm])* pub $h: $crate::HistogramSnapshot,)*)?
             $($(#[doc = $ghelp] $(#[$gm])* pub $g: $gty,)*)?
+            $($(#[doc = $uhelp] $(#[$um])* pub $u: u64,)*)?
         }
 
         impl $Snap {
@@ -130,6 +138,7 @@ macro_rules! stats_block {
                     *mine += theirs;
                 })*)?
                 $($(self.$h = self.$h.merged_with(&other.$h);)*)?
+                $($(self.$u += other.$u;)*)?
             }
 
             /// Publishes every member into `reg` under the metric name,
@@ -154,6 +163,7 @@ macro_rules! stats_block {
                 $($($crate::stats_block!(
                     @gauge reg labels $gname, $ghelp, self.$g $(, $gkey)?
                 );)*)?
+                $($(reg.counter($uname, $uhelp, labels, self.$u);)*)?
             }
         }
 
@@ -161,7 +171,8 @@ macro_rules! stats_block {
             [$($(#[doc = $chelp] $(#[$cm])* $cvis $c;)*)? $($($($(#[$mm])* $mvis $m;)*)*)?]
             [$($(#[doc = $fhelp] $(#[$fm])* $fvis $f: $flen;)*)?]
             [$($(#[doc = $hhelp] $(#[$hm])* $hvis $h;)*)?]
-            [$($($g: $gty;)*)?]);
+            [$($($g: $gty;)*)?]
+            [$($($u)*)?]);
     };
 
     (@labels) => { &[] };
@@ -183,6 +194,7 @@ macro_rules! stats_block {
         [$($(#[$fm:meta])* $fvis:vis $f:ident: $flen:expr;)*]
         [$($(#[$hm:meta])* $hvis:vis $h:ident;)*]
         [$($g:ident: $gty:ty;)*]
+        [$($u:ident)*]
     ) => {
         $(#[$lm])*
         #[derive(Debug, Default)]
@@ -194,14 +206,16 @@ macro_rules! stats_block {
 
         impl $Live {
             /// Takes a point-in-time copy (relaxed loads); the caller
-            /// supplies the block's gauges, which it alone can read.
-            pub fn snapshot(&self $(, $g: $gty)*) -> $Snap {
+            /// supplies the block's gauges and supplied counters, which it
+            /// alone can read.
+            pub fn snapshot(&self $(, $g: $gty)* $(, $u: u64)*) -> $Snap {
                 use ::std::sync::atomic::Ordering::Relaxed;
                 $Snap {
                     $($c: self.$c.load(Relaxed),)*
                     $($f: ::std::array::from_fn(|i| self.$f[i].load(Relaxed)),)*
                     $($h: self.$h.snapshot(),)*
                     $($g,)*
+                    $($u,)*
                 }
             }
         }
@@ -244,6 +258,9 @@ mod tests {
             resident: u32 = "t_resident", "Entries resident";
             per_slab: Vec<u64> = "t_slab_resident", "Entries resident per slab", by "slab";
         }
+        supplied {
+            admitted: "t_admitted_total", "Entries admitted";
+        }
     }
 
     stats_block! {
@@ -262,7 +279,7 @@ mod tests {
         live.evicted_ttl.fetch_add(2, Relaxed);
         live.by_way[1].fetch_add(5, Relaxed);
         live.fill_ns.record(1_000);
-        live.snapshot(7, vec![4, 3])
+        live.snapshot(7, vec![4, 3], 11)
     }
 
     #[test]
@@ -275,6 +292,7 @@ mod tests {
         assert_eq!(snap.by_way, [0, 5]);
         assert_eq!((snap.fill_ns.count, snap.fill_ns.max), (1, 1_000));
         assert_eq!((snap.resident, snap.per_slab.as_slice()), (7, &[4, 3][..]));
+        assert_eq!(snap.admitted, 11);
     }
 
     #[test]
@@ -285,6 +303,7 @@ mod tests {
         assert_eq!(total.by_way, [0, 10]);
         assert_eq!(total.fill_ns.count, 2);
         assert_eq!(total.resident, 7);
+        assert_eq!(total.admitted, 22);
         let mut from_empty = Snap::default();
         from_empty.merge(&sample());
         assert_eq!(from_empty.lookups, 3);
@@ -311,6 +330,8 @@ mod tests {
             "# TYPE t_resident gauge",
             "t_resident{shard=\"1\"} 7",
             "t_slab_resident{shard=\"1\",slab=\"1\"} 3",
+            "# TYPE t_admitted_total counter",
+            "t_admitted_total{shard=\"1\"} 11",
             "t_ticks_total 9",
         ] {
             assert!(

@@ -83,7 +83,6 @@ use crate::kill::{KillPoint, KillSwitch};
 use crate::record::{encode_frame, Checkpoint};
 use crate::recover::{ckpt_file_name, recover, RecoveredState, CKPT_TMP, LOG_FILE};
 use crate::stats::{WalSnapshot, WalStats};
-use rococo_park::Padded;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -98,6 +97,11 @@ use std::time::Instant;
 /// worker of it ever waits for a slot; 256 slots of one cache line are
 /// 16 KiB.
 const RING_DEPTH: usize = 256;
+
+/// `T` on a cache line of its own, so the watermark the writer lock's
+/// holder stores does not share a line with what the posters write.
+#[repr(align(64))]
+struct Padded<T>(T);
 
 /// When the writer acks an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
