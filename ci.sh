@@ -198,6 +198,19 @@ if (( head_reads > 1 )); then
   exit 1
 fi
 
+echo "== one recording wrapper: no generic TmSystem impl outside rococo_stm::Recorder"
+# The simulator's STAMP footprints and the chaos oracle's attempt
+# histories both come from rococo_stm::Recorder. A second recording
+# wrapper would take the form of a generic `impl<S: TmSystem> TmSystem
+# for Wrapper<S>`, wrapping begin/read/write/commit_seq to log facts the
+# one recorder already logs.
+if grep -rnE 'impl<.*>[[:space:]]*([[:alnum:]_]+::)*TmSystem[[:space:]]+for' \
+  --include=*.rs crates/ src/ tests/ examples/ \
+  | grep -v '^crates/stm/src/record\.rs:'; then
+  echo "a generic TmSystem impl (a second recording wrapper) is outside crates/stm/src/record.rs" >&2
+  exit 1
+fi
+
 echo "== docs name crates/ paths that exist"
 # benchmark/README.md is left out: it still names the deleted
 # crates/bench/benches/, and only a change to the benchmark may edit it.

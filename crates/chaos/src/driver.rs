@@ -7,14 +7,13 @@
 //! smaller one that still fails; [`reproducer_command`] renders the
 //! one-liner that replays any configuration.
 
-use crate::history::ChaosRecorder;
 use crate::oracle::{check_history, OracleInput};
 use crate::workload::{apply_op, gen_ops, Layout, INITIAL_BALANCE};
 use rococo_fpga::{FaultConfig, FaultSnapshot};
 use rococo_sched::{HybridConfig, HybridTm, SchedSnapshot};
 use rococo_stm::{
-    try_atomically, AbortKind, GlobalLockTm, HtmConfig, RococoConfig, RococoTm, TinyStm, TmConfig,
-    TmSystem, TsxHtm,
+    try_atomically, AbortKind, GlobalLockTm, HtmConfig, Recorder, RococoConfig, RococoTm, TinyStm,
+    TmConfig, TmSystem, TsxHtm,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -318,7 +317,7 @@ fn run_on<S: TmSystem + 'static>(
     layout: &Layout,
     sched: impl FnOnce(&S) -> Option<SchedSnapshot>,
 ) -> ChaosReport {
-    let recorder = ChaosRecorder::new(system, params.threads);
+    let recorder = Recorder::new(system, params.threads);
     for addr in layout.all_addrs() {
         recorder.heap().store_direct(addr, layout.initial(addr));
     }
@@ -447,7 +446,7 @@ fn run_on<S: TmSystem + 'static>(
         commits,
         aborts,
         max_failed_streak,
-        injected: recorder.injected_faults(),
+        injected: recorder.inner().injected_faults(),
         abort_breakdown,
         sched: sched(recorder.inner()),
         violations,

@@ -12,11 +12,12 @@
 //!   successor's), validator pauses and (optionally) spurious abort
 //!   verdicts inside the validation service, stretching the windows in
 //!   which commit-path races can fire.
-//! * **History recording** ([`history::ChaosRecorder`]): a [`TmSystem`]
-//!   wrapper that logs every transaction attempt — externally-read
-//!   `(addr, value)` pairs, the final write set, and globally-stamped
-//!   invocation/response times — with per-thread logs so recording does
-//!   not serialize the schedule under test.
+//! * **History recording** ([`rococo_stm::Recorder`], the one recording
+//!   wrapper, which the simulator's STAMP footprints also come from): a
+//!   [`TmSystem`] wrapper that logs every transaction attempt —
+//!   externally-read `(addr, value)` pairs, the final write set, and
+//!   globally-stamped invocation/response times — with per-thread logs
+//!   so recording does not serialize the schedule under test.
 //! * **A serializability oracle** ([`oracle::check_history`]): for RMW
 //!   workloads whose "version" words carry unique values, the per-address
 //!   version order is uniquely recoverable from the history, so the
@@ -48,7 +49,6 @@
 
 pub mod cluster;
 pub mod driver;
-pub mod history;
 pub mod oracle;
 pub mod recovery;
 pub mod service;
@@ -62,7 +62,6 @@ pub use driver::{
     reproducer_command, run_chaos, shrink, sweep, BackendKind, ChaosParams, ChaosReport,
     FaultPreset,
 };
-pub use history::{ChaosRecorder, Outcome, TxnHistory};
 pub use oracle::{check_history, OracleInput};
 pub use recovery::{
     recovery_reproducer, recovery_sweep, run_recovery, RecoveryParams, RecoveryRunReport,

@@ -37,8 +37,7 @@
 //! * `replay mismatch` / `final state mismatch` — payload reads or the
 //!   final heap disagree with the recovered serial order.
 
-use crate::history::TxnHistory;
-use rococo_stm::{Addr, Word};
+use rococo_stm::{Addr, TxnHistory, Word};
 use std::collections::{HashMap, HashSet};
 
 /// Everything the oracle needs to judge one run.
@@ -401,8 +400,7 @@ fn replay(input: &OracleInput, committed: &[&TxnHistory], order: &[usize], v: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::Outcome;
-    use rococo_stm::AbortKind;
+    use rococo_stm::{AbortKind, Outcome};
 
     fn txn(
         thread: usize,
@@ -418,6 +416,8 @@ mod tests {
             outcome: Outcome::Committed,
             reads,
             writes,
+            exec_ns: 0.0,
+            epoch: 0,
         }
     }
 
@@ -523,6 +523,8 @@ mod tests {
             outcome: Outcome::Aborted(AbortKind::Conflict),
             reads: vec![(1, 4242)],
             writes: vec![],
+            exec_ns: 0.0,
+            epoch: 0,
         });
         let viols = check_history(&input);
         assert!(

@@ -5,8 +5,12 @@
 //! multi-thread speedups cannot be measured; this crate substitutes a
 //! deterministic simulator:
 //!
-//! 1. A STAMP application is executed once, single-threaded, under the
-//!    recording wrapper of `rococo-stm`, producing a [`Workload`]: the
+//! 1. A STAMP application is executed once, single-threaded, under
+//!    `rococo_stm::Recorder` (the one recording wrapper, which the chaos
+//!    oracle's histories also come from);
+//!    `rococo_stamp::harness::record_workload` turns its committed
+//!    attempts into [`rococo_stm::TxnRecord`] footprints, and
+//!    [`Workload::from_records`] groups them into a [`Workload`]: the
 //!    committed transactions' read/write footprints, measured execution
 //!    times, and phase (barrier) structure.
 //! 2. [`simulate`] replays the workload on `T` virtual workers. Per-system

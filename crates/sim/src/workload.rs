@@ -15,9 +15,11 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Builds a workload from a recording-wrapper log: records are grouped
-    /// by their phase epoch, keeping only odd epochs (transactions inside
-    /// marked parallel phases; setup and validation work is even-epoch).
+    /// Builds a workload from recorded footprints: records are grouped by
+    /// their phase epoch, keeping only odd epochs (transactions inside
+    /// marked parallel phases). Records outside a marked phase — setup and
+    /// validation work, or a log recorded without phase markers — are
+    /// dropped.
     pub fn from_records<I: IntoIterator<Item = TxnRecord>>(records: I) -> Self {
         let mut phases: Vec<Vec<TxnRecord>> = Vec::new();
         let mut current_epoch = u64::MAX;
@@ -33,11 +35,6 @@ impl Workload {
                 .last_mut()
                 .expect("phase pushed on epoch change")
                 .push(r);
-        }
-        // A workload recorded without phase markers (e.g. synthesised in
-        // tests): treat everything as one phase.
-        if phases.is_empty() {
-            return Self { phases: Vec::new() };
         }
         Self { phases }
     }

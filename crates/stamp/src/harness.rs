@@ -2,7 +2,8 @@
 
 use crate::apps::{self, AppId, AppResult};
 use rococo_stm::{
-    GlobalLockTm, RococoTm, SeqTm, StatsSnapshot, TinyStm, TmConfig, TmSystem, TsxHtm,
+    GlobalLockTm, Recorder, RococoTm, SeqTm, StatsSnapshot, TinyStm, TmConfig, TmSystem, TsxHtm,
+    TxnRecord,
 };
 use std::time::{Duration, Instant};
 
@@ -136,26 +137,46 @@ fn run_on<S: TmSystem>(
 }
 
 /// Records `app`'s committed transactions by running it single-threaded
-/// under the recording wrapper over the sequential runtime. Returns the
-/// raw records (phase-tagged via epochs) and the wall time of the parallel
-/// phases — the inputs to the virtual-time multicore simulator.
+/// under the recording wrapper over the sequential runtime. Returns their
+/// footprints (address lists deduplicated in first-access order, measured
+/// time, phase epoch) and the wall time of the parallel phases — the
+/// inputs to the virtual-time multicore simulator.
 ///
 /// # Panics
 ///
 /// Panics if the app fails its self-validation during recording.
-pub fn record_workload(app: AppId, preset: Preset) -> (Vec<rococo_stm::TxnRecord>, Duration) {
+pub fn record_workload(app: AppId, preset: Preset) -> (Vec<TxnRecord>, Duration) {
     let cfg = TmConfig {
         heap_words: apps::heap_words(app, preset),
         max_threads: 1,
     };
-    let rec = rococo_stm::Recorder::new(SeqTm::with_config(cfg));
+    let rec = Recorder::new(SeqTm::with_config(cfg), 1);
     let result = apps::dispatch(app, &rec, 1, preset);
     assert!(
         result.validated,
         "{}: recording run failed validation",
         app.name()
     );
-    (rec.into_log(), result.parallel)
+    let footprints = rec
+        .take_histories()
+        .into_iter()
+        .filter(|h| h.outcome.committed())
+        .map(|h| {
+            let mut reads = Vec::new();
+            for (addr, _) in h.reads {
+                if !reads.contains(&(addr as u64)) {
+                    reads.push(addr as u64);
+                }
+            }
+            TxnRecord {
+                reads,
+                writes: h.writes.iter().map(|&(addr, _)| addr as u64).collect(),
+                exec_ns: h.exec_ns,
+                epoch: h.epoch,
+            }
+        })
+        .collect();
+    (footprints, result.parallel)
 }
 
 /// Runs one timed parallel phase: marks the phase boundary on the TM

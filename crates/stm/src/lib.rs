@@ -51,7 +51,7 @@ pub use api::{
 };
 pub use heap::{Addr, TmHeap, Word, NULL};
 pub use htm::{HtmConfig, TsxHtm};
-pub use record::{recording_seq, RecordTx, Recorder, TxnRecord};
+pub use record::{Outcome, RecordTx, Recorder, TxnHistory, TxnRecord};
 pub use rococotm::{RococoConfig, RococoTm};
 pub use seq::{GlobalLockTm, SeqTm};
 pub use tinystm::TinyStm;

@@ -54,6 +54,57 @@ fn rococo_one_thread_penalty_matches_paper_direction() {
     );
 }
 
+/// FNV-1a over each committed footprint's read list, write list and
+/// epoch, lengths included so a moved address cannot alias. `exec_ns` is
+/// wall time and stays out.
+fn footprint_digest(records: &[TxnRecord]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in records {
+        eat(r.reads.len() as u64);
+        r.reads.iter().for_each(|&a| eat(a));
+        eat(r.writes.len() as u64);
+        r.writes.iter().for_each(|&a| eat(a));
+        eat(r.epoch);
+    }
+    h
+}
+
+/// Every STAMP app at `Preset::Tiny` records the footprints pinned here,
+/// which were taken from the footprint-only recorder that the per-attempt
+/// recorder replaced. Each app records the same footprints run after run,
+/// so all nine are pinned.
+#[test]
+fn recorded_footprints_match_the_pinned_digests() {
+    const PINNED: [(AppId, u64); 9] = [
+        (AppId::Genome, 0x7ba8_f9dc_6332_3339),
+        (AppId::Intruder, 0xfcf6_3f90_4f28_35a2),
+        (AppId::KmeansHigh, 0x656e_59f6_470c_5b25),
+        (AppId::KmeansLow, 0xca80_3e12_49be_38a5),
+        (AppId::Labyrinth, 0x46e1_ac02_591a_0b84),
+        (AppId::Ssca2, 0xc352_b486_f889_89c4),
+        (AppId::VacationHigh, 0x57c2_fcb8_a740_0467),
+        (AppId::VacationLow, 0x6192_5081_672a_7baf),
+        (AppId::Yada, 0xf6c7_4611_118f_a667),
+    ];
+    for (app, pinned) in PINNED {
+        let first = footprint_digest(&record_workload(app, Preset::Tiny).0);
+        let second = footprint_digest(&record_workload(app, Preset::Tiny).0);
+        assert_eq!(first, second, "{}: two recordings differ", app.name());
+        assert_eq!(
+            first,
+            pinned,
+            "{}: footprints differ from the pinned recording",
+            app.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
