@@ -211,6 +211,28 @@ if grep -rnE 'impl<.*>[[:space:]]*([[:alnum:]_]+::)*TmSystem[[:space:]]+for' \
   exit 1
 fi
 
+echo "== the live service is its workers: no checkpoint coordinator, no scraper thread, no sleep"
+# A checkpoint is taken by the worker whose batch made it due, after it
+# drops its pause guard, and the metric files are written once, when the
+# service stops. A coordinator or a scraper thread polls on a wall-clock
+# interval: crash coverage then depends on timing, and no seed replays
+# it. retry.rs keeps its backoff sleep: a contention policy on the
+# worker's own thread, not a poll.
+if grep -rnE 'txkv-ckpt|txkv-telemetry|SCRAPE_INTERVAL|ckpt_stop|tlm_stop|ckpt_thread|tlm_thread' crates/; then
+  echo "the checkpoint coordinator or the telemetry scraper is back under crates/" >&2
+  exit 1
+fi
+service_src="$(sed '/^#\[cfg(test)\]/,$d' crates/server/src/service.rs)"
+spawns="$(grep -cE 'thread::(Builder|spawn)' <<<"$service_src" || true)"
+if (( spawns != 1 )); then
+  echo "crates/server/src/service.rs starts $spawns threads outside its tests; only the workers may" >&2
+  exit 1
+fi
+if grep -nE 'sleep\(' <<<"$service_src"; then
+  echo "crates/server/src/service.rs sleeps outside its tests" >&2
+  exit 1
+fi
+
 echo "== docs name crates/ paths that exist"
 # benchmark/README.md is left out: it still names the deleted
 # crates/bench/benches/, and only a change to the benchmark may edit it.

@@ -57,8 +57,8 @@ struct LoadCfg {
     queue_capacity: usize,
     /// WAL fsync policy; in-memory if unset.
     durability: Option<FsyncPolicy>,
-    /// Run directory: enables the flight recorder, the service's metric
-    /// scraper, and the Perfetto trace export.
+    /// Run directory: enables the flight recorder, the metric files the
+    /// service writes when it stops, and the Perfetto trace export.
     telemetry: Option<PathBuf>,
     /// Tail-sampled causal tracing: keep full event chains for the
     /// slowest-k requests per latency bucket (plus all failed ones) and

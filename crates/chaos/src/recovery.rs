@@ -87,10 +87,15 @@ impl RecoveryRunReport {
     /// One-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "recovery {} kill={} fsync={} seed={}: {} acked, {} lost acks, \
+            "recovery {} kill={}{} fsync={} seed={}: {} acked, {} lost acks, \
              replayed {} (ckpt {:?}, torn {}B) -> {}",
             self.params.backend.name(),
             self.params.kill_point.map_or("none", |p| p.name()),
+            match (self.params.kill_point, self.crashed) {
+                (None, _) => "",
+                (Some(_), true) => " (fired)",
+                (Some(_), false) => " (not fired)",
+            },
             self.params.fsync.name(),
             self.params.seed,
             self.acked,
@@ -150,9 +155,8 @@ impl OnBackend for &RecoveryParams {
         let dir = rococo_wal::scratch_dir("recovery");
         // Vary when the crash lands without losing determinism of the
         // submitted streams.
-        let kill = self
-            .kill_point
-            .map(|p| KillSwitch::arm(p, 1 + self.seed % 16));
+        let occurrence = 1 + self.seed % 16;
+        let kill = self.kill_point.map(|p| KillSwitch::arm(p, occurrence));
         let durability = |checkpoint_every, kill| {
             Some(DurabilityConfig {
                 dir: dir.clone(),
@@ -177,7 +181,7 @@ impl OnBackend for &RecoveryParams {
             TxKv::start(Arc::new(make(tm)), cfg.clone()).expect("durable service failed to start");
         let load = run_load(&kv, &w);
         let crashed = kill.as_ref().is_some_and(|k| k.fired());
-        kv.shutdown();
+        let logged = kv.shutdown().wal.map_or(0, |w| w.appended_records);
 
         // Restart onto a fresh backend and recover the directory.
         let cfg = TxKvConfig {
@@ -213,18 +217,27 @@ impl OnBackend for &RecoveryParams {
                     violations.push(format!("{lost} acks lost without a crash"));
                 }
             }
-            // An armed append-path kill that never fired means the run was
-            // too short to reach it — surface that so the matrix stays
-            // honest (checkpoint kill points legitimately depend on load
-            // volume, so only flag the always-reachable append points).
-            Some(
-                point @ (KillPoint::PreAppend | KillPoint::MidAppend | KillPoint::PostAppendPreAck),
-            ) if !crashed
-                && self.checkpoint_every > 0
-                && load.preload_complete
-                && self.clients * self.ops_per_client >= 64 =>
-            {
-                violations.push(format!("armed kill point {} never fired", point.name()));
+            // An armed kill that never fired although the load reached it
+            // would pass the run without testing what it names. An append
+            // point is reached once the preload is in and the clients run
+            // 64 operations; a checkpoint point once the run has logged
+            // one interval per checkpoint up to the armed occurrence, plus
+            // one interval of slack for the claim.
+            Some(point) if !crashed && self.checkpoint_every > 0 => {
+                let reached = match point {
+                    KillPoint::PreAppend | KillPoint::MidAppend | KillPoint::PostAppendPreAck => {
+                        load.preload_complete && self.clients * self.ops_per_client >= 64
+                    }
+                    KillPoint::MidCheckpoint | KillPoint::MidTruncate => {
+                        logged >= (occurrence + 1) * self.checkpoint_every
+                    }
+                };
+                if reached {
+                    violations.push(format!(
+                        "armed kill point {} never fired ({logged} records logged)",
+                        point.name()
+                    ));
+                }
             }
             Some(_) => {}
         }

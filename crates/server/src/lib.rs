@@ -32,8 +32,9 @@
 //! * [`DurabilityConfig`] — optional write-ahead logging (the
 //!   `rococo-wal` crate): committed write sets are appended to a
 //!   group-commit redo log in serialization order and acknowledged after
-//!   fsync; a checkpoint coordinator periodically quiesces commits,
-//!   snapshots the key table, and truncates the log.
+//!   fsync; each time the durable watermark has moved on by
+//!   `checkpoint_every` records, the worker whose batch moved it quiesces
+//!   commits, snapshots the key table, and truncates the log.
 //!   [`TxKv::recover`] rebuilds the table from the newest checkpoint plus
 //!   the log tail after a crash.
 //!

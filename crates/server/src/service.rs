@@ -3,16 +3,16 @@
 
 use crate::hop::{reply_pair, PendingReply, Refused, ShardQueue};
 use crate::request::{Request, Response, TxKvError};
-use crate::shard::{run_worker, Job, WorkerCtx, WorkerWal};
+use crate::shard::{checkpoint_table, run_worker, AutoCheckpoint, Job, WorkerCtx, WorkerWal};
 use crate::stats::{ShardSnapshot, ShardStats, TxKvReport};
 use parking_lot::RwLock;
 use rococo_stm::{Addr, TmSystem};
-use rococo_wal::{FsyncPolicy, KillSwitch, RecoveryReport, Wal, WalConfig, WalDead};
+use rococo_wal::{FsyncPolicy, KillSwitch, RecoveryReport, Wal, WalConfig};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Durable-mode configuration: where the write-ahead log lives and how
 /// it acknowledges.
@@ -23,9 +23,10 @@ pub struct DurabilityConfig {
     /// When an append is acknowledged relative to fsync (see
     /// [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// Checkpoint (snapshot + log truncation) after this many logged
-    /// transactions; `0` disables automatic checkpoints
-    /// ([`TxKv::checkpoint`] still works).
+    /// Checkpoint (snapshot + log truncation) each time the durable
+    /// watermark has moved on by this many logged transactions; the
+    /// worker whose batch made one due takes it. `0` disables automatic
+    /// checkpoints ([`TxKv::checkpoint`] still works).
     pub checkpoint_every: u64,
     /// Armed crash point for chaos testing; `None` in production.
     pub kill: Option<Arc<KillSwitch>>,
@@ -43,10 +44,6 @@ impl DurabilityConfig {
         }
     }
 }
-
-/// How often the telemetry scraper refreshes the metric files. A final
-/// scrape always runs at shutdown regardless of the interval.
-const SCRAPE_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Service configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,11 +68,10 @@ pub struct TxKvConfig {
     /// Write-ahead logging; `None` runs the service in memory (a crash
     /// loses everything, as before this field existed).
     pub durability: Option<DurabilityConfig>,
-    /// Directory for periodic metric snapshots (`metrics.prom`, the
-    /// Prometheus text exposition, and `metrics.json`; created if
-    /// missing, each file written atomically by temp + rename, so a
-    /// scraper tailing it never sees a torn snapshot). `None` disables
-    /// the scraper thread.
+    /// Directory for the metric files (`metrics.prom`, the Prometheus
+    /// text exposition, and `metrics.json`; created if missing, each
+    /// written atomically by temp + rename), written once when the
+    /// service stops, after its workers have left. `None` writes none.
     pub telemetry: Option<PathBuf>,
 }
 
@@ -128,78 +124,19 @@ pub struct TxKv<S: TmSystem + 'static> {
     workers: Vec<JoinHandle<()>>,
     started: Instant,
     /// Durable-mode state: the WAL opener handle (closes the WAL on
-    /// drop) and the commit pause gate the checkpoint coordinator uses
-    /// to quiesce.
+    /// drop) and the commit pause gate a checkpoint, the workers' or
+    /// [`TxKv::checkpoint`]'s, write-locks to quiesce.
     wal: Option<Wal>,
     pause: Arc<RwLock<()>>,
-    ckpt_stop: Arc<AtomicBool>,
-    ckpt_thread: Option<JoinHandle<()>>,
     /// WAL counters captured at shutdown, so the final report still
     /// carries them after the WAL has been closed.
     final_wal: Option<rococo_wal::WalSnapshot>,
-    tlm_stop: Arc<AtomicBool>,
-    tlm_thread: Option<JoinHandle<()>>,
 }
 
-/// Quiesces commits, snapshots the key table and checkpoints the log;
-/// returns the sequence number the checkpoint covers up to. The pause
-/// gate is write-locked throughout: every in-flight job finishes
-/// (including its wait for the durable watermark), so no sequence number
-/// is fetched but unposted while the table is read.
-fn checkpoint_table<S: TmSystem + ?Sized>(
-    system: &S,
-    pause: &RwLock<()>,
-    wal: &Wal,
-    table: Addr,
-    keys: u64,
-) -> Result<u64, WalDead> {
-    let _quiesced = pause.write();
-    let heap = system.heap();
-    let values = (0..keys as usize)
-        .map(|k| heap.load_direct(table + k))
-        .collect();
-    wal.checkpoint(values)
-}
-
-/// The service's report as its counters stand now. A shard's `enqueued`
-/// is what its queue admitted: the queue's `tail`, not a counter.
-fn report_of<S: TmSystem + ?Sized>(
-    system: &S,
-    stats: &[Arc<ShardStats>],
-    queues: &[Arc<ShardQueue>],
-    wal: Option<rococo_wal::WalSnapshot>,
-    elapsed: Duration,
-) -> TxKvReport {
-    let per_shard: Vec<ShardSnapshot> = stats
-        .iter()
-        .zip(queues)
-        .map(|(s, q)| s.snapshot(q.admitted()))
-        .collect();
-    let mut aggregate = ShardSnapshot::default();
-    for s in &per_shard {
-        aggregate.merge(s);
-    }
-    TxKvReport {
-        backend: system.name(),
-        per_shard,
-        aggregate,
-        injected_faults: system.injected_faults(),
-        wal,
-        elapsed,
-    }
-}
-
-/// One telemetry scrape: gathers every subsystem's counters into a
-/// registry and rewrites the run directory's metrics files.
-fn scrape_metrics<S: TmSystem + ?Sized>(
-    system: &S,
-    stats: &[Arc<ShardStats>],
-    queues: &[Arc<ShardQueue>],
-    wal: Option<&Wal>,
-    elapsed: Duration,
-    dir: &std::path::Path,
-) {
-    let report = report_of(system, stats, queues, wal.map(|w| w.stats()), elapsed);
+/// The service's one telemetry scrape: gathers the final `report` and
+/// every subsystem's counters into a registry and writes the run
+/// directory's metrics files.
+fn scrape_metrics<S: TmSystem + ?Sized>(system: &S, report: &TxKvReport, dir: &std::path::Path) {
     let mut reg = rococo_telemetry::MetricsRegistry::new();
     report.export_metrics(&mut reg);
     // `stats_snapshot` (not `stats().snapshot()`): a routing backend
@@ -312,6 +249,15 @@ impl<S: TmSystem + 'static> TxKv<S> {
         }
 
         let pause = Arc::new(RwLock::new(()));
+        let checkpoints = match (&wal, &cfg.durability) {
+            (Some(w), Some(dur)) if dur.checkpoint_every > 0 => Some(Arc::new(AutoCheckpoint {
+                wal: w.client(),
+                due: AtomicU64::new(w.durable_seq() + dur.checkpoint_every),
+                every: dur.checkpoint_every,
+                keys: cfg.keys,
+            })),
+            _ => None,
+        };
         let mut queues = Vec::with_capacity(cfg.shards);
         let mut stats = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.worker_threads());
@@ -331,6 +277,7 @@ impl<S: TmSystem + 'static> TxKv<S> {
                         wal: w.client(),
                         base_seq,
                     }),
+                    checkpoints: checkpoints.clone(),
                 };
                 let handle = std::thread::Builder::new()
                     .name(format!("txkv-{shard}-{w}"))
@@ -342,72 +289,6 @@ impl<S: TmSystem + 'static> TxKv<S> {
             stats.push(shard_stats);
         }
 
-        // The checkpoint coordinator: quiesce, snapshot, truncate.
-        let ckpt_stop = Arc::new(AtomicBool::new(false));
-        let mut ckpt_thread = None;
-        if let (Some(w), Some(dur)) = (&wal, &cfg.durability) {
-            if dur.checkpoint_every > 0 {
-                let every = dur.checkpoint_every;
-                let wal = w.client();
-                let system = Arc::clone(&system);
-                let pause = Arc::clone(&pause);
-                let stop = Arc::clone(&ckpt_stop);
-                let keys = cfg.keys;
-                ckpt_thread = Some(
-                    std::thread::Builder::new()
-                        .name("txkv-ckpt".into())
-                        .spawn(move || {
-                            let mut last = wal.durable_seq();
-                            while !stop.load(Ordering::SeqCst) {
-                                std::thread::sleep(Duration::from_millis(2));
-                                if wal.durable_seq() - last < every || wal.is_dead() {
-                                    continue;
-                                }
-                                let _ = checkpoint_table(&*system, &pause, &wal, table, keys);
-                                last = wal.durable_seq();
-                            }
-                        })
-                        .expect("failed to spawn txkv checkpoint coordinator"),
-                );
-            }
-        }
-
-        // The telemetry scraper: periodically rewrite the metric
-        // snapshot files until shutdown, then scrape one last time so
-        // the on-disk artifacts cover the whole run.
-        let started = Instant::now();
-        let tlm_stop = Arc::new(AtomicBool::new(false));
-        let mut tlm_thread = None;
-        if let Some(dir) = &cfg.telemetry {
-            let dir = dir.clone();
-            let system = Arc::clone(&system);
-            let stats: Vec<Arc<ShardStats>> = stats.iter().map(Arc::clone).collect();
-            let queues: Vec<Arc<ShardQueue>> = queues.iter().map(Arc::clone).collect();
-            let wal = wal.as_ref().map(|w| w.client());
-            let stop = Arc::clone(&tlm_stop);
-            tlm_thread = Some(
-                std::thread::Builder::new()
-                    .name("txkv-telemetry".into())
-                    .spawn(move || {
-                        loop {
-                            let elapsed = started.elapsed();
-                            scrape_metrics(&*system, &stats, &queues, wal.as_ref(), elapsed, &dir);
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            // Sleep in short slices so shutdown's final
-                            // scrape is not delayed a whole interval.
-                            let deadline = Instant::now() + SCRAPE_INTERVAL;
-                            while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                        }
-                        rococo_telemetry::flush_thread();
-                    })
-                    .expect("failed to spawn txkv telemetry scraper"),
-            );
-        }
-
         Ok((
             Self {
                 system,
@@ -416,14 +297,10 @@ impl<S: TmSystem + 'static> TxKv<S> {
                 queues,
                 stats,
                 workers,
-                started,
+                started: Instant::now(),
                 wal,
                 pause,
-                ckpt_stop,
-                ckpt_thread,
                 final_wal: None,
-                tlm_stop,
-                tlm_thread,
             },
             report,
         ))
@@ -575,57 +452,63 @@ impl<S: TmSystem + 'static> TxKv<S> {
         self.submit(req)?.wait_with_seq()
     }
 
-    /// A live report (counters keep moving while it is taken).
+    /// A live report (counters keep moving while it is taken). A shard's
+    /// `enqueued` is what its queue admitted: the queue's `tail`, not a
+    /// counter.
     pub fn report(&self) -> TxKvReport {
-        self.build_report()
+        let per_shard: Vec<ShardSnapshot> = self
+            .stats
+            .iter()
+            .zip(&self.queues)
+            .map(|(s, q)| s.snapshot(q.admitted()))
+            .collect();
+        let mut aggregate = ShardSnapshot::default();
+        for s in &per_shard {
+            aggregate.merge(s);
+        }
+        TxKvReport {
+            backend: self.system.name(),
+            per_shard,
+            aggregate,
+            injected_faults: self.system.injected_faults(),
+            wal: self
+                .wal
+                .as_ref()
+                .map(Wal::stats)
+                .or_else(|| self.final_wal.clone()),
+            elapsed: self.started.elapsed(),
+        }
     }
 
     /// Stops the service: closes every queue, joins the workers (they
     /// finish queued requests first), and returns the final report.
     pub fn shutdown(mut self) -> TxKvReport {
         self.stop_and_join();
-        self.build_report()
+        self.report()
     }
 
+    /// Stops the workers, closes the WAL and writes the metric files;
+    /// a second call (`Drop` after [`TxKv::shutdown`]) does nothing.
     fn stop_and_join(&mut self) {
-        // Shutdown order matters in durable mode: the checkpoint
-        // coordinator and the workers each hold a WAL client, and a
-        // client that posts after the WAL was closed loses durability —
-        // so stop those threads before shutting the opener handle down.
-        self.ckpt_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.ckpt_thread.take() {
-            let _ = h.join();
+        if self.workers.is_empty() {
+            return;
         }
         for queue in &self.queues {
             queue.close(); // workers leave once their queue is drained
         }
+        // Every worker holds a WAL client, and a post after the WAL was
+        // closed loses durability: join them (and any checkpoint one is
+        // taking) before shutting the opener handle down.
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        // Stop the scraper after the workers: its final scrape then
-        // covers every request.
-        self.tlm_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.tlm_thread.take() {
-            let _ = h.join();
         }
         if let Some(w) = self.wal.take() {
             self.final_wal = Some(w.shutdown());
         }
-    }
-
-    fn build_report(&self) -> TxKvReport {
-        let wal = self
-            .wal
-            .as_ref()
-            .map(|w| w.stats())
-            .or_else(|| self.final_wal.clone());
-        report_of(
-            &*self.system,
-            &self.stats,
-            &self.queues,
-            wal,
-            self.started.elapsed(),
-        )
+        // After the workers: the one scrape covers every request.
+        if let Some(dir) = &self.cfg.telemetry {
+            scrape_metrics(&*self.system, &self.report(), dir);
+        }
     }
 }
 
@@ -640,7 +523,8 @@ mod tests {
     use super::*;
     use crate::hop::tests::spin_until;
     use rococo_stm::{RococoConfig, RococoTm, TinyStm, TmConfig, TsxHtm};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn tiny(cfg: &TxKvConfig) -> Arc<TinyStm> {
         Arc::new(TinyStm::with_config(TmConfig {
@@ -1496,33 +1380,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// 32 sequential puts, a checkpoint due every 8: the worker whose ack
+    /// reaches each due mark takes that checkpoint, so shutdown finds
+    /// exactly four and recovery replays nothing. Each reply is polled to
+    /// a deadline, so a worker that checkpoints under its own `pause` read
+    /// guard (and wedges every worker behind its write lock) fails the
+    /// test instead of hanging it.
     #[test]
     fn automatic_checkpoint_truncates_and_recovers() {
+        const PUTS: u64 = 32;
         let dir = rococo_wal::scratch_dir("svc-ckpt");
         let cfg = durable_cfg(dir.clone(), 8);
-        {
-            let kv = TxKv::start(tiny(&cfg), cfg.clone()).unwrap();
-            for k in 0..32 {
-                kv.call(Request::Put {
+        let kv = TxKv::start(tiny(&cfg), cfg.clone()).unwrap();
+        for k in 0..PUTS {
+            let pending = kv
+                .submit(Request::Put {
                     key: k,
                     value: k * 2,
                 })
                 .unwrap();
-            }
-            // Give the coordinator a beat to notice the threshold.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while kv.report().wal.unwrap().checkpoints == 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let report = kv.shutdown();
-            assert!(
-                report.wal.unwrap().checkpoints >= 1,
-                "coordinator never checkpointed"
-            );
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let reply = loop {
+                if let Some(reply) = pending.try_wait() {
+                    break reply;
+                }
+                if Instant::now() > deadline {
+                    // Its workers are wedged: joining them would hang.
+                    std::mem::forget(kv);
+                    panic!("put {k} got no reply: a checkpoint wedged the workers");
+                }
+                std::thread::yield_now();
+            };
+            assert_eq!(reply.unwrap(), Response::Done);
         }
+        let checkpoints = kv.shutdown().wal.unwrap().checkpoints;
+        assert_eq!(checkpoints, PUTS / 8);
+
         let (kv, report) = TxKv::recover(tiny(&cfg), cfg).unwrap();
-        assert!(report.checkpoint_seq.is_some(), "{report:?}");
-        for k in 0..32 {
+        // Sequences 0..PUTS: the last checkpoint covers up to the
+        // watermark the last put left.
+        assert_eq!(report.checkpoint_seq, Some(PUTS), "{report:?}");
+        assert_eq!(report.replayed, 0, "{report:?}");
+        for k in 0..PUTS {
             assert_eq!(
                 kv.call(Request::Get { key: k }).unwrap(),
                 Response::Value(k * 2)

@@ -17,7 +17,7 @@ use parking_lot::RwLock;
 use rococo_stm::{Abort, Addr, TmSystem, Transaction};
 use rococo_wal::{Wal, WalDead};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,6 +50,61 @@ pub(crate) struct Job {
 pub(crate) struct WorkerWal {
     pub(crate) wal: Wal,
     pub(crate) base_seq: u64,
+}
+
+/// Automatic checkpoints (durable mode, `checkpoint_every > 0`): the due
+/// mark every worker of the service shares. It starts one interval past
+/// the recovered watermark and moves one interval per claim.
+pub(crate) struct AutoCheckpoint {
+    pub(crate) wal: Wal,
+    pub(crate) due: AtomicU64,
+    pub(crate) every: u64,
+    pub(crate) keys: u64,
+}
+
+impl AutoCheckpoint {
+    /// Takes every checkpoint the durable watermark has made due, each
+    /// claimed by one `compare_exchange` on the mark, so no two workers
+    /// take the same one and none is left unclaimed when the load stops.
+    /// The caller must hold no `pause` guard: the checkpoint takes the
+    /// write side.
+    fn take_due<S: TmSystem + ?Sized>(&self, system: &S, pause: &RwLock<()>, table: Addr) {
+        loop {
+            let due = self.due.load(Ordering::SeqCst);
+            if self.wal.durable_seq() < due {
+                return;
+            }
+            let next = due + self.every;
+            let claimed = self
+                .due
+                .compare_exchange(due, next, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+            // A dead WAL takes no checkpoint; its waiters see `WalDead`.
+            if claimed && checkpoint_table(system, pause, &self.wal, table, self.keys).is_err() {
+                return;
+            }
+        }
+    }
+}
+
+/// Quiesces commits, snapshots the key table and checkpoints the log;
+/// returns the sequence number the checkpoint covers up to. The pause
+/// gate is write-locked throughout: every in-flight job finishes
+/// (including its wait for the durable watermark), so no sequence number
+/// is fetched but unposted while the table is read.
+pub(crate) fn checkpoint_table<S: TmSystem + ?Sized>(
+    system: &S,
+    pause: &RwLock<()>,
+    wal: &Wal,
+    table: Addr,
+    keys: u64,
+) -> Result<u64, WalDead> {
+    let _quiesced = pause.write();
+    let heap = system.heap();
+    let values = (0..keys as usize)
+        .map(|k| heap.load_direct(table + k))
+        .collect();
+    wal.checkpoint(values)
 }
 
 /// Runs one request body inside an open transaction, recording the
@@ -106,7 +161,8 @@ fn apply<T: Transaction>(
 
 /// Everything one worker thread needs: the backend, the key table, its
 /// statistics, the shard queue and its seat at it, the checkpoint pause
-/// gate, and (in durable mode) its WAL client.
+/// gate, (in durable mode) its WAL client, and (with automatic
+/// checkpoints) the shared due mark.
 pub(crate) struct WorkerCtx<S: TmSystem + ?Sized> {
     pub(crate) system: Arc<S>,
     pub(crate) table: Addr,
@@ -117,6 +173,7 @@ pub(crate) struct WorkerCtx<S: TmSystem + ?Sized> {
     pub(crate) seat: usize,
     pub(crate) pause: Arc<RwLock<()>>,
     pub(crate) wal: Option<WorkerWal>,
+    pub(crate) checkpoints: Option<Arc<AutoCheckpoint>>,
 }
 
 /// A commit [`WorkerEnv::post_commit`] has handed to the WAL, or one with
@@ -336,10 +393,13 @@ impl<S: TmSystem + ?Sized> WorkerEnv<'_, S> {
 /// releases every reply staged behind it.
 ///
 /// A batch runs under a read lock on `pause`, held across the
-/// transactions, the WAL posts and the wait for the durable watermark —
-/// the checkpoint coordinator takes the write lock to quiesce commits, so
-/// while it holds it there is no fetched-but-unposted sequence number
-/// anywhere and the WAL's ring is drained.
+/// transactions, the WAL posts and the wait for the durable watermark — a
+/// checkpoint takes the write lock to quiesce commits, so while it holds
+/// it there is no fetched-but-unposted sequence number anywhere and the
+/// WAL's ring is drained. With automatic checkpoints the worker whose
+/// batch moved the watermark past the due mark takes the checkpoint
+/// itself, after it has answered the batch and dropped its read guard
+/// (taking the write side under its own read guard would deadlock).
 ///
 /// A panicking backend does not kill the worker: the panic is caught,
 /// reported as [`TxKvError::Internal`], and counted, so the shard queue
@@ -354,6 +414,7 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
         seat,
         pause,
         wal,
+        checkpoints,
     } = ctx;
     let env = WorkerEnv {
         system: &*system,
@@ -388,6 +449,9 @@ pub(crate) fn run_worker<S: TmSystem + ?Sized>(ctx: WorkerCtx<S>) {
         // their clients are waiting.
         env.release(&mut staged);
         drop(pause_guard);
+        if let Some(checkpoints) = &checkpoints {
+            checkpoints.take_due(&*system, &pause, table);
+        }
     }
     rococo_telemetry::flush_thread();
 }

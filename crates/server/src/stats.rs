@@ -110,9 +110,9 @@ pub struct TxKvReport {
 impl TxKvReport {
     /// Publishes the whole report into a metrics registry: the aggregate
     /// under `rococo_txkv_*`, each shard under a `shard` label, and the
-    /// fault-injection and WAL snapshots when present. The scraper adds
-    /// backend (`rococo_tm_*`) and FPGA (`rococo_fpga_*`) metrics itself,
-    /// since the report does not carry them.
+    /// fault-injection and WAL snapshots when present. The service's
+    /// scrape adds backend (`rococo_tm_*`) and FPGA (`rococo_fpga_*`)
+    /// metrics itself, since the report does not carry them.
     pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
         self.aggregate.export_metrics(reg, &[]);
         for (i, shard) in self.per_shard.iter().enumerate() {

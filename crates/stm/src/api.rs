@@ -255,7 +255,7 @@ pub trait TmSystem: Send + Sync {
     /// Exports backend-specific metric families beyond `rococo_tm_*`
     /// into `reg`. The default exports nothing; the hybrid scheduler
     /// publishes its `rococo_sched_*` router counters through this hook
-    /// (`TxKv<S>` is generic over its backend, so the service scraper can
+    /// (`TxKv<S>` is generic over its backend, so the service's scrape can
     /// only reach the router's counters through this trait).
     fn export_extra_metrics(&self, _reg: &mut rococo_telemetry::MetricsRegistry) {}
 }

@@ -5,7 +5,7 @@
 //! The registry is a *snapshot sink*, not a live aggregation tree: the
 //! existing lock-free stats structs stay the source of truth on the hot
 //! path, and an exporter walks them into a fresh registry whenever an
-//! exposition is wanted (the TxKV scraper does this periodically). That
+//! exposition is wanted (TxKV does this once, when it stops). That
 //! keeps the registry simple — plain `String`s and `Vec`s behind a
 //! `&mut self` API — and keeps the hot path untouched.
 //!

@@ -3,9 +3,9 @@
 //!
 //! A telemetry-enabled run leaves, in one directory:
 //!
-//! * `metrics.prom` / `metrics.json` — the final scrape of every
-//!   `rococo_*` family ([`write_metrics`], called by the service's
-//!   scraper);
+//! * `metrics.prom` / `metrics.json` — one scrape of every `rococo_*`
+//!   family ([`write_metrics`], called once by the service when it
+//!   stops);
 //! * `trace.json` — the Chrome trace of the recorded transactions
 //!   ([`build_tx_trace`]);
 //! * `anomaly-<i>-<reason>.txt` — one file per anomaly dump;
