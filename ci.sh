@@ -233,6 +233,29 @@ if grep -nE 'sleep\(' <<<"$service_src"; then
   exit 1
 fi
 
+echo "== one crash switch for the WAL and replication, injected faults in the engine's stats, no injected-faults hook"
+# The WAL and the replication cluster poll one rococo_wal::KillSwitch;
+# KillPoint::WAL and KillPoint::CLUSTER name each harness's points, and
+# the chaos bin's --kill takes only its harness's. The validation service
+# counts the faults it injects in EngineStats, which the scrape and the
+# chaos driver read through TmSystem::engine_stats. A second switch, a
+# second stats block or a hook of their own would bring back the copies.
+if grep -rnE 'ReplKillSwitch|ReplKillPoint|ClusterKill|FaultSnapshot|FaultStats|fn injected_faults|fault_stats' crates/; then
+  echo "a second kill switch, fault stats block or injected-faults hook is back under crates/" >&2
+  exit 1
+fi
+switches="$(grep -rnE 'struct [A-Za-z_]*KillSwitch\b' crates/ | wc -l)"
+if (( switches > 1 )); then
+  echo "crates/ defines $switches kill switches; rococo_wal::KillSwitch is the one" >&2
+  exit 1
+fi
+kill_test="$(cargo test -q -p rococo-chaos --bin chaos kill_takes_only_the_harness_points 2>&1)"
+if ! grep -q '1 passed' <<<"$kill_test"; then
+  echo "$kill_test" >&2
+  echo "the chaos bin's per-harness --kill test did not run and pass" >&2
+  exit 1
+fi
+
 echo "== docs name crates/ paths that exist"
 # benchmark/README.md is left out: it still names the deleted
 # crates/bench/benches/, and only a change to the benchmark may edit it.

@@ -10,8 +10,9 @@
 //!                 post-append-pre-ack|mid-checkpoint|mid-truncate]
 //!                 [--fsync always|everyN|never] [--checkpoint-every N]
 //! chaos cluster   [--backend rococo|tiny|htm|lock|hybrid] [--clients N] [--ops N]
-//!                 [--bank-keys N] [--kill none|mid-batch-ship|pre-ack|during-election]
-//!                 [--followers N] [--partition] [--drop-pct N] [--reorder-pct N]
+//!                 [--bank-keys N] [--kill none|mid-batch-ship|post-append-pre-ack|
+//!                 during-election] [--followers N] [--partition] [--drop-pct N]
+//!                 [--reorder-pct N]
 //!
 //! every harness:  [--seed N | --seeds a,b,c] [--pinned] [--extended] [--quiet]
 //! ```
@@ -23,6 +24,11 @@
 //! * `cluster`: a replicated TxKV under the same workload through kills,
 //!   partitions and lossy links, judged on the primary and every
 //!   surviving follower.
+//!
+//! Both service harnesses arm one `rococo_wal::KillSwitch`, and a crash
+//! point has one name in both: `--kill` takes the points of
+//! `KillPoint::WAL` for `recovery` and those of `KillPoint::CLUSTER` for
+//! `cluster` (`post-append-pre-ack` is in both).
 //!
 //! Without a tier flag each seed runs the given configuration once.
 //! `--pinned` runs the harness's CI tier (`ci.sh --full` runs all three);
@@ -37,7 +43,7 @@
 use rococo_chaos::{
     cluster_reproducer, cluster_sweep, recovery_reproducer, recovery_sweep, reproducer_command,
     run_chaos, run_cluster, run_recovery, shrink, sweep, BackendKind, ChaosParams, ChaosReport,
-    ClusterKill, ClusterParams, FaultPreset, RecoveryParams, SERVICE_BACKENDS,
+    ClusterParams, FaultPreset, RecoveryParams, SERVICE_BACKENDS,
 };
 use rococo_wal::{FsyncPolicy, KillPoint};
 use std::process::ExitCode;
@@ -69,11 +75,12 @@ fn usage() -> ! {
          stm:      [--threads N] [--accounts N] [--faults none|timing|aggressive] \
          [--queue-len N] [--window N] [--update-spin N] [--irrevocable-after N] \
          [--no-strict] [--all-backends] [--shrink]\n  \
-         recovery: [--clients N] [--bank-keys N] [--kill POINT|none] \
+         recovery: [--clients N] [--bank-keys N] [--kill none|{}] \
          [--fsync always|everyN|never] [--checkpoint-every N]\n  \
-         cluster:  [--clients N] [--bank-keys N] \
-         [--kill none|mid-batch-ship|pre-ack|during-election] [--followers N] \
-         [--partition] [--drop-pct N] [--reorder-pct N]"
+         cluster:  [--clients N] [--bank-keys N] [--kill none|{}] [--followers N] \
+         [--partition] [--drop-pct N] [--reorder-pct N]",
+        names(&KillPoint::WAL),
+        names(&KillPoint::CLUSTER),
     );
     std::process::exit(2);
 }
@@ -93,9 +100,33 @@ fn parsed<T>(v: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> T {
     })
 }
 
-/// `none`, or a kill point `parse` knows.
-fn kill<T>(v: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
-    (v != "none").then(|| parsed(v, "kill point", parse))
+/// `points`' names, `|`-separated.
+fn names(points: &[KillPoint]) -> String {
+    let names: Vec<&str> = points.iter().map(|p| p.name()).collect();
+    names.join("|")
+}
+
+/// `none`, or one of the harness's kill `points`; an error that lists
+/// them otherwise.
+fn kill_point(v: &str, points: &[KillPoint]) -> Result<Option<KillPoint>, String> {
+    if v == "none" {
+        return Ok(None);
+    }
+    match KillPoint::parse(v).filter(|p| points.contains(p)) {
+        Some(p) => Ok(Some(p)),
+        None => Err(format!(
+            "unknown kill point {v:?} for this harness (none|{})",
+            names(points)
+        )),
+    }
+}
+
+/// [`kill_point`], or a usage error.
+fn kill(v: &str, points: &[KillPoint]) -> Option<KillPoint> {
+    kill_point(v, points).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
 }
 
 fn parse_args() -> Args {
@@ -166,14 +197,14 @@ fn parse_args() -> Args {
                 let n = parse_num(&value());
                 (rec.bank_keys, clu.bank_keys) = (n, n);
             }
-            (Harness::Recovery, "--kill") => rec.kill_point = kill(&value(), KillPoint::parse),
+            (Harness::Recovery, "--kill") => rec.kill_point = kill(&value(), &KillPoint::WAL),
             (Harness::Recovery, "--fsync") => {
                 rec.fsync = parsed(&value(), "fsync policy", FsyncPolicy::parse);
             }
             (Harness::Recovery, "--checkpoint-every") => {
                 rec.checkpoint_every = parse_num(&value());
             }
-            (Harness::Cluster, "--kill") => clu.kill = kill(&value(), ClusterKill::parse),
+            (Harness::Cluster, "--kill") => clu.kill = kill(&value(), &KillPoint::CLUSTER),
             (Harness::Cluster, "--followers") => clu.followers = parse_num(&value()) as usize,
             (Harness::Cluster, "--partition") => clu.partition = true,
             (Harness::Cluster, "--drop-pct") => clu.drop_pct = parse_num(&value()) as u32,
@@ -370,4 +401,32 @@ fn main() -> ExitCode {
         }
     }
     tally.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kill_takes_only_the_harness_points_and_lists_them_otherwise() {
+        let harnesses: [&[KillPoint]; 2] = [&KillPoint::WAL, &KillPoint::CLUSTER];
+        for points in harnesses {
+            assert_eq!(kill_point("none", points), Ok(None));
+            for p in KillPoint::ALL {
+                match kill_point(p.name(), points) {
+                    Ok(got) => assert!(points.contains(&p) && got == Some(p), "{}", p.name()),
+                    Err(err) => {
+                        assert!(!points.contains(&p), "{err}");
+                        for q in points {
+                            assert!(err.contains(q.name()), "{err} does not list {}", q.name());
+                        }
+                    }
+                }
+            }
+            assert!(
+                kill_point("pre-ack", points).is_err(),
+                "the old name is gone"
+            );
+        }
+    }
 }

@@ -37,55 +37,12 @@ use crate::service::{
     Workload,
 };
 use parking_lot::Mutex;
-use rococo_repl::{
-    Cluster, ClusterConfig, FailoverReport, LinkFaults, ReplError, ReplKillPoint, ReplKillSwitch,
-    ReplSnapshot,
-};
+use rococo_repl::{Cluster, ClusterConfig, FailoverReport, LinkFaults, ReplError, ReplSnapshot};
 use rococo_server::{DurabilityConfig, Request, TxKvConfig, TxKvError};
 use rococo_stm::{TmConfig, TmSystem};
 use rococo_wal::{FsyncPolicy, KillPoint, KillSwitch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Where the simulated failure strikes a cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterKill {
-    /// The primary dies midway through broadcasting a stream batch
-    /// ([`ReplKillPoint::MidShip`]).
-    MidShip,
-    /// The primary's WAL dies after a batch is appended but before it is
-    /// acked ([`KillPoint::PostAppendPreAck`]): the classic acked-vs-logged
-    /// ambiguity, resolved by fencing plus log-replay fail-over.
-    PreAck,
-    /// The harness demotes a healthy primary mid-run and the elected
-    /// follower crashes before catch-up completes
-    /// ([`ReplKillPoint::DuringElection`]): the coordinator must fall
-    /// back to the next candidate.
-    DuringElection,
-}
-
-impl ClusterKill {
-    /// Every cluster kill scenario, in lifecycle order.
-    pub const ALL: [ClusterKill; 3] = [
-        ClusterKill::MidShip,
-        ClusterKill::PreAck,
-        ClusterKill::DuringElection,
-    ];
-
-    /// Stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClusterKill::MidShip => "mid-batch-ship",
-            ClusterKill::PreAck => "pre-ack",
-            ClusterKill::DuringElection => "during-election",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == s)
-    }
-}
 
 /// One cluster chaos run's configuration.
 #[derive(Debug, Clone)]
@@ -104,9 +61,12 @@ pub struct ClusterParams {
     pub ops_per_client: usize,
     /// Bank keys shuffled by transfers.
     pub bank_keys: u64,
-    /// Failure scenario; `None` runs fault-free (the baseline the
-    /// convergence oracle must hold on too).
-    pub kill: Option<ClusterKill>,
+    /// Crash point, one of [`KillPoint::CLUSTER`]; `None` runs fault-free
+    /// (the baseline the convergence oracle must hold on too). The harness
+    /// demotes a healthy primary mid-run for
+    /// [`KillPoint::DuringElection`], so that its armed kill crashes the
+    /// winning candidate.
+    pub kill: Option<KillPoint>,
     /// Partition the first follower still alive mid-run and heal it: the
     /// gap protocol must re-converge the replica.
     pub partition: bool,
@@ -255,7 +215,7 @@ impl<S: TmSystem + 'static> Driver<'_, S> {
         let (cluster, params) = (self.cluster, self.params);
         let run = (params.clients * params.ops_per_client) as u64;
         let quarter = (run / 4).max(1);
-        if puts == quarter && params.kill == Some(ClusterKill::DuringElection) {
+        if puts == quarter && params.kill == Some(KillPoint::DuringElection) {
             self.book(cluster.fail_over(), "harness demotion", errors);
         }
         if !params.partition || puts < quarter {
@@ -359,6 +319,10 @@ impl<S: TmSystem + 'static> Service for Driver<'_, S> {
 pub fn run_cluster(params: &ClusterParams) -> ClusterRunReport {
     assert!(params.clients >= 1, "need at least one client");
     assert!(params.bank_keys >= 2, "transfers need at least 2 bank keys");
+    assert!(
+        params.kill.is_none_or(|p| KillPoint::CLUSTER.contains(&p)),
+        "a cluster run reaches only the KillPoint::CLUSTER points"
+    );
     on_backend(params.backend, params)
 }
 
@@ -373,14 +337,15 @@ impl OnBackend for &ClusterParams {
             ops_per_client: params.ops_per_client,
             bank_keys: params.bank_keys,
         };
-        let repl_kill = match params.kill {
-            Some(ClusterKill::MidShip) => Some((ReplKillPoint::MidShip, 1 + params.seed % 8)),
-            Some(ClusterKill::DuringElection) => Some((ReplKillPoint::DuringElection, 1)),
-            _ => None,
-        }
-        .map(|(point, countdown)| ReplKillSwitch::arm(point, countdown));
-        let wal_kill = (params.kill == Some(ClusterKill::PreAck))
-            .then(|| KillSwitch::arm(KillPoint::PostAppendPreAck, 1 + params.seed % 16));
+        let kill = params.kill.map(|point| {
+            let countdown = match point {
+                KillPoint::MidShip => 1 + params.seed % 8,
+                KillPoint::PostAppendPreAck => 1 + params.seed % 16,
+                // The election the harness's demotion forces.
+                _ => 1,
+            };
+            KillSwitch::arm(point, countdown)
+        });
         let dir = rococo_wal::scratch_dir("chaos-cluster");
         let kv = TxKvConfig {
             shards: 2,
@@ -391,7 +356,7 @@ impl OnBackend for &ClusterParams {
                 dir: dir.clone(),
                 fsync: FsyncPolicy::Always,
                 checkpoint_every: 0,
-                kill: wal_kill.clone(),
+                kill: kill.clone(),
             }),
             ..TxKvConfig::default()
         };
@@ -403,7 +368,6 @@ impl OnBackend for &ClusterParams {
                 drop_pct: params.drop_pct,
                 reorder_pct: params.reorder_pct,
             },
-            kill: repl_kill.clone(),
         };
         let tm = TmConfig {
             heap_words: kv.heap_words(),
@@ -455,8 +419,7 @@ impl OnBackend for &ClusterParams {
         // Scenario accounting: an armed kill that never fired means the run
         // never reached the failure it claims to test.
         let failovers = driver.failovers.into_inner();
-        let crashed = repl_kill.as_ref().is_some_and(|k| k.fired())
-            || wal_kill.as_ref().is_some_and(|k| k.fired());
+        let crashed = kill.as_ref().is_some_and(|k| k.fired());
         if params.kill.is_some() && load.preload_complete {
             if !crashed && params.clients * params.ops_per_client >= 64 {
                 violations.push(format!(
@@ -549,7 +512,7 @@ pub fn cluster_sweep(
                 ..params
             };
             reports.push(run_cluster(&with(base.clone())));
-            for kill in ClusterKill::ALL {
+            for kill in KillPoint::CLUSTER {
                 reports.push(run_cluster(&with(ClusterParams {
                     kill: Some(kill),
                     ..base.clone()
@@ -615,7 +578,7 @@ mod tests {
     fn mid_ship_kill_fails_over_and_keeps_acks() {
         let report = run_cluster(&ClusterParams {
             seed: 5,
-            kill: Some(ClusterKill::MidShip),
+            kill: Some(KillPoint::MidShip),
             ops_per_client: 60,
             clients: 2,
             ..ClusterParams::default()
@@ -635,7 +598,7 @@ mod tests {
         for seed in [1, 6] {
             let report = run_cluster(&ClusterParams {
                 seed,
-                kill: Some(ClusterKill::MidShip),
+                kill: Some(KillPoint::MidShip),
                 partition: true,
                 ..ClusterParams::default()
             });

@@ -9,7 +9,7 @@
 
 use crate::oracle::{check_history, OracleInput};
 use crate::workload::{apply_op, gen_ops, Layout, INITIAL_BALANCE};
-use rococo_fpga::{FaultConfig, FaultSnapshot};
+use rococo_fpga::{EngineStats, FaultConfig};
 use rococo_sched::{HybridConfig, HybridTm, SchedSnapshot};
 use rococo_stm::{
     try_atomically, AbortKind, GlobalLockTm, HtmConfig, Recorder, RococoConfig, RococoTm, TinyStm,
@@ -174,8 +174,9 @@ pub struct ChaosReport {
     /// worker (liveness signal; bounded by `irrevocable_after` for
     /// ROCoCoTM when verdicts are truthful).
     pub max_failed_streak: u32,
-    /// Injected-fault counters, when the backend ran with injection.
-    pub injected: Option<FaultSnapshot>,
+    /// The validator's counters, injected faults among them, when the
+    /// backend runs one.
+    pub engine: Option<EngineStats>,
     /// Abort causes with non-zero counts, in [`AbortKind::ALL`] order,
     /// labelled with the canonical [`AbortKind::as_label`] spelling used
     /// by server reports and telemetry metric labels.
@@ -216,13 +217,15 @@ impl ChaosReport {
                 format!(" [{}]", parts.join(" "))
             },
             self.max_failed_streak,
-            match (&self.injected, &self.sched) {
-                (Some(f), Some(s)) if f.total() > 0 => format!(
+            match (&self.engine, &self.sched) {
+                (Some(e), Some(s)) if e.injected() > 0 => format!(
                     ", {} injected faults, {} migrations",
-                    f.total(),
+                    e.injected(),
                     s.migrations
                 ),
-                (Some(f), None) if f.total() > 0 => format!(", {} injected faults", f.total()),
+                (Some(e), None) if e.injected() > 0 => {
+                    format!(", {} injected faults", e.injected())
+                }
                 (_, Some(s)) => format!(", {} migrations", s.migrations),
                 _ => String::new(),
             },
@@ -446,7 +449,7 @@ fn run_on<S: TmSystem + 'static>(
         commits,
         aborts,
         max_failed_streak,
-        injected: recorder.inner().injected_faults(),
+        engine: recorder.inner().engine_stats(),
         abort_breakdown,
         sched: sched(recorder.inner()),
         violations,
@@ -573,6 +576,29 @@ mod tests {
         assert!(report.ok(), "{:?}", report.violations);
     }
 
+    /// One thread makes the fault rolls deterministic, so the counts the
+    /// validator's stats report are the injector's decision stream:
+    /// `chaos stm --faults timing|aggressive --threads 1 --seeds 1,2,3,4,5`.
+    #[test]
+    fn one_thread_injects_the_pinned_fault_counts() {
+        for (faults, counts) in [
+            (FaultPreset::Timing, [137, 128, 126, 130, 135]),
+            (FaultPreset::Aggressive, [188, 182, 185, 158, 182]),
+        ] {
+            for (seed, want) in (1..).zip(counts) {
+                let report = run_chaos(&ChaosParams {
+                    seed,
+                    threads: 1,
+                    faults,
+                    ..ChaosParams::default()
+                });
+                assert!(report.ok(), "{:?}", report.violations);
+                let injected = report.engine.map(|e| e.injected());
+                assert_eq!(injected, Some(want), "{} seed {seed}", faults.name());
+            }
+        }
+    }
+
     #[test]
     fn rococo_with_timing_faults_passes() {
         let report = run_chaos(&ChaosParams {
@@ -583,7 +609,7 @@ mod tests {
         });
         assert!(report.ok(), "{:?}", report.violations);
         assert!(
-            report.injected.is_some(),
+            report.engine.is_some(),
             "rococo must surface fault counters"
         );
     }

@@ -56,7 +56,7 @@ pub mod trace_oracle;
 pub mod workload;
 
 pub use cluster::{
-    cluster_reproducer, cluster_sweep, run_cluster, ClusterKill, ClusterParams, ClusterRunReport,
+    cluster_reproducer, cluster_sweep, run_cluster, ClusterParams, ClusterRunReport,
 };
 pub use driver::{
     reproducer_command, run_chaos, shrink, sweep, BackendKind, ChaosParams, ChaosReport,

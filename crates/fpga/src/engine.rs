@@ -71,8 +71,10 @@ impl FpgaVerdict {
 }
 
 rococo_telemetry::stats_block! {
-    /// Aggregate statistics of the engine: plain counters, bumped by the
-    /// one thread that owns the engine.
+    /// Aggregate statistics of the validator: plain counters, bumped under
+    /// the engine's lock. The engine counts its verdicts; the validation
+    /// service counts the faults it injects (all zero without injection),
+    /// so that injected chaos reads apart from organic aborts.
     #[derive(Copy)]
     pub struct EngineStats;
 
@@ -87,13 +89,34 @@ rococo_telemetry::stats_block! {
             /// Aborts due to window overflow.
             aborts_window: kind = "window";
         }
+        "rococo_faults_injected_total", "Faults injected into the validation service, by class" {
+            /// Verdicts delivered late.
+            injected_delays: kind = "delay";
+            /// Spurious `AbortCycle` verdicts injected.
+            injected_spurious_cycle: kind = "spurious-cycle";
+            /// Spurious `AbortWindowOverflow` verdicts injected.
+            injected_spurious_window: kind = "spurious-window";
+            /// Validator stalls injected.
+            injected_pauses: kind = "pause";
+        }
     }
 }
 
 impl EngineStats {
-    /// Total aborts.
+    /// Total aborts the engine decided (spurious ones never reach it).
     pub fn aborts(&self) -> u64 {
         self.aborts_cycle + self.aborts_window
+    }
+
+    /// Injected faults of every class.
+    pub fn injected(&self) -> u64 {
+        self.injected_delays + self.injected_pauses + self.injected_spurious_aborts()
+    }
+
+    /// Spurious abort verdicts of either kind: requests answered without
+    /// reaching the engine.
+    pub fn injected_spurious_aborts(&self) -> u64 {
+        self.injected_spurious_cycle + self.injected_spurious_window
     }
 
     /// FPGA-side abort rate (the dotted series of Figure 10).
@@ -891,6 +914,7 @@ mod tests {
             commits: 15_604,
             aborts_cycle: 4_396,
             aborts_window: 0,
+            ..EngineStats::default()
         };
         assert_eq!(stats, pinned);
     }

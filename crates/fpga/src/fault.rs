@@ -16,7 +16,9 @@
 //! window/reachability state stays exactly what the CPU side observed. That
 //! keeps injected faults indistinguishable from a legitimately slow or
 //! conservative FPGA — the protocol must tolerate them without any
-//! correctness loss.
+//! correctness loss. Each fault is counted where it is rolled, under the
+//! engine's lock, in the `injected_*` members of
+//! [`EngineStats`](crate::EngineStats).
 
 /// Configuration of the fault injector. All probabilities are per-request
 /// and drawn from a deterministic generator seeded with [`FaultConfig::seed`]
@@ -100,41 +102,6 @@ impl Default for FaultConfig {
     }
 }
 
-rococo_telemetry::stats_block! {
-    /// Live counters of injected faults, shared between the posting
-    /// threads and every [`ServiceHandle`](crate::ServiceHandle).
-    pub struct FaultStats;
-    /// A point-in-time copy of [`FaultStats`], surfaced by service layers
-    /// so operators can tell injected chaos apart from organic aborts.
-    #[derive(Copy)]
-    pub struct FaultSnapshot;
-
-    groups {
-        "rococo_faults_injected_total", "Faults injected into the validation service, by class" {
-            /// Verdicts delivered late.
-            pub(crate) delayed: kind = "delay";
-            /// Spurious `AbortCycle` verdicts injected.
-            pub(crate) spurious_cycle: kind = "spurious-cycle";
-            /// Spurious `AbortWindowOverflow` verdicts injected.
-            pub(crate) spurious_window: kind = "spurious-window";
-            /// Validator stalls injected.
-            pub(crate) pauses: kind = "pause";
-        }
-    }
-}
-
-impl FaultSnapshot {
-    /// Total injected faults of every class.
-    pub fn total(&self) -> u64 {
-        self.delayed + self.spurious_cycle + self.spurious_window + self.pauses
-    }
-
-    /// Spurious abort verdicts of either kind.
-    pub fn spurious_aborts(&self) -> u64 {
-        self.spurious_cycle + self.spurious_window
-    }
-}
-
 /// The deterministic decision stream: an xoshiro-class generator owned by
 /// the validation service. Independent of the `rand` shim so the decision
 /// sequence is stable even if the workload generators evolve.
@@ -186,7 +153,7 @@ impl FaultRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use crate::EngineStats;
 
     #[test]
     fn disabled_config_injects_nothing() {
@@ -217,11 +184,12 @@ mod tests {
 
     #[test]
     fn snapshot_totals() {
-        let s = FaultStats::default();
-        s.delayed.store(2, Ordering::Relaxed);
-        s.spurious_cycle.store(3, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.total(), 5);
-        assert_eq!(snap.spurious_aborts(), 3);
+        let s = EngineStats {
+            injected_delays: 2,
+            injected_spurious_cycle: 3,
+            ..EngineStats::default()
+        };
+        assert_eq!(s.injected(), 5);
+        assert_eq!(s.injected_spurious_aborts(), 3);
     }
 }

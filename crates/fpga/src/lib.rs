@@ -51,6 +51,6 @@ pub mod resources;
 mod service;
 
 pub use engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
-pub use fault::{FaultConfig, FaultSnapshot, FaultStats};
+pub use fault::FaultConfig;
 pub use pipeline::{PipelineStats, PipelinedValidator, TimingModel};
 pub use service::{PendingVerdict, ServiceHandle, ValidationService};

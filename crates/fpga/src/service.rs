@@ -16,7 +16,8 @@
 //! With a seeded [`FaultConfig`] (chaos testing) the validator can stall,
 //! reject spuriously, or deliver late — without touching the engine's
 //! state, so the CPU-side protocol meets pathological but legal FPGA
-//! timing. Every fault is rolled under the lock, in lock order. A stall
+//! timing. Every fault is rolled under the lock, in lock order, and counted
+//! there in the `injected_*` members of [`EngineStats`]. A stall
 //! sleeps under the lock and holds every other poster back; a late verdict
 //! sleeps after the lock is released, so a successor can get its verdict —
 //! a later commit sequence — first: verdicts arrive out of order.
@@ -31,20 +32,12 @@
 //! through the poison.
 
 use crate::engine::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
-use crate::fault::{FaultConfig, FaultRng, FaultSnapshot, FaultStats};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::fault::{FaultConfig, FaultRng};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// The shared state of one validation service.
-struct Link {
-    /// The engine and what surrounds it. A leaf lock: its holder takes no
-    /// other lock.
-    validator: EngineLock,
-    faults: FaultStats,
-}
-
 /// The engine's lock: a `std` mutex, so that a panic under it poisons it.
+/// A leaf lock: its holder takes no other lock.
 struct EngineLock(Mutex<Validator>);
 
 impl EngineLock {
@@ -58,7 +51,8 @@ impl EngineLock {
 /// clone; one per worker thread.
 #[derive(Clone)]
 pub struct ServiceHandle {
-    link: Arc<Link>,
+    /// The engine and what surrounds it.
+    validator: Arc<EngineLock>,
 }
 
 impl std::fmt::Debug for ServiceHandle {
@@ -87,10 +81,10 @@ impl ServiceHandle {
         write_addrs: &[u64],
     ) -> FpgaVerdict {
         // A poisoned lock is a dead engine.
-        let Some(mut v) = self.link.validator.0.lock().ok().filter(|v| !v.stopped) else {
+        let Some(mut v) = self.validator.0.lock().ok().filter(|v| !v.stopped) else {
             return FpgaVerdict::ServiceStopped;
         };
-        let (verdict, late) = v.post(&self.link.faults, tx_id, valid_ts, read_addrs, write_addrs);
+        let (verdict, late) = v.post(tx_id, valid_ts, read_addrs, write_addrs);
         drop(v);
         if let Some(late) = late {
             std::thread::sleep(late);
@@ -112,17 +106,13 @@ impl ServiceHandle {
         PendingVerdict(self.validate(req))
     }
 
-    /// Counters of injected faults so far (all zero unless the service
-    /// was spawned with fault injection enabled).
-    pub fn fault_stats(&self) -> FaultSnapshot {
-        self.link.faults.snapshot()
-    }
-
-    /// The engine's statistics as they stand, stopped or not (zeroed
-    /// counters before the first verdict). Once the service has shut down
-    /// these are the final end-of-run statistics.
+    /// The validator's statistics as they stand, stopped or not (zeroed
+    /// counters before the first verdict): the engine's verdicts and the
+    /// faults injected (all zero unless the service was spawned with
+    /// fault injection). Once the service has shut down these are the
+    /// final end-of-run statistics.
     pub fn stats(&self) -> EngineStats {
-        self.link.validator.lock().stats()
+        self.validator.lock().stats()
     }
 }
 
@@ -166,18 +156,15 @@ impl ValidationService {
             engine: None,
             rng: FaultRng::new(faults.seed),
             faults,
+            injected: EngineStats::default(),
             stopped: false,
             req: ValidateRequest::default(),
             #[cfg(test)]
             order: Vec::new(),
         };
-        let link = Link {
-            validator: EngineLock(Mutex::new(validator)),
-            faults: FaultStats::default(),
-        };
         Self {
             handle: ServiceHandle {
-                link: Arc::new(link),
+                validator: Arc::new(EngineLock(Mutex::new(validator))),
             },
         }
     }
@@ -194,7 +181,7 @@ impl ValidationService {
 
     /// Closes the door: nothing posted from now on reaches the engine.
     fn stop(&self) -> EngineStats {
-        let mut v = self.handle.link.validator.lock();
+        let mut v = self.handle.validator.lock();
         v.stopped = true;
         v.stats()
     }
@@ -219,6 +206,9 @@ struct Validator {
     /// draws from the stream.
     faults: FaultConfig,
     rng: FaultRng,
+    /// The faults injected so far, in the `injected_*` members; the other
+    /// members stay zero (the engine counts its verdicts).
+    injected: EngineStats,
     /// Stop requested: nothing more reaches the engine.
     stopped: bool,
     /// The request being validated; its vectors are reused from post to
@@ -231,17 +221,17 @@ struct Validator {
 
 impl Validator {
     fn stats(&self) -> EngineStats {
-        self.engine
-            .as_ref()
+        let mut stats = (self.engine.as_ref())
             .map(ValidationEngine::stats)
-            .unwrap_or_default()
+            .unwrap_or_default();
+        stats.merge(&self.injected);
+        stats
     }
 
     /// Validates a posted request and returns the verdict with how late it
     /// is to be delivered, if at all.
     fn post(
         &mut self,
-        counts: &FaultStats,
         tx_id: u64,
         valid_ts: u64,
         reads: &[u64],
@@ -256,8 +246,8 @@ impl Validator {
         req.write_addrs.extend_from_slice(writes);
         #[cfg(test)]
         self.order.push(tx_id);
-        let (f, rng) = (&self.faults, &mut self.rng);
-        if roll(rng, f.pause_prob, &counts.pauses, "pause") {
+        let (f, rng, counts) = (&self.faults, &mut self.rng, &mut self.injected);
+        if roll(rng, f.pause_prob, &mut counts.injected_pauses, "pause") {
             std::thread::sleep(Duration::from_micros(f.pause_us));
         }
         // A spurious abort replaces the engine's run: the engine never sees
@@ -265,14 +255,14 @@ impl Validator {
         let verdict = if roll(
             rng,
             f.spurious_cycle_prob,
-            &counts.spurious_cycle,
+            &mut counts.injected_spurious_cycle,
             "spurious-cycle",
         ) {
             FpgaVerdict::AbortCycle
         } else if roll(
             rng,
             f.spurious_window_prob,
-            &counts.spurious_window,
+            &mut counts.injected_spurious_window,
             "spurious-window",
         ) {
             FpgaVerdict::AbortWindowOverflow
@@ -283,16 +273,16 @@ impl Validator {
                 .get_or_insert_with(|| ValidationEngine::new(config.clone()));
             engine.process(&self.req)
         };
-        let late = roll(rng, f.delay_prob, &counts.delayed, "delay");
+        let late = roll(rng, f.delay_prob, &mut counts.injected_delays, "delay");
         (verdict, late.then(|| Duration::from_micros(f.delay_us)))
     }
 }
 
 /// Rolls one fault class; a hit is counted and recorded.
-fn roll(rng: &mut FaultRng, rate: f64, count: &AtomicU64, kind: &'static str) -> bool {
+fn roll(rng: &mut FaultRng, rate: f64, count: &mut u64, kind: &'static str) -> bool {
     let hit = rng.hit(rate);
     if hit {
-        count.fetch_add(1, Ordering::Relaxed);
+        *count += 1;
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Fault { kind });
     }
     hit
@@ -303,7 +293,7 @@ mod tests {
     use super::*;
     use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
 
     fn req(tx_id: u64, valid_ts: u64, reads: &[u64], writes: &[u64]) -> ValidateRequest {
@@ -461,7 +451,7 @@ mod tests {
                     .flat_map(|j| j.join().expect("submitter panicked"))
                     .collect()
             });
-            let order = svc.handle.link.validator.lock().order.clone();
+            let order = svc.handle.validator.lock().order.clone();
             assert_eq!(order.len() as u64, submitters * REQUESTS, "K {submitters}");
             assert_eq!(
                 order.iter().collect::<HashSet<_>>().len(),
@@ -550,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_preserve_verdict_meaning() {
+    fn faults_injected_preserve_verdict_meaning() {
         // Under aggressive injection every commit verdict must still be a
         // true engine commit (spurious verdicts are only ever aborts), and
         // the injected classes are counted.
@@ -566,14 +556,13 @@ mod tests {
                 commits += 1;
             }
         }
-        let injected = h.fault_stats();
-        assert!(injected.total() > 0, "aggressive preset injected nothing");
         let stats = svc.shutdown();
+        assert!(stats.injected() > 0, "aggressive preset injected nothing");
         // Engine-side commits equal CPU-side observed commits: injection
         // never forged a commit.
         assert_eq!(stats.commits, commits);
         // Requests the engine saw = submitted minus spuriously aborted.
-        assert_eq!(stats.requests, 300 - injected.spurious_aborts());
+        assert_eq!(stats.requests, 300 - stats.injected_spurious_aborts());
     }
 
     #[test]
@@ -617,18 +606,17 @@ mod tests {
                 }
             }
         });
-        let injected = svc.handle().fault_stats();
-        for (class, count) in [
-            ("delay", injected.delayed),
-            ("pause", injected.pauses),
-            ("spurious-cycle", injected.spurious_cycle),
-            ("spurious-window", injected.spurious_window),
-        ] {
-            assert!(count > 0, "no {class} fault injected: {injected:?}");
-        }
         let stats = svc.shutdown();
+        for (class, count) in [
+            ("delay", stats.injected_delays),
+            ("pause", stats.injected_pauses),
+            ("spurious-cycle", stats.injected_spurious_cycle),
+            ("spurious-window", stats.injected_spurious_window),
+        ] {
+            assert!(count > 0, "no {class} fault injected: {stats:?}");
+        }
         assert_eq!(
-            stats.requests + injected.spurious_aborts(),
+            stats.requests + stats.injected_spurious_aborts(),
             PRODUCERS * REQUESTS
         );
         // Every commit the engine granted reached exactly one submitter.
@@ -705,7 +693,7 @@ mod tests {
             (FpgaVerdict::Commit { seq: a }, FpgaVerdict::Commit { seq: b }) => assert!(a < b),
             other => panic!("two disjoint commits expected: {other:?}"),
         }
-        assert_eq!(h.fault_stats().delayed, 1);
+        assert_eq!(h.stats().injected_delays, 1);
     }
 
     #[test]
@@ -737,7 +725,7 @@ mod tests {
             "the engine's panic propagates to the poster"
         );
         assert!(
-            h.link.validator.0.is_poisoned(),
+            h.validator.0.is_poisoned(),
             "the panic poisoned the engine's lock"
         );
         assert_eq!(h.post(2, 0, &[3], &[4]), FpgaVerdict::ServiceStopped);

@@ -37,7 +37,7 @@
 //! the poison flag fences new requests, the old primary drains and
 //! dumps its flight-recorder history (`primary-demoted`), the
 //! most-caught-up live follower is elected (a
-//! [`ReplKillPoint::DuringElection`] kill crashes the candidate and the
+//! [`KillPoint::DuringElection`] kill crashes the candidate and the
 //! coordinator re-elects), and a new primary is recovered from the
 //! shared log — the simulated-process crash model keeps the disk, so
 //! WAL recovery *is* catch-up. Under [`FsyncPolicy::Always`] every
@@ -48,7 +48,6 @@
 //! The promoted node leaves the follower read set; the epoch counter
 //! makes [`Cluster::recover_primary`] idempotent for racing observers.
 
-use crate::kill::{ReplKillPoint, ReplKillSwitch};
 use crate::link::{LinkFaults, LinkStats, LinkTx};
 use crate::stats::{ReplSnapshot, ReplStats};
 use crate::stream::StreamBatch;
@@ -56,7 +55,7 @@ use parking_lot::{Mutex, RwLock};
 use rococo_server::{DurabilityConfig, Request, Response, TxKv, TxKvConfig, TxKvError, TxKvReport};
 use rococo_stm::TmSystem;
 use rococo_wal::record::decode_all;
-use rococo_wal::{FsyncPolicy, WalRecord};
+use rococo_wal::{FsyncPolicy, KillPoint, KillSwitch, WalRecord};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -86,8 +85,6 @@ pub struct ClusterConfig {
     /// Faults of every primary→follower link (per-follower fault streams
     /// are decorrelated from this seed).
     pub link_faults: LinkFaults,
-    /// Armed replication-layer crash point (chaos testing only).
-    pub kill: Option<Arc<ReplKillSwitch>>,
 }
 
 impl Default for ClusterConfig {
@@ -95,7 +92,6 @@ impl Default for ClusterConfig {
         Self {
             followers: 2,
             link_faults: LinkFaults::none(),
-            kill: None,
         }
     }
 }
@@ -232,11 +228,14 @@ struct Shared {
 /// lock, and never while `primary` or `failover_lock` is held.
 pub struct Cluster<S: TmSystem + 'static> {
     /// The primary's configuration; a recovered primary runs it as is
-    /// (its WAL kill switch is cleared after the first start).
+    /// (its kill switch moves to `kill` at the first start).
     kv: TxKvConfig,
     dir: PathBuf,
     owns_dir: bool,
-    kill: Option<Arc<ReplKillSwitch>>,
+    /// The armed crash switch of `kv.durability` (chaos testing only):
+    /// the first primary's WAL polls it, and the shipper and the election
+    /// poll it for the whole run.
+    kill: Option<Arc<KillSwitch>>,
     /// Fresh-backend factory: durable recovery requires a backend that
     /// has never committed, so fail-over constructs a new one.
     make: Box<dyn Fn() -> Arc<S> + Send + Sync>,
@@ -256,8 +255,11 @@ impl<S: TmSystem + 'static> Cluster<S> {
     /// must ack behind every fsync ([`FsyncPolicy::Always`], the one mode
     /// whose acked writes survive fail-over against real power loss) and
     /// never checkpoint (the log must stay the complete history for the
-    /// shipper to tail and for fail-over to rebuild from). Its WAL kill
-    /// switch arms the first primary only. The factory must return a
+    /// shipper to tail and for fail-over to rebuild from). Its kill
+    /// switch is the cluster's one crash switch: the first primary's WAL
+    /// polls it (a recovered primary runs without it), and the shipper
+    /// and the election poll it at [`KillPoint::MidShip`] and
+    /// [`KillPoint::DuringElection`]. The factory must return a
     /// freshly constructed backend sized for `kv` on every call —
     /// fail-over uses it to build the recovered primary.
     ///
@@ -291,9 +293,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
             }
             ReplError::Kv(e)
         })?;
-        if let Some(dur) = &mut kv.durability {
-            dur.kill = None;
-        }
+        let kill = kv.durability.as_mut().and_then(|dur| dur.kill.take());
 
         let followers = (0..cfg.followers as u32)
             .map(|index| Follower {
@@ -311,7 +311,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
             kv,
             dir,
             owns_dir,
-            kill: cfg.kill,
+            kill,
             make,
             primary: RwLock::new(Some(primary)),
             epoch: AtomicU64::new(0),
@@ -598,7 +598,7 @@ impl<S: TmSystem + 'static> Cluster<S> {
             if self
                 .kill
                 .as_ref()
-                .is_some_and(|k| k.should_fire(ReplKillPoint::DuringElection))
+                .is_some_and(|k| k.should_fire(KillPoint::DuringElection))
             {
                 // The winner dies before catch-up completes; count it
                 // and re-elect among the survivors.
@@ -737,7 +737,7 @@ impl Shipper {
 
     /// One round: honour nacks, tail the log, broadcast batches and hand
     /// every frame a link delivers to its follower.
-    fn round(&mut self, shared: &Shared, kill: Option<&ReplKillSwitch>) {
+    fn round(&mut self, shared: &Shared, kill: Option<&KillSwitch>) {
         let stats = &shared.stats;
         self.tick += 1;
         for (node, cursor) in shared.followers.iter().zip(&mut self.cursors) {
@@ -778,7 +778,7 @@ impl Shipper {
                 continue; // a dead follower never comes back
             }
             while (*cursor as usize) < cache.len() {
-                if kill.is_some_and(|k| k.should_fire(ReplKillPoint::MidShip)) {
+                if kill.is_some_and(|k| k.should_fire(KillPoint::MidShip)) {
                     // Primary dies mid-broadcast: a strict prefix of
                     // the followers got this round's batches. Fence
                     // and stop shipping until fail-over recovers.
@@ -925,6 +925,30 @@ mod tests {
         start_tiny(kv(keys), cfg).unwrap()
     }
 
+    /// A two-follower cluster armed with `kill`, which arrives as every
+    /// caller's does: in the primary's durability config. Its scratch
+    /// directory is the caller's to remove.
+    fn armed_cluster(keys: u64, kill: &Arc<KillSwitch>) -> Cluster<TinyStm> {
+        let durability = DurabilityConfig {
+            dir: rococo_wal::scratch_dir("repl-armed"),
+            fsync: FsyncPolicy::Always,
+            checkpoint_every: 0,
+            kill: Some(Arc::clone(kill)),
+        };
+        let kv = TxKvConfig {
+            durability: Some(durability),
+            ..kv(keys)
+        };
+        start_tiny(kv, ClusterConfig::default()).unwrap()
+    }
+
+    /// Shuts an [`armed_cluster`] down and removes its directory.
+    fn shutdown_armed(cluster: Cluster<TinyStm>) {
+        let dir = cluster.dir().to_path_buf();
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn followers_catch_up_and_serve_read_your_writes() {
         let cluster = tiny_cluster(
@@ -965,7 +989,6 @@ mod tests {
                     drop_pct: 35,
                     reorder_pct: 20,
                 },
-                ..ClusterConfig::default()
             },
         );
         let mut last_seq = 0;
@@ -1034,15 +1057,8 @@ mod tests {
 
     #[test]
     fn mid_ship_kill_demotes_and_recovery_keeps_acked_writes() {
-        let kill = ReplKillSwitch::arm(ReplKillPoint::MidShip, 3);
-        let cluster = tiny_cluster(
-            64,
-            ClusterConfig {
-                followers: 2,
-                kill: Some(Arc::clone(&kill)),
-                ..ClusterConfig::default()
-            },
-        );
+        let kill = KillSwitch::arm(KillPoint::MidShip, 3);
+        let cluster = armed_cluster(64, &kill);
         let mut acked = Vec::new();
         for k in 0..200u64 {
             match cluster.put(k % 64, k + 1) {
@@ -1065,20 +1081,13 @@ mod tests {
         for (&k, &v) in &expect {
             assert_eq!(cluster.get(k).unwrap(), v, "acked write to key {k} lost");
         }
-        cluster.shutdown();
+        shutdown_armed(cluster);
     }
 
     #[test]
     fn a_gated_read_on_a_fenced_primary_fails_fast_and_reads_after_recovery() {
-        let kill = ReplKillSwitch::arm(ReplKillPoint::MidShip, 1);
-        let cluster = tiny_cluster(
-            8,
-            ClusterConfig {
-                followers: 2,
-                kill: Some(Arc::clone(&kill)),
-                ..ClusterConfig::default()
-            },
-        );
+        let kill = KillSwitch::arm(KillPoint::MidShip, 1);
+        let cluster = armed_cluster(8, &kill);
         let seq = cluster.put(3, 42).unwrap();
         // The read's first round dies before its batch leaves: the
         // fence stops the read there, not after its rounds run out.
@@ -1091,20 +1100,13 @@ mod tests {
         let report = cluster.recover_primary(0).unwrap();
         let f = (0..2).find(|&f| Some(f as u32) != report.elected).unwrap();
         assert_eq!(cluster.follower_read(f, 3, Some(seq)), Ok(42));
-        cluster.shutdown();
+        shutdown_armed(cluster);
     }
 
     #[test]
     fn during_election_kill_crashes_the_candidate_and_reelects() {
-        let kill = ReplKillSwitch::arm(ReplKillPoint::DuringElection, 1);
-        let cluster = tiny_cluster(
-            32,
-            ClusterConfig {
-                followers: 2,
-                kill: Some(Arc::clone(&kill)),
-                ..ClusterConfig::default()
-            },
-        );
+        let kill = KillSwitch::arm(KillPoint::DuringElection, 1);
+        let cluster = armed_cluster(32, &kill);
         for k in 0..10u64 {
             cluster.put(k, k).unwrap();
         }
@@ -1126,7 +1128,7 @@ mod tests {
         }
         let snap = cluster.snapshot();
         assert_eq!(snap.follower_crashes, 1);
-        cluster.shutdown();
+        shutdown_armed(cluster);
     }
 
     #[test]
@@ -1212,7 +1214,6 @@ mod tests {
                         drop_pct: 30,
                         reorder_pct: 20,
                     },
-                    ..ClusterConfig::default()
                 },
             );
             for k in 0..40u64 {

@@ -16,9 +16,9 @@
 //!   primary's log and writing each delivered batch into its follower's
 //!   table, watermark-gated read-your-writes snapshot reads, and a
 //!   deterministic fail-over coordinator with election, WAL-recovery
-//!   catch-up, and fencing.
-//! * [`kill`] — replication-layer crash points (`mid-batch-ship`,
-//!   `during-election`) mirroring the WAL's kill-switch idiom.
+//!   catch-up, and fencing. Its crash points (`mid-batch-ship`,
+//!   `during-election`) are [`rococo_wal::KillPoint`]s, polled on the
+//!   switch the primary's WAL polls.
 //! * [`stats`] — counters, per-follower lag, and apply-latency
 //!   histograms exported under the unified `rococo_repl_*` metric
 //!   namespace.
@@ -34,13 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod kill;
 pub mod link;
 pub mod stats;
 pub mod stream;
 
 pub use cluster::{Cluster, ClusterConfig, FailoverReport, ReplError, ReplReport};
-pub use kill::{ReplKillPoint, ReplKillSwitch};
 pub use link::{LinkFaults, LinkStats};
 pub use stats::{ReplSnapshot, ReplStats};
 pub use stream::{BatchError, StreamBatch, ENVELOPE_LEN, MAX_BATCH_PAYLOAD, STREAM_MAGIC};

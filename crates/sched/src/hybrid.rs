@@ -406,10 +406,6 @@ impl TmSystem for HybridTm {
         &self.stats
     }
 
-    fn injected_faults(&self) -> Option<rococo_fpga::FaultSnapshot> {
-        self.rococo.injected_faults()
-    }
-
     fn engine_stats(&self) -> Option<rococo_fpga::EngineStats> {
         self.rococo.engine_stats()
     }

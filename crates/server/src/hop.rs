@@ -118,12 +118,9 @@ use std::time::Duration;
 /// long polls on the CPU the other side needs (the old WAL writer thread's
 /// 150 µs budget cost the service 3× here). Long enough to ride out the
 /// gap between two batches, no longer; sized by sweep on the 2-vCPU
-/// reference box (EXPERIMENTS.md, "Request hop"), not a knob.
+/// reference box (EXPERIMENTS.md, "Request hop"), not a knob. A waiter
+/// offers its CPU between any two looks (same sweep).
 pub(crate) const HOP_POLL: Duration = Duration::from_micros(5);
-
-/// How long a waiter of this hop spins between two yields: not at all. It
-/// offers its CPU after every look (same sweep).
-pub(crate) const HOP_SPIN: Duration = Duration::ZERO;
 
 /// `T` on a cache line of its own, so a word one side hammers does not
 /// share a line with a word the other side polls.
@@ -250,9 +247,8 @@ impl PendingReply {
     /// As [`PendingReply::wait`].
     pub fn wait_with_seq(self) -> Result<(Response, Option<u64>), TxKvError> {
         let cell = &self.cell;
-        cell.waiter.wait(HOP_SPIN, HOP_POLL, None, || {
-            cell.state.load(Ordering::SeqCst) != EMPTY
-        });
+        cell.waiter
+            .wait(|| cell.state.load(Ordering::SeqCst) != EMPTY);
         self.take_reply().unwrap_or(Err(TxKvError::ShuttingDown))
     }
 
@@ -503,9 +499,8 @@ impl ShardQueue {
                 // Whatever was posted before the close is published by now.
                 return self.try_next_job();
             }
-            self.workers[seat].wait(HOP_SPIN, HOP_POLL, None, || {
-                self.is_published(self.head.0.load(Ordering::SeqCst)) || self.is_closed()
-            });
+            self.workers[seat]
+                .wait(|| self.is_published(self.head.0.load(Ordering::SeqCst)) || self.is_closed());
         }
     }
 

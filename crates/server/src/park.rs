@@ -2,8 +2,8 @@
 //!
 //! The hop (`hop.rs`) hands a job from a client to a shard's workers and
 //! the reply back, and both directions wait with [`Parker::wait`]: poll for
-//! a budget — spinning, with a yield every so often — then publish a
-//! `sleeping` flag, re-check and `thread::park`. The other side calls
+//! the hop's budget, yielding between two looks, then publish a `sleeping`
+//! flag, re-check and `thread::park`. The other side calls
 //! [`Parker::wake`] after every store the sleeper may be waiting for and
 //! issues the `unpark` only when it sees the flag, so a busy pipeline never
 //! makes a futex call and a parked side costs nothing. (The validator and
@@ -11,13 +11,14 @@
 //! runs the engine, and whoever waits for the WAL's watermark writes the
 //! batch.)
 //!
-//! The budgets belong to the hop: they are constants sized by sweep on the
-//! 2-vCPU reference box (EXPERIMENTS.md, "Request hop"), not knobs.
+//! The budget belongs to the hop: [`HOP_POLL`], a constant sized by sweep
+//! on the 2-vCPU reference box (EXPERIMENTS.md, "Request hop"), not a knob.
 
+use crate::hop::HOP_POLL;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One thread's parking spot. At most one thread may be inside
 /// [`Parker::wait`] at a time.
@@ -28,54 +29,36 @@ pub(crate) struct Parker {
 }
 
 impl Parker {
-    /// Waits until `ready()` holds or `deadline` passes; returns whether it
-    /// holds. Polls for `poll` — spinning `spin` at a time with a yield in
-    /// between, so a zero `spin` yields between any two looks — then parks.
-    /// `ready` must read with `SeqCst` what the waker wrote with `SeqCst`
-    /// before calling [`Parker::wake`]: then either this side's re-check
-    /// sees the write or the waker sees `sleeping`.
-    pub(crate) fn wait(
-        &self,
-        spin: Duration,
-        poll: Duration,
-        deadline: Option<Instant>,
-        ready: impl Fn() -> bool,
-    ) -> bool {
+    /// Waits until `ready()` holds. Polls for [`HOP_POLL`], yielding
+    /// between two looks, then parks. `ready` must read with `SeqCst` what
+    /// the waker wrote with `SeqCst` before calling [`Parker::wake`]: then
+    /// either this side's re-check sees the write or the waker sees
+    /// `sleeping`.
+    pub(crate) fn wait(&self, ready: impl Fn() -> bool) {
         // The common case on a busy pipeline: no clock read at all.
         if ready() {
-            return true;
+            return;
         }
         let started = Instant::now();
-        let mut yielded_at = started;
         loop {
             if ready() {
-                return true;
+                return;
             }
-            let now = Instant::now();
-            if now - started >= poll || deadline.is_some_and(|d| now >= d) {
+            if started.elapsed() >= HOP_POLL {
                 break;
             }
-            if now - yielded_at >= spin {
-                std::thread::yield_now();
-                yielded_at = Instant::now();
-            } else {
-                std::hint::spin_loop();
-            }
+            std::thread::yield_now();
         }
         // A poisoned lock only means a thread panicked between two whole
         // assignments of the `Option`.
         *self.thread.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
         loop {
             self.sleeping.store(true, Ordering::SeqCst);
-            let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
-            if timed_out || ready() {
+            if ready() {
                 self.sleeping.store(false, Ordering::SeqCst);
-                return ready();
+                return;
             }
-            match deadline {
-                Some(d) => std::thread::park_timeout(d.saturating_duration_since(Instant::now())),
-                None => std::thread::park(),
-            }
+            std::thread::park();
         }
     }
 
@@ -112,25 +95,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
-
-    const SPIN: Duration = Duration::from_micros(3);
-    const POLL: Duration = Duration::from_micros(150);
+    use std::time::Duration;
 
     #[test]
     fn a_ready_condition_returns_without_parking() {
         let p = Parker::default();
-        assert!(p.wait(SPIN, POLL, None, || true));
+        p.wait(|| true);
         assert!(!p.is_sleeping());
-    }
-
-    #[test]
-    fn a_deadline_ends_the_wait_and_reports_the_condition() {
-        let p = Parker::default();
-        let started = Instant::now();
-        let deadline = started + Duration::from_millis(5);
-        assert!(!p.wait(SPIN, POLL, Some(deadline), || false));
-        assert!(started.elapsed() >= Duration::from_millis(5));
-        assert!(!p.is_sleeping(), "the flag is lowered on the way out");
     }
 
     #[test]
@@ -139,9 +110,7 @@ mod tests {
         let word = Arc::new(AtomicU64::new(0));
         let waiter = {
             let (p, word) = (Arc::clone(&p), Arc::clone(&word));
-            std::thread::spawn(move || {
-                p.wait(SPIN, POLL, None, || word.load(Ordering::SeqCst) == 1)
-            })
+            std::thread::spawn(move || p.wait(|| word.load(Ordering::SeqCst) == 1))
         };
         let started = Instant::now();
         while !p.is_sleeping() {
@@ -160,7 +129,7 @@ mod tests {
         }
         word.store(1, Ordering::SeqCst);
         assert!(p.wake());
-        assert!(waiter.join().expect("waiter panicked"));
+        waiter.join().expect("waiter panicked");
         assert!(!p.wake(), "nobody sleeps there any more");
     }
 }

@@ -470,7 +470,6 @@ impl<S: TmSystem + 'static> TxKv<S> {
             backend: self.system.name(),
             per_shard,
             aggregate,
-            injected_faults: self.system.injected_faults(),
             wal: self
                 .wal
                 .as_ref()

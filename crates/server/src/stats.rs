@@ -94,11 +94,6 @@ pub struct TxKvReport {
     pub per_shard: Vec<ShardSnapshot>,
     /// The sum of all shard snapshots.
     pub aggregate: ShardSnapshot,
-    /// Counters from the backend's fault-injection layer, when the
-    /// backend runs one (see
-    /// [`TmSystem::injected_faults`](rococo_stm::TmSystem::injected_faults)).
-    /// `None` for backends without an injection layer.
-    pub injected_faults: Option<rococo_fpga::FaultSnapshot>,
     /// Write-ahead-log counters, when the service runs in durable mode
     /// (fsync latency and group-commit batch-size distributions live
     /// here). `None` for in-memory services.
@@ -110,17 +105,16 @@ pub struct TxKvReport {
 impl TxKvReport {
     /// Publishes the whole report into a metrics registry: the aggregate
     /// under `rococo_txkv_*`, each shard under a `shard` label, and the
-    /// fault-injection and WAL snapshots when present. The service's
-    /// scrape adds backend (`rococo_tm_*`) and FPGA (`rococo_fpga_*`)
-    /// metrics itself, since the report does not carry them.
+    /// WAL snapshot when present. The service's scrape adds backend
+    /// (`rococo_tm_*`) and validator (`rococo_fpga_*`, and the injected
+    /// faults' `rococo_faults_injected_total`) metrics itself, from
+    /// [`TmSystem::engine_stats`](rococo_stm::TmSystem::engine_stats),
+    /// since the report does not carry them.
     pub fn export_metrics(&self, reg: &mut rococo_telemetry::MetricsRegistry) {
         self.aggregate.export_metrics(reg, &[]);
         for (i, shard) in self.per_shard.iter().enumerate() {
             let label = i.to_string();
             shard.export_metrics(reg, &[("shard", &label)]);
-        }
-        if let Some(faults) = &self.injected_faults {
-            faults.export_metrics(reg);
         }
         if let Some(wal) = &self.wal {
             wal.export_metrics(reg);
@@ -187,16 +181,6 @@ impl fmt::Display for TxKvReport {
                 write!(f, " {label}={n}")?;
             }
             writeln!(f)?;
-        }
-        if let Some(fs) = &self.injected_faults {
-            if fs.total() > 0 {
-                writeln!(
-                    f,
-                    "  injected faults: delayed={} spurious-cycle={} spurious-window={} \
-                     pauses={}",
-                    fs.delayed, fs.spurious_cycle, fs.spurious_window, fs.pauses,
-                )?;
-            }
         }
         if let Some(w) = &self.wal {
             writeln!(
@@ -279,7 +263,6 @@ mod tests {
                 aborts: [5, 0, 0, 0, 0, 0, 0],
                 ..Default::default()
             },
-            injected_faults: None,
             wal: None,
             elapsed: Duration::from_secs(2),
         };
@@ -291,23 +274,5 @@ mod tests {
         assert!(text.contains("3 retries"), "{text}");
         assert!(text.contains("cpu-stale-read=5"), "{text}");
         assert!(text.contains("1.5us"), "{text}");
-        assert!(!text.contains("injected faults"), "{text}");
-    }
-
-    #[test]
-    fn report_renders_injected_faults_when_present() {
-        let report = TxKvReport {
-            backend: "rococotm",
-            injected_faults: Some(rococo_fpga::FaultSnapshot {
-                delayed: 3,
-                spurious_cycle: 2,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let text = report.to_string();
-        assert!(text.contains("injected faults"), "{text}");
-        assert!(text.contains("delayed=3"), "{text}");
-        assert!(text.contains("spurious-cycle=2"), "{text}");
     }
 }

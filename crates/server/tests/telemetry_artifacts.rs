@@ -8,8 +8,9 @@
 //! (The exposition-shape test below may run beside it: it reads only its
 //! own scrape, and its events land in its own threads' rings.)
 
+use rococo_fpga::FaultConfig;
 use rococo_server::{DurabilityConfig, Request, TxKv, TxKvConfig};
-use rococo_stm::{RococoTm, TmConfig, TmSystem};
+use rococo_stm::{RococoConfig, RococoTm, TmConfig, TmSystem};
 use rococo_telemetry::rundir::{self, check_run_dir, Expect};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -70,6 +71,58 @@ fn a_real_run_directory_passes_the_checker() {
         .parse()
         .unwrap();
     assert_eq!(committed as u64, report.aggregate.committed);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A TxKv on a ROCoCoTM whose validation service injects timing faults:
+/// every fault the validator rolled reaches `metrics.prom` through
+/// `engine_stats`, the scrape's one road to the validator's counters.
+#[test]
+fn injected_validator_faults_reach_the_run_directory() {
+    let dir = std::env::temp_dir().join(format!("rococo-tlm-faults-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let cfg = TxKvConfig {
+        shards: 2,
+        workers_per_shard: 2,
+        keys: 64,
+        telemetry: Some(dir.clone()),
+        ..TxKvConfig::default()
+    };
+    let tm = Arc::new(RococoTm::with_configs(RococoConfig {
+        tm: TmConfig {
+            heap_words: cfg.heap_words(),
+            max_threads: cfg.worker_threads(),
+        },
+        faults: FaultConfig::timing_only(5),
+        ..RococoConfig::default()
+    }));
+    let kv = TxKv::start(Arc::clone(&tm), cfg).expect("service start");
+    for i in 0..300u64 {
+        kv.call(Request::Put {
+            key: i % 64,
+            value: i,
+        })
+        .unwrap();
+    }
+    kv.shutdown();
+
+    let injected = tm
+        .engine_stats()
+        .expect("ROCoCoTM runs a validator")
+        .injected();
+    assert!(injected > 0, "the timing preset injected nothing");
+    let prom = std::fs::read_to_string(dir.join(rundir::METRICS_PROM)).expect("scraper wrote prom");
+    let scraped: u64 = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("rococo_faults_injected_total{"))
+        .map(|l| {
+            let value = l.split_whitespace().nth(1).expect("sample has a value");
+            value.parse::<u64>().expect("a counter")
+        })
+        .sum();
+    assert_eq!(scraped, injected, "{prom}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

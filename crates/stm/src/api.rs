@@ -217,19 +217,12 @@ pub trait TmSystem: Send + Sync {
     /// epoch.
     fn mark_phase(&self) {}
 
-    /// Injected-fault counters of the backend's validation service, when
-    /// the backend runs one with chaos-testing fault injection enabled.
-    /// `None` for backends without a validation service (or with
-    /// injection disabled counters stay zero). Service layers surface
-    /// this in their reports so injected chaos is distinguishable from
-    /// organic aborts.
-    fn injected_faults(&self) -> Option<rococo_fpga::FaultSnapshot> {
-        None
-    }
-
-    /// Counters of the backend's FPGA validation engine, when the backend
-    /// runs one. `None` for backends without a validation service.
-    /// Telemetry scrapers surface these under `rococo_fpga_*`.
+    /// Counters of the backend's FPGA validator, when the backend runs
+    /// one: the engine's verdicts and the faults its validation service
+    /// injected (zero without chaos-testing injection). `None` for
+    /// backends without a validation service. Telemetry scrapers surface
+    /// these under `rococo_fpga_*` and `rococo_faults_injected_total`, so
+    /// injected chaos reads apart from organic aborts.
     fn engine_stats(&self) -> Option<rococo_fpga::EngineStats> {
         None
     }

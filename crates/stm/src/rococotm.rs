@@ -26,7 +26,7 @@ use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rococo_fpga::{
-    EngineConfig, EngineStats, FaultConfig, FaultSnapshot, FpgaVerdict, ServiceHandle, TimingModel,
+    EngineConfig, EngineStats, FaultConfig, FpgaVerdict, ServiceHandle, TimingModel,
     ValidationService,
 };
 use rococo_sigs::{splitmix64, ChunkedSig, PrehashedAddr, Sig, SigScheme};
@@ -690,10 +690,6 @@ impl TmSystem for RococoTm {
 
     fn stats(&self) -> &TmStats {
         &self.stats
-    }
-
-    fn injected_faults(&self) -> Option<FaultSnapshot> {
-        Some(self.handle.fault_stats())
     }
 
     fn engine_stats(&self) -> Option<EngineStats> {

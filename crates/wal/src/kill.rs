@@ -1,16 +1,20 @@
-//! Crash-point injection for the WAL.
+//! Crash-point injection for the durable stack: the log, the checkpoint,
+//! the replica stream's shipping and the fail-over election.
 //!
 //! A [`KillSwitch`] is armed with one [`KillPoint`] and a 1-based
-//! occurrence count; whichever thread holds the WAL's writer lock polls it
-//! at each point and, when it fires, marks the WAL dead on the spot —
-//! leaving the directory in exactly the state a process crash there
-//! would. The harness then recovers from the directory and checks the
-//! prefix-consistency invariants.
+//! occurrence count. Whoever reaches a point polls the switch there —
+//! the WAL under its writer lock, a replication cluster in its shipper
+//! round and in its election — and, when it fires, the component dies on
+//! the spot, leaving the directory (or the cluster) in exactly the state
+//! a process crash there would. The harness then recovers and checks the
+//! prefix-consistency and convergence invariants. One switch covers both
+//! layers, so a cluster run arms the same switch its primary's WAL polls.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Where in a batch's or a checkpoint's write the simulated crash strikes.
+/// Where in a batch's or a checkpoint's write, or in the replica stream,
+/// the simulated crash strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillPoint {
     /// A batch was formed but nothing reached the file: every write in
@@ -28,17 +32,45 @@ pub enum KillPoint {
     /// The new checkpoint is durable but the log was not truncated:
     /// recovery must skip the stale records below the checkpoint.
     MidTruncate,
+    /// The primary dies midway through broadcasting a stream batch: a
+    /// strict prefix of the followers receives it, the rest must
+    /// gap-detect against whatever the fail-over recovers.
+    MidShip,
+    /// The elected follower crashes after winning the election but
+    /// before catch-up completes: the coordinator must fall back to the
+    /// next-most-caught-up follower (or recover with none left).
+    DuringElection,
 }
 
 impl KillPoint {
-    /// Every kill point, in lifecycle order (the CI matrix iterates
-    /// this).
-    pub const ALL: [KillPoint; 5] = [
+    /// Every kill point, in lifecycle order.
+    pub const ALL: [KillPoint; 7] = [
         KillPoint::PreAppend,
         KillPoint::MidAppend,
         KillPoint::PostAppendPreAck,
         KillPoint::MidCheckpoint,
         KillPoint::MidTruncate,
+        KillPoint::MidShip,
+        KillPoint::DuringElection,
+    ];
+
+    /// The points of the log and its checkpoint (the crash-recovery
+    /// matrix iterates these).
+    pub const WAL: [KillPoint; 5] = [
+        KillPoint::PreAppend,
+        KillPoint::MidAppend,
+        KillPoint::PostAppendPreAck,
+        KillPoint::MidCheckpoint,
+        KillPoint::MidTruncate,
+    ];
+
+    /// The points a replicated cluster reaches: the broadcast, the
+    /// primary's acked-vs-logged window, and the election. A cluster's
+    /// primary never checkpoints, so the checkpoint points are not here.
+    pub const CLUSTER: [KillPoint; 3] = [
+        KillPoint::MidShip,
+        KillPoint::PostAppendPreAck,
+        KillPoint::DuringElection,
     ];
 
     /// Stable CLI name.
@@ -49,6 +81,8 @@ impl KillPoint {
             KillPoint::PostAppendPreAck => "post-append-pre-ack",
             KillPoint::MidCheckpoint => "mid-checkpoint",
             KillPoint::MidTruncate => "mid-truncate",
+            KillPoint::MidShip => "mid-batch-ship",
+            KillPoint::DuringElection => "during-election",
         }
     }
 
@@ -58,8 +92,8 @@ impl KillPoint {
     }
 }
 
-/// A one-shot crash trigger shared between the harness and the WAL
-/// writer.
+/// A one-shot crash trigger shared between the harness and whatever
+/// polls it.
 #[derive(Debug)]
 pub struct KillSwitch {
     point: KillPoint,
@@ -79,7 +113,8 @@ impl KillSwitch {
         })
     }
 
-    /// Called under the writer lock at each kill point; `true` means "die now".
+    /// Called at each kill point; `true` means "die now". A poll of any
+    /// other point than the armed one costs no occurrence.
     pub fn should_fire(&self, point: KillPoint) -> bool {
         if point != self.point || self.fired.load(Ordering::SeqCst) {
             return false;
@@ -127,5 +162,19 @@ mod tests {
             assert_eq!(KillPoint::parse(p.name()), Some(p));
         }
         assert_eq!(KillPoint::parse("nope"), None);
+    }
+
+    #[test]
+    fn the_two_harness_sets_share_only_the_pre_ack_point() {
+        for p in KillPoint::ALL {
+            let (wal, cluster) = (KillPoint::WAL.contains(&p), KillPoint::CLUSTER.contains(&p));
+            assert!(wal || cluster, "{} belongs to no harness", p.name());
+            assert_eq!(
+                wal && cluster,
+                p == KillPoint::PostAppendPreAck,
+                "{}",
+                p.name()
+            );
+        }
     }
 }

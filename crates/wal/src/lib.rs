@@ -34,11 +34,13 @@
 //!   first invalid frame (bad length, bad CRC, or a sequence gap), and
 //!   completes any interrupted truncation.
 //! * **Crash injection** ([`kill::KillSwitch`]): the chaos harness arms
-//!   a kill point (`PreAppend`, `MidAppend`, `PostAppendPreAck`,
-//!   `MidCheckpoint`, `MidTruncate`); when it fires the WAL dies on
-//!   the spot — leaving exactly the on-disk state a crash there would,
-//!   the watermark where it was — and every in-flight and future append
-//!   fails with [`writer::WalDead`].
+//!   a kill point (the WAL's own are [`KillPoint::WAL`]: `PreAppend`,
+//!   `MidAppend`, `PostAppendPreAck`, `MidCheckpoint`, `MidTruncate`);
+//!   when it fires the WAL dies on the spot — leaving exactly the
+//!   on-disk state a crash there would, the watermark where it was — and
+//!   every in-flight and future append fails with [`writer::WalDead`].
+//!   The replication cluster polls the same switch at its own points
+//!   ([`KillPoint::CLUSTER`]).
 //!
 //! What an ack means: with [`writer::FsyncPolicy::Always`] an acked
 //! write is on stable storage. `EveryN`/`Never` trade that guarantee for
