@@ -11,7 +11,7 @@
 #                    #   smoke, one open-loop overload run and one
 #                    #   replicated run of the load driver, the pinned
 #                    #   benchmark's own smoke (benchmark/smoke.sh), and
-#                    #   fig7 / table_resources diffed against results/
+#                    #   every exact paper figure diffed against results/
 #
 # The nightly job runs `NIGHTLY=1 ./ci.sh --full`, which widens the chaos
 # tier to the full seed sweep and the hostile commit-queue geometries,
@@ -256,6 +256,21 @@ if ! grep -q '1 passed' <<<"$kill_test"; then
   exit 1
 fi
 
+echo "== Fig. 11 prices the recording Fig. 10 replays: no wall-clock Fig. 10, no model-time counter, no live run in fig11"
+# Both figures are functions of one recording (stamp::harness::record_workload)
+# and one cost table (rococo_sim::CostModel). A wall-clock mode, a live
+# threaded STAMP run or a model-time counter charged on every commit
+# would bring back figures that two runs of one commit disagree on.
+if grep -rnE 'Mode::Wall|wall_app|validation_model_ns|mean_validation_model_us' \
+  crates/ examples/ src/ tests/; then
+  echo "a wall-clock Fig. 10 or the model-time validation counter is back" >&2
+  exit 1
+fi
+if grep -nE 'harness::(\{[^}]*)?\brun\b|SystemKind|thread::' crates/bench/src/bin/fig11.rs; then
+  echo "crates/bench/src/bin/fig11.rs runs STAMP live; price record_workload instead" >&2
+  exit 1
+fi
+
 echo "== docs name crates/ paths that exist"
 # benchmark/README.md is left out: it still names the deleted
 # crates/bench/benches/, and only a change to the benchmark may edit it.
@@ -349,8 +364,10 @@ if [[ "$FULL" == "1" ]]; then
   echo "== pinned benchmark smoke (benchmark/smoke.sh)"
   benchmark/smoke.sh
 
-  echo "== paper figures that are exact: fig7 and table_resources regenerate byte-identical"
-  for figure in fig7 table_resources; do
+  echo "== paper figures that are exact regenerate byte-identical"
+  # fig10 and ablation_eager stay out: both replay each recorded
+  # transaction's wall-clock exec_ns, so their numbers move run to run.
+  for figure in fig7 table_resources fig9 fig11 ablation_latency ablation_sig ablation_window; do
     bench "$figure" >"$SCRATCH/$figure.txt"
     diff "results/$figure.txt" "$SCRATCH/$figure.txt"
   done

@@ -3,10 +3,9 @@
 //! Section 6.3: "most aborts of ROCoCoTM fail fast on CPU, without going
 //! through the validation process on FPGA", and read-only transactions
 //! "commit directly on CPU-side". This ablation quantifies both effects
-//! per STAMP application on the virtual-time simulator (on the single-core
-//! build host, wall-mode executors virtually never observe a conflicting
-//! commit mid-transaction, so the CPU path cannot trigger there — the
-//! simulator models read times explicitly).
+//! per STAMP application on the virtual-time simulator, which models read
+//! times explicitly: the CPU path triggers only when a conflicting commit
+//! lands mid-transaction, which takes true concurrency.
 
 use rococo_bench::{banner, pct, Table};
 use rococo_sim::{simulate, CostModel, SimSystem, Workload};

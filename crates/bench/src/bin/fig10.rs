@@ -6,15 +6,13 @@
 //! rate; for ROCoCoTM the FPGA-attributed abort rate (the paper's dotted
 //! series) is printed separately.
 //!
-//! **Default mode is `--mode sim`**: each application's committed
-//! transactions are recorded from a real single-threaded run, then
-//! replayed on a virtual-time multicore simulator (`rococo-sim`) modelling
-//! the paper's 14-core/28-thread Haswell — the build host has a single
-//! physical core, so wall-clock multi-thread speedups are unmeasurable.
-//! Abort decisions in the simulator come from the same CC implementations
-//! as the live runtimes (including the real ROCoCo validation engine).
-//! `--mode wall` runs the actual threaded runtimes instead and reports
-//! wall time (meaningful only on a multi-core host).
+//! Each application's committed transactions are recorded from a real
+//! single-threaded run, then replayed on a virtual-time multicore simulator
+//! (`rococo-sim`) modelling the paper's 14-core/28-thread Haswell — the
+//! build host has two vCPUs, so wall-clock multi-thread speedups are
+//! unmeasurable. Abort decisions in the simulator come from the same CC
+//! implementations as the live runtimes (including the real ROCoCo
+//! validation engine). Figure 11 prices the same recording.
 //!
 //! Reproduction targets (shape): the TSX emulation is competitive at low
 //! thread counts but its abort rate avalanches as threads grow; ROCoCoTM
@@ -24,25 +22,18 @@
 //! transactions are the adverse case for out-of-core validation; most
 //! ROCoCoTM aborts fail fast on the CPU so the FPGA-side rate stays low.
 //!
-//! Usage: fig10 [--mode sim|wall] [--app NAME] [--threads a,b,c]
+//! Usage: fig10 [--app NAME] [--threads a,b,c]
 //!              [--preset tiny|small|paper] [--quick]
 
 use rococo_bench::{banner, geomean, pct, Table};
 use rococo_sim::{simulate, CostModel, SimSystem, Workload};
 use rococo_stamp::apps::AppId;
-use rococo_stamp::harness::{record_workload, run, Preset, SystemKind};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Sim,
-    Wall,
-}
+use rococo_stamp::harness::{record_workload, Preset};
 
 struct Args {
     apps: Vec<AppId>,
     threads: Vec<usize>,
     preset: Preset,
-    mode: Mode,
 }
 
 fn parse_args() -> Args {
@@ -50,7 +41,6 @@ fn parse_args() -> Args {
         apps: AppId::ALL.to_vec(),
         threads: vec![1, 4, 8, 14, 28],
         preset: Preset::Small,
-        mode: Mode::Sim,
     };
     let argv: Vec<String> = std::env::args().collect();
     let mut i = 1;
@@ -76,14 +66,6 @@ fn parse_args() -> Args {
                     other => panic!("unknown preset '{other}'"),
                 };
             }
-            "--mode" => {
-                i += 1;
-                args.mode = match argv[i].as_str() {
-                    "sim" => Mode::Sim,
-                    "wall" => Mode::Wall,
-                    other => panic!("unknown mode '{other}'"),
-                };
-            }
             "--quick" => {
                 args.preset = Preset::Tiny;
             }
@@ -99,16 +81,10 @@ const SYSTEMS: [SimSystem; 3] = [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::
 fn main() {
     let args = parse_args();
     banner("Figure 10: STAMP speedup and abort rate vs thread count");
-    match args.mode {
-        Mode::Sim => println!(
-            "mode: virtual-time simulation of a 14-core / 28-thread machine \
-             (recorded single-threaded workloads; real CC algorithms decide aborts)"
-        ),
-        Mode::Wall => println!(
-            "mode: wall-clock threaded execution on this host \
-             (only meaningful on a multi-core machine)"
-        ),
-    }
+    println!(
+        "mode: virtual-time simulation of a 14-core / 28-thread machine \
+         (recorded single-threaded workloads; real CC algorithms decide aborts)"
+    );
 
     // speedups[system][thread index] across apps, for the geomean block.
     let mut speedups: Vec<Vec<Vec<f64>>> =
@@ -117,10 +93,7 @@ fn main() {
     for &app in &args.apps {
         println!();
         println!("--- {} ---", app.name());
-        match args.mode {
-            Mode::Sim => sim_app(app, &args, &mut speedups),
-            Mode::Wall => wall_app(app, &args, &mut speedups),
-        }
+        sim_app(app, &args, &mut speedups);
     }
 
     banner("Geomean speedups across applications");
@@ -204,58 +177,6 @@ fn sim_app(app: AppId, args: &Args, speedups: &mut [Vec<Vec<f64>>]) {
                     pct(o.fpga_abort_rate())
                 } else {
                     "-".into()
-                },
-            ]);
-        }
-    }
-    table.print();
-}
-
-fn wall_app(app: AppId, args: &Args, speedups: &mut [Vec<Vec<f64>>]) {
-    let baseline = run(app, SystemKind::Seq, 1, args.preset);
-    assert!(baseline.validated, "{}: baseline failed", app.name());
-    let base_t = baseline.duration.as_secs_f64();
-    println!(
-        "sequential baseline: {:.1} ms, {} commits",
-        base_t * 1e3,
-        baseline.stats.commits
-    );
-    let kinds = [SystemKind::TinyStm, SystemKind::TsxHtm, SystemKind::Rococo];
-    let mut table = Table::new([
-        "system",
-        "threads",
-        "speedup",
-        "abort",
-        "fpga-abort",
-        "valid",
-    ]);
-    for (si, &kind) in kinds.iter().enumerate() {
-        for (ti, &threads) in args.threads.iter().enumerate() {
-            let o = run(app, kind, threads, args.preset);
-            let speedup = base_t / o.duration.as_secs_f64().max(1e-12);
-            speedups[si][ti].push(speedup);
-            let fpga_rate = o
-                .fpga
-                .map(|f| {
-                    let reqs = o.stats.commits + o.stats.total_aborts();
-                    if reqs == 0 {
-                        0.0
-                    } else {
-                        f.aborts() as f64 / reqs as f64
-                    }
-                })
-                .map(pct)
-                .unwrap_or_else(|| "-".into());
-            table.row([
-                o.system.to_string(),
-                threads.to_string(),
-                format!("{speedup:.2}x"),
-                pct(o.stats.abort_rate()),
-                fpga_rate,
-                if o.validated {
-                    "ok".into()
-                } else {
-                    "FAIL".to_string()
                 },
             ]);
         }

@@ -160,9 +160,18 @@ impl OnBackend for &RecoveryParams {
         };
         let dir = rococo_wal::scratch_dir("recovery");
         // Vary when the crash lands without losing determinism of the
-        // submitted streams.
+        // submitted streams. The preload is sequential, one WAL batch per
+        // put, so an append kill counts its batches from the end of the
+        // preload and meets the concurrent clients; a checkpoint kill
+        // counts checkpoints, which the preload never reaches.
         let occurrence = 1 + self.seed % 16;
-        let kill = self.kill_point.map(|p| KillSwitch::arm(p, occurrence));
+        let kill = self.kill_point.map(|p| {
+            let after = match p {
+                KillPoint::MidCheckpoint | KillPoint::MidTruncate => occurrence,
+                _ => w.bank_keys + occurrence,
+            };
+            KillSwitch::arm(p, after)
+        });
         let durability = |checkpoint_every, kill| {
             Some(DurabilityConfig {
                 dir: dir.clone(),
@@ -225,14 +234,17 @@ impl OnBackend for &RecoveryParams {
             }
             // An armed kill that never fired although the load reached it
             // would pass the run without testing what it names. An append
-            // point is reached once the preload is in and the clients run
-            // 64 operations; a checkpoint point once the run has logged
-            // one interval per checkpoint up to the armed occurrence, plus
-            // one interval of slack for the claim.
+            // point is reached once the clients have written the armed
+            // number of batches after the preload: a batch holds at most
+            // one record per client, since each waits for its reply. A
+            // checkpoint point is reached once the run has logged one
+            // interval per checkpoint up to the armed occurrence, plus one
+            // interval of slack for the claim.
             Some(point) if !crashed && self.checkpoint_every > 0 => {
                 let reached = match point {
                     KillPoint::PreAppend | KillPoint::MidAppend | KillPoint::PostAppendPreAck => {
-                        load.preload_complete && self.clients * self.ops_per_client >= 64
+                        load.preload_complete
+                            && logged >= w.bank_keys + occurrence * self.clients as u64
                     }
                     KillPoint::MidCheckpoint | KillPoint::MidTruncate => {
                         logged >= (occurrence + 1) * self.checkpoint_every

@@ -64,8 +64,6 @@ pub struct Outcome {
     pub system: &'static str,
     /// Worker threads used.
     pub threads: usize,
-    /// Wall-clock duration of the parallel phase.
-    pub duration: Duration,
     /// TM statistics.
     pub stats: StatsSnapshot,
     /// FPGA engine statistics (ROCoCoTM only).
@@ -74,13 +72,6 @@ pub struct Outcome {
     pub validated: bool,
     /// App-specific result digest.
     pub checksum: u64,
-}
-
-impl Outcome {
-    /// Committed transactions per second.
-    pub fn throughput(&self) -> f64 {
-        self.stats.commits as f64 / self.duration.as_secs_f64().max(1e-12)
-    }
 }
 
 /// Runs `app` on a freshly constructed system of the given kind.
@@ -128,7 +119,6 @@ fn run_on<S: TmSystem>(
         app,
         system: kind.name(),
         threads,
-        duration: result.parallel,
         stats: sys.stats().snapshot(),
         fpga: None,
         validated: result.validated,

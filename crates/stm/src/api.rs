@@ -369,10 +369,6 @@ rococo_telemetry::stats_block! {
         /// Summed over the timed validations only, one in
         /// `VALIDATION_SAMPLE` (61); see [`TmStats::time_validation`].
         pub validation_ns: "rococo_tm_validation_ns_total", "Wall-clock nanoseconds spent in validation";
-        /// What the validation phase would take on the simulated
-        /// platform (FPGA pipeline + CCI hops), charged for every
-        /// validation. A backend that validates on the CPU charges none.
-        pub validation_model_ns: "rococo_tm_validation_model_ns_total", "Model-time nanoseconds spent in validation";
         pub validations: "rococo_tm_validations_total", "Validation phases measured";
     }
     families {
@@ -457,16 +453,6 @@ impl StatsSnapshot {
             0.0
         } else {
             self.validation_ns as f64 / timed as f64 / 1000.0
-        }
-    }
-
-    /// Mean model-time validation overhead per measured transaction, in
-    /// microseconds (Figure 11, simulated-platform time).
-    pub fn mean_validation_model_us(&self) -> f64 {
-        if self.validations == 0 {
-            0.0
-        } else {
-            self.validation_model_ns as f64 / self.validations as f64 / 1000.0
         }
     }
 }

@@ -350,18 +350,13 @@ impl RococoTm {
         self.clear_update_slot(thread);
     }
 
-    /// Does the bookkeeping every verdict gets once it is in hand — the
-    /// model time of the simulated round-trip (Figure 11) and the
-    /// `Verdict` flight-recorder event. Returns the granted commit
-    /// sequence, or the kind of abort the verdict means. The wall clock is
-    /// the caller's: `commit_seq` posts through
-    /// [`TmStats::time_validation`].
+    /// Emits the `Verdict` flight-recorder event, whose model times of the
+    /// simulated round trip give the trace its Detector and Manager
+    /// slices. Returns the granted commit sequence, or the kind of abort
+    /// the verdict means. The wall clock is the caller's: `commit_seq`
+    /// posts through [`TmStats::time_validation`].
     fn settle_verdict(&self, verdict: FpgaVerdict, n_addrs: usize) -> Result<u64, AbortKind> {
         let timing = &self.timing;
-        let model_ns = timing.latency_ns(n_addrs) as u64;
-        self.stats
-            .validation_model_ns
-            .fetch_add(model_ns, Ordering::Relaxed);
         rococo_telemetry::tlm_event!(rococo_telemetry::TxEvent::Verdict {
             verdict: match verdict {
                 FpgaVerdict::Commit { .. } => "commit",
@@ -369,7 +364,7 @@ impl RococoTm {
                 FpgaVerdict::AbortWindowOverflow => "abort-window",
                 FpgaVerdict::ServiceStopped => "service-stopped",
             },
-            model_ns,
+            model_ns: timing.latency_ns(n_addrs) as u64,
             detector_ns: timing.detector_ns(n_addrs) as u64,
             manager_ns: timing.manager_ns() as u64,
         });
@@ -833,7 +828,6 @@ mod tests {
         });
         let snap = tm.stats().snapshot();
         assert_eq!(snap.validations, 1);
-        assert!(snap.validation_model_ns > 0);
     }
 
     #[test]
