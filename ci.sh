@@ -11,7 +11,7 @@
 #                    #   smoke, one open-loop overload run and one
 #                    #   replicated run of the load driver, the pinned
 #                    #   benchmark's own smoke (benchmark/smoke.sh), and
-#                    #   every exact paper figure diffed against results/
+#                    #   all nine paper figures diffed against results/
 #
 # The nightly job runs `NIGHTLY=1 ./ci.sh --full`, which widens the chaos
 # tier to the full seed sweep and the hostile commit-queue geometries,
@@ -256,16 +256,30 @@ if ! grep -q '1 passed' <<<"$kill_test"; then
   exit 1
 fi
 
-echo "== Fig. 11 prices the recording Fig. 10 replays: no wall-clock Fig. 10, no model-time counter, no live run in fig11"
-# Both figures are functions of one recording (stamp::harness::record_workload)
-# and one cost table (rococo_sim::CostModel). A wall-clock mode, a live
-# threaded STAMP run or a model-time counter charged on every commit
-# would bring back figures that two runs of one commit disagree on.
+echo "== Fig. 10 and Fig. 11 price the recording: no clock in the figure path, no model-time counter, no live run in fig11"
+# The figures are functions of one recording (stamp::harness::record_workload)
+# and two committed cost tables (rococo_sim::CostModel and the calibration
+# table in crates/bench/src/calibration.rs). A wall-clock mode, a replayed
+# wall time, a live threaded STAMP run or a model-time counter charged on
+# every commit would bring back figures that two runs of one commit
+# disagree on. Only the calibrate bin, which runs in no CI mode, reads the
+# recorder's clock.
 if grep -rnE 'Mode::Wall|wall_app|validation_model_ns|mean_validation_model_us' \
   crates/ examples/ src/ tests/; then
   echo "a wall-clock Fig. 10 or the model-time validation counter is back" >&2
   exit 1
 fi
+clock='exec_ns|Duration|Instant|\.parallel'
+if grep -nE "$clock" crates/bench/src/bin/fig10.rs crates/bench/src/bin/ablation_eager.rs; then
+  echo "fig10 or ablation_eager reads a clock; price the footprints with rococo_bench::seq_cost" >&2
+  exit 1
+fi
+for f in crates/sim/src/*.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$clock"; then
+    echo "$f (outside its tests) reads a clock; the simulator prices counts" >&2
+    exit 1
+  fi
+done
 if grep -nE 'harness::(\{[^}]*)?\brun\b|SystemKind|thread::' crates/bench/src/bin/fig11.rs; then
   echo "crates/bench/src/bin/fig11.rs runs STAMP live; price record_workload instead" >&2
   exit 1
@@ -364,10 +378,8 @@ if [[ "$FULL" == "1" ]]; then
   echo "== pinned benchmark smoke (benchmark/smoke.sh)"
   benchmark/smoke.sh
 
-  echo "== paper figures that are exact regenerate byte-identical"
-  # fig10 and ablation_eager stay out: both replay each recorded
-  # transaction's wall-clock exec_ns, so their numbers move run to run.
-  for figure in fig7 table_resources fig9 fig11 ablation_latency ablation_sig ablation_window; do
+  echo "== every paper figure regenerates byte-identical"
+  for figure in fig7 table_resources fig9 fig10 fig11 ablation_eager ablation_latency ablation_sig ablation_window; do
     bench "$figure" >"$SCRATCH/$figure.txt"
     diff "results/$figure.txt" "$SCRATCH/$figure.txt"
   done

@@ -7,12 +7,15 @@
 //! series) is printed separately.
 //!
 //! Each application's committed transactions are recorded from a real
-//! single-threaded run, then replayed on a virtual-time multicore simulator
-//! (`rococo-sim`) modelling the paper's 14-core/28-thread Haswell — the
-//! build host has two vCPUs, so wall-clock multi-thread speedups are
-//! unmeasurable. Abort decisions in the simulator come from the same CC
-//! implementations as the live runtimes (including the real ROCoCo
-//! validation engine). Figure 11 prices the same recording.
+//! single-threaded run, priced from their access counts by the app's row
+//! of the committed calibration table (`rococo_bench::seq_cost`), then
+//! replayed on a virtual-time multicore simulator (`rococo-sim`)
+//! modelling the paper's 14-core/28-thread Haswell — the build host has
+//! two vCPUs, so wall-clock multi-thread speedups are unmeasurable. Abort
+//! decisions in the simulator come from the same CC implementations as
+//! the live runtimes (including the real ROCoCo validation engine).
+//! Figure 11 prices the same recording. No clock is read, so two runs
+//! print the same figure.
 //!
 //! Reproduction targets (shape): the TSX emulation is competitive at low
 //! thread counts but its abort rate avalanches as threads grow; ROCoCoTM
@@ -22,13 +25,16 @@
 //! transactions are the adverse case for out-of-core validation; most
 //! ROCoCoTM aborts fail fast on the CPU so the FPGA-side rate stays low.
 //!
-//! Usage: fig10 [--app NAME] [--threads a,b,c]
-//!              [--preset tiny|small|paper] [--quick]
+//! Usage: fig10 [--app NAME] [--threads a,b,c] [--preset small|paper]
+//!              [--quick]
 
-use rococo_bench::{banner, geomean, pct, Table};
+use rococo_bench::{banner, geomean, pct, seq_cost, Table};
 use rococo_sim::{simulate, CostModel, SimSystem, Workload};
 use rococo_stamp::apps::AppId;
 use rococo_stamp::harness::{record_workload, Preset};
+
+/// The paper's thread counts, and the default series.
+const THREADS: [usize; 5] = [1, 4, 8, 14, 28];
 
 struct Args {
     apps: Vec<AppId>,
@@ -39,7 +45,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         apps: AppId::ALL.to_vec(),
-        threads: vec![1, 4, 8, 14, 28],
+        threads: THREADS.to_vec(),
         preset: Preset::Small,
     };
     let argv: Vec<String> = std::env::args().collect();
@@ -60,10 +66,9 @@ fn parse_args() -> Args {
             "--preset" => {
                 i += 1;
                 args.preset = match argv[i].as_str() {
-                    "tiny" => Preset::Tiny,
                     "small" => Preset::Small,
                     "paper" => Preset::Paper,
-                    other => panic!("unknown preset '{other}'"),
+                    other => panic!("unknown preset '{other}' (--quick runs the tiny inputs)"),
                 };
             }
             "--quick" => {
@@ -78,22 +83,74 @@ fn parse_args() -> Args {
 
 const SYSTEMS: [SimSystem; 3] = [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::Rococo];
 
+/// One application's workload line and series table, and its speedups
+/// in `SYSTEMS` × `threads` order.
+fn sim_app(app: AppId, preset: Preset, threads: &[usize]) -> (String, Table, Vec<f64>) {
+    let workload = Workload::from_records(record_workload(app, preset), seq_cost(app, preset));
+    let seq_ns = workload.sequential_ns();
+    let (mr, mw) = workload.mean_footprint();
+    let summary = format!(
+        "workload: {} txns in {} phases; mean footprint {:.1}r/{:.1}w; {:.0}% read-only; sequential {:.2} ms",
+        workload.len(),
+        workload.phases.len(),
+        mr,
+        mw,
+        workload.read_only_fraction() * 100.0,
+        seq_ns / 1e6,
+    );
+
+    let cost = CostModel::default();
+    let mut table = Table::new(["system", "threads", "speedup", "abort", "fpga-abort"]);
+    let mut speedups = Vec::new();
+    for sys in SYSTEMS {
+        for &threads in threads {
+            let o = simulate(&workload, sys, threads, &cost);
+            assert_eq!(
+                o.commits as usize,
+                workload.len(),
+                "{} lost transactions",
+                sys.name()
+            );
+            let speedup = o.speedup_vs(seq_ns);
+            speedups.push(speedup);
+            table.row([
+                sys.name().to_string(),
+                threads.to_string(),
+                format!("{speedup:.2}x"),
+                pct(o.abort_rate()),
+                if sys == SimSystem::Rococo {
+                    pct(o.fpga_abort_rate())
+                } else {
+                    "-".into()
+                },
+            ]);
+        }
+    }
+    (summary, table, speedups)
+}
+
 fn main() {
     let args = parse_args();
     banner("Figure 10: STAMP speedup and abort rate vs thread count");
     println!(
         "mode: virtual-time simulation of a 14-core / 28-thread machine \
-         (recorded single-threaded workloads; real CC algorithms decide aborts)"
+         (recorded single-threaded footprints priced by the calibration table; \
+         real CC algorithms decide aborts)"
     );
 
     // speedups[system][thread index] across apps, for the geomean block.
-    let mut speedups: Vec<Vec<Vec<f64>>> =
-        vec![vec![Vec::new(); args.threads.len()]; SYSTEMS.len()];
+    let n = args.threads.len();
+    let mut speedups: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); n]; SYSTEMS.len()];
 
     for &app in &args.apps {
+        let (summary, table, app_speedups) = sim_app(app, args.preset, &args.threads);
         println!();
         println!("--- {} ---", app.name());
-        sim_app(app, &args, &mut speedups);
+        println!("{summary}");
+        table.print();
+        for (i, s) in app_speedups.into_iter().enumerate() {
+            speedups[i / n][i % n].push(s);
+        }
     }
 
     banner("Geomean speedups across applications");
@@ -126,60 +183,18 @@ fn main() {
     );
 }
 
-fn sim_app(app: AppId, args: &Args, speedups: &mut [Vec<Vec<f64>>]) {
-    let (records, wall) = record_workload(app, args.preset);
-    let mut workload = Workload::from_records(records);
-    // Spread host compute that happened between transactions (outside
-    // begin..commit, e.g. kmeans' nearest-centre search) uniformly over
-    // the phase's transactions so the baseline covers the whole parallel
-    // region.
-    let measured: f64 = workload.sequential_ns();
-    let gap = wall.as_nanos() as f64 - measured;
-    if gap > 0.0 && !workload.is_empty() {
-        let extra = gap / workload.len() as f64;
-        for phase in &mut workload.phases {
-            for t in phase {
-                t.exec_ns += extra;
-            }
-        }
-    }
-    let seq_ns = workload.sequential_ns();
-    let (mr, mw) = workload.mean_footprint();
-    println!(
-        "workload: {} txns in {} phases; mean footprint {:.1}r/{:.1}w; {:.0}% read-only; sequential {:.2} ms",
-        workload.len(),
-        workload.phases.len(),
-        mr,
-        mw,
-        workload.read_only_fraction() * 100.0,
-        seq_ns / 1e6,
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let cost = CostModel::default();
-    let mut table = Table::new(["system", "threads", "speedup", "abort", "fpga-abort"]);
-    for (si, &sys) in SYSTEMS.iter().enumerate() {
-        for (ti, &threads) in args.threads.iter().enumerate() {
-            let o = simulate(&workload, sys, threads, &cost);
-            assert_eq!(
-                o.commits as usize,
-                workload.len(),
-                "{} lost transactions",
-                sys.name()
-            );
-            let speedup = o.speedup_vs(seq_ns);
-            speedups[si][ti].push(speedup);
-            table.row([
-                sys.name().to_string(),
-                threads.to_string(),
-                format!("{speedup:.2}x"),
-                pct(o.abort_rate()),
-                if sys == SimSystem::Rococo {
-                    pct(o.fpga_abort_rate())
-                } else {
-                    "-".into()
-                },
-            ]);
-        }
+    #[test]
+    fn the_tiny_figure_is_a_pure_function_of_the_recording() {
+        let figure = || -> Vec<_> {
+            AppId::ALL
+                .iter()
+                .map(|&app| sim_app(app, Preset::Tiny, &THREADS))
+                .collect()
+        };
+        assert_eq!(figure(), figure());
     }
-    table.print();
 }

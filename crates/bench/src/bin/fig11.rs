@@ -49,7 +49,7 @@ struct Row {
 }
 
 fn row(app: AppId, preset: Preset, cost: &CostModel) -> Row {
-    let (records, _) = record_workload(app, preset);
+    let records = record_workload(app, preset);
     let updates: Vec<_> = records
         .iter()
         .filter(|r| r.epoch % 2 == 1 && !r.is_read_only())

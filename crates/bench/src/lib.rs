@@ -3,10 +3,27 @@
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md for the index); this library provides the common
 //! formatting and summary utilities so their output reads like the paper's
-//! rows and series.
+//! rows and series, and the committed sequential cost table the replays
+//! price recorded transactions with ([`seq_cost`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod calibration;
+
+use rococo_sim::SeqCost;
+use rococo_stamp::apps::AppId;
+use rococo_stamp::harness::Preset;
+
+/// The sequential price of `app`'s transactions at `preset`: the row of
+/// the committed table that the `calibrate` bin fitted.
+pub fn seq_cost(app: AppId, preset: Preset) -> SeqCost {
+    calibration::TABLE
+        .iter()
+        .find(|&&(a, p, _)| a == app && p == preset)
+        .map(|&(_, _, cost)| cost)
+        .expect("every (app, preset) has a calibration row")
+}
 
 /// Geometric mean of a slice (ignores non-positive entries, which cannot
 /// appear in speedup data).
@@ -33,7 +50,7 @@ pub fn banner(title: &str) {
 }
 
 /// A minimal fixed-width table printer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -103,6 +120,27 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(0.5), " 50.0%");
+    }
+
+    #[test]
+    fn every_app_and_preset_has_one_priced_row() {
+        assert_eq!(
+            calibration::TABLE.len(),
+            AppId::ALL.len() * Preset::ALL.len()
+        );
+        for app in AppId::ALL {
+            for preset in Preset::ALL {
+                let c = seq_cost(app, preset);
+                assert!(
+                    c.base_ns.is_finite() && c.base_ns >= 0.0,
+                    "{app:?} {preset:?}: {c:?}"
+                );
+                assert!(
+                    c.access_ns.is_finite() && c.access_ns >= 0.0,
+                    "{app:?} {preset:?}: {c:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Cost models: the per-system bookkeeping overheads the simulator
-//! charges on top of each transaction's recorded execution time.
+//! Cost models: what a transaction costs on the sequential machine
+//! ([`SeqCost`], counted from its footprint) and the per-system
+//! bookkeeping overheads the simulator charges on top of it
+//! ([`CostModel`]).
 //!
 //! The constants below are calibrated against published characterisations
 //! rather than fitted to the paper's end results: word-granular STM
@@ -13,6 +15,26 @@
 //! 14→28 scaling against signature-based ROCoCoTM).
 
 use rococo_fpga::TimingModel;
+
+/// The sequential price of one transaction, from its counts alone:
+/// `base_ns + access_ns × (reads + writes)`. `base_ns` also carries the
+/// application's non-transactional time per transaction (the work between
+/// transactions of a parallel phase), so a workload's priced total is its
+/// whole sequential parallel region.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeqCost {
+    /// Nanoseconds per transaction, whatever its footprint.
+    pub base_ns: f64,
+    /// Nanoseconds per deduplicated read or write.
+    pub access_ns: f64,
+}
+
+impl SeqCost {
+    /// The price of a transaction with `reads` reads and `writes` writes.
+    pub fn price(&self, reads: usize, writes: usize) -> f64 {
+        self.base_ns + self.access_ns * (reads + writes) as f64
+    }
+}
 
 /// Per-system simulation parameters.
 #[derive(Debug, Clone)]

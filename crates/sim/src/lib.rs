@@ -1,18 +1,19 @@
 //! A discrete-event, virtual-time multicore simulator for TM systems.
 //!
 //! The paper's Figure 10 measures STAMP on a 14-core / 28-hyperthread
-//! Haswell Xeon. The reproduction host has **one** core, so wall-clock
+//! Haswell Xeon. The reproduction host has two vCPUs, so wall-clock
 //! multi-thread speedups cannot be measured; this crate substitutes a
-//! deterministic simulator:
+//! deterministic simulator that reads no clock:
 //!
 //! 1. A STAMP application is executed once, single-threaded, under
 //!    `rococo_stm::Recorder` (the one recording wrapper, which the chaos
 //!    oracle's histories also come from);
 //!    `rococo_stamp::harness::record_workload` turns its committed
-//!    attempts into [`rococo_stm::TxnRecord`] footprints, and
-//!    [`Workload::from_records`] groups them into a [`Workload`]: the
-//!    committed transactions' read/write footprints, measured execution
-//!    times, and phase (barrier) structure.
+//!    attempts into [`rococo_stm::TxnRecord`] footprints (addresses and
+//!    phase epoch, no time), and [`Workload::from_records`] groups them
+//!    into a [`Workload`]: the committed transactions' read/write
+//!    footprints, each priced once by a [`SeqCost`] from its access count,
+//!    and the phase (barrier) structure.
 //! 2. [`simulate`] replays the workload on `T` virtual workers. Per-system
 //!    [`CostModel`]s charge the bookkeeping overheads (per-access costs,
 //!    commit/validation latency, the hyper-threading penalty above the
@@ -31,23 +32,29 @@
 //!      CCI latency of [`rococo_fpga::TimingModel`].
 //!
 //! The simulated clock is nanoseconds of *model time*; speedups are
-//! reported against the recorded sequential execution.
+//! reported against the workload's priced sequential total, so a
+//! simulation is a pure function of the footprints and the two cost
+//! tables.
 //!
 //! # Example
 //!
 //! ```
-//! use rococo_sim::{simulate, CostModel, SimSystem, Workload};
+//! use rococo_sim::{simulate, CostModel, SeqCost, SimSystem, Workload};
 //! use rococo_stm::TxnRecord;
 //!
 //! let txns = (0..64u64)
 //!     .map(|i| TxnRecord {
 //!         reads: vec![i],
 //!         writes: vec![1000 + i],
-//!         exec_ns: 500.0,
 //!         epoch: 1,
 //!     })
 //!     .collect::<Vec<_>>();
-//! let w = Workload::from_records(txns);
+//! let cost = SeqCost {
+//!     base_ns: 400.0,
+//!     access_ns: 50.0,
+//! };
+//! let w = Workload::from_records(txns, cost);
+//! assert_eq!(w.sequential_ns(), 64.0 * 500.0);
 //! let r = simulate(&w, SimSystem::Rococo, 4, &CostModel::default());
 //! assert_eq!(r.commits, 64);
 //! assert!(r.makespan_ns > 0.0);
@@ -60,6 +67,6 @@ mod cost;
 mod machine;
 mod workload;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, SeqCost};
 pub use machine::{simulate, SimOutcome, SimSystem};
-pub use workload::Workload;
+pub use workload::{PricedTxn, Workload};

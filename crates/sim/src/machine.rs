@@ -1,10 +1,10 @@
 //! The discrete-event simulation engine.
 
 use crate::cost::CostModel;
-use crate::workload::Workload;
+use crate::workload::{PricedTxn, Workload};
 use rococo_fpga::{EngineConfig, EngineStats, FpgaVerdict, ValidateRequest, ValidationEngine};
 use rococo_sigs::splitmix64;
-use rococo_stm::{AbortKind, TxnRecord};
+use rococo_stm::AbortKind;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -90,7 +90,8 @@ impl SimOutcome {
         }
     }
 
-    /// Speedup against a recorded sequential execution time.
+    /// Speedup against a sequential execution time (the workload's
+    /// [`Workload::sequential_ns`]).
     pub fn speedup_vs(&self, sequential_ns: f64) -> f64 {
         sequential_ns / self.makespan_ns.max(1e-9)
     }
@@ -102,13 +103,13 @@ struct Txn {
     writes: Vec<u64>,
     read_set: HashSet<u64>,
     write_set: HashSet<u64>,
-    exec_ns: f64,
+    seq_ns: f64,
     write_lines: usize,
     read_lines: usize,
 }
 
 impl Txn {
-    fn from_record(r: &TxnRecord) -> Self {
+    fn from_priced(r: &PricedTxn) -> Self {
         let lines = |addrs: &[u64]| addrs.iter().map(|a| a >> 3).collect::<HashSet<_>>().len();
         Self {
             read_set: r.reads.iter().copied().collect(),
@@ -117,7 +118,7 @@ impl Txn {
             read_lines: lines(&r.reads),
             reads: r.reads.clone(),
             writes: r.writes.clone(),
-            exec_ns: r.exec_ns,
+            seq_ns: r.seq_ns,
         }
     }
 
@@ -213,7 +214,7 @@ pub fn simulate(
     let mut pub_count = 0u64;
 
     for phase in &workload.phases {
-        let txns: Vec<Txn> = phase.iter().map(Txn::from_record).collect();
+        let txns: Vec<Txn> = phase.iter().map(Txn::from_priced).collect();
         if txns.is_empty() {
             continue;
         }
@@ -246,7 +247,7 @@ pub fn simulate(
                 SimSystem::Tsx => (r + w) * cost.tsx_access_ns,
                 SimSystem::Rococo => r * cost.rococo_read_ns + w * cost.rococo_write_ns,
             };
-            (t.exec_ns + overhead) * tf
+            (t.seq_ns + overhead) * tf
         };
 
         // Start worker `w` on the next pooled transaction, if any.
@@ -545,12 +546,11 @@ pub fn simulate(
 mod tests {
     use super::*;
 
-    fn rw_txn(r: u64, w: u64, exec: f64) -> TxnRecord {
-        TxnRecord {
+    fn rw_txn(r: u64, w: u64, seq_ns: f64) -> PricedTxn {
+        PricedTxn {
             reads: vec![r],
             writes: vec![w],
-            exec_ns: exec,
-            epoch: 1,
+            seq_ns,
         }
     }
 
@@ -594,11 +594,10 @@ mod tests {
 
     #[test]
     fn tsx_capacity_forces_fallback() {
-        let big = TxnRecord {
+        let big = PricedTxn {
             reads: (0..8u64).collect(),
             writes: (0..40_000u64).step_by(8).collect(), // 5000 lines
-            exec_ns: 5000.0,
-            epoch: 1,
+            seq_ns: 5000.0,
         };
         let w: Workload = std::iter::repeat_with(|| big.clone()).take(10).collect();
         let r = simulate(&w, SimSystem::Tsx, 4, &CostModel::default());
@@ -610,11 +609,10 @@ mod tests {
     #[test]
     fn rococo_read_only_txns_never_touch_engine() {
         let w: Workload = (0..50u64)
-            .map(|i| TxnRecord {
+            .map(|i| PricedTxn {
                 reads: vec![i],
                 writes: vec![],
-                exec_ns: 300.0,
-                epoch: 1,
+                seq_ns: 300.0,
             })
             .collect();
         let r = simulate(&w, SimSystem::Rococo, 4, &CostModel::default());
@@ -640,7 +638,7 @@ mod tests {
         // to one phase at high thread counts (each phase drains fully).
         let one: Workload = disjoint_workload(56);
         let mut two = Workload::default();
-        let recs: Vec<TxnRecord> = (0..56u64).map(|i| rw_txn(i, 100_000 + i, 1000.0)).collect();
+        let recs: Vec<PricedTxn> = (0..56u64).map(|i| rw_txn(i, 100_000 + i, 1000.0)).collect();
         two.phases = vec![recs[..28].to_vec(), recs[28..].to_vec()];
         let m1 = simulate(&one, SimSystem::TinyStm, 56, &CostModel::default()).makespan_ns;
         let m2 = simulate(&two, SimSystem::TinyStm, 56, &CostModel::default()).makespan_ns;

@@ -1,6 +1,20 @@
-//! Workloads: phase-structured transaction traces for the simulator.
+//! Workloads: phase-structured, priced transaction traces for the
+//! simulator.
 
+use crate::cost::SeqCost;
 use rococo_stm::TxnRecord;
+
+/// One transaction as the simulator replays it: its footprint and its
+/// sequential price.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PricedTxn {
+    /// Deduplicated read set.
+    pub reads: Vec<u64>,
+    /// Deduplicated write set.
+    pub writes: Vec<u64>,
+    /// What the transaction costs on the sequential machine, nanoseconds.
+    pub seq_ns: f64,
+}
 
 /// A phase-structured transaction trace.
 ///
@@ -11,17 +25,17 @@ use rococo_stm::TxnRecord;
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
     /// Transactions per phase, in commit order.
-    pub phases: Vec<Vec<TxnRecord>>,
+    pub phases: Vec<Vec<PricedTxn>>,
 }
 
 impl Workload {
-    /// Builds a workload from recorded footprints: records are grouped by
-    /// their phase epoch, keeping only odd epochs (transactions inside
-    /// marked parallel phases). Records outside a marked phase — setup and
-    /// validation work, or a log recorded without phase markers — are
-    /// dropped.
-    pub fn from_records<I: IntoIterator<Item = TxnRecord>>(records: I) -> Self {
-        let mut phases: Vec<Vec<TxnRecord>> = Vec::new();
+    /// Builds a workload from recorded footprints, pricing each one once
+    /// with `cost`: records are grouped by their phase epoch, keeping only
+    /// odd epochs (transactions inside marked parallel phases). Records
+    /// outside a marked phase — setup and validation work, or a log
+    /// recorded without phase markers — are dropped.
+    pub fn from_records<I: IntoIterator<Item = TxnRecord>>(records: I, cost: SeqCost) -> Self {
+        let mut phases: Vec<Vec<PricedTxn>> = Vec::new();
         let mut current_epoch = u64::MAX;
         for r in records {
             if r.epoch % 2 == 0 {
@@ -31,10 +45,15 @@ impl Workload {
                 current_epoch = r.epoch;
                 phases.push(Vec::new());
             }
+            let seq_ns = cost.price(r.reads.len(), r.writes.len());
             phases
                 .last_mut()
                 .expect("phase pushed on epoch change")
-                .push(r);
+                .push(PricedTxn {
+                    reads: r.reads,
+                    writes: r.writes,
+                    seq_ns,
+                });
         }
         Self { phases }
     }
@@ -49,10 +68,10 @@ impl Workload {
         self.len() == 0
     }
 
-    /// Recorded sequential execution time: the sum of measured per-
-    /// transaction times (the STAMP sequential baseline of Figure 10).
+    /// Sequential execution time: the sum of the transactions' prices (the
+    /// STAMP sequential baseline of Figure 10).
     pub fn sequential_ns(&self) -> f64 {
-        self.phases.iter().flatten().map(|r| r.exec_ns).sum()
+        self.phases.iter().flatten().map(|t| t.seq_ns).sum()
     }
 
     /// Mean footprint sizes `(reads, writes)` — used by reports.
@@ -72,16 +91,16 @@ impl Workload {
             .phases
             .iter()
             .flatten()
-            .filter(|t| t.is_read_only())
+            .filter(|t| t.writes.is_empty())
             .count();
         ro as f64 / self.len() as f64
     }
 }
 
-impl FromIterator<TxnRecord> for Workload {
-    /// Collects loose records into a single-phase workload (test helper;
-    /// epochs are ignored).
-    fn from_iter<I: IntoIterator<Item = TxnRecord>>(iter: I) -> Self {
+impl FromIterator<PricedTxn> for Workload {
+    /// Collects loose transactions into a single-phase workload (test
+    /// helper).
+    fn from_iter<I: IntoIterator<Item = PricedTxn>>(iter: I) -> Self {
         Self {
             phases: vec![iter.into_iter().collect()],
         }
@@ -92,25 +111,32 @@ impl FromIterator<TxnRecord> for Workload {
 mod tests {
     use super::*;
 
+    const COST: SeqCost = SeqCost {
+        base_ns: 70.0,
+        access_ns: 15.0,
+    };
+
     fn rec(epoch: u64) -> TxnRecord {
         TxnRecord {
             reads: vec![1],
             writes: vec![2],
-            exec_ns: 100.0,
             epoch,
         }
     }
 
     #[test]
     fn groups_by_odd_epochs() {
-        let w = Workload::from_records(vec![
-            rec(0), // setup: dropped
-            rec(1),
-            rec(1),
-            rec(2), // between phases: dropped
-            rec(3),
-            rec(4), // validation: dropped
-        ]);
+        let w = Workload::from_records(
+            vec![
+                rec(0), // setup: dropped
+                rec(1),
+                rec(1),
+                rec(2), // between phases: dropped
+                rec(3),
+                rec(4), // validation: dropped
+            ],
+            COST,
+        );
         assert_eq!(w.phases.len(), 2);
         assert_eq!(w.phases[0].len(), 2);
         assert_eq!(w.phases[1].len(), 1);
@@ -119,15 +145,31 @@ mod tests {
     }
 
     #[test]
+    fn sequential_ns_is_the_sum_of_the_counted_prices() {
+        let footprints = [(0usize, 1usize), (3, 0), (5, 2), (40, 9), (1, 1)];
+        let records = footprints.iter().map(|&(r, w)| TxnRecord {
+            reads: (0..r as u64).collect(),
+            writes: (100..100 + w as u64).collect(),
+            epoch: 1,
+        });
+        let w = Workload::from_records(records, COST);
+        let expected: f64 = footprints
+            .iter()
+            .map(|&(r, w)| COST.base_ns + COST.access_ns * (r + w) as f64)
+            .sum();
+        assert_eq!(w.sequential_ns(), expected);
+        assert_eq!(w.phases[0][3].seq_ns, 70.0 + 15.0 * 49.0);
+    }
+
+    #[test]
     fn stats_helpers() {
         let mut all = vec![rec(1); 3];
         all.push(TxnRecord {
             reads: vec![1, 2, 3],
             writes: vec![],
-            exec_ns: 50.0,
             epoch: 1,
         });
-        let w = Workload::from_records(all);
+        let w = Workload::from_records(all, COST);
         assert!((w.read_only_fraction() - 0.25).abs() < 1e-9);
         let (r, _w) = w.mean_footprint();
         assert!(r > 1.0);

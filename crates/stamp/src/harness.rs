@@ -3,7 +3,7 @@
 use crate::apps::{self, AppId, AppResult};
 use rococo_stm::{
     GlobalLockTm, Recorder, RococoTm, SeqTm, StatsSnapshot, TinyStm, TmConfig, TmSystem, TsxHtm,
-    TxnRecord,
+    TxnHistory, TxnRecord,
 };
 use std::time::{Duration, Instant};
 
@@ -53,6 +53,11 @@ pub enum Preset {
     Small,
     /// Larger, paper-shaped inputs (several seconds per run).
     Paper,
+}
+
+impl Preset {
+    /// All presets, smallest first.
+    pub const ALL: [Preset; 3] = [Preset::Tiny, Preset::Small, Preset::Paper];
 }
 
 /// The outcome of one (app, system, threads) run.
@@ -126,16 +131,15 @@ fn run_on<S: TmSystem>(
     }
 }
 
-/// Records `app`'s committed transactions by running it single-threaded
-/// under the recording wrapper over the sequential runtime. Returns their
-/// footprints (address lists deduplicated in first-access order, measured
-/// time, phase epoch) and the wall time of the parallel phases — the
-/// inputs to the virtual-time multicore simulator.
+/// Runs `app` single-threaded under the recording wrapper over the
+/// sequential runtime. Returns its committed attempts in commit order and
+/// the app's own result, whose `parallel` is the wall time of the parallel
+/// phases.
 ///
 /// # Panics
 ///
 /// Panics if the app fails its self-validation during recording.
-pub fn record_workload(app: AppId, preset: Preset) -> (Vec<TxnRecord>, Duration) {
+pub fn record(app: AppId, preset: Preset) -> (Vec<TxnHistory>, AppResult) {
     let cfg = TmConfig {
         heap_words: apps::heap_words(app, preset),
         max_threads: 1,
@@ -147,26 +151,21 @@ pub fn record_workload(app: AppId, preset: Preset) -> (Vec<TxnRecord>, Duration)
         "{}: recording run failed validation",
         app.name()
     );
-    let footprints = rec
-        .take_histories()
-        .into_iter()
-        .filter(|h| h.outcome.committed())
-        .map(|h| {
-            let mut reads = Vec::new();
-            for (addr, _) in h.reads {
-                if !reads.contains(&(addr as u64)) {
-                    reads.push(addr as u64);
-                }
-            }
-            TxnRecord {
-                reads,
-                writes: h.writes.iter().map(|&(addr, _)| addr as u64).collect(),
-                exec_ns: h.exec_ns,
-                epoch: h.epoch,
-            }
-        })
-        .collect();
-    (footprints, result.parallel)
+    let mut histories = rec.take_histories();
+    histories.retain(|h| h.outcome.committed());
+    (histories, result)
+}
+
+/// The footprints of `app`'s committed transactions (address lists
+/// deduplicated in first-access order, phase epoch): the input to the
+/// virtual-time multicore simulator. Footprints are deterministic, so two
+/// recordings return equal lists.
+///
+/// # Panics
+///
+/// Panics if the app fails its self-validation during recording.
+pub fn record_workload(app: AppId, preset: Preset) -> Vec<TxnRecord> {
+    record(app, preset).0.iter().map(TxnRecord::from).collect()
 }
 
 /// Runs one timed parallel phase: marks the phase boundary on the TM

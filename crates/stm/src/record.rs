@@ -11,7 +11,9 @@
 //! * `rococo_stamp::harness::record_workload` turns the committed records
 //!   into [`TxnRecord`] footprints, which the virtual-time multicore
 //!   simulator (`rococo-sim`) replays to study scaling on hardware the
-//!   build host does not have;
+//!   build host does not have (only `rococo-bench`'s `calibrate` reads
+//!   the measured times, to fit the per-app cost table the replay prices
+//!   footprints with);
 //! * the chaos harness (`rococo-chaos`) judges every attempt with its
 //!   serializability oracle.
 //!
@@ -35,15 +37,14 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// One committed transaction's footprint, as the simulator replays it.
+/// One committed transaction's footprint, as the simulator replays it:
+/// counts and addresses only, no time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TxnRecord {
     /// Deduplicated read set (addresses, excluding read-own-write hits).
     pub reads: Vec<u64>,
     /// Deduplicated write set.
     pub writes: Vec<u64>,
-    /// Measured wall time from begin to successful commit, nanoseconds.
-    pub exec_ns: f64,
     /// Phase epoch at commit time (odd = inside a marked parallel phase).
     pub epoch: u64,
 }
@@ -52,6 +53,24 @@ impl TxnRecord {
     /// Whether the transaction wrote nothing.
     pub fn is_read_only(&self) -> bool {
         self.writes.is_empty()
+    }
+}
+
+impl From<&TxnHistory> for TxnRecord {
+    /// The attempt's footprint: reads deduplicated in first-access order,
+    /// the write set as recorded (already one entry per address).
+    fn from(h: &TxnHistory) -> Self {
+        let mut reads = Vec::new();
+        for &(addr, _) in &h.reads {
+            if !reads.contains(&(addr as u64)) {
+                reads.push(addr as u64);
+            }
+        }
+        Self {
+            reads,
+            writes: h.writes.iter().map(|&(addr, _)| addr as u64).collect(),
+            epoch: h.epoch,
+        }
     }
 }
 

@@ -2,16 +2,27 @@
 //! coherently.
 
 use proptest::prelude::*;
-use rococo::sim::{simulate, CostModel, SimSystem, Workload};
+use rococo::sim::{simulate, CostModel, PricedTxn, SeqCost, SimSystem, Workload};
 use rococo::stamp::apps::AppId;
 use rococo::stamp::harness::{record_workload, Preset};
 use rococo::stm::TxnRecord;
 
+/// A fixed sequential price for recorded footprints (the figures use the
+/// calibrated per-app table in `rococo-bench`; these tests only need the
+/// replay to be priced at all).
+const COST: SeqCost = SeqCost {
+    base_ns: 500.0,
+    access_ns: 20.0,
+};
+
+fn recorded(app: AppId) -> Workload {
+    Workload::from_records(record_workload(app, Preset::Tiny), COST)
+}
+
 #[test]
 fn recorded_stamp_workloads_simulate_completely() {
     for app in [AppId::Ssca2, AppId::KmeansHigh, AppId::Genome] {
-        let (records, _wall) = record_workload(app, Preset::Tiny);
-        let w = Workload::from_records(records);
+        let w = recorded(app);
         assert!(!w.is_empty(), "{}: nothing recorded", app.name());
         for sys in [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::Rococo] {
             for threads in [1usize, 4, 14, 28] {
@@ -31,8 +42,7 @@ fn recorded_stamp_workloads_simulate_completely() {
 
 #[test]
 fn one_thread_never_aborts() {
-    let (records, _) = record_workload(AppId::Ssca2, Preset::Tiny);
-    let w = Workload::from_records(records);
+    let w = recorded(AppId::Ssca2);
     for sys in [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::Rococo] {
         let o = simulate(&w, sys, 1, &CostModel::default());
         assert_eq!(o.total_aborts(), 0, "{sys:?}: solo run cannot conflict");
@@ -43,8 +53,7 @@ fn one_thread_never_aborts() {
 fn rococo_one_thread_penalty_matches_paper_direction() {
     // Section 6.3: with one thread TinySTM outperforms ROCoCoTM (the
     // out-of-core validation latency dominates), by roughly 1.32x.
-    let (records, _) = record_workload(AppId::Ssca2, Preset::Tiny);
-    let w = Workload::from_records(records);
+    let w = recorded(AppId::Ssca2);
     let cost = CostModel::default();
     let tiny = simulate(&w, SimSystem::TinyStm, 1, &cost).makespan_ns;
     let roc = simulate(&w, SimSystem::Rococo, 1, &cost).makespan_ns;
@@ -55,8 +64,8 @@ fn rococo_one_thread_penalty_matches_paper_direction() {
 }
 
 /// FNV-1a over each committed footprint's read list, write list and
-/// epoch, lengths included so a moved address cannot alias. `exec_ns` is
-/// wall time and stays out.
+/// epoch (all a `TxnRecord` holds), lengths included so a moved address
+/// cannot alias.
 fn footprint_digest(records: &[TxnRecord]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |x: u64| {
@@ -93,8 +102,8 @@ fn recorded_footprints_match_the_pinned_digests() {
         (AppId::Yada, 0xf6c7_4611_118f_a667),
     ];
     for (app, pinned) in PINNED {
-        let first = footprint_digest(&record_workload(app, Preset::Tiny).0);
-        let second = footprint_digest(&record_workload(app, Preset::Tiny).0);
+        let first = footprint_digest(&record_workload(app, Preset::Tiny));
+        let second = footprint_digest(&record_workload(app, Preset::Tiny));
         assert_eq!(first, second, "{}: two recordings differ", app.name());
         assert_eq!(
             first,
@@ -115,21 +124,20 @@ proptest! {
         n in 1usize..120,
         span in 1u64..64,
         threads in 1usize..32,
-        exec in 100.0f64..5000.0,
+        price in 100.0f64..5000.0,
     ) {
         let w: Workload = (0..n as u64)
-            .map(|i| TxnRecord {
+            .map(|i| PricedTxn {
                 reads: vec![i % span],
                 writes: vec![(i + 1) % span],
-                exec_ns: exec,
-                epoch: 1,
+                seq_ns: price,
             })
             .collect();
         for sys in [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::Rococo] {
             let o = simulate(&w, sys, threads, &CostModel::default());
             prop_assert_eq!(o.commits as usize, n);
             // No run can finish faster than one transaction's execution.
-            prop_assert!(o.makespan_ns >= exec);
+            prop_assert!(o.makespan_ns >= price);
         }
     }
 }
