@@ -75,12 +75,14 @@ for i in $(seq 1 200); do
   fi
 done
 
-echo "== reachability matrix, engine vs its reference model, live verdicts vs an engine-order replay, and the zero-allocation bounds (release)"
+echo "== signatures, reachability matrix, engine vs its reference model, live verdicts vs an engine-order replay, and the zero-allocation bounds (release)"
 # The debug runs above cover these too; release is where the allocation
-# count is the shipped one and where the shifts and the wrapping ring
-# arithmetic are (rococo-core: unit tests, matrix_props, zero_alloc). The
-# ROCoCoTM bound covers the whole commit path, the engine run on the
+# count is the shipped one and where the shifts, the fixed-width hash
+# kernel and the wrapping ring arithmetic are (rococo-sigs: the pinned
+# prehash bit indices; rococo-core: unit tests, matrix_props, zero_alloc).
+# The ROCoCoTM bound covers the whole commit path, the engine run on the
 # committing thread included.
+cargo test --release -q -p rococo-sigs
 cargo test --release -q -p rococo-core
 cargo test --release -q -p rococo-fpga --lib engine::
 cargo test --release -q -p rococo-fpga --lib combined_verdicts_match_a_replay_in_engine_order

@@ -587,6 +587,58 @@ mod tests {
         let _ = SigScheme::new(1 << 17, 8);
     }
 
+    /// The bit indices `prehash` gives a handful of addresses at every
+    /// width the figures sweep, written down literally: a change to the
+    /// hash family, its seed stream or the partition layout moves them.
+    #[test]
+    fn prehash_bit_indices_are_pinned() {
+        let addrs = [1, 0xdead_beef, 0x1234_5678_9abc_def0, u64::MAX];
+        let golden: [(usize, [[u16; 8]; 4]); 4] = [
+            (
+                128,
+                [
+                    [5, 26, 40, 48, 65, 85, 99, 125],
+                    [2, 27, 39, 54, 67, 95, 103, 113],
+                    [11, 22, 35, 52, 68, 81, 99, 120],
+                    [10, 21, 39, 63, 78, 90, 108, 114],
+                ],
+            ),
+            (
+                256,
+                [
+                    [11, 52, 80, 97, 130, 171, 199, 250],
+                    [5, 55, 78, 109, 134, 190, 207, 226],
+                    [22, 45, 71, 104, 137, 162, 199, 240],
+                    [20, 43, 79, 126, 157, 180, 216, 229],
+                ],
+            ),
+            (
+                512,
+                [
+                    [22, 104, 161, 194, 261, 342, 399, 500],
+                    [11, 110, 156, 219, 268, 380, 415, 452],
+                    [45, 91, 142, 209, 275, 324, 398, 480],
+                    [41, 87, 158, 253, 314, 361, 432, 459],
+                ],
+            ),
+            (
+                1024,
+                [
+                    [45, 209, 322, 389, 523, 684, 799, 1001],
+                    [22, 221, 313, 438, 536, 761, 830, 905],
+                    [91, 182, 284, 419, 551, 648, 797, 961],
+                    [82, 174, 317, 506, 628, 723, 864, 918],
+                ],
+            ),
+        ];
+        for (m, bits) in golden {
+            let s = SigScheme::new(m, 8);
+            for (&addr, bits) in addrs.iter().zip(&bits) {
+                assert_eq!(s.prehash(addr).bit_indices(), bits, "m {m} addr {addr:#x}");
+            }
+        }
+    }
+
     #[test]
     fn prehashed_query_matches_query() {
         for (m, k) in [(512, 8), (512, 16), (1024, 8)] {
