@@ -43,14 +43,14 @@ fn main() {
     println!();
 
     let mut table = Table::new(["m bits", "k", "engine abort rate", "inflation vs exact"]);
-    for (m, k) in [(128usize, 8usize), (256, 8), (512, 8), (1024, 8)] {
+    for m in [128usize, 256, 512, 1024] {
         let mut aborts = 0usize;
         let mut n = 0usize;
         for seed in 0..seeds {
             let trace = eigen_trace(&cfg, seed);
             let mut engine = ValidationEngine::new(EngineConfig {
                 window: 64,
-                scheme: SigScheme::new(m, k),
+                scheme: SigScheme::new(m),
             });
             // Replay with the same visibility rule as the cc engine: a
             // transaction's snapshot excludes the last `concurrency`
@@ -83,7 +83,7 @@ fn main() {
         let rate = aborts as f64 / n as f64;
         table.row([
             m.to_string(),
-            k.to_string(),
+            SigScheme::K.to_string(),
             pct(rate),
             format!("{:+.1}pp", (rate - exact_rate) * 100.0),
         ]);

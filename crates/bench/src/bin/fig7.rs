@@ -33,8 +33,9 @@ fn main() {
     banner("Figure 7: false positivity of bloom-filter signatures");
 
     let trials = 3000;
-    for (m, k) in [(256usize, 8usize), (512, 8), (1024, 8)] {
-        let scheme = SigScheme::new(m, k);
+    let k = SigScheme::K;
+    for m in [256usize, 512, 1024] {
+        let scheme = SigScheme::new(m);
         println!("m = {m} bits, k = {k} partitions   ({trials} Monte-Carlo trials per row)");
         let mut t = Table::new([
             "n",

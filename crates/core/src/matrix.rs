@@ -117,14 +117,20 @@ impl ReachMatrix {
         assert_eq!(widths, [self.words(); 4], "vector width mismatch");
 
         // s = b | R b : position i reaches the candidate directly (b[i]) or
-        // through any j with b[j] and r[i][j] (column j read whole).
-        s.copy_from_slice(b);
-        for (k, &word) in b.iter().enumerate() {
-            for j in ones(word).map(|bit| k * 64 + bit) {
-                for (s, plane) in s.iter_mut().zip(self.cols.chunks_exact(self.cap)) {
-                    *s |= plane[j];
+        // through any j with b[j] and r[i][j]: word k of s ORs word k of
+        // every column b names, one plane at a time.
+        for (k, (s, plane)) in s
+            .iter_mut()
+            .zip(self.cols.chunks_exact(self.cap))
+            .enumerate()
+        {
+            let mut reach = b[k];
+            for (w, &word) in b.iter().enumerate() {
+                for j in ones(word) {
+                    reach |= plane[w * 64 + j];
                 }
             }
+            *s = reach;
         }
 
         // p = f | R^T f : the candidate reaches position j directly (f[j])
@@ -180,10 +186,11 @@ impl ReachMatrix {
         for col in &mut self.cols[own * self.cap..(own + 1) * self.cap] {
             *col &= !bit;
         }
-        for (w, &word) in p.iter().enumerate() {
-            for j in ones(word).map(|b| w * 64 + b) {
-                for (k, (plane, &s)) in self.cols.chunks_exact_mut(self.cap).zip(s).enumerate() {
-                    plane[j] |= gain(k, s);
+        for (k, (plane, &s)) in self.cols.chunks_exact_mut(self.cap).zip(s).enumerate() {
+            let gain = gain(k, s);
+            for (w, &word) in p.iter().enumerate() {
+                for j in ones(word) {
+                    plane[w * 64 + j] |= gain;
                 }
             }
         }

@@ -129,25 +129,33 @@ impl EngineStats {
     }
 }
 
-/// The bookkeeping of one kind of signature (read sets, or write sets) of
-/// the last `W` commits, bit-sliced by signature bit in two banks: commit
-/// `seq` sits in *ring position* `seq % W` of bank `(seq / W) % 2`, the
-/// parity of its generation, and nothing moves when the window slides. The
-/// first commit of a generation zeroes its bank, whose every entry is by
-/// then at least `W` commits old, so the window is the newest bank's
-/// positions up to the last commit's and the other bank's after it: what
-/// the Detector keeps. It mirrors the resource model's double-buffered
-/// signature store (`BRAM_BITS_PER_HISTORY_BIT`).
+/// The bookkeeping of the read-set and write-set signatures of the last
+/// `W` commits, bit-sliced by signature bit in two banks each: commit `seq`
+/// sits in *ring position* `seq % W` of bank `(seq / W) % 2`, the parity of
+/// its generation, and nothing moves when the window slides. The first
+/// commit of a generation zeroes its bank, whose every entry is by then at
+/// least `W` commits old, so the window is the newest bank's positions up
+/// to the last commit's and the other bank's after it: what the Detector
+/// keeps. It mirrors the resource model's double-buffered signature store
+/// (`BRAM_BITS_PER_HISTORY_BIT`).
 #[derive(Debug, Clone)]
 struct History {
     /// Signature size `m` in bits.
     m_bits: usize,
-    /// The column table: bit `p % 64` of `cols[(p / 64) * m + c][bank]`
-    /// says "the commit in ring position `p` of `bank` has bit `c` set in
-    /// its signature"; word-major, so word `j` of every column is one
-    /// contiguous plane, and a word's two banks side by side.
-    cols: Vec<[u64; 2]>,
+    /// The column table: bit `p % 64` of `cols[(p / 64) * m + c][READ + b]`
+    /// says "the commit in ring position `p` of bank `b` has bit `c` set in
+    /// its read-set signature", and of `[WRITE + b]` the same of its
+    /// write-set signature. Word-major, so word `j` of every column is one
+    /// contiguous plane, and a column word's four banks sit side by side:
+    /// one 32-byte load probes a write address against both signatures of
+    /// both banks.
+    cols: Vec<[u64; 4]>,
 }
+
+/// Where a column word's two read-set banks start.
+const READ: usize = 0;
+/// Where a column word's two write-set banks start.
+const WRITE: usize = 2;
 
 /// Where commit `seq` sits in a window of `window` entries: its ring
 /// position and its bank.
@@ -160,54 +168,63 @@ impl History {
     fn new(window: usize, m_bits: usize) -> Self {
         Self {
             m_bits,
-            cols: vec![[0; 2]; window.div_ceil(64) * m_bits],
+            cols: vec![[0; 4]; window.div_ceil(64) * m_bits],
         }
     }
 
     /// Word `word` of every column.
-    fn plane(&self, word: usize) -> &[[u64; 2]] {
+    fn plane(&self, word: usize) -> &[[u64; 4]] {
         &self.cols[word * self.m_bits..][..self.m_bits]
     }
 
-    /// Records the commit in ring position `pos` of `bank`, whose signature
-    /// holds `addrs`: a new generation first zeroes its bank, then the
-    /// commit sets its position's bit in the `k` columns of each address.
-    fn record(&mut self, pos: usize, bank: usize, addrs: &[PrehashedAddr]) {
+    /// Records the commit in ring position `pos` of `bank`, whose read set
+    /// is `reads` and write set `writes`: a new generation first zeroes its
+    /// banks, then the commit sets its position's bit in the eight columns
+    /// of each address.
+    fn record(
+        &mut self,
+        pos: usize,
+        bank: usize,
+        reads: &[PrehashedAddr],
+        writes: &[PrehashedAddr],
+    ) {
         if pos == 0 {
             for column in &mut self.cols {
-                column[bank] = 0;
+                column[READ + bank] = 0;
+                column[WRITE + bank] = 0;
             }
         }
         let plane = &mut self.cols[(pos / 64) * self.m_bits..][..self.m_bits];
         let here = 1u64 << (pos % 64);
-        for addr in addrs {
-            for &bit in addr.bit_indices() {
-                plane[usize::from(bit)][bank] |= here;
+        for (addrs, kind) in [(reads, READ), (writes, WRITE)] {
+            for addr in addrs {
+                for &bit in addr.bit_indices() {
+                    plane[usize::from(bit)][kind + bank] |= here;
+                }
             }
         }
     }
 }
 
-/// Which ring positions of one word of the tables' `planes` hold a
-/// signature that may contain one of `addrs`, counting bank `b` only where
-/// `keep[b]` is set. A signature may contain an address iff it has all `k`
-/// of the address's bits set, so the AND of those `k` columns answers
-/// `query_prehashed` for 64 entries of both banks in `k` loads a table.
-fn hits<const N: usize>(planes: [&[[u64; 2]]; N], addrs: &[PrehashedAddr], keep: [u64; 2]) -> u64 {
-    let mut hit = [0; 2];
+/// Which ring positions of one word of the table's `plane` hold a
+/// signature that may contain one of `addrs`, in each of the `N` banks from
+/// `FROM` on. A signature may contain an address iff it has all eight of
+/// the address's bits set, so the AND of those eight columns answers
+/// `query_prehashed` for 64 entries of every bank in eight loads.
+fn hits<const FROM: usize, const N: usize>(
+    plane: &[[u64; 4]],
+    addrs: &[PrehashedAddr],
+) -> [u64; N] {
+    let mut hit = [0; N];
     for addr in addrs {
-        let mut all = [[u64::MAX; 2]; N];
+        let mut all = [u64::MAX; N];
         for &bit in addr.bit_indices() {
-            for (all, plane) in all.iter_mut().zip(planes) {
-                let [c, d] = plane[usize::from(bit)];
-                *all = [all[0] & c, all[1] & d];
-            }
+            let column = &plane[usize::from(bit)];
+            all = std::array::from_fn(|b| all[b] & column[FROM + b]);
         }
-        for [c, d] in all {
-            hit = [hit[0] | c, hit[1] | d];
-        }
+        hit = std::array::from_fn(|b| hit[b] | all[b]);
     }
-    (hit[0] & keep[0]) | (hit[1] & keep[1])
+    hit
 }
 
 /// Bits `[64 * word, 64 * word + 64)` of the mask over `window` ring
@@ -238,15 +255,15 @@ fn ring_range(word: usize, start: usize, len: usize, window: usize) -> u64 {
 ///    address, computed once at the pipeline's front.
 /// 2. **Detector** — the hardware compares each address with the read and
 ///    write signatures of all `W` window entries in parallel. The software
-///    shadow of that comparator array is a pair of bit-sliced column
-///    tables (`History`): the AND of an address's `k` columns is its hit
-///    mask over every window entry at once. The two hit masks (reads ×
-///    write signatures, writes × read and write signatures) become the `f`
-///    and `b` adjacency vectors by mask arithmetic against the entries the
-///    request's `ValidTS` observed (an overlapping writer the transaction
-///    already observed is a backward read-after-write dependency, an
-///    unobserved one is a forward write-after-read dependency), over the
-///    same ring positions.
+///    shadow of that comparator array is one bit-sliced column table
+///    (`History`) with a read and a write half: the AND of an address's
+///    eight columns is its hit mask over every window entry at once. The
+///    two hit masks (reads × write signatures, writes × read and write
+///    signatures) become the `f` and `b` adjacency vectors by mask
+///    arithmetic against the entries the request's `ValidTS` observed (an
+///    overlapping writer the transaction already observed is a backward
+///    read-after-write dependency, an unobserved one is a forward
+///    write-after-read dependency), over the same ring positions.
 /// 3. **Manager** — takes the two vectors as they are
 ///    ([`RococoValidator::validate_and_commit_vectors`]: the reachability
 ///    matrix is indexed by ring position too), computes `p`/`s`, detects
@@ -267,10 +284,8 @@ pub struct ValidationEngine {
     scheme: SigScheme,
     validator: RococoValidator<()>,
     stats: EngineStats,
-    /// Read-set signatures of the window's commits.
-    reads: History,
-    /// Write-set signatures of the window's commits.
-    writes: History,
+    /// Read-set and write-set signatures of the window's commits.
+    history: History,
     // The request in flight: what each step leaves for the next.
     req_reads: Vec<PrehashedAddr>,
     req_writes: Vec<PrehashedAddr>,
@@ -287,12 +302,10 @@ impl ValidationEngine {
     /// Panics if `config.window == 0`.
     pub fn new(config: EngineConfig) -> Self {
         let window = config.window;
-        let history = History::new(window, config.scheme.m_bits());
         Self {
             validator: RococoValidator::new(window),
             stats: EngineStats::default(),
-            reads: history.clone(),
-            writes: history,
+            history: History::new(window, config.scheme.m_bits()),
             req_reads: Vec::new(),
             req_writes: Vec::new(),
             ring_f: vec![0; window.div_ceil(64)],
@@ -353,13 +366,15 @@ impl ValidationEngine {
             let fresh = ring_range(word, 0, last + 1, window);
             let mut keep = [!fresh; 2];
             keep[newest] = fresh;
-            let (reads, writes) = (self.reads.plane(word), self.writes.plane(word));
+            let plane = self.history.plane(word);
             // Read-set vs committed write-sets: RAW if observed, forward
             // (the candidate read the overwritten version) otherwise.
-            let raw = hits([writes], &self.req_reads, keep);
+            let [w0, w1] = hits::<WRITE, 2>(plane, &self.req_reads);
+            let raw = (w0 & keep[0]) | (w1 & keep[1]);
             // Write-set vs committed read-sets (WAR) and write-sets (WAW):
             // both order the committed transaction before the candidate.
-            let war_waw = hits([reads, writes], &self.req_writes, keep);
+            let [r0, r1, w0, w1] = hits::<READ, 4>(plane, &self.req_writes);
+            let war_waw = ((r0 | w0) & keep[0]) | ((r1 | w1) & keep[1]);
             let seen = ring_range(word, start, observed, window);
             self.ring_f[word] = raw & !seen;
             self.ring_b[word] = (raw & seen) | war_waw;
@@ -370,8 +385,8 @@ impl ValidationEngine {
     /// commit `seq − W`, which the Manager just evicted.
     fn record(&mut self, seq: Seq) {
         let (pos, bank) = slot(seq, self.window());
-        self.reads.record(pos, bank, &self.req_reads);
-        self.writes.record(pos, bank, &self.req_writes);
+        self.history
+            .record(pos, bank, &self.req_reads, &self.req_writes);
     }
 
     /// Processes one validation request end to end and returns the verdict.
@@ -685,11 +700,11 @@ mod tests {
             verdict
         }
 
-        /// Both tables against their banks rebuilt from the reference's
-        /// live window (commit `seq`'s signature bits in bank
-        /// `(seq / W) % 2`, position `seq % W`): equal on every position the
-        /// Detector keeps, and the bank being filled holds no bit past the
-        /// last commit's position.
+        /// Both halves of the table, read sets and write sets, against
+        /// their banks rebuilt from the reference's live window (commit
+        /// `seq`'s signature bits in bank `(seq / W) % 2`, position
+        /// `seq % W`): equal on every position the Detector keeps, and the
+        /// bank being filled holds no bit past the last commit's position.
         fn check_bookkeeping(&self) {
             let window = self.engine.window();
             let m = self.engine.scheme.m_bits();
@@ -709,12 +724,10 @@ mod tests {
                     }
                 }
             }
-            for (history, of) in [
-                (
-                    &self.engine.reads,
-                    (|e| &e.read_sig) as fn(&HistoryEntry) -> &Sig,
-                ),
-                (&self.engine.writes, |e| &e.write_sig),
+            let history = &self.engine.history;
+            for (half, of) in [
+                (READ, (|e| &e.read_sig) as fn(&HistoryEntry) -> &Sig),
+                (WRITE, |e| &e.write_sig),
             ] {
                 let mut rebuilt = vec![[0u64; 2]; history.cols.len()];
                 for (slot, entry) in live.iter() {
@@ -730,18 +743,19 @@ mod tests {
                 }
                 for (i, (engine, rebuilt)) in history.cols.iter().zip(&rebuilt).enumerate() {
                     let (word, column) = (i / m, i % m);
+                    let engine = &engine[half..half + 2];
                     for bank in 0..2 {
                         let keep = kept[word][bank];
                         assert_eq!(
                             engine[bank] & keep,
                             rebuilt[bank] & keep,
-                            "W {window}: bank {bank}, column {column}, word {word}"
+                            "W {window}: half {half}, bank {bank}, column {column}, word {word}"
                         );
                     }
                     assert_eq!(
                         engine[newest] & !kept[word][newest],
                         0,
-                        "W {window}: bank {newest} past {last}, column {column}, word {word}"
+                        "W {window}: half {half}, bank {newest} past {last}, column {column}, word {word}"
                     );
                 }
             }

@@ -3,27 +3,24 @@
 use crate::hash::MultiplyShift;
 use std::fmt;
 
-/// Maximum number of partitions a scheme supports (bounds a stack buffer on
-/// the hot path).
-const MAX_K: usize = 16;
-
 /// A parallel (partitioned) bloom-filter scheme.
 ///
-/// The scheme fixes the signature geometry — `m` total bits split into `k`
-/// equal partitions — and owns the hash family. Signatures ([`Sig`]) are
-/// plain bit vectors; all operations that need hashing (insert, query) go
-/// through the scheme so that every signature in a system is guaranteed to
-/// use the same geometry.
+/// The scheme fixes the signature geometry — `m` total bits split into
+/// [`K`](Self::K) = 8 equal partitions — and owns the hash family.
+/// Signatures ([`Sig`]) are plain bit vectors; all operations that need
+/// hashing (insert, query) go through the scheme so that every signature in
+/// a system is guaranteed to use the same geometry.
 ///
-/// The paper's design point is `m = 512`, `k = 8`
-/// ([`SigScheme::paper_default`]): eight partitions of 64 bits, matching one
-/// 512-bit AVX register / cache line on the CPU and a flat wire bundle on the
-/// FPGA.
+/// The paper's design point is `m = 512` ([`SigScheme::paper_default`]):
+/// eight partitions of 64 bits, matching one 512-bit AVX register / cache
+/// line on the CPU and a flat wire bundle on the FPGA. `m` varies (Figure 7
+/// sweeps it); the partition count does not.
 #[derive(Debug, Clone)]
 pub struct SigScheme {
     m_bits: usize,
-    k: usize,
     part_bits: usize,
+    /// The first bit of each partition, `i * part_bits`.
+    part_start: [u16; Self::K],
     words: usize,
     hashers: MultiplyShift,
 }
@@ -35,26 +32,28 @@ impl SigScheme {
     /// hash family, exactly like a synthesised bitstream would.
     pub const DEFAULT_SEED: u64 = 0x5eed_0000_0c0c_0a19;
 
-    /// Creates a scheme with `m_bits` total bits and `k` partitions, deriving
-    /// the hash family from `seed`.
+    /// Number of partitions `k`, and of bits an insert sets: the paper's
+    /// eight (section 5.2), the same for every width `m`.
+    pub const K: usize = 8;
+
+    /// Creates a scheme with `m_bits` total bits in [`K`](Self::K)
+    /// partitions, deriving the hash family from `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `m_bits` is not a multiple of `64 * k`, if it exceeds
-    /// 65 536 (a [`PrehashedAddr`] stores bit indices as `u16`), if the
-    /// partition size is not a power of two, or if `k` is 0 or greater
-    /// than 16.
-    pub fn with_seed(m_bits: usize, k: usize, seed: u64) -> Self {
-        assert!(k > 0 && k <= MAX_K, "k must be in 1..=16, got {k}");
+    /// Panics if `m_bits` is not a multiple of 64, if it exceeds 65 536 (a
+    /// [`PrehashedAddr`] stores bit indices as `u16`), or if the partition
+    /// size `m_bits / 8` is not a power of two.
+    pub fn with_seed(m_bits: usize, seed: u64) -> Self {
         assert!(
             m_bits <= 1 << 16,
             "m_bits ({m_bits}) must fit a u16 bit index (at most 65536)"
         );
         assert!(
-            m_bits.is_multiple_of(64) && m_bits.is_multiple_of(k),
-            "m_bits ({m_bits}) must be a multiple of 64 and of k ({k})"
+            m_bits.is_multiple_of(64),
+            "m_bits ({m_bits}) must be a multiple of 64"
         );
-        let part_bits = m_bits / k;
+        let part_bits = m_bits / Self::K;
         assert!(
             part_bits.is_power_of_two(),
             "partition size {part_bits} must be a power of two"
@@ -62,33 +61,28 @@ impl SigScheme {
         let out_bits = part_bits.trailing_zeros();
         Self {
             m_bits,
-            k,
             part_bits,
+            part_start: std::array::from_fn(|i| (i * part_bits) as u16),
             words: m_bits / 64,
-            hashers: MultiplyShift::new(k, out_bits, seed),
+            hashers: MultiplyShift::new(out_bits, seed),
         }
     }
 
     /// Creates a scheme with the default seed.
     ///
     /// See [`SigScheme::with_seed`] for panics.
-    pub fn new(m_bits: usize, k: usize) -> Self {
-        Self::with_seed(m_bits, k, Self::DEFAULT_SEED)
+    pub fn new(m_bits: usize) -> Self {
+        Self::with_seed(m_bits, Self::DEFAULT_SEED)
     }
 
-    /// The paper's design point: 512 bits, 8 partitions.
+    /// The paper's design point: 512 bits, 8 partitions of 64.
     pub fn paper_default() -> Self {
-        Self::new(512, 8)
+        Self::new(512)
     }
 
     /// Total signature size in bits (`m`).
     pub fn m_bits(&self) -> usize {
         self.m_bits
-    }
-
-    /// Number of partitions (`k`).
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Signature size in 64-bit words.
@@ -110,17 +104,7 @@ impl SigScheme {
     /// Panics if `sig` does not match this scheme's geometry.
     #[inline]
     pub fn insert(&self, sig: &mut Sig, addr: u64) {
-        assert_eq!(sig.words.len(), self.words, "signature geometry mismatch");
-        for bit in self.bits_of(addr) {
-            sig.words[bit / 64] |= 1u64 << (bit % 64);
-        }
-    }
-
-    /// The signature bit indices of `addr`, one per partition.
-    #[inline]
-    fn bits_of(&self, addr: u64) -> impl Iterator<Item = usize> + '_ {
-        let buckets = self.hashers.hash_all(addr).enumerate();
-        buckets.map(|(i, bucket)| i * self.part_bits + bucket as usize)
+        self.insert_prehashed(sig, &self.prehash(addr));
     }
 
     /// [`SigScheme::insert`] of positions computed by [`SigScheme::prehash`]:
@@ -207,7 +191,7 @@ impl SigScheme {
             let per_word = 64 / self.part_bits;
             let part_mask = (1u64 << self.part_bits) - 1;
             let mut p = 0;
-            while p < self.k {
+            while p < Self::K {
                 let word = p / per_word;
                 let shift = (p % per_word) * self.part_bits;
                 if aw[word] & bw[word] & (part_mask << shift) == 0 {
@@ -227,15 +211,10 @@ impl SigScheme {
     /// once per (address, window entry) pair removes the dominant cost.
     #[inline]
     pub fn prehash(&self, addr: u64) -> PrehashedAddr {
-        let mut bits = [0u16; MAX_K];
-        for (slot, bit) in bits.iter_mut().zip(self.bits_of(addr)) {
-            debug_assert!(bit < self.m_bits);
-            *slot = bit as u16;
-        }
-        PrehashedAddr {
-            bits,
-            k: self.k as u8,
-        }
+        let buckets = self.hashers.hash_all(addr);
+        PrehashedAddr(std::array::from_fn(|i| {
+            self.part_start[i] | buckets[i] as u16
+        }))
     }
 
     /// [`SigScheme::query`] against positions computed by
@@ -253,24 +232,22 @@ impl SigScheme {
     }
 }
 
-/// The `k` signature bit indices an address maps to under one
-/// [`SigScheme`], one per partition, precomputed via [`SigScheme::prehash`].
-/// 34 bytes: a 16-address request's prehashes fit nine cache lines.
+/// The [`K`](SigScheme::K) signature bit indices an address maps to under
+/// one [`SigScheme`], one per partition, precomputed via
+/// [`SigScheme::prehash`]. 16 bytes: a 16-address request's prehashes fit
+/// four cache lines.
 ///
 /// Only meaningful with the scheme that produced it — querying through a
 /// different scheme of the same word count silently tests the wrong bits.
 #[derive(Debug, Clone, Copy)]
-pub struct PrehashedAddr {
-    bits: [u16; MAX_K],
-    k: u8,
-}
+pub struct PrehashedAddr([u16; SigScheme::K]);
 
 impl PrehashedAddr {
     /// The bit indices in `[0, m)`, in partition order: the address is in a
     /// signature's set only if the signature has every one of them set.
     #[inline]
-    pub fn bit_indices(&self) -> &[u16] {
-        &self.bits[..usize::from(self.k)]
+    pub fn bit_indices(&self) -> &[u16; SigScheme::K] {
+        &self.0
     }
 }
 
@@ -477,7 +454,7 @@ mod tests {
 
     #[test]
     fn overlaps_matches_intersect_nonempty() {
-        let s = SigScheme::new(256, 4);
+        let s = SigScheme::new(256);
         let a = s.sig_of(0..20u64);
         let b = s.sig_of(15..40u64);
         assert_eq!(a.overlaps(&b), !a.intersect(&b).is_empty());
@@ -485,10 +462,9 @@ mod tests {
 
     #[test]
     fn scheme_sizes() {
-        let s = SigScheme::new(1024, 8);
+        let s = SigScheme::new(1024);
         assert_eq!(s.words(), 16);
         assert_eq!(s.m_bits(), 1024);
-        assert_eq!(s.k(), 8);
         assert_eq!(s.new_sig().len_words(), 16);
     }
 
@@ -500,10 +476,15 @@ mod tests {
         s.insert(&mut wrong, 1);
     }
 
+    /// Signature widths from 64 bits (8-bit partitions) to 65 536, the
+    /// largest a u16 bit index addresses: both paths of
+    /// `sets_may_intersect` (`part_bits` below 64 and from 64 up).
+    const GEOMETRIES: [usize; 6] = [64, 128, 256, 512, 1024, 65_536];
+
     /// Reference implementation of the partition rule: per-bit scan, no word
     /// tricks. The word-parallel fast paths must agree with this exactly.
     fn intersect_reference(s: &SigScheme, a: &Sig, b: &Sig) -> bool {
-        (0..s.k).all(|p| {
+        (0..SigScheme::K).all(|p| {
             (p * s.part_bits..(p + 1) * s.part_bits)
                 .any(|bit| a.words[bit / 64] & b.words[bit / 64] & (1u64 << (bit % 64)) != 0)
         })
@@ -511,12 +492,12 @@ mod tests {
 
     #[test]
     fn word_parallel_intersection_matches_reference() {
-        // Geometries covering every fast path: part_bits = 64 (paper
-        // default), multi-word partitions (128), and sub-word partitions
-        // (32 and 16).
-        for (m, k) in [(512, 8), (1024, 8), (512, 16), (256, 16), (256, 4)] {
-            let s = SigScheme::new(m, k);
-            let mut seed = 0x1234_5678_9abc_def0u64 ^ (m as u64) << 16 ^ k as u64;
+        // Widths covering every fast path: part_bits = 64 (paper default),
+        // multi-word partitions (128 and 8 192), and sub-word partitions
+        // (32, 16 and 8).
+        for m in GEOMETRIES {
+            let s = SigScheme::new(m);
+            let mut seed = 0x1234_5678_9abc_def0u64 ^ (m as u64) << 16 ^ 8;
             let mut next = || {
                 seed ^= seed << 13;
                 seed ^= seed >> 7;
@@ -533,7 +514,7 @@ mod tests {
                 assert_eq!(
                     s.sets_may_intersect(&a, &b),
                     intersect_reference(&s, &a, &b),
-                    "m={m} k={k} trial={trial}"
+                    "m={m} trial={trial}"
                 );
                 // Shared-element case: must always report possible overlap.
                 if na > 0 {
@@ -553,21 +534,19 @@ mod tests {
 
     #[test]
     fn prehashed_insert_sets_exactly_the_named_bits() {
-        // 65 536 bits is the largest geometry a u16 bit index addresses.
-        for (m, k) in [(512, 8), (512, 16), (1024, 8), (256, 16), (65_536, 16)] {
-            let s = SigScheme::new(m, k);
+        for m in GEOMETRIES {
+            let s = SigScheme::new(m);
             for a in (0..40u64).map(|i| i * 131 + 7) {
                 let pre = s.prehash(a);
                 let bits = pre.bit_indices();
-                assert_eq!(bits.len(), k);
                 // One index per partition, in partition order.
                 assert!(bits
                     .iter()
                     .enumerate()
-                    .all(|(i, &bit)| usize::from(bit) / (m / k) == i));
+                    .all(|(i, &bit)| usize::from(bit) / (m / SigScheme::K) == i));
                 let mut sig = s.new_sig();
                 s.insert_prehashed(&mut sig, &pre);
-                assert_eq!(sig.count_ones() as usize, k, "m={m} k={k}");
+                assert_eq!(sig.count_ones() as usize, SigScheme::K, "m={m}");
                 assert!(bits
                     .iter()
                     .all(|&bit| sig.as_words()[usize::from(bit) / 64] >> (bit % 64) & 1 == 1));
@@ -578,13 +557,13 @@ mod tests {
 
     #[test]
     fn prehashed_addr_is_packed() {
-        assert_eq!(std::mem::size_of::<PrehashedAddr>(), 34);
+        assert_eq!(std::mem::size_of::<PrehashedAddr>(), 16);
     }
 
     #[test]
     #[should_panic(expected = "u16 bit index")]
     fn oversized_signature_rejected() {
-        let _ = SigScheme::new(1 << 17, 8);
+        let _ = SigScheme::new(1 << 17);
     }
 
     /// The bit indices `prehash` gives a handful of addresses at every
@@ -632,7 +611,7 @@ mod tests {
             ),
         ];
         for (m, bits) in golden {
-            let s = SigScheme::new(m, 8);
+            let s = SigScheme::new(m);
             for (&addr, bits) in addrs.iter().zip(&bits) {
                 assert_eq!(s.prehash(addr).bit_indices(), bits, "m {m} addr {addr:#x}");
             }
@@ -641,15 +620,15 @@ mod tests {
 
     #[test]
     fn prehashed_query_matches_query() {
-        for (m, k) in [(512, 8), (512, 16), (1024, 8)] {
-            let s = SigScheme::new(m, k);
+        for m in GEOMETRIES {
+            let s = SigScheme::new(m);
             let sig = s.sig_of((0..40u64).map(|i| i * 131 + 7));
             for a in 0..600u64 {
                 let pre = s.prehash(a);
                 assert_eq!(
                     s.query(&sig, a),
                     s.query_prehashed(&sig, &pre),
-                    "m={m} k={k} addr={a}"
+                    "m={m} addr={a}"
                 );
             }
         }

@@ -5,6 +5,8 @@
 //! which maps both to a handful of AVX instructions on the CPU and to DSP
 //! blocks on the FPGA.
 
+use crate::SigScheme;
+
 /// SplitMix64 step — a tiny, high-quality seeded generator used to derive the
 /// random odd multipliers of a hash family without pulling in a full RNG
 /// dependency.
@@ -26,8 +28,8 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A family of `k` multiply-shift hash functions mapping a 64-bit key into
-/// `[0, 2^out_bits)`.
+/// The family of [`SigScheme::K`] multiply-shift hash functions mapping a
+/// 64-bit key into `[0, 2^out_bits)`, one function per signature partition.
 ///
 /// Function `i` computes `(a_i * x) >> (64 - out_bits)` with a fixed random
 /// odd multiplier `a_i`. The family is approximately 2-universal, which is
@@ -35,38 +37,26 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// assumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiplyShift {
-    mults: Vec<u64>,
+    mults: [u64; SigScheme::K],
     out_bits: u32,
 }
 
 impl MultiplyShift {
-    /// Creates a family of `k` functions with `out_bits` output bits, with
-    /// multipliers derived deterministically from `seed`.
+    /// Creates the family with `out_bits` output bits, with multipliers
+    /// derived deterministically from `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `out_bits` is not in `1..=63`.
-    pub fn new(k: usize, out_bits: u32, seed: u64) -> Self {
-        assert!(k > 0, "hash family must have at least one function");
+    /// Panics if `out_bits` is not in `1..=63`.
+    pub fn new(out_bits: u32, seed: u64) -> Self {
         assert!(
             (1..=63).contains(&out_bits),
             "out_bits must be in 1..=63, got {out_bits}"
         );
         let mut state = seed ^ 0xa076_1d64_78bd_642f;
-        let mults = (0..k)
-            .map(|_| splitmix64(&mut state) | 1) // multipliers must be odd
-            .collect();
+        // Multipliers must be odd.
+        let mults = std::array::from_fn(|_| splitmix64(&mut state) | 1);
         Self { mults, out_bits }
-    }
-
-    /// Number of functions in the family.
-    pub fn len(&self) -> usize {
-        self.mults.len()
-    }
-
-    /// Whether the family is empty (never true for a constructed family).
-    pub fn is_empty(&self) -> bool {
-        self.mults.is_empty()
     }
 
     /// Output width in bits of every function.
@@ -74,20 +64,11 @@ impl MultiplyShift {
         self.out_bits
     }
 
-    /// Evaluates function `i` on `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
+    /// Evaluates the whole family on `key`, one bucket per function.
     #[inline]
-    pub fn hash(&self, i: usize, key: u64) -> u64 {
-        self.mults[i].wrapping_mul(key) >> (64 - self.out_bits)
-    }
-
-    /// Evaluates the whole family on `key`, yielding one bucket per function.
-    pub fn hash_all<'a>(&'a self, key: u64) -> impl Iterator<Item = u64> + 'a {
+    pub fn hash_all(&self, key: u64) -> [u64; SigScheme::K] {
         let shift = 64 - self.out_bits;
-        self.mults.iter().map(move |a| a.wrapping_mul(key) >> shift)
+        self.mults.map(|a| a.wrapping_mul(key) >> shift)
     }
 }
 
@@ -106,7 +87,7 @@ mod tests {
 
     #[test]
     fn outputs_fit_in_range() {
-        let fam = MultiplyShift::new(8, 6, 1);
+        let fam = MultiplyShift::new(6, 1);
         for key in [0u64, 1, 42, u64::MAX, 0xdead_beef] {
             for h in fam.hash_all(key) {
                 assert!(h < 64, "hash {h} out of range for 6 output bits");
@@ -116,18 +97,18 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_families() {
-        let a = MultiplyShift::new(4, 9, 1);
-        let b = MultiplyShift::new(4, 9, 2);
+        let a = MultiplyShift::new(9, 1);
+        let b = MultiplyShift::new(9, 2);
         assert_ne!(a, b);
     }
 
     #[test]
     fn family_spreads_keys() {
         // A crude avalanche check: consecutive keys should not all collide.
-        let fam = MultiplyShift::new(1, 10, 3);
+        let fam = MultiplyShift::new(10, 3);
         let mut buckets = std::collections::HashSet::new();
         for key in 0..1024u64 {
-            buckets.insert(fam.hash(0, key));
+            buckets.insert(fam.hash_all(key)[0]);
         }
         assert!(
             buckets.len() > 256,
@@ -139,6 +120,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out_bits")]
     fn rejects_zero_width() {
-        let _ = MultiplyShift::new(1, 0, 0);
+        let _ = MultiplyShift::new(0, 0);
     }
 }

@@ -3,15 +3,18 @@
 //! This crate implements the signature machinery of the paper's section 5.2:
 //!
 //! * [`SigScheme`] — a parallel (partitioned) bloom-filter scheme [Sanchez et
-//!   al., MICRO'07]: `m` total bits split into `k` partitions, each insert
-//!   sets exactly one bit per partition, chosen by an approximately universal
-//!   *multiply-shift* hash [Dietzfelbinger et al. 1997].
+//!   al., MICRO'07]: `m` total bits split into the paper's
+//!   [`K`](SigScheme::K) = 8 partitions, each insert sets exactly one bit per
+//!   partition, chosen by an approximately universal *multiply-shift* hash
+//!   [Dietzfelbinger et al. 1997]. `m` is the scheme's one parameter; `k` is
+//!   fixed, so a prehashed address is eight `u16` bit indices.
 //! * [`Sig`] — a signature value supporting insertion, membership query, set
 //!   union and set intersection with plain bitwise operators, exactly the
 //!   operation set the paper lists (citing Bulk [Ceze et al., ISCA'06]).
 //! * [`fp_model`] — the probabilistic false-positivity model used to pick the
 //!   paper's `m = 512`, eight-elements-per-intersection design point
-//!   (Figure 7), following Jeffrey & Steffan [SPAA'11].
+//!   (Figure 7), following Jeffrey & Steffan [SPAA'11]; being a model, it
+//!   still takes `k` as an argument.
 //! * [`ChunkedSig`] — the read-set summarisation of Algorithm 1: one
 //!   signature per sub-set of [`CHUNK`](ChunkedSig::CHUNK) addresses plus a
 //!   whole-set signature, so that a coarse overlap can be refined chunk by
@@ -22,7 +25,7 @@
 //! ```
 //! use rococo_sigs::SigScheme;
 //!
-//! let scheme = SigScheme::paper_default(); // m = 512, k = 8
+//! let scheme = SigScheme::paper_default(); // m = 512, K = 8
 //! let mut ws = scheme.new_sig();
 //! scheme.insert(&mut ws, 0xdead_beef);
 //! assert!(scheme.query(&ws, 0xdead_beef));
