@@ -46,10 +46,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rococo-lint (TM-safety invariants; per-rule timing below)"
-# The run is the gate: any diagnostic — including an unused or
-# malformed suppression — exits nonzero. Blocking bugs are not its
-# business: the hybrid loop below and the service tests guard those.
+echo "== rococo-lint (no side effects in closures re-executed on abort; timing below)"
+# The run is the gate: any diagnostic exits nonzero. The other
+# invariants it once matched on are compile errors now (the workspace
+# forbids unsafe_code; commit sequences and ROCoCoTM aborts are typed),
+# and blocking bugs are not its business: the hybrid loop below and the
+# service tests guard those.
 cargo run --release -q -p rococo-lint -- --root .
 
 echo "== tier-1: release build + tests"

@@ -6,7 +6,6 @@
 //! rows and series, and the committed sequential cost table the replays
 //! price recorded transactions with ([`seq_cost`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod calibration;

@@ -39,7 +39,6 @@
 //! assert!(tocc.stats.abort_rate() <= twopl.stats.abort_rate());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

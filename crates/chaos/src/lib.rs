@@ -44,7 +44,6 @@
 //!
 //! [`TmSystem`]: rococo_stm::TmSystem
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

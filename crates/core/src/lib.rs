@@ -61,7 +61,6 @@
 //! assert!(v.matrix().reaches(1, 0) && !v.matrix().reaches(0, 1));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod depvec;

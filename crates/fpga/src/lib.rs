@@ -41,7 +41,6 @@
 //! assert!(verdict.is_commit());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

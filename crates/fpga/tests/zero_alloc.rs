@@ -3,52 +3,14 @@
 //! The engine decides every ROCoCoTM commit in the system, on the
 //! committing thread and under the service's one lock; an allocation per
 //! verdict there is an allocator call inside that lock, on every
-//! committer's critical path. This binary's own counting allocator (the
-//! library stays `#![forbid(unsafe_code)]`) holds the engine to zero.
+//! committer's critical path. `rococo_testalloc::Counting`, installed as
+//! this binary's allocator, holds the engine to zero.
 
 use rococo_fpga::{EngineConfig, FpgaVerdict, ValidateRequest, ValidationEngine};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Allocations (and reallocations) made by this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting per thread so that the test harness's
-/// other threads cannot disturb the count.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump, which neither allocates (`const`-initialised `Cell`, no
-// destructor) nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's `layout` obligation is passed on as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
-        // with this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as `dealloc`, and the caller guarantees `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use rococo_testalloc::{allocations, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// Request `i` of a contended stream: 8 reads and 8 writes over 256
 /// addresses.

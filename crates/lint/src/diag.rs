@@ -15,8 +15,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based byte column.
     pub col: u32,
-    /// The rule that produced it (or a meta-rule like
-    /// `unused-suppression`).
+    /// The rule that produced it.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,

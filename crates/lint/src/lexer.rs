@@ -2,9 +2,8 @@
 //!
 //! This is not a full Rust lexer: it produces exactly the token stream
 //! the lint rules need — identifiers, numbers, string/char literals,
-//! lifetimes and single-byte punctuation — with line/column positions,
-//! and it collects line comments separately so the suppression grammar
-//! can be parsed from them. What it must get *right* is skipping: a
+//! lifetimes and single-byte punctuation — with line/column positions.
+//! What it must get *right* is skipping: a
 //! forbidden identifier inside a string literal, a `//` comment, a
 //! nested `/* */` block or a doc comment must never surface as an
 //! identifier token, or every rule would drown in false positives.
@@ -41,20 +40,6 @@ pub struct Tok {
     pub col: u32,
 }
 
-/// One `//` line comment (doc comments included).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Full comment text including the leading `//`.
-    pub text: String,
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based byte column.
-    pub col: u32,
-    /// Whether the comment is the first non-whitespace on its line
-    /// (a standalone comment) rather than trailing code.
-    pub own_line: bool,
-}
-
 fn ident_start(c: u8) -> bool {
     c.is_ascii_alphabetic() || c == b'_' || c >= 0x80
 }
@@ -63,30 +48,24 @@ fn ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c >= 0x80
 }
 
-/// Lexes `src` into tokens and line comments.
-pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
+/// Lexes `src` into tokens; comments are skipped.
+pub fn lex(src: &str) -> Vec<Tok> {
     Lexer {
         b: src.as_bytes(),
-        src,
         i: 0,
         line: 1,
         line_start: 0,
-        line_has_code: false,
         toks: Vec::new(),
-        comments: Vec::new(),
     }
     .run()
 }
 
 struct Lexer<'a> {
     b: &'a [u8],
-    src: &'a str,
     i: usize,
     line: u32,
     line_start: usize,
-    line_has_code: bool,
     toks: Vec<Tok>,
-    comments: Vec<Comment>,
 }
 
 impl Lexer<'_> {
@@ -98,7 +77,6 @@ impl Lexer<'_> {
         self.i += 1;
         self.line += 1;
         self.line_start = self.i;
-        self.line_has_code = false;
     }
 
     fn push(&mut self, kind: TokKind, start: usize) {
@@ -116,14 +94,13 @@ impl Lexer<'_> {
             line,
             col,
         });
-        self.line_has_code = true;
     }
 
     fn at(&self, off: usize) -> u8 {
         self.b.get(self.i + off).copied().unwrap_or(0)
     }
 
-    fn run(mut self) -> (Vec<Tok>, Vec<Comment>) {
+    fn run(mut self) -> Vec<Tok> {
         while self.i < self.b.len() {
             let c = self.b[self.i];
             match c {
@@ -143,21 +120,13 @@ impl Lexer<'_> {
                 }
             }
         }
-        (self.toks, self.comments)
+        self.toks
     }
 
     fn line_comment(&mut self) {
-        let start = self.i;
-        let (line, col, own_line) = (self.line, self.col(start), !self.line_has_code);
         while self.i < self.b.len() && self.b[self.i] != b'\n' {
             self.i += 1;
         }
-        self.comments.push(Comment {
-            text: self.src[start..self.i].to_string(),
-            line,
-            col,
-            own_line,
-        });
     }
 
     fn block_comment(&mut self) {
@@ -346,7 +315,7 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        let (toks, _) = lex(src);
+        let toks = lex(src);
         toks.iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| src[t.start..t.end].to_string())
@@ -371,7 +340,7 @@ mod tests {
 
     #[test]
     fn lifetimes_and_chars_are_distinguished() {
-        let (toks, _) = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
+        let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
         let lifetimes = toks.iter().filter(|t| t.kind == TokKind::Lifetime).count();
         let chars = toks.iter().filter(|t| t.kind == TokKind::Str).count();
         // `str` in the signature is an Ident; the two char literals are Str.
@@ -381,7 +350,7 @@ mod tests {
 
     #[test]
     fn ranges_do_not_merge_into_floats() {
-        let (toks, _) = lex("for i in 0..10 { a[i] }");
+        let toks = lex("for i in 0..10 { a[i] }");
         let dots = toks
             .iter()
             .filter(|t| t.kind == TokKind::Punct(b'.'))
@@ -391,23 +360,15 @@ mod tests {
 
     #[test]
     fn positions_are_one_based() {
-        let (toks, comments) = lex("ab\n  cd // note\n");
+        let toks = lex("ab\n  cd // note\n");
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         assert_eq!((toks[1].line, toks[1].col), (2, 3));
-        assert_eq!(comments[0].line, 2);
-        assert!(!comments[0].own_line);
-    }
-
-    #[test]
-    fn own_line_detection() {
-        let (_, comments) = lex("// standalone\nx; // trailing\n");
-        assert!(comments[0].own_line);
-        assert!(!comments[1].own_line);
+        assert_eq!(toks.len(), 2, "the comment is no token");
     }
 
     #[test]
     fn multiline_strings_track_lines() {
-        let (toks, _) = lex("let s = \"a\nb\";\nafter");
+        let toks = lex("let s = \"a\nb\";\nafter");
         let after = toks.last().unwrap();
         assert_eq!(after.line, 3);
     }

@@ -1,44 +1,30 @@
 //! # rococo-lint — TM-safety static analysis for the ROCoCoTM workspace
 //!
-//! rustc and clippy check memory safety and style; they cannot check the
-//! *transactional* discipline the runtime's correctness argument leans
-//! on. This crate is a dependency-free, offline analyzer with a
-//! comment/string-aware lexer and a brace-tracking closure resolver that
-//! walks the workspace (excluding `vendor/` and `target/`) and enforces
-//! four per-file rule families:
-//!
-//! | rule | invariant |
-//! |---|---|
-//! | `atomic-side-effect` | closures passed to `atomically`/`try_atomically*`/`execute_seq` are re-executed on abort → no I/O, clocks, RNG, sleeps, locks, channel ops inside them |
-//! | `uncounted-abort` | every ROCoCoTM abort path feeds the §4.2 escalation counter via `count_abort` (the PR-2 bug class) |
-//! | `commit-seq-outside-critical` | dense durable sequence counters are mutated only inside `commit_seq` (the PR-3 WAL-replay invariant) |
-//! | `missing-forbid-unsafe` | every non-vendored crate root carries `#![forbid(unsafe_code)]` |
+//! rustc, clippy and the types of `rococo-stm` hold most of the
+//! runtime's discipline: the workspace forbids `unsafe_code`, a commit
+//! sequence advances only with the token a commit holds, and ROCoCoTM's
+//! inner read path returns a bare `AbortKind` that only the counting
+//! `Transaction` methods turn into an `Abort`. What no type can say is
+//! that a closure re-executed on abort has no side effects. This crate is
+//! a dependency-free, offline analyzer with a comment/string-aware lexer
+//! and a brace-tracking closure resolver that walks the workspace
+//! (excluding `vendor/` and `target/`) and enforces that one rule,
+//! `atomic-side-effect`: closures passed to `atomically` /
+//! `try_atomically*` / `execute_seq` / the hybrid router's entry points
+//! hold no I/O, clocks, RNG, sleeps, locks or channel ops.
 //!
 //! Blocking bugs (a guard held across a wait, a worker parking before it
 //! answers) are not checked here; runtime tests guard them (`DESIGN.md`
-//! §7.5).
-//!
-//! Findings can be acknowledged in place with a *justified* suppression:
-//!
-//! ```text
-//! // rococo-lint: allow(commit-seq-outside-critical) -- test forges GlobalTS
-//! ```
-//!
-//! The justification is mandatory and unused suppressions are themselves
-//! errors, so allows cannot rot. See `DESIGN.md` §7 for the full rule
-//! rationale and [`rules::registry`] for how to add rule *n+1*.
-
-#![forbid(unsafe_code)]
+//! §7). See [`rules::registry`] for how to add a rule.
 
 pub mod diag;
 pub mod lexer;
 pub mod model;
 pub mod rules;
-pub mod suppress;
 
 pub use diag::Diagnostic;
 pub use model::FileModel;
-pub use rules::{registry, rule_ids, Rule};
+pub use rules::{registry, Rule};
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -50,8 +36,6 @@ pub struct SourceFile {
     pub path: String,
     /// File contents.
     pub src: String,
-    /// Whether this is a non-vendored crate root (`src/lib.rs`).
-    pub is_crate_root: bool,
 }
 
 /// Per-rule execution statistics.
@@ -59,7 +43,7 @@ pub struct SourceFile {
 pub struct RuleStat {
     /// Rule id.
     pub id: &'static str,
-    /// Diagnostics emitted before suppression.
+    /// Diagnostics emitted.
     pub raw: usize,
     /// Wall time spent in the rule, microseconds.
     pub micros: u128,
@@ -72,12 +56,10 @@ pub struct LintReport {
     pub files: usize,
     /// Total source lines analyzed.
     pub lines: usize,
-    /// Surviving diagnostics (after suppressions), in file order.
+    /// Diagnostics, in file order.
     pub diagnostics: Vec<Diagnostic>,
     /// Per-rule statistics.
     pub rule_stats: Vec<RuleStat>,
-    /// Suppressions that matched a diagnostic.
-    pub suppressions_used: usize,
     /// Microseconds spent lexing + resolving models.
     pub parse_micros: u128,
 }
@@ -95,11 +77,9 @@ impl LintReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"tool\":\"rococo-lint\",\"files\":{},\"lines\":{},\"suppressions_used\":{},\
-             \"clean\":{},\"rules\":[",
+            "{{\"tool\":\"rococo-lint\",\"files\":{},\"lines\":{},\"clean\":{},\"rules\":[",
             self.files,
             self.lines,
-            self.suppressions_used,
             self.is_clean(),
         );
         for (i, r) in self.rule_stats.iter().enumerate() {
@@ -154,17 +134,9 @@ pub fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<SourceFile>
                 }
                 stack.push(path);
             } else if name.ends_with(".rs") {
-                let rel = rel_path(root, &path);
-                let is_crate_root = name == "lib.rs"
-                    && path.parent().is_some_and(|p| p.ends_with("src"))
-                    && path
-                        .parent()
-                        .and_then(Path::parent)
-                        .is_some_and(|p| p.join("Cargo.toml").exists());
                 files.push(SourceFile {
-                    path: rel,
+                    path: rel_path(root, &path),
                     src: std::fs::read_to_string(&path)?,
-                    is_crate_root,
                 });
             }
         }
@@ -180,21 +152,20 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Runs every registered rule over `sources` and applies suppressions.
+/// Runs every registered rule over `sources`.
 pub fn lint_sources(sources: Vec<SourceFile>) -> LintReport {
     let rules = registry();
-    let known = rule_ids();
 
     let t0 = Instant::now();
     let models: Vec<FileModel> = sources
         .into_iter()
-        .map(|s| FileModel::build(s.path, s.src, s.is_crate_root))
+        .map(|s| FileModel::build(s.path, s.src))
         .collect();
     let parse_micros = t0.elapsed().as_micros();
     let lines: usize = models.iter().map(|m| m.src.lines().count()).sum();
 
     // Run the rules rule-major, so per-rule timing is meaningful, then
-    // fold suppressions in per file.
+    // put each file's findings in source order.
     let mut per_file: Vec<Vec<Diagnostic>> = models.iter().map(|_| Vec::new()).collect();
     let mut rule_stats = Vec::new();
     for rule in &rules {
@@ -213,14 +184,9 @@ pub fn lint_sources(sources: Vec<SourceFile>) -> LintReport {
     }
 
     let mut diagnostics = Vec::new();
-    let mut suppressions_used = 0usize;
-    for (m, raw) in models.iter().zip(per_file) {
-        let (sups, bad) = suppress::collect(m, &known);
-        let (mut kept, used) = suppress::apply(m, sups, raw);
-        kept.extend(bad);
-        kept.sort_by_key(|d| (d.line, d.col));
-        suppressions_used += used;
-        diagnostics.extend(kept);
+    for mut found in per_file {
+        found.sort_by_key(|d| (d.line, d.col));
+        diagnostics.extend(found);
     }
 
     LintReport {
@@ -228,7 +194,6 @@ pub fn lint_sources(sources: Vec<SourceFile>) -> LintReport {
         lines,
         diagnostics,
         rule_stats,
-        suppressions_used,
         parse_micros,
     }
 }

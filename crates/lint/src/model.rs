@@ -1,10 +1,9 @@
-//! Per-file analysis model: token stream plus the two structural facts
-//! every rule needs — which function encloses a token, and which token
-//! ranges are the bodies of *re-executable atomic closures* (closures
-//! passed to the transaction primitives, which the runtime re-runs on
-//! every abort).
+//! Per-file analysis model: token stream plus the one structural fact
+//! the rule needs — which token ranges are the bodies of *re-executable
+//! atomic closures* (closures passed to the transaction primitives, which
+//! the runtime re-runs on every abort).
 
-use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
 
 /// Functions whose closure argument is re-executed on abort. A closure
 /// body passed to any of these is a "re-executable region" for the
@@ -24,17 +23,6 @@ pub const ATOMIC_CALLEES: &[&str] = &[
     "run_classed",
     "try_classed",
 ];
-
-/// One function item span (token index range of `name` + body braces).
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// Token index of the body's opening `{`.
-    pub start: usize,
-    /// Token index of the body's closing `}`.
-    pub end: usize,
-}
 
 /// One atomic-closure body (token index range, inclusive).
 #[derive(Debug, Clone)]
@@ -57,32 +45,21 @@ pub struct FileModel {
     pub path: String,
     /// Full source text.
     pub src: String,
-    /// Whether this file is a non-vendored crate root (`src/lib.rs`).
-    pub is_crate_root: bool,
     /// Token stream.
     pub toks: Vec<Tok>,
-    /// Line comments (suppression carriers).
-    pub comments: Vec<Comment>,
-    /// Function bodies, in order of closing brace.
-    pub fns: Vec<FnSpan>,
     /// Atomic-closure bodies.
     pub closures: Vec<ClosureSpan>,
 }
 
 impl FileModel {
-    /// Lexes and resolves `src`. `path` is only used for display and for
-    /// path-scoped rules.
-    pub fn build(path: String, src: String, is_crate_root: bool) -> Self {
-        let (toks, comments) = lex(&src);
-        let fns = resolve_fns(&src, &toks);
+    /// Lexes and resolves `src`. `path` is only used for display.
+    pub fn build(path: String, src: String) -> Self {
+        let toks = lex(&src);
         let closures = resolve_closures(&src, &toks);
         Self {
             path,
             src,
-            is_crate_root,
             toks,
-            comments,
-            fns,
             closures,
         }
     }
@@ -124,57 +101,6 @@ impl FileModel {
         }
         true
     }
-
-    /// The innermost function whose body contains token `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .filter(|f| f.start <= i && i <= f.end)
-            .max_by_key(|f| f.start)
-    }
-}
-
-/// Resolves function body spans with a single brace-tracking pass.
-fn resolve_fns(src: &str, toks: &[Tok]) -> Vec<FnSpan> {
-    let text = |i: usize| -> &str { &src[toks[i].start..toks[i].end] };
-    let mut fns = Vec::new();
-    // A `fn name` whose body `{` has not appeared yet.
-    let mut pending: Option<String> = None;
-    // (name, depth at which the body opened, opening token index).
-    let mut stack: Vec<(String, usize, usize)> = Vec::new();
-    let mut depth = 0usize;
-    for i in 0..toks.len() {
-        match toks[i].kind {
-            TokKind::Punct(b'{') => {
-                if let Some(name) = pending.take() {
-                    stack.push((name, depth, i));
-                }
-                depth += 1;
-            }
-            TokKind::Punct(b'}') => {
-                depth = depth.saturating_sub(1);
-                if stack.last().is_some_and(|top| top.1 == depth) {
-                    let (name, _, start) = stack.pop().unwrap();
-                    fns.push(FnSpan {
-                        name,
-                        start,
-                        end: i,
-                    });
-                }
-            }
-            // Bodyless trait-method declarations end in `;` before any
-            // `{`; drop the pending name so the next block isn't claimed.
-            TokKind::Punct(b';') => pending = None,
-            // `fn name(...)` — but not fn-pointer types `fn(usize)`.
-            TokKind::Ident
-                if text(i) == "fn" && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) =>
-            {
-                pending = Some(text(i + 1).to_string());
-            }
-            _ => {}
-        }
-    }
-    fns
 }
 
 /// Resolves the bodies of closures passed to the atomic primitives,
@@ -370,24 +296,7 @@ mod tests {
     use super::*;
 
     fn model(src: &str) -> FileModel {
-        FileModel::build("test.rs".into(), src.into(), false)
-    }
-
-    #[test]
-    fn fn_spans_nest_and_name_correctly() {
-        let m = model("fn outer() { fn inner() { x } y }");
-        assert_eq!(m.fns.len(), 2);
-        let x = m.toks.iter().position(|t| m.src[t.start..t.end] == *"x");
-        let y = m.toks.iter().position(|t| m.src[t.start..t.end] == *"y");
-        assert_eq!(m.enclosing_fn(x.unwrap()).unwrap().name, "inner");
-        assert_eq!(m.enclosing_fn(y.unwrap()).unwrap().name, "outer");
-    }
-
-    #[test]
-    fn trait_decl_does_not_steal_next_block() {
-        let m = model("trait T { fn decl(&self); } fn real() { z }");
-        assert_eq!(m.fns.len(), 1);
-        assert_eq!(m.fns[0].name, "real");
+        FileModel::build("test.rs".into(), src.into())
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Per-rule fixture tests: each rule family has a fixture that fails
-//! and a fixture that passes, with golden line numbers.
+//! Fixture tests of `atomic-side-effect`: fixtures that fail and one that
+//! passes, with golden line numbers, and the report's two renderings.
 
 use rococo_lint::{lint_sources, LintReport, SourceFile};
 use rococo_telemetry::json::Json;
@@ -9,11 +9,10 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-fn lint_one(name: &str, pretend_path: &str, is_crate_root: bool) -> LintReport {
+fn lint_one(name: &str, pretend_path: &str) -> LintReport {
     lint_sources(vec![SourceFile {
         path: pretend_path.to_string(),
         src: fixture(name),
-        is_crate_root,
     }])
 }
 
@@ -28,7 +27,7 @@ fn findings(report: &LintReport) -> Vec<(&str, u32)> {
 
 #[test]
 fn atomic_side_effect_flags_every_effect_kind() {
-    let report = lint_one("atomic_side_effect_bad.rs", "crates/demo/src/bad.rs", false);
+    let report = lint_one("atomic_side_effect_bad.rs", "crates/demo/src/bad.rs");
     assert_eq!(
         findings(&report),
         vec![
@@ -46,11 +45,7 @@ fn atomic_side_effect_flags_every_effect_kind() {
 
 #[test]
 fn atomic_side_effect_allows_clean_and_surrounding_code() {
-    let report = lint_one(
-        "atomic_side_effect_good.rs",
-        "crates/demo/src/good.rs",
-        false,
-    );
+    let report = lint_one("atomic_side_effect_good.rs", "crates/demo/src/good.rs");
     assert_eq!(findings(&report), vec![], "{:?}", report.diagnostics);
 }
 
@@ -63,7 +58,6 @@ fn atomic_side_effect_covers_hybrid_router_entry_points() {
     let report = lint_one(
         "atomic_side_effect_hybrid.rs",
         "crates/demo/src/hybrid_user.rs",
-        false,
     );
     assert_eq!(
         findings(&report),
@@ -83,7 +77,6 @@ fn atomic_side_effect_allowlists_telemetry_emission() {
     let report = lint_one(
         "atomic_side_effect_telemetry.rs",
         "crates/demo/src/telemetry_user.rs",
-        false,
     );
     assert_eq!(
         findings(&report),
@@ -97,99 +90,28 @@ fn atomic_side_effect_allowlists_telemetry_emission() {
 }
 
 #[test]
-fn uncounted_abort_flags_direct_construction() {
-    let report = lint_one(
-        "uncounted_abort_bad.rs",
-        "crates/stm/src/rococotm.rs",
-        false,
-    );
-    assert_eq!(
-        findings(&report),
-        vec![
-            ("uncounted-abort", 12), // Abort::new outside count_abort
-            ("uncounted-abort", 18), // Abort { kind: .. } literal
-        ]
-    );
-}
-
-#[test]
-fn uncounted_abort_is_scoped_to_rococotm() {
-    // The same source under any other path is out of scope: other
-    // backends have their own abort plumbing.
-    let report = lint_one("uncounted_abort_bad.rs", "crates/stm/src/tinystm.rs", false);
-    assert_eq!(findings(&report), vec![]);
-}
-
-#[test]
-fn uncounted_abort_allows_count_abort_and_return_types() {
-    let report = lint_one(
-        "uncounted_abort_good.rs",
-        "crates/stm/src/rococotm.rs",
-        false,
-    );
-    assert_eq!(findings(&report), vec![], "{:?}", report.diagnostics);
-}
-
-#[test]
-fn commit_seq_flags_mutations_outside_the_critical_section() {
-    let report = lint_one("commit_seq_bad.rs", "crates/stm/src/tinystm.rs", false);
-    assert_eq!(
-        findings(&report),
-        vec![
-            ("commit-seq-outside-critical", 7),  // fetch_add in begin
-            ("commit-seq-outside-critical", 16), // store in recover
-            ("commit-seq-outside-critical", 21), // swap in a free function
-        ]
-    );
-}
-
-#[test]
-fn commit_seq_allows_critical_section_loads_and_initialisers() {
-    let report = lint_one("commit_seq_good.rs", "crates/stm/src/tinystm.rs", false);
-    assert_eq!(findings(&report), vec![], "{:?}", report.diagnostics);
-}
-
-#[test]
-fn hygiene_flags_crate_root_without_forbid() {
-    let report = lint_one("hygiene_bad.rs", "crates/demo/src/lib.rs", true);
-    assert_eq!(findings(&report), vec![("missing-forbid-unsafe", 1)]);
-}
-
-#[test]
-fn hygiene_ignores_non_roots() {
-    let report = lint_one("hygiene_bad.rs", "crates/demo/src/util.rs", false);
-    assert_eq!(findings(&report), vec![]);
-}
-
-#[test]
-fn hygiene_accepts_the_attribute() {
-    let report = lint_one("hygiene_good.rs", "crates/demo/src/lib.rs", true);
-    assert_eq!(findings(&report), vec![], "{:?}", report.diagnostics);
-}
-
-#[test]
 fn diagnostics_render_rustc_style() {
-    let report = lint_one("hygiene_bad.rs", "crates/demo/src/lib.rs", true);
+    let report = lint_one("atomic_side_effect_bad.rs", "crates/demo/src/bad.rs");
     let line = report.diagnostics[0].render();
     assert!(
-        line.starts_with("crates/demo/src/lib.rs:1:1: error[missing-forbid-unsafe]:"),
+        line.starts_with("crates/demo/src/bad.rs:9:9: error[atomic-side-effect]:"),
         "{line}"
     );
 }
 
 #[test]
 fn json_report_is_machine_readable() {
-    let report = lint_one("hygiene_bad.rs", "crates/demo/src/lib.rs", true);
+    let report = lint_one("atomic_side_effect_bad.rs", "crates/demo/src/bad.rs");
     let json = report.to_json();
     assert!(json.contains("\"tool\":\"rococo-lint\""), "{json}");
     assert!(json.contains("\"clean\":false"), "{json}");
-    assert!(
-        json.contains("\"rule\":\"missing-forbid-unsafe\""),
-        "{json}"
-    );
+    assert!(json.contains("\"rule\":\"atomic-side-effect\""), "{json}");
     // Every registered rule appears in the stats block.
-    for id in rococo_lint::rule_ids() {
-        assert!(json.contains(&format!("\"id\":\"{id}\"")), "{json}");
+    for rule in rococo_lint::registry() {
+        assert!(
+            json.contains(&format!("\"id\":\"{}\"", rule.id())),
+            "{json}"
+        );
     }
 }
 
@@ -200,7 +122,7 @@ fn json_report_is_machine_readable() {
 
 #[test]
 fn json_report_round_trips_through_the_telemetry_parser() {
-    let report = lint_one("atomic_side_effect_bad.rs", "crates/demo/src/bad.rs", false);
+    let report = lint_one("atomic_side_effect_bad.rs", "crates/demo/src/bad.rs");
     let doc = Json::parse(&report.to_json()).expect("report JSON must parse");
     assert_eq!(doc.get("tool").and_then(Json::as_str), Some("rococo-lint"));
     assert_eq!(

@@ -30,7 +30,6 @@
 //! disk — so no acknowledged write is ever lost, and a follower read
 //! gated on the write's commit sequence always observes it.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

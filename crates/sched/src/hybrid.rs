@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rococo_stm::{
-    Abort, AbortKind, Addr, HtmConfig, RococoConfig, RococoTm, StatsSnapshot, TmConfig, TmHeap,
-    TmStats, TmSystem, Transaction, TsxHtm, Word,
+    Abort, AbortKind, Addr, CommitSection, HtmConfig, RococoConfig, RococoTm, StatsSnapshot,
+    TmConfig, TmHeap, TmStats, TmSystem, Transaction, TsxHtm, Word,
 };
 
 use crate::gate::{ModeGate, ModeGuard};
@@ -322,10 +322,10 @@ impl Transaction for HybridTx<'_> {
         self.route.note_abort(res)
     }
 
-    fn commit_seq(self) -> Result<Option<u64>, Abort> {
+    fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort> {
         let res = match self.inner {
-            Inner::Htm(tx) => tx.commit_seq(),
-            Inner::Sw(tx) => tx.commit_seq(),
+            Inner::Htm(tx) => tx.commit_in(section),
+            Inner::Sw(tx) => tx.commit_in(section),
         };
         self.route.retire(res)
     }

@@ -37,7 +37,6 @@
 //! assert_eq!(tm.heap().load_direct(a), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gate;

@@ -58,7 +58,6 @@
 //! assert_eq!(report.aggregate.committed, 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;

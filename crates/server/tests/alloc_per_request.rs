@@ -7,44 +7,11 @@
 
 use rococo_server::{Request, Response, TxKv, TxKvConfig};
 use rococo_stm::{atomically, TinyStm, TmConfig, TmSystem, Transaction};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rococo_testalloc::{allocations_on_all_threads, Counting};
 use std::sync::Arc;
-
-/// Allocations (and reallocations) made by any thread.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a relaxed bump of
-// a static counter, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `layout` obligation is passed on as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
-        // with this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `dealloc`, and the caller guarantees `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn a_get_allocates_its_reply_cell_and_nothing_else() {
@@ -71,9 +38,9 @@ fn a_get_allocates_its_reply_cell_and_nothing_else() {
         }
     };
     read_all();
-    let before = allocations();
+    let before = allocations_on_all_threads();
     read_all();
-    let backend = allocations() - before;
+    let backend = allocations_on_all_threads() - before;
 
     let kv = TxKv::start(Arc::new(TinyStm::with_config(tm_cfg)), cfg).expect("start the service");
     let mut window = std::collections::VecDeque::with_capacity(WINDOW);
@@ -92,9 +59,9 @@ fn a_get_allocates_its_reply_cell_and_nothing_else() {
     // Warm-up: every reused list reaches its working capacity, every
     // thread has parked once.
     run();
-    let before = allocations();
+    let before = allocations_on_all_threads();
     run();
-    let service = allocations() - before;
+    let service = allocations_on_all_threads() - before;
     assert_eq!(
         service - backend,
         REQUESTS,

@@ -36,7 +36,6 @@
 //! let _ = rs.overlaps(&ws);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bloom;

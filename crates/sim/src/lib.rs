@@ -60,7 +60,6 @@
 //! assert!(r.makespan_ns > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;

@@ -32,7 +32,6 @@
 //! assert!(outcome.validated);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

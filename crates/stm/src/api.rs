@@ -2,7 +2,7 @@
 
 use crate::heap::{Addr, TmHeap, Word};
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One validation phase in this many reads the wall clock: the first, and
@@ -166,11 +166,28 @@ pub trait Transaction {
     /// log in this order; density is what lets crash recovery prove the
     /// log has no holes.
     ///
+    /// This is the one place a [`CommitSection`] is made: it hands one to
+    /// [`commit_in`](Self::commit_in), the backend's commit.
+    ///
     /// # Errors
     ///
     /// Returns [`Abort`] if validation fails; all buffered writes are
     /// discarded.
     fn commit_seq(self) -> Result<Option<u64>, Abort>
+    where
+        Self: Sized,
+    {
+        self.commit_in(CommitSection(()))
+    }
+
+    /// The backend's commit, run by [`commit_seq`](Self::commit_seq) with
+    /// the token that lets it advance its commit sequence. A wrapper
+    /// forwards `section` to the transaction it wraps.
+    ///
+    /// # Errors
+    ///
+    /// As [`commit_seq`](Self::commit_seq).
+    fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort>
     where
         Self: Sized;
 
@@ -185,6 +202,40 @@ pub trait Transaction {
         Self: Sized,
     {
         self.commit_seq().map(|_| ())
+    }
+}
+
+/// Proof that the code holding it runs inside a commit: only
+/// [`Transaction::commit_seq`] can make one (the field is private to this
+/// module), and it hands it, by value, to [`Transaction::commit_in`].
+/// [`CommitSeq`]'s mutators take it, so advancing a commit sequence from
+/// `begin`, a read, a helper or a test does not compile.
+#[derive(Debug)]
+pub struct CommitSection(());
+
+/// A backend's dense commit sequence: `durable_seq` in every backend but
+/// ROCoCoTM, where it is `GlobalTS`, the FPGA's commit sequence. Anyone
+/// may [`load`](Self::load) it; advancing it takes a [`CommitSection`],
+/// which is what keeps the numbers dense and in serialization order (the
+/// WAL replays in this order).
+#[derive(Debug, Default)]
+pub(crate) struct CommitSeq(AtomicU64);
+
+impl CommitSeq {
+    /// The next sequence to be handed out.
+    pub(crate) fn load(&self) -> u64 {
+        self.0.load(Ordering::SeqCst)
+    }
+
+    /// Hands out the next sequence and advances past it.
+    pub(crate) fn fetch_add(&self, _: &CommitSection) -> u64 {
+        self.0.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Sets the next sequence to `next`: ROCoCoTM publishes the commit
+    /// the FPGA granted `seq` with `store(seq + 1)`.
+    pub(crate) fn store(&self, next: u64, _: &CommitSection) {
+        self.0.store(next, Ordering::SeqCst);
     }
 }
 

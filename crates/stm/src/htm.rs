@@ -20,7 +20,9 @@
 //!   fallback lock which dooms every in-flight hardware transaction (lock
 //!   subscription).
 
-use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{
+    Abort, AbortKind, CommitSection, CommitSeq, TmConfig, TmStats, TmSystem, Transaction,
+};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -80,7 +82,7 @@ pub struct TsxHtm {
     /// line still claimed); fallback commits fetch it under the fallback
     /// lock, which has already doomed and drained all hardware
     /// transactions.
-    durable_seq: AtomicU64,
+    durable_seq: CommitSeq,
 }
 
 impl TsxHtm {
@@ -138,7 +140,7 @@ impl TsxHtm {
             attempts: (0..config.max_threads).map(|_| AtomicU32::new(0)).collect(),
             fallback_lock: Mutex::new(()),
             fallback_active: AtomicBool::new(false),
-            durable_seq: AtomicU64::new(0),
+            durable_seq: CommitSeq::default(),
         }
     }
 
@@ -329,7 +331,7 @@ impl Transaction for HtmTx<'_> {
         Ok(())
     }
 
-    fn commit_seq(self) -> Result<Option<u64>, Abort> {
+    fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort> {
         match &self.mode {
             TxMode::Fallback(_) => {
                 // The fallback lock serialises against every other commit,
@@ -337,7 +339,7 @@ impl Transaction for HtmTx<'_> {
                 let seq = if self.redo.is_empty() {
                     None
                 } else {
-                    Some(self.tm.durable_seq.fetch_add(1, Ordering::SeqCst))
+                    Some(self.tm.durable_seq.fetch_add(&section))
                 };
                 for (&a, &v) in &self.redo {
                     self.tm.heap.store_direct(a, v);
@@ -368,7 +370,7 @@ impl Transaction for HtmTx<'_> {
                 let seq = if self.redo.is_empty() {
                     None
                 } else {
-                    Some(self.tm.durable_seq.fetch_add(1, Ordering::SeqCst))
+                    Some(self.tm.durable_seq.fetch_add(&section))
                 };
                 for (&a, &v) in &self.redo {
                     self.tm.heap.store_direct(a, v);

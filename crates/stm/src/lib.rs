@@ -34,7 +34,6 @@
 //! assert_eq!(tm.heap().load_direct(acct), 123);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod api;
@@ -46,8 +45,8 @@ mod seq;
 mod tinystm;
 
 pub use api::{
-    atomically, try_atomically, try_atomically_seq, Abort, AbortKind, StatsSnapshot, TmConfig,
-    TmStats, TmSystem, Transaction,
+    atomically, try_atomically, try_atomically_seq, Abort, AbortKind, CommitSection, StatsSnapshot,
+    TmConfig, TmStats, TmSystem, Transaction,
 };
 pub use heap::{Addr, TmHeap, Word, NULL};
 pub use htm::{HtmConfig, TsxHtm};

@@ -31,7 +31,7 @@
 //! its own worker until the run ends, so recording does not serialize the
 //! schedule under test the way a single global log would.
 
-use crate::api::{Abort, AbortKind, TmStats, TmSystem, Transaction};
+use crate::api::{Abort, AbortKind, CommitSection, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,10 +224,10 @@ impl<'a, S: TmSystem + 'a> Transaction for RecordTx<'a, S> {
         }
     }
 
-    fn commit_seq(mut self) -> Result<Option<u64>, Abort> {
+    fn commit_in(mut self, section: CommitSection) -> Result<Option<u64>, Abort> {
         let exec_ns = self.elapsed_ns();
         let tx = self.inner.take().expect("attempt already settled");
-        let (outcome, result) = match tx.commit_seq() {
+        let (outcome, result) = match tx.commit_in(section) {
             Ok(seq) => (Outcome::Committed, Ok(seq)),
             Err(abort) => (Outcome::Aborted(abort.kind), Err(abort)),
         };

@@ -22,7 +22,9 @@
 //!   back its redo log, publishes the commit-queue signature and bumps
 //!   `GlobalTS`. Read-only transactions commit directly on the CPU.
 
-use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{
+    Abort, AbortKind, CommitSection, CommitSeq, TmConfig, TmStats, TmSystem, Transaction,
+};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rococo_fpga::{
@@ -169,7 +171,7 @@ pub struct RococoTm {
     scheme: SigScheme,
     /// Count of committed read-write transactions; also the next FPGA
     /// commit sequence to be published.
-    global_ts: AtomicU64,
+    global_ts: CommitSeq,
     /// Ring buffer of committed write-set signatures, indexed by
     /// `seq % queue_len`. Slot contents are valid for `seq < global_ts`.
     commit_queue: Vec<RwLock<Sig>>,
@@ -240,7 +242,7 @@ impl RococoTm {
         Self {
             heap,
             stats: TmStats::default(),
-            global_ts: AtomicU64::new(0),
+            global_ts: CommitSeq::default(),
             commit_queue: (0..config.queue_len)
                 .map(|_| RwLock::new(scheme.new_sig()))
                 .collect(),
@@ -319,9 +321,16 @@ impl RococoTm {
     /// the committer we are waiting on may not be running (oversubscribed
     /// or single-core hosts), and a full timeslice of spinning would
     /// stall the whole commit chain.
-    fn publish_commit(&self, thread: usize, seq: u64, write_sig: &Sig, redo: &Redo) {
+    fn publish_commit(
+        &self,
+        thread: usize,
+        seq: u64,
+        write_sig: &Sig,
+        redo: &Redo,
+        section: &CommitSection,
+    ) {
         let mut spins = 0u32;
-        while self.global_ts.load(Ordering::SeqCst) != seq {
+        while self.global_ts.load() != seq {
             spins += 1;
             if spins > 128 {
                 std::thread::yield_now();
@@ -344,7 +353,7 @@ impl RococoTm {
                 self.commit_queue[(seq % self.config.queue_len as u64) as usize].write();
             qslot.clone_from(write_sig);
         }
-        self.global_ts.store(seq + 1, Ordering::SeqCst);
+        self.global_ts.store(seq + 1, section);
 
         self.update_slots[thread].sig.write().clear();
         self.clear_update_slot(thread);
@@ -407,10 +416,12 @@ impl std::fmt::Debug for RococoTx<'_> {
 
 impl RococoTx<'_> {
     /// Records an abort against this thread's escalation counter and
-    /// builds the `Abort`. Every abort path must route through here:
+    /// builds the `Abort`. Every abort path routes through here:
     /// `consecutive_aborts` drives irrevocability escalation, and a path
     /// that skips the bump can starve a thread below the escalation
-    /// threshold forever.
+    /// threshold forever. The inner paths (`tm_read`, `snapshot_covers`)
+    /// return a bare [`AbortKind`], so only the `Transaction` methods,
+    /// through this call, can turn one into an `Abort`.
     fn count_abort(&self, kind: AbortKind) -> Abort {
         self.tm.consecutive_aborts[self.thread].fetch_add(1, Ordering::Relaxed);
         Abort::new(kind)
@@ -425,7 +436,7 @@ impl RococoTx<'_> {
     fn drain_temp_set(&mut self) -> Option<u64> {
         let queue_len = self.tm.config.queue_len as u64;
         let start_ts = self.local_ts;
-        let gts = self.tm.global_ts.load(Ordering::SeqCst);
+        let gts = self.tm.global_ts.load();
         let temp = &mut self.buf.temp;
         temp.clear();
         if gts == start_ts {
@@ -448,7 +459,7 @@ impl RococoTx<'_> {
         // per-slot locks only guarantee each read was not torn, not that the
         // slot still held the sequence we wanted. Re-check against the
         // *original* start before trusting the union.
-        let gts_after = self.tm.global_ts.load(Ordering::SeqCst);
+        let gts_after = self.tm.global_ts.load();
         if gts_after - start_ts >= queue_len {
             return None; // a scanned slot may have been recycled mid-scan
         }
@@ -463,9 +474,9 @@ impl RococoTx<'_> {
     /// `Ok(false)` means reload and ask again; the abort is the CPU-side
     /// fast path.
     #[inline(always)]
-    fn snapshot_covers(&mut self, pre: &PrehashedAddr) -> Result<bool, Abort> {
+    fn snapshot_covers(&mut self, pre: &PrehashedAddr) -> Result<bool, AbortKind> {
         let Some(gts) = self.drain_temp_set() else {
-            return Err(self.count_abort(AbortKind::FpgaWindow));
+            return Err(AbortKind::FpgaWindow);
         };
         let scheme = &self.tm.scheme;
         let buf = &mut *self.buf;
@@ -491,7 +502,7 @@ impl RococoTx<'_> {
             // The address we are reading was updated after ValidTS: the
             // snapshot cannot stay consistent (Figure 8(d)). This is the
             // CPU-side fast abort path — no out-of-core latency.
-            return Err(self.count_abort(AbortKind::Conflict));
+            return Err(AbortKind::Conflict);
         }
 
         // A committer not yet in the queue may also have stored `addr`
@@ -499,14 +510,12 @@ impl RococoTx<'_> {
         // before its first store and clears it only after bumping
         // `GlobalTS`, so the entry is looked at first and `GlobalTS`
         // second — one of the two still shows it.
-        Ok(!stale
-            && !self.tm.update_set_hits(pre)
-            && self.tm.global_ts.load(Ordering::SeqCst) == gts)
+        Ok(!stale && !self.tm.update_set_hits(pre) && self.tm.global_ts.load() == gts)
     }
 
     /// The read path of Algorithm 1 (`TM_READ`). The address is hashed
     /// once, for every signature it meets.
-    fn tm_read(&mut self, addr: Addr) -> Result<Word, Abort> {
+    fn tm_read(&mut self, addr: Addr) -> Result<Word, AbortKind> {
         // Line 1–4: read-own-write.
         if !self.buf.redo.is_empty() {
             if let Some(&v) = self.buf.redo.get(&addr) {
@@ -521,11 +530,11 @@ impl RococoTx<'_> {
             // address; if we already missed updates, abort instead.
             while self.tm.update_set_hits(&pre) {
                 if !self.buf.miss_set.is_empty() {
-                    return Err(self.count_abort(AbortKind::Conflict));
+                    return Err(AbortKind::Conflict);
                 }
                 spins += 1;
                 if spins > self.tm.config.update_spin {
-                    return Err(self.count_abort(AbortKind::Conflict));
+                    return Err(AbortKind::Conflict);
                 }
                 std::hint::spin_loop();
             }
@@ -555,7 +564,7 @@ impl RococoTx<'_> {
 
 impl<'a> Transaction for RococoTx<'a> {
     fn read(&mut self, addr: Addr) -> Result<Word, Abort> {
-        self.tm_read(addr)
+        self.tm_read(addr).map_err(|kind| self.count_abort(kind))
     }
 
     fn write(&mut self, addr: Addr, val: Word) -> Result<(), Abort> {
@@ -580,7 +589,7 @@ impl<'a> Transaction for RococoTx<'a> {
     /// this thread — and publishes at the granted sequence before it
     /// returns. Nothing between the verdict and `publish_commit` may
     /// unwind: every later committer waits for the granted turn.
-    fn commit_seq(self) -> Result<Option<u64>, Abort> {
+    fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort> {
         let tm = self.tm;
         let thread = self.thread;
         let buf = &*self.buf;
@@ -609,7 +618,7 @@ impl<'a> Transaction for RococoTx<'a> {
         let verdict = tm.stats.time_validation(post);
         match tm.settle_verdict(verdict, n_addrs) {
             Ok(seq) => {
-                tm.publish_commit(thread, seq, &buf.write_sig, &buf.redo);
+                tm.publish_commit(thread, seq, &buf.write_sig, &buf.redo, &section);
                 if self.irrevocable.is_some() {
                     tm.stats.fallback_commits.fetch_add(1, Ordering::Relaxed);
                 }
@@ -672,7 +681,7 @@ impl TmSystem for RococoTm {
         } else {
             None
         };
-        let ts = self.global_ts.load(Ordering::SeqCst);
+        let ts = self.global_ts.load();
         RococoTx {
             tm: self,
             thread: thread_id,
@@ -1055,17 +1064,20 @@ mod tests {
         let tm = RococoTm::with_configs(RococoConfig {
             tm: TmConfig {
                 heap_words: 64,
-                max_threads: 1,
+                max_threads: 2,
             },
             window: 4,
             queue_len: 4,
             ..RococoConfig::default()
         });
         let mut tx = tm.begin(0);
-        // Four commits elsewhere wrap the whole ring: the slot holding the
-        // laggard's next sequence is exactly the one being reused.
-        // rococo-lint: allow(commit-seq-outside-critical) -- test forges GlobalTS to simulate four foreign commits without running them
-        tm.global_ts.store(4, Ordering::SeqCst);
+        // Four update commits on thread 1 wrap the whole ring while thread
+        // 0's transaction is open: the slot holding the laggard's next
+        // sequence is exactly the one being reused.
+        for addr in 1..=4 {
+            atomically(&tm, 1, |other| other.write(addr, 1));
+        }
+        assert_eq!(tm.global_ts.load(), 4);
         let err = tx.read(0).unwrap_err();
         assert_eq!(err.kind, AbortKind::FpgaWindow);
         assert_eq!(tm.consecutive_aborts[0].load(Ordering::Relaxed), 1);
@@ -1163,9 +1175,45 @@ mod tests {
             }
         };
 
+        /// `RococoTx::commit_in`, step by step, stamping the end of
+        /// dispatch + engine, verdict, publish and release.
+        struct Staged<'a, 'm> {
+            tx: RococoTx<'a>,
+            marks: &'m mut [Instant; 4],
+        }
+        impl Transaction for Staged<'_, '_> {
+            fn read(&mut self, addr: Addr) -> Result<Word, Abort> {
+                self.tx.read(addr)
+            }
+            fn write(&mut self, addr: Addr, val: Word) -> Result<(), Abort> {
+                self.tx.write(addr, val)
+            }
+            fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort> {
+                let (tx, marks) = (self.tx, self.marks);
+                let rococo = tx.tm;
+                let gate = rococo.commit_gate.read();
+                let buf = &*tx.buf;
+                let reads = buf.read_set.addrs();
+                let n_addrs = reads.len() + buf.write_addrs.len();
+                let post = || rococo.handle.post(0, tx.valid_ts, reads, &buf.write_addrs);
+                let verdict = rococo.stats.time_validation(post);
+                marks[0] = Instant::now();
+                let seq = rococo.settle_verdict(verdict, n_addrs).expect("commits");
+                marks[1] = Instant::now();
+                rococo.publish_commit(0, seq, &buf.write_sig, &buf.redo, &section);
+                rococo.consecutive_aborts[0].store(0, Ordering::Relaxed);
+                marks[2] = Instant::now();
+                drop(tx);
+                marks[3] = Instant::now();
+                drop(gate);
+                Ok(Some(seq))
+            }
+        }
+
         // ROCoCoTM, step by step: what `begin`, the body and `commit_seq` do.
         let rococo = tm(WORDS, 1);
         let mut stages = [Duration::ZERO; 7];
+        let mut marks = [Instant::now(); 4];
         for i in 0..TXNS {
             let t0 = Instant::now();
             let mut tx = rococo.begin(0);
@@ -1174,21 +1222,12 @@ mod tests {
             let t2 = Instant::now();
             tx.write(addr(i), v + 1).expect("uncontended");
             let t3 = Instant::now();
-            let gate = rococo.commit_gate.read();
-            let buf = &*tx.buf;
-            let reads = buf.read_set.addrs();
-            let n_addrs = reads.len() + buf.write_addrs.len();
-            let post = || rococo.handle.post(0, tx.valid_ts, reads, &buf.write_addrs);
-            let verdict = rococo.stats.time_validation(post);
-            let t4 = Instant::now();
-            let seq = rococo.settle_verdict(verdict, n_addrs).expect("commits");
-            let t5 = Instant::now();
-            rococo.publish_commit(0, seq, &buf.write_sig, &buf.redo);
-            rococo.consecutive_aborts[0].store(0, Ordering::Relaxed);
-            let t6 = Instant::now();
-            drop(tx);
-            let t7 = Instant::now();
-            drop(gate);
+            let staged = Staged {
+                tx,
+                marks: &mut marks,
+            };
+            staged.commit_seq().expect("commits");
+            let [t4, t5, t6, t7] = marks;
             add_stages(&mut stages, &[t0, t1, t2, t3, t4, t5, t6, t7]);
         }
         let engine = rococo.fpga_stats();

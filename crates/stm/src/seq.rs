@@ -1,10 +1,9 @@
 //! Reference runtimes: sequential execution and a single global lock.
 
-use crate::api::{Abort, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{Abort, CommitSection, CommitSeq, TmConfig, TmStats, TmSystem, Transaction};
 use crate::heap::{Addr, TmHeap, Word};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The sequential baseline: transactions execute unsynchronised and commits
 /// never fail. STAMP speedups (Figure 10's y-axis) are measured against a
@@ -18,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SeqTm {
     heap: TmHeap,
     stats: TmStats,
-    durable_seq: AtomicU64,
+    durable_seq: CommitSeq,
 }
 
 impl SeqTm {
@@ -27,7 +26,7 @@ impl SeqTm {
         Self {
             heap: TmHeap::new(config.heap_words),
             stats: TmStats::default(),
-            durable_seq: AtomicU64::new(0),
+            durable_seq: CommitSeq::default(),
         }
     }
 }
@@ -52,12 +51,12 @@ impl Transaction for SeqTx<'_> {
         Ok(())
     }
 
-    fn commit_seq(self) -> Result<Option<u64>, Abort> {
+    fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort> {
         // Single-threaded by contract, so commits are already serialised.
         let seq = if self.redo.is_empty() {
             None
         } else {
-            Some(self.tm.durable_seq.fetch_add(1, Ordering::SeqCst))
+            Some(self.tm.durable_seq.fetch_add(&section))
         };
         for (addr, val) in self.redo {
             self.tm.heap.store_direct(addr, val);
@@ -96,7 +95,7 @@ pub struct GlobalLockTm {
     heap: TmHeap,
     stats: TmStats,
     lock: Mutex<()>,
-    durable_seq: AtomicU64,
+    durable_seq: CommitSeq,
 }
 
 impl GlobalLockTm {
@@ -106,7 +105,7 @@ impl GlobalLockTm {
             heap: TmHeap::new(config.heap_words),
             stats: TmStats::default(),
             lock: Mutex::new(()),
-            durable_seq: AtomicU64::new(0),
+            durable_seq: CommitSeq::default(),
         }
     }
 }
@@ -132,13 +131,13 @@ impl Transaction for GlobalLockTx<'_> {
         Ok(())
     }
 
-    fn commit_seq(self) -> Result<Option<u64>, Abort> {
+    fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort> {
         // The global lock is held for the whole transaction, so the fetch
         // is trivially inside the critical section.
         let seq = if self.redo.is_empty() {
             None
         } else {
-            Some(self.tm.durable_seq.fetch_add(1, Ordering::SeqCst))
+            Some(self.tm.durable_seq.fetch_add(&section))
         };
         for (addr, val) in self.redo {
             self.tm.heap.store_direct(addr, val);

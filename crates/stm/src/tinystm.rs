@@ -8,7 +8,9 @@
 //! TPDS'10]: a global version clock, one versioned lock word per heap word,
 //! snapshot extension on read, and commit-time lock–validate–write-back.
 
-use crate::api::{Abort, AbortKind, TmConfig, TmStats, TmSystem, Transaction};
+use crate::api::{
+    Abort, AbortKind, CommitSection, CommitSeq, TmConfig, TmStats, TmSystem, Transaction,
+};
 use crate::heap::{Addr, TmHeap, Word};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +32,7 @@ pub struct TinyStm {
     /// succeeds, while the write locks are still held. The commit clock
     /// `wv` cannot serve: it is fetched before validation, so aborting
     /// committers leave holes.
-    durable_seq: AtomicU64,
+    durable_seq: CommitSeq,
 }
 
 impl TinyStm {
@@ -41,7 +43,7 @@ impl TinyStm {
             stats: TmStats::default(),
             clock: AtomicU64::new(0),
             locks: (0..config.heap_words).map(|_| AtomicU64::new(0)).collect(),
-            durable_seq: AtomicU64::new(0),
+            durable_seq: CommitSeq::default(),
         }
     }
 
@@ -140,7 +142,7 @@ impl Transaction for TinyTx<'_> {
         Ok(())
     }
 
-    fn commit_seq(self) -> Result<Option<u64>, Abort> {
+    fn commit_in(self, section: CommitSection) -> Result<Option<u64>, Abort> {
         if self.redo.is_empty() {
             self.tm
                 .stats
@@ -198,7 +200,7 @@ impl Transaction for TinyTx<'_> {
         // and our lock release. Fetching the durable sequence inside this
         // window makes sequence order consistent with serialization order
         // for read-from and write-write dependencies.
-        let seq = self.tm.durable_seq.fetch_add(1, Ordering::SeqCst);
+        let seq = self.tm.durable_seq.fetch_add(&section);
 
         // Write back and release with the new version.
         for (&addr, &val) in &self.redo {

@@ -44,7 +44,6 @@
 //! nearest-rank percentile selection, under the histogram and under
 //! `trace_report`'s sorted samples.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attr;

@@ -23,7 +23,6 @@
 //! assert!((0.0..=1.0).contains(&cfg.collision_rate()));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::distributions::Distribution;

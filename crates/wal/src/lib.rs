@@ -48,7 +48,6 @@
 //! here keep page-cache contents, so the chaos oracle holds for all
 //! modes, but only `Always` survives a real power loss.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc;

@@ -44,8 +44,6 @@
 //! See `examples/` for runnable scenarios and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the experiment index.
 
-#![forbid(unsafe_code)]
-
 pub use rococo_cc as cc;
 pub use rococo_core as core;
 pub use rococo_fpga as fpga;
