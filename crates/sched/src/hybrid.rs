@@ -4,23 +4,19 @@
 //! shared heap, routing each transaction attempt per the module docs of
 //! [`crate::router`] and [`crate::gate`].
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rococo_stm::{
     Abort, AbortKind, Addr, CommitSection, HtmConfig, RococoConfig, RococoTm, StatsSnapshot,
     TmConfig, TmHeap, TmStats, TmSystem, Transaction, TsxHtm, Word,
 };
 
 use crate::gate::{ModeGate, ModeGuard};
-use crate::router::{Hysteresis, Router};
+use crate::router::{Bounds, Hysteresis, Router};
 
 type HwTx<'a> = <TsxHtm as TmSystem>::Tx<'a>;
 type SwTx<'a> = <RococoTm as TmSystem>::Tx<'a>;
-
-/// Routes between feedback-loop steps ([`HybridTm::adapt`]).
-const ADAPT_INTERVAL: u64 = 1024;
 
 /// Construction parameters for [`HybridTm`].
 #[derive(Debug, Clone)]
@@ -36,12 +32,6 @@ pub struct HybridConfig {
     /// Scheduling classes the router distinguishes (class tags are
     /// clamped into this range).
     pub classes: usize,
-    /// Initial/ceiling admission bound on predicted read footprints,
-    /// in words (the limited-read-set half of the admission rule).
-    pub read_bound: u32,
-    /// Initial/ceiling admission bound on predicted write footprints,
-    /// in words (the limited-write-set half).
-    pub write_bound: u32,
     /// HTM capacity aborts tolerated before a class is banned from the
     /// fast path.
     pub strike_limit: u32,
@@ -57,8 +47,6 @@ impl Default for HybridConfig {
             rococo: RococoConfig::default(),
             htm: HtmConfig::default(),
             classes: 16,
-            read_bound: 256,
-            write_bound: 64,
             strike_limit: 3,
             cooldown: 256,
         }
@@ -123,13 +111,7 @@ pub struct HybridTm {
     /// Per-thread flag: the previous attempt died of an HTM capacity
     /// abort, so the next attempt must migrate to the software path.
     migrate_next: Vec<AtomicBool>,
-    /// Router clock: one tick per route (the cooldown time base — no
-    /// wall clock, so routing decisions stay deterministic under test).
-    clock: AtomicU64,
     sched: SchedStats,
-    /// Capacity aborts seen by the last feedback-loop step; whoever holds
-    /// it is the one thread adapting.
-    adapt_state: Mutex<u64>,
 }
 
 impl HybridTm {
@@ -166,12 +148,7 @@ impl HybridTm {
             cooldown: config.cooldown.max(1),
         };
         Self {
-            router: Router::new(
-                config.classes,
-                hysteresis,
-                config.read_bound,
-                config.write_bound,
-            ),
+            router: Router::new(config.classes, hysteresis, Bounds::of_htm(&config.htm)),
             class_of: (0..config.tm.max_threads)
                 .map(|_| AtomicU32::new(0))
                 .collect(),
@@ -183,9 +160,7 @@ impl HybridTm {
             htm,
             stats: TmStats::default(),
             gate: ModeGate::new(),
-            clock: AtomicU64::new(0),
             sched: SchedStats::default(),
-            adapt_state: Mutex::new(0),
         }
     }
 
@@ -196,25 +171,8 @@ impl HybridTm {
 
     /// A point-in-time copy of the router/scheduler counters.
     pub fn sched_snapshot(&self) -> SchedSnapshot {
-        self.sched
-            .snapshot(self.router.read_bound(), self.router.write_bound())
-    }
-
-    /// The feedback loop: consumes the capacity-abort counter the generic
-    /// entry points accumulate on the outer stats (the same counter the
-    /// telemetry registry exports) plus the footprint samples already
-    /// folded into the router EWMAs, and adapts the admission bounds.
-    /// Skipped when another thread is mid-step.
-    fn adapt(&self) {
-        let Some(mut last_caps) = self.adapt_state.try_lock() else {
-            return;
-        };
-        self.sched.adapts.fetch_add(1, Ordering::Relaxed);
-        let caps = self.stats.aborts[AbortKind::Capacity.index()].load(Ordering::Relaxed);
-        let delta = caps.saturating_sub(*last_caps);
-        *last_caps = caps;
-        let now = self.clock.load(Ordering::Relaxed);
-        self.router.adapt_bounds(delta, now);
+        let bounds = self.router.bounds();
+        self.sched.snapshot(bounds.reads, bounds.writes)
     }
 }
 
@@ -255,8 +213,7 @@ impl Route<'_> {
                 if self.on_htm && abort.kind == AbortKind::Capacity {
                     let tm = self.tm;
                     tm.migrate_next[self.thread].store(true, Ordering::Relaxed);
-                    let now = tm.clock.load(Ordering::Relaxed);
-                    if tm.router.record_capacity(self.class, now) {
+                    if tm.router.capacity_abort(self.class) {
                         tm.sched.capacity_bans.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -274,7 +231,7 @@ impl Route<'_> {
         let seq = self.note_abort(res)?;
         let tm = self.tm;
         tm.router
-            .record_commit(self.class, self.fp.reads, self.fp.writes, self.on_htm);
+            .commit(self.class, self.fp.reads, self.fp.writes, self.on_htm);
         let ctr = if self.on_htm {
             &tm.sched.commits_htm
         } else {
@@ -345,15 +302,15 @@ impl TmSystem for HybridTm {
     fn begin(&self, thread_id: usize) -> HybridTx<'_> {
         let class = (self.class_of[thread_id].load(Ordering::Relaxed) as usize)
             .min(self.router.n_classes() - 1);
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if now.is_multiple_of(ADAPT_INTERVAL) {
-            self.adapt();
+        let (_, admits, adapted) = self.router.route(class);
+        if adapted {
+            self.sched.adapts.fetch_add(1, Ordering::Relaxed);
         }
         // Mid-retry migration: an attempt that just died of an HTM
         // capacity abort re-routes to the software path immediately (the
         // hysteresis ban may or may not have triggered yet).
         let migrate = self.migrate_next[thread_id].load(Ordering::Relaxed);
-        let eligible = !migrate && self.router.htm_eligible(class, now);
+        let eligible = !migrate && admits;
         // The one blocking acquisition of an attempt; the thread holds no
         // guard here, since its every earlier commit retired its own.
         let (guard, on_htm, waited) = self.gate.enter(eligible);

@@ -44,7 +44,7 @@ mod hybrid;
 mod router;
 
 pub use hybrid::{HybridConfig, HybridTm, HybridTx, SchedSnapshot};
-pub use router::Hysteresis;
+pub use router::{Bounds, ClassState, Hysteresis, Policy, ADAPT_INTERVAL};
 
 use rococo_stm::{atomically, try_atomically_seq, Abort, TmSystem};
 
@@ -184,27 +184,26 @@ mod tests {
     fn capacity_abort_migrates_mid_retry_and_bans_with_hysteresis() {
         let tm = tiny_htm_tm(4);
         let a = tm.heap().alloc(8);
-        // Class 5 clamps into range; writes 4 distinct lines ⇒ blows the
-        // 1×1 write cache on the HTM path every time.
-        for round in 0..8u64 {
-            run_classed(&tm, 0, 3, |tx| {
-                for k in 0..4 {
-                    let addr = a + k;
-                    let v = tx.read(addr)?;
-                    tx.write(addr, v + round)?;
-                }
-                Ok(())
-            });
+        // Two attempts of one unseeded class share the HTM epoch, and each
+        // overflows the one-word write set: two strikes ban the class.
+        for t in 0..2 {
+            tm.set_tx_class(t, 3);
         }
+        let (mut t0, mut t1) = (tm.begin(0), tm.begin(1));
+        for (tx, base) in [(&mut t0, a), (&mut t1, a + 4)] {
+            tx.write(base, 1).unwrap();
+            assert_eq!(
+                tx.write(base + 1, 1).map_err(|e| e.kind),
+                Err(AbortKind::Capacity)
+            );
+        }
+        drop((t0, t1));
+        // The next attempt of either thread migrates to software.
+        run_classed(&tm, 0, 3, |tx| tx.write(a, 2));
         let snap = tm.sched_snapshot();
-        assert!(snap.migrations > 0, "capacity abort must migrate to sw");
-        assert!(snap.capacity_bans > 0, "repeat offenders must be banned");
-        assert!(snap.routes_sw >= snap.migrations);
-        let stats = tm.stats_snapshot();
-        assert!(
-            stats.aborts[AbortKind::Capacity.index()] > 0,
-            "outer stats carry the capacity aborts"
-        );
+        assert_eq!(snap.migrations, 1, "capacity abort must migrate to sw");
+        assert_eq!(snap.capacity_bans, 1, "repeat offenders must be banned");
+        assert_eq!((snap.routes_htm, snap.routes_sw), (2, 1));
     }
 
     #[test]
@@ -250,42 +249,34 @@ mod tests {
     /// switch between them.
     #[test]
     fn commit_seq_retires_on_either_engine() {
-        // Bounds of 0 words: the first commit runs on HTM, after it the
-        // class predicts a footprint over the bound and routes to software.
-        let tm = HybridTm::with_configs(HybridConfig {
-            tm: TmConfig {
-                heap_words: 1 << 10,
-                max_threads: 2,
-            },
-            read_bound: 0,
-            write_bound: 0,
-            ..HybridConfig::default()
-        });
-        let a = tm.heap().alloc(1);
-        for seq in 0..2u64 {
-            let mut tx = tm.begin(0);
-            let v = tx.read(a).unwrap();
-            tx.write(a, v + 1).unwrap();
-            assert_eq!(tx.commit_seq(), Ok(Some(seq)));
-            assert_eq!(tm.heap().load_direct(a), seq + 1, "published at commit");
-        }
+        // A one-word write set: one write commits on HTM; a second write
+        // capacity-aborts there, and the retry runs on software.
+        let tm = tiny_htm_tm(1);
+        let a = tm.heap().alloc(2);
+        let mut tx = tm.begin(0);
+        tx.write(a, 1).unwrap();
+        assert_eq!(tx.commit_seq(), Ok(Some(0)));
+        let mut tx = tm.begin(0);
+        tx.write(a, 2).unwrap();
+        assert_eq!(
+            tx.write(a + 1, 2).map_err(|e| e.kind),
+            Err(AbortKind::Capacity)
+        );
+        drop(tx);
+        let mut tx = tm.begin(0);
+        tx.write(a, 2).unwrap();
+        tx.write(a + 1, 2).unwrap();
+        assert_eq!(tx.commit_seq(), Ok(Some(1)));
+        assert_eq!(tm.heap().load_direct(a + 1), 2, "published at commit");
         let sched = tm.sched_snapshot();
         assert_eq!((sched.commits_htm, sched.commits_sw), (1, 1));
     }
 
     #[test]
     fn inner_validation_counters_surface_without_double_counting() {
-        // Bounds of 2 words: the 4-read/4-write class's EWMA exceeds them
-        // after its first commit, so later routes take the software path.
-        let tm = HybridTm::with_configs(HybridConfig {
-            tm: TmConfig {
-                heap_words: 1 << 12,
-                max_threads: 4,
-            },
-            read_bound: 2,
-            write_bound: 2,
-            ..HybridConfig::default()
-        });
+        // A write bound of 1 word: the 4-read/4-write class's EWMA exceeds
+        // it after its first commit, so later routes take the software path.
+        let tm = tiny_htm_tm(4);
         let a = tm.heap().alloc(4);
         // Big-footprint class predictions route to the software path,
         // whose commits run FPGA validation.

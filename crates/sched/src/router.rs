@@ -1,4 +1,4 @@
-//! Footprint prediction and HTM-admission hysteresis.
+//! Footprint prediction and HTM admission: the router's policy.
 //!
 //! The router implements the limited-set admission rule of the hybrid-TM
 //! literature (Kafousis et al.): a transaction may take the best-effort
@@ -7,12 +7,22 @@
 //! EWMA of observed per-commit footprints keyed by the caller-supplied
 //! scheduling class ([`rococo_stm::TmSystem::set_tx_class`]); classes
 //! that repeatedly blow the capacity anyway are banned from the fast
-//! path for an exponentially growing cooldown (hysteresis), so a
-//! mispredicted class cannot oscillate between capacity-abort storms and
-//! re-admission.
+//! path for an exponentially growing cooldown (hysteresis), and every
+//! [`ADAPT_INTERVAL`] routes the bounds move by AIMD on the capacity
+//! aborts seen since the last step.
+//!
+//! Every rule is a method on plain values ([`ClassState`], [`Bounds`],
+//! [`Hysteresis`]). [`Policy`] keeps the whole state as plain values —
+//! the simulator's `SimSystem::Hybrid` runs it — and the live [`Router`]
+//! keeps one atomic per field and moves it with the same methods.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+use parking_lot::Mutex;
+use rococo_stm::HtmConfig;
+
+/// Routes between two AIMD steps.
+pub const ADAPT_INTERVAL: u64 = 1024;
 /// Fixed-point shift of the EWMA accumulators (value = accumulator >> 8).
 const EWMA_FP: u32 = 8;
 /// EWMA smoothing: new = old + (sample - old) / 2^EWMA_SHIFT.
@@ -21,10 +31,48 @@ const EWMA_SHIFT: u32 = 2;
 /// `cooldown << MAX_STREAK_SHIFT` ticks.
 const MAX_STREAK_SHIFT: u32 = 6;
 
-/// The pure hysteresis rule, factored out of the per-class atomics so it
-/// can be property-tested: cooldowns are *monotone* — banning a class
-/// again can only push its re-admission time further out, never pull it
-/// in, and while `now < cooldown_until` the class is never admitted.
+/// Admission bounds on a predicted footprint, in words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bounds {
+    /// Bound on the predicted read footprint.
+    pub reads: u32,
+    /// Bound on the predicted write footprint.
+    pub writes: u32,
+}
+
+impl Bounds {
+    /// The largest footprints the HTM holds however its words fall: one
+    /// word per line, `read_capacity` lines read and `write_sets ×
+    /// write_ways` lines written.
+    pub fn of_htm(htm: &HtmConfig) -> Self {
+        let lines = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        Self {
+            reads: lines(htm.read_capacity),
+            writes: lines(htm.write_sets.saturating_mul(htm.write_ways)),
+        }
+    }
+
+    /// One AIMD step: capacity aborts since the last step shrink each
+    /// bound by a quarter (to at least 4 words); a quiet interval grows
+    /// it by an eighth plus one, back up to `cap`.
+    pub fn adapt(self, cap: Bounds, capacity_delta: u64) -> Self {
+        let step = |b: u32, cap: u32| {
+            if capacity_delta > 0 {
+                (b - b / 4).max(4)
+            } else {
+                b.saturating_add(b / 8 + 1).min(cap)
+            }
+        };
+        Self {
+            reads: step(self.reads, cap.reads),
+            writes: step(self.writes, cap.writes),
+        }
+    }
+}
+
+/// The hysteresis rule. Cooldowns are *monotone*: banning a class again
+/// can only push its re-admission time further out, never pull it in,
+/// and while `now < cooldown_until` the class is never admitted.
 #[derive(Debug, Clone, Copy)]
 pub struct Hysteresis {
     /// Capacity aborts tolerated before a ban.
@@ -50,52 +98,213 @@ impl Hysteresis {
     }
 }
 
-/// Per-class router state. All fields are atomics updated from commit
-/// and abort bookkeeping paths; approximate races (a lost EWMA update, a
-/// strike counted twice) only perturb the prediction, never correctness.
-#[derive(Debug, Default)]
-pub(crate) struct ClassState {
+/// One class's routing state as plain values.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassState {
     /// EWMA of committed read-footprint sizes, 24.8 fixed point.
-    ewma_reads: AtomicU32,
+    pub ewma_reads: u32,
     /// EWMA of committed write-footprint sizes, 24.8 fixed point.
-    ewma_writes: AtomicU32,
+    pub ewma_writes: u32,
     /// Capacity aborts since the last ban or fast-path commit.
-    strikes: AtomicU32,
+    pub strikes: u32,
     /// Consecutive bans (exponent of the cooldown backoff).
-    ban_streak: AtomicU32,
+    pub ban_streak: u32,
     /// Router-clock tick before which the class stays off the fast path.
+    pub cooldown_until: u64,
+}
+
+impl ClassState {
+    /// Predicted footprint `(reads, writes)`, in words.
+    pub fn predicted(&self) -> (u32, u32) {
+        (self.ewma_reads >> EWMA_FP, self.ewma_writes >> EWMA_FP)
+    }
+
+    /// The limited-set admission decision at tick `now`.
+    pub fn admits(&self, h: &Hysteresis, bounds: Bounds, now: u64) -> bool {
+        let (reads, writes) = self.predicted();
+        h.admitted(now, self.cooldown_until) && reads <= bounds.reads && writes <= bounds.writes
+    }
+
+    /// Folds one committed footprint into the prediction; a fast-path
+    /// commit also clears the strikes (the class fits).
+    pub fn commit(mut self, reads: u32, writes: u32, on_htm: bool) -> Self {
+        self.ewma_reads = ewma(self.ewma_reads, reads);
+        self.ewma_writes = ewma(self.ewma_writes, writes);
+        if on_htm {
+            self.strikes = 0;
+        }
+        self
+    }
+
+    /// One HTM capacity abort at tick `now`; the flag says whether this
+    /// strike banned the class.
+    pub fn capacity_abort(mut self, h: &Hysteresis, now: u64) -> (Self, bool) {
+        self.strikes += 1;
+        if self.strikes < h.strike_limit {
+            return (self, false);
+        }
+        self.strikes = 0;
+        self.cooldown_until = h.ban(now, self.ban_streak, self.cooldown_until);
+        self.ban_streak += 1;
+        (self, true)
+    }
+
+    /// The AIMD step's share of the ban: an expired cooldown halves the
+    /// streak, so an old offender is not punished forever.
+    pub fn bleed(mut self, h: &Hysteresis, now: u64) -> Self {
+        if h.admitted(now, self.cooldown_until) {
+            self.ban_streak /= 2;
+        }
+        self
+    }
+}
+
+/// One EWMA step in 24.8 fixed point. A zero accumulator is treated as
+/// unseeded and takes the sample directly (a genuinely zero-footprint
+/// transaction predicts "tiny", which is the right answer anyway).
+fn ewma(old: u32, sample: u32) -> u32 {
+    let sample_fp = sample.saturating_mul(1 << EWMA_FP);
+    if old == 0 {
+        sample_fp
+    } else if sample_fp >= old {
+        old + ((sample_fp - old) >> EWMA_SHIFT)
+    } else {
+        old - ((old - sample_fp) >> EWMA_SHIFT)
+    }
+}
+
+/// The router's whole state as plain values, driven one event at a time:
+/// what the simulator keeps for its one worker pool.
+#[derive(Debug, Clone)]
+pub struct Policy {
+    classes: Vec<ClassState>,
+    hysteresis: Hysteresis,
+    bounds: Bounds,
+    cap: Bounds,
+    clock: u64,
+    capacity_aborts: u64,
+    capacity_seen: u64,
+    aimd: bool,
+}
+
+impl Policy {
+    /// A policy over `classes` classes whose bounds start at, and never
+    /// grow past, `cap`.
+    pub fn new(classes: usize, hysteresis: Hysteresis, cap: Bounds) -> Self {
+        Self {
+            classes: vec![ClassState::default(); classes],
+            hysteresis,
+            bounds: cap,
+            cap,
+            clock: 0,
+            capacity_aborts: 0,
+            capacity_seen: 0,
+            aimd: true,
+        }
+    }
+
+    /// The same policy with the bounds fixed at `cap`.
+    pub fn without_aimd(mut self) -> Self {
+        self.aimd = false;
+        self
+    }
+
+    /// Routes one attempt of `class`: ticks the clock (taking an AIMD
+    /// step every [`ADAPT_INTERVAL`] ticks) and returns the tick and
+    /// whether the class is admitted to the fast path.
+    pub fn route(&mut self, class: usize) -> (u64, bool) {
+        self.clock += 1;
+        let now = self.clock;
+        if self.aimd && now.is_multiple_of(ADAPT_INTERVAL) {
+            let delta = self.capacity_aborts - self.capacity_seen;
+            self.capacity_seen = self.capacity_aborts;
+            self.bounds = self.bounds.adapt(self.cap, delta);
+            for cs in &mut self.classes {
+                *cs = cs.bleed(&self.hysteresis, now);
+            }
+        }
+        (
+            now,
+            self.classes[class].admits(&self.hysteresis, self.bounds, now),
+        )
+    }
+
+    /// Folds a committed footprint into `class`'s prediction.
+    pub fn commit(&mut self, class: usize, reads: u32, writes: u32, on_htm: bool) {
+        self.classes[class] = self.classes[class].commit(reads, writes, on_htm);
+    }
+
+    /// Records an HTM capacity abort of `class`; `true` when it banned.
+    pub fn capacity_abort(&mut self, class: usize) -> bool {
+        self.capacity_aborts += 1;
+        let (cs, banned) = self.classes[class].capacity_abort(&self.hysteresis, self.clock);
+        self.classes[class] = cs;
+        banned
+    }
+}
+
+/// Per-class live storage: one atomic per [`ClassState`] field. Racing
+/// updates may lose an EWMA sample or a strike, which only perturbs the
+/// prediction, never correctness; the deadline only ever moves out.
+#[derive(Debug, Default)]
+struct ClassCell {
+    ewma_reads: AtomicU32,
+    ewma_writes: AtomicU32,
+    strikes: AtomicU32,
+    ban_streak: AtomicU32,
     cooldown_until: AtomicU64,
 }
 
-/// The router: per-class prediction state plus the adaptive admission
-/// bounds the feedback loop tunes online.
+impl ClassCell {
+    fn load(&self) -> ClassState {
+        ClassState {
+            ewma_reads: self.ewma_reads.load(Ordering::Relaxed),
+            ewma_writes: self.ewma_writes.load(Ordering::Relaxed),
+            strikes: self.strikes.load(Ordering::Relaxed),
+            ban_streak: self.ban_streak.load(Ordering::Relaxed),
+            cooldown_until: self.cooldown_until.load(Ordering::Relaxed),
+        }
+    }
+
+    fn store(&self, cs: ClassState) {
+        self.ewma_reads.store(cs.ewma_reads, Ordering::Relaxed);
+        self.ewma_writes.store(cs.ewma_writes, Ordering::Relaxed);
+        self.strikes.store(cs.strikes, Ordering::Relaxed);
+        self.ban_streak.store(cs.ban_streak, Ordering::Relaxed);
+        self.cooldown_until
+            .fetch_max(cs.cooldown_until, Ordering::Relaxed);
+    }
+}
+
+/// The live router: [`Policy`]'s state in atomics, so that routes,
+/// commits and aborts of many threads update it without a lock.
 #[derive(Debug)]
 pub(crate) struct Router {
-    classes: Vec<ClassState>,
+    classes: Vec<ClassCell>,
     hysteresis: Hysteresis,
-    /// Admission bound on the predicted read footprint, in words.
     read_bound: AtomicU32,
-    /// Admission bound on the predicted write footprint, in words.
     write_bound: AtomicU32,
-    /// Configured ceilings the feedback loop may grow back toward.
-    read_bound_cap: u32,
-    write_bound_cap: u32,
+    cap: Bounds,
+    /// Router clock: one tick per route (the cooldown time base — no
+    /// wall clock, so routing decisions stay deterministic under test).
+    clock: AtomicU64,
+    capacity_aborts: AtomicU64,
+    /// Capacity aborts seen by the last AIMD step; whoever holds it is
+    /// the one thread adapting.
+    capacity_seen: Mutex<u64>,
 }
 
 impl Router {
-    pub(crate) fn new(
-        classes: usize,
-        hysteresis: Hysteresis,
-        read_bound: u32,
-        write_bound: u32,
-    ) -> Self {
+    pub(crate) fn new(classes: usize, hysteresis: Hysteresis, cap: Bounds) -> Self {
         Self {
-            classes: (0..classes).map(|_| ClassState::default()).collect(),
+            classes: (0..classes).map(|_| ClassCell::default()).collect(),
             hysteresis,
-            read_bound: AtomicU32::new(read_bound),
-            write_bound: AtomicU32::new(write_bound),
-            read_bound_cap: read_bound,
-            write_bound_cap: write_bound,
+            read_bound: AtomicU32::new(cap.reads),
+            write_bound: AtomicU32::new(cap.writes),
+            cap,
+            clock: AtomicU64::new(0),
+            capacity_aborts: AtomicU64::new(0),
+            capacity_seen: Mutex::new(0),
         }
     }
 
@@ -103,110 +312,61 @@ impl Router {
         self.classes.len()
     }
 
-    /// The limited-set admission decision for `class` at tick `now`.
-    pub(crate) fn htm_eligible(&self, class: usize, now: u64) -> bool {
-        let cs = &self.classes[class];
-        if !self
-            .hysteresis
-            .admitted(now, cs.cooldown_until.load(Ordering::Relaxed))
-        {
-            return false;
-        }
-        let reads = cs.ewma_reads.load(Ordering::Relaxed) >> EWMA_FP;
-        let writes = cs.ewma_writes.load(Ordering::Relaxed) >> EWMA_FP;
-        reads <= self.read_bound.load(Ordering::Relaxed)
-            && writes <= self.write_bound.load(Ordering::Relaxed)
-    }
-
-    /// Folds one committed footprint sample into the class prediction.
-    /// `on_htm` commits also clear the strike counter — the class fits.
-    pub(crate) fn record_commit(&self, class: usize, reads: u32, writes: u32, on_htm: bool) {
-        let cs = &self.classes[class];
-        ewma_update(&cs.ewma_reads, reads);
-        ewma_update(&cs.ewma_writes, writes);
-        if on_htm {
-            cs.strikes.store(0, Ordering::Relaxed);
+    /// The current admission bounds.
+    pub(crate) fn bounds(&self) -> Bounds {
+        Bounds {
+            reads: self.read_bound.load(Ordering::Relaxed),
+            writes: self.write_bound.load(Ordering::Relaxed),
         }
     }
 
-    /// Records one HTM capacity abort; returns `true` when this strike
-    /// banned the class (caller counts it and emits telemetry).
-    pub(crate) fn record_capacity(&self, class: usize, now: u64) -> bool {
-        let cs = &self.classes[class];
-        let strikes = cs.strikes.fetch_add(1, Ordering::Relaxed) + 1;
-        if strikes < self.hysteresis.strike_limit {
+    /// [`Policy::route`]; the AIMD step returns `true` in the second
+    /// flag and is skipped when another thread is mid-step.
+    pub(crate) fn route(&self, class: usize) -> (u64, bool, bool) {
+        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let adapted = now.is_multiple_of(ADAPT_INTERVAL) && self.adapt(now);
+        let admits = self.classes[class]
+            .load()
+            .admits(&self.hysteresis, self.bounds(), now);
+        (now, admits, adapted)
+    }
+
+    fn adapt(&self, now: u64) -> bool {
+        let Some(mut seen) = self.capacity_seen.try_lock() else {
             return false;
+        };
+        let caps = self.capacity_aborts.load(Ordering::Relaxed);
+        let next = self.bounds().adapt(self.cap, caps - *seen);
+        *seen = caps;
+        self.read_bound.store(next.reads, Ordering::Relaxed);
+        self.write_bound.store(next.writes, Ordering::Relaxed);
+        for cell in &self.classes {
+            cell.store(cell.load().bleed(&self.hysteresis, now));
         }
-        cs.strikes.store(0, Ordering::Relaxed);
-        let streak = cs.ban_streak.fetch_add(1, Ordering::Relaxed);
-        let until = self
-            .hysteresis
-            .ban(now, streak, cs.cooldown_until.load(Ordering::Relaxed));
-        cs.cooldown_until.fetch_max(until, Ordering::Relaxed);
         true
     }
 
-    /// Feedback step: capacity pressure since the last step shrinks the
-    /// admission bounds multiplicatively; a quiet interval grows them
-    /// additively back toward the configured caps (AIMD). Expired
-    /// cooldowns also bleed the ban streak so an old offender is not
-    /// punished forever.
-    pub(crate) fn adapt_bounds(&self, capacity_delta: u64, now: u64) {
-        let step = |bound: &AtomicU32, cap: u32| {
-            let b = bound.load(Ordering::Relaxed);
-            let next = if capacity_delta > 0 {
-                (b - b / 4).max(4)
-            } else {
-                (b + b / 8 + 1).min(cap)
-            };
-            bound.store(next, Ordering::Relaxed);
-        };
-        step(&self.read_bound, self.read_bound_cap);
-        step(&self.write_bound, self.write_bound_cap);
-        for cs in &self.classes {
-            if self
-                .hysteresis
-                .admitted(now, cs.cooldown_until.load(Ordering::Relaxed))
-            {
-                let s = cs.ban_streak.load(Ordering::Relaxed);
-                cs.ban_streak.store(s / 2, Ordering::Relaxed);
-            }
-        }
+    /// [`Policy::commit`].
+    pub(crate) fn commit(&self, class: usize, reads: u32, writes: u32, on_htm: bool) {
+        let cell = &self.classes[class];
+        cell.store(cell.load().commit(reads, writes, on_htm));
     }
 
-    pub(crate) fn read_bound(&self) -> u32 {
-        self.read_bound.load(Ordering::Relaxed)
+    /// [`Policy::capacity_abort`].
+    pub(crate) fn capacity_abort(&self, class: usize) -> bool {
+        self.capacity_aborts.fetch_add(1, Ordering::Relaxed);
+        let now = self.clock.load(Ordering::Relaxed);
+        let cell = &self.classes[class];
+        let (cs, banned) = cell.load().capacity_abort(&self.hysteresis, now);
+        cell.store(cs);
+        banned
     }
 
-    pub(crate) fn write_bound(&self) -> u32 {
-        self.write_bound.load(Ordering::Relaxed)
-    }
-
-    /// Predicted (EWMA) footprint of a class, in words — for tests.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Predicted footprint of a class, in words — for tests.
+    #[cfg(test)]
     pub(crate) fn predicted(&self, class: usize) -> (u32, u32) {
-        let cs = &self.classes[class];
-        (
-            cs.ewma_reads.load(Ordering::Relaxed) >> EWMA_FP,
-            cs.ewma_writes.load(Ordering::Relaxed) >> EWMA_FP,
-        )
+        self.classes[class].load().predicted()
     }
-}
-
-/// One EWMA step in 24.8 fixed point. A zero accumulator is treated as
-/// unseeded and takes the sample directly (a genuinely zero-footprint
-/// transaction predicts "tiny", which is the right answer anyway).
-fn ewma_update(acc: &AtomicU32, sample: u32) {
-    let sample_fp = sample.saturating_mul(1 << EWMA_FP);
-    let old = acc.load(Ordering::Relaxed);
-    let new = if old == 0 {
-        sample_fp
-    } else if sample_fp >= old {
-        old + ((sample_fp - old) >> EWMA_SHIFT)
-    } else {
-        old - ((old - sample_fp) >> EWMA_SHIFT)
-    };
-    acc.store(new, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -214,13 +374,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const CAP: Bounds = Bounds {
+        reads: 64,
+        writes: 16,
+    };
+
     #[test]
     fn ewma_converges_to_constant_sample() {
-        let acc = AtomicU32::new(0);
+        let mut cs = ClassState::default();
         for _ in 0..64 {
-            ewma_update(&acc, 40);
+            cs = cs.commit(40, 40, false);
         }
-        assert_eq!(acc.load(Ordering::Relaxed) >> EWMA_FP, 40);
+        assert_eq!(cs.predicted(), (40, 40));
+    }
+
+    #[test]
+    fn bounds_are_the_htm_capacity_in_lines() {
+        assert_eq!(
+            Bounds::of_htm(&HtmConfig::default()),
+            Bounds {
+                reads: 4096,
+                writes: 512
+            }
+        );
     }
 
     #[test]
@@ -229,13 +405,13 @@ mod tests {
             strike_limit: 3,
             cooldown: 16,
         };
-        let r = Router::new(2, h, 64, 16);
+        let r = Router::new(2, h, CAP);
         for _ in 0..8 {
-            r.record_commit(0, 4, 2, false);
-            r.record_commit(1, 500, 200, false);
+            r.commit(0, 4, 2, false);
+            r.commit(1, 500, 200, false);
         }
-        assert!(r.htm_eligible(0, 100));
-        assert!(!r.htm_eligible(1, 100), "footprint above bound");
+        assert!(r.route(0).1);
+        assert!(!r.route(1).1, "footprint above bound");
         let (pr, pw) = r.predicted(0);
         assert!(pr <= 64 && pw <= 16, "small class predicted small");
         let (pr, pw) = r.predicted(1);
@@ -248,22 +424,76 @@ mod tests {
             strike_limit: 2,
             cooldown: 10,
         };
-        let r = Router::new(1, h, 64, 16);
-        assert!(!r.record_capacity(0, 5));
-        assert!(r.record_capacity(0, 5), "second strike bans");
-        assert!(!r.htm_eligible(0, 6));
-        assert!(!r.htm_eligible(0, 14));
-        assert!(
-            r.htm_eligible(0, 15),
+        let mut p = Policy::new(1, h, CAP);
+        for _ in 0..5 {
+            p.route(0);
+        }
+        assert!(!p.capacity_abort(0));
+        assert!(p.capacity_abort(0), "second strike bans");
+        for tick in 6..15 {
+            assert_eq!(p.route(0), (tick, false));
+        }
+        assert_eq!(
+            p.route(0),
+            (15, true),
             "cooldown 10 from tick 5 expires at 15"
         );
     }
 
+    /// One fixed event sequence — routes, commits of small and large
+    /// footprints on either path, capacity aborts — over three classes
+    /// and several AIMD steps: the live router and the plain policy the
+    /// simulator runs make the same decision at every route.
+    #[test]
+    fn the_live_router_and_the_plain_policy_decide_alike() {
+        let h = Hysteresis {
+            strike_limit: 2,
+            cooldown: 8,
+        };
+        let live = Router::new(3, h, CAP);
+        let mut plain = Policy::new(3, h, CAP);
+        let mut x = 0x5eed_u64;
+        let (mut admitted, mut refused) = (0, 0);
+        for _ in 0..5 * ADAPT_INTERVAL {
+            let r = mix(&mut x);
+            let class = (r % 3) as usize;
+            match (r >> 8) % 16 {
+                0..=11 => {
+                    let (now, admits, _) = live.route(class);
+                    assert_eq!((now, admits), plain.route(class));
+                    if admits {
+                        admitted += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+                12..=14 => {
+                    let big = (r >> 16).is_multiple_of(4);
+                    let (reads, writes) = if big { (300, 40) } else { (2, 1) };
+                    let on_htm = (r >> 20).is_multiple_of(2);
+                    live.commit(class, reads, writes, on_htm);
+                    plain.commit(class, reads, writes, on_htm);
+                }
+                _ => assert_eq!(live.capacity_abort(class), plain.capacity_abort(class)),
+            }
+        }
+        assert!(admitted > 100 && refused > 100, "{admitted} / {refused}");
+        assert_eq!(live.bounds(), plain.bounds);
+    }
+
+    /// A self-contained 64-bit mix (the test needs no hash crate).
+    fn mix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     proptest! {
-        /// The satellite property: hysteresis is monotone. However a
-        /// class is denied (banned) repeatedly, its re-admission deadline
-        /// never moves earlier, and it is never admitted before the
-        /// deadline standing at that moment.
+        /// Hysteresis is monotone. However a class is banned repeatedly,
+        /// its re-admission deadline never moves earlier, and it is never
+        /// admitted before the deadline standing at that moment.
         #[test]
         fn hysteresis_is_monotone(
             cooldown in 1u64..1_000,
@@ -292,23 +522,21 @@ mod tests {
             }
         }
 
-        /// Router-level restatement: after a ban at tick `t`, the class
-        /// is ineligible at every tick in `[t, deadline)` regardless of
-        /// how many further capacity strikes land in between.
+        /// After a ban at tick `t`, the class is refused at every tick in
+        /// `[t, deadline)` however many further strikes land in between.
         #[test]
         fn banned_class_stays_out_for_the_full_cooldown(
             cooldown in 1u64..200,
             extra_strikes in 0usize..20,
         ) {
             let h = Hysteresis { strike_limit: 1, cooldown };
-            let r = Router::new(1, h, 64, 16);
-            prop_assert!(r.record_capacity(0, 0));
-            let deadline = cooldown.max(1);
-            for i in 0..extra_strikes {
-                r.record_capacity(0, (i as u64) % deadline);
+            let live = Router::new(1, h, CAP);
+            prop_assert!(live.capacity_abort(0));
+            for _ in 0..extra_strikes {
+                live.capacity_abort(0);
             }
-            for t in 0..deadline {
-                prop_assert!(!r.htm_eligible(0, t));
+            for _ in 0..cooldown - 1 {
+                prop_assert!(!live.route(0).1);
             }
         }
     }
