@@ -274,8 +274,9 @@ if grep -rnE 'Mode::Wall|wall_app|validation_model_ns|mean_validation_model_us' 
   exit 1
 fi
 clock='exec_ns|Duration|Instant|\.parallel'
-if grep -nE "$clock" crates/bench/src/bin/fig10.rs crates/bench/src/bin/ablation_eager.rs; then
-  echo "fig10 or ablation_eager reads a clock; price the footprints with rococo_bench::seq_cost" >&2
+if grep -nE "$clock" crates/bench/src/bin/fig10.rs crates/bench/src/bin/ablation_eager.rs \
+  crates/bench/src/bin/ablation_router.rs; then
+  echo "fig10, ablation_eager or ablation_router reads a clock; price the footprints with rococo_bench::seq_cost" >&2
   exit 1
 fi
 for f in crates/sim/src/*.rs; do
@@ -299,6 +300,34 @@ for p in $(grep -ohE 'crates/[A-Za-z0-9_./*-]*' README.md DESIGN.md .claude/skil
     echo "a doc names $p, which does not exist" >&2
     missing=1
   fi
+done
+if (( missing )); then
+  exit 1
+fi
+
+echo "== docs name fns, types and paths that exist"
+# A backticked `fn()`, CamelCase type, snake_case name or `a::b` path in
+# the three docs must be a word (its last segment, for a path) somewhere
+# in the code, a file stem there (a bin, a module), or a name this script
+# keeps deleted. Fragments that start with `_` (a metric-name suffix)
+# are not names.
+code=(crates src tests examples benchmark)
+stems="$(git ls-files -- "${code[@]}" | sed -E 's|.*/||; s|\.[a-z]+$||' | sort -u)"
+for name in $(grep -ohE '`[^`]+`' README.md DESIGN.md .claude/skills/verify/SKILL.md | tr -d '`' \
+  | grep -E '^([A-Za-z][A-Za-z0-9_]*::)*[A-Za-z][A-Za-z0-9_]*(\(\))?$' | sort -u); do
+  bare="${name%()}"
+  last="${bare##*::}"
+  if [[ "$bare" != *::* && "$name" != *"()" \
+    && ! "$bare" =~ ^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$ \
+    && ! "$bare" =~ ^[a-z][a-z0-9]*(_[a-z0-9]+)+$ ]]; then
+    continue
+  fi
+  if git grep -qw -e "$last" -- "${code[@]}" || grep -qxF "$last" <<<"$stems" \
+    || grep -qw -e "$last" "$0"; then
+    continue
+  fi
+  echo "a doc names \`$name\`, which the code does not" >&2
+  missing=1
 done
 if (( missing )); then
   exit 1
@@ -387,6 +416,12 @@ if [[ "$FULL" == "1" ]]; then
     bench "$figure" >"$SCRATCH/$figure.txt"
     diff "results/$figure.txt" "$SCRATCH/$figure.txt"
   done
+  if [[ -n "$EXTENDED" ]]; then
+    # The router ablation replays the paper-sized labyrinth and
+    # vacation-low recordings: ~2 min, so nightly only.
+    bench ablation_router >"$SCRATCH/ablation_router.txt"
+    diff results/ablation_router.txt "$SCRATCH/ablation_router.txt"
+  fi
 
   echo "== chaos tiers: serializability, crash recovery, replication fail-over (pinned seeds; NIGHTLY=1 for the full sweeps)"
   for harness in stm recovery cluster; do

@@ -16,9 +16,7 @@
 //! recorded transaction is priced by its app's row of the committed
 //! calibration table, as in Figure 10, so two runs print the same table.
 //!
-//! Usage: ablation_router [--quick] [--drop m1,m2]
-//!   --drop takes mechanisms out of the baseline hybrid (admission,
-//!   migration, ban, aimd): the next step of a backward elimination.
+//! Usage: ablation_router [--quick]
 
 use rococo_bench::{banner, pct, seq_cost, Table};
 use rococo_sim::{simulate, simulate_without, CostModel, Mechanism, SimSystem, Workload};
@@ -27,16 +25,14 @@ use rococo_stamp::harness::{record_workload, Preset};
 
 const APPS: [AppId; 2] = [AppId::Labyrinth, AppId::VacationLow];
 const THREADS: [usize; 3] = [1, 14, 28];
-const MECHANISMS: [(Mechanism, &str); 4] = [
+const MECHANISMS: [(Mechanism, &str); 2] = [
     (Mechanism::Admission, "admission"),
     (Mechanism::Migration, "migration"),
-    (Mechanism::Ban, "ban"),
-    (Mechanism::Aimd, "aimd"),
 ];
 
-/// One app's table: a row per system at `THREADS` workers; each hybrid
-/// row also gives its largest change against the baseline hybrid.
-fn table(app: AppId, preset: Preset, dropped: &[Mechanism]) -> Table {
+/// One app's table: a row per system at `THREADS` workers; each
+/// ablated row also gives its largest change against the hybrid.
+fn table(app: AppId, preset: Preset) -> Table {
     let w = Workload::from_records(record_workload(app, preset), seq_cost(app, preset));
     let seq_ns = w.sequential_ns();
     let cost = CostModel::default();
@@ -67,14 +63,10 @@ fn table(app: AppId, preset: Preset, dropped: &[Mechanism]) -> Table {
         let (sw, all) = s.iter().fold((0, 0), |(a, b), x| (a + x.1, b + x.2));
         pct(sw as f64 / all.max(1) as f64)
     };
-    let base = speedups(&|t| simulate_without(&w, t, &cost, dropped));
+    let base = speedups(&|t| simulate(&w, SimSystem::Hybrid, t, &cost));
     table.row(cells("Hybrid".into(), base, "-".into(), sw_share(&base)));
     for (m, name) in MECHANISMS {
-        if dropped.contains(&m) {
-            continue;
-        }
-        let without: Vec<Mechanism> = dropped.iter().copied().chain([m]).collect();
-        let s = speedups(&|t| simulate_without(&w, t, &cost, &without));
+        let s = speedups(&|t| simulate_without(&w, t, &cost, m));
         let change = s
             .iter()
             .zip(&base)
@@ -91,26 +83,12 @@ fn table(app: AppId, preset: Preset, dropped: &[Mechanism]) -> Table {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
     let mut preset = Preset::Paper;
-    let mut dropped = Vec::new();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
             "--quick" => preset = Preset::Tiny,
-            "--drop" => {
-                i += 1;
-                for name in argv[i].split(',') {
-                    let (m, _) = MECHANISMS
-                        .into_iter()
-                        .find(|(_, n)| *n == name)
-                        .unwrap_or_else(|| panic!("unknown mechanism '{name}'"));
-                    dropped.push(m);
-                }
-            }
             other => panic!("unknown argument '{other}'"),
         }
-        i += 1;
     }
 
     banner("Ablation: the hybrid router's mechanisms (speedup at 1 / 14 / 28 threads)");
@@ -126,7 +104,7 @@ fn main() {
     for app in APPS {
         println!();
         println!("--- {} ---", app.name());
-        table(app, preset, &dropped).print();
+        table(app, preset).print();
     }
     println!();
     println!(
@@ -143,7 +121,7 @@ mod tests {
     #[test]
     fn the_tiny_table_is_a_pure_function_of_the_recording() {
         for app in APPS {
-            assert_eq!(table(app, Preset::Tiny, &[]), table(app, Preset::Tiny, &[]));
+            assert_eq!(table(app, Preset::Tiny), table(app, Preset::Tiny));
         }
     }
 }

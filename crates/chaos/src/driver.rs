@@ -284,8 +284,9 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosReport {
             // The HTM write-set is shrunk to one direct-mapped word-granular
             // entry, so any transaction writing two distinct words
             // capacity-aborts its fast-path attempt and migrates to the
-            // software path mid-retry — the schedule under test. The slow
-            // path inherits the run's fault injection.
+            // software path mid-retry — the schedule under test — until
+            // its class predicts more writes than that one-word bound.
+            // The slow path inherits the run's fault injection.
             HybridTm::with_configs(HybridConfig {
                 tm: tm_config,
                 rococo: rococo_config,
@@ -297,9 +298,6 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosReport {
                     max_attempts: 5,
                 },
                 classes: 4,
-                cooldown: 8,
-                strike_limit: 2,
-                ..HybridConfig::default()
             }),
             &params,
             &layout,

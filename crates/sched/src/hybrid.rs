@@ -13,7 +13,7 @@ use rococo_stm::{
 };
 
 use crate::gate::{ModeGate, ModeGuard};
-use crate::router::{Bounds, Hysteresis, Router};
+use crate::router::{Bounds, Router};
 
 type HwTx<'a> = <TsxHtm as TmSystem>::Tx<'a>;
 type SwTx<'a> = <RococoTm as TmSystem>::Tx<'a>;
@@ -32,12 +32,6 @@ pub struct HybridConfig {
     /// Scheduling classes the router distinguishes (class tags are
     /// clamped into this range).
     pub classes: usize,
-    /// HTM capacity aborts tolerated before a class is banned from the
-    /// fast path.
-    pub strike_limit: u32,
-    /// Base fast-path ban length, in router-clock ticks (one tick per
-    /// route); doubles per consecutive ban, to at most 64× the base.
-    pub cooldown: u64,
 }
 
 impl Default for HybridConfig {
@@ -47,8 +41,6 @@ impl Default for HybridConfig {
             rococo: RococoConfig::default(),
             htm: HtmConfig::default(),
             classes: 16,
-            strike_limit: 3,
-            cooldown: 256,
         }
     }
 }
@@ -64,8 +56,6 @@ rococo_telemetry::stats_block! {
         /// They never block: the software mode was active.
         htm_overflow: "rococo_sched_htm_overflow_total", "HTM-eligible attempts redirected to software by the mode gate";
         migrations: "rococo_sched_migrations_total", "Mid-retry migrations (HTM capacity abort re-routed to software)";
-        capacity_bans: "rococo_sched_capacity_bans_total", "Fast-path bans issued by the capacity hysteresis";
-        adapts: "rococo_sched_adapts_total", "Feedback-loop steps taken";
     }
     groups {
         "rococo_sched_routes_total", "Transaction attempts routed, by chosen path" {
@@ -84,12 +74,6 @@ rococo_telemetry::stats_block! {
             /// Attempts that waited for the other engine's epoch to drain.
             deferrals_mode: reason = "mode-drain";
         }
-    }
-    gauges {
-        /// In words.
-        read_bound: u32 = "rococo_sched_read_bound_words", "Current admission bound on predicted read footprints";
-        /// In words.
-        write_bound: u32 = "rococo_sched_write_bound_words", "Current admission bound on predicted write footprints";
     }
 }
 
@@ -143,12 +127,8 @@ impl HybridTm {
         let heap = Arc::new(TmHeap::new(config.tm.heap_words));
         let rococo = RococoTm::with_shared_heap(config.rococo.clone(), heap.clone());
         let htm = TsxHtm::with_shared_heap(config.tm, config.htm, heap.clone());
-        let hysteresis = Hysteresis {
-            strike_limit: config.strike_limit.max(1),
-            cooldown: config.cooldown.max(1),
-        };
         Self {
-            router: Router::new(config.classes, hysteresis, Bounds::of_htm(&config.htm)),
+            router: Router::new(config.classes, Bounds::of_htm(&config.htm)),
             class_of: (0..config.tm.max_threads)
                 .map(|_| AtomicU32::new(0))
                 .collect(),
@@ -171,8 +151,7 @@ impl HybridTm {
 
     /// A point-in-time copy of the router/scheduler counters.
     pub fn sched_snapshot(&self) -> SchedSnapshot {
-        let bounds = self.router.bounds();
-        self.sched.snapshot(bounds.reads, bounds.writes)
+        self.sched.snapshot()
     }
 }
 
@@ -202,20 +181,15 @@ struct Route<'a> {
 }
 
 impl Route<'_> {
-    /// Routes an abort — execution-time (capacity overflow, eager
-    /// conflict detection) or commit-time — into the feedback loop: after
-    /// an HTM capacity abort the thread's next attempt migrates to the
-    /// software path, and the class takes a strike toward a fast-path ban.
+    /// Notes an abort — execution-time (capacity overflow, eager conflict
+    /// detection) or commit-time: after an HTM capacity abort the
+    /// thread's next attempt migrates to the software path.
     fn note_abort<T>(&mut self, res: Result<T, Abort>) -> Result<T, Abort> {
         if let Err(abort) = &res {
             if !self.abort_noted {
                 self.abort_noted = true;
                 if self.on_htm && abort.kind == AbortKind::Capacity {
-                    let tm = self.tm;
-                    tm.migrate_next[self.thread].store(true, Ordering::Relaxed);
-                    if tm.router.capacity_abort(self.class) {
-                        tm.sched.capacity_bans.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.tm.migrate_next[self.thread].store(true, Ordering::Relaxed);
                 }
             }
         }
@@ -230,8 +204,7 @@ impl Route<'_> {
     fn retire(mut self, res: Result<Option<u64>, Abort>) -> Result<Option<u64>, Abort> {
         let seq = self.note_abort(res)?;
         let tm = self.tm;
-        tm.router
-            .commit(self.class, self.fp.reads, self.fp.writes, self.on_htm);
+        tm.router.commit(self.class, self.fp.reads, self.fp.writes);
         let ctr = if self.on_htm {
             &tm.sched.commits_htm
         } else {
@@ -302,15 +275,11 @@ impl TmSystem for HybridTm {
     fn begin(&self, thread_id: usize) -> HybridTx<'_> {
         let class = (self.class_of[thread_id].load(Ordering::Relaxed) as usize)
             .min(self.router.n_classes() - 1);
-        let (_, admits, adapted) = self.router.route(class);
-        if adapted {
-            self.sched.adapts.fetch_add(1, Ordering::Relaxed);
-        }
         // Mid-retry migration: an attempt that just died of an HTM
-        // capacity abort re-routes to the software path immediately (the
-        // hysteresis ban may or may not have triggered yet).
+        // capacity abort re-routes to the software path, whatever its
+        // class predicts.
         let migrate = self.migrate_next[thread_id].load(Ordering::Relaxed);
-        let eligible = !migrate && admits;
+        let eligible = !migrate && self.router.admits(class);
         // The one blocking acquisition of an attempt; the thread holds no
         // guard here, since its every earlier commit retired its own.
         let (guard, on_htm, waited) = self.gate.enter(eligible);

@@ -5,15 +5,16 @@
 //! ROCoCoTM runtime ([`rococo_stm::RococoTm`]) over one shared heap and
 //! routes every transaction attempt between them:
 //!
-//! * **Router** ([`mod@crate::router`]): predicts each transaction's
+//! * **Admission** ([`mod@crate::router`]): predicts each transaction's
 //!   footprint from an EWMA of committed read/write-set sizes keyed by a
 //!   caller-supplied class tag ([`TmSystem::set_tx_class`]), and admits
-//!   to the HTM fast path only under a limited-set bound (Kafousis'
-//!   admission rule). Classes that blow the hardware capacity anyway are
-//!   banned for an exponentially growing cooldown (hysteresis).
-//! * **Feedback loop** ([`HybridTm`]'s adapt step): consumes the
-//!   capacity-abort counter and footprint samples the telemetry layer
-//!   already collects and adapts the admission bounds online (AIMD).
+//!   to the HTM fast path only while the prediction fits the HTM's
+//!   capacity (Kafousis' limited-set rule).
+//! * **Migration**: an attempt that dies of an HTM capacity abort is
+//!   retried on the software path, whatever its class predicts.
+//!
+//! Each moves the hybrid's speedup by 2 % or more in the simulator's
+//! router ablation (`ablation_router`).
 //!
 //! The two engines are mutually blind (eager line snooping vs. signature
 //! validation), so a mode gate ([`mod@crate::gate`]) runs them in
@@ -44,7 +45,7 @@ mod hybrid;
 mod router;
 
 pub use hybrid::{HybridConfig, HybridTm, HybridTx, SchedSnapshot};
-pub use router::{Bounds, ClassState, Hysteresis, Policy, ADAPT_INTERVAL};
+pub use router::{Bounds, Policy};
 
 use rococo_stm::{atomically, try_atomically_seq, Abort, TmSystem};
 
@@ -116,8 +117,6 @@ mod tests {
                 max_attempts: 5,
             },
             classes,
-            cooldown: 8,
-            strike_limit: 2,
             ..HybridConfig::default()
         })
     }
@@ -181,29 +180,25 @@ mod tests {
     }
 
     #[test]
-    fn capacity_abort_migrates_mid_retry_and_bans_with_hysteresis() {
+    fn capacity_abort_migrates_mid_retry() {
         let tm = tiny_htm_tm(4);
         let a = tm.heap().alloc(8);
-        // Two attempts of one unseeded class share the HTM epoch, and each
-        // overflows the one-word write set: two strikes ban the class.
-        for t in 0..2 {
-            tm.set_tx_class(t, 3);
-        }
-        let (mut t0, mut t1) = (tm.begin(0), tm.begin(1));
-        for (tx, base) in [(&mut t0, a), (&mut t1, a + 4)] {
-            tx.write(base, 1).unwrap();
-            assert_eq!(
-                tx.write(base + 1, 1).map_err(|e| e.kind),
-                Err(AbortKind::Capacity)
-            );
-        }
-        drop((t0, t1));
-        // The next attempt of either thread migrates to software.
-        run_classed(&tm, 0, 3, |tx| tx.write(a, 2));
+        // An unseeded class is admitted to the HTM; two writes overflow
+        // its one-word write set, and the retry runs on software.
+        run_classed(&tm, 0, 3, |tx| {
+            tx.write(a, 1)?;
+            tx.write(a + 1, 1)
+        });
         let snap = tm.sched_snapshot();
         assert_eq!(snap.migrations, 1, "capacity abort must migrate to sw");
-        assert_eq!(snap.capacity_bans, 1, "repeat offenders must be banned");
-        assert_eq!((snap.routes_htm, snap.routes_sw), (2, 1));
+        assert_eq!((snap.routes_htm, snap.routes_sw), (1, 1));
+        assert_eq!((snap.commits_htm, snap.commits_sw), (0, 1));
+        let stats = tm.stats_snapshot();
+        assert_eq!(
+            stats.aborts[AbortKind::Capacity.index()],
+            1,
+            "outer stats carry the capacity abort"
+        );
     }
 
     #[test]
@@ -319,7 +314,6 @@ mod tests {
             "rococo_sched_commits_total",
             "rococo_sched_migrations_total",
             "rococo_sched_deferrals_total",
-            "rococo_sched_read_bound_words",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

@@ -907,8 +907,6 @@ mod tests {
                     max_attempts: 5,
                 },
                 classes: crate::request::Request::CLASSES,
-                cooldown: 8,
-                strike_limit: 2,
                 ..rococo_sched::HybridConfig::default()
             },
         ))

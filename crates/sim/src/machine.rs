@@ -5,7 +5,7 @@ use crate::workload::{PricedTxn, Workload};
 use rococo_fpga::{
     EngineConfig, EngineStats, FpgaVerdict, PipelinedValidator, ValidateRequest, ValidationEngine,
 };
-use rococo_sched::{Bounds, Hysteresis, Policy};
+use rococo_sched::{Bounds, Policy};
 use rococo_sigs::splitmix64;
 use rococo_stm::AbortKind;
 use std::cmp::Ordering as CmpOrdering;
@@ -54,10 +54,6 @@ pub enum Mechanism {
     Admission,
     /// Mid-retry migration: a capacity-aborted attempt retries as routed.
     Migration,
-    /// The hysteresis ban: strikes never ban.
-    Ban,
-    /// AIMD: the bounds stay at the capacity.
-    Aimd,
 }
 
 /// Result of one simulation.
@@ -216,7 +212,6 @@ struct WorkerState {
     /// Index into the phase's transaction list.
     txn: usize,
     start: f64,
-    finish: f64,
     attempt: u32,
     /// Hardware attempts failed since the thread's last HTM commit
     /// (`TsxHtm`'s per-thread `attempts`): at the limit the next HTM
@@ -271,34 +266,16 @@ struct Hybrid {
 }
 
 impl Hybrid {
-    fn new(cost: &CostModel, threads: usize, without: &[Mechanism]) -> Self {
-        let off = |m| without.contains(&m);
-        let cap = if off(Mechanism::Admission) {
-            Bounds {
-                reads: u32::MAX,
-                writes: u32::MAX,
-            }
+    fn new(cost: &CostModel, threads: usize, without: Option<Mechanism>) -> Self {
+        let bounds = if without == Some(Mechanism::Admission) {
+            Bounds::of_lines(usize::MAX, usize::MAX)
         } else {
-            // `Bounds::of_htm`'s rule (one word per line) on the
-            // simulated TSX's capacities.
-            let lines = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
-            Bounds {
-                reads: lines(cost.tsx_read_capacity_lines),
-                writes: lines(cost.tsx_write_capacity_lines),
-            }
+            // `Bounds::of_htm`'s rule on the simulated TSX's capacities.
+            Bounds::of_lines(cost.tsx_read_capacity_lines, cost.tsx_write_capacity_lines)
         };
-        // `HybridConfig::default()`'s strike limit and cooldown.
-        let hysteresis = Hysteresis {
-            strike_limit: if off(Mechanism::Ban) { u32::MAX } else { 3 },
-            cooldown: 256,
-        };
-        let mut policy = Policy::new(1, hysteresis, cap);
-        if off(Mechanism::Aimd) {
-            policy = policy.without_aimd();
-        }
         Self {
-            policy,
-            migration: !off(Mechanism::Migration),
+            policy: Policy::new(1, bounds),
+            migration: without != Some(Mechanism::Migration),
             migrate_next: vec![false; threads],
             mode: Mode::Idle,
             active: 0,
@@ -307,12 +284,11 @@ impl Hybrid {
         }
     }
 
-    /// `HybridTm::begin` up to the gate (hybrid.rs, `begin`): tick the
-    /// router, then a thread whose last attempt died of a capacity abort
-    /// asks for software. Returns whether the attempt is HTM-eligible.
-    fn route(&mut self, w: usize) -> bool {
-        let (_, admits) = self.policy.route(0);
-        !self.migrate_next[w] && admits
+    /// `HybridTm::begin` up to the gate: a thread whose last attempt died
+    /// of a capacity abort asks for software, any other asks the router.
+    /// Returns whether the attempt is HTM-eligible.
+    fn route(&self, w: usize) -> bool {
+        !self.migrate_next[w] && self.policy.admits(0)
     }
 
     /// `ModeGate::enter` (gate.rs): an idle gate opens the epoch the
@@ -355,20 +331,19 @@ impl Hybrid {
         waiters.into_iter().map(|(w, at, _)| (w, at, htm)).collect()
     }
 
-    /// `Route::note_abort` and `Route::retire` (hybrid.rs): an HTM
-    /// capacity abort strikes the class and migrates the thread's next
-    /// attempt; a commit folds its footprint into the prediction.
+    /// `Route::note_abort` and `Route::retire`: an HTM capacity abort
+    /// migrates the thread's next attempt; a commit folds its footprint
+    /// into the prediction.
     fn retire(&mut self, w: usize, on_htm: bool, txn: &Txn, outcome: Outcome) {
         match outcome {
             Outcome::Abort(_, AbortKind::Capacity) if on_htm => {
                 self.migrate_next[w] = self.migration;
-                self.policy.capacity_abort(0);
             }
             Outcome::Abort(..) => {}
             Outcome::Commit(_) => {
                 let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
                 self.policy
-                    .commit(0, count(txn.reads.len()), count(txn.writes.len()), on_htm);
+                    .commit(0, count(txn.reads.len()), count(txn.writes.len()));
             }
         }
     }
@@ -447,7 +422,6 @@ impl<'a> Machine<'a> {
                 .map(|_| WorkerState {
                     txn: usize::MAX,
                     start: 0.0,
-                    finish: 0.0,
                     attempt: 0,
                     htm_fails: 0,
                     path: system,
@@ -564,7 +538,6 @@ impl<'a> Machine<'a> {
         let wk = &mut self.workers[w];
         wk.path = path;
         wk.start = at;
-        wk.finish = finish;
         wk.doomed_at = None;
         wk.busy = true;
         self.push(finish, Kind::Finish, w);
@@ -580,8 +553,9 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// The gate admitted `w` at `at`: its migration flag is spent and
-    /// the attempt runs on the path the gate chose.
+    /// The gate admitted `w` at `at`: its migration flag is spent, as
+    /// `HybridTm::begin` clears it after `ModeGate::enter`, and the
+    /// attempt runs on the path the gate chose.
     fn admitted(&mut self, w: usize, at: f64, htm: bool) {
         if let Some(h) = self.hybrid.as_mut() {
             h.migrate_next[w] = false;
@@ -621,8 +595,6 @@ impl<'a> Machine<'a> {
                 &self.txns[self.workers[w].txn],
                 outcome,
             );
-        }
-        if self.hybrid.is_some() {
             // The guard drops when `commit_seq` returns or the attempt
             // aborts; the gate learns of it at that instant.
             self.push(outcome.at(), Kind::Leave, w);
@@ -676,9 +648,10 @@ impl<'a> Machine<'a> {
         let threads = self.threads;
         let tf = self.tf[1];
         let txn = &self.txns[self.workers[w].txn];
-        // Retries exhausted (whatever the abort reasons were): take the
-        // global fallback lock, dooming every running hardware
-        // transaction (lock subscription), and run serially.
+        // Retries exhausted (whatever the abort reasons were; `TsxHtm::begin`
+        // picks its fallback mode the same way): take the global fallback
+        // lock, dooming every running hardware transaction (lock
+        // subscription), and run serially.
         if self.workers[w].htm_fails >= cost.tsx_max_attempts {
             let fb_start = t.max(self.fallback_free);
             for (v, wk) in self.workers.iter_mut().enumerate() {
@@ -836,12 +809,12 @@ pub fn simulate(
     cost: &CostModel,
 ) -> SimOutcome {
     assert!(threads > 0, "need at least one worker");
-    let hybrid = (system == SimSystem::Hybrid).then(|| Hybrid::new(cost, threads, &[]));
+    let hybrid = (system == SimSystem::Hybrid).then(|| Hybrid::new(cost, threads, None));
     Machine::new(system, threads, cost, hybrid).run(workload)
 }
 
-/// Simulates `workload` on [`SimSystem::Hybrid`] with router mechanisms
-/// switched off: a row of the router ablation.
+/// Simulates `workload` on [`SimSystem::Hybrid`] with one router
+/// mechanism switched off: a row of the router ablation.
 ///
 /// # Panics
 ///
@@ -850,16 +823,23 @@ pub fn simulate_without(
     workload: &Workload,
     threads: usize,
     cost: &CostModel,
-    without: &[Mechanism],
+    without: Mechanism,
 ) -> SimOutcome {
     assert!(threads > 0, "need at least one worker");
-    let hybrid = Hybrid::new(cost, threads, without);
+    let hybrid = Hybrid::new(cost, threads, Some(without));
     Machine::new(SimSystem::Hybrid, threads, cost, Some(hybrid)).run(workload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ALL: [SimSystem; 4] = [
+        SimSystem::TinyStm,
+        SimSystem::Tsx,
+        SimSystem::Rococo,
+        SimSystem::Hybrid,
+    ];
 
     fn rw_txn(r: u64, w: u64, seq_ns: f64) -> PricedTxn {
         PricedTxn {
@@ -876,7 +856,7 @@ mod tests {
     #[test]
     fn all_commit_on_disjoint_work() {
         let w = disjoint_workload(100);
-        for sys in [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::Rococo] {
+        for sys in ALL {
             let r = simulate(&w, sys, 8, &CostModel::default());
             assert_eq!(r.commits, 100, "{sys:?}");
             assert_eq!(r.total_aborts(), 0, "{sys:?}");
@@ -886,7 +866,7 @@ mod tests {
     #[test]
     fn parallelism_shrinks_makespan() {
         let w = disjoint_workload(280);
-        for sys in [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::Rococo] {
+        for sys in ALL {
             let t1 = simulate(&w, sys, 1, &CostModel::default()).makespan_ns;
             let t14 = simulate(&w, sys, 14, &CostModel::default()).makespan_ns;
             assert!(
@@ -900,25 +880,52 @@ mod tests {
     fn contended_counter_serialises_and_aborts() {
         // Everyone increments the same word.
         let w: Workload = (0..200u64).map(|_| rw_txn(7, 7, 800.0)).collect();
-        for sys in [SimSystem::TinyStm, SimSystem::Tsx, SimSystem::Rococo] {
+        for sys in ALL {
             let r = simulate(&w, sys, 14, &CostModel::default());
             assert_eq!(r.commits, 200, "{sys:?} must finish the pool");
             assert!(r.total_aborts() > 0, "{sys:?} must see conflicts");
         }
     }
 
-    #[test]
-    fn tsx_capacity_forces_fallback() {
+    /// Ten transactions of 5 000 written lines each: more than TSX holds.
+    fn overflowing_workload() -> Workload {
         let big = PricedTxn {
             reads: (0..8u64).collect(),
             writes: (0..40_000u64).step_by(8).collect(), // 5000 lines
             seq_ns: 5000.0,
         };
-        let w: Workload = std::iter::repeat_with(|| big.clone()).take(10).collect();
-        let r = simulate(&w, SimSystem::Tsx, 4, &CostModel::default());
+        std::iter::repeat_with(|| big.clone()).take(10).collect()
+    }
+
+    #[test]
+    fn tsx_capacity_forces_fallback() {
+        let r = simulate(
+            &overflowing_workload(),
+            SimSystem::Tsx,
+            4,
+            &CostModel::default(),
+        );
         assert_eq!(r.commits, 10);
         assert_eq!(r.fallback_commits, 10, "all must take the fallback lock");
         assert!(r.aborts[&AbortKind::Capacity] > 0);
+    }
+
+    /// Where TSX overflows, the hybrid migrates each overflowing attempt
+    /// to software and then predicts the overflow: no fallback lock.
+    #[test]
+    fn hybrid_routes_around_tsx_capacity() {
+        let r = simulate(
+            &overflowing_workload(),
+            SimSystem::Hybrid,
+            4,
+            &CostModel::default(),
+        );
+        assert_eq!(r.commits, 10);
+        assert_eq!(r.fallback_commits, 0, "no attempt takes the fallback lock");
+        // The four first attempts, unseeded, try the HTM and overflow it.
+        assert_eq!(r.aborts[&AbortKind::Capacity], 4);
+        assert_eq!(r.routes_htm, 4);
+        assert_eq!(r.routes_htm + r.routes_sw, r.commits + r.total_aborts());
     }
 
     #[test]
@@ -940,11 +947,13 @@ mod tests {
         let w: Workload = (0..100u64)
             .map(|i| rw_txn(i % 13, (i + 1) % 13, 500.0))
             .collect();
-        let a = simulate(&w, SimSystem::Rococo, 8, &CostModel::default());
-        let b = simulate(&w, SimSystem::Rococo, 8, &CostModel::default());
-        assert_eq!(a.commits, b.commits);
-        assert_eq!(a.total_aborts(), b.total_aborts());
-        assert!((a.makespan_ns - b.makespan_ns).abs() < 1e-6);
+        for sys in [SimSystem::Rococo, SimSystem::Hybrid] {
+            let a = simulate(&w, sys, 8, &CostModel::default());
+            let b = simulate(&w, sys, 8, &CostModel::default());
+            assert_eq!(a.commits, b.commits);
+            assert_eq!(a.total_aborts(), b.total_aborts());
+            assert!((a.makespan_ns - b.makespan_ns).abs() < 1e-6);
+        }
     }
 
     #[test]

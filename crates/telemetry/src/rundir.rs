@@ -286,7 +286,7 @@ pub struct Expect {
     /// The run was durable: `rococo_wal_` metrics.
     pub wal: bool,
     /// The backend is the hybrid router: `rococo_sched_` metrics with
-    /// both route paths labelled out and the adapted bounds as gauges.
+    /// both route paths labelled out.
     pub sched: bool,
     /// The run was tail-sampled: `attribution.json` is present.
     pub attribution: bool,
@@ -439,8 +439,6 @@ fn check_prom(prom: &str, expect: Expect) -> Result<usize, String> {
             "rococo_sched_commits_total{path=\"htm\"}",
             "rococo_sched_commits_total{path=\"sw\"}",
             "rococo_sched_migrations_total",
-            "rococo_sched_read_bound_words",
-            "rococo_sched_write_bound_words",
         ]);
     }
     match prefixes.iter().find(|p| !has(p)) {
@@ -671,8 +669,6 @@ mod tests {
                 1,
             );
         }
-        reg.gauge("rococo_sched_read_bound_words", "fixture", &[], 8.0);
-        reg.gauge("rococo_sched_write_bound_words", "fixture", &[], 4.0);
         write_metrics(&dir, &reg).unwrap();
         put(&dir, TRACE_JSON, &good_trace().render());
         put(&dir, "anomaly-0-escalated.txt", &good_dump());
