@@ -121,7 +121,8 @@ echo "== the WAL runs on the threads that use it: no writer thread, no spin budg
 # Whoever waits for the durable watermark writes the batch under the
 # writer lock; a thread of its own would bring back the hand-off and the
 # budgets that made a lone append bimodal.
-if grep -rnE 'writer_loop|ExitGuard|ckpt_wanted|WAIT_SPOTS|CONSUMER_SPIN|PRODUCER_SPIN|PARK_AFTER|spin_on_this_host' crates/; then
+wal_deleted=(writer_loop ExitGuard ckpt_wanted WAIT_SPOTS CONSUMER_SPIN PRODUCER_SPIN PARK_AFTER spin_on_this_host)
+if grep -rnE "$(IFS='|'; echo "${wal_deleted[*]}")" crates/; then
   echo "the WAL writer thread or one of its budgets is back under crates/" >&2
   exit 1
 fi
@@ -308,9 +309,10 @@ fi
 echo "== docs name fns, types and paths that exist"
 # A backticked `fn()`, CamelCase type, snake_case name or `a::b` path in
 # the three docs must be a word (its last segment, for a path) somewhere
-# in the code, a file stem there (a bin, a module), or a name this script
-# keeps deleted. Fragments that start with `_` (a metric-name suffix)
-# are not names.
+# in the code, a file stem there (a bin, a module), or one of the names
+# the greps above keep out of crates/. Fragments that start with `_` (a
+# metric-name suffix) are not names.
+kept_deleted=("${wal_deleted[@]}" note_enqueued)
 code=(crates src tests examples benchmark)
 stems="$(git ls-files -- "${code[@]}" | sed -E 's|.*/||; s|\.[a-z]+$||' | sort -u)"
 for name in $(grep -ohE '`[^`]+`' README.md DESIGN.md .claude/skills/verify/SKILL.md | tr -d '`' \
@@ -323,7 +325,7 @@ for name in $(grep -ohE '`[^`]+`' README.md DESIGN.md .claude/skills/verify/SKIL
     continue
   fi
   if git grep -qw -e "$last" -- "${code[@]}" || grep -qxF "$last" <<<"$stems" \
-    || grep -qw -e "$last" "$0"; then
+    || printf '%s\n' "${kept_deleted[@]}" | grep -qxF "$last"; then
     continue
   fi
   echo "a doc names \`$name\`, which the code does not" >&2

@@ -6,20 +6,21 @@
 //! the router's policy. No live workload makes the HTM emulation
 //! overflow, so the router is judged here, on the two STAMP apps whose
 //! paper-sized transactions overflow TSX (labyrinth and vacation-low), on
-//! the virtual-time simulator: `SimSystem::Hybrid` runs the router's own
-//! policy code and the static TSX and ROCoCoTM attempt code behind a
-//! model of the mode gate. The table prints the three static systems,
-//! the hybrid, and the hybrid without each of its mechanisms; a
-//! mechanism earns its place if switching it off moves the hybrid's
-//! speedup by at least 2 % at some thread count of either app. STAMP
-//! tags no transaction class, so every transaction is class 0. Each
-//! recorded transaction is priced by its app's row of the committed
-//! calibration table, as in Figure 10, so two runs print the same table.
+//! the virtual-time simulator: `SimSystem::Hybrid` routes with the live
+//! `rococo_sched::Router` and runs the static TSX and ROCoCoTM attempt
+//! code behind a model of the mode gate. The table prints the three
+//! static systems, the hybrid, and the hybrid without each of its
+//! mechanisms; a mechanism earns its place if switching it off moves
+//! the hybrid's speedup by at least 2 % at some thread count of either
+//! app. STAMP tags no transaction class, so every transaction is class
+//! 0. Each recorded transaction is priced by its app's row of the
+//! committed calibration table, as in Figure 10, so two runs print the
+//! same table.
 //!
 //! Usage: ablation_router [--quick]
 
 use rococo_bench::{banner, pct, seq_cost, Table};
-use rococo_sim::{simulate, simulate_without, CostModel, Mechanism, SimSystem, Workload};
+use rococo_sim::{simulate, CostModel, Mechanism, SimSystem, Workload};
 use rococo_stamp::apps::AppId;
 use rococo_stamp::harness::{record_workload, Preset};
 
@@ -63,10 +64,10 @@ fn table(app: AppId, preset: Preset) -> Table {
         let (sw, all) = s.iter().fold((0, 0), |(a, b), x| (a + x.1, b + x.2));
         pct(sw as f64 / all.max(1) as f64)
     };
-    let base = speedups(&|t| simulate(&w, SimSystem::Hybrid, t, &cost));
+    let base = speedups(&|t| simulate(&w, SimSystem::Hybrid(None), t, &cost));
     table.row(cells("Hybrid".into(), base, "-".into(), sw_share(&base)));
     for (m, name) in MECHANISMS {
-        let s = speedups(&|t| simulate_without(&w, t, &cost, m));
+        let s = speedups(&|t| simulate(&w, SimSystem::Hybrid(Some(m)), t, &cost));
         let change = s
             .iter()
             .zip(&base)

@@ -219,14 +219,19 @@ impl ChaosReport {
             self.max_failed_streak,
             match (&self.engine, &self.sched) {
                 (Some(e), Some(s)) if e.injected() > 0 => format!(
-                    ", {} injected faults, {} migrations",
+                    ", {} injected faults, {} migrations, {} htm / {} sw commits",
                     e.injected(),
-                    s.migrations
+                    s.migrations,
+                    s.commits_htm,
+                    s.commits_sw
                 ),
                 (Some(e), None) if e.injected() > 0 => {
                     format!(", {} injected faults", e.injected())
                 }
-                (_, Some(s)) => format!(", {} migrations", s.migrations),
+                (_, Some(s)) => format!(
+                    ", {} migrations, {} htm / {} sw commits",
+                    s.migrations, s.commits_htm, s.commits_sw
+                ),
                 _ => String::new(),
             },
             if self.ok() {
@@ -281,18 +286,21 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosReport {
             |_| None,
         ),
         BackendKind::Hybrid => run_on(
-            // The HTM write-set is shrunk to one direct-mapped word-granular
-            // entry, so any transaction writing two distinct words
-            // capacity-aborts its fast-path attempt and migrates to the
-            // software path mid-retry — the schedule under test — until
-            // its class predicts more writes than that one-word bound.
-            // The slow path inherits the run's fault injection.
+            // The HTM write-set is shrunk to four direct-mapped word-granular
+            // sets, so the router admits a transfer (class 0, four writes)
+            // and its attempt capacity-aborts whenever two of its words
+            // share a set (always, when the account count is a multiple
+            // of four: `ver(i)` and `balance(i)` collide), migrating to the
+            // software path mid-retry — the schedule under test. The other
+            // three classes write at most one word and commit on the fast
+            // path when the gate is in its HTM epoch. The slow path
+            // inherits the run's fault injection.
             HybridTm::with_configs(HybridConfig {
                 tm: tm_config,
                 rococo: rococo_config,
                 htm: HtmConfig {
                     line_shift: 0,
-                    write_sets: 1,
+                    write_sets: 4,
                     write_ways: 1,
                     read_capacity: 4096,
                     max_attempts: 5,
@@ -338,6 +346,7 @@ fn run_on<S: TmSystem + 'static>(
                 barrier.wait();
                 'ops: for op in &ops {
                     let mut streak = 0u32;
+                    recorder.set_tx_class(t, op.class());
                     loop {
                         match try_atomically(recorder, t, &mut |tx| apply_op(tx, layout, op)) {
                             Ok(()) => break,
@@ -628,8 +637,8 @@ mod tests {
             "the tiny HTM write-set must force mid-retry migrations: {sched:?}"
         );
         assert!(
-            sched.commits_sw > 0,
-            "no commit on the slow path: {sched:?}"
+            sched.commits_sw > 0 && sched.commits_htm > 0,
+            "commits must land on both paths: {sched:?}"
         );
     }
 

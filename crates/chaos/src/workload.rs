@@ -131,6 +131,21 @@ pub enum Op {
     },
 }
 
+impl Op {
+    /// The operation's scheduling class
+    /// ([`TmSystem::set_tx_class`](rococo_stm::TmSystem::set_tx_class)):
+    /// one per variant, as each has its own read/write-set shape. A
+    /// `Transfer` writes four words; the other three write at most one.
+    pub fn class(&self) -> u32 {
+        match self {
+            Op::Transfer { .. } => 0,
+            Op::Snapshot { .. } => 1,
+            Op::Increment { .. } => 2,
+            Op::LongScan { .. } => 3,
+        }
+    }
+}
+
 /// Generates thread `thread`'s operation list for `seed`.
 pub fn gen_ops(seed: u64, thread: usize, n_ops: usize, accounts: usize) -> Vec<Op> {
     // Distinct, decorrelated stream per (seed, thread).

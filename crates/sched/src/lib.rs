@@ -45,7 +45,7 @@ mod hybrid;
 mod router;
 
 pub use hybrid::{HybridConfig, HybridTm, HybridTx, SchedSnapshot};
-pub use router::{Bounds, Policy};
+pub use router::{Bounds, Router};
 
 use rococo_stm::{atomically, try_atomically_seq, Abort, TmSystem};
 
@@ -207,10 +207,11 @@ mod tests {
         let a = tm.heap().alloc(8);
         let mut seqs = Vec::new();
         for i in 0..40u64 {
-            // Alternate small (HTM-fitting) and large (capacity-aborting,
-            // migrating) transactions so commits interleave engines.
+            // Alternate small (HTM-fitting, class 0) and large
+            // (capacity-aborting, migrating, class 1) transactions so
+            // commits interleave engines.
             let wide = i % 2 == 0;
-            let (_, seq) = try_run(&tm, 0, |tx| {
+            let (_, seq) = try_run(&tm, 0, u32::from(wide), |tx| {
                 let n = if wide { 4 } else { 1 };
                 for k in 0..n {
                     let v = tx.read(a + k)?;
@@ -224,15 +225,22 @@ mod tests {
         sorted.sort_unstable();
         let expect: Vec<u64> = (0..40).collect();
         assert_eq!(sorted, expect, "hybrid seq must stay dense: {seqs:?}");
+        let sched = tm.sched_snapshot();
+        assert_eq!(
+            (sched.commits_htm, sched.commits_sw),
+            (20, 20),
+            "each width commits on its own engine: {sched:?}"
+        );
+        assert_eq!(sched.migrations, 1, "only the unseeded wide class migrates");
     }
 
     /// Retry loop returning the commit sequence of the winning attempt.
-    fn try_run<F>(tm: &HybridTm, thread: usize, mut body: F) -> ((), Option<u64>)
+    fn try_run<F>(tm: &HybridTm, thread: usize, class: u32, mut body: F) -> ((), Option<u64>)
     where
         F: FnMut(&mut HybridTx<'_>) -> Result<(), rococo_stm::Abort>,
     {
         loop {
-            match try_classed(tm, thread, 0, &mut body) {
+            match try_classed(tm, thread, class, &mut body) {
                 Ok(r) => return r,
                 Err(_) => continue,
             }

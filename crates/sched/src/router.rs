@@ -7,10 +7,10 @@
 //! EWMA of observed per-commit footprints keyed by the caller-supplied
 //! scheduling class ([`rococo_stm::TmSystem::set_tx_class`]).
 //!
-//! The rule is a pair of methods on plain values (`ClassState`).
-//! [`Policy`] keeps the router's state as plain values — the simulator's
-//! `SimSystem::Hybrid` runs it — and the live `Router` keeps one atomic
-//! per field and moves it with the same methods.
+//! The rule is a pair of methods on plain values (`ClassState`);
+//! [`Router`] keeps one atomic per field and moves it with them. The live
+//! `HybridTm` and the simulator's `SimSystem::Hybrid` route with the same
+//! `Router`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -94,46 +94,20 @@ fn ewma(old: u32, sample: u32) -> u32 {
     }
 }
 
-/// The router's state as plain values, driven one event at a time: what
-/// the simulator keeps for its one worker pool.
-#[derive(Debug, Clone)]
-pub struct Policy {
-    classes: Vec<ClassState>,
-    bounds: Bounds,
-}
-
-impl Policy {
-    /// A policy over `classes` classes admitting under `bounds`.
-    pub fn new(classes: usize, bounds: Bounds) -> Self {
-        Self {
-            classes: vec![ClassState::default(); classes],
-            bounds,
-        }
-    }
-
-    /// Whether an attempt of `class` may take the fast path.
-    pub fn admits(&self, class: usize) -> bool {
-        self.classes[class].admits(self.bounds)
-    }
-
-    /// Folds a committed footprint into `class`'s prediction.
-    pub fn commit(&mut self, class: usize, reads: u32, writes: u32) {
-        self.classes[class] = self.classes[class].commit(reads, writes);
-    }
-}
-
-/// The live router: [`Policy`]'s state in atomics, one per field, so
+/// The router: each class's prediction in atomics, one per field, so
 /// that the routes and commits of many threads update it without a lock.
 /// A racing commit may lose an EWMA sample, which only perturbs the
-/// prediction, never correctness.
+/// prediction, never correctness. On one thread the relaxed atomics cost
+/// what plain values do.
 #[derive(Debug)]
-pub(crate) struct Router {
+pub struct Router {
     classes: Vec<[AtomicU32; 2]>,
     bounds: Bounds,
 }
 
 impl Router {
-    pub(crate) fn new(classes: usize, bounds: Bounds) -> Self {
+    /// A router over `classes` classes admitting under `bounds`.
+    pub fn new(classes: usize, bounds: Bounds) -> Self {
         Self {
             classes: (0..classes).map(|_| Default::default()).collect(),
             bounds,
@@ -152,13 +126,13 @@ impl Router {
         }
     }
 
-    /// [`Policy::admits`].
-    pub(crate) fn admits(&self, class: usize) -> bool {
+    /// Whether an attempt of `class` may take the fast path.
+    pub fn admits(&self, class: usize) -> bool {
         self.load(class).admits(self.bounds)
     }
 
-    /// [`Policy::commit`].
-    pub(crate) fn commit(&self, class: usize, reads: u32, writes: u32) {
+    /// Folds a committed footprint into `class`'s prediction.
+    pub fn commit(&self, class: usize, reads: u32, writes: u32) {
         let next = self.load(class).commit(reads, writes);
         let [r, w] = &self.classes[class];
         r.store(next.ewma_reads, Ordering::Relaxed);
@@ -207,44 +181,5 @@ mod tests {
         assert_eq!(r.load(0).predicted(), (4, 2));
         let (pr, pw) = r.load(1).predicted();
         assert!(pr > 64 && pw > 16, "big class predicted big");
-    }
-
-    /// One fixed event sequence — routes and commits of small and large
-    /// footprints over three classes — through the live router and the
-    /// plain policy the simulator runs: the same decision at every route.
-    #[test]
-    fn the_live_router_and_the_plain_policy_decide_alike() {
-        let live = Router::new(3, BOUNDS);
-        let mut plain = Policy::new(3, BOUNDS);
-        let mut x = 0x5eed_u64;
-        let (mut admitted, mut refused) = (0, 0);
-        for _ in 0..4096 {
-            let r = mix(&mut x);
-            let class = (r % 3) as usize;
-            if (r >> 8) % 4 < 3 {
-                let admits = live.admits(class);
-                assert_eq!(admits, plain.admits(class));
-                if admits {
-                    admitted += 1;
-                } else {
-                    refused += 1;
-                }
-            } else {
-                let big = (r >> 16).is_multiple_of(3);
-                let (reads, writes) = if big { (300, 40) } else { (2, 1) };
-                live.commit(class, reads, writes);
-                plain.commit(class, reads, writes);
-            }
-        }
-        assert!(admitted > 500 && refused > 500, "{admitted} / {refused}");
-    }
-
-    /// splitmix64's step: the test's event stream needs no hash crate.
-    fn mix(x: &mut u64) -> u64 {
-        *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }

@@ -67,5 +67,5 @@ mod machine;
 mod workload;
 
 pub use cost::{CostModel, SeqCost};
-pub use machine::{simulate, simulate_without, Mechanism, SimOutcome, SimSystem};
+pub use machine::{simulate, Mechanism, SimOutcome, SimSystem};
 pub use workload::{PricedTxn, Workload};

@@ -5,7 +5,7 @@ use crate::workload::{PricedTxn, Workload};
 use rococo_fpga::{
     EngineConfig, EngineStats, FpgaVerdict, PipelinedValidator, ValidateRequest, ValidationEngine,
 };
-use rococo_sched::{Bounds, Policy};
+use rococo_sched::{Bounds, Router};
 use rococo_sigs::splitmix64;
 use rococo_stm::AbortKind;
 use std::cmp::Ordering as CmpOrdering;
@@ -21,8 +21,9 @@ pub enum SimSystem {
     /// ROCoCoTM with the simulated FPGA validator.
     Rococo,
     /// `rococo_sched::HybridTm`: the router sends each attempt down the
-    /// Tsx or the Rococo path, behind the mode gate.
-    Hybrid,
+    /// Tsx or the Rococo path, behind the mode gate. `Some(m)` switches
+    /// the router's mechanism `m` off (a row of the router ablation).
+    Hybrid(Option<Mechanism>),
 }
 
 impl SimSystem {
@@ -32,7 +33,7 @@ impl SimSystem {
             SimSystem::TinyStm => 0,
             SimSystem::Tsx => 1,
             SimSystem::Rococo => 2,
-            SimSystem::Hybrid => unreachable!("a hybrid attempt is priced as its path"),
+            SimSystem::Hybrid(_) => unreachable!("a hybrid attempt is priced as its path"),
         }
     }
 
@@ -42,13 +43,13 @@ impl SimSystem {
             SimSystem::TinyStm => "TinySTM",
             SimSystem::Tsx => "TSX-HTM",
             SimSystem::Rococo => "ROCoCoTM",
-            SimSystem::Hybrid => "Hybrid",
+            SimSystem::Hybrid(_) => "Hybrid",
         }
     }
 }
 
-/// A router mechanism [`simulate_without`] switches off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A router mechanism [`SimSystem::Hybrid`] can switch off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
     /// The EWMA admission bound: every class fits.
     Admission,
@@ -250,11 +251,11 @@ enum Mode {
     Sw,
 }
 
-/// `HybridTm`'s routing state: the router's [`Policy`], the per-thread
+/// `HybridTm`'s routing state: its [`Router`], the per-thread
 /// migration flags and the mode gate. STAMP tags no class, so every
 /// transaction is class 0.
 struct Hybrid {
-    policy: Policy,
+    router: Router,
     migration: bool,
     migrate_next: Vec<bool>,
     mode: Mode,
@@ -274,7 +275,7 @@ impl Hybrid {
             Bounds::of_lines(cost.tsx_read_capacity_lines, cost.tsx_write_capacity_lines)
         };
         Self {
-            policy: Policy::new(1, bounds),
+            router: Router::new(1, bounds),
             migration: without != Some(Mechanism::Migration),
             migrate_next: vec![false; threads],
             mode: Mode::Idle,
@@ -288,7 +289,7 @@ impl Hybrid {
     /// of a capacity abort asks for software, any other asks the router.
     /// Returns whether the attempt is HTM-eligible.
     fn route(&self, w: usize) -> bool {
-        !self.migrate_next[w] && self.policy.admits(0)
+        !self.migrate_next[w] && self.router.admits(0)
     }
 
     /// `ModeGate::enter` (gate.rs): an idle gate opens the epoch the
@@ -342,7 +343,7 @@ impl Hybrid {
             Outcome::Abort(..) => {}
             Outcome::Commit(_) => {
                 let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
-                self.policy
+                self.router
                     .commit(0, count(txn.reads.len()), count(txn.writes.len()));
             }
         }
@@ -356,7 +357,7 @@ fn duration(cost: &CostModel, tf: &[f64; 3], path: SimSystem, t: &Txn) -> f64 {
         SimSystem::TinyStm => r * cost.tiny_read_ns + w * cost.tiny_write_ns,
         SimSystem::Tsx => (r + w) * cost.tsx_access_ns,
         SimSystem::Rococo => r * cost.rococo_read_ns + w * cost.rococo_write_ns,
-        SimSystem::Hybrid => unreachable!("a hybrid attempt is priced as its path"),
+        SimSystem::Hybrid(_) => unreachable!("a hybrid attempt is priced as its path"),
     };
     (t.seq_ns + overhead) * tf[path.idx()]
 }
@@ -477,7 +478,7 @@ impl<'a> Machine<'a> {
             fallback_commits: self.fallback_commits,
             routes_sw,
             routes_htm,
-            fpga: matches!(self.system, SimSystem::Rococo | SimSystem::Hybrid)
+            fpga: matches!(self.system, SimSystem::Rococo | SimSystem::Hybrid(_))
                 .then(|| self.validator.engine().stats()),
         }
     }
@@ -585,7 +586,7 @@ impl<'a> Machine<'a> {
                 SimSystem::TinyStm => self.tiny_attempt(w, t),
                 SimSystem::Tsx => self.tsx_attempt(w, t),
                 SimSystem::Rococo => self.rococo_attempt(w, t),
-                SimSystem::Hybrid => unreachable!("a hybrid attempt runs on a path"),
+                SimSystem::Hybrid(_) => unreachable!("a hybrid attempt runs on a path"),
             },
         };
         if let Some(h) = self.hybrid.as_mut() {
@@ -809,25 +810,11 @@ pub fn simulate(
     cost: &CostModel,
 ) -> SimOutcome {
     assert!(threads > 0, "need at least one worker");
-    let hybrid = (system == SimSystem::Hybrid).then(|| Hybrid::new(cost, threads, None));
+    let hybrid = match system {
+        SimSystem::Hybrid(without) => Some(Hybrid::new(cost, threads, without)),
+        _ => None,
+    };
     Machine::new(system, threads, cost, hybrid).run(workload)
-}
-
-/// Simulates `workload` on [`SimSystem::Hybrid`] with one router
-/// mechanism switched off: a row of the router ablation.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn simulate_without(
-    workload: &Workload,
-    threads: usize,
-    cost: &CostModel,
-    without: Mechanism,
-) -> SimOutcome {
-    assert!(threads > 0, "need at least one worker");
-    let hybrid = Hybrid::new(cost, threads, Some(without));
-    Machine::new(SimSystem::Hybrid, threads, cost, Some(hybrid)).run(workload)
 }
 
 #[cfg(test)]
@@ -838,7 +825,7 @@ mod tests {
         SimSystem::TinyStm,
         SimSystem::Tsx,
         SimSystem::Rococo,
-        SimSystem::Hybrid,
+        SimSystem::Hybrid(None),
     ];
 
     fn rw_txn(r: u64, w: u64, seq_ns: f64) -> PricedTxn {
@@ -916,7 +903,7 @@ mod tests {
     fn hybrid_routes_around_tsx_capacity() {
         let r = simulate(
             &overflowing_workload(),
-            SimSystem::Hybrid,
+            SimSystem::Hybrid(None),
             4,
             &CostModel::default(),
         );
@@ -947,7 +934,7 @@ mod tests {
         let w: Workload = (0..100u64)
             .map(|i| rw_txn(i % 13, (i + 1) % 13, 500.0))
             .collect();
-        for sys in [SimSystem::Rococo, SimSystem::Hybrid] {
+        for sys in [SimSystem::Rococo, SimSystem::Hybrid(None)] {
             let a = simulate(&w, sys, 8, &CostModel::default());
             let b = simulate(&w, sys, 8, &CostModel::default());
             assert_eq!(a.commits, b.commits);

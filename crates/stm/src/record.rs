@@ -278,6 +278,10 @@ impl<S: TmSystem> TmSystem for Recorder<S> {
         self.inner.stats()
     }
 
+    fn set_tx_class(&self, thread_id: usize, class: u32) {
+        self.inner.set_tx_class(thread_id, class);
+    }
+
     fn mark_phase(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
